@@ -30,6 +30,7 @@ from .constructions import (
 )
 from .nodal import (
     BoundViolation,
+    NodalError,
     bounds_report,
     export_nodal_pointcloud,
     nodal_count,
@@ -413,7 +414,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CliError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG
-    except (ParseError, ConstructionError, NotOnUnitCircle) as exc:
+    except BoundViolation as exc:  # a NodalError, so it must come first
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_ASSERT
+    except (ParseError, ConstructionError, NotOnUnitCircle, NodalError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG
     except PolynomialError as exc:

@@ -35,8 +35,6 @@ proven bounds, never certificates.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -92,7 +90,12 @@ def _integer_scaled_terms(p: Polynomial, denominator: int):
         scaled = coeff.numerator * (lcm // coeff.denominator) * denominator ** (degree - sum(e))
         exps.append(e)
         ints.append(scaled)
-    floats = [float(c) for c in ints]
+    try:
+        floats = [float(c) for c in ints]
+    except OverflowError as exc:
+        raise NodalError(
+            f"degree {degree}: a scaled integer coefficient exceeds the float range"
+        ) from exc
     return exps, ints, floats
 
 
@@ -246,31 +249,16 @@ class ComponentReport:
         }
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("CALORICS_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _sample_faces(p: Polynomial, grid: CrossSectionGrid) -> Tuple[np.ndarray, ...]:
-    ambient = grid.ambient
     nums = grid.numerators
     den = grid.denominator
-
-    def one_face(face: int) -> np.ndarray:
+    faces = []
+    for face in range(grid.face_count):
         axis, sign = grid.face_axis_sign(face)
-        axis_values: List[AxisValues] = [nums] * ambient
+        axis_values: List[AxisValues] = [nums] * grid.ambient
         axis_values[axis] = sign * den
-        return _sign_mesh(p, axis_values, den)
-
-    faces = range(grid.face_count)
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return tuple(pool.map(one_face, faces))
-    return tuple(one_face(face) for face in faces)
+        faces.append(_sign_mesh(p, axis_values, den))
+    return tuple(faces)
 
 
 def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
@@ -308,33 +296,39 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
 # ---------------------------------------------------------------------------
 
 
-class _DisjointSet:
-    def __init__(self):
-        self.parent: Dict[int, int] = {}
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def add(self, x: int) -> None:
-        self.parent.setdefault(x, x)
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-
-def _take(arr: np.ndarray, index: int, axis: int) -> np.ndarray:
-    return np.take(arr, index, axis=axis)
-
-
 _PROBE_STEPS = (1, 2, 3, 4, 5, 6, 7)  # eighth-points of the segment between centers
+
+
+def _probed_edges(signs: np.ndarray, idx: np.ndarray, probe) -> Tuple[np.ndarray, np.ndarray]:
+    """Index pairs of neighbouring same-sign cells whose probes all agree.
+
+    Runs over every axis of `signs`; idx holds each cell's node id in the
+    same shape.  probe(slot, eighth) returns the signs at the eighth-point
+    between neighbours along axis `slot`, shaped like `signs` with that axis
+    shortened by one.  Zero cells get no edges.
+    """
+    rows: List[np.ndarray] = []
+    cols: List[np.ndarray] = []
+    for slot in range(signs.ndim):
+        lo = [slice(None)] * signs.ndim
+        hi = [slice(None)] * signs.ndim
+        lo[slot] = slice(None, -1)
+        hi[slot] = slice(1, None)
+        s_lo = signs[tuple(lo)]
+        mask = (s_lo == signs[tuple(hi)]) & (s_lo != 0)
+        for eighth in _PROBE_STEPS:
+            if not mask.any():
+                break
+            mask &= probe(slot, eighth) == s_lo
+        rows.append(idx[tuple(lo)][mask])
+        cols.append(idx[tuple(hi)][mask])
+    return np.concatenate(rows), np.concatenate(cols)
+
+
+def _components(size: int, rows: np.ndarray, cols: np.ndarray) -> Tuple[int, np.ndarray]:
+    """(count, label per node) of the undirected graph on `size` nodes."""
+    graph = coo_matrix((np.ones(len(rows), dtype=bool), (rows, cols)), shape=(size, size))
+    return _graph_components(graph, directed=False)
 
 
 def _face_probe_signs(
@@ -360,74 +354,6 @@ def _face_probe_signs(
 def _mesh_axes(grid: CrossSectionGrid, face: int) -> List[int]:
     axis, _ = grid.face_axis_sign(face)
     return [ax for ax in range(grid.ambient) if ax != axis]
-
-
-def _label_one_face(field: SignField, face: int):
-    """Connected labels of nonzero cells on one face with probed edges.
-
-    Returns (labels array over all cells, set-of-label -> sign mapping keyed
-    locally from 0..count-1); zero cells keep label -1.
-    """
-    grid = field.grid
-    signs = field.face_signs[face]
-    shape = signs.shape
-    size = signs.size
-    idx = np.arange(size, dtype=np.int64).reshape(shape)
-    rows: List[np.ndarray] = []
-    cols: List[np.ndarray] = []
-    mesh_axes = _mesh_axes(grid, face)
-    for slot, ambient_axis in enumerate(mesh_axes):
-        lo = [slice(None)] * len(shape)
-        hi = [slice(None)] * len(shape)
-        lo[slot] = slice(None, -1)
-        hi[slot] = slice(1, None)
-        s_lo, s_hi = signs[tuple(lo)], signs[tuple(hi)]
-        mask = (s_lo == s_hi) & (s_lo != 0)
-        if mask.any():
-            for eighth in _PROBE_STEPS:
-                probe = _face_probe_signs(field.polynomial, grid, face, ambient_axis, eighth)
-                mask = mask & (probe == s_lo)
-                if not mask.any():
-                    break
-        if mask.any():
-            rows.append(idx[tuple(lo)][mask].ravel())
-            cols.append(idx[tuple(hi)][mask].ravel())
-    if rows:
-        row = np.concatenate(rows)
-        col = np.concatenate(cols)
-        graph = coo_matrix(
-            (np.ones(len(row), dtype=np.int8), (row, col)), shape=(size, size)
-        )
-        _, labels = _graph_components(graph, directed=False)
-    else:
-        labels = np.arange(size, dtype=np.int64)
-    labels = labels.reshape(shape)
-    return np.where(signs != 0, labels, -1)
-
-
-def _label_faces(field: SignField):
-    """Per-face probed labeling with globally unique ids and their signs."""
-    global_labels: List[np.ndarray] = []
-    label_sign: Dict[int, int] = {}
-    offset = 0
-    for face in range(field.grid.face_count):
-        local = _label_one_face(field, face)
-        signs = field.face_signs[face]
-        nonzero = signs != 0
-        out = np.full(local.shape, -1, dtype=np.int64)
-        if nonzero.any():
-            used = np.unique(local[nonzero])
-            remap = {int(u): offset + i for i, u in enumerate(used)}
-            lookup = np.full(int(local.max()) + 2, -1, dtype=np.int64)
-            for u, g in remap.items():
-                lookup[u] = g
-            out[nonzero] = lookup[local[nonzero]]
-            for u, g in remap.items():
-                member = np.argwhere(local == u)[0]
-                label_sign[g] = int(signs[tuple(member)])
-            offset += len(used)
-        global_labels.append(out)
-    return global_labels, label_sign
 
 
 _STITCH_STEPS = tuple(range(7))  # three probes per leg plus the cube-edge point
@@ -470,10 +396,12 @@ def _stitch_probe_signs(
     return _sign_mesh(p, axis_values, den8)
 
 
-def _edge_stitches(field: SignField, labels: List[np.ndarray]):
-    """Yield label pairs to merge across each shared cube edge of two faces."""
+def _edge_stitches(field: SignField, labels: List[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """Label pairs to merge across each shared cube edge of two faces."""
     grid = field.grid
     res = grid.resolution
+    rows: List[np.ndarray] = []
+    cols: List[np.ndarray] = []
     for fa in range(grid.face_count):
         a, sa = grid.face_axis_sign(fa)
         axes_a = _mesh_axes(grid, fa)
@@ -481,53 +409,56 @@ def _edge_stitches(field: SignField, labels: List[np.ndarray]):
             b, sb = grid.face_axis_sign(fb)
             if b == a:
                 continue
-            axes_b = _mesh_axes(grid, fb)
             slot_b_in_a = axes_a.index(b)
-            slot_a_in_b = axes_b.index(a)
+            slot_a_in_b = _mesh_axes(grid, fb).index(a)
             idx_b = res - 1 if sb > 0 else 0
             idx_a = res - 1 if sa > 0 else 0
-            sign_a = _take(field.face_signs[fa], idx_b, slot_b_in_a)
-            sign_b = _take(field.face_signs[fb], idx_a, slot_a_in_b)
+            sign_a = np.atleast_1d(np.take(field.face_signs[fa], idx_b, axis=slot_b_in_a))
+            sign_b = np.atleast_1d(np.take(field.face_signs[fb], idx_a, axis=slot_a_in_b))
             mask = (sign_a == sign_b) & (sign_a != 0)
-            if not np.any(mask):
-                continue
             for which in _STITCH_STEPS:
-                probe = _stitch_probe_signs(field.polynomial, grid, a, sa, b, sb, which)
-                mask = mask & (probe == sign_a)
-                if not np.any(mask):
+                if not mask.any():
                     break
-            if not np.any(mask):
-                continue
-            lab_a = _take(labels[fa], idx_b, slot_b_in_a)
-            lab_b = _take(labels[fb], idx_a, slot_a_in_b)
-            pairs = np.stack(
-                [np.atleast_1d(lab_a[mask]), np.atleast_1d(lab_b[mask])], axis=1
-            )
-            for pa, pb in np.unique(pairs, axis=0):
-                yield int(pa), int(pb)
+                mask &= _stitch_probe_signs(field.polynomial, grid, a, sa, b, sb, which) == sign_a
+            rows.append(np.atleast_1d(np.take(labels[fa], idx_b, axis=slot_b_in_a))[mask])
+            cols.append(np.atleast_1d(np.take(labels[fb], idx_a, axis=slot_a_in_b))[mask])
+    return np.concatenate(rows), np.concatenate(cols)
 
 
 def count_components(field: SignField) -> ComponentReport:
-    """Union-find count of same-sign components on a sampled cross-section.
+    """Count same-sign components on a sampled cross-section.
 
+    Each face is labeled with probed adjacency; the labels then become the
+    nodes of a second graph whose edges are the probed cross-face stitches.
     Single-resolution result: the stability flag is left False because
     stabilization is only meaningful across a schedule (see nodal_count).
     """
-    labels, label_sign = _label_faces(field)
-    dsu = _DisjointSet()
-    for label in label_sign:
-        dsu.add(label)
-    for pa, pb in _edge_stitches(field, labels):
-        dsu.union(pa, pb)
-    roots_by_sign = {1: set(), -1: set()}
-    for label, sign_value in label_sign.items():
-        roots_by_sign[sign_value].add(dsu.find(label))
-    positive, negative = len(roots_by_sign[1]), len(roots_by_sign[-1])
+    grid = field.grid
+    shape = field.face_signs[0].shape
+    idx = np.arange(field.face_signs[0].size, dtype=np.int64).reshape(shape)
+    labels: List[np.ndarray] = []
+    offset = 0
+    for face, signs in enumerate(field.face_signs):
+        mesh_axes = _mesh_axes(grid, face)
+
+        def probe(slot: int, eighth: int) -> np.ndarray:
+            return _face_probe_signs(field.polynomial, grid, face, mesh_axes[slot], eighth)
+
+        count, local = _components(signs.size, *_probed_edges(signs, idx, probe))
+        labels.append(local.reshape(shape) + offset)
+        offset += count
+    # components never mix signs; zero cells are singleton labels of sign 0
+    label_sign = np.zeros(offset, dtype=np.int8)
+    for face_labels, signs in zip(labels, field.face_signs):
+        label_sign[face_labels] = signs
+    _, merged = _components(offset, *_edge_stitches(field, labels))
+    positive = len(np.unique(merged[label_sign == 1]))
+    negative = len(np.unique(merged[label_sign == -1]))
     return ComponentReport(
         total=positive + negative,
         positive=positive,
         negative=negative,
-        resolutions_used=(field.grid.resolution,),
+        resolutions_used=(grid.resolution,),
         stable=False,
         zero_cell_fraction=field.zero_cell_fraction,
     )
@@ -687,49 +618,24 @@ def _sturm_count(coeffs: List[Fraction], a: Optional[Fraction], b: Optional[Frac
     return va - vb
 
 
-def _label_box_mesh(p: Polynomial, signs: np.ndarray, nums: np.ndarray, den: int) -> Tuple[np.ndarray, int]:
+def _label_box_mesh(p: Polynomial, signs: np.ndarray, nums: np.ndarray, den: int) -> np.ndarray:
     """Probed connected labeling of a full n-dimensional box mesh.
 
-    Same adjacency rule as the cross-section: same sign plus three agreeing
-    quarter-point probes.  Returns (labels with -1 on zero cells, count).
+    Same adjacency rule as the cross-section: same sign plus seven agreeing
+    eighth-point probes.  Zero cells get label -1.
     """
     n = signs.ndim
-    shape = signs.shape
-    size = signs.size
-    idx = np.arange(size, dtype=np.int64).reshape(shape)
     nums8 = 8 * nums
     spacing = int(nums8[1] - nums8[0]) if len(nums8) > 1 else 16
-    rows: List[np.ndarray] = []
-    cols: List[np.ndarray] = []
-    for slot in range(n):
-        lo = [slice(None)] * n
-        hi = [slice(None)] * n
-        lo[slot] = slice(None, -1)
-        hi[slot] = slice(1, None)
-        s_lo, s_hi = signs[tuple(lo)], signs[tuple(hi)]
-        mask = (s_lo == s_hi) & (s_lo != 0)
-        if mask.any():
-            for eighth in _PROBE_STEPS:
-                axis_values: List[AxisValues] = [nums8] * n + [0]
-                axis_values[slot] = nums8[:-1] + eighth * spacing // 8
-                probe = _sign_mesh(p, axis_values, 8 * den)
-                mask = mask & (probe == s_lo)
-                if not mask.any():
-                    break
-        if mask.any():
-            rows.append(idx[tuple(lo)][mask].ravel())
-            cols.append(idx[tuple(hi)][mask].ravel())
-    if rows:
-        row = np.concatenate(rows)
-        col = np.concatenate(cols)
-        graph = coo_matrix((np.ones(len(row), dtype=np.int8), (row, col)), shape=(size, size))
-        _, labels = _graph_components(graph, directed=False)
-    else:
-        labels = np.arange(size, dtype=np.int64)
-    labels = labels.reshape(shape)
-    labels = np.where(signs != 0, labels, -1)
-    used = np.unique(labels[labels >= 0])
-    return labels, len(used)
+
+    def probe(slot: int, eighth: int) -> np.ndarray:
+        axis_values: List[AxisValues] = [nums8] * n + [0]
+        axis_values[slot] = nums8[:-1] + eighth * spacing // 8
+        return _sign_mesh(p, axis_values, 8 * den)
+
+    idx = np.arange(signs.size, dtype=np.int64).reshape(signs.shape)
+    _, labels = _components(signs.size, *_probed_edges(signs, idx, probe))
+    return np.where(signs != 0, labels.reshape(signs.shape), -1)
 
 
 def slice_count(
@@ -769,7 +675,7 @@ def slice_count(
     if v.is_zero or not (signs != 0).any():
         return SliceReport(0, 0, 0, True, radius, resolution)
 
-    labels, _ = _label_box_mesh(v, signs, nums, den)
+    labels = _label_box_mesh(v, signs, nums, den)
     totals = {1: 0, -1: 0}
     boundary_touching = {1: 0, -1: 0}
     for sign_value in (1, -1):
@@ -957,29 +863,17 @@ def cluster_count(points: Sequence[Tuple[float, float, float]], gap: float) -> i
     """Number of single-linkage clusters when edges join points closer than gap."""
     if not points:
         return 0
+    # deferred: scipy.spatial would add to the import time of every CLI run
+    from scipy.spatial import cKDTree
+
     arr = np.asarray(points, dtype=np.float64)
-    cells: Dict[Tuple[int, int, int], List[int]] = {}
-    for index, row in enumerate(arr):
-        key = tuple(int(math.floor(c / gap)) for c in row)
-        cells.setdefault(key, []).append(index)
-    dsu = _DisjointSet()
-    for index in range(len(arr)):
-        dsu.add(index)
-    gap2 = gap * gap
-    for (cx, cy, cz), members in cells.items():
-        neighborhood: List[int] = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for dz in (-1, 0, 1):
-                    neighborhood.extend(cells.get((cx + dx, cy + dy, cz + dz), ()))
-        for i in members:
-            for j in neighborhood:
-                if j <= i:
-                    continue
-                diff = arr[i] - arr[j]
-                if float(diff @ diff) < gap2:
-                    dsu.union(i, j)
-    return len({dsu.find(i) for i in range(len(arr))})
+    # the tree only preselects (its rounding differs by ulps); the strict
+    # squared-distance test below, one dot product per pair, decides
+    pairs = cKDTree(arr).query_pairs(gap * (1 + 1e-9), output_type="ndarray")
+    diff = arr[pairs[:, 0]] - arr[pairs[:, 1]]
+    close = (diff[:, None, :] @ diff[:, :, None]).ravel() < gap * gap
+    count, _ = _components(len(arr), pairs[close, 0], pairs[close, 1])
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -1054,7 +948,7 @@ def sphere_grid_count(p: Polynomial, resolution: int = 256) -> ComponentReport:
     This is the cross-check oracle for the cube-exact pipeline: same
     reduction to the unit sphere, entirely different sampling surface and
     arithmetic.  Near-zero values (relative 1e-12) count as zero cells, and
-    the same quarter-point probing guards same-sign adjacency.
+    the same eighth-point probing guards same-sign adjacency.
     """
     if p.spatial_dim != 2:
         raise NodalError("the spherical oracle is defined for n = 2")
@@ -1082,59 +976,29 @@ def sphere_grid_count(p: Polynomial, resolution: int = 256) -> ComponentReport:
     signs = np.sign(base_values).astype(np.int8)
     signs[np.abs(base_values) < 1e-12 * scale] = 0
 
-    size = signs.size
-    idx = np.arange(size, dtype=np.int64).reshape(signs.shape)
-    rows: List[np.ndarray] = []
-    cols: List[np.ndarray] = []
+    # theta wraps around: repeating row 0 after the last row makes the seam
+    # one more edge along axis 0
+    wrap = np.append(np.arange(m), 0)
 
-    # theta direction, with wraparound seam
-    mask = (signs == np.roll(signs, -1, axis=0)) & (signs != 0)
-    for eighth in _PROBE_STEPS:
-        probe = grid_signs(thetas + eighth * d_theta / 8.0, phis, scale)
-        mask = mask & (probe == signs)
-    rows.append(idx[mask].ravel())
-    cols.append(np.roll(idx, -1, axis=0)[mask].ravel())
+    def probe(slot: int, eighth: int) -> np.ndarray:
+        if slot == 0:
+            return grid_signs(thetas + eighth * d_theta / 8.0, phis, scale)
+        return grid_signs(thetas, phis[:-1] + eighth * d_phi / 8.0, scale)[wrap]
 
-    # phi direction
-    mask = (signs[:, :-1] == signs[:, 1:]) & (signs[:, :-1] != 0)
-    for eighth in _PROBE_STEPS:
-        probe = grid_signs(thetas, phis[:-1] + eighth * d_phi / 8.0, scale)
-        mask = mask & (probe == signs[:, :-1])
-    rows.append(idx[:, :-1][mask].ravel())
-    cols.append(idx[:, 1:][mask].ravel())
-
-    row = np.concatenate(rows)
-    col = np.concatenate(cols)
-    graph = coo_matrix((np.ones(len(row), dtype=np.int8), (row, col)), shape=(size, size))
-    _, flat_labels = _graph_components(graph, directed=False)
-    labels = flat_labels.reshape(signs.shape)
-
-    dsu = _DisjointSet()
-    label_sign: Dict[int, int] = {}
-    nonzero = signs != 0
-    for label, sign_value in zip(labels[nonzero].ravel(), signs[nonzero].ravel()):
-        dsu.add(int(label))
-        label_sign[int(label)] = int(sign_value)
-
+    idx = np.arange(signs.size, dtype=np.int64).reshape(signs.shape)
+    edges = [_probed_edges(signs[wrap], idx[wrap], probe)]
     # poles join every same-sign cell of the adjacent latitude row
     for pole_point, row_index in (((0.0, 0.0, 1.0), k - 1), ((0.0, 0.0, -1.0), 0)):
         pole_value = p.evaluate_float(pole_point)
         if abs(pole_value) < 1e-12 * scale:
             continue
-        pole_sign = 1 if pole_value > 0 else -1
-        anchor = None
-        for i in range(m):
-            if signs[i, row_index] == pole_sign:
-                label = int(labels[i, row_index])
-                if anchor is None:
-                    anchor = label
-                else:
-                    dsu.union(anchor, label)
-
-    roots = {1: set(), -1: set()}
-    for label, sign_value in label_sign.items():
-        roots[sign_value].add(dsu.find(label))
-    positive, negative = len(roots[1]), len(roots[-1])
+        members = idx[:, row_index][signs[:, row_index] == (1 if pole_value > 0 else -1)]
+        edges.append((np.repeat(members[:1], len(members)), members))
+    rows, cols = (np.concatenate(part) for part in zip(*edges))
+    _, labels = _components(signs.size, rows, cols)
+    flat_signs = signs.ravel()
+    positive = len(np.unique(labels[flat_signs == 1]))
+    negative = len(np.unique(labels[flat_signs == -1]))
     zero_fraction = float((signs == 0).sum()) / signs.size
     return ComponentReport(
         total=positive + negative,

@@ -2,7 +2,10 @@
 
 import json
 
-from calorics import Polynomial, fixture, parse_poly
+import pytest
+
+from calorics import BoundViolation, Polynomial, fixture, parse_poly
+from calorics import cli
 from calorics.cli import main
 
 
@@ -128,6 +131,31 @@ def test_parse_error_exits_four(capsys):
     code, _, err = run(capsys, "verify", "--expr", "t + (", "-n", "1")
     assert code == 4
     assert "position" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "count --fixture n2d3 --schedule 8,16",  # too few resolutions
+        "count --expr 2*t+x1^2 -n 4",  # ambient dimension 5
+        # a scaled integer coefficient of this degree-20 input exceeds the float range
+        "count --gen zero-mod4 -d 20 --eps 1/4 --rot angle:0.2",
+    ],
+)
+def test_counting_errors_exit_four(capsys, argv):
+    code, _, err = run(capsys, *argv.split())
+    assert code == 4
+    assert err.startswith("error:")
+
+
+def test_escaped_bound_violation_exits_three(capsys, monkeypatch):
+    def violating(poly, schedule=None):
+        raise BoundViolation("counted 1 nodal domains outside [2, 3]")
+
+    monkeypatch.setattr(cli, "nodal_count", violating)
+    code, _, err = run(capsys, "count", "--fixture", "deg2")
+    assert code == 3
+    assert err.startswith("error:")
 
 
 def test_bad_rotation_exits_four(capsys):

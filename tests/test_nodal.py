@@ -163,12 +163,41 @@ def test_nodal_count_report_shape():
     assert data["total"] == 2
 
 
-def test_union_find_determinism_across_threads(monkeypatch):
-    p = fixture("n2d3")
-    baseline = nodal_count(p, [24, 48, 96])
-    monkeypatch.setenv("CALORICS_THREADS", "4")
-    threaded = nodal_count(p, [24, 48, 96])
-    assert baseline == threaded
+def _corpus_polynomial(name):
+    if name == "x*y*t":
+        return parse_poly(name, 2)
+    if name.startswith("hcp"):
+        return basic_hcp(int(name[3:]))
+    return fixture(name)
+
+
+# Under-resolved counts depend on how probe-cut edges and cross-face
+# stitches combine, so they pin the labeling itself, not only its limit.
+@pytest.mark.parametrize(
+    "name, resolution, expected",
+    [
+        ("n2d4", 4, (1, 4)),
+        ("n2d4", 8, (1, 4)),
+        ("n2d4", 12, (1, 4)),
+        ("n2d4", 16, (1, 2)),
+        ("prod_n2d4", 5, (2, 4)),  # needs the cross-face stitch probes
+        ("prod_n2d4", 8, (2, 4)),
+        ("n3d4", 8, (1, 1)),
+        ("hcp8", 8, (4, 2)),
+        ("hcp8", 16, (2, 4)),
+        ("hcp8", 32, (4, 4)),
+        ("hcp16", 8, (2, 4)),
+        ("hcp16", 16, (6, 2)),
+        ("hcp16", 32, (4, 6)),
+        ("x*y*t", 9, (4, 4)),
+    ],
+)
+def test_single_resolution_counts_are_pinned(name, resolution, expected):
+    field = cube_section_sample(_corpus_polynomial(name), resolution)
+    if name == "x*y*t":  # cell centers on the coordinate planes force a jitter
+        assert field.grid.jittered
+    report = count_components(field)
+    assert (report.positive, report.negative) == expected
 
 
 def test_mean_value_consequence_every_caloric_fixture_has_two_domains():
@@ -202,6 +231,13 @@ def test_slice_of_constant():
 def test_slice_caveat_on_escaping_box():
     # roots of p_4(x, -1) sit near +-3.3; a box of half-width 2 misses them
     report = slice_count(basic_hcp(4), 2)
+    assert report.caveat
+
+
+@pytest.mark.parametrize("name, expected", [("n2d4", (3, 2)), ("prod_n2d4", (5, 4))])
+def test_slice_caveat_when_same_sign_components_touch_the_box(name, expected):
+    report = slice_count(fixture(name), 2, 24)
+    assert (report.positive, report.negative) == expected
     assert report.caveat
 
 
@@ -285,6 +321,8 @@ def test_cluster_count_simple():
     blob_b = [(1.0, 1.0, 1.0), (1.01, 1.0, 1.0)]
     assert cluster_count(blob_a + blob_b, 0.05) == 2
     assert cluster_count([], 0.05) == 0
+    # edges join points strictly closer than gap
+    assert cluster_count([(0.0, 0.0, 0.0), (0.5, 0.0, 0.0)], 0.5) == 2
 
 
 # ---- bounds ----
@@ -332,3 +370,9 @@ def test_sphere_oracle_matches_cube_on_two_domain_fixture():
         sphere.negative,
     )
     assert sphere.method == "sphere-float"
+
+
+@pytest.mark.parametrize("resolution, expected", [(8, (1, 2)), (16, (1, 4)), (32, (1, 2))])
+def test_sphere_oracle_pinned_counts(resolution, expected):
+    report = sphere_grid_count(fixture("n2d4"), resolution)
+    assert (report.positive, report.negative) == expected
