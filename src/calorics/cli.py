@@ -21,7 +21,6 @@ from typing import List, Optional, Sequence, Tuple
 from . import __version__
 from .caloric import basic_hcp, chain_check, eigen_check, is_caloric
 from .constructions import (
-    ConstructionError,
     ConstructionSpec,
     build,
     fixture,
@@ -37,8 +36,6 @@ from .nodal import (
     slice_count,
 )
 from .polyring import (
-    NotOnUnitCircle,
-    ParseError,
     Polynomial,
     PolynomialError,
     format_rational,
@@ -178,7 +175,10 @@ def _resolve_source(args) -> Tuple[Polynomial, dict]:
                 data = json.load(handle)
         except (OSError, json.JSONDecodeError) as exc:
             raise CliError(f"cannot read polynomial file {args.polyfile!r}: {exc}") from exc
-        return Polynomial.from_json_dict(data), {"source": args.polyfile}
+        try:
+            return Polynomial.from_json_dict(data), {"source": args.polyfile}
+        except (KeyError, TypeError, ZeroDivisionError) as exc:
+            raise CliError(f"malformed polynomial file {args.polyfile!r}: {exc!r}") from exc
     if args.expr is not None:
         if args.n is None:
             raise CliError("--expr needs -n (spatial dimension)")
@@ -267,9 +267,12 @@ def _cmd_gen(args) -> int:
     payload["expr"] = poly.to_expression()
     payload["meta"] = meta
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(poly.to_json_dict(), handle, sort_keys=True)
-            handle.write("\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                json.dump(poly.to_json_dict(), handle, sort_keys=True)
+                handle.write("\n")
+        except OSError as exc:
+            raise CliError(f"cannot write {args.out!r}: {exc}") from exc
     _emit(payload, poly.to_expression())
     return EXIT_OK
 
@@ -371,9 +374,12 @@ def _cmd_scan(args) -> int:
 
 def _cmd_export(args) -> int:
     poly, _ = _resolve_source(args)
-    points = export_nodal_pointcloud(
-        poly, resolution=args.resolution, annulus_delta=args.delta, path=args.out
-    )
+    try:
+        points = export_nodal_pointcloud(
+            poly, resolution=args.resolution, annulus_delta=args.delta, path=args.out
+        )
+    except OSError as exc:
+        raise CliError(f"cannot write {args.out!r}: {exc}") from exc
     payload = {"rows": len(points), "path": args.out, "delta": args.delta, "resolution": args.resolution}
     summary = f"wrote {len(points)} points to {args.out}"
     if not points:
@@ -411,19 +417,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except CliError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CONFIG
     except BoundViolation as exc:  # a NodalError, so it must come first
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ASSERT
-    except (ParseError, ConstructionError, NotOnUnitCircle, NodalError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CONFIG
-    except PolynomialError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except (CliError, PolynomialError, NodalError, ValueError) as exc:
+        # ParseError and NotOnUnitCircle are PolynomialErrors and
+        # ConstructionError is a ValueError
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG
 

@@ -132,28 +132,42 @@ def _sign_mesh(p: Polynomial, axis_values: Sequence[AxisValues], denominator: in
             pow_cache[key] = arr.reshape(view_shape)
         return pow_cache[key]
 
-    vals = np.zeros(shape, dtype=np.float64)
-    mags = np.zeros(shape, dtype=np.float64)
-    for e, fc in zip(exps, floats):
-        contrib = np.float64(fc)
-        for axis in range(ambient):
-            exp = e[axis]
-            if exp == 0:
-                continue
-            v = axis_values[axis]
-            if isinstance(v, np.ndarray):
-                contrib = contrib * axis_pow(axis, exp)
-            else:
-                contrib = contrib * float(v) ** exp
-        vals = vals + contrib
-        mags = mags + np.abs(contrib)
+    degree = p.algebraic_degree()
+    # an overflow becomes inf or nan here; the guard below rejects it
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.zeros(shape, dtype=np.float64)
+        mags = np.zeros(shape, dtype=np.float64)
+        for e, fc in zip(exps, floats):
+            contrib = np.float64(fc)
+            for axis in range(ambient):
+                exp = e[axis]
+                if exp == 0:
+                    continue
+                v = axis_values[axis]
+                if isinstance(v, np.ndarray):
+                    contrib = contrib * axis_pow(axis, exp)
+                else:
+                    contrib = contrib * float(v) ** exp
+            vals = vals + contrib
+            mags = mags + np.abs(contrib)
+        signs = np.sign(vals).astype(np.int8)
 
-    # conservative forward-error certificate for the float accumulation
-    kappa = 8.0 * (p.algebraic_degree() + len(exps) + ambient + 4)
+    # Certificate: Higham, Accuracy and Stability of Numerical Algorithms,
+    # 2nd ed., Lemma 3.1 and the inner-product bound (3.5).  With u = eps/2,
+    # k roundings in a chain of products give a relative error <= gamma_k =
+    # k u / (1 - k u).  Numerators are small integers (exact, no underflow).
+    # A term takes one rounding for its coefficient, at most `degree` for its
+    # powers (pow is within one ulp: x^e within e u, x^1 exact) and at most
+    # `ambient` for its products; summing len(exps) terms adds len(exps) - 1.
+    # So |vals - exact| <= gamma_K * sum |term|, K = degree + len(exps) +
+    # ambient, and mags is within a relative gamma_K of sum |term|.  The
+    # bound 16 (K + 4) u * mags is about 16 times gamma_K * mags.
+    kappa = 8.0 * (degree + len(exps) + ambient + 4)
     bound = kappa * _FLOAT_EPS * mags
-    signs = np.sign(vals).astype(np.int8)
-    uncertain = np.abs(vals) <= bound
+    uncertain = ~(np.abs(vals) > bound)  # overflowed cells are uncertain
     if uncertain.any():
+        if not np.isfinite(mags[uncertain]).all():
+            raise NodalError(f"degree {degree}: the float pass of sign evaluation overflows")
         for multi in np.argwhere(uncertain):
             coords = []
             for axis in range(ambient):
@@ -249,16 +263,19 @@ class ComponentReport:
         }
 
 
+def _face_values(grid: CrossSectionGrid, face: int) -> List[AxisValues]:
+    """_sign_mesh axis values of one face's cell centers over grid.denominator."""
+    axis, sign = grid.face_axis_sign(face)
+    axis_values: List[AxisValues] = [grid.numerators] * grid.ambient
+    axis_values[axis] = sign * grid.denominator
+    return axis_values
+
+
 def _sample_faces(p: Polynomial, grid: CrossSectionGrid) -> Tuple[np.ndarray, ...]:
-    nums = grid.numerators
-    den = grid.denominator
-    faces = []
-    for face in range(grid.face_count):
-        axis, sign = grid.face_axis_sign(face)
-        axis_values: List[AxisValues] = [nums] * grid.ambient
-        axis_values[axis] = sign * den
-        faces.append(_sign_mesh(p, axis_values, den))
-    return tuple(faces)
+    return tuple(
+        _sign_mesh(p, _face_values(grid, face), grid.denominator)
+        for face in range(grid.face_count)
+    )
 
 
 def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
@@ -279,15 +296,13 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
     if resolution < 2:
         raise NodalError("resolution must be >= 2")
 
-    grid = CrossSectionGrid(ambient, resolution, jittered=False)
-    signs = _sample_faces(p, grid)
-    zeros = int(sum(int((face == 0).sum()) for face in signs))
-    field = SignField(grid, signs, zeros, p)
-    if field.zero_cell_fraction > _JITTER_ZERO_FRACTION:
-        grid = CrossSectionGrid(ambient, resolution, jittered=True)
+    for jittered in (False, True):
+        grid = CrossSectionGrid(ambient, resolution, jittered)
         signs = _sample_faces(p, grid)
         zeros = int(sum(int((face == 0).sum()) for face in signs))
         field = SignField(grid, signs, zeros, p)
+        if field.zero_cell_fraction <= _JITTER_ZERO_FRACTION:
+            break
     return field
 
 
@@ -331,24 +346,20 @@ def _components(size: int, rows: np.ndarray, cols: np.ndarray) -> Tuple[int, np.
     return _graph_components(graph, directed=False)
 
 
-def _face_probe_signs(
-    p: Polynomial, grid: CrossSectionGrid, face: int, slot_axis: int, eighth: int
-) -> np.ndarray:
-    """Signs at one eighth-point between adjacent centers along one face axis.
+def _sign_split(labels: np.ndarray, signs: np.ndarray) -> Tuple[int, int]:
+    """(positive, negative) counts of distinct labels, by the sign of each node."""
+    return len(np.unique(labels[signs == 1])), len(np.unique(labels[signs == -1]))
 
-    eighth in 1..7 selects the interior probe position; the returned array
-    matches the face shape with the probed axis shortened by one.
-    """
-    axis, sign = grid.face_axis_sign(face)
-    ambient = grid.ambient
-    den8 = 8 * grid.denominator
-    nums8 = 8 * grid.numerators
-    spacing = int(nums8[1] - nums8[0]) if len(nums8) > 1 else 16
-    probe = nums8[:-1] + eighth * spacing // 8
-    axis_values: List[AxisValues] = [nums8] * ambient
-    axis_values[axis] = sign * den8
-    axis_values[slot_axis] = probe
-    return _sign_mesh(p, axis_values, den8)
+
+def _eighth_signs(
+    p: Polynomial, axis_values: Sequence[AxisValues], denominator: int, axis: int, eighth: int
+) -> np.ndarray:
+    """Signs at eighth-point `eighth` (1..7) between neighbours along `axis`
+    of a _sign_mesh mesh; shaped like that mesh with `axis` shortened by one."""
+    scaled = [8 * v for v in axis_values]
+    nums = axis_values[axis]
+    scaled[axis] = (8 - eighth) * nums[:-1] + eighth * nums[1:]
+    return _sign_mesh(p, scaled, 8 * denominator)
 
 
 def _mesh_axes(grid: CrossSectionGrid, face: int) -> List[int]:
@@ -356,44 +367,22 @@ def _mesh_axes(grid: CrossSectionGrid, face: int) -> List[int]:
     return [ax for ax in range(grid.ambient) if ax != axis]
 
 
-_STITCH_STEPS = tuple(range(7))  # three probes per leg plus the cube-edge point
+def _stitch_path(grid: CrossSectionGrid, a: int, sa: int, b: int, sb: int) -> List[Tuple[int, int]]:
+    """(axis-a, axis-b) numerators over 8 * denominator of the stitch path.
 
-
-def _stitch_probe_signs(
-    p: Polynomial,
-    grid: CrossSectionGrid,
-    axis_a: int,
-    sign_a: int,
-    axis_b: int,
-    sign_b: int,
-    which: int,
-) -> np.ndarray:
-    """Signs along the bent path between edge-adjacent cells of two faces.
-
-    The path runs from the face-(axis_a, sign_a) cell center to the shared
-    cube edge and on to the face-(axis_b, sign_b) center; which = 0..2 are
-    the quarter-points of the first leg, 3 the cube-edge point, and 4..6 the
-    quarter-points of the second leg.  Mesh runs over the common axes.
+    The path bends from a face-(a, sa) edge cell center through the shared
+    cube edge to the face-(b, sb) center: three quarter-points per leg and
+    the cube-edge point between them.
     """
-    den8 = 8 * grid.denominator
-    nums8 = 8 * grid.numerators
-    edge_a = sign_a * den8
-    edge_b = sign_b * den8
-    last_b = int(nums8[-1]) if sign_b > 0 else int(nums8[0])
-    last_a = int(nums8[-1]) if sign_a > 0 else int(nums8[0])
-    axis_values: List[AxisValues] = [nums8] * grid.ambient
-    if which < 3:
-        j = which + 1  # leg on face (axis_a, sign_a): advance toward the edge
-        axis_values[axis_a] = edge_a
-        axis_values[axis_b] = ((4 - j) * last_b + j * edge_b) // 4
-    elif which == 3:
-        axis_values[axis_a] = edge_a
-        axis_values[axis_b] = edge_b
-    else:
-        j = which - 3  # leg on face (axis_b, sign_b): retreat from the edge
-        axis_values[axis_b] = edge_b
-        axis_values[axis_a] = ((4 - j) * edge_a + j * last_a) // 4
-    return _sign_mesh(p, axis_values, den8)
+    nums = grid.numerators
+    edge_a, edge_b = sa * grid.denominator, sb * grid.denominator
+    last_a = int(nums[-1] if sa > 0 else nums[0])
+    last_b = int(nums[-1] if sb > 0 else nums[0])
+    return (
+        [(8 * edge_a, 2 * ((4 - j) * last_b + j * edge_b)) for j in (1, 2, 3)]
+        + [(8 * edge_a, 8 * edge_b)]
+        + [(2 * ((4 - j) * edge_a + j * last_a), 8 * edge_b) for j in (1, 2, 3)]
+    )
 
 
 def _edge_stitches(field: SignField, labels: List[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
@@ -416,10 +405,12 @@ def _edge_stitches(field: SignField, labels: List[np.ndarray]) -> Tuple[np.ndarr
             sign_a = np.atleast_1d(np.take(field.face_signs[fa], idx_b, axis=slot_b_in_a))
             sign_b = np.atleast_1d(np.take(field.face_signs[fb], idx_a, axis=slot_a_in_b))
             mask = (sign_a == sign_b) & (sign_a != 0)
-            for which in _STITCH_STEPS:
+            axis_values: List[AxisValues] = [8 * grid.numerators] * grid.ambient
+            for value_a, value_b in _stitch_path(grid, a, sa, b, sb):
                 if not mask.any():
                     break
-                mask &= _stitch_probe_signs(field.polynomial, grid, a, sa, b, sb, which) == sign_a
+                axis_values[a], axis_values[b] = value_a, value_b
+                mask &= _sign_mesh(field.polynomial, axis_values, 8 * grid.denominator) == sign_a
             rows.append(np.atleast_1d(np.take(labels[fa], idx_b, axis=slot_b_in_a))[mask])
             cols.append(np.atleast_1d(np.take(labels[fb], idx_a, axis=slot_a_in_b))[mask])
     return np.concatenate(rows), np.concatenate(cols)
@@ -439,10 +430,13 @@ def count_components(field: SignField) -> ComponentReport:
     labels: List[np.ndarray] = []
     offset = 0
     for face, signs in enumerate(field.face_signs):
+        face_values = _face_values(grid, face)
         mesh_axes = _mesh_axes(grid, face)
 
         def probe(slot: int, eighth: int) -> np.ndarray:
-            return _face_probe_signs(field.polynomial, grid, face, mesh_axes[slot], eighth)
+            return _eighth_signs(
+                field.polynomial, face_values, grid.denominator, mesh_axes[slot], eighth
+            )
 
         count, local = _components(signs.size, *_probed_edges(signs, idx, probe))
         labels.append(local.reshape(shape) + offset)
@@ -452,8 +446,7 @@ def count_components(field: SignField) -> ComponentReport:
     for face_labels, signs in zip(labels, field.face_signs):
         label_sign[face_labels] = signs
     _, merged = _components(offset, *_edge_stitches(field, labels))
-    positive = len(np.unique(merged[label_sign == 1]))
-    negative = len(np.unique(merged[label_sign == -1]))
+    positive, negative = _sign_split(merged, label_sign)
     return ComponentReport(
         total=positive + negative,
         positive=positive,
@@ -536,23 +529,26 @@ def _poly_derivative(c: Sequence[Fraction]) -> List[Fraction]:
     return _poly_trim([c[i] * i for i in range(1, len(c))])
 
 
-def _poly_rem(a: Sequence[Fraction], b: Sequence[Fraction]) -> List[Fraction]:
-    a = list(a)
-    while len(a) >= len(b) and a:
-        factor = a[-1] / b[-1]
-        shift = len(a) - len(b)
+def _poly_divmod(
+    a: Sequence[Fraction], b: Sequence[Fraction]
+) -> Tuple[List[Fraction], List[Fraction]]:
+    """(quotient, remainder) of a / b; b must have a nonzero leading coefficient."""
+    rem = _poly_trim(list(a))
+    quotient = [Fraction(0)] * max(len(rem) - len(b) + 1, 0)
+    while len(rem) >= len(b):
+        factor = rem[-1] / b[-1]
+        shift = len(rem) - len(b)
+        quotient[shift] = factor
         for i, bc in enumerate(b):
-            a[shift + i] -= factor * bc
-        a = _poly_trim(a)
-        if not a:
-            break
-    return a
+            rem[shift + i] -= factor * bc
+        rem = _poly_trim(rem)
+    return quotient, rem
 
 
 def _poly_gcd(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
     a, b = _poly_trim(list(a)), _poly_trim(list(b))
     while b:
-        a, b = b, _poly_rem(a, b)
+        a, b = b, _poly_divmod(a, b)[1]
     return a
 
 
@@ -560,23 +556,14 @@ def _squarefree(coeffs: List[Fraction]) -> List[Fraction]:
     gcd = _poly_gcd(list(coeffs), _poly_derivative(coeffs))
     if len(gcd) <= 1:
         return list(coeffs)
-    quotient: List[Fraction] = []
-    rem = list(coeffs)
-    while len(rem) >= len(gcd) and rem:
-        factor = rem[-1] / gcd[-1]
-        quotient.insert(0, factor)
-        deg = len(rem) - len(gcd)
-        for i, gc in enumerate(gcd):
-            rem[deg + i] -= factor * gc
-        rem = _poly_trim(rem)
-    return _poly_trim(quotient)
+    return _poly_divmod(coeffs, gcd)[0]
 
 
 def _sturm_chain(coeffs: List[Fraction]) -> List[List[Fraction]]:
     coeffs = _squarefree(coeffs)  # chain stays valid for multiple roots
     chain = [list(coeffs), _poly_derivative(coeffs)]
     while chain[-1]:
-        nxt = [-c for c in _poly_rem(chain[-2], chain[-1])]
+        nxt = [-c for c in _poly_divmod(chain[-2], chain[-1])[1]]
         if not nxt:
             break
         chain.append(nxt)
@@ -618,26 +605,6 @@ def _sturm_count(coeffs: List[Fraction], a: Optional[Fraction], b: Optional[Frac
     return va - vb
 
 
-def _label_box_mesh(p: Polynomial, signs: np.ndarray, nums: np.ndarray, den: int) -> np.ndarray:
-    """Probed connected labeling of a full n-dimensional box mesh.
-
-    Same adjacency rule as the cross-section: same sign plus seven agreeing
-    eighth-point probes.  Zero cells get label -1.
-    """
-    n = signs.ndim
-    nums8 = 8 * nums
-    spacing = int(nums8[1] - nums8[0]) if len(nums8) > 1 else 16
-
-    def probe(slot: int, eighth: int) -> np.ndarray:
-        axis_values: List[AxisValues] = [nums8] * n + [0]
-        axis_values[slot] = nums8[:-1] + eighth * spacing // 8
-        return _sign_mesh(p, axis_values, 8 * den)
-
-    idx = np.arange(signs.size, dtype=np.int64).reshape(signs.shape)
-    _, labels = _components(signs.size, *_probed_edges(signs, idx, probe))
-    return np.where(signs != 0, labels.reshape(signs.shape), -1)
-
-
 def slice_count(
     p: Polynomial,
     box_half_width: Optional[Union[Fraction, int, str]] = None,
@@ -675,25 +642,13 @@ def slice_count(
     if v.is_zero or not (signs != 0).any():
         return SliceReport(0, 0, 0, True, radius, resolution)
 
-    labels = _label_box_mesh(v, signs, nums, den)
-    totals = {1: 0, -1: 0}
-    boundary_touching = {1: 0, -1: 0}
-    for sign_value in (1, -1):
-        mask = signs == sign_value
-        if not mask.any():
-            continue
-        values = np.unique(labels[mask])
-        totals[sign_value] = len(values)
-        if n >= 2:
-            edge_labels = set()
-            for axis in range(n):
-                for idx in (0, resolution - 1):
-                    face_labels = np.take(labels, idx, axis=axis)
-                    face_signs = np.take(signs, idx, axis=axis)
-                    edge_labels.update(
-                        int(u) for u in np.unique(face_labels[face_signs == sign_value])
-                    )
-            boundary_touching[sign_value] = len(edge_labels)
+    def probe(slot: int, eighth: int) -> np.ndarray:
+        return _eighth_signs(v, axis_values, den, slot, eighth)
+
+    idx = np.arange(signs.size, dtype=np.int64).reshape(signs.shape)
+    _, labels = _components(signs.size, *_probed_edges(signs, idx, probe))
+    labels = labels.reshape(signs.shape)
+    positive, negative = _sign_split(labels, signs)
 
     if n == 1:
         coeffs = _univariate_coeffs(v)
@@ -701,9 +656,9 @@ def slice_count(
         everywhere = _sturm_count(coeffs, None, None)
         caveat = inside != everywhere
     else:
-        caveat = any(boundary_touching[s] >= 2 for s in (1, -1))
-
-    positive, negative = totals[1], totals[-1]
+        rim = np.ones(signs.shape, dtype=bool)
+        rim[(slice(1, -1),) * n] = False
+        caveat = max(_sign_split(labels[rim], signs[rim])) >= 2
     return SliceReport(positive + negative, positive, negative, caveat, radius, resolution)
 
 
@@ -799,6 +754,12 @@ def _float_mesh_eval(p: Polynomial, xs: np.ndarray, ys: np.ndarray, ts: np.ndarr
     return out
 
 
+def _sphere_points(thetas: np.ndarray, phis: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Unit-sphere (x, y, t) at every (longitude, latitude) pair of the mesh."""
+    tg, pg = np.meshgrid(thetas, phis, indexing="ij")
+    return np.cos(tg) * np.cos(pg), np.sin(tg) * np.cos(pg), np.sin(pg)
+
+
 def export_nodal_pointcloud(
     p: Polynomial,
     resolution: int = 256,
@@ -819,10 +780,7 @@ def export_nodal_pointcloud(
         raise NodalError("annulus delta must lie strictly between 0 and 1")
     thetas = (np.arange(2 * resolution) + 0.5) * (2.0 * np.pi / (2 * resolution))
     phis = -np.pi / 2 + (np.arange(resolution) + 0.5) * (np.pi / resolution)
-    tg, pg = np.meshgrid(thetas, phis, indexing="ij")
-    ux = np.cos(tg) * np.cos(pg)
-    uy = np.sin(tg) * np.cos(pg)
-    ut = np.sin(pg)
+    ux, uy, ut = _sphere_points(thetas, phis)
 
     points: List[Tuple[float, float, float]] = []
     for radius in np.linspace(1.0 - annulus_delta, 1.0, shells):
@@ -958,23 +916,17 @@ def sphere_grid_count(p: Polynomial, resolution: int = 256) -> ComponentReport:
     thetas = (np.arange(m) + 0.5) * d_theta
     phis = -np.pi / 2 + (np.arange(k) + 0.5) * d_phi
 
-    def grid_signs(theta_vals: np.ndarray, phi_vals: np.ndarray, scale: float) -> np.ndarray:
-        tg, pg = np.meshgrid(theta_vals, phi_vals, indexing="ij")
-        xs = np.cos(tg) * np.cos(pg)
-        ys = np.sin(tg) * np.cos(pg)
-        ts = np.sin(pg)
-        values = _float_mesh_eval(p, xs, ys, ts)
+    def grid_values(theta_vals: np.ndarray, phi_vals: np.ndarray) -> np.ndarray:
+        return _float_mesh_eval(p, *_sphere_points(theta_vals, phi_vals))
+
+    def grid_signs(values: np.ndarray) -> np.ndarray:
         out = np.sign(values).astype(np.int8)
         out[np.abs(values) < 1e-12 * scale] = 0
         return out
 
-    tg, pg = np.meshgrid(thetas, phis, indexing="ij")
-    base_values = _float_mesh_eval(
-        p, np.cos(tg) * np.cos(pg), np.sin(tg) * np.cos(pg), np.sin(pg)
-    )
+    base_values = grid_values(thetas, phis)
     scale = float(np.abs(base_values).max()) or 1.0
-    signs = np.sign(base_values).astype(np.int8)
-    signs[np.abs(base_values) < 1e-12 * scale] = 0
+    signs = grid_signs(base_values)
 
     # theta wraps around: repeating row 0 after the last row makes the seam
     # one more edge along axis 0
@@ -982,8 +934,8 @@ def sphere_grid_count(p: Polynomial, resolution: int = 256) -> ComponentReport:
 
     def probe(slot: int, eighth: int) -> np.ndarray:
         if slot == 0:
-            return grid_signs(thetas + eighth * d_theta / 8.0, phis, scale)
-        return grid_signs(thetas, phis[:-1] + eighth * d_phi / 8.0, scale)[wrap]
+            return grid_signs(grid_values(thetas + eighth * d_theta / 8.0, phis))
+        return grid_signs(grid_values(thetas, phis[:-1] + eighth * d_phi / 8.0))[wrap]
 
     idx = np.arange(signs.size, dtype=np.int64).reshape(signs.shape)
     edges = [_probed_edges(signs[wrap], idx[wrap], probe)]
@@ -996,16 +948,13 @@ def sphere_grid_count(p: Polynomial, resolution: int = 256) -> ComponentReport:
         edges.append((np.repeat(members[:1], len(members)), members))
     rows, cols = (np.concatenate(part) for part in zip(*edges))
     _, labels = _components(signs.size, rows, cols)
-    flat_signs = signs.ravel()
-    positive = len(np.unique(labels[flat_signs == 1]))
-    negative = len(np.unique(labels[flat_signs == -1]))
-    zero_fraction = float((signs == 0).sum()) / signs.size
+    positive, negative = _sign_split(labels, signs.ravel())
     return ComponentReport(
         total=positive + negative,
         positive=positive,
         negative=negative,
         resolutions_used=(resolution,),
         stable=False,
-        zero_cell_fraction=zero_fraction,
+        zero_cell_fraction=float((signs == 0).sum()) / signs.size,
         method="sphere-float",
     )

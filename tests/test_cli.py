@@ -140,6 +140,8 @@ def test_parse_error_exits_four(capsys):
         "count --expr 2*t+x1^2 -n 4",  # ambient dimension 5
         # a scaled integer coefficient of this degree-20 input exceeds the float range
         "count --gen zero-mod4 -d 20 --eps 1/4 --rot angle:0.2",
+        # terms of this degree-16 input overflow the float pass of sign evaluation
+        "count --gen zero-mod4 -d 16 --eps 1/4 --rot angle:0.2",
     ],
 )
 def test_counting_errors_exit_four(capsys, argv):
@@ -155,6 +157,32 @@ def test_escaped_bound_violation_exits_three(capsys, monkeypatch):
     monkeypatch.setattr(cli, "nodal_count", violating)
     code, _, err = run(capsys, "count", "--fixture", "deg2")
     assert code == 3
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        '{"n": 1}',  # no terms
+        "[1, 2]",  # not an object
+        '{"n": 1, "terms": [{"k": 1, "alpha": [0], "num": "1", "den": "0"}]}',
+    ],
+)
+def test_malformed_polyfile_exits_four(capsys, tmp_path, content):
+    path = tmp_path / "p.json"
+    path.write_text(content)
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 4
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv", ["gen basic -d 2", "export --fixture deg2_n2_j1 --resolution 16"]
+)
+def test_unwritable_out_exits_four(capsys, tmp_path, argv):
+    out_path = tmp_path / "missing" / "out"
+    code, _, err = run(capsys, *argv.split(), "--out", str(out_path))
+    assert code == 4
     assert err.startswith("error:")
 
 

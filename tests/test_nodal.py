@@ -1,10 +1,13 @@
 """Cross-section sampling, component counting, slices, polar data, bounds."""
 
+import itertools
 import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from calorics import (
     BoundViolation,
@@ -22,9 +25,11 @@ from calorics import (
     slice_count,
     sphere_grid_count,
     export_nodal_pointcloud,
+    zero_mod4,
 )
-from calorics.nodal import NodalError, UnresolvedSign, _sign_mesh
+from calorics.nodal import NodalError, UnresolvedSign, _eighth_signs, _sign_mesh, _sturm_count
 from calorics.polyring import NotHomogeneous
+from conftest import homogeneous_polynomials
 
 
 def _negate_spatial(p):
@@ -59,6 +64,65 @@ def test_sign_mesh_certifies_huge_coefficient_cancellation():
     p = parse_poly(f"{big * big}*x^2 - 1", 1)
     nums = np.array([0], dtype=np.int64)
     assert _sign_mesh(p, [nums, 1], 1)[0] == -1
+
+
+def test_sign_mesh_rejects_float_overflow():
+    # terms of this degree-16 input overflow to inf on these cells; an
+    # inf - inf must not become a sign
+    p = zero_mod4(16, F(1, 4), rotation=0.2)
+    nums = np.array([-1023, -512, 0, 511, 1023], dtype=np.int64)
+    with pytest.raises(NodalError, match="degree 16"):
+        _sign_mesh(p, [nums, nums, 1024], 1024)
+
+
+def _coordinate(n, axis):
+    return Polynomial.variable(n, axis) if axis < n else Polynomial.time(n)
+
+
+def _exact_sign(p, point):
+    value = p.evaluate(point)
+    return (value > 0) - (value < 0)
+
+
+@given(homogeneous_polynomials(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_exact_signs_match_exact_evaluation(p, data):
+    n = p.spatial_dim
+    ambient = n + 1
+    resolution = data.draw(st.integers(min_value=2, max_value=6))
+    # cube grids use denominator r, or 6r once jittered
+    den = resolution * data.draw(st.sampled_from([1, 6]))
+    nums = st.lists(st.integers(-den, den), min_size=2, max_size=3)
+    axis_values = [np.array(data.draw(nums), dtype=np.int64) for _ in range(ambient)]
+    fixed = data.draw(st.integers(min_value=0, max_value=ambient - 1))
+    axis_values[fixed] = data.draw(st.sampled_from([-den, den]))
+    varying = [axis for axis in range(ambient) if axis != fixed]
+    if data.draw(st.booleans()):
+        # a huge term that cancels exactly on the mesh line x_a = m / den
+        a = varying[0]
+        line = _coordinate(n, a).scale(axis_values[fixed]) - _coordinate(n, fixed).scale(
+            int(axis_values[a][0])
+        )
+        p = p + (line * line).scale(10 ** 20)
+
+    def mesh_point(cell):
+        point = [F(axis_values[fixed], den)] * ambient
+        for axis, i in zip(varying, cell):
+            point[axis] = F(int(axis_values[axis][i]), den)
+        return point
+
+    signs = _sign_mesh(p, axis_values, den)
+    for cell in itertools.product(*(range(size) for size in signs.shape)):
+        assert signs[cell] == _exact_sign(p, mesh_point(cell))
+
+    slot = data.draw(st.integers(min_value=0, max_value=n - 1))
+    eighth = data.draw(st.integers(min_value=1, max_value=7))
+    probed = _eighth_signs(p, axis_values, den, varying[slot], eighth)
+    for cell in itertools.product(*(range(size) for size in probed.shape)):
+        point = mesh_point(cell)
+        lo, hi = (int(m) for m in axis_values[varying[slot]][cell[slot] : cell[slot] + 2])
+        point[varying[slot]] = F(lo, den) + F(eighth, 8) * F(hi - lo, den)
+        assert probed[cell] == _exact_sign(p, point)
 
 
 # ---- cube cross-section sampling ----
@@ -206,6 +270,39 @@ def test_mean_value_consequence_every_caloric_fixture_has_two_domains():
         assert report.total >= 2
 
 
+# ---- exact root counting ----
+
+
+def _coeffs_with_roots(roots):
+    """Coefficients, lowest degree first, of prod (x - r)^m over (r, m) pairs."""
+    coeffs = [F(1)]
+    for root, multiplicity in roots:
+        for _ in range(multiplicity):
+            shifted = [F(0)] + coeffs
+            coeffs = [hi - root * lo for hi, lo in zip(shifted, coeffs + [F(0)])]
+    return coeffs
+
+
+@pytest.mark.parametrize(
+    "roots",
+    [
+        ((0, 2),),
+        ((0, 3),),
+        ((2, 2), (-2, 2)),
+        ((1, 1),),
+        ((-3, 1), (1, 2)),
+        ((-1, 2), (0, 1), (3, 2)),
+        ((-2, 1), (-1, 1), (1, 1), (2, 1)),
+        ((-3, 2), (-1, 2), (2, 2), (3, 2)),
+    ],
+)
+def test_sturm_counts_distinct_roots_with_multiplicity(roots):
+    coeffs = _coeffs_with_roots(roots)
+    assert _sturm_count(coeffs, None, None) == len(roots)
+    lo, hi = F(-5, 2), F(1, 2)
+    assert _sturm_count(coeffs, lo, hi) == sum(1 for r, _ in roots if lo < r <= hi)
+
+
 # ---- slice diagnostic ----
 
 
@@ -239,6 +336,11 @@ def test_slice_caveat_when_same_sign_components_touch_the_box(name, expected):
     report = slice_count(fixture(name), 2, 24)
     assert (report.positive, report.negative) == expected
     assert report.caveat
+
+
+def test_slice_caveat_clear_for_a_double_root_pair():
+    # (x^2 - 4)^2 at t = -1: the box holds both double roots
+    assert slice_count(parse_poly("(x^2+4*t)^2", 1), 3, 64).caveat is False
 
 
 def test_slice_high_dim_fixture_is_clean():
