@@ -11,13 +11,15 @@ is heuristic.  Counts are therefore reported as HEURISTIC-STABILIZED: a
 count is `stable` when the last three resolutions of a schedule agree on the
 (positive, negative) split, never certified.
 
-Sign evaluation clears denominators and works on integers.  A vectorized
-float pass computes each cell value together with a rigorous rounding-error
-bound; cells whose |value| falls under the bound (in particular all exact
-zeros) are re-evaluated with exact integer arithmetic, so no sign is ever
-trusted to floating point.  Exact zeros are excluded from every component;
-if more than 0.1% of cells are zero the grid is jittered by 1/(6r) and
-resampled once.
+Sign evaluation clears denominators and works on integers.  The fixed
+coordinates of a mesh are substituted exactly; a float pass then evaluates
+the mesh as a chain of tensor contractions with one Vandermonde matrix per
+varying axis (V_a C V_b^T on a 2-D face), together with a rigorous
+rounding-error bound.  Cells whose |value| falls under the bound (in
+particular all exact zeros) are re-evaluated with exact integer arithmetic,
+so no sign is ever trusted to floating point.  Exact zeros are excluded
+from every component; if more than 0.1% of cells are zero the grid is
+jittered by 1/(6r) and resampled once.
 
 Adjacency is conservative: two same-sign cells sharing a facet merge only
 when the exact signs at the seven interior eighth-points of the segment
@@ -75,9 +77,9 @@ class UnresolvedSign(NodalError):
 def _integer_scaled_terms(p: Polynomial, denominator: int):
     """Rewrite p(m/denominator) as an integer form sum C_T * prod m^e.
 
-    Returns (exponent tuples, exact int coefficients, float coefficients);
-    exponents are ordered (x_1, ..., x_n, t).  The rewrite multiplies by the
-    positive constant lcm(denominators) * denominator^degree, so signs match.
+    Returns (exponent tuples, exact int coefficients); exponents are ordered
+    (x_1, ..., x_n, t).  The rewrite multiplies by the positive constant
+    lcm(denominators) * denominator^degree, so signs match.
     """
     degree = p.algebraic_degree()
     lcm = 1
@@ -90,13 +92,7 @@ def _integer_scaled_terms(p: Polynomial, denominator: int):
         scaled = coeff.numerator * (lcm // coeff.denominator) * denominator ** (degree - sum(e))
         exps.append(e)
         ints.append(scaled)
-    try:
-        floats = [float(c) for c in ints]
-    except OverflowError as exc:
-        raise NodalError(
-            f"degree {degree}: a scaled integer coefficient exceeds the float range"
-        ) from exc
-    return exps, ints, floats
+    return exps, ints
 
 
 AxisValues = Union[int, np.ndarray]
@@ -115,76 +111,77 @@ def _sign_mesh(p: Polynomial, axis_values: Sequence[AxisValues], denominator: in
         raise ValueError(f"need {ambient} axis value specs, got {len(axis_values)}")
     varying = [i for i, v in enumerate(axis_values) if isinstance(v, np.ndarray)]
     shape = tuple(len(axis_values[i]) for i in varying)
-    if p.is_zero:
+    degree = p.algebraic_degree()
+
+    # substitute the fixed axes exactly: integer coefficients of the
+    # monomials in the varying axes, keyed by their exponents
+    coeffs: Dict[Tuple[int, ...], int] = {}
+    for e, c in zip(*_integer_scaled_terms(p, denominator)):
+        for axis, v in enumerate(axis_values):
+            if axis not in varying:
+                c *= int(v) ** e[axis]
+        key = tuple(e[axis] for axis in varying)
+        coeffs[key] = coeffs.get(key, 0) + c
+    coeffs = {key: c for key, c in coeffs.items() if c}
+    if not coeffs:
         return np.zeros(shape, dtype=np.int8)
 
-    exps, ints, floats = _integer_scaled_terms(p, denominator)
-    pow_cache: Dict[Tuple[int, int], np.ndarray] = {}
+    # dense C over the exponents that occur on each varying axis; an unused
+    # power column could overflow and bring inf * 0 = nan into the mesh
+    powers = [sorted({key[s] for key in coeffs}) for s in range(len(varying))]
+    dense = np.zeros(tuple(len(pw) for pw in powers))
+    try:
+        for key, c in coeffs.items():
+            dense[tuple(pw.index(e) for pw, e in zip(powers, key))] = float(c)
+    except OverflowError as exc:
+        raise NodalError(
+            f"degree {degree}: a scaled integer coefficient exceeds the float range"
+        ) from exc
 
-    def axis_pow(axis: int, e: int) -> np.ndarray:
-        key = (axis, e)
-        if key not in pow_cache:
-            base = axis_values[axis].astype(np.float64)
-            arr = base ** e
-            slot = varying.index(axis)
-            view_shape = [1] * len(varying)
-            view_shape[slot] = len(base)
-            pow_cache[key] = arr.reshape(view_shape)
-        return pow_cache[key]
-
-    degree = p.algebraic_degree()
-    # an overflow becomes inf or nan here; the guard below rejects it
+    # contract one varying axis at a time with its Vandermonde matrix
+    # V[c, j] = m_c^(e_j) (V_a C V_b^T on a 2-D mesh); an overflow becomes
+    # inf or nan here and the guard below rejects it
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.zeros(shape, dtype=np.float64)
-        mags = np.zeros(shape, dtype=np.float64)
-        for e, fc in zip(exps, floats):
-            contrib = np.float64(fc)
-            for axis in range(ambient):
-                exp = e[axis]
-                if exp == 0:
-                    continue
-                v = axis_values[axis]
-                if isinstance(v, np.ndarray):
-                    contrib = contrib * axis_pow(axis, exp)
-                else:
-                    contrib = contrib * float(v) ** exp
-            vals = vals + contrib
-            mags = mags + np.abs(contrib)
-        signs = np.sign(vals).astype(np.int8)
+        vals, mags = dense, np.abs(dense)
+        for axis, pw in zip(varying, powers):
+            vander = np.vander(axis_values[axis].astype(np.float64), pw[-1] + 1, increasing=True)
+            vander = vander[:, pw]
+            vals = np.tensordot(vals, vander, axes=(0, 1))
+            mags = np.tensordot(mags, np.abs(vander), axes=(0, 1))
+        # flat views; a 0-d mesh (the stitch points of n = 1) becomes 1-D
+        vals, mags = vals.reshape(-1), mags.reshape(-1)
+        # int8 signs without a float temporary: the meshes are large
+        signs = (vals > 0).view(np.int8) - (vals < 0).view(np.int8)
 
-    # Certificate: Higham, Accuracy and Stability of Numerical Algorithms,
-    # 2nd ed., Lemma 3.1 and the inner-product bound (3.5).  With u = eps/2,
-    # k roundings in a chain of products give a relative error <= gamma_k =
-    # k u / (1 - k u).  Numerators are small integers (exact, no underflow).
-    # A term takes one rounding for its coefficient, at most `degree` for its
-    # powers (pow is within one ulp: x^e within e u, x^1 exact) and at most
-    # `ambient` for its products; summing len(exps) terms adds len(exps) - 1.
-    # So |vals - exact| <= gamma_K * sum |term|, K = degree + len(exps) +
-    # ambient, and mags is within a relative gamma_K of sum |term|.  The
-    # bound 16 (K + 4) u * mags is about 16 times gamma_K * mags.
-    kappa = 8.0 * (degree + len(exps) + ambient + 4)
-    bound = kappa * _FLOAT_EPS * mags
-    uncertain = ~(np.abs(vals) > bound)  # overflowed cells are uncertain
+    # Certificate (Higham, Accuracy and Stability of Numerical Algorithms,
+    # 2nd ed., Lemma 3.1 and (3.4)-(3.5)): with u = eps/2, a length-k inner
+    # product in any summation order, with or without FMA, has
+    # |fl(a.b) - a.b| <= gamma_k |a|.|b|, gamma_k = k u / (1 - k u).
+    # Expanded, vals is a sum of products C_T * prod_s m_s^e, and each
+    # product carries at most K = 1 + sum_s (degree + k_s) roundings:
+    #   1       converting its coefficient to float (the fixed axes were
+    #           substituted exactly before);
+    #   degree  per varying axis for m^e (np.vander multiplies cumulatively,
+    #           e - 1 roundings; integer m is exact and nothing underflows);
+    #   k_s     for stage s, an inner product over the k_s exponents of axis s.
+    # So |vals - p| <= gamma_K * S, S = sum |products|, and mags, the same
+    # chain on |C| and |V|, is at least (1 - gamma_K) S.  The bound
+    # 16 (K + 4) u * mags is over 16 times gamma_K / (1 - gamma_K) * mags.
+    kappa = 8.0 * (1 + sum(degree + len(pw) for pw in powers) + 4)
+    # in place: vals becomes |vals| and mags the bound
+    bound = np.multiply(mags, kappa * _FLOAT_EPS, out=mags)
+    uncertain = ~(np.abs(vals, out=vals) > bound)  # overflowed cells are uncertain
     if uncertain.any():
-        if not np.isfinite(mags[uncertain]).all():
+        if not np.isfinite(bound[uncertain]).all():
             raise NodalError(f"degree {degree}: the float pass of sign evaluation overflows")
-        for multi in np.argwhere(uncertain):
-            coords = []
-            for axis in range(ambient):
-                v = axis_values[axis]
-                if isinstance(v, np.ndarray):
-                    coords.append(int(v[multi[varying.index(axis)]]))
-                else:
-                    coords.append(int(v))
-            total = 0
-            for e, c in zip(exps, ints):
-                term = c
-                for m, exp in zip(coords, e):
-                    if exp:
-                        term *= m ** exp
-                total += term
-            signs[tuple(multi)] = np.int8((total > 0) - (total < 0))
-    return signs
+        for flat in np.flatnonzero(uncertain):
+            cell = np.unravel_index(flat, shape)
+            ms = [int(axis_values[axis][i]) for axis, i in zip(varying, cell)]
+            total = sum(
+                c * math.prod(m ** e for m, e in zip(ms, key)) for key, c in coeffs.items()
+            )
+            signs[flat] = (total > 0) - (total < 0)
+    return signs.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -778,6 +775,8 @@ def export_nodal_pointcloud(
         raise NodalError("point-cloud export is defined for n = 2")
     if not 0.0 < annulus_delta < 1.0:
         raise NodalError("annulus delta must lie strictly between 0 and 1")
+    if resolution < 2:
+        raise NodalError("resolution must be >= 2")
     thetas = (np.arange(2 * resolution) + 0.5) * (2.0 * np.pi / (2 * resolution))
     phis = -np.pi / 2 + (np.arange(resolution) + 0.5) * (np.pi / resolution)
     ux, uy, ut = _sphere_points(thetas, phis)

@@ -142,12 +142,25 @@ def test_parse_error_exits_four(capsys):
         "count --gen zero-mod4 -d 20 --eps 1/4 --rot angle:0.2",
         # terms of this degree-16 input overflow the float pass of sign evaluation
         "count --gen zero-mod4 -d 16 --eps 1/4 --rot angle:0.2",
+        # the probe meshes put 8 * 10000^64 out of the float range
+        "count --expr x^64 -n 1 --schedule 10000,10001,10002",
     ],
 )
 def test_counting_errors_exit_four(capsys, argv):
     code, _, err = run(capsys, *argv.split())
     assert code == 4
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("resolution", ["0", "-3"])
+def test_export_bad_resolution_exits_four(capsys, tmp_path, resolution):
+    out_path = tmp_path / "cloud.csv"
+    code, _, err = run(
+        capsys, "export", "--fixture", "n2d4", "--resolution", resolution, "--out", str(out_path)
+    )
+    assert code == 4
+    assert err.startswith("error:")
+    assert not out_path.exists()
 
 
 def test_escaped_bound_violation_exits_three(capsys, monkeypatch):

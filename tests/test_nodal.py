@@ -58,6 +58,15 @@ def test_sign_mesh_detects_exact_zeros():
     assert list(signs) == [-1, 0, 1]
 
 
+def test_sign_mesh_resolves_an_exact_zero_on_a_point_mesh():
+    # n = 1 stitch paths fix both axes; (x^2 + t)^2 vanishes at the cube
+    # corner (1, -1), between two positive cells of the adjacent faces
+    p = parse_poly("(x^2 + t)^2", 1)
+    assert _sign_mesh(p, [8, -8], 8) == 0
+    report = nodal_count(p, [8, 16, 32])
+    assert (report.total, report.positive, report.negative) == (2, 2, 0)
+
+
 def test_sign_mesh_certifies_huge_coefficient_cancellation():
     # (10^20 x - 1)(10^20 x + 1) has a sign dip invisible to naive float sums
     big = 10 ** 20
@@ -94,28 +103,39 @@ def test_exact_signs_match_exact_evaluation(p, data):
     den = resolution * data.draw(st.sampled_from([1, 6]))
     nums = st.lists(st.integers(-den, den), min_size=2, max_size=3)
     axis_values = [np.array(data.draw(nums), dtype=np.int64) for _ in range(ambient)]
-    fixed = data.draw(st.integers(min_value=0, max_value=ambient - 1))
-    axis_values[fixed] = data.draw(st.sampled_from([-den, den]))
-    varying = [axis for axis in range(ambient) if axis != fixed]
+    # faces fix one axis at +-den, stitch paths fix two, the slice fixes t = 0;
+    # two fixed axes can send distinct terms to one monomial of the rest
+    fixed = data.draw(
+        st.lists(
+            st.integers(min_value=0, max_value=ambient - 1),
+            min_size=1,
+            max_size=min(2, ambient - 1),
+            unique=True,
+        )
+    )
+    for axis in fixed:
+        axis_values[axis] = data.draw(st.sampled_from([-den, 0, den]))
+    varying = [axis for axis in range(ambient) if axis not in fixed]
     if data.draw(st.booleans()):
         # a huge term that cancels exactly on the mesh line x_a = m / den
-        a = varying[0]
-        line = _coordinate(n, a).scale(axis_values[fixed]) - _coordinate(n, fixed).scale(
+        a, f = varying[0], fixed[0]
+        line = _coordinate(n, a).scale(axis_values[f]) - _coordinate(n, f).scale(
             int(axis_values[a][0])
         )
         p = p + (line * line).scale(10 ** 20)
 
     def mesh_point(cell):
-        point = [F(axis_values[fixed], den)] * ambient
+        point = [F(int(v), den) if axis in fixed else None for axis, v in enumerate(axis_values)]
         for axis, i in zip(varying, cell):
             point[axis] = F(int(axis_values[axis][i]), den)
         return point
 
     signs = _sign_mesh(p, axis_values, den)
+    assert signs.shape == tuple(len(axis_values[axis]) for axis in varying)
     for cell in itertools.product(*(range(size) for size in signs.shape)):
         assert signs[cell] == _exact_sign(p, mesh_point(cell))
 
-    slot = data.draw(st.integers(min_value=0, max_value=n - 1))
+    slot = data.draw(st.integers(min_value=0, max_value=len(varying) - 1))
     eighth = data.draw(st.integers(min_value=1, max_value=7))
     probed = _eighth_signs(p, axis_values, den, varying[slot], eighth)
     for cell in itertools.product(*(range(size) for size in probed.shape)):
