@@ -142,7 +142,7 @@ def test_parse_error_exits_four(capsys):
         "count --gen zero-mod4 -d 20 --eps 1/4 --rot angle:0.2",
         # terms of this degree-16 input overflow the float pass of sign evaluation
         "count --gen zero-mod4 -d 16 --eps 1/4 --rot angle:0.2",
-        # the probe meshes put 8 * 10000^64 out of the float range
+        # on the probe meshes x = 1 scales to (8 * 10000)^64, beyond the float range
         "count --expr x^64 -n 1 --schedule 10000,10001,10002",
     ],
 )
