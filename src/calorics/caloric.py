@@ -90,13 +90,6 @@ class WeightedInnerProduct:
     rational_part: Fraction
     pi_half_power: int
 
-    @property
-    def pi_power(self) -> Fraction:
-        return Fraction(self.pi_half_power, 2)
-
-    def to_float(self) -> float:
-        return float(self.rational_part) * math.pi ** (self.pi_half_power / 2.0)
-
     def to_json_dict(self) -> dict:
         return {
             "rational": format_rational(self.rational_part),
@@ -306,7 +299,10 @@ def _hermite_value_and_derivative(d: int, x: float) -> Tuple[float, float]:
     return h, 2.0 * d * h_prev
 
 
-def _hermite_roots(d: int, newton_steps: int = 4) -> np.ndarray:
+_NEWTON_STEPS = 4  # eigvalsh roots start near double precision; Newton converges quadratically
+
+
+def _hermite_roots(d: int) -> np.ndarray:
     """All roots of H_d via the symmetric Jacobi matrix, Newton-polished."""
     offdiag = np.sqrt(np.arange(1, d) / 2.0)
     jacobi = np.diag(offdiag, 1) + np.diag(offdiag, -1)
@@ -314,7 +310,7 @@ def _hermite_roots(d: int, newton_steps: int = 4) -> np.ndarray:
     polished = []
     for r in roots:
         x = float(r)
-        for _ in range(newton_steps):
+        for _ in range(_NEWTON_STEPS):
             value, derivative = _hermite_value_and_derivative(d, x)
             if derivative == 0.0:
                 break
@@ -322,7 +318,7 @@ def _hermite_roots(d: int, newton_steps: int = 4) -> np.ndarray:
         if not math.isfinite(x):
             raise RootFindingError(
                 f"Hermite root polish diverged for degree {d} near {r} "
-                f"(budget {newton_steps} Newton steps)"
+                f"(budget {_NEWTON_STEPS} Newton steps)"
             )
         polished.append(x)
     return np.sort(np.asarray(polished))

@@ -64,6 +64,13 @@ def _emit(report: dict, summary: str) -> None:
         sys.stderr.write(summary + "\n")
 
 
+def _rational(text: str, what: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise CliError(f"bad {what} {text!r}: {exc}") from exc
+
+
 def _parse_rotation(text: Optional[str]):
     if text is None:
         return None
@@ -75,19 +82,7 @@ def _parse_rotation(text: Optional[str]):
     parts = text.split(",")
     if len(parts) != 2:
         raise CliError(f"rotation must be 'p/q,p/q' or 'angle:<float>', got {text!r}")
-    try:
-        return (Fraction(parts[0].strip()), Fraction(parts[1].strip()))
-    except ValueError as exc:
-        raise CliError(f"bad rotation pair {text!r}: {exc}") from exc
-
-
-def _parse_eps(text: Optional[str]) -> Optional[Fraction]:
-    if text is None:
-        return None
-    try:
-        return Fraction(text)
-    except ValueError as exc:
-        raise CliError(f"bad epsilon {text!r}: {exc}") from exc
+    return (_rational(parts[0], "rotation entry"), _rational(parts[1], "rotation entry"))
 
 
 def _parse_schedule(text: Optional[str]) -> Optional[List[int]]:
@@ -119,37 +114,30 @@ _SEED_ALIASES = {
 }
 
 
-def _build_from_args(args) -> Tuple[Polynomial, dict]:
-    """Materialize the polynomial described by generation flags."""
-    family = _FAMILY_ALIASES.get(args.family)
+def _generate(name: str, args) -> Tuple[Polynomial, dict]:
+    """Materialize the polynomial described by the family `name` and the generator flags."""
+    family = _FAMILY_ALIASES.get(name)
     if family is None:
-        raise CliError(f"unknown family {args.family!r}; expected one of {sorted(_FAMILY_ALIASES)}")
-    rotation = _parse_rotation(getattr(args, "rot", None))
-    eps = _parse_eps(getattr(args, "eps", None))
-    meta: dict = {"family": args.family}
-    if family == "basic":
-        if args.d is None:
-            raise CliError("basic needs -d")
-        poly = basic_hcp(args.d)
-        meta["d"] = args.d
-        return poly, meta
+        raise CliError(f"unknown family {name!r}; expected one of {sorted(_FAMILY_ALIASES)}")
+    rotation = _parse_rotation(args.rot)
+    eps = None if args.eps is None else _rational(args.eps, "epsilon")
+    meta: dict = {"family": name}
     if family == "fixture":
         if not args.fixture_id:
-            raise CliError("fixture needs an id, e.g. 'fixture n2d3'")
+            raise CliError("fixture needs an id: 'gen fixture n2d3' or '--gen fixture --fixture-id n2d3'")
         meta["fixture"] = args.fixture_id
         return fixture(args.fixture_id), meta
     if args.d is None:
-        raise CliError(f"{args.family} needs -d")
-    seed_kind = _SEED_ALIASES.get(getattr(args, "seed_kind", "real_part"))
+        raise CliError(f"{name} needs -d")
+    if family == "basic":
+        meta["d"] = args.d
+        return basic_hcp(args.d), meta
+    seed_kind = _SEED_ALIASES.get(args.seed_kind)
     if seed_kind is None:
         raise CliError(f"unknown seed kind {args.seed_kind!r}")
+    n = args.n if args.n is not None else (3 if family == "high_dim" else 2)
     spec = ConstructionSpec(
-        family=family,
-        d=args.d,
-        n=args.n or (3 if family == "high_dim" else 2),
-        epsilon=eps,
-        rotation=rotation,
-        seed_kind=seed_kind,
+        family=family, d=args.d, n=n, epsilon=eps, rotation=rotation, seed_kind=seed_kind
     )
     poly = build(spec)
     meta.update(spec.to_json_dict())
@@ -185,16 +173,7 @@ def _resolve_source(args) -> Tuple[Polynomial, dict]:
         return parse_poly(args.expr, args.n), {"source": "expr"}
     if args.fixture is not None:
         return fixture(args.fixture), {"source": f"fixture:{args.fixture}"}
-    gen_args = argparse.Namespace(
-        family=args.gen,
-        d=args.d,
-        n=args.n,
-        eps=args.eps,
-        rot=args.rot,
-        seed_kind=args.seed_kind,
-        fixture_id=args.fixture_id,
-    )
-    poly, meta = _build_from_args(gen_args)
+    poly, meta = _generate(args.gen, args)
     meta["source"] = f"gen:{args.gen}"
     return poly, meta
 
@@ -204,12 +183,16 @@ def _add_source_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--expr", help="inline expression, e.g. 't^2 + t*x^2 + 1/12*x^4'")
     parser.add_argument("--fixture", help="fixture id, e.g. n2d3")
     parser.add_argument("--gen", help="construction family to generate inline")
-    parser.add_argument("-d", type=int, default=None, help="degree for --gen")
+    _add_generator_arguments(parser)
+    parser.add_argument("--fixture-id", dest="fixture_id", help="fixture id for --gen fixture")
+
+
+def _add_generator_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("-d", type=int, default=None, help="degree of the generated family")
     parser.add_argument("-n", type=int, default=None, help="spatial dimension")
-    parser.add_argument("--eps", help="epsilon for --gen (rational or decimal)")
+    parser.add_argument("--eps", help="epsilon of a perturbation family (rational or decimal)")
     parser.add_argument("--rot", help="rotation 'p/q,p/q' or 'angle:<float>'")
     parser.add_argument("--seed-kind", dest="seed_kind", default="real_part", help="re|im for high-dim")
-    parser.add_argument("--fixture-id", dest="fixture_id", help="fixture id for --gen fixture")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -220,11 +203,7 @@ def make_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate a polynomial and print its canonical forms")
     gen.add_argument("family", help="basic | lewy | odd | zero-mod4 | high-dim | product | fixture")
     gen.add_argument("fixture_id", nargs="?", help="fixture id when family is 'fixture'")
-    gen.add_argument("-d", type=int, default=None)
-    gen.add_argument("-n", type=int, default=None)
-    gen.add_argument("--eps")
-    gen.add_argument("--rot")
-    gen.add_argument("--seed-kind", dest="seed_kind", default="real_part")
+    _add_generator_arguments(gen)
     gen.add_argument("--out", help="also write the JSON polynomial to this path")
 
     verify = sub.add_parser("verify", help="run the exact caloric checks on a polynomial")
@@ -260,9 +239,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
-    if args.family == "fixture" and args.fixture_id is None:
-        raise CliError("fixture needs an id, e.g. 'gen fixture n2d3'")
-    poly, meta = _build_from_args(args)
+    poly, meta = _generate(args.family, args)
     payload = poly.to_json_dict()
     payload["expr"] = poly.to_expression()
     payload["meta"] = meta
@@ -351,10 +328,10 @@ def _cmd_scan(args) -> int:
         raise CliError(f"scan supports the perturbation families, got {args.family!r}")
     rotation = _parse_rotation(args.rot)
     if args.eps_grid:
-        grid = [Fraction(part.strip()) for part in args.eps_grid.split(",") if part.strip()]
+        grid = [_rational(part, "eps-grid entry") for part in args.eps_grid.split(",") if part.strip()]
     else:
         grid = [Fraction(1, 2 ** k) for k in range(2, 9)]
-    spec = ConstructionSpec(family=family, d=args.d, rotation=rotation, epsilon=grid[0])
+    spec = ConstructionSpec(family=family, d=args.d, rotation=rotation)
     result = scan_epsilon(spec, grid, target=args.target, schedule=_parse_schedule(args.schedule))
     sys.stdout.write("eps,total,pos,neg,stable\n")
     for row in result.rows:

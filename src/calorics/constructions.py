@@ -25,15 +25,16 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .caloric import basic_hcp
+from .caloric import basic_hcp, product_hcp
 from .polyring import (
     ExponentVector,
     NotOnUnitCircle,
     Polynomial,
+    _substitute_pair,
     embed,
     format_rational,
     parse_poly,
@@ -56,18 +57,19 @@ class ConstructionError(ValueError):
     """Invalid family parameters (congruence, range, or rotation)."""
 
 
-@dataclass(frozen=True)
-class HarmonicSeed:
-    """Choice of Re or Im part of (x + iy)^d."""
-
-    d: int
-    kind: str = "imag_part"  # "real_part" | "imag_part"
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ConstructionError("harmonic seed degree must be >= 1")
-        if self.kind not in ("real_part", "imag_part"):
-            raise ConstructionError(f"unknown harmonic kind {self.kind!r}")
+def _epsilon(family: str, d: int, epsilon: Optional[Union[Fraction, float]]) -> Fraction:
+    """The exact positive epsilon to build with: the given one, else the figure default."""
+    if epsilon is None:
+        if (family, d) not in DEFAULT_EPSILON:
+            raise ConstructionError(
+                f"no default epsilon for family {family!r} at d = {d}; "
+                f"pass one explicitly or run an epsilon scan"
+            )
+        return DEFAULT_EPSILON[(family, d)]
+    eps = Fraction(epsilon)  # floats rationalize exactly
+    if eps <= 0:
+        raise ConstructionError("epsilon must be positive")
+    return eps
 
 
 @dataclass(frozen=True)
@@ -91,8 +93,10 @@ class ConstructionSpec:
             raise ConstructionError(f"odd family needs odd d >= 3, got d = {self.d}")
         if self.family == "zero_mod_4" and (self.d < 4 or self.d % 4 != 0):
             raise ConstructionError(f"zero_mod_4 family needs d = 0 mod 4 >= 4, got d = {self.d}")
-        if isinstance(self.epsilon, Fraction) and self.epsilon <= 0:
-            raise ConstructionError("epsilon must be positive")
+        if self.family in ("lewy", "odd", "zero_mod_4") and self.n != 2:
+            raise ConstructionError(f"{self.family} family needs n = 2, got n = {self.n}")
+        if self.epsilon is not None:
+            _epsilon(self.family, self.d, self.epsilon)
 
     def to_json_dict(self) -> dict:
         out: dict = {"family": self.family, "d": self.d, "n": self.n}
@@ -156,20 +160,13 @@ def resolve_rotation(rotation: Optional[RotationSpec]) -> Tuple[Fraction, Fracti
     return Fraction(math.cos(angle)), Fraction(-math.sin(angle)), False
 
 
-def _basic_at_linear_form(d: int, w: Polynomial) -> Polynomial:
-    """p_d(w, t) where w is a t-free linear form in the ambient variables."""
-    n = w.spatial_dim
-    t = Polynomial.time(n)
-    out = Polynomial.zero(n)
-    for ev, coeff in basic_hcp(d).terms.items():
-        out = out + (t ** ev.t_exp * w ** ev.space_exps[0]).scale(coeff)
-    return out
-
-
 def harmonic_2d(d: int, kind: str = "imag_part") -> Polynomial:
     """Re or Im of (x + iy)^d with exact integer coefficients (n = 2, t-free)."""
-    seed = HarmonicSeed(d, kind)
-    want = 0 if seed.kind == "real_part" else 1
+    if d < 1:
+        raise ConstructionError("harmonic seed degree must be >= 1")
+    if kind not in ("real_part", "imag_part"):
+        raise ConstructionError(f"unknown harmonic kind {kind!r}")
+    want = 0 if kind == "real_part" else 1
     terms: Dict[ExponentVector, Fraction] = {}
     for j in range(d + 1):
         if j % 2 != want:
@@ -181,10 +178,9 @@ def harmonic_2d(d: int, kind: str = "imag_part") -> Polynomial:
 
 def lewy_2mod4(d: int, epsilon: Optional[Union[Fraction, float]] = None) -> Polynomial:
     """Im((x+iy)^d) - eps * p_d(x, t) for d = 2 mod 4; two nodal domains for small eps."""
-    spec = ConstructionSpec("lewy", d=d, epsilon=_coerce_eps(epsilon))
-    eps = _epsilon_or_default(spec)
-    psi = harmonic_2d(d, "imag_part")
-    return psi - embed(basic_hcp(d), 2, [0]).scale(eps)
+    ConstructionSpec("lewy", d=d)  # rejects a degree outside the family
+    eps = _epsilon("lewy", d, epsilon)
+    return harmonic_2d(d, "imag_part") - embed(basic_hcp(d), 2, [0]).scale(eps)
 
 
 def odd_construction(
@@ -197,13 +193,11 @@ def odd_construction(
     Two nodal domains for small eps and generic rotation.  At eps = 1 and
     (c, s) = (3/5, 4/5) this is 1/750 times the integer degree-3 example.
     """
-    spec = ConstructionSpec("odd", d=d, epsilon=_coerce_eps(epsilon), rotation=rotation)
-    eps = _epsilon_or_default(spec)
+    ConstructionSpec("odd", d=d)  # rejects a degree outside the family
+    eps = _epsilon("odd", d, epsilon)
     c, s, _ = resolve_rotation(rotation)
-    x = Polynomial.variable(2, 0)
-    y = Polynomial.variable(2, 1)
-    base = y * embed(basic_hcp(d - 1), 2, [0])
-    perturbation = _basic_at_linear_form(d, x.scale(c) - y.scale(s))
+    base = product_hcp((d - 1, 1))  # p_1(y, t) = y
+    perturbation = _substitute_pair(product_hcp((d, 0)), 0, 1, c, s)
     return base + perturbation.scale(eps)
 
 
@@ -217,34 +211,27 @@ def zero_mod4(
     Three nodal domains for small eps and generic rotation.  At eps = 1/2 and
     (c, s) = (3/5, 4/5) this is 1/7500 times the integer degree-4 example.
     """
-    spec = ConstructionSpec("zero_mod_4", d=d, epsilon=_coerce_eps(epsilon), rotation=rotation)
-    eps = _epsilon_or_default(spec)
+    ConstructionSpec("zero_mod_4", d=d)  # rejects a degree outside the family
+    eps = _epsilon("zero_mod_4", d, epsilon)
     c, s, _ = resolve_rotation(rotation)
     k = d // 4
-    x = Polynomial.variable(2, 0)
-    y = Polynomial.variable(2, 1)
-    base = embed(basic_hcp(2 * k), 2, [0]) * embed(basic_hcp(2 * k), 2, [1])
-    perturbation = _basic_at_linear_form(2 * k + 1, x.scale(s) + y.scale(c)) * _basic_at_linear_form(
-        2 * k - 1, x.scale(c) - y.scale(s)
+    base = product_hcp((2 * k, 2 * k))
+    # substituting each factor on its own keeps the expansion small
+    perturbation = _substitute_pair(product_hcp((2 * k - 1, 0)), 0, 1, c, s) * _substitute_pair(
+        product_hcp((0, 2 * k + 1)), 0, 1, c, s
     )
     return base + perturbation.scale(eps)
 
 
-def high_dim(d: int, seed: HarmonicSeed | str = "real_part", n: int = 3) -> Polynomial:
-    """phi(x, y) + p_d(z, t): a degree-d caloric polynomial with two nodal domains.
+def high_dim(d: int, seed: str = "real_part", n: int = 3) -> Polynomial:
+    """phi(x, y) + p_d(z, t) with phi = harmonic_2d(d, seed): two nodal domains.
 
     Exposed at n = 3; larger n embeds the same polynomial with unused extra
     variables, which leaves the nodal count at two.
     """
-    if isinstance(seed, str):
-        seed = HarmonicSeed(d, seed)
-    if seed.d != d:
-        raise ConstructionError(f"seed degree {seed.d} differs from requested degree {d}")
     if n < 3:
         raise ConstructionError("high_dim needs n >= 3")
-    phi = embed(harmonic_2d(seed.d, seed.kind), n, [0, 1])
-    psi = embed(basic_hcp(d), n, [2])
-    return phi + psi
+    return embed(harmonic_2d(d, seed), n, [0, 1]) + embed(basic_hcp(d), n, [2])
 
 
 def product_lower(n: int, d: int) -> Polynomial:
@@ -258,11 +245,7 @@ def product_lower(n: int, d: int) -> Polynomial:
     c = d // n
     if c < 2:
         raise ConstructionError(f"product family needs floor(d/n) >= 2, got {c} for (n, d) = ({n}, {d})")
-    b = d - (n - 1) * c
-    out = embed(basic_hcp(b), n, [n - 1])
-    for i in range(n - 1):
-        out = out * embed(basic_hcp(c), n, [i])
-    return out
+    return product_hcp((c,) * (n - 1) + (d - (n - 1) * c,))
 
 
 # ---------------------------------------------------------------------------
@@ -321,31 +304,6 @@ def fixture(fixture_id: str) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
-def _coerce_eps(epsilon) -> Optional[Union[Fraction, float]]:
-    if epsilon is None or isinstance(epsilon, Fraction):
-        return epsilon
-    if isinstance(epsilon, int):
-        return Fraction(epsilon)
-    if isinstance(epsilon, str):
-        return Fraction(epsilon)
-    return Fraction(epsilon)  # floats rationalize exactly
-
-
-def _epsilon_or_default(spec: ConstructionSpec) -> Fraction:
-    if spec.epsilon is not None:
-        eps = Fraction(spec.epsilon)
-        if eps <= 0:
-            raise ConstructionError("epsilon must be positive")
-        return eps
-    key = (spec.family, spec.d)
-    if key in DEFAULT_EPSILON:
-        return DEFAULT_EPSILON[key]
-    raise ConstructionError(
-        f"no default epsilon for family {spec.family!r} at d = {spec.d}; "
-        f"pass one explicitly or run an epsilon scan"
-    )
-
-
 def target_count(family: str, n: int = 2, d: int = 0) -> int:
     """Expected stabilized nodal count for each construction family."""
     if family in ("lewy", "odd", "high_dim"):
@@ -366,7 +324,7 @@ def build(spec: ConstructionSpec) -> Polynomial:
     if spec.family == "zero_mod_4":
         return zero_mod4(spec.d, spec.epsilon, spec.rotation)
     if spec.family == "high_dim":
-        return high_dim(spec.d, spec.seed_kind, max(spec.n, 3))
+        return high_dim(spec.d, spec.seed_kind, spec.n)
     if spec.family == "product":
         return product_lower(spec.n, spec.d)
     if spec.family == "fixture":
@@ -424,17 +382,7 @@ def scan_epsilon(
     rows: List[ScanRow] = []
     largest: Optional[Fraction] = None
     for eps in grid:
-        poly = build(
-            ConstructionSpec(
-                family=spec.family,
-                d=spec.d,
-                n=spec.n,
-                epsilon=eps,
-                rotation=spec.rotation,
-                fixture_id=spec.fixture_id,
-                seed_kind=spec.seed_kind,
-            )
-        )
+        poly = build(replace(spec, epsilon=eps))
         report = nodal_count(poly, schedule)
         rows.append(ScanRow(eps, report.total, report.positive, report.negative, report.stable))
         if largest is None and report.stable and report.total == target:

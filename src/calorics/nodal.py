@@ -54,6 +54,7 @@ DEFAULT_SCHEDULES: Dict[int, Tuple[int, ...]] = {
 }
 MAX_COUNT_DEGREE = 64
 _JITTER_ZERO_FRACTION = 1e-3
+_EXPORT_SHELLS = 8  # sphere radii sampled across the export annulus
 _FLOAT_EPS = float(np.finfo(np.float64).eps)
 
 
@@ -762,11 +763,10 @@ def export_nodal_pointcloud(
     resolution: int = 256,
     annulus_delta: float = 0.1,
     path: Optional[str] = None,
-    shells: int = 8,
 ) -> List[Tuple[float, float, float]]:
     """Sample the nodal set of p inside the spherical shell B_1 \\ B_{1-delta}.
 
-    On each of `shells` concentric sphere radii a longitude/latitude grid is
+    On each of the `_EXPORT_SHELLS` concentric sphere radii a longitude/latitude grid is
     evaluated; midpoints of sign changes between neighboring samples are
     emitted as (x, y, t) rows, suitable for external plotting.  When `path`
     is given the rows are also written as CSV with 17 significant digits.
@@ -782,7 +782,7 @@ def export_nodal_pointcloud(
     ux, uy, ut = _sphere_points(thetas, phis)
 
     points: List[Tuple[float, float, float]] = []
-    for radius in np.linspace(1.0 - annulus_delta, 1.0, shells):
+    for radius in np.linspace(1.0 - annulus_delta, 1.0, _EXPORT_SHELLS):
         values = _float_mesh_eval(p, radius * ux, radius * uy, radius * ut)
         signs = np.sign(values)
 

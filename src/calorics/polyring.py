@@ -689,8 +689,3 @@ def _substitute_pair(p: Polynomial, i: int, j: int, c: Fraction, s: Fraction) ->
 
 def format_rational(value: Fraction) -> str:
     return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse 'p/q', integer, or decimal strings into an exact Fraction."""
-    return Fraction(text.strip())

@@ -1,8 +1,12 @@
 """Command-line surface: sources, reports, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from calorics import BoundViolation, Polynomial, fixture, parse_poly
 from calorics import cli
@@ -199,14 +203,57 @@ def test_unwritable_out_exits_four(capsys, tmp_path, argv):
     assert err.startswith("error:")
 
 
-def test_bad_rotation_exits_four(capsys):
-    code, _, _ = run(capsys, "gen", "odd", "-d", "3", "--eps", "1", "--rot", "1/2,1/2")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "gen odd -d 3 --eps 1 --rot 1/2,1/2",  # not on the unit circle
+        "gen warp -d 3",  # unknown family
+        "gen lewy -d 6 --eps 1/0",  # zero denominators
+        "gen odd -d 5 --rot 1/0,1",
+        "scan lewy -d 6 --eps-grid 1/0",
+        "scan lewy -d 6 --eps-grid ,",  # empty grid
+        "gen high-dim -d 2 -n 2",  # a dimension the family does not allow
+        "gen product -d 4 -n 0",
+        "gen lewy -d 6 -n 3",
+    ],
+)
+def test_bad_generator_input_exits_four(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
     assert code == 4
+    assert out == ""
+    assert err.startswith("error:")
 
 
-def test_unknown_family_exits_four(capsys):
-    code, _, _ = run(capsys, "gen", "warp", "-d", "3")
-    assert code == 4
+_GEN_FAMILIES = ["basic", "lewy", "odd", "zero-mod4", "high-dim", "product", "fixture", "warp"]
+_EPSILONS = ["1/20", "0.05", "0", "1/0", "abc", ",", ""]
+_ROTATIONS = ["3/5,4/5", "1/2,1/2", "1/0,1", "1,2,3", "angle:0.3", "angle:nan", "angle:inf"]
+
+
+@st.composite
+def _gen_argv(draw):
+    argv = ["gen", draw(st.sampled_from(_GEN_FAMILIES))]
+    if draw(st.booleans()):
+        argv.append(draw(st.sampled_from(["n2d3", "basic_5", "deg2_n3_j2", "nope"])))
+    options = [
+        ("-d", st.integers(-2, 12).map(str)),
+        ("-n", st.integers(-1, 5).map(str)),
+        ("--eps", st.sampled_from(_EPSILONS)),
+        ("--rot", st.sampled_from(_ROTATIONS)),
+        ("--seed-kind", st.sampled_from(["re", "im", "real_part", "zz"])),
+    ]
+    for flag, values in options:
+        if draw(st.booleans()):
+            argv += [flag, draw(values)]
+    return argv
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_gen_argv())
+def test_gen_never_raises(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    assert code in (0, 4)
+    assert code == 0 or err.getvalue().startswith("error:")
 
 
 def test_scan_odd_degree_three(capsys):
