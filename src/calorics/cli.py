@@ -106,6 +106,25 @@ _FAMILY_ALIASES = {
     "fixture": "fixture",
 }
 
+# the generator flags each family reads; any other flag is an error
+_FAMILY_FLAGS = {
+    "basic": ("d", "n"),
+    "lewy": ("d", "eps", "n"),
+    "odd": ("d", "eps", "rot", "n"),
+    "zero_mod_4": ("d", "eps", "rot", "n"),
+    "high_dim": ("d", "n", "seed_kind"),
+    "product": ("d", "n"),
+    "fixture": ("fixture_id",),
+}
+_FLAG_NAMES = {
+    "d": "-d",
+    "n": "-n",
+    "eps": "--eps",
+    "rot": "--rot",
+    "seed_kind": "--seed-kind",
+    "fixture_id": "a fixture id",
+}
+
 _SEED_ALIASES = {
     "re": "real_part",
     "im": "imag_part",
@@ -119,6 +138,9 @@ def _generate(name: str, args) -> Tuple[Polynomial, dict]:
     family = _FAMILY_ALIASES.get(name)
     if family is None:
         raise CliError(f"unknown family {name!r}; expected one of {sorted(_FAMILY_ALIASES)}")
+    for flag, text in _FLAG_NAMES.items():
+        if getattr(args, flag) is not None and flag not in _FAMILY_FLAGS[family]:
+            raise CliError(f"{text} does not apply to the {name} family")
     rotation = _parse_rotation(args.rot)
     eps = None if args.eps is None else _rational(args.eps, "epsilon")
     meta: dict = {"family": name}
@@ -130,9 +152,11 @@ def _generate(name: str, args) -> Tuple[Polynomial, dict]:
     if args.d is None:
         raise CliError(f"{name} needs -d")
     if family == "basic":
+        if args.n not in (None, 1):
+            raise CliError(f"basic family needs n = 1, got n = {args.n}")
         meta["d"] = args.d
         return basic_hcp(args.d), meta
-    seed_kind = _SEED_ALIASES.get(args.seed_kind)
+    seed_kind = _SEED_ALIASES.get(args.seed_kind or "real_part")
     if seed_kind is None:
         raise CliError(f"unknown seed kind {args.seed_kind!r}")
     n = args.n if args.n is not None else (3 if family == "high_dim" else 2)
@@ -192,7 +216,7 @@ def _add_generator_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-n", type=int, default=None, help="spatial dimension")
     parser.add_argument("--eps", help="epsilon of a perturbation family (rational or decimal)")
     parser.add_argument("--rot", help="rotation 'p/q,p/q' or 'angle:<float>'")
-    parser.add_argument("--seed-kind", dest="seed_kind", default="real_part", help="re|im for high-dim")
+    parser.add_argument("--seed-kind", dest="seed_kind", help="re|im for high-dim (default re)")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -303,11 +327,20 @@ def _cmd_count(args) -> int:
         d = parabolic_degree(poly)
         try:
             bounds = bounds_report(poly.spatial_dim, d, report)
-            payload["bounds"] = bounds.to_json_dict()
-            payload["bounds"]["ok"] = True
         except BoundViolation as exc:
             payload["bounds"] = {"ok": False, "error": str(exc)}
             exit_code = EXIT_ASSERT
+        else:
+            payload["bounds"] = bounds.to_json_dict()
+            payload["bounds"]["ok"] = True
+            # the product family is the witness of the floor(d/n)^n lower bound
+            floor = bounds.product_lower_bound
+            if _FAMILY_ALIASES.get(args.gen) == "product" and report.total < floor:
+                payload["bounds"]["ok"] = False
+                payload["bounds"]["error"] = (
+                    f"counted {report.total} nodal domains below the product floor {floor}"
+                )
+                exit_code = EXIT_ASSERT
     if args.expected is not None:
         ok = report.stable and report.total == args.expected
         payload["assert"] = {"expected": args.expected, "ok": ok}
@@ -327,7 +360,7 @@ def _cmd_scan(args) -> int:
     if family not in ("lewy", "odd", "zero_mod_4"):
         raise CliError(f"scan supports the perturbation families, got {args.family!r}")
     rotation = _parse_rotation(args.rot)
-    if args.eps_grid:
+    if args.eps_grid is not None:
         grid = [_rational(part, "eps-grid entry") for part in args.eps_grid.split(",") if part.strip()]
     else:
         grid = [Fraction(1, 2 ** k) for k in range(2, 9)]

@@ -23,8 +23,10 @@ jittered by 1/(6r) and resampled once.
 
 Adjacency is conservative: two same-sign cells sharing a facet merge only
 when the exact signs at the seven interior eighth-points of the segment
-joining their centers agree as well (for cross-face stitching, along the
-bent path through the shared cube edge).  Plain same-sign adjacency would
+joining their centers agree as well.  A cross-face stitch bends through the
+shared cube edge: each of its two legs is the first half of the segment from
+an edge cell center to its ghost, the center mirrored across the cube edge,
+and is probed at the same eighth-points.  Plain same-sign adjacency would
 weld distinct nodal domains across the thin wedges where nodal sheets cross
 -- e.g. the two positive domains of (2t + x^2)(2t + y^2) -- and no amount of
 refinement repairs that; the probes detect any wedge wider than an eighth
@@ -37,13 +39,11 @@ proven bounds, never certificates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components as _graph_components
 
 from .polyring import Polynomial, parabolic_degree
 
@@ -149,7 +149,7 @@ def _sign_mesh(p: Polynomial, axis_values: Sequence[AxisValues], denominator: in
             vander = vander[:, pw]
             vals = np.tensordot(vals, vander, axes=(0, 1))
             mags = np.tensordot(mags, np.abs(vander), axes=(0, 1))
-        # flat views; a 0-d mesh (the stitch points of n = 1) becomes 1-D
+        # flat views; a 0-d mesh (a stitch probe of n = 1) becomes 1-D
         vals, mags = vals.reshape(-1), mags.reshape(-1)
         # int8 signs without a float temporary: the meshes are large
         signs = (vals > 0).view(np.int8) - (vals < 0).view(np.int8)
@@ -340,6 +340,10 @@ def _probed_edges(signs: np.ndarray, idx: np.ndarray, probe) -> Tuple[np.ndarray
 
 def _components(size: int, rows: np.ndarray, cols: np.ndarray) -> Tuple[int, np.ndarray]:
     """(count, label per node) of the undirected graph on `size` nodes."""
+    # deferred: scipy.sparse would add to the import time of every CLI run
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components as _graph_components
+
     graph = coo_matrix((np.ones(len(rows), dtype=bool), (rows, cols)), shape=(size, size))
     return _graph_components(graph, directed=False)
 
@@ -350,14 +354,28 @@ def _sign_split(labels: np.ndarray, signs: np.ndarray) -> Tuple[int, int]:
 
 
 def _eighth_signs(
-    p: Polynomial, axis_values: Sequence[AxisValues], denominator: int, axis: int, eighth: int
+    p: Polynomial, lo: Sequence[AxisValues], hi: Sequence[AxisValues], denominator: int, eighth: int
 ) -> np.ndarray:
-    """Signs at eighth-point `eighth` (1..7) between neighbours along `axis`
-    of a _sign_mesh mesh; shaped like that mesh with `axis` shortened by one."""
-    scaled = [8 * v for v in axis_values]
-    nums = axis_values[axis]
-    scaled[axis] = (8 - eighth) * nums[:-1] + eighth * nums[1:]
-    return _sign_mesh(p, scaled, 8 * denominator)
+    """Signs at eighth-point `eighth` of the segments from mesh `lo` to mesh `hi`.
+
+    lo and hi are _sign_mesh axis values over `denominator`; an axis that is
+    scalar in both stays fixed, so the result is shaped like their mesh.
+    """
+    mixed = [(8 - eighth) * u + eighth * v for u, v in zip(lo, hi)]
+    return _sign_mesh(p, mixed, 8 * denominator)
+
+
+def _mesh_probe(p: Polynomial, axis_values: Sequence[AxisValues], denominator: int):
+    """The _probed_edges probe of the _sign_mesh mesh of axis_values."""
+    varying = [i for i, v in enumerate(axis_values) if isinstance(v, np.ndarray)]
+
+    def probe(slot: int, eighth: int) -> np.ndarray:
+        lo, hi = list(axis_values), list(axis_values)
+        nums = axis_values[varying[slot]]
+        lo[varying[slot]], hi[varying[slot]] = nums[:-1], nums[1:]
+        return _eighth_signs(p, lo, hi, denominator, eighth)
+
+    return probe
 
 
 def _mesh_axes(grid: CrossSectionGrid, face: int) -> List[int]:
@@ -365,28 +383,17 @@ def _mesh_axes(grid: CrossSectionGrid, face: int) -> List[int]:
     return [ax for ax in range(grid.ambient) if ax != axis]
 
 
-def _stitch_path(grid: CrossSectionGrid, a: int, sa: int, b: int, sb: int) -> List[Tuple[int, int]]:
-    """(axis-a, axis-b) numerators over 8 * denominator of the stitch path.
-
-    The path bends from a face-(a, sa) edge cell center through the shared
-    cube edge to the face-(b, sb) center: three quarter-points per leg and
-    the cube-edge point between them.
-    """
-    nums = grid.numerators
-    edge_a, edge_b = sa * grid.denominator, sb * grid.denominator
-    last_a = int(nums[-1] if sa > 0 else nums[0])
-    last_b = int(nums[-1] if sb > 0 else nums[0])
-    return (
-        [(8 * edge_a, 2 * ((4 - j) * last_b + j * edge_b)) for j in (1, 2, 3)]
-        + [(8 * edge_a, 8 * edge_b)]
-        + [(2 * ((4 - j) * edge_a + j * last_a), 8 * edge_b) for j in (1, 2, 3)]
-    )
-
-
 def _edge_stitches(field: SignField, labels: List[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
-    """Label pairs to merge across each shared cube edge of two faces."""
+    """Label pairs to merge across each shared cube edge of two faces.
+
+    The probe path runs from the edge cell center on face (a, sa) to the
+    cube edge and on to the edge cell center on face (b, sb).  Each leg is
+    the first half of the segment from a center to its ghost, the center
+    mirrored across the cube edge: leg a probes eighths 1-4, where 4 is the
+    cube-edge point, and leg b probes eighths 1-3.
+    """
     grid = field.grid
-    res = grid.resolution
+    res, den, nums = grid.resolution, grid.denominator, grid.numerators
     rows: List[np.ndarray] = []
     cols: List[np.ndarray] = []
     for fa in range(grid.face_count):
@@ -400,17 +407,21 @@ def _edge_stitches(field: SignField, labels: List[np.ndarray]) -> Tuple[np.ndarr
             slot_a_in_b = _mesh_axes(grid, fb).index(a)
             idx_b = res - 1 if sb > 0 else 0
             idx_a = res - 1 if sa > 0 else 0
-            sign_a = np.atleast_1d(np.take(field.face_signs[fa], idx_b, axis=slot_b_in_a))
-            sign_b = np.atleast_1d(np.take(field.face_signs[fb], idx_a, axis=slot_a_in_b))
+            sign_a = np.take(field.face_signs[fa], idx_b, axis=slot_b_in_a)
+            sign_b = np.take(field.face_signs[fb], idx_a, axis=slot_a_in_b)
             mask = (sign_a == sign_b) & (sign_a != 0)
-            axis_values: List[AxisValues] = [8 * grid.numerators] * grid.ambient
-            for value_a, value_b in _stitch_path(grid, a, sa, b, sb):
-                if not mask.any():
-                    break
-                axis_values[a], axis_values[b] = value_a, value_b
-                mask &= _sign_mesh(field.polynomial, axis_values, 8 * grid.denominator) == sign_a
-            rows.append(np.atleast_1d(np.take(labels[fa], idx_b, axis=slot_b_in_a))[mask])
-            cols.append(np.atleast_1d(np.take(labels[fb], idx_a, axis=slot_a_in_b))[mask])
+            edge: List[AxisValues] = [nums] * grid.ambient
+            edge[a], edge[b] = sa * den, sb * den
+            legs = ((b, int(nums[idx_b]), (1, 2, 3, 4)), (a, int(nums[idx_a]), (1, 2, 3)))
+            for axis, last, eighths in legs:
+                lo, hi = list(edge), list(edge)
+                lo[axis], hi[axis] = last, 2 * edge[axis] - last
+                for eighth in eighths:
+                    if not mask.any():
+                        break
+                    mask &= _eighth_signs(field.polynomial, lo, hi, den, eighth) == sign_a
+            rows.append(np.take(labels[fa], idx_b, axis=slot_b_in_a)[mask])
+            cols.append(np.take(labels[fb], idx_a, axis=slot_a_in_b)[mask])
     return np.concatenate(rows), np.concatenate(cols)
 
 
@@ -428,14 +439,7 @@ def count_components(field: SignField) -> ComponentReport:
     labels: List[np.ndarray] = []
     offset = 0
     for face, signs in enumerate(field.face_signs):
-        face_values = _face_values(grid, face)
-        mesh_axes = _mesh_axes(grid, face)
-
-        def probe(slot: int, eighth: int) -> np.ndarray:
-            return _eighth_signs(
-                field.polynomial, face_values, grid.denominator, mesh_axes[slot], eighth
-            )
-
+        probe = _mesh_probe(field.polynomial, _face_values(grid, face), grid.denominator)
         count, local = _components(signs.size, *_probed_edges(signs, idx, probe))
         labels.append(local.reshape(shape) + offset)
         offset += count
@@ -474,16 +478,8 @@ def nodal_count(p: Polynomial, schedule: Optional[Sequence[int]] = None) -> Comp
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise NodalError("schedule must be strictly increasing")
     reports = [count_components(cube_section_sample(p, res)) for res in schedule]
-    tail = [(r.positive, r.negative) for r in reports[-3:]]
-    last = reports[-1]
-    return ComponentReport(
-        total=last.total,
-        positive=last.positive,
-        negative=last.negative,
-        resolutions_used=tuple(schedule),
-        stable=len(set(tail)) == 1,
-        zero_cell_fraction=last.zero_cell_fraction,
-    )
+    tail = {(r.positive, r.negative) for r in reports[-3:]}
+    return replace(reports[-1], resolutions_used=tuple(schedule), stable=len(tail) == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -640,10 +636,8 @@ def slice_count(
     if v.is_zero or not (signs != 0).any():
         return SliceReport(0, 0, 0, True, radius, resolution)
 
-    def probe(slot: int, eighth: int) -> np.ndarray:
-        return _eighth_signs(v, axis_values, den, slot, eighth)
-
     idx = np.arange(signs.size, dtype=np.int64).reshape(signs.shape)
+    probe = _mesh_probe(v, axis_values, den)
     _, labels = _components(signs.size, *_probed_edges(signs, idx, probe))
     labels = labels.reshape(signs.shape)
     positive, negative = _sign_split(labels, signs)
@@ -705,7 +699,8 @@ def polar_chambers(
     step = 2.0 * math.pi / samples
 
     def value_at(theta: float) -> float:
-        return p.evaluate_float((rho * math.cos(theta), rho * math.sin(theta), tval))
+        point = np.array([rho * math.cos(theta), rho * math.sin(theta), tval])
+        return float(_float_mesh_eval(p, *point))
 
     signs: List[int] = []
     for j in range(samples):
@@ -738,6 +733,7 @@ def polar_chambers(
 
 
 def _float_mesh_eval(p: Polynomial, xs: np.ndarray, ys: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Float values of p (n = 2) at the points (xs, ys, ts), elementwise."""
     out = np.zeros(xs.shape, dtype=np.float64)
     for ev, coeff in p.terms.items():
         term = float(coeff) * np.ones_like(out)
@@ -939,8 +935,8 @@ def sphere_grid_count(p: Polynomial, resolution: int = 256) -> ComponentReport:
     idx = np.arange(signs.size, dtype=np.int64).reshape(signs.shape)
     edges = [_probed_edges(signs[wrap], idx[wrap], probe)]
     # poles join every same-sign cell of the adjacent latitude row
-    for pole_point, row_index in (((0.0, 0.0, 1.0), k - 1), ((0.0, 0.0, -1.0), 0)):
-        pole_value = p.evaluate_float(pole_point)
+    pole_values = _float_mesh_eval(p, np.zeros(2), np.zeros(2), np.array([1.0, -1.0]))
+    for pole_value, row_index in zip(pole_values, (k - 1, 0)):
         if abs(pole_value) < 1e-12 * scale:
             continue
         members = idx[:, row_index][signs[:, row_index] == (1 if pole_value > 0 else -1)]

@@ -7,9 +7,9 @@ exponent vectors to nonzero rational coefficients:
     ExponentVector = (t_exp, space_exps)   # the monomial t^k * x^alpha
 
 All coefficients are arbitrary-precision rationals (fractions.Fraction), so
-every algebraic identity in this package is checked exactly; floating point
-only appears in `evaluate_float`, which callers use for plotting and guarded
-numeric diagnostics.  The zero polynomial has an empty term map.
+every algebraic identity in this package is checked exactly.  The module has
+no floating point; float evaluation belongs to the counting layer.  The zero
+polynomial has an empty term map.
 
 Monomials carry two degrees: the algebraic degree k + |alpha| and the
 parabolic weight 2k + |alpha|.  A polynomial is parabolically homogeneous of
@@ -24,11 +24,9 @@ polynomials are written, e.g. ``t^2 + t*x^2 + 1/12*x^4``.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple, Union
 
-Rational = Fraction
 RationalLike = Union[int, str, Fraction]
 
 
@@ -100,16 +98,11 @@ class Polynomial:
 
     __slots__ = ("spatial_dim", "terms")
 
-    def __init__(
-        self,
-        spatial_dim: int,
-        terms: Mapping[ExponentVector, RationalLike] | Iterable[Tuple[ExponentVector, RationalLike]] = (),
-    ):
+    def __init__(self, spatial_dim: int, terms: Mapping[ExponentVector, RationalLike]):
         if spatial_dim < 1:
             raise ValueError(f"spatial dimension must be >= 1, got {spatial_dim}")
-        items = terms.items() if isinstance(terms, Mapping) else terms
         clean: Dict[ExponentVector, Fraction] = {}
-        for ev, coeff in items:
+        for ev, coeff in terms.items():
             ev = ExponentVector(int(ev[0]), tuple(int(a) for a in ev[1]))
             if ev.t_exp < 0 or any(a < 0 for a in ev.space_exps):
                 raise ValueError(f"negative exponent in {ev}")
@@ -137,7 +130,7 @@ class Polynomial:
 
     @classmethod
     def zero(cls, spatial_dim: int) -> "Polynomial":
-        return cls(spatial_dim)
+        return cls(spatial_dim, {})
 
     @classmethod
     def constant(cls, spatial_dim: int, value: RationalLike) -> "Polynomial":
@@ -305,18 +298,6 @@ class Polynomial:
             total += term
         return total
 
-    def evaluate_float(self, point: Sequence[float]) -> float:
-        """Double-precision value, Horner-ordered over (x_1, ..., x_n, t)."""
-        if len(point) != self.spatial_dim + 1:
-            raise DimensionMismatch(
-                f"point has {len(point)} coordinates, expected {self.spatial_dim + 1}"
-            )
-        coords = [float(v) for v in point]
-        items = [
-            (ev.space_exps + (ev.t_exp,), float(c)) for ev, c in self.terms.items()
-        ]
-        return _horner(items, coords, 0)
-
     # ---- reshaping -------------------------------------------------
 
     def t_coefficients(self) -> List["Polynomial"]:
@@ -371,26 +352,6 @@ class Polynomial:
             ev = ExponentVector(int(entry["k"]), tuple(int(a) for a in entry["alpha"]))
             terms[ev] = Fraction(int(entry["num"]), int(entry["den"]))
         return cls(n, terms)
-
-
-def _horner(items: List[Tuple[Tuple[int, ...], float]], coords: List[float], axis: int) -> float:
-    """Evaluate sum of coeff * prod coords^exps by nested Horner steps."""
-    if not items:
-        return 0.0
-    if axis == len(coords):
-        return math.fsum(c for _, c in items)
-    groups: Dict[int, List[Tuple[Tuple[int, ...], float]]] = {}
-    for exps, c in items:
-        groups.setdefault(exps[axis], []).append((exps, c))
-    exps_desc = sorted(groups, reverse=True)
-    x = coords[axis]
-    acc = 0.0
-    prev = exps_desc[0]
-    acc = _horner(groups[prev], coords, axis + 1)
-    for e in exps_desc[1:]:
-        acc = acc * x ** (prev - e) + _horner(groups[e], coords, axis + 1)
-        prev = e
-    return acc * x ** prev
 
 
 def variable_names(spatial_dim: int) -> List[str]:
@@ -643,19 +604,6 @@ def rotate_xy(p: Polynomial, i: int, j: int, c: RationalLike, s: RationalLike) -
     c, s = Fraction(c), Fraction(s)
     if c * c + s * s != 1:
         raise NotOnUnitCircle(f"c^2 + s^2 = {c * c + s * s} != 1")
-    return _substitute_pair(p, i, j, c, s)
-
-
-def rotate_xy_float(p: Polynomial, i: int, j: int, angle: float) -> Polynomial:
-    """Rotation by an arbitrary float angle.
-
-    cos/sin are taken as IEEE doubles and converted to exact rationals, so the
-    result is an exact polynomial that is only approximately a rotation of p
-    (c^2 + s^2 = 1 holds to double precision, not exactly).  Reports built on
-    such polynomials must flag the rotation as inexact.
-    """
-    c = Fraction(math.cos(angle))
-    s = Fraction(math.sin(angle))
     return _substitute_pair(p, i, j, c, s)
 
 

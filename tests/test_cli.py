@@ -3,12 +3,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from calorics import BoundViolation, Polynomial, fixture, parse_poly
+from calorics import BoundViolation, ComponentReport, Polynomial, fixture, parse_poly
 from calorics import cli
 from calorics.cli import main
 
@@ -177,6 +181,38 @@ def test_escaped_bound_violation_exits_three(capsys, monkeypatch):
     assert err.startswith("error:")
 
 
+def test_product_below_floor_exits_three(capsys, monkeypatch):
+    def below_floor(poly, schedule=None):
+        return ComponentReport(6, 2, 4, (64, 128, 256), True, 0.0)
+
+    monkeypatch.setattr(cli, "nodal_count", below_floor)
+    code, out, _ = run(capsys, "count", "--gen", "product", "-d", "8", "-n", "2", "--check-bounds")
+    assert code == 3
+    bounds = json.loads(out)["bounds"]
+    assert not bounds["ok"] and bounds["max_lower_bound"] == 16
+    assert "product floor 16" in bounds["error"]
+
+
+def test_product_at_floor_passes_bounds(capsys):
+    code, out, _ = run(capsys, "count", "--gen", "product", "-d", "4", "-n", "2", "--check-bounds")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["bounds"]["ok"] and payload["total"] >= payload["bounds"]["max_lower_bound"]
+
+
+def test_cli_import_skips_scipy():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, calorics.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize(
     "content",
     [
@@ -215,6 +251,17 @@ def test_unwritable_out_exits_four(capsys, tmp_path, argv):
         "gen high-dim -d 2 -n 2",  # a dimension the family does not allow
         "gen product -d 4 -n 0",
         "gen lewy -d 6 -n 3",
+        # flags the family does not read
+        "gen lewy -d 6 --rot 1/2,1/2",
+        "gen basic -d 4 -n 7 --rot 1/2,1/2",
+        "gen basic -d 4 -n 2",
+        "gen product -d 4 -n 2 --eps 1/4",
+        "gen high-dim -d 3 --rot 3/5,4/5",
+        "gen odd -d 5 --seed-kind re",
+        "gen fixture n2d3 -d 4",
+        "gen lewy n2d3 -d 6",
+        "count --gen fixture --fixture-id n2d3 -n 2",
+        "scan lewy -d 6 --eps-grid=",  # empty grid
     ],
 )
 def test_bad_generator_input_exits_four(capsys, argv):

@@ -93,6 +93,20 @@ def _exact_sign(p, point):
     return (value > 0) - (value < 0)
 
 
+def _assert_eighth_signs(p, lo, hi, den, eighth):
+    """_eighth_signs against exact evaluation at every point of its mesh."""
+    probed = _eighth_signs(p, lo, hi, den, eighth)
+    varying = [axis for axis, v in enumerate(lo) if isinstance(v, np.ndarray)]
+    for cell in itertools.product(*(range(size) for size in probed.shape)):
+        at = dict(zip(varying, cell))
+        ends = [
+            (int(u[at[axis]]), int(v[at[axis]])) if axis in at else (int(u), int(v))
+            for axis, (u, v) in enumerate(zip(lo, hi))
+        ]
+        point = [F(u, den) + F(eighth, 8) * F(v - u, den) for u, v in ends]
+        assert probed[cell] == _exact_sign(p, point)
+
+
 @given(homogeneous_polynomials(), st.data())
 @settings(max_examples=40, deadline=None)
 def test_exact_signs_match_exact_evaluation(p, data):
@@ -135,14 +149,19 @@ def test_exact_signs_match_exact_evaluation(p, data):
     for cell in itertools.product(*(range(size) for size in signs.shape)):
         assert signs[cell] == _exact_sign(p, mesh_point(cell))
 
-    slot = data.draw(st.integers(min_value=0, max_value=len(varying) - 1))
-    eighth = data.draw(st.integers(min_value=1, max_value=7))
-    probed = _eighth_signs(p, axis_values, den, varying[slot], eighth)
-    for cell in itertools.product(*(range(size) for size in probed.shape)):
-        point = mesh_point(cell)
-        lo, hi = (int(m) for m in axis_values[varying[slot]][cell[slot] : cell[slot] + 2])
-        point[varying[slot]] = F(lo, den) + F(eighth, 8) * F(hi - lo, den)
-        assert probed[cell] == _exact_sign(p, point)
+    # an in-face edge: neighbouring numerators along one varying axis
+    axis = data.draw(st.sampled_from(varying))
+    lo, hi = list(axis_values), list(axis_values)
+    lo[axis], hi[axis] = axis_values[axis][:-1], axis_values[axis][1:]
+    _assert_eighth_signs(p, lo, hi, den, data.draw(st.integers(min_value=1, max_value=7)))
+
+    # a stitch leg: a fixed axis runs from a center toward its ghost, the
+    # center mirrored across the cube edge; eighth 4 is the edge point
+    leg = data.draw(st.sampled_from(fixed))
+    last = data.draw(st.integers(-den, den))
+    lo, hi = list(axis_values), list(axis_values)
+    lo[leg], hi[leg] = last, 2 * data.draw(st.sampled_from([-den, den])) - last
+    _assert_eighth_signs(p, lo, hi, den, data.draw(st.integers(min_value=1, max_value=4)))
 
 
 # ---- cube cross-section sampling ----

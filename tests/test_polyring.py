@@ -1,5 +1,6 @@
 """Exact polynomial layer: parsing, arithmetic, calculus, rotations, forms."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -19,8 +20,9 @@ from calorics import (
     parabolic_degree,
     parse_poly,
     rotate_xy,
-    rotate_xy_float,
 )
+from calorics.constructions import resolve_rotation
+from calorics.polyring import _substitute_pair
 
 from conftest import homogeneous_polynomials, polynomials, pythagorean_pairs
 
@@ -168,14 +170,6 @@ def test_parabolic_scaling_spot_value():
     assert p.evaluate((2, 4)) == 16 * p.evaluate((1, 1))
 
 
-def test_evaluate_float_matches_exact():
-    p = parse_poly(N2D3_TEXT, 2)
-    point = (F(3, 7), F(-2, 5), F(1, 3))
-    exact = float(p.evaluate(point))
-    approx = p.evaluate_float(tuple(float(c) for c in point))
-    assert approx == pytest.approx(exact, rel=1e-13)
-
-
 def test_evaluate_checks_length():
     with pytest.raises(DimensionMismatch):
         parse_poly("x", 1).evaluate((1,))
@@ -209,12 +203,12 @@ def test_rotation_commutes_with_heat_operator():
 
 
 def test_float_rotation_is_close_to_exact_pair():
-    import math
-
     p = embed(parse_poly(P4_TEXT, 1), 2, [0])
-    angle = math.atan2(4, 3)
+    # a float angle alpha resolves to the pair (cos alpha, -sin alpha)
+    c, s, is_exact = resolve_rotation(-math.atan2(4, 3))
+    assert not is_exact
     exact = rotate_xy(p, 0, 1, F(3, 5), F(4, 5))
-    inexact = rotate_xy_float(p, 0, 1, angle)
+    inexact = _substitute_pair(p, 0, 1, c, s)
     for ev, coeff in exact.terms.items():
         assert float(inexact.terms[ev]) == pytest.approx(float(coeff), rel=1e-12)
 
@@ -260,7 +254,8 @@ def test_expression_round_trip_on_fixture():
 
 
 def test_json_round_trip_bit_exact():
-    p = rotate_xy_float(embed(parse_poly(P4_TEXT, 1), 2, [0]), 0, 1, 0.3141592653589793)
+    c, s, _ = resolve_rotation(0.3141592653589793)
+    p = _substitute_pair(embed(parse_poly(P4_TEXT, 1), 2, [0]), 0, 1, c, s)
     assert Polynomial.from_json_dict(p.to_json_dict()) == p
 
 
