@@ -133,14 +133,19 @@ _SEED_ALIASES = {
 }
 
 
+def _reject_unread_flags(args, read: Sequence[str], what: str) -> None:
+    """Raise CliError (exit 4) for a generator flag that `what` does not read."""
+    for flag, text in _FLAG_NAMES.items():
+        if getattr(args, flag) is not None and flag not in read:
+            raise CliError(f"{text} does not apply to {what}")
+
+
 def _generate(name: str, args) -> Tuple[Polynomial, dict]:
     """Materialize the polynomial described by the family `name` and the generator flags."""
     family = _FAMILY_ALIASES.get(name)
     if family is None:
         raise CliError(f"unknown family {name!r}; expected one of {sorted(_FAMILY_ALIASES)}")
-    for flag, text in _FLAG_NAMES.items():
-        if getattr(args, flag) is not None and flag not in _FAMILY_FLAGS[family]:
-            raise CliError(f"{text} does not apply to the {name} family")
+    _reject_unread_flags(args, _FAMILY_FLAGS[family], f"the {name} family")
     rotation = _parse_rotation(args.rot)
     eps = None if args.eps is None else _rational(args.eps, "epsilon")
     meta: dict = {"family": name}
@@ -182,6 +187,7 @@ def _resolve_source(args) -> Tuple[Polynomial, dict]:
     if sum(sources) != 1:
         raise CliError("provide exactly one polynomial source: POLYFILE, --expr, --fixture, or --gen")
     if args.polyfile is not None:
+        _reject_unread_flags(args, (), "a polynomial file")
         try:
             with open(args.polyfile, "r", encoding="utf-8") as handle:
                 data = json.load(handle)
@@ -192,10 +198,12 @@ def _resolve_source(args) -> Tuple[Polynomial, dict]:
         except (KeyError, TypeError, ZeroDivisionError) as exc:
             raise CliError(f"malformed polynomial file {args.polyfile!r}: {exc!r}") from exc
     if args.expr is not None:
+        _reject_unread_flags(args, ("n",), "--expr")
         if args.n is None:
             raise CliError("--expr needs -n (spatial dimension)")
         return parse_poly(args.expr, args.n), {"source": "expr"}
     if args.fixture is not None:
+        _reject_unread_flags(args, (), "--fixture")
         return fixture(args.fixture), {"source": f"fixture:{args.fixture}"}
     poly, meta = _generate(args.gen, args)
     meta["source"] = f"gen:{args.gen}"

@@ -312,30 +312,40 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
 _PROBE_STEPS = (1, 2, 3, 4, 5, 6, 7)  # eighth-points of the segment between centers
 
 
-def _probed_edges(signs: np.ndarray, idx: np.ndarray, probe) -> Tuple[np.ndarray, np.ndarray]:
-    """Index pairs of neighbouring same-sign cells whose probes all agree.
+def _probed_runs(signs: np.ndarray, probe) -> Tuple[np.ndarray, ...]:
+    """Probed same-sign graph of a sign mesh whose nodes are runs of cells.
 
-    Runs over every axis of `signs`; idx holds each cell's node id in the
-    same shape.  probe(slot, eighth) returns the signs at the eighth-point
-    between neighbours along axis `slot`, shaped like `signs` with that axis
-    shortened by one.  Zero cells get no edges.
+    Neighbouring cells of one nonzero sign merge when the signs at the
+    eighth-points between them, probe(slot, eighth) along axis `slot`
+    (shaped like `signs` with that axis shortened by one), agree with it.
+    Cells merged along the last axis form a run, one node; merges along the
+    other axes are edges between runs, less each edge equal to the one
+    before it in C order (no sort; other repeats are harmless).  Zero cells
+    are single-cell runs with no edges.  Returns (node id per cell, sign per
+    node, edge rows, edge cols), a graph with the per-cell graph's components.
     """
-    rows: List[np.ndarray] = []
-    cols: List[np.ndarray] = []
+    merged = []
     for slot in range(signs.ndim):
-        lo = [slice(None)] * signs.ndim
-        hi = [slice(None)] * signs.ndim
-        lo[slot] = slice(None, -1)
-        hi[slot] = slice(1, None)
-        s_lo = signs[tuple(lo)]
-        mask = (s_lo == signs[tuple(hi)]) & (s_lo != 0)
+        lo = (slice(None),) * slot + (slice(None, -1),)
+        hi = (slice(None),) * slot + (slice(1, None),)
+        s_lo = signs[lo]
+        mask = (s_lo == signs[hi]) & (s_lo != 0)
         for eighth in _PROBE_STEPS:
             if not mask.any():
                 break
             mask &= probe(slot, eighth) == s_lo
-        rows.append(idx[tuple(lo)][mask])
-        cols.append(idx[tuple(hi)][mask])
-    return np.concatenate(rows), np.concatenate(cols)
+        merged.append((lo, hi, mask))
+    start = np.ones(signs.shape, dtype=bool)
+    start[..., 1:] = ~merged[-1][2]
+    nodes = np.cumsum(start, dtype=np.int64).reshape(signs.shape) - 1
+    rows, cols = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for lo, hi, mask in merged[:-1]:
+        r, c = nodes[lo][mask], nodes[hi][mask]
+        fresh = np.ones(len(r), dtype=bool)
+        fresh[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
+        rows.append(r[fresh])
+        cols.append(c[fresh])
+    return nodes, signs[start], np.concatenate(rows), np.concatenate(cols)
 
 
 def _components(size: int, rows: np.ndarray, cols: np.ndarray) -> Tuple[int, np.ndarray]:
@@ -366,7 +376,7 @@ def _eighth_signs(
 
 
 def _mesh_probe(p: Polynomial, axis_values: Sequence[AxisValues], denominator: int):
-    """The _probed_edges probe of the _sign_mesh mesh of axis_values."""
+    """The _probed_runs probe of the _sign_mesh mesh of axis_values."""
     varying = [i for i, v in enumerate(axis_values) if isinstance(v, np.ndarray)]
 
     def probe(slot: int, eighth: int) -> np.ndarray:
@@ -383,8 +393,8 @@ def _mesh_axes(grid: CrossSectionGrid, face: int) -> List[int]:
     return [ax for ax in range(grid.ambient) if ax != axis]
 
 
-def _edge_stitches(field: SignField, labels: List[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
-    """Label pairs to merge across each shared cube edge of two faces.
+def _edge_stitches(field: SignField, nodes: List[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """Pairs of node ids (nodes[face] per cell) to merge across shared cube edges.
 
     The probe path runs from the edge cell center on face (a, sa) to the
     cube edge and on to the edge cell center on face (b, sb).  Each leg is
@@ -420,35 +430,34 @@ def _edge_stitches(field: SignField, labels: List[np.ndarray]) -> Tuple[np.ndarr
                     if not mask.any():
                         break
                     mask &= _eighth_signs(field.polynomial, lo, hi, den, eighth) == sign_a
-            rows.append(np.take(labels[fa], idx_b, axis=slot_b_in_a)[mask])
-            cols.append(np.take(labels[fb], idx_a, axis=slot_a_in_b)[mask])
+            rows.append(np.take(nodes[fa], idx_b, axis=slot_b_in_a)[mask])
+            cols.append(np.take(nodes[fb], idx_a, axis=slot_a_in_b)[mask])
     return np.concatenate(rows), np.concatenate(cols)
 
 
 def count_components(field: SignField) -> ComponentReport:
     """Count same-sign components on a sampled cross-section.
 
-    Each face is labeled with probed adjacency; the labels then become the
-    nodes of a second graph whose edges are the probed cross-face stitches.
+    The run graphs of the faces (_probed_runs, node ids offset face by
+    face) and the probed cross-face stitches form one graph, labeled by one
+    _components call.
     Single-resolution result: the stability flag is left False because
     stabilization is only meaningful across a schedule (see nodal_count).
     """
     grid = field.grid
-    shape = field.face_signs[0].shape
-    idx = np.arange(field.face_signs[0].size, dtype=np.int64).reshape(shape)
-    labels: List[np.ndarray] = []
-    offset = 0
+    nodes: List[np.ndarray] = []
+    node_signs, edges, offset = [], [], 0
     for face, signs in enumerate(field.face_signs):
         probe = _mesh_probe(field.polynomial, _face_values(grid, face), grid.denominator)
-        count, local = _components(signs.size, *_probed_edges(signs, idx, probe))
-        labels.append(local.reshape(shape) + offset)
-        offset += count
-    # components never mix signs; zero cells are singleton labels of sign 0
-    label_sign = np.zeros(offset, dtype=np.int8)
-    for face_labels, signs in zip(labels, field.face_signs):
-        label_sign[face_labels] = signs
-    _, merged = _components(offset, *_edge_stitches(field, labels))
-    positive, negative = _sign_split(merged, label_sign)
+        face_nodes, run_signs, rows, cols = _probed_runs(signs, probe)
+        nodes.append(face_nodes + offset)
+        node_signs.append(run_signs)
+        edges.append((rows + offset, cols + offset))
+        offset += len(run_signs)
+    edges.append(_edge_stitches(field, nodes))
+    rows, cols = (np.concatenate(part) for part in zip(*edges))
+    _, labels = _components(offset, rows, cols)
+    positive, negative = _sign_split(labels, np.concatenate(node_signs))
     return ComponentReport(
         total=positive + negative,
         positive=positive,
@@ -602,16 +611,20 @@ def _sturm_count(coeffs: List[Fraction], a: Optional[Fraction], b: Optional[Frac
 def slice_count(
     p: Polynomial,
     box_half_width: Optional[Union[Fraction, int, str]] = None,
-    resolution: int = 512,
+    resolution: Optional[int] = None,
 ) -> SliceReport:
     """Count components of the t = -1 slice inside the box [-R, R]^n.
 
     The default R is the exact Cauchy root bound for n = 1, which certifies
     that no slice structure lies outside the box (the caveat flag is then
-    settled by exact Sturm root counting), and 4 otherwise.  Labeling uses
-    the same exact-sign probed adjacency as the cross-section counter.
+    settled by exact Sturm root counting), and 4 otherwise.  The default
+    resolution (cells per axis) is 512 for n <= 2 and 64 for n >= 3, where
+    512^3 cells would not fit in memory.  Cells are labeled as on the cube:
+    probed runs (_probed_runs) and one _components call.
     """
     n = p.spatial_dim
+    if resolution is None:
+        resolution = 512 if n <= 2 else 64
     v = p.substitute_t(-1)
     if box_half_width is None:
         if n == 1 and not v.is_zero:
@@ -636,11 +649,9 @@ def slice_count(
     if v.is_zero or not (signs != 0).any():
         return SliceReport(0, 0, 0, True, radius, resolution)
 
-    idx = np.arange(signs.size, dtype=np.int64).reshape(signs.shape)
-    probe = _mesh_probe(v, axis_values, den)
-    _, labels = _components(signs.size, *_probed_edges(signs, idx, probe))
-    labels = labels.reshape(signs.shape)
-    positive, negative = _sign_split(labels, signs)
+    nodes, node_signs, rows, cols = _probed_runs(signs, _mesh_probe(v, axis_values, den))
+    _, labels = _components(len(node_signs), rows, cols)
+    positive, negative = _sign_split(labels, node_signs)
 
     if n == 1:
         coeffs = _univariate_coeffs(v)
@@ -650,7 +661,7 @@ def slice_count(
     else:
         rim = np.ones(signs.shape, dtype=bool)
         rim[(slice(1, -1),) * n] = False
-        caveat = max(_sign_split(labels[rim], signs[rim])) >= 2
+        caveat = max(_sign_split(labels[nodes[rim]], signs[rim])) >= 2
     return SliceReport(positive + negative, positive, negative, caveat, radius, resolution)
 
 
@@ -901,7 +912,9 @@ def sphere_grid_count(p: Polynomial, resolution: int = 256) -> ComponentReport:
     This is the cross-check oracle for the cube-exact pipeline: same
     reduction to the unit sphere, entirely different sampling surface and
     arithmetic.  Near-zero values (relative 1e-12) count as zero cells, and
-    the same eighth-point probing guards same-sign adjacency.
+    the same eighth-point probing guards same-sign adjacency, so it shares
+    the cube's blind spot at the thin sign bands of parabolic cusps: like
+    the cube, it gives 14 on product_lower(2, 8), which has 22 domains.
     """
     if p.spatial_dim != 2:
         raise NodalError("the spherical oracle is defined for n = 2")
@@ -923,8 +936,8 @@ def sphere_grid_count(p: Polynomial, resolution: int = 256) -> ComponentReport:
     scale = float(np.abs(base_values).max()) or 1.0
     signs = grid_signs(base_values)
 
-    # theta wraps around: repeating row 0 after the last row makes the seam
-    # one more edge along axis 0
+    # theta wraps around: row 0 repeated after the last row, and tied to it
+    # cell by cell, makes the seam one more edge along axis 0
     wrap = np.append(np.arange(m), 0)
 
     def probe(slot: int, eighth: int) -> np.ndarray:
@@ -932,18 +945,19 @@ def sphere_grid_count(p: Polynomial, resolution: int = 256) -> ComponentReport:
             return grid_signs(grid_values(thetas + eighth * d_theta / 8.0, phis))
         return grid_signs(grid_values(thetas, phis[:-1] + eighth * d_phi / 8.0))[wrap]
 
-    idx = np.arange(signs.size, dtype=np.int64).reshape(signs.shape)
-    edges = [_probed_edges(signs[wrap], idx[wrap], probe)]
+    nodes, node_signs, rows, cols = _probed_runs(signs[wrap], probe)
+    seam = signs[0] != 0
+    edges = [(rows, cols), (nodes[m][seam], nodes[0][seam])]
     # poles join every same-sign cell of the adjacent latitude row
     pole_values = _float_mesh_eval(p, np.zeros(2), np.zeros(2), np.array([1.0, -1.0]))
     for pole_value, row_index in zip(pole_values, (k - 1, 0)):
         if abs(pole_value) < 1e-12 * scale:
             continue
-        members = idx[:, row_index][signs[:, row_index] == (1 if pole_value > 0 else -1)]
+        members = nodes[:m, row_index][signs[:, row_index] == (1 if pole_value > 0 else -1)]
         edges.append((np.repeat(members[:1], len(members)), members))
     rows, cols = (np.concatenate(part) for part in zip(*edges))
-    _, labels = _components(signs.size, rows, cols)
-    positive, negative = _sign_split(labels, signs.ravel())
+    _, labels = _components(len(node_signs), rows, cols)
+    positive, negative = _sign_split(labels, node_signs)
     return ComponentReport(
         total=positive + negative,
         positive=positive,

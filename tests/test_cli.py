@@ -84,6 +84,15 @@ def test_verify_reads_polyfile(capsys, tmp_path):
     assert json.loads(out)["degree"] == 2
 
 
+def test_polyfile_rejects_generator_flags(capsys, tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(fixture("deg2").to_json_dict()))
+    code, out, err = run(capsys, "verify", str(path), "-n", "1")
+    assert code == 4
+    assert out == ""
+    assert err == "error: -n does not apply to a polynomial file\n"
+
+
 def test_count_assert_matches(capsys):
     code, out, _ = run(capsys, "count", "--fixture", "deg2", "--assert", "2")
     assert code == 0
@@ -127,6 +136,17 @@ def test_count_with_slice_and_bounds(capsys):
     payload = json.loads(out)
     assert payload["slice"]["bound_ok"] and not payload["slice"]["caveat"]
     assert payload["bounds"]["ok"]
+
+
+def test_count_slice_in_three_space_variables(capsys):
+    # the n = 3 slice defaults to 64 cells per axis, not 512^3 cells
+    code, out, _ = run(
+        capsys, "count", "--fixture", "n3d4", "--slice", "--schedule", "8,16,32",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert isinstance(payload["slice"], dict)
+    assert payload["slice"]["bound_ok"]
 
 
 def test_count_requires_one_source(capsys):
@@ -261,6 +281,9 @@ def test_unwritable_out_exits_four(capsys, tmp_path, argv):
         "gen fixture n2d3 -d 4",
         "gen lewy n2d3 -d 6",
         "count --gen fixture --fixture-id n2d3 -n 2",
+        # generator flags on a source that does not read them
+        "count --fixture n2d4 -d 7 --eps 1/2 --rot 1/2,1/2 --seed-kind zz --schedule 8,16,32",
+        "verify --expr 2*t+x^2 -n 1 -d 9 --eps abc",
         "scan lewy -d 6 --eps-grid=",  # empty grid
     ],
 )

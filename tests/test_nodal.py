@@ -27,7 +27,16 @@ from calorics import (
     export_nodal_pointcloud,
     zero_mod4,
 )
-from calorics.nodal import NodalError, UnresolvedSign, _eighth_signs, _sign_mesh, _sturm_count
+from calorics import nodal
+from calorics.nodal import (
+    NodalError,
+    UnresolvedSign,
+    _components,
+    _eighth_signs,
+    _probed_runs,
+    _sign_mesh,
+    _sturm_count,
+)
 from calorics.polyring import NotHomogeneous
 from conftest import homogeneous_polynomials
 
@@ -307,6 +316,88 @@ def test_mean_value_consequence_every_caloric_fixture_has_two_domains():
     for fid in ["deg2", "n2d3", "basic_3"]:
         report = nodal_count(fixture(fid), [24, 48, 96])
         assert report.total >= 2
+
+
+@st.composite
+def _probed_meshes(draw):
+    """(signs, probe signs keyed by (slot, eighth)) of a random int8 mesh."""
+    shape = tuple(draw(st.lists(st.integers(1, 7), min_size=1, max_size=3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    zero = draw(st.sampled_from([0.0, 0.1, 0.3]))
+    positive = draw(st.sampled_from([0.2, 0.5, 0.9]))
+    signs = rng.choice(
+        np.array([0, 1, -1], dtype=np.int8), size=shape,
+        p=[zero, (1 - zero) * positive, (1 - zero) * (1 - positive)],
+    )
+    # a probe mostly repeats the sign at its near end, so that runs form
+    agree = draw(st.sampled_from([0.8, 0.97, 1.0]))
+    probes = {}
+    for slot in range(signs.ndim):
+        near = np.delete(signs, -1, axis=slot)
+        for eighth in range(1, 8):
+            noise = rng.integers(-1, 2, size=near.shape, dtype=np.int8)
+            probes[slot, eighth] = np.where(rng.random(near.shape) < agree, near, noise)
+    return signs, probes
+
+
+def _cell_partition(signs, probes):
+    """Component label per cell of the per-cell probed graph."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    idx = np.arange(signs.size).reshape(signs.shape)
+    rows, cols = [], []
+    for slot in range(signs.ndim):
+        near, far = np.delete(signs, -1, axis=slot), np.delete(signs, 0, axis=slot)
+        mask = (near == far) & (near != 0)
+        for eighth in range(1, 8):
+            mask &= probes[slot, eighth] == near
+        rows.append(np.delete(idx, -1, axis=slot)[mask])
+        cols.append(np.delete(idx, 0, axis=slot)[mask])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    graph = coo_matrix((np.ones(len(rows), dtype=bool), (rows, cols)), shape=(signs.size,) * 2)
+    return connected_components(graph, directed=False)[1].reshape(signs.shape)
+
+
+@given(_probed_meshes())
+@settings(max_examples=300, deadline=None)
+def test_probed_runs_partition_matches_per_cell_graph(mesh):
+    signs, probes = mesh
+    nodes, node_signs, rows, cols = _probed_runs(signs, lambda slot, eighth: probes[slot, eighth])
+    assert nodes.shape == signs.shape
+    assert np.array_equal(node_signs[nodes], signs)
+    assert rows.dtype == cols.dtype == np.int64
+    if signs.ndim == 1:
+        assert len(rows) == 0  # runs along the only axis leave no edges
+    _, labels = _components(len(node_signs), rows, cols)
+    runs, cells = labels[nodes].ravel(), _cell_partition(signs, probes).ravel()
+    # equal partitions: the pairs of labels form a bijection
+    pairs = set(zip(runs.tolist(), cells.tolist()))
+    assert len(pairs) == len(set(runs.tolist())) == len(set(cells.tolist()))
+
+
+@pytest.mark.parametrize(
+    "name, resolution, node_frac, edge_frac",
+    [("n3d4", 24, 1 / 8, 1 / 2), ("n2d4", 256, 1 / 64, 1 / 32)],
+)
+def test_one_small_graph_per_cross_section(monkeypatch, name, resolution, node_frac, edge_frac):
+    # runs along the last mesh axis: 9,760 nodes for 110,592 n3d4 cells at
+    # r = 24 and 3,324 for 393,216 n2d4 cells at r = 256; a per-cell graph
+    # has one node per cell
+    calls = []
+
+    def recording(size, rows, cols):
+        calls.append((size, len(rows)))
+        return _components(size, rows, cols)
+
+    monkeypatch.setattr(nodal, "_components", recording)
+    field = cube_section_sample(fixture(name), resolution)
+    count_components(field)
+    cells = sum(face.size for face in field.face_signs)
+    assert len(calls) == 1
+    size, edges = calls[0]
+    assert size < node_frac * cells
+    assert edges < edge_frac * cells
 
 
 # ---- exact root counting ----
