@@ -21,19 +21,26 @@ so no sign is ever trusted to floating point.  Exact zeros are excluded
 from every component; if more than 0.1% of cells are zero the grid is
 jittered by 1/(6r) and resampled once.
 
-Adjacency is conservative: two same-sign cells sharing a facet merge only
-when the exact signs at the seven interior eighth-points of the segment
-joining their centers agree as well.  A cross-face stitch bends through the
-shared cube edge: each of its two legs is the first half of the segment from
-an edge cell center to its ghost, the center mirrored across the cube edge,
-and is probed at the same eighth-points.  Plain same-sign adjacency would
-weld distinct nodal domains across the thin wedges where nodal sheets cross
--- e.g. the two positive domains of (2t + x^2)(2t + y^2) -- and no amount of
-refinement repairs that; the probes detect any wedge wider than an eighth
-of a cell, while the under-merging they can introduce is exactly what the
-multi-resolution stability gate corrects.  Tangencies of higher order stay
-below any fixed probe density, so counts remain estimates guarded by the
-proven bounds, never certificates.
+Adjacency is certified: two same-sign cells sharing a facet merge only when
+the segment joining their centers is proven free of roots of p.  Three
+stages decide each edge, the first that can: a derivative majorant
+(|p(lo)| + |p(hi)| > h max |dp|, one more contraction per axis), the
+Bernstein coefficients of the restriction of p to the segment, all of one
+sign by a certified margin, after up to four de Casteljau halvings
+(Descartes' rule in Bernstein form; Collins & Akritas 1976, Farouki &
+Rajan 1987), and an exact Sturm count on the integer restriction.  A
+cross-face stitch bends through the shared cube edge: each of its two legs
+runs from an edge cell center to the cube edge, and both must be certified
+in the same way.  Every merge therefore has a proof, and each graph
+component lies inside one true nodal domain, so the count is at least the
+number of domains that the cells meet; the proven bounds still check it.
+What stays heuristic is the other direction -- one domain whose cells join
+only through paths the grid misses counts more than once -- and that
+under-merging is what the multi-resolution stability gate corrects.  Plain
+same-sign adjacency would weld distinct nodal domains across the thin
+wedges where nodal sheets cross, e.g. the two positive domains of
+(2t + x^2)(2t + y^2), or across the thin sign bands at the parabolic cusps
+of the product family, and no amount of refinement repairs that.
 """
 
 from __future__ import annotations
@@ -71,6 +78,97 @@ class UnresolvedSign(NodalError):
 
 
 # ---------------------------------------------------------------------------
+# Exact univariate root counting
+# ---------------------------------------------------------------------------
+
+
+def _poly_trim(c: List[Fraction]) -> List[Fraction]:
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _poly_derivative(c: Sequence[Fraction]) -> List[Fraction]:
+    return _poly_trim([c[i] * i for i in range(1, len(c))])
+
+
+def _poly_divmod(
+    a: Sequence[Fraction], b: Sequence[Fraction]
+) -> Tuple[List[Fraction], List[Fraction]]:
+    """(quotient, remainder) of a / b; b must have a nonzero leading coefficient."""
+    rem = _poly_trim(list(a))
+    quotient = [Fraction(0)] * max(len(rem) - len(b) + 1, 0)
+    while len(rem) >= len(b):
+        factor = rem[-1] / b[-1]
+        shift = len(rem) - len(b)
+        quotient[shift] = factor
+        for i, bc in enumerate(b):
+            rem[shift + i] -= factor * bc
+        rem = _poly_trim(rem)
+    return quotient, rem
+
+
+def _poly_gcd(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
+    a, b = _poly_trim(list(a)), _poly_trim(list(b))
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+    return a
+
+
+def _squarefree(coeffs: List[Fraction]) -> List[Fraction]:
+    gcd = _poly_gcd(list(coeffs), _poly_derivative(coeffs))
+    if len(gcd) <= 1:
+        return list(coeffs)
+    return _poly_divmod(coeffs, gcd)[0]
+
+
+def _sturm_chain(coeffs: List[Fraction]) -> List[List[Fraction]]:
+    coeffs = _squarefree(coeffs)  # chain stays valid for multiple roots
+    chain = [list(coeffs), _poly_derivative(coeffs)]
+    while chain[-1]:
+        nxt = [-c for c in _poly_divmod(chain[-2], chain[-1])[1]]
+        if not nxt:
+            break
+        chain.append(nxt)
+    return [c for c in chain if c]
+
+
+def _poly_eval(c: Sequence[Fraction], x: Fraction) -> Fraction:
+    total = Fraction(0)
+    for coeff in reversed(c):
+        total = total * x + coeff
+    return total
+
+
+def _variations(signs: List[int]) -> int:
+    cleaned = [s for s in signs if s != 0]
+    return sum(1 for a, b in zip(cleaned, cleaned[1:]) if a * b < 0)
+
+
+def _sturm_count(coeffs: List[Fraction], a: Optional[Fraction], b: Optional[Fraction]) -> int:
+    """Distinct real roots in (a, b]; None endpoints mean -/+ infinity."""
+    if len(_poly_trim(list(coeffs))) <= 1:
+        return 0
+    chain = _sturm_chain(coeffs)
+
+    def signs_at(x: Optional[Fraction], positive_end: bool) -> List[int]:
+        out = []
+        for c in chain:
+            if x is None:
+                lead = c[-1]
+                degree = len(c) - 1
+                value = lead if positive_end or degree % 2 == 0 else -lead
+            else:
+                value = _poly_eval(c, x)
+            out.append(1 if value > 0 else (-1 if value < 0 else 0))
+        return out
+
+    va = _variations(signs_at(a, positive_end=a is not None))
+    vb = _variations(signs_at(b, positive_end=True))
+    return va - vb
+
+
+# ---------------------------------------------------------------------------
 # Exact sign evaluation on integer-numerator meshes
 # ---------------------------------------------------------------------------
 
@@ -98,6 +196,305 @@ def _integer_scaled_terms(p: Polynomial, denominator: int):
 
 AxisValues = Union[int, np.ndarray]
 
+_BERNSTEIN_SPLITS = 4  # de Casteljau halvings of an edge before the exact fallback
+
+
+def _kappa(roundings: int) -> float:
+    """kappa with kappa * eps over 16 times gamma_K / (1 - gamma_K), K = roundings.
+
+    Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., Lemma 3.1
+    and (3.4)-(3.5): with u = eps/2, a sum of products in any summation order,
+    with or without FMA, where each product carries at most K roundings on
+    its way to the result, is off by at most gamma_K = K u / (1 - K u) times
+    the same sum of |products|.  The same chain on absolute values computes
+    that sum to within a factor 1 - gamma_K.
+    """
+    return 8.0 * (roundings + 4)
+
+
+def _contract(dense: np.ndarray, columns: Sequence[np.ndarray]) -> np.ndarray:
+    """Contract axis s of dense with axis 1 of columns[s], one axis at a time."""
+    for column in columns:
+        dense = np.tensordot(dense, column, axes=(0, 1))
+    return dense
+
+
+def _edge_slices(ndim: int, slot: int) -> Tuple[tuple, tuple]:
+    """Indices of the low and the high cell of each edge along axis `slot`."""
+    lo = (slice(None),) * slot + (slice(None, -1),)
+    hi = (slice(None),) * slot + (slice(1, None),)
+    return lo, hi
+
+
+class _MeshForm:
+    """p on a mesh of integer numerators over one denominator, as an integer form.
+
+    axis_values has one entry per coordinate (x_1..x_n, t): either a scalar
+    integer numerator or a 1-D integer array of numerators; every coordinate
+    equals numerator / denominator.  The fixed axes are substituted exactly,
+    so `coeffs` maps exponents of the varying axes (in coordinate order) to
+    the integer coefficients of P, a positive multiple of p in the
+    numerators.  Float evaluation is one chain of tensor contractions, one
+    Vandermonde matrix per varying axis (V_a C V_b^T on a 2-D face), each
+    result with a rounding bound; a form evaluates its mesh once.
+    """
+
+    def __init__(self, p: Polynomial, axis_values: Sequence[AxisValues], denominator: int):
+        ambient = p.spatial_dim + 1
+        if len(axis_values) != ambient:
+            raise ValueError(f"need {ambient} axis value specs, got {len(axis_values)}")
+        self.varying = [i for i, v in enumerate(axis_values) if isinstance(v, np.ndarray)]
+        self.nums = [axis_values[i] for i in self.varying]
+        self.shape = tuple(len(m) for m in self.nums)
+        self.degree = p.algebraic_degree()
+        coeffs: Dict[Tuple[int, ...], int] = {}
+        for e, c in zip(*_integer_scaled_terms(p, denominator)):
+            for axis, v in enumerate(axis_values):
+                if axis not in self.varying:
+                    c *= int(v) ** e[axis]
+            key = tuple(e[axis] for axis in self.varying)
+            coeffs[key] = coeffs.get(key, 0) + c
+        self.coeffs = {key: c for key, c in coeffs.items() if c}
+        self._float: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+    def _dense(self, coeffs: Dict[Tuple[int, ...], int]) -> Tuple[List[List[int]], np.ndarray]:
+        """(exponents per axis, dense float coefficients) of an integer form."""
+        # dense over the exponents that occur on each varying axis; an unused
+        # power column could overflow and bring inf * 0 = nan into the mesh
+        powers = [sorted({key[s] for key in coeffs}) for s in range(len(self.varying))]
+        dense = np.zeros(tuple(len(pw) for pw in powers))
+        try:
+            for key, c in coeffs.items():
+                dense[tuple(pw.index(e) for pw, e in zip(powers, key))] = float(c)
+        except OverflowError as exc:
+            raise NodalError(
+                f"degree {self.degree}: a scaled integer coefficient exceeds the float range"
+            ) from exc
+        return powers, dense
+
+    def _vander(
+        self, slot: int, powers: List[int], points: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """V[c, j] = m_c^powers[j] over axis `slot`'s numerators, or over `points`."""
+        m = self.nums[slot] if points is None else points
+        return np.vander(m.astype(np.float64), powers[-1] + 1, increasing=True)[:, powers]
+
+    def _roundings(self, powers: List[List[int]]) -> int:
+        # Each product C_T * prod_s m_s^e of a contraction carries at most
+        # 1 + sum_s (degree + k_s) roundings: 1 converting its coefficient to
+        # float (the fixed axes were substituted exactly before), degree per
+        # axis for m^e (np.vander multiplies cumulatively, e - 1 roundings;
+        # integer m is exact and nothing underflows) and k_s for stage s, an
+        # inner product over the k_s exponents of axis s.
+        return 1 + sum(self.degree + len(pw) for pw in powers)
+
+    def _float_pass(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(signs, floor): int8 signs of float P on the mesh and a lower bound on |P|.
+
+        floor is |P| in floats less the rounding bound: positive exactly
+        where the float sign is certified, and -inf or nan where the pass
+        overflowed.
+        """
+        if self._float is None:
+            powers, dense = self._dense(self.coeffs)
+            vanders = [self._vander(s, pw) for s, pw in enumerate(powers)]
+            # an overflow becomes inf or nan here; no bound certifies it
+            with np.errstate(over="ignore", invalid="ignore"):
+                vals = _contract(dense, vanders)
+                # int8 signs without a float temporary: the meshes are large
+                signs = (vals > 0).view(np.int8) - (vals < 0).view(np.int8)
+                bound = _contract(np.abs(dense), [np.abs(v) for v in vanders])
+                bound *= _kappa(self._roundings(powers)) * _FLOAT_EPS
+                self._float = signs, np.subtract(np.abs(vals, out=vals), bound, out=bound)
+        return self._float
+
+    def _exact_line(self, slot: int, cell: Sequence[int]) -> List[int]:
+        """Integer coefficients of P on the line along `slot` through mesh cell `cell`."""
+        ms = [int(m[i]) for m, i in zip(self.nums, cell)]
+        line = [0] * (1 + max(key[slot] for key in self.coeffs))
+        for key, c in self.coeffs.items():
+            others = (m ** e for s, (m, e) in enumerate(zip(ms, key)) if s != slot)
+            line[key[slot]] += c * math.prod(others)
+        return line
+
+    def signs(self) -> np.ndarray:
+        """Exact signs of p on the mesh, an int8 array in {-1, 0, +1}.
+
+        Cells whose float sign is not certified (in particular all exact
+        zeros) are re-evaluated in exact integer arithmetic.
+        """
+        if not self.coeffs:
+            return np.zeros(self.shape, dtype=np.int8)
+        # flat views (a 0-d mesh becomes 1-D); the exact signs of uncertain
+        # cells replace the float ones in place
+        signs, floor = (a.reshape(-1) for a in self._float_pass())
+        uncertain = ~(floor > 0)  # overflowed cells are uncertain
+        if uncertain.any():
+            if not np.isfinite(floor[uncertain]).all():
+                raise NodalError(f"degree {self.degree}: the float pass of sign evaluation overflows")
+            for flat in np.flatnonzero(uncertain):
+                cell = np.unravel_index(flat, self.shape)
+                ms = [int(m[i]) for m, i in zip(self.nums, cell)]
+                total = sum(
+                    c * math.prod(m ** e for m, e in zip(ms, key)) for key, c in self.coeffs.items()
+                )
+                signs[flat] = (total > 0) - (total < 0)
+        return signs.reshape(self.shape)
+
+    def merge_mask(self, slot: int, signs: np.ndarray) -> np.ndarray:
+        """Edges along `slot` whose cells share a nonzero sign and a root-free segment.
+
+        signs are the exact signs of this mesh; the mask is shaped like them
+        with axis `slot` shortened by one.  Each same-sign edge is certified
+        root-free by the first stage that can: (a) the derivative majorant,
+        (b) Bernstein coefficients of one sign, with de Casteljau halving,
+        (c) an exact Sturm count of the restriction.  Stage (b) also cuts an
+        edge when it finds a value of the other sign; an edge no stage
+        certifies stays cut.
+        """
+        lo, hi = _edge_slices(signs.ndim, slot)
+        near = signs[lo]
+        candidates = near * signs[hi] > 0
+        derivative: Dict[Tuple[int, ...], int] = {}
+        for key, c in self.coeffs.items():
+            if key[slot]:
+                lower = key[:slot] + (key[slot] - 1,) + key[slot + 1:]
+                derivative[lower] = derivative.get(lower, 0) + key[slot] * c
+        if not derivative or not candidates.any():
+            return candidates  # P is constant along every edge, or no edge is a candidate
+
+        # (a) With D >= max |dP/dm| on the segment, |P(z)| >= |P(end)| - |z - end| D
+        # at both ends, and the larger of the two bounds is at least their
+        # mean, (|P(lo)| + |P(hi)| - h D) / 2 for a step h.  D is the
+        # derivative's |C| contracted with |m|, where the edge axis takes the
+        # larger |m| of the two ends.  Steps come from the numerators (12 on
+        # a jittered grid).
+        nums = self.nums[slot]
+        reach = np.maximum(np.abs(nums[:-1]), np.abs(nums[1:]))
+        powers, dense = self._dense(derivative)
+        columns = [
+            np.abs(self._vander(s, pw, reach if s == slot else None)) for s, pw in enumerate(powers)
+        ]
+        # h D with its rounding slack: the edge axis's column carries the step
+        # and the slack, two more roundings per product
+        slack = 1 + _kappa(self._roundings(powers) + 2) * _FLOAT_EPS
+        columns[slot] *= (np.abs(nums[1:] - nums[:-1]) * slack)[:, None]
+        floor = self._float_pass()[1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            # |P(lo)| > h D - |P(hi)|, in place; the slack also covers the
+            # rounding of the subtraction
+            slope = _contract(np.abs(dense), columns)
+            merged = floor[lo] > np.subtract(slope, floor[hi], out=slope)
+        merged &= candidates
+        rest = candidates ^ merged
+        if not rest.any():
+            return merged
+
+        # (b) and (c) on the edges the majorant leaves
+        cells = np.unravel_index(np.flatnonzero(rest), rest.shape)
+        coeffs, bounds = self._bernstein(slot, cells)
+        coeffs *= near[cells][:, None]  # orient each edge so that its ends are positive
+        free, rooted = _bernstein_decide(coeffs, bounds)
+        for e in np.flatnonzero(~free & ~rooted):
+            cell = [int(index[e]) for index in cells]
+            ends = sorted(Fraction(int(m)) for m in nums[cell[slot]:cell[slot] + 2])
+            line = [Fraction(c) for c in self._exact_line(slot, cell)]
+            free[e] = _sturm_count(line, *ends) == 0  # ends are nonzero: no root sits on one
+        merged[tuple(index[free] for index in cells)] = True
+        return merged
+
+    def _bernstein(self, slot: int, cells: Tuple[np.ndarray, ...]) -> Tuple[np.ndarray, np.ndarray]:
+        """Bernstein coefficients of P on the edges `cells` along `slot`, with error bounds.
+
+        The contraction stops one axis early (an identity column on `slot`),
+        which leaves the restriction q(m) = sum_j c_j m^j of every line.  On
+        the edge from m0 to m0 + h, q(m0 + h s) = sum_k a_k s^k with
+        a_k = h^k sum_j C(j, k) m0^(j-k) c_j, and the Bernstein coefficients
+        on [0, 1] are b_i = sum_k C(i, k) / C(deg, k) a_k.
+        """
+        powers, dense = self._dense(self.coeffs)
+        pw = powers[slot]
+        columns = [np.eye(len(pw)) if s == slot else self._vander(s, p) for s, p in enumerate(powers)]
+        others = cells[:slot] + cells[slot + 1:]
+        nums = self.nums[slot]
+        start, step = nums[cells[slot]], nums[cells[slot] + 1] - nums[cells[slot]]
+        degree = pw[-1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            # one row of c_j per edge (a 1-D mesh has a single line)
+            lines, line_mags = (
+                np.broadcast_to(np.moveaxis(_contract(d, cols), slot, -1)[others], (len(start), len(pw)))
+                for d, cols in ((dense, columns), (np.abs(dense), [np.abs(c) for c in columns]))
+            )
+            start_pow = np.vander(start.astype(np.float64), degree + 1, increasing=True)
+            step_pow = np.vander(step.astype(np.float64), degree + 1, increasing=True)
+            taylor = np.zeros((len(start), degree + 1))
+            taylor_mags = np.zeros_like(taylor)
+            for j, power in enumerate(pw):
+                k = np.arange(power + 1)
+                binom = np.array([float(math.comb(power, i)) for i in k])
+                taylor[:, k] += lines[:, j, None] * binom * start_pow[:, power - k]
+                taylor_mags[:, k] += line_mags[:, j, None] * binom * np.abs(start_pow[:, power - k])
+            taylor *= step_pow
+            taylor_mags *= np.abs(step_pow)
+            to_bernstein = np.array(
+                [[math.comb(i, k) / math.comb(degree, k) for i in range(degree + 1)]
+                 for k in range(degree + 1)]
+            )
+            # beyond the contraction's roundings: 3 * degree for the powers
+            # and the degree + 1 term sums, len(pw) for the sum over j, and
+            # the binomials and products
+            roundings = self._roundings(powers) + 3 * self.degree + len(pw) + 8
+            bounds = (taylor_mags @ to_bernstein) * (_kappa(roundings) * _FLOAT_EPS)
+            return taylor @ to_bernstein, bounds
+
+
+def _halves(coeffs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Bernstein coefficients of each row on the two halves of its interval (de Casteljau)."""
+    left, right = [coeffs[:, 0]], [coeffs[:, -1]]
+    while coeffs.shape[1] > 1:
+        coeffs = (coeffs[:, :-1] + coeffs[:, 1:]) / 2
+        left.append(coeffs[:, 0])
+        right.append(coeffs[:, -1])
+    return np.stack(left, axis=1), np.stack(right[::-1], axis=1)
+
+
+def _bernstein_decide(coeffs: np.ndarray, bounds: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(root-free, rooted) masks of edges from their oriented Bernstein coefficients.
+
+    Row e holds the Bernstein coefficients of a polynomial that is positive
+    at both ends of its edge, each within bounds[e] of its exact value.  A
+    piece of an edge is root-free when all its coefficients are certified
+    positive: the polynomial is a convex combination of them (Descartes'
+    rule in Bernstein form).  An edge has a root when a piece end, an exact
+    value of the polynomial, is certified negative.  Pieces that are neither
+    are halved, up to _BERNSTEIN_SPLITS times; an edge left undecided is in
+    neither mask.
+    """
+    width = coeffs.shape[1]
+    rooted = np.zeros(len(coeffs), dtype=bool)
+    owner = np.arange(len(coeffs))
+    radius = bounds
+    with np.errstate(over="ignore", invalid="ignore"):
+        for split in range(_BERNSTEIN_SPLITS + 1):
+            if split:
+                # an average rounds by at most u |result| and halving is
+                # exact, so one radius per piece grows by width * eps * max |b|
+                spread = np.abs(coeffs).max(axis=1, keepdims=True)
+                radius = radius.max(axis=1, keepdims=True) + width * _FLOAT_EPS * spread
+                left, right = _halves(coeffs)
+                coeffs = np.concatenate([left, right])
+                radius = np.concatenate([radius, radius])
+                owner = np.concatenate([owner, owner])
+            negative_end = (coeffs[:, 0] < -radius[:, 0]) | (coeffs[:, -1] < -radius[:, -1])
+            rooted[owner[negative_end]] = True
+            open_piece = ~(coeffs > radius).all(axis=1) & ~rooted[owner]
+            coeffs, radius, owner = coeffs[open_piece], radius[open_piece], owner[open_piece]
+            if not len(owner):
+                break
+    free = ~rooted
+    free[owner] = False
+    return free, rooted
+
 
 def _sign_mesh(p: Polynomial, axis_values: Sequence[AxisValues], denominator: int) -> np.ndarray:
     """Exact signs of p on the mesh spanned by the varying axes.
@@ -107,82 +504,7 @@ def _sign_mesh(p: Polynomial, axis_values: Sequence[AxisValues], denominator: in
     equals numerator / denominator.  The result is an int8 array shaped by
     the varying axes in coordinate order, with values in {-1, 0, +1}.
     """
-    ambient = p.spatial_dim + 1
-    if len(axis_values) != ambient:
-        raise ValueError(f"need {ambient} axis value specs, got {len(axis_values)}")
-    varying = [i for i, v in enumerate(axis_values) if isinstance(v, np.ndarray)]
-    shape = tuple(len(axis_values[i]) for i in varying)
-    degree = p.algebraic_degree()
-
-    # substitute the fixed axes exactly: integer coefficients of the
-    # monomials in the varying axes, keyed by their exponents
-    coeffs: Dict[Tuple[int, ...], int] = {}
-    for e, c in zip(*_integer_scaled_terms(p, denominator)):
-        for axis, v in enumerate(axis_values):
-            if axis not in varying:
-                c *= int(v) ** e[axis]
-        key = tuple(e[axis] for axis in varying)
-        coeffs[key] = coeffs.get(key, 0) + c
-    coeffs = {key: c for key, c in coeffs.items() if c}
-    if not coeffs:
-        return np.zeros(shape, dtype=np.int8)
-
-    # dense C over the exponents that occur on each varying axis; an unused
-    # power column could overflow and bring inf * 0 = nan into the mesh
-    powers = [sorted({key[s] for key in coeffs}) for s in range(len(varying))]
-    dense = np.zeros(tuple(len(pw) for pw in powers))
-    try:
-        for key, c in coeffs.items():
-            dense[tuple(pw.index(e) for pw, e in zip(powers, key))] = float(c)
-    except OverflowError as exc:
-        raise NodalError(
-            f"degree {degree}: a scaled integer coefficient exceeds the float range"
-        ) from exc
-
-    # contract one varying axis at a time with its Vandermonde matrix
-    # V[c, j] = m_c^(e_j) (V_a C V_b^T on a 2-D mesh); an overflow becomes
-    # inf or nan here and the guard below rejects it
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals, mags = dense, np.abs(dense)
-        for axis, pw in zip(varying, powers):
-            vander = np.vander(axis_values[axis].astype(np.float64), pw[-1] + 1, increasing=True)
-            vander = vander[:, pw]
-            vals = np.tensordot(vals, vander, axes=(0, 1))
-            mags = np.tensordot(mags, np.abs(vander), axes=(0, 1))
-        # flat views; a 0-d mesh (a stitch probe of n = 1) becomes 1-D
-        vals, mags = vals.reshape(-1), mags.reshape(-1)
-        # int8 signs without a float temporary: the meshes are large
-        signs = (vals > 0).view(np.int8) - (vals < 0).view(np.int8)
-
-    # Certificate (Higham, Accuracy and Stability of Numerical Algorithms,
-    # 2nd ed., Lemma 3.1 and (3.4)-(3.5)): with u = eps/2, a length-k inner
-    # product in any summation order, with or without FMA, has
-    # |fl(a.b) - a.b| <= gamma_k |a|.|b|, gamma_k = k u / (1 - k u).
-    # Expanded, vals is a sum of products C_T * prod_s m_s^e, and each
-    # product carries at most K = 1 + sum_s (degree + k_s) roundings:
-    #   1       converting its coefficient to float (the fixed axes were
-    #           substituted exactly before);
-    #   degree  per varying axis for m^e (np.vander multiplies cumulatively,
-    #           e - 1 roundings; integer m is exact and nothing underflows);
-    #   k_s     for stage s, an inner product over the k_s exponents of axis s.
-    # So |vals - p| <= gamma_K * S, S = sum |products|, and mags, the same
-    # chain on |C| and |V|, is at least (1 - gamma_K) S.  The bound
-    # 16 (K + 4) u * mags is over 16 times gamma_K / (1 - gamma_K) * mags.
-    kappa = 8.0 * (1 + sum(degree + len(pw) for pw in powers) + 4)
-    # in place: vals becomes |vals| and mags the bound
-    bound = np.multiply(mags, kappa * _FLOAT_EPS, out=mags)
-    uncertain = ~(np.abs(vals, out=vals) > bound)  # overflowed cells are uncertain
-    if uncertain.any():
-        if not np.isfinite(bound[uncertain]).all():
-            raise NodalError(f"degree {degree}: the float pass of sign evaluation overflows")
-        for flat in np.flatnonzero(uncertain):
-            cell = np.unravel_index(flat, shape)
-            ms = [int(axis_values[axis][i]) for axis, i in zip(varying, cell)]
-            total = sum(
-                c * math.prod(m ** e for m, e in zip(ms, key)) for key, c in coeffs.items()
-            )
-            signs[flat] = (total > 0) - (total < 0)
-    return signs.reshape(shape)
+    return _MeshForm(p, axis_values, denominator).signs()
 
 
 # ---------------------------------------------------------------------------
@@ -305,46 +627,34 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
 
 
 # ---------------------------------------------------------------------------
-# Component labeling with probed adjacency
+# Component labeling with certified adjacency
 # ---------------------------------------------------------------------------
 
 
-_PROBE_STEPS = (1, 2, 3, 4, 5, 6, 7)  # eighth-points of the segment between centers
+def _probed_runs(signs: np.ndarray, merges: Sequence[np.ndarray]) -> Tuple[np.ndarray, ...]:
+    """Same-sign graph of a sign mesh whose nodes are runs of cells.
 
-
-def _probed_runs(signs: np.ndarray, probe) -> Tuple[np.ndarray, ...]:
-    """Probed same-sign graph of a sign mesh whose nodes are runs of cells.
-
-    Neighbouring cells of one nonzero sign merge when the signs at the
-    eighth-points between them, probe(slot, eighth) along axis `slot`
-    (shaped like `signs` with that axis shortened by one), agree with it.
-    Cells merged along the last axis form a run, one node; merges along the
-    other axes are edges between runs, less each edge equal to the one
-    before it in C order (no sort; other repeats are harmless).  Zero cells
-    are single-cell runs with no edges.  Returns (node id per cell, sign per
-    node, edge rows, edge cols), a graph with the per-cell graph's components.
+    merges[slot] marks the neighbouring cells along axis `slot` (shaped like
+    `signs` with that axis shortened by one) that merge; only cells of one
+    nonzero sign may be marked.  Cells merged along the last axis form a
+    run, one node; merges along the other axes are edges between runs.  An
+    edge repeats the one before it along the last axis when that one exists
+    and no run starts at either end, and only the others are kept (other
+    repeats are harmless).  Zero cells are single-cell runs with no edges.
+    Returns (node id per cell, sign per node, edge rows, edge cols), a graph
+    with the per-cell graph's components.
     """
-    merged = []
-    for slot in range(signs.ndim):
-        lo = (slice(None),) * slot + (slice(None, -1),)
-        hi = (slice(None),) * slot + (slice(1, None),)
-        s_lo = signs[lo]
-        mask = (s_lo == signs[hi]) & (s_lo != 0)
-        for eighth in _PROBE_STEPS:
-            if not mask.any():
-                break
-            mask &= probe(slot, eighth) == s_lo
-        merged.append((lo, hi, mask))
     start = np.ones(signs.shape, dtype=bool)
-    start[..., 1:] = ~merged[-1][2]
+    start[..., 1:] = ~merges[-1]
     nodes = np.cumsum(start, dtype=np.int64).reshape(signs.shape) - 1
     rows, cols = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for lo, hi, mask in merged[:-1]:
-        r, c = nodes[lo][mask], nodes[hi][mask]
-        fresh = np.ones(len(r), dtype=bool)
-        fresh[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
-        rows.append(r[fresh])
-        cols.append(c[fresh])
+    for slot, mask in enumerate(merges[:-1]):
+        lo, hi = _edge_slices(signs.ndim, slot)
+        fresh = start[lo] | start[hi]
+        fresh[..., 1:] |= ~mask[..., :-1]
+        fresh &= mask
+        rows.append(nodes[lo][fresh])
+        cols.append(nodes[hi][fresh])
     return nodes, signs[start], np.concatenate(rows), np.concatenate(cols)
 
 
@@ -363,47 +673,25 @@ def _sign_split(labels: np.ndarray, signs: np.ndarray) -> Tuple[int, int]:
     return len(np.unique(labels[signs == 1])), len(np.unique(labels[signs == -1]))
 
 
-def _eighth_signs(
-    p: Polynomial, lo: Sequence[AxisValues], hi: Sequence[AxisValues], denominator: int, eighth: int
-) -> np.ndarray:
-    """Signs at eighth-point `eighth` of the segments from mesh `lo` to mesh `hi`.
-
-    lo and hi are _sign_mesh axis values over `denominator`; an axis that is
-    scalar in both stays fixed, so the result is shaped like their mesh.
-    """
-    mixed = [(8 - eighth) * u + eighth * v for u, v in zip(lo, hi)]
-    return _sign_mesh(p, mixed, 8 * denominator)
-
-
-def _mesh_probe(p: Polynomial, axis_values: Sequence[AxisValues], denominator: int):
-    """The _probed_runs probe of the _sign_mesh mesh of axis_values."""
-    varying = [i for i, v in enumerate(axis_values) if isinstance(v, np.ndarray)]
-
-    def probe(slot: int, eighth: int) -> np.ndarray:
-        lo, hi = list(axis_values), list(axis_values)
-        nums = axis_values[varying[slot]]
-        lo[varying[slot]], hi[varying[slot]] = nums[:-1], nums[1:]
-        return _eighth_signs(p, lo, hi, denominator, eighth)
-
-    return probe
-
-
 def _mesh_axes(grid: CrossSectionGrid, face: int) -> List[int]:
     axis, _ = grid.face_axis_sign(face)
     return [ax for ax in range(grid.ambient) if ax != axis]
 
 
-def _edge_stitches(field: SignField, nodes: List[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
-    """Pairs of node ids (nodes[face] per cell) to merge across shared cube edges.
+def _edge_stitches(
+    grid: CrossSectionGrid, sides: List[List[Tuple[Tuple[np.ndarray, np.ndarray], ...]]]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Pairs of node ids to merge across shared cube edges.
 
-    The probe path runs from the edge cell center on face (a, sa) to the
-    cube edge and on to the edge cell center on face (b, sb).  Each leg is
-    the first half of the segment from a center to its ghost, the center
-    mirrored across the cube edge: leg a probes eighths 1-4, where 4 is the
-    cube-edge point, and leg b probes eighths 1-3.
+    The path runs from the edge cell center on face (a, sa) to the cube edge
+    and on to the edge cell center on face (b, sb).  Each leg runs from a
+    center to the cube edge along the axis that the other face fixes.
+    sides[face][slot][high] holds the node ids of the face's cells next to
+    its low (high = 0) or high (1) side along mesh axis `slot`, and the merge
+    masks of their legs.  The cells merge when both legs do: then the cells
+    and the cube-edge point share a nonzero sign, and the path is certified
+    root-free.
     """
-    grid = field.grid
-    res, den, nums = grid.resolution, grid.denominator, grid.numerators
     rows: List[np.ndarray] = []
     cols: List[np.ndarray] = []
     for fa in range(grid.face_count):
@@ -413,48 +701,51 @@ def _edge_stitches(field: SignField, nodes: List[np.ndarray]) -> Tuple[np.ndarra
             b, sb = grid.face_axis_sign(fb)
             if b == a:
                 continue
-            slot_b_in_a = axes_a.index(b)
-            slot_a_in_b = _mesh_axes(grid, fb).index(a)
-            idx_b = res - 1 if sb > 0 else 0
-            idx_a = res - 1 if sa > 0 else 0
-            sign_a = np.take(field.face_signs[fa], idx_b, axis=slot_b_in_a)
-            sign_b = np.take(field.face_signs[fb], idx_a, axis=slot_a_in_b)
-            mask = (sign_a == sign_b) & (sign_a != 0)
-            edge: List[AxisValues] = [nums] * grid.ambient
-            edge[a], edge[b] = sa * den, sb * den
-            legs = ((b, int(nums[idx_b]), (1, 2, 3, 4)), (a, int(nums[idx_a]), (1, 2, 3)))
-            for axis, last, eighths in legs:
-                lo, hi = list(edge), list(edge)
-                lo[axis], hi[axis] = last, 2 * edge[axis] - last
-                for eighth in eighths:
-                    if not mask.any():
-                        break
-                    mask &= _eighth_signs(field.polynomial, lo, hi, den, eighth) == sign_a
-            rows.append(np.take(nodes[fa], idx_b, axis=slot_b_in_a)[mask])
-            cols.append(np.take(nodes[fb], idx_a, axis=slot_a_in_b)[mask])
+            nodes_a, legs_a = sides[fa][axes_a.index(b)][sb > 0]
+            nodes_b, legs_b = sides[fb][_mesh_axes(grid, fb).index(a)][sa > 0]
+            mask = legs_a & legs_b
+            rows.append(nodes_a[mask])
+            cols.append(nodes_b[mask])
     return np.concatenate(rows), np.concatenate(cols)
 
 
 def count_components(field: SignField) -> ComponentReport:
     """Count same-sign components on a sampled cross-section.
 
-    The run graphs of the faces (_probed_runs, node ids offset face by
-    face) and the probed cross-face stitches form one graph, labeled by one
-    _components call.
+    Each face is evaluated once more on its cell centers plus the cube
+    edges around it (numerators -den and +den added to every mesh axis), so
+    one set of root-free merge masks per face covers both the in-face edges
+    and the stitch legs to the cube edges.  The run graphs of the faces
+    (_probed_runs, node ids offset face by face) and the cross-face stitches
+    form one graph, labeled by one _components call.
     Single-resolution result: the stability flag is left False because
     stabilization is only meaningful across a schedule (see nodal_count).
     """
     grid = field.grid
-    nodes: List[np.ndarray] = []
+    den = grid.denominator
+    rimmed = np.concatenate([[-den], grid.numerators, [den]])
+    sides: List[List[Tuple[Tuple[np.ndarray, np.ndarray], ...]]] = []
     node_signs, edges, offset = [], [], 0
-    for face, signs in enumerate(field.face_signs):
-        probe = _mesh_probe(field.polynomial, _face_values(grid, face), grid.denominator)
-        face_nodes, run_signs, rows, cols = _probed_runs(signs, probe)
-        nodes.append(face_nodes + offset)
+    for face in range(grid.face_count):
+        axis_values = [rimmed if isinstance(v, np.ndarray) else v for v in _face_values(grid, face)]
+        form = _MeshForm(field.polynomial, axis_values, den)
+        signs = form.signs()
+        inner = (slice(1, -1),) * signs.ndim
+        merges = [form.merge_mask(slot, signs) for slot in range(signs.ndim)]
+        nodes, run_signs, rows, cols = _probed_runs(signs[inner], [m[inner] for m in merges])
+        nodes += offset
+        # node ids and leg masks of the cells next to each side of the face
+        sides.append([
+            tuple(
+                (np.take(nodes, end, axis=slot), np.take(mask, end, axis=slot)[inner[1:]])
+                for end in (0, -1)
+            )
+            for slot, mask in enumerate(merges)
+        ])
         node_signs.append(run_signs)
         edges.append((rows + offset, cols + offset))
         offset += len(run_signs)
-    edges.append(_edge_stitches(field, nodes))
+    edges.append(_edge_stitches(grid, sides))
     rows, cols = (np.concatenate(part) for part in zip(*edges))
     _, labels = _components(offset, rows, cols)
     positive, negative = _sign_split(labels, np.concatenate(node_signs))
@@ -522,92 +813,6 @@ def _univariate_coeffs(v: Polynomial) -> List[Fraction]:
     return coeffs
 
 
-def _poly_trim(c: List[Fraction]) -> List[Fraction]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_derivative(c: Sequence[Fraction]) -> List[Fraction]:
-    return _poly_trim([c[i] * i for i in range(1, len(c))])
-
-
-def _poly_divmod(
-    a: Sequence[Fraction], b: Sequence[Fraction]
-) -> Tuple[List[Fraction], List[Fraction]]:
-    """(quotient, remainder) of a / b; b must have a nonzero leading coefficient."""
-    rem = _poly_trim(list(a))
-    quotient = [Fraction(0)] * max(len(rem) - len(b) + 1, 0)
-    while len(rem) >= len(b):
-        factor = rem[-1] / b[-1]
-        shift = len(rem) - len(b)
-        quotient[shift] = factor
-        for i, bc in enumerate(b):
-            rem[shift + i] -= factor * bc
-        rem = _poly_trim(rem)
-    return quotient, rem
-
-
-def _poly_gcd(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
-    a, b = _poly_trim(list(a)), _poly_trim(list(b))
-    while b:
-        a, b = b, _poly_divmod(a, b)[1]
-    return a
-
-
-def _squarefree(coeffs: List[Fraction]) -> List[Fraction]:
-    gcd = _poly_gcd(list(coeffs), _poly_derivative(coeffs))
-    if len(gcd) <= 1:
-        return list(coeffs)
-    return _poly_divmod(coeffs, gcd)[0]
-
-
-def _sturm_chain(coeffs: List[Fraction]) -> List[List[Fraction]]:
-    coeffs = _squarefree(coeffs)  # chain stays valid for multiple roots
-    chain = [list(coeffs), _poly_derivative(coeffs)]
-    while chain[-1]:
-        nxt = [-c for c in _poly_divmod(chain[-2], chain[-1])[1]]
-        if not nxt:
-            break
-        chain.append(nxt)
-    return [c for c in chain if c]
-
-
-def _poly_eval(c: Sequence[Fraction], x: Fraction) -> Fraction:
-    total = Fraction(0)
-    for coeff in reversed(c):
-        total = total * x + coeff
-    return total
-
-
-def _variations(signs: List[int]) -> int:
-    cleaned = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(cleaned, cleaned[1:]) if a * b < 0)
-
-
-def _sturm_count(coeffs: List[Fraction], a: Optional[Fraction], b: Optional[Fraction]) -> int:
-    """Distinct real roots in (a, b]; None endpoints mean -/+ infinity."""
-    if len(_poly_trim(list(coeffs))) <= 1:
-        return 0
-    chain = _sturm_chain(coeffs)
-
-    def signs_at(x: Optional[Fraction], positive_end: bool) -> List[int]:
-        out = []
-        for c in chain:
-            if x is None:
-                lead = c[-1]
-                degree = len(c) - 1
-                value = lead if positive_end or degree % 2 == 0 else -lead
-            else:
-                value = _poly_eval(c, x)
-            out.append(1 if value > 0 else (-1 if value < 0 else 0))
-        return out
-
-    va = _variations(signs_at(a, positive_end=a is not None))
-    vb = _variations(signs_at(b, positive_end=True))
-    return va - vb
-
-
 def slice_count(
     p: Polynomial,
     box_half_width: Optional[Union[Fraction, int, str]] = None,
@@ -620,7 +825,7 @@ def slice_count(
     settled by exact Sturm root counting), and 4 otherwise.  The default
     resolution (cells per axis) is 512 for n <= 2 and 64 for n >= 3, where
     512^3 cells would not fit in memory.  Cells are labeled as on the cube:
-    probed runs (_probed_runs) and one _components call.
+    root-free merge masks, runs (_probed_runs) and one _components call.
     """
     n = p.spatial_dim
     if resolution is None:
@@ -643,13 +848,14 @@ def slice_count(
 
     nums = radius.numerator * (2 * np.arange(resolution, dtype=np.int64) + 1 - resolution)
     den = radius.denominator * resolution
-    axis_values: List[AxisValues] = [nums] * n + [0]
-    signs = _sign_mesh(v, axis_values, den)
+    form = _MeshForm(v, [nums] * n + [0], den)
+    signs = form.signs()
 
     if v.is_zero or not (signs != 0).any():
         return SliceReport(0, 0, 0, True, radius, resolution)
 
-    nodes, node_signs, rows, cols = _probed_runs(signs, _mesh_probe(v, axis_values, den))
+    merges = [form.merge_mask(slot, signs) for slot in range(n)]
+    nodes, node_signs, rows, cols = _probed_runs(signs, merges)
     _, labels = _components(len(node_signs), rows, cols)
     positive, negative = _sign_split(labels, node_signs)
 
@@ -912,9 +1118,11 @@ def sphere_grid_count(p: Polynomial, resolution: int = 256) -> ComponentReport:
     This is the cross-check oracle for the cube-exact pipeline: same
     reduction to the unit sphere, entirely different sampling surface and
     arithmetic.  Near-zero values (relative 1e-12) count as zero cells, and
-    the same eighth-point probing guards same-sign adjacency, so it shares
-    the cube's blind spot at the thin sign bands of parabolic cusps: like
-    the cube, it gives 14 on product_lower(2, 8), which has 22 domains.
+    same-sign neighbours merge when the float signs at the seven interior
+    eighth-points between them agree.  Those probes miss the thin sign bands
+    of parabolic cusps, so the oracle welds across them: it gives 14 on
+    product_lower(2, 8), where the cube's root-free merges give the 22
+    domains.
     """
     if p.spatial_dim != 2:
         raise NodalError("the spherical oracle is defined for n = 2")
@@ -945,7 +1153,17 @@ def sphere_grid_count(p: Polynomial, resolution: int = 256) -> ComponentReport:
             return grid_signs(grid_values(thetas + eighth * d_theta / 8.0, phis))
         return grid_signs(grid_values(thetas, phis[:-1] + eighth * d_phi / 8.0))[wrap]
 
-    nodes, node_signs, rows, cols = _probed_runs(signs[wrap], probe)
+    wrapped = signs[wrap]
+    merges = []
+    for slot in range(2):
+        lo, hi = _edge_slices(2, slot)
+        mask = wrapped[lo] * wrapped[hi] > 0
+        for eighth in range(1, 8):
+            if not mask.any():
+                break
+            mask &= probe(slot, eighth) == wrapped[lo]
+        merges.append(mask)
+    nodes, node_signs, rows, cols = _probed_runs(wrapped, merges)
     seam = signs[0] != 0
     edges = [(rows, cols), (nodes[m][seam], nodes[0][seam])]
     # poles join every same-sign cell of the adjacent latitude row

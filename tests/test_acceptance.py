@@ -152,6 +152,7 @@ def test_criterion_8_bound_enforcement():
         (2, 4): None,
         (2, 5): (96, 128, 256),
         (2, 6): None,
+        (2, 8): None,
         (3, 6): None,
     }
     for (n, d), schedule in schedules.items():

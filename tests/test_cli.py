@@ -168,16 +168,33 @@ def test_parse_error_exits_four(capsys):
         "count --expr 2*t+x1^2 -n 4",  # ambient dimension 5
         # a scaled integer coefficient of this degree-20 input exceeds the float range
         "count --gen zero-mod4 -d 20 --eps 1/4 --rot angle:0.2",
-        # terms of this degree-16 input overflow the float pass of sign evaluation
-        "count --gen zero-mod4 -d 16 --eps 1/4 --rot angle:0.2",
-        # on the probe meshes x = 1 scales to (8 * 10000)^64, beyond the float range
-        "count --expr x^64 -n 1 --schedule 10000,10001,10002",
+        # at x = 1 the term x^64 scales to 70000^64, beyond the float range
+        "count --expr x^64 -n 1 --schedule 70000,70001,70002",
     ],
 )
 def test_counting_errors_exit_four(capsys, argv):
     code, _, err = run(capsys, *argv.split())
     assert code == 4
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        ("count --gen zero-mod4 -d 16 --eps 1/4 --rot angle:0.2 --check-bounds", None),
+        ("count --expr x^64 -n 1 --schedule 10000,10001,10002", (2, 2, 0, True)),
+    ],
+)
+def test_high_degree_inputs_count_within_the_float_range(capsys, argv, expected):
+    # cell centers and cube edges keep every power inside the float range;
+    # eighth-point probes, with eight times the denominator, overflowed here
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    payload = json.loads(out)
+    if expected is None:
+        assert payload["bounds"]["ok"]
+    else:
+        assert (payload["total"], payload["pos"], payload["neg"], payload["stable"]) == expected
 
 
 @pytest.mark.parametrize("resolution", ["0", "-3"])
@@ -211,6 +228,15 @@ def test_product_below_floor_exits_three(capsys, monkeypatch):
     bounds = json.loads(out)["bounds"]
     assert not bounds["ok"] and bounds["max_lower_bound"] == 16
     assert "product floor 16" in bounds["error"]
+
+
+def test_product_family_reaches_its_floor(capsys):
+    # product_lower(2, 8) has 22 domains, above the floor 16
+    code, out, _ = run(capsys, "count", "--gen", "product", "-d", "8", "-n", "2", "--check-bounds")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["total"], payload["pos"], payload["neg"], payload["stable"]) == (22, 10, 12, True)
+    assert payload["bounds"]["ok"]
 
 
 def test_product_at_floor_passes_bounds(capsys):
