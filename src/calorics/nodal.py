@@ -19,7 +19,10 @@ rounding-error bound.  Cells whose |value| falls under the bound (in
 particular all exact zeros) are re-evaluated with exact integer arithmetic,
 so no sign is ever trusted to floating point.  Exact zeros are excluded
 from every component; if more than 0.1% of cells are zero the grid is
-jittered by 1/(6r) and resampled once.
+jittered by 1/(6r) and resampled once.  cube_section_sample evaluates each
+face once, on its cell centers plus the cube edges around it: that one form
+gives the face's exact signs, its merge masks (below) and its graph of runs,
+and count_components only joins the faces' graphs across the cube edges.
 
 Adjacency is certified: two same-sign cells sharing a facet merge only when
 the segment joining their centers is proven free of roots of p.  Three
@@ -28,7 +31,8 @@ stages decide each edge, the first that can: a derivative majorant
 Bernstein coefficients of the restriction of p to the segment, all of one
 sign by a certified margin, after up to four de Casteljau halvings
 (Descartes' rule in Bernstein form; Collins & Akritas 1976, Farouki &
-Rajan 1987), and an exact Sturm count on the integer restriction.  A
+Rajan 1987), and an exact Sturm count on the integer restriction (a
+primitive pseudo-remainder sequence in Python ints).  A
 cross-face stitch bends through the shared cube edge: each of its two legs
 runs from an edge cell center to the cube edge, and both must be certified
 in the same way.  Every merge therefore has a proof, and each graph
@@ -45,6 +49,7 @@ of the product family, and no amount of refinement repairs that.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -82,90 +87,100 @@ class UnresolvedSign(NodalError):
 # ---------------------------------------------------------------------------
 
 
-def _poly_trim(c: List[Fraction]) -> List[Fraction]:
+Rational = Union[int, Fraction]
+
+
+def _poly_trim(c: List[int]) -> List[int]:
     while c and c[-1] == 0:
         c.pop()
     return c
 
 
-def _poly_derivative(c: Sequence[Fraction]) -> List[Fraction]:
+def _poly_derivative(c: Sequence[int]) -> List[int]:
     return _poly_trim([c[i] * i for i in range(1, len(c))])
 
 
-def _poly_divmod(
-    a: Sequence[Fraction], b: Sequence[Fraction]
-) -> Tuple[List[Fraction], List[Fraction]]:
-    """(quotient, remainder) of a / b; b must have a nonzero leading coefficient."""
-    rem = _poly_trim(list(a))
-    quotient = [Fraction(0)] * max(len(rem) - len(b) + 1, 0)
-    while len(rem) >= len(b):
-        factor = rem[-1] / b[-1]
-        shift = len(rem) - len(b)
-        quotient[shift] = factor
+def _primitive(c: List[int]) -> List[int]:
+    """c divided by its positive content, the gcd of its coefficients."""
+    content = math.gcd(*c)
+    return [x // content for x in c] if content > 1 else c
+
+
+def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> Tuple[List[int], List[int]]:
+    """(q, r) with |lc(b)|^(delta + 1) a = q b + r in integers, delta = deg a - deg b.
+
+    The multiplier is positive, so q and r are positive multiples of the
+    rational quotient and remainder of a / b; b must be trimmed and nonzero.
+    """
+    rem, top, quotient = _poly_trim(list(a)), len(b) - 1, []
+    scale, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
+    for shift in range(len(rem) - len(b), -1, -1):
+        # |lc(b)| * rem - factor * x^shift * b clears rem's coefficient of x^(shift + top)
+        factor = rem[shift + top] * sign
+        rem = [scale * c for c in rem]
+        quotient = [factor] + [scale * c for c in quotient]
         for i, bc in enumerate(b):
             rem[shift + i] -= factor * bc
-        rem = _poly_trim(rem)
-    return quotient, rem
+    return quotient, _poly_trim(rem[:top])
 
 
-def _poly_gcd(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
-    a, b = _poly_trim(list(a)), _poly_trim(list(b))
-    while b:
-        a, b = b, _poly_divmod(a, b)[1]
-    return a
-
-
-def _squarefree(coeffs: List[Fraction]) -> List[Fraction]:
-    gcd = _poly_gcd(list(coeffs), _poly_derivative(coeffs))
+def _squarefree(coeffs: List[int]) -> List[int]:
+    """A nonzero multiple of coeffs divided by gcd(coeffs, coeffs')."""
+    gcd, rem = coeffs, _poly_derivative(coeffs)
+    while rem:
+        gcd, rem = rem, _primitive(_pseudo_divmod(gcd, rem)[1])
     if len(gcd) <= 1:
-        return list(coeffs)
-    return _poly_divmod(coeffs, gcd)[0]
+        return coeffs
+    # gcd is primitive, so the quotient is exact up to the multiplier
+    return _primitive(_pseudo_divmod(coeffs, gcd)[0])
 
 
-def _sturm_chain(coeffs: List[Fraction]) -> List[List[Fraction]]:
+def _sturm_chain(coeffs: List[int]) -> List[List[int]]:
+    """Sturm sequence of the square-free part, as a primitive pseudo-remainder sequence.
+
+    Every term is a positive multiple of the term of the rational sequence
+    (p, p', -rem(p, p'), ...), so every sign along the chain is kept.
+    """
     coeffs = _squarefree(coeffs)  # chain stays valid for multiple roots
-    chain = [list(coeffs), _poly_derivative(coeffs)]
-    while chain[-1]:
-        nxt = [-c for c in _poly_divmod(chain[-2], chain[-1])[1]]
-        if not nxt:
+    chain = [coeffs, _primitive(_poly_derivative(coeffs))]
+    while len(chain[-1]) > 1:
+        rem = _pseudo_divmod(chain[-2], chain[-1])[1]
+        if not rem:
             break
-        chain.append(nxt)
-    return [c for c in chain if c]
+        chain.append(_primitive([-c for c in rem]))
+    return chain
 
 
-def _poly_eval(c: Sequence[Fraction], x: Fraction) -> Fraction:
-    total = Fraction(0)
-    for coeff in reversed(c):
-        total = total * x + coeff
-    return total
+def _poly_sign(c: Sequence[int], num: int, den: int) -> int:
+    """Sign of c(num / den) for den > 0, from the integer den^deg * c(num / den)."""
+    total, den_power = c[-1], 1
+    for coeff in reversed(c[:-1]):
+        den_power *= den
+        total = total * num + coeff * den_power
+    return (total > 0) - (total < 0)
 
 
-def _variations(signs: List[int]) -> int:
-    cleaned = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(cleaned, cleaned[1:]) if a * b < 0)
+def _sturm_count(coeffs: Sequence[Rational], a: Optional[Rational], b: Optional[Rational]) -> int:
+    """Distinct real roots in (a, b]; None endpoints mean -/+ infinity.
 
-
-def _sturm_count(coeffs: List[Fraction], a: Optional[Fraction], b: Optional[Fraction]) -> int:
-    """Distinct real roots in (a, b]; None endpoints mean -/+ infinity."""
-    if len(_poly_trim(list(coeffs))) <= 1:
+    coeffs (lowest degree first) are scaled to integers by the lcm of their
+    denominators, and the chain is built and evaluated in Python ints.
+    """
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    ints = _poly_trim([c.numerator * (scale // c.denominator) for c in coeffs])
+    if len(ints) <= 1:
         return 0
-    chain = _sturm_chain(coeffs)
+    chain = _sturm_chain(ints)
 
-    def signs_at(x: Optional[Fraction], positive_end: bool) -> List[int]:
-        out = []
-        for c in chain:
-            if x is None:
-                lead = c[-1]
-                degree = len(c) - 1
-                value = lead if positive_end or degree % 2 == 0 else -lead
-            else:
-                value = _poly_eval(c, x)
-            out.append(1 if value > 0 else (-1 if value < 0 else 0))
-        return out
+    def variations(x: Optional[Rational], positive_end: bool) -> int:
+        if x is not None:
+            signs = [_poly_sign(c, x.numerator, x.denominator) for c in chain]
+        else:  # leading coefficients, flipped at -infinity for odd degrees
+            signs = [c[-1] if positive_end or len(c) % 2 else -c[-1] for c in chain]
+        signs = [s for s in signs if s]
+        return sum(1 for u, v in zip(signs, signs[1:]) if (u > 0) != (v > 0))
 
-    va = _variations(signs_at(a, positive_end=a is not None))
-    vb = _variations(signs_at(b, positive_end=True))
-    return va - vb
+    return variations(a, positive_end=a is not None) - variations(b, positive_end=True)
 
 
 # ---------------------------------------------------------------------------
@@ -181,16 +196,12 @@ def _integer_scaled_terms(p: Polynomial, denominator: int):
     lcm(denominators) * denominator^degree, so signs match.
     """
     degree = p.algebraic_degree()
-    lcm = 1
-    for coeff in p.terms.values():
-        lcm = lcm * coeff.denominator // math.gcd(lcm, coeff.denominator)
-    exps: List[Tuple[int, ...]] = []
-    ints: List[int] = []
-    for ev, coeff in p.terms.items():
-        e = ev.space_exps + (ev.t_exp,)
-        scaled = coeff.numerator * (lcm // coeff.denominator) * denominator ** (degree - sum(e))
-        exps.append(e)
-        ints.append(scaled)
+    lcm = math.lcm(*(coeff.denominator for coeff in p.terms.values()))
+    exps = [ev.space_exps + (ev.t_exp,) for ev in p.terms]
+    ints = [
+        coeff.numerator * (lcm // coeff.denominator) * denominator ** (degree - sum(e))
+        for e, coeff in zip(exps, p.terms.values())
+    ]
     return exps, ints
 
 
@@ -213,10 +224,10 @@ def _kappa(roundings: int) -> float:
 
 
 def _contract(dense: np.ndarray, columns: Sequence[np.ndarray]) -> np.ndarray:
-    """Contract axis s of dense with axis 1 of columns[s], one axis at a time."""
+    """Contract axis s of dense with axis 1 of columns[s], one axis at a time, into a new array."""
     for column in columns:
         dense = np.tensordot(dense, column, axes=(0, 1))
-    return dense
+    return dense if columns else dense.copy()
 
 
 def _edge_slices(ndim: int, slot: int) -> Tuple[tuple, tuple]:
@@ -224,6 +235,16 @@ def _edge_slices(ndim: int, slot: int) -> Tuple[tuple, tuple]:
     lo = (slice(None),) * slot + (slice(None, -1),)
     hi = (slice(None),) * slot + (slice(1, None),)
     return lo, hi
+
+
+@functools.lru_cache(maxsize=None)
+def _bernstein_tables(degree: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(C(j, k) at [j, k], C(b, k) / C(degree, k) at [k, b]) as read-only floats, each rounded once."""
+    span = range(degree + 1)
+    binomials = np.array([[float(math.comb(j, k)) for k in span] for j in span])
+    change = np.array([[math.comb(b, k) / math.comb(degree, k) for b in span] for k in span])
+    binomials.flags.writeable = change.flags.writeable = False
+    return binomials, change
 
 
 class _MeshForm:
@@ -236,7 +257,9 @@ class _MeshForm:
     the integer coefficients of P, a positive multiple of p in the
     numerators.  Float evaluation is one chain of tensor contractions, one
     Vandermonde matrix per varying axis (V_a C V_b^T on a 2-D face), each
-    result with a rounding bound; a form evaluates its mesh once.
+    result with a rounding bound.  The dense coefficients and the powers of
+    every numerator are built once; `signs()` makes the one float pass, and
+    `merge_mask` and `_bernstein` reuse its bound and the same columns.
     """
 
     def __init__(self, p: Polynomial, axis_values: Sequence[AxisValues], denominator: int):
@@ -255,38 +278,35 @@ class _MeshForm:
             key = tuple(e[axis] for axis in self.varying)
             coeffs[key] = coeffs.get(key, 0) + c
         self.coeffs = {key: c for key, c in coeffs.items() if c}
-        self._float: Optional[Tuple[np.ndarray, np.ndarray]] = None
-
-    def _dense(self, coeffs: Dict[Tuple[int, ...], int]) -> Tuple[List[List[int]], np.ndarray]:
-        """(exponents per axis, dense float coefficients) of an integer form."""
         # dense over the exponents that occur on each varying axis; an unused
         # power column could overflow and bring inf * 0 = nan into the mesh
-        powers = [sorted({key[s] for key in coeffs}) for s in range(len(self.varying))]
-        dense = np.zeros(tuple(len(pw) for pw in powers))
+        self.powers = [sorted({key[s] for key in self.coeffs}) for s in range(len(self.varying))]
+        self.dense = np.zeros(tuple(len(pw) for pw in self.powers))
         try:
-            for key, c in coeffs.items():
-                dense[tuple(pw.index(e) for pw, e in zip(powers, key))] = float(c)
+            for key, c in self.coeffs.items():
+                self.dense[tuple(pw.index(e) for pw, e in zip(self.powers, key))] = float(c)
         except OverflowError as exc:
             raise NodalError(
                 f"degree {self.degree}: a scaled integer coefficient exceeds the float range"
             ) from exc
-        return powers, dense
+        with np.errstate(over="ignore"):
+            # m^e for e = 0 .. the axis's top exponent, one row per numerator
+            self.power_table = [
+                np.vander(m.astype(np.float64), max(pw, default=0) + 1, increasing=True)
+                for m, pw in zip(self.nums, self.powers)
+            ]
+        self.columns = [np.ascontiguousarray(v[:, pw]) for v, pw in zip(self.power_table, self.powers)]
+        self.magnitudes = [np.abs(column) for column in self.columns]
+        self.floor: Optional[np.ndarray] = None
 
-    def _vander(
-        self, slot: int, powers: List[int], points: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """V[c, j] = m_c^powers[j] over axis `slot`'s numerators, or over `points`."""
-        m = self.nums[slot] if points is None else points
-        return np.vander(m.astype(np.float64), powers[-1] + 1, increasing=True)[:, powers]
-
-    def _roundings(self, powers: List[List[int]]) -> int:
+    def _roundings(self) -> int:
         # Each product C_T * prod_s m_s^e of a contraction carries at most
         # 1 + sum_s (degree + k_s) roundings: 1 converting its coefficient to
         # float (the fixed axes were substituted exactly before), degree per
         # axis for m^e (np.vander multiplies cumulatively, e - 1 roundings;
         # integer m is exact and nothing underflows) and k_s for stage s, an
         # inner product over the k_s exponents of axis s.
-        return 1 + sum(self.degree + len(pw) for pw in powers)
+        return 1 + sum(self.degree + len(pw) for pw in self.powers)
 
     def _float_pass(self) -> Tuple[np.ndarray, np.ndarray]:
         """(signs, floor): int8 signs of float P on the mesh and a lower bound on |P|.
@@ -295,18 +315,14 @@ class _MeshForm:
         where the float sign is certified, and -inf or nan where the pass
         overflowed.
         """
-        if self._float is None:
-            powers, dense = self._dense(self.coeffs)
-            vanders = [self._vander(s, pw) for s, pw in enumerate(powers)]
-            # an overflow becomes inf or nan here; no bound certifies it
-            with np.errstate(over="ignore", invalid="ignore"):
-                vals = _contract(dense, vanders)
-                # int8 signs without a float temporary: the meshes are large
-                signs = (vals > 0).view(np.int8) - (vals < 0).view(np.int8)
-                bound = _contract(np.abs(dense), [np.abs(v) for v in vanders])
-                bound *= _kappa(self._roundings(powers)) * _FLOAT_EPS
-                self._float = signs, np.subtract(np.abs(vals, out=vals), bound, out=bound)
-        return self._float
+        # an overflow becomes inf or nan here; no bound certifies it
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = _contract(self.dense, self.columns)
+            # int8 signs without a float temporary: the meshes are large
+            signs = (vals > 0).view(np.int8) - (vals < 0).view(np.int8)
+            bound = _contract(np.abs(self.dense), self.magnitudes)
+            bound *= _kappa(self._roundings()) * _FLOAT_EPS
+            return signs, np.subtract(np.abs(vals, out=vals), bound, out=bound)
 
     def _exact_line(self, slot: int, cell: Sequence[int]) -> List[int]:
         """Integer coefficients of P on the line along `slot` through mesh cell `cell`."""
@@ -325,42 +341,38 @@ class _MeshForm:
         """
         if not self.coeffs:
             return np.zeros(self.shape, dtype=np.int8)
+        signs, self.floor = self._float_pass()
         # flat views (a 0-d mesh becomes 1-D); the exact signs of uncertain
         # cells replace the float ones in place
-        signs, floor = (a.reshape(-1) for a in self._float_pass())
+        flat, floor = signs.reshape(-1), self.floor.reshape(-1)
         uncertain = ~(floor > 0)  # overflowed cells are uncertain
         if uncertain.any():
             if not np.isfinite(floor[uncertain]).all():
                 raise NodalError(f"degree {self.degree}: the float pass of sign evaluation overflows")
-            for flat in np.flatnonzero(uncertain):
-                cell = np.unravel_index(flat, self.shape)
+            for index in np.flatnonzero(uncertain):
+                cell = np.unravel_index(index, self.shape)
                 ms = [int(m[i]) for m, i in zip(self.nums, cell)]
                 total = sum(
                     c * math.prod(m ** e for m, e in zip(ms, key)) for key, c in self.coeffs.items()
                 )
-                signs[flat] = (total > 0) - (total < 0)
-        return signs.reshape(self.shape)
+                flat[index] = (total > 0) - (total < 0)
+        return signs
 
     def merge_mask(self, slot: int, signs: np.ndarray) -> np.ndarray:
         """Edges along `slot` whose cells share a nonzero sign and a root-free segment.
 
-        signs are the exact signs of this mesh; the mask is shaped like them
-        with axis `slot` shortened by one.  Each same-sign edge is certified
-        root-free by the first stage that can: (a) the derivative majorant,
-        (b) Bernstein coefficients of one sign, with de Casteljau halving,
-        (c) an exact Sturm count of the restriction.  Stage (b) also cuts an
-        edge when it finds a value of the other sign; an edge no stage
-        certifies stays cut.
+        signs are this mesh's exact signs, from `signs()`; the mask is shaped
+        like them with axis `slot` shortened by one.  Each same-sign edge is
+        certified root-free by the first stage that can: (a) the derivative
+        majorant, (b) Bernstein coefficients of one sign, with de Casteljau
+        halving, (c) an exact Sturm count of the restriction.  Stage (b) also
+        cuts an edge when it finds a value of the other sign; an edge no
+        stage certifies stays cut.
         """
         lo, hi = _edge_slices(signs.ndim, slot)
         near = signs[lo]
         candidates = near * signs[hi] > 0
-        derivative: Dict[Tuple[int, ...], int] = {}
-        for key, c in self.coeffs.items():
-            if key[slot]:
-                lower = key[:slot] + (key[slot] - 1,) + key[slot + 1:]
-                derivative[lower] = derivative.get(lower, 0) + key[slot] * c
-        if not derivative or not candidates.any():
+        if not candidates.any() or self.powers[slot][-1] == 0:
             return candidates  # P is constant along every edge, or no edge is a candidate
 
         # (a) With D >= max |dP/dm| on the segment, |P(z)| >= |P(end)| - |z - end| D
@@ -368,23 +380,24 @@ class _MeshForm:
         # mean, (|P(lo)| + |P(hi)| - h D) / 2 for a step h.  D is the
         # derivative's |C| contracted with |m|, where the edge axis takes the
         # larger |m| of the two ends.  Steps come from the numerators (12 on
-        # a jittered grid).
+        # a jittered grid).  The derivative's |C| is |C| times the exponent, on
+        # the column of the exponent less one.
+        pw = np.array(self.powers[slot])
+        table = np.abs(self.power_table[slot])
+        reach = np.maximum(table[:-1], table[1:])[:, np.maximum(pw - 1, 0)]
+        # h D with its rounding slack: each product carries three more
+        # roundings, the exponent factor of its coefficient and, on the edge
+        # axis's column, the step and the slack
         nums = self.nums[slot]
-        reach = np.maximum(np.abs(nums[:-1]), np.abs(nums[1:]))
-        powers, dense = self._dense(derivative)
-        columns = [
-            np.abs(self._vander(s, pw, reach if s == slot else None)) for s, pw in enumerate(powers)
-        ]
-        # h D with its rounding slack: the edge axis's column carries the step
-        # and the slack, two more roundings per product
-        slack = 1 + _kappa(self._roundings(powers) + 2) * _FLOAT_EPS
-        columns[slot] *= (np.abs(nums[1:] - nums[:-1]) * slack)[:, None]
-        floor = self._float_pass()[1]
+        slack = 1 + _kappa(self._roundings() + 3) * _FLOAT_EPS
         with np.errstate(over="ignore", invalid="ignore"):
+            reach *= (np.abs(nums[1:] - nums[:-1]) * slack)[:, None]
+            columns = [reach if s == slot else m for s, m in enumerate(self.magnitudes)]
+            slope_coeffs = np.abs(self.dense) * pw.reshape((-1,) + (1,) * (self.dense.ndim - slot - 1))
             # |P(lo)| > h D - |P(hi)|, in place; the slack also covers the
             # rounding of the subtraction
-            slope = _contract(np.abs(dense), columns)
-            merged = floor[lo] > np.subtract(slope, floor[hi], out=slope)
+            slope = _contract(slope_coeffs, columns)
+            merged = self.floor[lo] > np.subtract(slope, self.floor[hi], out=slope)
         merged &= candidates
         rest = candidates ^ merged
         if not rest.any():
@@ -397,9 +410,9 @@ class _MeshForm:
         free, rooted = _bernstein_decide(coeffs, bounds)
         for e in np.flatnonzero(~free & ~rooted):
             cell = [int(index[e]) for index in cells]
-            ends = sorted(Fraction(int(m)) for m in nums[cell[slot]:cell[slot] + 2])
-            line = [Fraction(c) for c in self._exact_line(slot, cell)]
-            free[e] = _sturm_count(line, *ends) == 0  # ends are nonzero: no root sits on one
+            ends = sorted(int(m) for m in nums[cell[slot]:cell[slot] + 2])
+            # ends are nonzero: no root sits on one
+            free[e] = _sturm_count(self._exact_line(slot, cell), *ends) == 0
         merged[tuple(index[free] for index in cells)] = True
         return merged
 
@@ -410,42 +423,41 @@ class _MeshForm:
         which leaves the restriction q(m) = sum_j c_j m^j of every line.  On
         the edge from m0 to m0 + h, q(m0 + h s) = sum_k a_k s^k with
         a_k = h^k sum_j C(j, k) m0^(j-k) c_j, and the Bernstein coefficients
-        on [0, 1] are b_i = sum_k C(i, k) / C(deg, k) a_k.
+        on [0, 1] are b_i = sum_k C(i, k) / C(deg, k) a_k.  Both steps are one
+        matrix per edge position along the slot, shared by its edges.
         """
-        powers, dense = self._dense(self.coeffs)
-        pw = powers[slot]
-        columns = [np.eye(len(pw)) if s == slot else self._vander(s, p) for s, p in enumerate(powers)]
-        others = cells[:slot] + cells[slot + 1:]
-        nums = self.nums[slot]
-        start, step = nums[cells[slot]], nums[cells[slot] + 1] - nums[cells[slot]]
+        pw = self.powers[slot]
         degree = pw[-1]
+        binomials, change = _bernstein_tables(degree)
+        eye = np.eye(len(pw))
+        columns = [eye if s == slot else c for s, c in enumerate(self.columns)]
+        magnitudes = [eye if s == slot else m for s, m in enumerate(self.magnitudes)]
+        others = cells[:slot] + cells[slot + 1:]
+        at = cells[slot]
+        nums = self.nums[slot]
         with np.errstate(over="ignore", invalid="ignore"):
             # one row of c_j per edge (a 1-D mesh has a single line)
-            lines, line_mags = (
-                np.broadcast_to(np.moveaxis(_contract(d, cols), slot, -1)[others], (len(start), len(pw)))
-                for d, cols in ((dense, columns), (np.abs(dense), [np.abs(c) for c in columns]))
+            lines = [
+                np.broadcast_to(np.moveaxis(_contract(d, cols), slot, -1)[others], (len(at), len(pw)))
+                for d, cols in ((self.dense, columns), (np.abs(self.dense), magnitudes))
+            ]
+            # taylor[i, j, k] = C(j, k) m0^(j-k) h^k at edge position i; k > j
+            # has C(j, k) = 0, whatever power of m0 it picks
+            steps = np.vander((nums[1:] - nums[:-1]).astype(np.float64), degree + 1, increasing=True)
+            shift = np.maximum(np.subtract.outer(pw, np.arange(degree + 1)), 0)
+            taylor = binomials[pw] * self.power_table[slot][:-1][:, shift] * steps[:, None, :]
+            # the matrices of each edge's position, applied to its line
+            coeffs, bounds = (
+                np.einsum("ej,ejb->eb", line, (convert @ change)[at])
+                for line, convert in zip(lines, (taylor, np.abs(taylor)))
             )
-            start_pow = np.vander(start.astype(np.float64), degree + 1, increasing=True)
-            step_pow = np.vander(step.astype(np.float64), degree + 1, increasing=True)
-            taylor = np.zeros((len(start), degree + 1))
-            taylor_mags = np.zeros_like(taylor)
-            for j, power in enumerate(pw):
-                k = np.arange(power + 1)
-                binom = np.array([float(math.comb(power, i)) for i in k])
-                taylor[:, k] += lines[:, j, None] * binom * start_pow[:, power - k]
-                taylor_mags[:, k] += line_mags[:, j, None] * binom * np.abs(start_pow[:, power - k])
-            taylor *= step_pow
-            taylor_mags *= np.abs(step_pow)
-            to_bernstein = np.array(
-                [[math.comb(i, k) / math.comb(degree, k) for i in range(degree + 1)]
-                 for k in range(degree + 1)]
-            )
-            # beyond the contraction's roundings: 3 * degree for the powers
-            # and the degree + 1 term sums, len(pw) for the sum over j, and
-            # the binomials and products
-            roundings = self._roundings(powers) + 3 * self.degree + len(pw) + 8
-            bounds = (taylor_mags @ to_bernstein) * (_kappa(roundings) * _FLOAT_EPS)
-            return taylor @ to_bernstein, bounds
+            # Each product C_T prod m^e C(j, k) m0^(j-k) h^k C(b, k) / C(deg, k)
+            # carries, on the slot axis: at most degree - 1 roundings in the
+            # powers of m0 and h, 2 converting the two binomial factors, 4
+            # products, degree in the sum over k and len(pw) - 1 in the sum
+            # over j; _roundings counted degree + len(pw) for this axis
+            bounds *= _kappa(self._roundings() + self.degree + 4) * _FLOAT_EPS
+        return coeffs, bounds
 
 
 def _halves(coeffs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -496,17 +508,6 @@ def _bernstein_decide(coeffs: np.ndarray, bounds: np.ndarray) -> Tuple[np.ndarra
     return free, rooted
 
 
-def _sign_mesh(p: Polynomial, axis_values: Sequence[AxisValues], denominator: int) -> np.ndarray:
-    """Exact signs of p on the mesh spanned by the varying axes.
-
-    axis_values has one entry per coordinate (x_1..x_n, t): either a scalar
-    integer numerator or a 1-D integer array of numerators; every coordinate
-    equals numerator / denominator.  The result is an int8 array shaped by
-    the varying axes in coordinate order, with values in {-1, 0, +1}.
-    """
-    return _MeshForm(p, axis_values, denominator).signs()
-
-
 # ---------------------------------------------------------------------------
 # Cube cross-section sampling
 # ---------------------------------------------------------------------------
@@ -532,31 +533,46 @@ class CrossSectionGrid:
     @property
     def numerators(self) -> np.ndarray:
         base = 2 * np.arange(self.resolution, dtype=np.int64) + 1 - self.resolution
-        if self.jittered:
-            return 6 * base + 1
-        return base
+        return 6 * base + 1 if self.jittered else base
 
     @property
     def face_count(self) -> int:
         return 2 * self.ambient
 
+    @property
+    def cell_count(self) -> int:
+        return self.face_count * self.resolution ** (self.ambient - 1)
+
     def face_axis_sign(self, face: int) -> Tuple[int, int]:
         return face // 2, (1 if face % 2 else -1)
 
 
+Sides = Tuple[Tuple[Tuple[np.ndarray, np.ndarray], ...], ...]
+
+
+@dataclass(frozen=True)
+class _FaceRuns:
+    """One face's run graph (_probed_runs), node ids local, and its sides (_edge_stitches)."""
+
+    signs: np.ndarray  # per node
+    rows: np.ndarray
+    cols: np.ndarray
+    sides: Sides
+
+
 @dataclass(frozen=True)
 class SignField:
-    """Exact signs of one polynomial at every cell center of a cube grid."""
+    """Exact signs of one polynomial at every cell center of a cube grid, and each face's run graph."""
 
     grid: CrossSectionGrid
     face_signs: Tuple[np.ndarray, ...]
     zero_cells: int
     polynomial: Polynomial
+    face_runs: Tuple[_FaceRuns, ...]
 
     @property
     def zero_cell_fraction(self) -> float:
-        total = self.grid.face_count * self.grid.resolution ** (self.grid.ambient - 1)
-        return self.zero_cells / total
+        return self.zero_cells / self.grid.cell_count
 
 
 @dataclass(frozen=True)
@@ -584,26 +600,24 @@ class ComponentReport:
 
 
 def _face_values(grid: CrossSectionGrid, face: int) -> List[AxisValues]:
-    """_sign_mesh axis values of one face's cell centers over grid.denominator."""
+    """_MeshForm axis values of one face's cell centers plus the cube edges (-den, +den) around them."""
     axis, sign = grid.face_axis_sign(face)
-    axis_values: List[AxisValues] = [grid.numerators] * grid.ambient
-    axis_values[axis] = sign * grid.denominator
+    den = grid.denominator
+    axis_values: List[AxisValues] = [np.concatenate([[-den], grid.numerators, [den]])] * grid.ambient
+    axis_values[axis] = sign * den
     return axis_values
 
 
-def _sample_faces(p: Polynomial, grid: CrossSectionGrid) -> Tuple[np.ndarray, ...]:
-    return tuple(
-        _sign_mesh(p, _face_values(grid, face), grid.denominator)
-        for face in range(grid.face_count)
-    )
-
-
 def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
-    """Exact signs of p at all cell centers on the cube cross-section.
+    """Exact signs of p at all cell centers on the cube cross-section, with run graphs.
 
     Requires a parabolically homogeneous p of degree >= 1 in ambient
-    dimension 2..4.  If sampled zeros exceed 0.1% of cells the grid is
-    jittered once by the fixed rational offset 1/(6*resolution).
+    dimension 2..4.  Each face is evaluated once, on its cell centers plus
+    the cube edges around it (_face_values); that one form gives the face's
+    exact signs, root-free merge masks and run graph, and its float arrays
+    are dropped before the next face.  If sampled zeros exceed 0.1% of cells
+    the grid is jittered once by the fixed rational offset 1/(6*resolution);
+    the unjittered pass stops at the face where they do.
     """
     degree = parabolic_degree(p)  # raises NotHomogeneous / ZeroPolynomialError
     if degree < 1:
@@ -618,12 +632,28 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
 
     for jittered in (False, True):
         grid = CrossSectionGrid(ambient, resolution, jittered)
-        signs = _sample_faces(p, grid)
-        zeros = int(sum(int((face == 0).sum()) for face in signs))
-        field = SignField(grid, signs, zeros, p)
-        if field.zero_cell_fraction <= _JITTER_ZERO_FRACTION:
-            break
-    return field
+        face_signs, face_runs, zeros = [], [], 0
+        for face in range(grid.face_count):
+            form = _MeshForm(p, _face_values(grid, face), grid.denominator)
+            signs = form.signs()
+            inner = (slice(1, -1),) * signs.ndim
+            zeros += int(np.count_nonzero(signs[inner] == 0))
+            if not jittered and zeros / grid.cell_count > _JITTER_ZERO_FRACTION:
+                break  # too many zeros: resample on the jittered grid
+            # one merge mask per mesh axis covers the in-face edges (between
+            # inner cells) and the stitch legs (from a cell next to a side of
+            # the face to the cube edge beyond it)
+            merges = [form.merge_mask(slot, signs) for slot in range(signs.ndim)]
+            nodes, *graph = _probed_runs(signs[inner], [m[inner] for m in merges])
+            sides = tuple(
+                tuple((nodes.take(i, axis=slot), mask.take(i, axis=slot)[inner[1:]]) for i in (0, -1))
+                for slot, mask in enumerate(merges)
+            )
+            face_signs.append(signs[inner])
+            face_runs.append(_FaceRuns(*graph, sides))
+        else:
+            break  # every face sampled
+    return SignField(grid, tuple(face_signs), zeros, p, tuple(face_runs))
 
 
 # ---------------------------------------------------------------------------
@@ -673,87 +703,57 @@ def _sign_split(labels: np.ndarray, signs: np.ndarray) -> Tuple[int, int]:
     return len(np.unique(labels[signs == 1])), len(np.unique(labels[signs == -1]))
 
 
-def _mesh_axes(grid: CrossSectionGrid, face: int) -> List[int]:
-    axis, _ = grid.face_axis_sign(face)
-    return [ax for ax in range(grid.ambient) if ax != axis]
-
-
 def _edge_stitches(
-    grid: CrossSectionGrid, sides: List[List[Tuple[Tuple[np.ndarray, np.ndarray], ...]]]
+    grid: CrossSectionGrid, sides: Sequence[Sides], offsets: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Pairs of node ids to merge across shared cube edges.
 
     The path runs from the edge cell center on face (a, sa) to the cube edge
-    and on to the edge cell center on face (b, sb).  Each leg runs from a
-    center to the cube edge along the axis that the other face fixes.
-    sides[face][slot][high] holds the node ids of the face's cells next to
-    its low (high = 0) or high (1) side along mesh axis `slot`, and the merge
-    masks of their legs.  The cells merge when both legs do: then the cells
-    and the cube-edge point share a nonzero sign, and the path is certified
-    root-free.
+    and on to the edge cell center on face (b, sb); each leg runs along the
+    axis that the other face fixes.  sides[face][slot][high] holds the
+    face-local node ids of the face's cells next to its low (high = 0) or
+    high (1) side along mesh axis `slot`, and the merge masks of their legs;
+    offsets[face] is the face's first node id.  The cells merge when both
+    legs do: then the path is certified root-free.
     """
     rows: List[np.ndarray] = []
     cols: List[np.ndarray] = []
     for fa in range(grid.face_count):
         a, sa = grid.face_axis_sign(fa)
-        axes_a = _mesh_axes(grid, fa)
         for fb in range(fa + 1, grid.face_count):
             b, sb = grid.face_axis_sign(fb)
             if b == a:
                 continue
-            nodes_a, legs_a = sides[fa][axes_a.index(b)][sb > 0]
-            nodes_b, legs_b = sides[fb][_mesh_axes(grid, fb).index(a)][sa > 0]
+            # mesh axes are the other coordinates in order: b is slot b - (a < b) of face a
+            nodes_a, legs_a = sides[fa][b - (a < b)][sb > 0]
+            nodes_b, legs_b = sides[fb][a - (b < a)][sa > 0]
             mask = legs_a & legs_b
-            rows.append(nodes_a[mask])
-            cols.append(nodes_b[mask])
+            rows.append(nodes_a[mask] + offsets[fa])
+            cols.append(nodes_b[mask] + offsets[fb])
     return np.concatenate(rows), np.concatenate(cols)
 
 
 def count_components(field: SignField) -> ComponentReport:
     """Count same-sign components on a sampled cross-section.
 
-    Each face is evaluated once more on its cell centers plus the cube
-    edges around it (numerators -den and +den added to every mesh axis), so
-    one set of root-free merge masks per face covers both the in-face edges
-    and the stitch legs to the cube edges.  The run graphs of the faces
-    (_probed_runs, node ids offset face by face) and the cross-face stitches
-    form one graph, labeled by one _components call.
+    The faces' run graphs come with the field (cube_section_sample builds
+    them).  Their node ids are offset face by face, the cross-face stitches
+    join them, and one _components call labels the whole graph.
     Single-resolution result: the stability flag is left False because
     stabilization is only meaningful across a schedule (see nodal_count).
     """
-    grid = field.grid
-    den = grid.denominator
-    rimmed = np.concatenate([[-den], grid.numerators, [den]])
-    sides: List[List[Tuple[Tuple[np.ndarray, np.ndarray], ...]]] = []
-    node_signs, edges, offset = [], [], 0
-    for face in range(grid.face_count):
-        axis_values = [rimmed if isinstance(v, np.ndarray) else v for v in _face_values(grid, face)]
-        form = _MeshForm(field.polynomial, axis_values, den)
-        signs = form.signs()
-        inner = (slice(1, -1),) * signs.ndim
-        merges = [form.merge_mask(slot, signs) for slot in range(signs.ndim)]
-        nodes, run_signs, rows, cols = _probed_runs(signs[inner], [m[inner] for m in merges])
-        nodes += offset
-        # node ids and leg masks of the cells next to each side of the face
-        sides.append([
-            tuple(
-                (np.take(nodes, end, axis=slot), np.take(mask, end, axis=slot)[inner[1:]])
-                for end in (0, -1)
-            )
-            for slot, mask in enumerate(merges)
-        ])
-        node_signs.append(run_signs)
-        edges.append((rows + offset, cols + offset))
-        offset += len(run_signs)
-    edges.append(_edge_stitches(grid, sides))
-    rows, cols = (np.concatenate(part) for part in zip(*edges))
-    _, labels = _components(offset, rows, cols)
-    positive, negative = _sign_split(labels, np.concatenate(node_signs))
+    faces = field.face_runs
+    offsets = np.cumsum([0] + [len(face.signs) for face in faces])
+    stitch_rows, stitch_cols = _edge_stitches(field.grid, [face.sides for face in faces], offsets)
+    rows = np.concatenate([face.rows + offset for face, offset in zip(faces, offsets)] + [stitch_rows])
+    cols = np.concatenate([face.cols + offset for face, offset in zip(faces, offsets)] + [stitch_cols])
+    _, labels = _components(int(offsets[-1]), rows, cols)
+    positive, negative = _sign_split(labels, np.concatenate([face.signs for face in faces]))
     return ComponentReport(
         total=positive + negative,
         positive=positive,
         negative=negative,
-        resolutions_used=(grid.resolution,),
+        resolutions_used=(field.grid.resolution,),
         stable=False,
         zero_cell_fraction=field.zero_cell_fraction,
     )

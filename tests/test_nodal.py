@@ -35,7 +35,6 @@ from calorics.nodal import (
     _components,
     _MeshForm,
     _probed_runs,
-    _sign_mesh,
     _sturm_count,
 )
 from calorics.polyring import NotHomogeneous
@@ -53,7 +52,7 @@ def _negate_spatial(p):
 def test_sign_mesh_matches_exact_evaluation():
     p = fixture("n2d3")
     nums = np.array([-3, -1, 1, 3], dtype=np.int64)
-    signs = _sign_mesh(p, [nums, nums, 4], 4)
+    signs = _MeshForm(p, [nums, nums, 4], 4).signs()
     for i, mx in enumerate(nums):
         for j, my in enumerate(nums):
             value = p.evaluate((F(int(mx), 4), F(int(my), 4), 1))
@@ -64,7 +63,7 @@ def test_sign_mesh_matches_exact_evaluation():
 def test_sign_mesh_detects_exact_zeros():
     p = parse_poly("x", 1)
     nums = np.array([-2, 0, 2], dtype=np.int64)
-    signs = _sign_mesh(p, [nums, 3], 3)
+    signs = _MeshForm(p, [nums, 3], 3).signs()
     assert list(signs) == [-1, 0, 1]
 
 
@@ -73,7 +72,7 @@ def test_sign_mesh_resolves_an_exact_zero_on_a_point_mesh():
     # cube corner (1, -1), between two positive cells of the adjacent faces,
     # so the n = 1 stitch across that corner must not merge them
     p = parse_poly("(x^2 + t)^2", 1)
-    assert _sign_mesh(p, [8, -8], 8) == 0
+    assert _MeshForm(p, [8, -8], 8).signs() == 0
     report = nodal_count(p, [8, 16, 32])
     assert (report.total, report.positive, report.negative) == (2, 2, 0)
 
@@ -83,7 +82,7 @@ def test_sign_mesh_certifies_huge_coefficient_cancellation():
     big = 10 ** 20
     p = parse_poly(f"{big * big}*x^2 - 1", 1)
     nums = np.array([0], dtype=np.int64)
-    assert _sign_mesh(p, [nums, 1], 1)[0] == -1
+    assert _MeshForm(p, [nums, 1], 1).signs()[0] == -1
 
 
 def test_sign_mesh_rejects_float_overflow():
@@ -92,7 +91,7 @@ def test_sign_mesh_rejects_float_overflow():
     p = zero_mod4(16, F(1, 4), rotation=0.2)
     nums = np.array([-1023, -512, 0, 511, 1023], dtype=np.int64)
     with pytest.raises(NodalError, match="degree 16"):
-        _sign_mesh(p, [nums, nums, 1024], 1024)
+        _MeshForm(p, [nums, nums, 1024], 1024).signs()
 
 
 def _coordinate(n, axis):
@@ -186,7 +185,7 @@ def test_exact_signs_match_exact_evaluation(p, data):
             point[axis] = F(int(axis_values[axis][i]), den)
         return point
 
-    signs = _sign_mesh(p, axis_values, den)
+    signs = _MeshForm(p, axis_values, den).signs()
     assert signs.shape == tuple(len(axis_values[axis]) for axis in varying)
     for cell in itertools.product(*(range(size) for size in signs.shape)):
         assert signs[cell] == _exact_sign(p, mesh_point(cell))
@@ -518,6 +517,24 @@ def test_majorant_decides_nearly_every_edge(monkeypatch, name, resolution):
     assert len(sturm) == 0
 
 
+def test_one_float_pass_per_face_and_resolution(monkeypatch):
+    # each face is evaluated once, on its cell centers plus the cube edges
+    # around it, and that one form gives its signs, merge masks and runs
+    passes = []
+    float_pass = _MeshForm._float_pass
+
+    def counting(form):
+        passes.append(form.shape)
+        return float_pass(form)
+
+    monkeypatch.setattr(_MeshForm, "_float_pass", counting)
+    nodal_count(fixture("n2d3"))
+    assert len(passes) == 6 * 3
+    passes.clear()
+    nodal_count(fixture("n3d4"), [8, 12, 16])
+    assert len(passes) == 8 * 3
+
+
 # ---- exact root counting ----
 
 
@@ -549,6 +566,67 @@ def test_sturm_counts_distinct_roots_with_multiplicity(roots):
     assert _sturm_count(coeffs, None, None) == len(roots)
     lo, hi = F(-5, 2), F(1, 2)
     assert _sturm_count(coeffs, lo, hi) == sum(1 for r, _ in roots if lo < r <= hi)
+
+
+def _times_quadratic(coeffs, scale, shift, gap):
+    """Coefficients of scale * p * ((x - shift)^2 + gap); gap > 0 adds no real root."""
+    quadratic = [shift * shift + gap, -2 * shift, F(1)]
+    return [
+        scale * sum(coeffs[i] * quadratic[k - i] for i in range(len(coeffs)) if 0 <= k - i < 3)
+        for k in range(len(coeffs) + 2)
+    ]
+
+
+@st.composite
+def _polynomials_with_known_roots(draw):
+    """(coefficients, distinct real roots) of c * prod (x - r)^m * ((x - s)^2 + e), e > 0.
+
+    The coefficients are Fractions, or ints once their denominators are
+    cleared, as stage (c) passes them.
+    """
+    roots = draw(st.lists(st.fractions(-10, 10, max_denominator=12), max_size=5, unique=True))
+    coeffs = _times_quadratic(
+        _coeffs_with_roots([(root, draw(st.integers(1, 3))) for root in roots]),
+        draw(st.sampled_from([F(1), F(-1), F(3), F(-2, 7)])),
+        draw(st.fractions(-5, 5, max_denominator=8)),
+        draw(st.fractions(F(1, 10 ** 6), 10, max_denominator=10 ** 6)),
+    )
+    if draw(st.booleans()):
+        lcm = math.lcm(*(c.denominator for c in coeffs))
+        coeffs = [int(c * lcm) for c in coeffs]
+    return coeffs, roots
+
+
+@given(_polynomials_with_known_roots(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_sturm_count_matches_known_roots(poly, data):
+    # distinct real roots in (a, b], with infinite ends and ends on a root
+    coeffs, roots = poly
+    anywhere = st.fractions(-12, 12, max_denominator=12)
+    end = st.one_of(st.none(), anywhere, *([st.sampled_from(roots)] if roots else []))
+    a, b = data.draw(end), data.draw(end)
+    if a is not None and b is not None and a > b:
+        a, b = b, a
+    expected = sum(1 for r in roots if (a is None or a < r) and (b is None or r <= b))
+    assert _sturm_count(coeffs, a, b) == expected
+
+
+# Each of these Sturm chains drops from degree 3 to 1 after a negative
+# leading coefficient: a pseudo-remainder multiplier lc^(delta + 1) in place
+# of |lc|^(delta + 1) flips a sign there and miscounts at infinity.
+@pytest.mark.parametrize(
+    "roots, scale, shift, gap",
+    [
+        (((-5, 3), (-1, 2)), 3, -1, 6),
+        (((1, 1), (0, 2)), 1, F(3, 2), F(3, 4)),
+        (((1, 3), (-1, 1)), -1, -1, F(3, 2)),
+        (((-3, 2), (F(-2, 3), 2)), 3, F(-1, 2), F(9, 4)),
+    ],
+)
+def test_sturm_count_keeps_every_sign_of_the_chain(roots, scale, shift, gap):
+    coeffs = _times_quadratic(_coeffs_with_roots(roots), F(scale), F(shift), F(gap))
+    assert _sturm_count(coeffs, None, None) == len(roots)
+    assert _sturm_count(coeffs, None, F(1, 2)) == sum(1 for r, _ in roots if r <= F(1, 2))
 
 
 # ---- slice diagnostic ----
