@@ -195,7 +195,7 @@ def _resolve_source(args) -> Tuple[Polynomial, dict]:
             raise CliError(f"cannot read polynomial file {args.polyfile!r}: {exc}") from exc
         try:
             return Polynomial.from_json_dict(data), {"source": args.polyfile}
-        except (KeyError, TypeError, ZeroDivisionError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise CliError(f"malformed polynomial file {args.polyfile!r}: {exc!r}") from exc
     if args.expr is not None:
         _reject_unread_flags(args, ("n",), "--expr")

@@ -22,7 +22,7 @@ from every component; if more than 0.1% of cells are zero the grid is
 jittered by 1/(6r) and resampled once.  cube_section_sample evaluates each
 face once, on its cell centers plus the cube edges around it: that one form
 gives the face's exact signs, its merge masks (below) and its graph of runs,
-and count_components only joins the faces' graphs across the cube edges.
+which the same pass stitches to the earlier faces' graph across cube edges.
 
 Adjacency is certified: two same-sign cells sharing a facet merge only when
 the segment joining their centers is proven free of roots of p.  Three
@@ -547,28 +547,17 @@ class CrossSectionGrid:
         return face // 2, (1 if face % 2 else -1)
 
 
-Sides = Tuple[Tuple[Tuple[np.ndarray, np.ndarray], ...], ...]
-
-
-@dataclass(frozen=True)
-class _FaceRuns:
-    """One face's run graph (_probed_runs), node ids local, and its sides (_edge_stitches)."""
-
-    signs: np.ndarray  # per node
-    rows: np.ndarray
-    cols: np.ndarray
-    sides: Sides
-
-
 @dataclass(frozen=True)
 class SignField:
-    """Exact signs of one polynomial at every cell center of a cube grid, and each face's run graph."""
+    """Exact signs of one polynomial at every cell center of a cube grid, and its run graph."""
 
     grid: CrossSectionGrid
     face_signs: Tuple[np.ndarray, ...]
     zero_cells: int
-    polynomial: Polynomial
-    face_runs: Tuple[_FaceRuns, ...]
+    # every face's runs and the stitches across cube edges (cube_section_sample)
+    node_signs: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
 
     @property
     def zero_cell_fraction(self) -> float:
@@ -609,15 +598,18 @@ def _face_values(grid: CrossSectionGrid, face: int) -> List[AxisValues]:
 
 
 def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
-    """Exact signs of p at all cell centers on the cube cross-section, with run graphs.
+    """Exact signs of p at all cell centers on the cube cross-section, with its run graph.
 
     Requires a parabolically homogeneous p of degree >= 1 in ambient
     dimension 2..4.  Each face is evaluated once, on its cell centers plus
     the cube edges around it (_face_values); that one form gives the face's
     exact signs, root-free merge masks and run graph, and its float arrays
-    are dropped before the next face.  If sampled zeros exceed 0.1% of cells
-    the grid is jittered once by the fixed rational offset 1/(6*resolution);
-    the unjittered pass stops at the face where they do.
+    are dropped before the next face.  Its run ids follow the earlier
+    faces', and the two cells beside a cube edge it shares with an earlier
+    face merge when both stitch legs are certified root-free.  If sampled
+    zeros exceed 0.1% of cells the grid is jittered once by the fixed
+    rational offset 1/(6*resolution); the unjittered pass stops at the face
+    where they do.
     """
     degree = parabolic_degree(p)  # raises NotHomogeneous / ZeroPolynomialError
     if degree < 1:
@@ -632,7 +624,11 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
 
     for jittered in (False, True):
         grid = CrossSectionGrid(ambient, resolution, jittered)
-        face_signs, face_runs, zeros = [], [], 0
+        face_signs, node_signs, edges = [], [], []
+        # (face, later neighbour face) -> node ids of the face's cells next to
+        # the cube edge they share, and the merge masks of their stitch legs
+        legs: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
+        zeros = offset = 0
         for face in range(grid.face_count):
             form = _MeshForm(p, _face_values(grid, face), grid.denominator)
             signs = form.signs()
@@ -644,16 +640,29 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
             # inner cells) and the stitch legs (from a cell next to a side of
             # the face to the cube edge beyond it)
             merges = [form.merge_mask(slot, signs) for slot in range(signs.ndim)]
-            nodes, *graph = _probed_runs(signs[inner], [m[inner] for m in merges])
-            sides = tuple(
-                tuple((nodes.take(i, axis=slot), mask.take(i, axis=slot)[inner[1:]]) for i in (0, -1))
-                for slot, mask in enumerate(merges)
-            )
+            nodes, runs, face_rows, face_cols = _probed_runs(signs[inner], [m[inner] for m in merges])
+            axis = grid.face_axis_sign(face)[0]
+            for slot, mask in enumerate(merges):
+                # mesh axes are the other coordinates in order; the low side of
+                # the slot borders the face at -1 on that axis, the high side +1
+                other = slot + (slot >= axis)
+                for i, neighbour in ((0, 2 * other), (-1, 2 * other + 1)):
+                    ids, leg = nodes.take(i, axis=slot) + offset, mask.take(i, axis=slot)[inner[1:]]
+                    if neighbour > face:
+                        legs[face, neighbour] = ids, leg
+                    else:  # the neighbour came earlier: stitch where both legs merge
+                        near, near_legs = legs.pop((neighbour, face))
+                        both = near_legs & leg
+                        edges.append((near[both], ids[both]))
             face_signs.append(signs[inner])
-            face_runs.append(_FaceRuns(*graph, sides))
+            node_signs.append(runs)
+            # in place: a shifted copy would keep the unshifted ids alive into the next face
+            edges.append(tuple(np.add(part, offset, out=part) for part in (face_rows, face_cols)))
+            offset += len(runs)
         else:
             break  # every face sampled
-    return SignField(grid, tuple(face_signs), zeros, p, tuple(face_runs))
+    rows, cols = (np.concatenate(part) for part in zip(*edges))
+    return SignField(grid, tuple(face_signs), zeros, np.concatenate(node_signs), rows, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -703,52 +712,16 @@ def _sign_split(labels: np.ndarray, signs: np.ndarray) -> Tuple[int, int]:
     return len(np.unique(labels[signs == 1])), len(np.unique(labels[signs == -1]))
 
 
-def _edge_stitches(
-    grid: CrossSectionGrid, sides: Sequence[Sides], offsets: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Pairs of node ids to merge across shared cube edges.
-
-    The path runs from the edge cell center on face (a, sa) to the cube edge
-    and on to the edge cell center on face (b, sb); each leg runs along the
-    axis that the other face fixes.  sides[face][slot][high] holds the
-    face-local node ids of the face's cells next to its low (high = 0) or
-    high (1) side along mesh axis `slot`, and the merge masks of their legs;
-    offsets[face] is the face's first node id.  The cells merge when both
-    legs do: then the path is certified root-free.
-    """
-    rows: List[np.ndarray] = []
-    cols: List[np.ndarray] = []
-    for fa in range(grid.face_count):
-        a, sa = grid.face_axis_sign(fa)
-        for fb in range(fa + 1, grid.face_count):
-            b, sb = grid.face_axis_sign(fb)
-            if b == a:
-                continue
-            # mesh axes are the other coordinates in order: b is slot b - (a < b) of face a
-            nodes_a, legs_a = sides[fa][b - (a < b)][sb > 0]
-            nodes_b, legs_b = sides[fb][a - (b < a)][sa > 0]
-            mask = legs_a & legs_b
-            rows.append(nodes_a[mask] + offsets[fa])
-            cols.append(nodes_b[mask] + offsets[fb])
-    return np.concatenate(rows), np.concatenate(cols)
-
-
 def count_components(field: SignField) -> ComponentReport:
     """Count same-sign components on a sampled cross-section.
 
-    The faces' run graphs come with the field (cube_section_sample builds
-    them).  Their node ids are offset face by face, the cross-face stitches
-    join them, and one _components call labels the whole graph.
-    Single-resolution result: the stability flag is left False because
-    stabilization is only meaningful across a schedule (see nodal_count).
+    One _components call labels the field's run graph, stitched across the
+    cube edges by cube_section_sample.  Single-resolution result: the
+    stability flag is left False because stabilization is only meaningful
+    across a schedule (see nodal_count).
     """
-    faces = field.face_runs
-    offsets = np.cumsum([0] + [len(face.signs) for face in faces])
-    stitch_rows, stitch_cols = _edge_stitches(field.grid, [face.sides for face in faces], offsets)
-    rows = np.concatenate([face.rows + offset for face, offset in zip(faces, offsets)] + [stitch_rows])
-    cols = np.concatenate([face.cols + offset for face, offset in zip(faces, offsets)] + [stitch_cols])
-    _, labels = _components(int(offsets[-1]), rows, cols)
-    positive, negative = _sign_split(labels, np.concatenate([face.signs for face in faces]))
+    _, labels = _components(len(field.node_signs), field.rows, field.cols)
+    positive, negative = _sign_split(labels, field.node_signs)
     return ComponentReport(
         total=positive + negative,
         positive=positive,

@@ -24,6 +24,7 @@ polynomials are written, e.g. ``t^2 + t*x^2 + 1/12*x^4``.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple, Union
 
@@ -103,7 +104,8 @@ class Polynomial:
             raise ValueError(f"spatial dimension must be >= 1, got {spatial_dim}")
         clean: Dict[ExponentVector, Fraction] = {}
         for ev, coeff in terms.items():
-            ev = ExponentVector(int(ev[0]), tuple(int(a) for a in ev[1]))
+            # operator.index refuses 1.5 where int() would truncate it
+            ev = ExponentVector(operator.index(ev[0]), tuple(operator.index(a) for a in ev[1]))
             if ev.t_exp < 0 or any(a < 0 for a in ev.space_exps):
                 raise ValueError(f"negative exponent in {ev}")
             if len(ev.space_exps) != spatial_dim:
@@ -346,12 +348,25 @@ class Polynomial:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Polynomial":
-        n = int(data["n"])
-        terms = {}
+        """Inverse of to_json_dict; raises ValueError rather than truncate or merge.
+
+        n, k and alpha must be JSON integers, num and den integer strings
+        (JSON integers are read too), and each monomial may appear once.
+        """
+        terms: Dict[ExponentVector, Fraction] = {}
         for entry in data["terms"]:
-            ev = ExponentVector(int(entry["k"]), tuple(int(a) for a in entry["alpha"]))
-            terms[ev] = Fraction(int(entry["num"]), int(entry["den"]))
-        return cls(n, terms)
+            ev = ExponentVector(_json_int(entry["k"]), tuple(_json_int(a) for a in entry["alpha"]))
+            if ev in terms:
+                raise ValueError(f"monomial t^{ev.t_exp} x^{ev.space_exps} is listed twice")
+            terms[ev] = Fraction(_json_int(entry["num"], str), _json_int(entry["den"], str))
+        return cls(_json_int(data["n"]), terms)
+
+
+def _json_int(value, *also: type) -> int:
+    """value as an int if it is a JSON integer or of a type in `also`; never a float or a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, *also)):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
 
 
 def variable_names(spatial_dim: int) -> List[str]:
@@ -537,9 +552,14 @@ def parse_poly(text: str, spatial_dim: int) -> Polynomial:
     """Parse an expression in x1..xn (aliases x, y, z for n <= 3) and t.
 
     Coefficients are integers or a/b rationals; operators are + - * ^ and
-    parentheses.  Raises ParseError with a character position on bad input.
+    parentheses.  Raises ParseError with a character position on bad input,
+    nesting too deep for the recursive descent included.
     """
-    return _Parser(_tokenize(text), spatial_dim).parse()
+    parser = _Parser(_tokenize(text), spatial_dim)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", parser.peek().pos) from None
 
 
 # ---------------------------------------------------------------------------

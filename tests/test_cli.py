@@ -156,9 +156,11 @@ def test_count_requires_one_source(capsys):
 
 
 def test_parse_error_exits_four(capsys):
-    code, _, err = run(capsys, "verify", "--expr", "t + (", "-n", "1")
-    assert code == 4
-    assert "position" in err
+    # a syntax error, and nesting deeper than the recursive descent can reach
+    for expr in ("t + (", "(" * 2000 + "t" + ")" * 2000):
+        code, _, err = run(capsys, "verify", "--expr", expr, "-n", "1")
+        assert code == 4
+        assert "position" in err
 
 
 @pytest.mark.parametrize(
@@ -265,6 +267,13 @@ def test_cli_import_skips_scipy():
         '{"n": 1}',  # no terms
         "[1, 2]",  # not an object
         '{"n": 1, "terms": [{"k": 1, "alpha": [0], "num": "1", "den": "0"}]}',
+        # non-integer numbers, which int() would truncate to t in one variable
+        '{"n": 1, "terms": [{"k": 1.5, "alpha": [0], "num": "1", "den": "1"}]}',
+        '{"n": 1, "terms": [{"k": 1, "alpha": [0], "num": 1.9, "den": "1"}]}',
+        '{"n": 1.7, "terms": [{"k": 1, "alpha": [0], "num": "1", "den": "1"}]}',
+        # a repeated monomial, which would keep only its last entry
+        '{"n": 1, "terms": [{"k": 1, "alpha": [0], "num": "1", "den": "1"},'
+        ' {"k": 1, "alpha": [0], "num": "1", "den": "1"}]}',
     ],
 )
 def test_malformed_polyfile_exits_four(capsys, tmp_path, content):

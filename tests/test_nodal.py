@@ -17,6 +17,7 @@ from calorics import (
     cluster_count,
     count_components,
     cube_section_sample,
+    embed,
     fixture,
     harmonic_2d,
     nodal_count,
@@ -334,6 +335,26 @@ def test_count_constant_sign_field():
 def test_count_degree_four_in_one_dimension():
     report = count_components(cube_section_sample(basic_hcp(4), 64))
     assert report.total == 4
+
+
+@st.composite
+def _permuted_pairs(draw):
+    """A polynomial in n >= 2 space variables and the same one with its variables permuted."""
+    p = draw(homogeneous_polynomials().filter(lambda q: q.spatial_dim >= 2))
+    perm = draw(st.permutations(range(p.spatial_dim)))
+    return p, embed(p, p.spatial_dim, perm)
+
+
+@given(_permuted_pairs(), st.integers(min_value=2, max_value=7))
+@settings(max_examples=60, deadline=None)
+def test_counts_are_invariant_under_permuting_space_variables(pair, resolution):
+    # a permutation of x_1..x_n maps the cube grid, its faces and the cube
+    # edges between them onto themselves, and every sign and merge is exact,
+    # so the stitched graph must give the same split
+    fields = [cube_section_sample(q, resolution) for q in pair]
+    reports = [count_components(field) for field in fields]
+    assert len({(r.positive, r.negative) for r in reports}) == 1
+    assert fields[0].grid.jittered == fields[1].grid.jittered
 
 
 def test_nodal_count_schedule_validation():

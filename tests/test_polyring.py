@@ -59,6 +59,13 @@ def test_parse_error_reports_position():
     assert err.value.position == 5
 
 
+def test_parse_too_deep_nesting_is_a_parse_error():
+    # each leading minus sign is one more level of the recursive descent
+    with pytest.raises(ParseError) as err:
+        parse_poly("-" * 2000 + "t", 1)
+    assert 0 < err.value.position < 2000
+
+
 def test_parse_unknown_variable():
     with pytest.raises(ParseError, match="unknown variable 'y'"):
         parse_poly("t + y", 1)
@@ -257,6 +264,13 @@ def test_json_round_trip_bit_exact():
     c, s, _ = resolve_rotation(0.3141592653589793)
     p = _substitute_pair(embed(parse_poly(P4_TEXT, 1), 2, [0]), 0, 1, c, s)
     assert Polynomial.from_json_dict(p.to_json_dict()) == p
+
+
+def test_exponents_are_never_truncated():
+    with pytest.raises(TypeError):
+        Polynomial(1, {(F(3, 2), (0,)): 1})
+    with pytest.raises(TypeError):
+        Polynomial(1, {(1, (1.5,)): 1})
 
 
 def test_json_shape():
