@@ -34,6 +34,7 @@ from .polyring import (
     ExponentVector,
     NotOnUnitCircle,
     Polynomial,
+    _json_int,
     _substitute_pair,
     embed,
     format_rational,
@@ -127,8 +128,8 @@ class ConstructionSpec:
             rot = (Fraction(rot[0]), Fraction(rot[1]))
         return cls(
             family=data["family"],
-            d=int(data.get("d", 0)),
-            n=int(data.get("n", 2)),
+            d=_json_int(data.get("d", 0)),
+            n=_json_int(data.get("n", 2)),
             epsilon=eps,
             rotation=rot,
             fixture_id=data.get("fixture"),

@@ -25,21 +25,39 @@ gives the face's exact signs, its merge masks (below) and its graph of runs,
 which the same pass stitches to the earlier faces' graph across cube edges.
 
 Adjacency is certified: two same-sign cells sharing a facet merge only when
-the segment joining their centers is proven free of roots of p.  Three
-stages decide each edge, the first that can: a derivative majorant
-(|p(lo)| + |p(hi)| > h max |dp|, one more contraction per axis), the
-Bernstein coefficients of the restriction of p to the segment, all of one
-sign by a certified margin, after up to four de Casteljau halvings
-(Descartes' rule in Bernstein form; Collins & Akritas 1976, Farouki &
-Rajan 1987), and an exact Sturm count on the integer restriction (a
-primitive pseudo-remainder sequence in Python ints).  A
-cross-face stitch bends through the shared cube edge: each of its two legs
-runs from an edge cell center to the cube edge, and both must be certified
-in the same way.  Every merge therefore has a proof, and each graph
-component lies inside one true nodal domain, so the count is at least the
-number of domains that the cells meet; the proven bounds still check it.
-What stays heuristic is the other direction -- one domain whose cells join
-only through paths the grid misses counts more than once -- and that
+the segment joining their centers is proven free of roots of p.  Four
+stages decide each edge, the first that can, and each sees only the edges
+the one before it left:
+
+  (a) the face-wide chord test, min(|P(lo)|, |P(hi)|) > h^2 / 8 * D2_s;
+  (b) the same chord test per edge, with D2 from the edge's own line;
+  (c) the Bernstein coefficients of the restriction of p to the segment,
+      all of one sign by a certified margin, after up to four de Casteljau
+      halvings (Descartes' rule in Bernstein form; Collins & Akritas 1976,
+      Farouki & Rajan 1987);
+  (d) an exact Sturm count on the integer restriction (a primitive
+      pseudo-remainder sequence in Python ints).
+
+The chord bound: on a segment of step h whose ends share a sign, the chord
+between the end values stays min(|P(lo)|, |P(hi)|) from zero, and P leaves
+it by at most |P''(xi)| (z - lo)(hi - z) / 2 <= h^2 / 8 max |P''|.  Stage
+(a) bounds |P''| along axis s once per face and axis, in exact ints,
+D2_s = sum_T |C_T| e_s (e_s - 1) prod top^(e - 2 delta_s) with top the
+largest |numerator| of each axis, takes the largest step of the axis and
+compares every cell's certified lower bound on |P| with the one threshold,
+rounded up: no contraction.  Stage (b) bounds |P''| per edge from the float
+line coefficients that (c) uses too, each widened by its rounding bound,
+and rounds the threshold up by a _kappa slack over the roundings of its
+own evaluation; O(edges x exponents).  A threshold that overflows is inf
+and certifies nothing.
+
+A cross-face stitch bends through the shared cube edge: each of its two
+legs runs from an edge cell center to the cube edge, and both must be
+certified in the same way.  Every merge therefore has a proof, and each
+graph component lies inside one true nodal domain, so the count is at least
+the number of domains that the cells meet; the proven bounds still check
+it.  What stays heuristic is the other direction -- one domain whose cells
+join only through paths the grid misses counts more than once -- and that
 under-merging is what the multi-resolution stability gate corrects.  Plain
 same-sign adjacency would weld distinct nodal domains across the thin
 wedges where nodal sheets cross, e.g. the two positive domains of
@@ -237,6 +255,11 @@ def _edge_slices(ndim: int, slot: int) -> Tuple[tuple, tuple]:
     return lo, hi
 
 
+def _edge_rows(lines: np.ndarray, cells: Tuple[np.ndarray, ...], slot: int) -> np.ndarray:
+    """The row of a `_lines` array for each edge `cells` along `slot` (a 1-D mesh has one line)."""
+    return np.broadcast_to(lines[cells[:slot] + cells[slot + 1:]], (len(cells[slot]), lines.shape[-1]))
+
+
 @functools.lru_cache(maxsize=None)
 def _bernstein_tables(degree: int) -> Tuple[np.ndarray, np.ndarray]:
     """(C(j, k) at [j, k], C(b, k) / C(degree, k) at [k, b]) as read-only floats, each rounded once."""
@@ -259,7 +282,8 @@ class _MeshForm:
     Vandermonde matrix per varying axis (V_a C V_b^T on a 2-D face), each
     result with a rounding bound.  The dense coefficients and the powers of
     every numerator are built once; `signs()` makes the one float pass, and
-    `merge_mask` and `_bernstein` reuse its bound and the same columns.
+    `merge_mask` reuses its lower bound on |P| per cell and, for the lines
+    of the edges its first test leaves, the same columns.
     """
 
     def __init__(self, p: Polynomial, axis_values: Sequence[AxisValues], denominator: int):
@@ -363,11 +387,22 @@ class _MeshForm:
 
         signs are this mesh's exact signs, from `signs()`; the mask is shaped
         like them with axis `slot` shortened by one.  Each same-sign edge is
-        certified root-free by the first stage that can: (a) the derivative
-        majorant, (b) Bernstein coefficients of one sign, with de Casteljau
-        halving, (c) an exact Sturm count of the restriction.  Stage (b) also
-        cuts an edge when it finds a value of the other sign; an edge no
-        stage certifies stays cut.
+        certified root-free by the first stage that can, and each stage sees
+        only the edges the one before it left: (a) the face-wide chord test,
+        (b) the per-edge chord test, (c) Bernstein coefficients of one sign,
+        with de Casteljau halving, (d) an exact Sturm count of the
+        restriction.  Stage (c) also cuts an edge when it finds a value of
+        the other sign; an edge no stage certifies stays cut.
+
+        Both chord tests rest on linear interpolation: on a segment of step h
+        whose ends lo, hi have one sign, the chord L between P(lo) and P(hi)
+        stays at least min(|P(lo)|, |P(hi)|) from zero, and
+        |P(z) - L(z)| = |P''(xi)| (z - lo)(hi - z) / 2 <= h^2 / 8 max |P''|.
+        So min(|P(lo)|, |P(hi)|) > h^2 / 8 * D2, with D2 >= max |P''| on the
+        segment, proves the segment root-free.  The floor of `signs()` is a
+        lower bound on |P| at every cell (_kappa's margin covers the rounding
+        of its subtraction), so each test compares floors with a threshold
+        rounded up.
         """
         lo, hi = _edge_slices(signs.ndim, slot)
         near = signs[lo]
@@ -375,37 +410,27 @@ class _MeshForm:
         if not candidates.any() or self.powers[slot][-1] == 0:
             return candidates  # P is constant along every edge, or no edge is a candidate
 
-        # (a) With D >= max |dP/dm| on the segment, |P(z)| >= |P(end)| - |z - end| D
-        # at both ends, and the larger of the two bounds is at least their
-        # mean, (|P(lo)| + |P(hi)| - h D) / 2 for a step h.  D is the
-        # derivative's |C| contracted with |m|, where the edge axis takes the
-        # larger |m| of the two ends.  Steps come from the numerators (12 on
-        # a jittered grid).  The derivative's |C| is |C| times the exponent, on
-        # the column of the exponent less one.
-        pw = np.array(self.powers[slot])
-        table = np.abs(self.power_table[slot])
-        reach = np.maximum(table[:-1], table[1:])[:, np.maximum(pw - 1, 0)]
-        # h D with its rounding slack: each product carries three more
-        # roundings, the exponent factor of its coefficient and, on the edge
-        # axis's column, the step and the slack
+        # (a) one threshold for the face, at its largest step; cells over it
+        # certify every candidate edge between two of them
         nums = self.nums[slot]
-        slack = 1 + _kappa(self._roundings() + 3) * _FLOAT_EPS
-        with np.errstate(over="ignore", invalid="ignore"):
-            reach *= (np.abs(nums[1:] - nums[:-1]) * slack)[:, None]
-            columns = [reach if s == slot else m for s, m in enumerate(self.magnitudes)]
-            slope_coeffs = np.abs(self.dense) * pw.reshape((-1,) + (1,) * (self.dense.ndim - slot - 1))
-            # |P(lo)| > h D - |P(hi)|, in place; the slack also covers the
-            # rounding of the subtraction
-            slope = _contract(slope_coeffs, columns)
-            merged = self.floor[lo] > np.subtract(slope, self.floor[hi], out=slope)
+        clear = self.floor > self._face_chord(slot, int(np.abs(np.diff(nums)).max()))
+        merged = clear[lo]
+        merged &= clear[hi]
         merged &= candidates
         rest = candidates ^ merged
         if not rest.any():
             return merged
 
-        # (b) and (c) on the edges the majorant leaves
+        # (b), (c) and (d) on the edges that (a) leaves, each on what the one before leaves
         cells = np.unravel_index(np.flatnonzero(rest), rest.shape)
-        coeffs, bounds = self._bernstein(slot, cells)
+        lines, sizes = self._lines(slot)
+        free = self._edge_chord(slot, cells, lines, sizes)
+        merged[tuple(index[free] for index in cells)] = True
+        if free.all():
+            return merged
+        cells = tuple(index[~free] for index in cells)
+        rows = (_edge_rows(part, cells, slot) for part in (lines, sizes))
+        coeffs, bounds = self._bernstein(slot, cells, *rows)
         coeffs *= near[cells][:, None]  # orient each edge so that its ends are positive
         free, rooted = _bernstein_decide(coeffs, bounds)
         for e in np.flatnonzero(~free & ~rooted):
@@ -416,41 +441,117 @@ class _MeshForm:
         merged[tuple(index[free] for index in cells)] = True
         return merged
 
-    def _bernstein(self, slot: int, cells: Tuple[np.ndarray, ...]) -> Tuple[np.ndarray, np.ndarray]:
-        """Bernstein coefficients of P on the edges `cells` along `slot`, with error bounds.
+    def _face_chord(self, slot: int, step: int) -> float:
+        """A float at least step^2 / 8 * D2_s, with D2_s >= |d^2 P / dm_s^2| on the whole mesh.
+
+        D2_s = sum_T |C_T| e_s (e_s - 1) prod_r top_r^(e_r - 2 delta_rs), with
+        top_r the largest |numerator| on axis r (s = slot), bounds the second
+        derivative along the slot wherever every |m_r| <= top_r, so on every
+        segment of the mesh.  It is an exact Python int; the one rounding of
+        the division is undone by one step up.  A threshold beyond the float
+        range is inf, which certifies nothing.
+        """
+        tops = [int(np.abs(m).max()) for m in self.nums]
+        d2 = 0
+        for key, c in self.coeffs.items():
+            e = key[slot]
+            if e >= 2:
+                powers = (top ** (k - 2 * (s == slot)) for s, (top, k) in enumerate(zip(tops, key)))
+                d2 += abs(c) * e * (e - 1) * math.prod(powers)
+        try:
+            return math.nextafter(step * step * d2 / 8, math.inf)
+        except OverflowError:
+            return math.inf
+
+    def _lines(self, slot: int) -> Tuple[np.ndarray, np.ndarray]:
+        """(c, a): P on every mesh line along `slot`, and the sizes of its coefficients.
 
         The contraction stops one axis early (an identity column on `slot`),
-        which leaves the restriction q(m) = sum_j c_j m^j of every line.  On
-        the edge from m0 to m0 + h, q(m0 + h s) = sum_k a_k s^k with
+        which leaves the restriction q(m) = sum_j c_j m^j of every line: both
+        arrays are shaped like the mesh without the slot axis, plus a last
+        axis for the exponents powers[slot].  a is the same contraction of |C|
+        with |m|, a float of the sum A_j of the |terms| of c_j: c_j is within
+        gamma_K A_j of its exact value, K = _roundings().
+        """
+        eye = np.eye(len(self.powers[slot]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return tuple(
+                np.moveaxis(_contract(d, cols), slot, -1)
+                for d, cols in (
+                    (self.dense, [eye if s == slot else c for s, c in enumerate(self.columns)]),
+                    (np.abs(self.dense), [eye if s == slot else m for s, m in enumerate(self.magnitudes)]),
+                )
+            )
+
+    def _edge_chord(
+        self, slot: int, cells: Tuple[np.ndarray, ...], lines: np.ndarray, sizes: np.ndarray
+    ) -> np.ndarray:
+        """The chord test of each edge `cells` along `slot`, with D2 from the edge's own line.
+
+        lines and sizes come from `_lines`.  On the segment |m| <= M, the
+        larger |m| of its two ends, so |q''| <= D2 = sum_j j (j - 1) |c_j|
+        M^(j-2).  The float c~_j is within
+        gamma_K A_j of c_j, and A_j <= a_j / (1 - gamma_K) for the float size
+        a_j, so |c_j| <= |c~_j| + kappa eps a_j: kappa eps is at least 16 times
+        gamma_K / (1 - gamma_K).  Unlike D2_s, the c_j carry the cancellation
+        between the terms of P across the other axes.
+        """
+        pw = np.array(self.powers[slot])
+        curved = pw >= 2  # the exponents with a second derivative
+        j = pw[curved]
+        at = cells[slot]
+        upper = cells[:slot] + (at + 1,) + cells[slot + 1:]
+        table = np.abs(self.power_table[slot])
+        nums = self.nums[slot].astype(np.float64)
+        steps = nums[1:] - nums[:-1]
+        # Each product of the sum carries at most degree roundings in
+        # M^(j-2) (np.vander multiplies cumulatively), 4 more in its weight
+        # j (j - 1) M^(j-2) * (h * h / 8 * slack) (/8 is exact; slack is
+        # exact, 1 plus a multiple of eps), 2 in the bound on |c_j|, 1
+        # multiplying the two and len(pw) - 1 in the sum over j.  Every term
+        # is positive, so the computed threshold is at least (1 - gamma_K)
+        # slack times the exact one, K = degree + len(pw) + 6, and kappa's
+        # margin makes that at least the exact one
+        slack = 1 + _kappa(self.degree + len(pw) + 6) * _FLOAT_EPS
+        with np.errstate(over="ignore", invalid="ignore"):
+            # one row of weights per edge position, shared by its edges
+            weights = np.maximum(table[:-1], table[1:])[:, j - 2] * (j * (j - 1)).astype(np.float64)
+            weights *= (steps * steps / 8 * slack)[:, None]
+            # per line, then per edge: its line's bounds on |c_j| against its position's weights
+            bound = np.abs(lines[..., curved])
+            bound += _kappa(self._roundings()) * _FLOAT_EPS * sizes[..., curved]
+            threshold = np.einsum("ej,ej->e", _edge_rows(bound, cells, slot), weights[at])
+            # nan (an overflowed line) certifies nothing
+            return np.minimum(self.floor[cells], self.floor[upper]) > threshold
+
+    def _bernstein(
+        self, slot: int, cells: Tuple[np.ndarray, ...], lines: np.ndarray, sizes: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Bernstein coefficients of P on the edges `cells` along `slot`, with error bounds.
+
+        lines and sizes are the edges' rows of `_lines`.  On the edge from m0
+        to m0 + h, q(m0 + h s) = sum_k a_k s^k with
         a_k = h^k sum_j C(j, k) m0^(j-k) c_j, and the Bernstein coefficients
         on [0, 1] are b_i = sum_k C(i, k) / C(deg, k) a_k.  Both steps are one
-        matrix per edge position along the slot, shared by its edges.
+        matrix per edge position along the slot, shared by its edges, and
+        applied one exponent j at a time.
         """
         pw = self.powers[slot]
         degree = pw[-1]
         binomials, change = _bernstein_tables(degree)
-        eye = np.eye(len(pw))
-        columns = [eye if s == slot else c for s, c in enumerate(self.columns)]
-        magnitudes = [eye if s == slot else m for s, m in enumerate(self.magnitudes)]
-        others = cells[:slot] + cells[slot + 1:]
         at = cells[slot]
         nums = self.nums[slot]
         with np.errstate(over="ignore", invalid="ignore"):
-            # one row of c_j per edge (a 1-D mesh has a single line)
-            lines = [
-                np.broadcast_to(np.moveaxis(_contract(d, cols), slot, -1)[others], (len(at), len(pw)))
-                for d, cols in ((self.dense, columns), (np.abs(self.dense), magnitudes))
-            ]
             # taylor[i, j, k] = C(j, k) m0^(j-k) h^k at edge position i; k > j
             # has C(j, k) = 0, whatever power of m0 it picks
             steps = np.vander((nums[1:] - nums[:-1]).astype(np.float64), degree + 1, increasing=True)
             shift = np.maximum(np.subtract.outer(pw, np.arange(degree + 1)), 0)
             taylor = binomials[pw] * self.power_table[slot][:-1][:, shift] * steps[:, None, :]
-            # the matrices of each edge's position, applied to its line
-            coeffs, bounds = (
-                np.einsum("ej,ejb->eb", line, (convert @ change)[at])
-                for line, convert in zip(lines, (taylor, np.abs(taylor)))
-            )
+            coeffs, bounds = np.zeros((2, len(at), degree + 1))
+            for out, line, convert in ((coeffs, lines, taylor), (bounds, sizes, np.abs(taylor))):
+                matrices = convert @ change
+                for j in range(len(pw)):
+                    out += line[:, j, None] * matrices[at, j]
             # Each product C_T prod m^e C(j, k) m0^(j-k) h^k C(b, k) / C(deg, k)
             # carries, on the slot axis: at most degree - 1 roundings in the
             # powers of m0 and h, 2 converting the two binomial factors, 4
@@ -640,25 +741,29 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
             # inner cells) and the stitch legs (from a cell next to a side of
             # the face to the cube edge beyond it)
             merges = [form.merge_mask(slot, signs) for slot in range(signs.ndim)]
-            nodes, runs, face_rows, face_cols = _probed_runs(signs[inner], [m[inner] for m in merges])
+            del form  # its per-cell floats, before the face's graph is built
+            inside = signs[inner]
+            starts, runs, face_rows, face_cols = _probed_runs(inside, [m[inner] for m in merges])
             axis = grid.face_axis_sign(face)[0]
             for slot, mask in enumerate(merges):
                 # mesh axes are the other coordinates in order; the low side of
                 # the slot borders the face at -1 on that axis, the high side +1
                 other = slot + (slot >= axis)
                 for i, neighbour in ((0, 2 * other), (-1, 2 * other + 1)):
-                    ids, leg = nodes.take(i, axis=slot) + offset, mask.take(i, axis=slot)[inner[1:]]
+                    ids = _run_ids(starts, _side_cells(inside.shape, slot, i)) + offset
+                    leg = mask.take(i, axis=slot)[inner[1:]]
                     if neighbour > face:
                         legs[face, neighbour] = ids, leg
                     else:  # the neighbour came earlier: stitch where both legs merge
                         near, near_legs = legs.pop((neighbour, face))
                         both = near_legs & leg
                         edges.append((near[both], ids[both]))
-            face_signs.append(signs[inner])
+            face_signs.append(inside)
             node_signs.append(runs)
             # in place: a shifted copy would keep the unshifted ids alive into the next face
             edges.append(tuple(np.add(part, offset, out=part) for part in (face_rows, face_cols)))
             offset += len(runs)
+            del merges, mask, starts  # before the next face's form is built
         else:
             break  # every face sampled
     rows, cols = (np.concatenate(part) for part in zip(*edges))
@@ -680,21 +785,43 @@ def _probed_runs(signs: np.ndarray, merges: Sequence[np.ndarray]) -> Tuple[np.nd
     edge repeats the one before it along the last axis when that one exists
     and no run starts at either end, and only the others are kept (other
     repeats are harmless).  Zero cells are single-cell runs with no edges.
-    Returns (node id per cell, sign per node, edge rows, edge cols), a graph
-    with the per-cell graph's components.
+    Returns (run starts, sign per node, edge rows, edge cols), a graph with
+    the per-cell graph's components.  Node k is the run that starts at the
+    flat (C-order) cell index starts[k]; _run_ids finds the node of any
+    cell, so only the kept edge ends get one.
     """
     start = np.ones(signs.shape, dtype=bool)
     start[..., 1:] = ~merges[-1]
-    nodes = np.cumsum(start, dtype=np.int64).reshape(signs.shape) - 1
+    starts = np.flatnonzero(start)
     rows, cols = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     for slot, mask in enumerate(merges[:-1]):
         lo, hi = _edge_slices(signs.ndim, slot)
         fresh = start[lo] | start[hi]
         fresh[..., 1:] |= ~mask[..., :-1]
         fresh &= mask
-        rows.append(nodes[lo][fresh])
-        cols.append(nodes[hi][fresh])
-    return nodes, signs[start], np.concatenate(rows), np.concatenate(cols)
+        # flat index of each kept edge's low cell: the edge mesh has one
+        # layer fewer along the slot for every index of the axes before it
+        stride = math.prod(signs.shape[slot + 1:])
+        edges = np.flatnonzero(fresh)
+        low = edges + edges // ((signs.shape[slot] - 1) * stride) * stride
+        rows.append(_run_ids(starts, low))
+        cols.append(_run_ids(starts, low + stride))
+    return starts, signs[start], np.concatenate(rows), np.concatenate(cols)
+
+
+def _run_ids(starts: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Node id of each flat cell index: its run is the last one starting at or before it."""
+    return np.searchsorted(starts, cells, side="right") - 1
+
+
+def _side_cells(shape: Tuple[int, ...], slot: int, index: int) -> np.ndarray:
+    """Flat (C-order) indices of the cells at `index` along axis `slot`, shaped like the other axes."""
+    strides = [math.prod(shape[s + 1:]) for s in range(len(shape))]
+    cells = np.int64(index % shape[slot] * strides[slot])
+    for s, (size, stride) in enumerate(zip(shape, strides)):
+        if s != slot:
+            cells = np.add.outer(cells, np.arange(size, dtype=np.int64) * stride)
+    return cells
 
 
 def _components(size: int, rows: np.ndarray, cols: np.ndarray) -> Tuple[int, np.ndarray]:
@@ -828,7 +955,7 @@ def slice_count(
         return SliceReport(0, 0, 0, True, radius, resolution)
 
     merges = [form.merge_mask(slot, signs) for slot in range(n)]
-    nodes, node_signs, rows, cols = _probed_runs(signs, merges)
+    starts, node_signs, rows, cols = _probed_runs(signs, merges)
     _, labels = _components(len(node_signs), rows, cols)
     positive, negative = _sign_split(labels, node_signs)
 
@@ -840,7 +967,7 @@ def slice_count(
     else:
         rim = np.ones(signs.shape, dtype=bool)
         rim[(slice(1, -1),) * n] = False
-        caveat = max(_sign_split(labels[nodes[rim]], signs[rim])) >= 2
+        caveat = max(_sign_split(labels[_run_ids(starts, np.flatnonzero(rim))], signs[rim])) >= 2
     return SliceReport(positive + negative, positive, negative, caveat, radius, resolution)
 
 
@@ -1136,7 +1263,8 @@ def sphere_grid_count(p: Polynomial, resolution: int = 256) -> ComponentReport:
                 break
             mask &= probe(slot, eighth) == wrapped[lo]
         merges.append(mask)
-    nodes, node_signs, rows, cols = _probed_runs(wrapped, merges)
+    starts, node_signs, rows, cols = _probed_runs(wrapped, merges)
+    nodes = _run_ids(starts, np.arange(wrapped.size)).reshape(wrapped.shape)
     seam = signs[0] != 0
     edges = [(rows, cols), (nodes[m][seam], nodes[0][seam])]
     # poles join every same-sign cell of the adjacent latitude row

@@ -30,6 +30,11 @@ from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple, Union
 
 RationalLike = Union[int, str, Fraction]
 
+# The largest exponent, and the largest degree, of one power in parse_poly:
+# four times the counting cap (nodal.MAX_COUNT_DEGREE), and small enough that
+# the repeated multiplication of __pow__ ends quickly.
+MAX_POWER_DEGREE = 256
+
 
 class PolynomialError(Exception):
     """Base class for errors raised by the polynomial layer."""
@@ -524,7 +529,11 @@ class _Parser:
             if etok.kind != "num" or etok.value is None or etok.value.denominator != 1:
                 raise ParseError("exponent must be a non-negative integer", etok.pos)
             self.advance()
-            return base ** int(etok.value)
+            exponent = int(etok.value)
+            # the exponent bounds the multiplications; with it the degree bounds the result
+            if max(exponent, exponent * base.algebraic_degree()) > MAX_POWER_DEGREE:
+                raise ParseError(f"power exponent or degree exceeds {MAX_POWER_DEGREE}", etok.pos)
+            return base ** exponent
         return base
 
     def atom(self) -> Polynomial:
@@ -553,7 +562,8 @@ def parse_poly(text: str, spatial_dim: int) -> Polynomial:
 
     Coefficients are integers or a/b rationals; operators are + - * ^ and
     parentheses.  Raises ParseError with a character position on bad input,
-    nesting too deep for the recursive descent included.
+    nesting too deep for the recursive descent included, and on a power
+    whose exponent or degree exceeds MAX_POWER_DEGREE.
     """
     parser = _Parser(_tokenize(text), spatial_dim)
     try:

@@ -255,6 +255,14 @@ def test_spec_round_trip():
     assert ConstructionSpec.from_json_dict(data) == spec
 
 
+@pytest.mark.parametrize("field, value", [("d", 4.7), ("n", 2.9), ("d", "4"), ("n", True)])
+def test_spec_json_refuses_non_integer_d_and_n(field, value):
+    # int() would truncate 4.7 to 4; the spec reads d and n as JSON integers only
+    data = {"family": "product", "d": 4, "n": 2, field: value}
+    with pytest.raises(ValueError, match="expected an integer"):
+        ConstructionSpec.from_json_dict(data)
+
+
 def test_spec_congruence_validation():
     with pytest.raises(ConstructionError):
         ConstructionSpec("lewy", d=4)

@@ -22,7 +22,7 @@ from calorics import (
     rotate_xy,
 )
 from calorics.constructions import resolve_rotation
-from calorics.polyring import _substitute_pair
+from calorics.polyring import MAX_POWER_DEGREE, _substitute_pair
 
 from conftest import homogeneous_polynomials, polynomials, pythagorean_pairs
 
@@ -64,6 +64,15 @@ def test_parse_too_deep_nesting_is_a_parse_error():
     with pytest.raises(ParseError) as err:
         parse_poly("-" * 2000 + "t", 1)
     assert 0 < err.value.position < 2000
+
+
+def test_parse_power_beyond_the_degree_cap_is_a_parse_error():
+    # the cap bounds the degree of each power, and for a constant base its exponent
+    assert parse_poly(f"(x^2 + t)^{MAX_POWER_DEGREE // 2}", 1).algebraic_degree() == MAX_POWER_DEGREE
+    for expr in (f"(x^2 + t)^{MAX_POWER_DEGREE // 2 + 1}", f"2^{MAX_POWER_DEGREE + 1}", "x^100000000"):
+        with pytest.raises(ParseError, match=f"exceeds {MAX_POWER_DEGREE}") as err:
+            parse_poly(expr, 1)
+        assert err.value.position == expr.rindex("^") + 1
 
 
 def test_parse_unknown_variable():
