@@ -21,22 +21,35 @@ so no sign is ever trusted to floating point.  Exact zeros are excluded
 from every component; if more than 0.1% of cells are zero the grid is
 jittered by 1/(6r) and resampled once.  cube_section_sample evaluates each
 face once, on its cell centers plus the cube edges around it: that one form
-gives the face's exact signs, its merge masks (below) and its graph of runs,
-which the same pass stitches to the earlier faces' graph across cube edges.
+gives the face's exact signs, the first merge stage below and its graph of
+runs, which the same pass stitches to the earlier faces' graph across cube
+edges.  The edges the first stage leaves wait in one table for the whole
+cross-section, and one cascade decides them after the last face.
 
 Adjacency is certified: two same-sign cells sharing a facet merge only when
 the segment joining their centers is proven free of roots of p.  Four
-stages decide each edge, the first that can, and each sees only the edges
-the one before it left:
+stages decide each edge, the first that can:
 
-  (a) the face-wide chord test, min(|P(lo)|, |P(hi)|) > h^2 / 8 * D2_s;
+  (a) the face-wide chord test, min(|P(lo)|, |P(hi)|) > h^2 / 8 * D2_s, on
+      each face as it is evaluated;
   (b) the same chord test per edge, with D2 from the edge's own line;
   (c) the Bernstein coefficients of the restriction of p to the segment,
       all of one sign by a certified margin, after up to four de Casteljau
       halvings (Descartes' rule in Bernstein form; Collins & Akritas 1976,
       Farouki & Rajan 1987);
   (d) an exact Sturm count on the integer restriction (a primitive
-      pseudo-remainder sequence in Python ints).
+      pseudo-remainder sequence in Python ints), once per distinct line
+      and ends.
+
+Stages (b) to (d) run once per cross-section (or slice), on an _EdgeTable of
+every edge that (a) left on any face, each stage on what the one before it
+left.  The table keeps only what they read: per edge the floors and
+numerators of its ends and its sign, per mesh line that holds one of its
+edges the line coefficients with their sizes (no other line is
+contracted), and for (d) each face's exact form.  The run graph is cut at
+every edge in the table, and each edge the cascade merges comes back as one
+graph edge between the runs at its ends, so the partition is that of the
+per-cell graph.
 
 The chord bound: on a segment of step h whose ends share a sign, the chord
 between the end values stays min(|P(lo)|, |P(hi)|) from zero, and P leaves
@@ -48,8 +61,13 @@ compares every cell's certified lower bound on |P| with the one threshold,
 rounded up: no contraction.  Stage (b) bounds |P''| per edge from the float
 line coefficients that (c) uses too, each widened by its rounding bound,
 and rounds the threshold up by a _kappa slack over the roundings of its
-own evaluation; O(edges x exponents).  A threshold that overflows is inf
-and certifies nothing.
+own evaluation; O(edges x exponents).  A threshold that overflows is inf,
+and one that meets inf * 0 is nan: either certifies nothing.  Edges of
+different faces share one batch: their line coefficients are laid out over
+the union of the faces' exponents (zero where a face has none), Bernstein
+coefficients take the largest degree of the batch, and every rounding count
+K covers the largest member: the most roundings of any face's line
+coefficients, and the padded number of terms in each sum.
 
 A cross-face stitch bends through the shared cube edge: each of its two
 legs runs from an edge cell center to the cube edge, and both must be
@@ -71,7 +89,7 @@ import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -83,13 +101,26 @@ DEFAULT_SCHEDULES: Dict[int, Tuple[int, ...]] = {
     4: (24, 48, 96),
 }
 MAX_COUNT_DEGREE = 64
+# The most cells one sampled mesh may hold: a cube face with the cube edges
+# around it ((r + 2)^(n) for n space variables), or the slice box (r^n).  Each
+# float array of such a mesh takes 8 bytes a cell, 32 MiB at the cap; it
+# admits r = 2046 for n = 2 and r = 159 for n = 3, far past the defaults.
+MAX_MESH_CELLS = 2 ** 22
 _JITTER_ZERO_FRACTION = 1e-3
 _EXPORT_SHELLS = 8  # sphere radii sampled across the export annulus
 _FLOAT_EPS = float(np.finfo(np.float64).eps)
+# table indices of stitch legs that stage (a) decided, merged or cut
+_CERTIFIED, _CUT = -1, -2
 
 
 class NodalError(Exception):
     """Base class for counting-layer errors."""
+
+
+def _check_mesh_cells(side: int, ndim: int) -> None:
+    """Raise NodalError before a mesh of side^ndim cells beyond MAX_MESH_CELLS is allocated."""
+    if side ** ndim > MAX_MESH_CELLS:
+        raise NodalError(f"a mesh of {side}^{ndim} cells exceeds the cap MAX_MESH_CELLS = {MAX_MESH_CELLS}")
 
 
 class BoundViolation(NodalError):
@@ -226,6 +257,10 @@ def _integer_scaled_terms(p: Polynomial, denominator: int):
 AxisValues = Union[int, np.ndarray]
 
 _BERNSTEIN_SPLITS = 4  # de Casteljau halvings of an edge before the exact fallback
+# floats in each array of one batch of merge stages (b) and (c), 2 MB: a batch
+# takes 2^18 / (2 (D + 1)) edges at Bernstein degree D, and holds about ten
+# such arrays at a time, whatever the size of the edge table
+_CASCADE_FLOATS = 2 ** 18
 
 
 def _kappa(roundings: int) -> float:
@@ -255,11 +290,6 @@ def _edge_slices(ndim: int, slot: int) -> Tuple[tuple, tuple]:
     return lo, hi
 
 
-def _edge_rows(lines: np.ndarray, cells: Tuple[np.ndarray, ...], slot: int) -> np.ndarray:
-    """The row of a `_lines` array for each edge `cells` along `slot` (a 1-D mesh has one line)."""
-    return np.broadcast_to(lines[cells[:slot] + cells[slot + 1:]], (len(cells[slot]), lines.shape[-1]))
-
-
 @functools.lru_cache(maxsize=None)
 def _bernstein_tables(degree: int) -> Tuple[np.ndarray, np.ndarray]:
     """(C(j, k) at [j, k], C(b, k) / C(degree, k) at [k, b]) as read-only floats, each rounded once."""
@@ -281,9 +311,10 @@ class _MeshForm:
     numerators.  Float evaluation is one chain of tensor contractions, one
     Vandermonde matrix per varying axis (V_a C V_b^T on a 2-D face), each
     result with a rounding bound.  The dense coefficients and the powers of
-    every numerator are built once; `signs()` makes the one float pass, and
-    `merge_mask` reuses its lower bound on |P| per cell and, for the lines
-    of the edges its first test leaves, the same columns.
+    every numerator are built once; `signs()` makes the one float pass,
+    `chord_mask` reuses its lower bound on |P| per cell, and an _EdgeTable
+    takes, for the edges that test leaves, each edge's line from the same
+    columns.
     """
 
     def __init__(self, p: Polynomial, axis_values: Sequence[AxisValues], denominator: int):
@@ -315,22 +346,23 @@ class _MeshForm:
             ) from exc
         with np.errstate(over="ignore"):
             # m^e for e = 0 .. the axis's top exponent, one row per numerator
-            self.power_table = [
+            power_table = [
                 np.vander(m.astype(np.float64), max(pw, default=0) + 1, increasing=True)
                 for m, pw in zip(self.nums, self.powers)
             ]
-        self.columns = [np.ascontiguousarray(v[:, pw]) for v, pw in zip(self.power_table, self.powers)]
+        self.columns = [np.ascontiguousarray(v[:, pw]) for v, pw in zip(power_table, self.powers)]
         self.magnitudes = [np.abs(column) for column in self.columns]
         self.floor: Optional[np.ndarray] = None
 
-    def _roundings(self) -> int:
+    def _roundings(self, skip: Optional[int] = None) -> int:
         # Each product C_T * prod_s m_s^e of a contraction carries at most
         # 1 + sum_s (degree + k_s) roundings: 1 converting its coefficient to
         # float (the fixed axes were substituted exactly before), degree per
         # axis for m^e (np.vander multiplies cumulatively, e - 1 roundings;
         # integer m is exact and nothing underflows) and k_s for stage s, an
-        # inner product over the k_s exponents of axis s.
-        return 1 + sum(self.degree + len(pw) for pw in self.powers)
+        # inner product over the k_s exponents of axis s.  An edge's line
+        # skips its slot axis, which it does not contract.
+        return 1 + sum(self.degree + len(pw) for s, pw in enumerate(self.powers) if s != skip)
 
     def _float_pass(self) -> Tuple[np.ndarray, np.ndarray]:
         """(signs, floor): int8 signs of float P on the mesh and a lower bound on |P|.
@@ -347,15 +379,6 @@ class _MeshForm:
             bound = _contract(np.abs(self.dense), self.magnitudes)
             bound *= _kappa(self._roundings()) * _FLOAT_EPS
             return signs, np.subtract(np.abs(vals, out=vals), bound, out=bound)
-
-    def _exact_line(self, slot: int, cell: Sequence[int]) -> List[int]:
-        """Integer coefficients of P on the line along `slot` through mesh cell `cell`."""
-        ms = [int(m[i]) for m, i in zip(self.nums, cell)]
-        line = [0] * (1 + max(key[slot] for key in self.coeffs))
-        for key, c in self.coeffs.items():
-            others = (m ** e for s, (m, e) in enumerate(zip(ms, key)) if s != slot)
-            line[key[slot]] += c * math.prod(others)
-        return line
 
     def signs(self) -> np.ndarray:
         """Exact signs of p on the mesh, an int8 array in {-1, 0, +1}.
@@ -382,62 +405,39 @@ class _MeshForm:
                 flat[index] = (total > 0) - (total < 0)
         return signs
 
-    def merge_mask(self, slot: int, signs: np.ndarray) -> np.ndarray:
-        """Edges along `slot` whose cells share a nonzero sign and a root-free segment.
+    def chord_mask(self, slot: int, signs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(merged, left): the same-sign edges along `slot` that stage (a) certifies, and the others.
 
-        signs are this mesh's exact signs, from `signs()`; the mask is shaped
-        like them with axis `slot` shortened by one.  Each same-sign edge is
-        certified root-free by the first stage that can, and each stage sees
-        only the edges the one before it left: (a) the face-wide chord test,
-        (b) the per-edge chord test, (c) Bernstein coefficients of one sign,
-        with de Casteljau halving, (d) an exact Sturm count of the
-        restriction.  Stage (c) also cuts an edge when it finds a value of
-        the other sign; an edge no stage certifies stays cut.
-
-        Both chord tests rest on linear interpolation: on a segment of step h
-        whose ends lo, hi have one sign, the chord L between P(lo) and P(hi)
-        stays at least min(|P(lo)|, |P(hi)|) from zero, and
-        |P(z) - L(z)| = |P''(xi)| (z - lo)(hi - z) / 2 <= h^2 / 8 max |P''|.
-        So min(|P(lo)|, |P(hi)|) > h^2 / 8 * D2, with D2 >= max |P''| on the
-        segment, proves the segment root-free.  The floor of `signs()` is a
-        lower bound on |P| at every cell (_kappa's margin covers the rounding
-        of its subtraction), so each test compares floors with a threshold
-        rounded up.
+        signs are this mesh's exact signs, from `signs()`; both masks are
+        shaped like them with axis `slot` shortened by one.  Stage (a) is the
+        face-wide chord test: one threshold for the mesh, at its largest step
+        along the slot, and every candidate edge between two cells whose
+        floors clear it merges.  The edges in `left` go to an _EdgeTable.
         """
         lo, hi = _edge_slices(signs.ndim, slot)
-        near = signs[lo]
-        candidates = near * signs[hi] > 0
+        candidates = signs[lo] * signs[hi] > 0
         if not candidates.any() or self.powers[slot][-1] == 0:
-            return candidates  # P is constant along every edge, or no edge is a candidate
-
-        # (a) one threshold for the face, at its largest step; cells over it
-        # certify every candidate edge between two of them
-        nums = self.nums[slot]
-        clear = self.floor > self._face_chord(slot, int(np.abs(np.diff(nums)).max()))
+            # P is constant along every edge, or no edge is a candidate
+            return candidates, np.zeros_like(candidates)
+        clear = self.floor > self._face_chord(slot, int(np.abs(np.diff(self.nums[slot])).max()))
         merged = clear[lo]
         merged &= clear[hi]
         merged &= candidates
-        rest = candidates ^ merged
-        if not rest.any():
-            return merged
+        return merged, candidates ^ merged
 
-        # (b), (c) and (d) on the edges that (a) leaves, each on what the one before leaves
-        cells = np.unravel_index(np.flatnonzero(rest), rest.shape)
-        lines, sizes = self._lines(slot)
-        free = self._edge_chord(slot, cells, lines, sizes)
-        merged[tuple(index[free] for index in cells)] = True
-        if free.all():
-            return merged
-        cells = tuple(index[~free] for index in cells)
-        rows = (_edge_rows(part, cells, slot) for part in (lines, sizes))
-        coeffs, bounds = self._bernstein(slot, cells, *rows)
-        coeffs *= near[cells][:, None]  # orient each edge so that its ends are positive
-        free, rooted = _bernstein_decide(coeffs, bounds)
-        for e in np.flatnonzero(~free & ~rooted):
-            cell = [int(index[e]) for index in cells]
-            ends = sorted(int(m) for m in nums[cell[slot]:cell[slot] + 2])
-            # ends are nonzero: no root sits on one
-            free[e] = _sturm_count(self._exact_line(slot, cell), *ends) == 0
+    def merge_mask(self, slot: int, signs: np.ndarray) -> np.ndarray:
+        """Edges along `slot` whose cells share a nonzero sign and a root-free segment.
+
+        Stage (a) (`chord_mask`), then one _EdgeTable cascade over the edges
+        it leaves; the mask is shaped like `signs` with axis `slot`
+        shortened by one.  cube_section_sample and slice_count split the
+        two, so that one cascade decides the edges of every mesh they sample.
+        """
+        merged, left = self.chord_mask(slot, signs)
+        cells = np.nonzero(left)
+        table = _EdgeTable()
+        table.add(self, slot, cells, signs)
+        free = table.cascade()
         merged[tuple(index[free] for index in cells)] = True
         return merged
 
@@ -463,102 +463,35 @@ class _MeshForm:
         except OverflowError:
             return math.inf
 
-    def _lines(self, slot: int) -> Tuple[np.ndarray, np.ndarray]:
-        """(c, a): P on every mesh line along `slot`, and the sizes of its coefficients.
+    def _edge_lines(self, slot: int, lines: Tuple[np.ndarray, ...]) -> np.ndarray:
+        """(c, a): P on each mesh line `lines` along `slot`, and the sizes of its coefficients.
 
-        The contraction stops one axis early (an identity column on `slot`),
-        which leaves the restriction q(m) = sum_j c_j m^j of every line: both
-        arrays are shaped like the mesh without the slot axis, plus a last
-        axis for the exponents powers[slot].  a is the same contraction of |C|
-        with |m|, a float of the sum A_j of the |terms| of c_j: c_j is within
-        gamma_K A_j of its exact value, K = _roundings().
+        lines holds one index array per varying axis but the slot (none on a
+        1-D mesh, which is one line).  Every axis but the slot is contracted
+        with the line's own row of its columns, one axis at a time, which
+        leaves the restriction q(m) = sum_j c_j m^j of each line: c and a are
+        stacked in an array of shape (lines, 2, len(powers[slot])).  a is the
+        same contraction of |C| with |m|, a float of the sum A_j of the
+        |terms| of c_j: c_j is within gamma_K A_j of its exact value, and
+        A_j <= a_j / (1 - gamma_K), K = _roundings(skip=slot).
         """
-        eye = np.eye(len(self.powers[slot]))
+        others = [s for s in range(len(self.varying)) if s != slot]
+        # (c, a) stacked on a first axis of 2 all the way: the slot axis next
+        order = (0, slot + 1) + tuple(1 + s for s in others)
+        acc = np.stack([self.dense, np.abs(self.dense)]).transpose(order)
         with np.errstate(over="ignore", invalid="ignore"):
-            return tuple(
-                np.moveaxis(_contract(d, cols), slot, -1)
-                for d, cols in (
-                    (self.dense, [eye if s == slot else c for s, c in enumerate(self.columns)]),
-                    (np.abs(self.dense), [eye if s == slot else m for s, m in enumerate(self.magnitudes)]),
-                )
-            )
-
-    def _edge_chord(
-        self, slot: int, cells: Tuple[np.ndarray, ...], lines: np.ndarray, sizes: np.ndarray
-    ) -> np.ndarray:
-        """The chord test of each edge `cells` along `slot`, with D2 from the edge's own line.
-
-        lines and sizes come from `_lines`.  On the segment |m| <= M, the
-        larger |m| of its two ends, so |q''| <= D2 = sum_j j (j - 1) |c_j|
-        M^(j-2).  The float c~_j is within
-        gamma_K A_j of c_j, and A_j <= a_j / (1 - gamma_K) for the float size
-        a_j, so |c_j| <= |c~_j| + kappa eps a_j: kappa eps is at least 16 times
-        gamma_K / (1 - gamma_K).  Unlike D2_s, the c_j carry the cancellation
-        between the terms of P across the other axes.
-        """
-        pw = np.array(self.powers[slot])
-        curved = pw >= 2  # the exponents with a second derivative
-        j = pw[curved]
-        at = cells[slot]
-        upper = cells[:slot] + (at + 1,) + cells[slot + 1:]
-        table = np.abs(self.power_table[slot])
-        nums = self.nums[slot].astype(np.float64)
-        steps = nums[1:] - nums[:-1]
-        # Each product of the sum carries at most degree roundings in
-        # M^(j-2) (np.vander multiplies cumulatively), 4 more in its weight
-        # j (j - 1) M^(j-2) * (h * h / 8 * slack) (/8 is exact; slack is
-        # exact, 1 plus a multiple of eps), 2 in the bound on |c_j|, 1
-        # multiplying the two and len(pw) - 1 in the sum over j.  Every term
-        # is positive, so the computed threshold is at least (1 - gamma_K)
-        # slack times the exact one, K = degree + len(pw) + 6, and kappa's
-        # margin makes that at least the exact one
-        slack = 1 + _kappa(self.degree + len(pw) + 6) * _FLOAT_EPS
-        with np.errstate(over="ignore", invalid="ignore"):
-            # one row of weights per edge position, shared by its edges
-            weights = np.maximum(table[:-1], table[1:])[:, j - 2] * (j * (j - 1)).astype(np.float64)
-            weights *= (steps * steps / 8 * slack)[:, None]
-            # per line, then per edge: its line's bounds on |c_j| against its position's weights
-            bound = np.abs(lines[..., curved])
-            bound += _kappa(self._roundings()) * _FLOAT_EPS * sizes[..., curved]
-            threshold = np.einsum("ej,ej->e", _edge_rows(bound, cells, slot), weights[at])
-            # nan (an overflowed line) certifies nothing
-            return np.minimum(self.floor[cells], self.floor[upper]) > threshold
-
-    def _bernstein(
-        self, slot: int, cells: Tuple[np.ndarray, ...], lines: np.ndarray, sizes: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Bernstein coefficients of P on the edges `cells` along `slot`, with error bounds.
-
-        lines and sizes are the edges' rows of `_lines`.  On the edge from m0
-        to m0 + h, q(m0 + h s) = sum_k a_k s^k with
-        a_k = h^k sum_j C(j, k) m0^(j-k) c_j, and the Bernstein coefficients
-        on [0, 1] are b_i = sum_k C(i, k) / C(deg, k) a_k.  Both steps are one
-        matrix per edge position along the slot, shared by its edges, and
-        applied one exponent j at a time.
-        """
-        pw = self.powers[slot]
-        degree = pw[-1]
-        binomials, change = _bernstein_tables(degree)
-        at = cells[slot]
-        nums = self.nums[slot]
-        with np.errstate(over="ignore", invalid="ignore"):
-            # taylor[i, j, k] = C(j, k) m0^(j-k) h^k at edge position i; k > j
-            # has C(j, k) = 0, whatever power of m0 it picks
-            steps = np.vander((nums[1:] - nums[:-1]).astype(np.float64), degree + 1, increasing=True)
-            shift = np.maximum(np.subtract.outer(pw, np.arange(degree + 1)), 0)
-            taylor = binomials[pw] * self.power_table[slot][:-1][:, shift] * steps[:, None, :]
-            coeffs, bounds = np.zeros((2, len(at), degree + 1))
-            for out, line, convert in ((coeffs, lines, taylor), (bounds, sizes, np.abs(taylor))):
-                matrices = convert @ change
-                for j in range(len(pw)):
-                    out += line[:, j, None] * matrices[at, j]
-            # Each product C_T prod m^e C(j, k) m0^(j-k) h^k C(b, k) / C(deg, k)
-            # carries, on the slot axis: at most degree - 1 roundings in the
-            # powers of m0 and h, 2 converting the two binomial factors, 4
-            # products, degree in the sum over k and len(pw) - 1 in the sum
-            # over j; _roundings counted degree + len(pw) for this axis
-            bounds *= _kappa(self._roundings() + self.degree + 4) * _FLOAT_EPS
-        return coeffs, bounds
+            for k, (s, index) in enumerate(reversed(list(zip(others, lines)))):
+                rows = np.stack([self.columns[s][index], self.magnitudes[s][index]])  # (2, lines, k_s)
+                if k == 0:  # the last axis against each line's row: a line axis after the first
+                    inner = acc.shape[1:-1]
+                    acc = rows @ acc.reshape(2, -1, acc.shape[-1]).transpose(0, 2, 1)
+                    acc = acc.reshape((2, len(index)) + inner)
+                else:  # the last axis against each line's own row
+                    rows = rows.reshape(rows.shape[:2] + (1,) * (acc.ndim - 4) + rows.shape[2:] + (1,))
+                    acc = (acc @ rows)[..., 0]
+        if not others:  # a 1-D mesh is one line
+            acc = acc[:, None]
+        return acc.transpose(1, 0, 2)
 
 
 def _halves(coeffs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -607,6 +540,222 @@ def _bernstein_decide(coeffs: np.ndarray, bounds: np.ndarray) -> Tuple[np.ndarra
     free = ~rooted
     free[owner] = False
     return free, rooted
+
+
+def _exact_line(coeffs: Dict[Tuple[int, ...], int], slot: int, ms: Sequence[int]) -> Tuple[int, ...]:
+    """Integer coefficients of P (`coeffs`, as in _MeshForm) on the line along `slot`.
+
+    ms are the numerators of the other varying axes, in order.
+    """
+    line = [0] * (1 + max(key[slot] for key in coeffs))
+    for key, c in coeffs.items():
+        line[key[slot]] += c * math.prod(m ** e for m, e in zip(ms, key[:slot] + key[slot + 1:]))
+    return tuple(line)
+
+
+class _EdgePart(NamedTuple):
+    """What stages (b)-(d) read of the edges one `_EdgeTable.add` call gathered."""
+
+    coeffs: Dict[Tuple[int, ...], int]  # the form's P, for the exact lines of stage (d)
+    slot: int
+    nums: List[np.ndarray]  # the form's numerators per varying axis
+    lines: Tuple[np.ndarray, ...]  # the distinct mesh lines of the edges, as in _MeshForm._edge_lines
+    powers: List[int]  # the exponents of the slot axis, one column of `rows` each
+    roundings: int  # K of the line coefficients
+    rows: np.ndarray  # (c~, a) of each line, shaped (lines, 2, powers)
+    line: np.ndarray  # the line of each edge
+    floor: np.ndarray  # the smaller lower bound on |P| of the two ends
+    ends: np.ndarray  # the slot numerators of the low and the high end, one row per edge
+    orient: np.ndarray  # the sign of both ends
+
+
+class _EdgeTable:
+    """The same-sign edges that stage (a) leaves, from any number of forms of one polynomial.
+
+    `add` gathers only what the later stages read (_EdgePart): per edge its
+    end floors, end numerators and sign, and per distinct mesh line of the
+    edges its coefficients, so that no line is contracted twice and none
+    without an edge.  `cascade` decides the whole table at once: (b) the
+    chord test per edge, (c) Bernstein coefficients and (d) exact Sturm
+    counts, each on the edges the one before it left; (b) and (c) take the
+    edges in batches of at most _CASCADE_FLOATS floats per array, which
+    bounds their float temporaries.  Edges from different forms meet in one
+    batch: their line coefficients are laid out over the union of the
+    exponent sets, with zeros where a form has no exponent, and each
+    rounding count K is the largest of the table's (a padded exponent
+    counts as a term of every sum over exponents).
+    """
+
+    def __init__(self):
+        self.parts: List[_EdgePart] = []
+        self.size = 0
+
+    def add(self, form: _MeshForm, slot: int, cells: Tuple[np.ndarray, ...], signs: np.ndarray) -> np.ndarray:
+        """Table index of each edge `cells` along `slot` of `form`, whose exact signs are `signs`."""
+        count = len(cells[slot])
+        first, self.size = self.size, self.size + count
+        if count:
+            at = cells[slot]
+            upper = cells[:slot] + (at + 1,) + cells[slot + 1:]
+            others = [index for s, index in enumerate(cells) if s != slot]
+            lines, line = (), np.zeros(count, dtype=np.intp)  # a 1-D mesh is one line
+            if others:  # the distinct lines, in C order, and each edge's rank among them
+                shape = tuple(n for s, n in enumerate(signs.shape) if s != slot)
+                ids = np.ravel_multi_index(others, shape)
+                used = np.zeros(math.prod(shape), dtype=bool)
+                used[ids] = True
+                lines = np.unravel_index(np.flatnonzero(used), shape)
+                line = np.cumsum(used)[ids] - 1
+            self.parts.append(_EdgePart(
+                form.coeffs, slot, form.nums, lines, form.powers[slot], form._roundings(skip=slot),
+                form._edge_lines(slot, lines), line,
+                np.minimum(form.floor[cells], form.floor[upper]),
+                form.nums[slot][np.stack([at, at + 1], axis=1)],
+                signs[cells],
+            ))
+        return np.arange(first, self.size)
+
+    def cascade(self) -> np.ndarray:
+        """Root-free mask of every edge in the table, in the order they were added.
+
+        The table is consumed: its parts' arrays are dropped once they are
+        laid out for the batches.
+        """
+        free = np.zeros(self.size, dtype=bool)
+        if not self.size:
+            return free
+        parts, self.parts = self.parts, []
+        exps = sorted({e for part in parts for e in part.powers})
+        column = {e: k for k, e in enumerate(exps)}
+        line_firsts = np.cumsum([0] + [len(part.rows) for part in parts])
+        rows = np.zeros((line_firsts[-1], 2, len(exps)))
+        for part, first, last in zip(parts, line_firsts, line_firsts[1:]):
+            rows[first:last, :, [column[e] for e in part.powers]] = part.rows
+        line = np.concatenate([part.line + first for part, first in zip(parts, line_firsts)])
+        floor, ends, orient = (
+            np.concatenate([getattr(part, name) for part in parts]) for name in ("floor", "ends", "orient")
+        )
+        roundings = max(part.roundings for part in parts)
+        edge_firsts = np.cumsum([0] + [len(part.line) for part in parts])
+        # stage (d) reads only each form's exact data
+        forms = [(part.coeffs, part.slot, part.nums, part.lines) for part in parts]
+        del parts
+
+        # (b) on a batch, (c) on what (b) leaves of it
+        left = []
+        size = max(1, _CASCADE_FLOATS // (2 * (exps[-1] + 1)))
+        for first in range(0, self.size, size):
+            batch = slice(first, first + size)
+            free[batch] = _edge_chord(exps, rows, roundings, line[batch], floor[batch], ends[batch])
+            rest = first + np.flatnonzero(~free[batch])
+            if len(rest):
+                coeffs, bounds = _bernstein(exps, rows[line[rest]], roundings, ends[rest])
+                coeffs *= orient[rest, None]  # orient each edge so that its ends are positive
+                certified, rooted = _bernstein_decide(coeffs, bounds)
+                free[rest[certified]] = True
+                left.append(rest[~certified & ~rooted])
+
+        # (d) on what (c) leaves: one exact line per mesh line of a form and
+        # slot, and one Sturm count per distinct line and ends
+        exact: Dict[int, Tuple[int, ...]] = {}
+        counts: Dict[tuple, bool] = {}
+        for e in np.concatenate(left) if left else ():
+            key = int(line[e])
+            if key not in exact:
+                k = int(np.searchsorted(edge_firsts, e, side="right")) - 1
+                coeffs, slot, nums, lines = forms[k]
+                at = key - line_firsts[k]
+                others = [s for s in range(len(nums)) if s != slot]
+                ms = [int(nums[s][index[at]]) for s, index in zip(others, lines)]
+                exact[key] = _exact_line(coeffs, slot, ms)
+            # ends are nonzero: no root sits on one
+            args = (exact[key], *sorted(ends[e].tolist()))
+            if args not in counts:
+                counts[args] = _sturm_count(*args) == 0
+            free[e] = counts[args]
+        return free
+
+
+def _edge_chord(
+    exps: List[int], rows: np.ndarray, roundings: int, line: np.ndarray, floor: np.ndarray, ends: np.ndarray
+) -> np.ndarray:
+    """Stage (b): the chord test of each edge, with D2 from the edge's own line.
+
+    rows[line[e]] holds c~_j and a_j of edge e's line (see
+    _MeshForm._edge_lines) at the exponents exps; floor[e] is the smaller
+    lower bound on |P| at its ends, and ends[e] their numerators along the
+    line.  On the segment |m| <= M, the larger |m| of its two ends, so
+    |q''| <= D2 = sum_j j (j - 1) |c_j| M^(j-2).  c~_j is within gamma_K A_j
+    of c_j, and A_j <= a_j / (1 - gamma_K), so |c_j| <= |c~_j| + kappa eps
+    a_j: kappa eps is at least 16 times gamma_K / (1 - gamma_K).  Unlike
+    D2_s, the c_j carry the cancellation between the terms of P across the
+    other axes.
+    """
+    j = np.array(exps)
+    curved = j >= 2  # the exponents with a second derivative
+    top = exps[-1]
+    reach = np.abs(ends).max(axis=1).astype(np.float64)
+    steps = (ends[:, 1] - ends[:, 0]).astype(np.float64)
+    width = max(top - 1, 1)  # the powers M^0 .. M^(top-2)
+    # Each product of the sum carries 2 roundings in the bound on |c_j|, 1
+    # multiplying it by j (j - 1), at most top in M^(j-2) (np.vander
+    # multiplies cumulatively), 1 multiplying the two, width - 1 in the sum
+    # over the powers and 3 in the factor h * h / 8 * slack and its product
+    # with the sum (/8 is exact; slack is exact, 1 plus a multiple of eps).
+    # Every term is positive, so the computed threshold is at least
+    # (1 - gamma_K) slack times the exact one, K = top + width + 6, and
+    # kappa's margin makes that at least the exact one
+    slack = 1 + _kappa(top + width + 6) * _FLOAT_EPS
+    with np.errstate(over="ignore", invalid="ignore"):
+        # per line: j (j - 1) times the bound on |c_j|, at column j - 2
+        bound = np.zeros((len(rows), width))
+        bound[:, j[curved] - 2] = np.abs(rows[:, 0, curved])
+        bound[:, j[curved] - 2] += _kappa(roundings) * _FLOAT_EPS * rows[:, 1, curved]
+        bound[:, j[curved] - 2] *= (j[curved] * (j[curved] - 1)).astype(np.float64)
+        # per edge: its line's bounds against M^0 .. M^(top-2)
+        threshold = np.einsum("ej,ej->e", bound[line], np.vander(reach, width, increasing=True))
+        threshold *= steps * steps / 8 * slack
+        # nan certifies nothing: an overflowed line, or an overflowed power
+        # of M against an exponent that no form of the table has (a zero)
+        return floor > threshold
+
+
+def _bernstein(
+    exps: List[int], rows: np.ndarray, roundings: int, ends: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Bernstein coefficients of P on each edge, with error bounds.
+
+    rows[e] holds c~_j and a_j of edge e's line at the exponents exps,
+    and ends[e] its end numerators m0 and m0 + h.  With
+    q(m0 + h s) = sum_k a_k s^k, a_k = h^k sum_t C(k + t, k) m0^t c_(k+t),
+    the Bernstein coefficients of degree D = max(exps) on [0, 1] are
+    b_i = sum_k C(i, k) / C(D, k) a_k (an edge whose line has a lower
+    degree gets its degree-elevated coefficients).  Each a_k is one
+    product-sum for all edges at once, so the only loop is over k; the
+    sizes a_j go through the same steps with |m0| and |h|.
+    """
+    top = exps[-1]
+    binomials, change = _bernstein_tables(top)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # (c~, a) at every power 0 .. D, zero where the table has no exponent
+        coeffs = np.zeros((len(rows), 2, top + 1))
+        coeffs[:, :, exps] = rows
+        # m0^t and h^k, and their absolute values for the sizes
+        starts = np.vander(ends[:, 0].astype(np.float64), top + 1, increasing=True)
+        steps = np.vander((ends[:, 1] - ends[:, 0]).astype(np.float64), top + 1, increasing=True)
+        starts = np.stack([starts, np.abs(starts)], axis=1)
+        taylor = np.empty_like(coeffs)
+        for k in range(top + 1):
+            shifted = starts[:, :, :top + 1 - k], coeffs[:, :, k:], binomials[k:, k]
+            taylor[:, :, k] = np.einsum("eit,eit,t->ei", *shifted)
+        taylor *= np.stack([steps, np.abs(steps)], axis=1)
+        out = taylor @ change
+        # Each product C_T prod m^e C(k + t, k) m0^t h^k C(b, k) / C(D, k)
+        # carries, past the roundings of its line coefficient: at most D - 1
+        # in the powers of m0 and h, 2 converting the two binomial factors,
+        # 4 products, D in the sum over t and D in the sum over k
+        out[:, 1] *= _kappa(roundings + 3 * top + 5) * _FLOAT_EPS
+    return out[:, 0], out[:, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -704,13 +853,17 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
     Requires a parabolically homogeneous p of degree >= 1 in ambient
     dimension 2..4.  Each face is evaluated once, on its cell centers plus
     the cube edges around it (_face_values); that one form gives the face's
-    exact signs, root-free merge masks and run graph, and its float arrays
-    are dropped before the next face.  Its run ids follow the earlier
-    faces', and the two cells beside a cube edge it shares with an earlier
-    face merge when both stitch legs are certified root-free.  If sampled
-    zeros exceed 0.1% of cells the grid is jittered once by the fixed
-    rational offset 1/(6*resolution); the unjittered pass stops at the face
-    where they do.
+    exact signs, the face-wide chord test of each in-face edge and stitch
+    leg, and the table rows of the edges that test leaves, and its float
+    arrays are dropped before the next face.  The face's runs are cut at
+    every edge still undecided, and their ids follow the earlier faces'.
+    Two cells beside a cube edge the face shares with an earlier face
+    stitch when both legs are certified root-free.  After the last face one
+    _EdgeTable cascade decides the table; each merged edge becomes a graph
+    edge between the runs at its ends, and a stitch whose legs waited on
+    the cascade joins when both merge.  If sampled zeros exceed 0.1% of
+    cells the grid is jittered once by the fixed rational offset
+    1/(6*resolution); the unjittered pass stops at the face where they do.
     """
     degree = parabolic_degree(p)  # raises NotHomogeneous / ZeroPolynomialError
     if degree < 1:
@@ -722,13 +875,20 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
         raise NodalError(f"counting supports ambient dimension 2..4, got {ambient}")
     if resolution < 2:
         raise NodalError("resolution must be >= 2")
+    _check_mesh_cells(resolution + 2, ambient - 1)
 
     for jittered in (False, True):
         grid = CrossSectionGrid(ambient, resolution, jittered)
+        table = _EdgeTable()
         face_signs, node_signs, edges = [], [], []
+        # graph edges that wait for the cascade: the node ids of their ends
+        # and the table indices of the two edges that must merge (an
+        # in-face edge gives its own twice, a stitch its two legs)
+        waiting: List[Tuple[np.ndarray, ...]] = []
         # (face, later neighbour face) -> node ids of the face's cells next to
-        # the cube edge they share, and the merge masks of their stitch legs
-        legs: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
+        # the cube edge they share, and their stitch legs: which ones stage
+        # (a) certified, and None or the cells and table indices of those it left
+        legs: Dict[Tuple[int, int], tuple] = {}
         zeros = offset = 0
         for face in range(grid.face_count):
             form = _MeshForm(p, _face_values(grid, face), grid.denominator)
@@ -737,35 +897,71 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
             zeros += int(np.count_nonzero(signs[inner] == 0))
             if not jittered and zeros / grid.cell_count > _JITTER_ZERO_FRACTION:
                 break  # too many zeros: resample on the jittered grid
-            # one merge mask per mesh axis covers the in-face edges (between
-            # inner cells) and the stitch legs (from a cell next to a side of
-            # the face to the cube edge beyond it)
-            merges = [form.merge_mask(slot, signs) for slot in range(signs.ndim)]
+            # stage (a) per mesh axis covers the in-face edges (between inner
+            # cells) and the stitch legs (from a cell next to a side of the
+            # face to the cube edge beyond it); the table takes what it leaves
+            chords, waits = [], []
+            for slot in range(signs.ndim):
+                merged, left = form.chord_mask(slot, signs)
+                for s in range(signs.ndim):
+                    if s != slot:  # edges along the face's rim are in no graph
+                        left[(slice(None),) * s + (0,)] = left[(slice(None),) * s + (-1,)] = False
+                cells = np.unravel_index(np.flatnonzero(left), left.shape)
+                del left  # before the next axis's masks
+                chords.append(merged)
+                waits.append((cells, table.add(form, slot, cells, signs)))
             del form  # its per-cell floats, before the face's graph is built
             inside = signs[inner]
-            starts, runs, face_rows, face_cols = _probed_runs(inside, [m[inner] for m in merges])
+            starts, runs, face_rows, face_cols = _probed_runs(inside, [m[inner] for m in chords])
             axis = grid.face_axis_sign(face)[0]
-            for slot, mask in enumerate(merges):
+            for slot, (merged, (cells, refs)) in enumerate(zip(chords, waits)):
+                if len(refs):
+                    # the table's edges in the coordinates of `inside`: a leg
+                    # from the low cube edge starts at -1 along the slot, and
+                    # one to the high cube edge at the last index
+                    cells = [index - 1 for index in cells]
+                    at, last = cells[slot], inside.shape[slot] - 1
+                    within = (at >= 0) & (at < last)
+                    ends = _edge_ends(starts, inside.shape, slot, [index[within] for index in cells], offset)
+                    waiting.append(ends + (refs[within],) * 2)
                 # mesh axes are the other coordinates in order; the low side of
                 # the slot borders the face at -1 on that axis, the high side +1
                 other = slot + (slot >= axis)
                 for i, neighbour in ((0, 2 * other), (-1, 2 * other + 1)):
                     ids = _run_ids(starts, _side_cells(inside.shape, slot, i)) + offset
-                    leg = mask.take(i, axis=slot)[inner[1:]]
+                    certified = merged.take(i, axis=slot)[inner[1:]]
+                    pending = None
+                    if len(refs):  # the legs on this side that wait for the cascade
+                        on_side = at == (last if i else -1)
+                        pending = [index[on_side] for s, index in enumerate(cells) if s != slot]
+                        pending = pending, refs[on_side]
                     if neighbour > face:
-                        legs[face, neighbour] = ids, leg
-                    else:  # the neighbour came earlier: stitch where both legs merge
-                        near, near_legs = legs.pop((neighbour, face))
-                        both = near_legs & leg
-                        edges.append((near[both], ids[both]))
+                        legs[face, neighbour] = ids, certified, pending
+                        continue
+                    # the neighbour came earlier: stitch where both legs merge,
+                    # now if stage (a) certified both, else after the cascade
+                    near, near_certified, near_pending = legs.pop((neighbour, face))
+                    both = near_certified & certified
+                    edges.append((near[both], ids[both]))
+                    if any(side is not None and len(side[1]) for side in (near_pending, pending)):
+                        first, second = _leg_refs(near_certified, near_pending), _leg_refs(certified, pending)
+                        later = (first != _CUT) & (second != _CUT) & ((first >= 0) | (second >= 0))
+                        near, ids = near.reshape(-1)[later], ids.reshape(-1)[later]
+                        waiting.append((near, ids, first[later], second[later]))
             face_signs.append(inside)
             node_signs.append(runs)
             # in place: a shifted copy would keep the unshifted ids alive into the next face
             edges.append(tuple(np.add(part, offset, out=part) for part in (face_rows, face_cols)))
             offset += len(runs)
-            del merges, mask, starts  # before the next face's form is built
+            del chords, merged, starts  # before the next face's form is built
         else:
-            break  # every face sampled
+            # every face sampled: one cascade, and the graph edges that waited on it
+            if waiting:
+                merges = np.append(table.cascade(), True)  # _CERTIFIED reads the last entry
+                rows, cols, first, second = (np.concatenate(part) for part in zip(*waiting))
+                ok = merges[first] & merges[second]
+                edges.append((rows[ok], cols[ok]))
+            break
     rows, cols = (np.concatenate(part) for part in zip(*edges))
     return SignField(grid, tuple(face_signs), zeros, np.concatenate(node_signs), rows, cols)
 
@@ -812,6 +1008,34 @@ def _probed_runs(signs: np.ndarray, merges: Sequence[np.ndarray]) -> Tuple[np.nd
 def _run_ids(starts: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """Node id of each flat cell index: its run is the last one starting at or before it."""
     return np.searchsorted(starts, cells, side="right") - 1
+
+
+def _leg_refs(certified: np.ndarray, pending: Optional[tuple]) -> np.ndarray:
+    """Per stitch leg of one face side, flat: its table index, or _CERTIFIED or _CUT if stage (a) decided it.
+
+    certified marks the legs stage (a) certified, shaped like the cells of
+    the side; pending is None or (cells, refs): the legs stage (a) left, one
+    index array per axis of that shape, and their table indices.
+    """
+    out = np.where(certified, _CERTIFIED, _CUT).reshape(-1)
+    if pending is not None:
+        cells, refs = pending
+        flat = np.ravel_multi_index(tuple(cells), np.shape(certified)) if cells else np.zeros(len(refs), int)
+        out[flat] = refs
+    return out
+
+
+def _edge_ends(
+    starts: np.ndarray, shape: Tuple[int, ...], slot: int, cells: Sequence[np.ndarray], offset: int = 0
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Node ids (plus offset) of the low and the high cell of each edge `cells` along `slot`.
+
+    cells has one index array per axis of a mesh of `shape`, whose runs
+    start at the flat indices `starts` (_probed_runs).
+    """
+    low = np.ravel_multi_index(tuple(cells), shape)
+    high = low + math.prod(shape[slot + 1:])
+    return _run_ids(starts, low) + offset, _run_ids(starts, high) + offset
 
 
 def _side_cells(shape: Tuple[int, ...], slot: int, index: int) -> np.ndarray:
@@ -872,6 +1096,9 @@ def nodal_count(p: Polynomial, schedule: Optional[Sequence[int]] = None) -> Comp
         if ambient not in DEFAULT_SCHEDULES:
             raise NodalError(f"no default schedule for ambient dimension {ambient}")
         schedule = DEFAULT_SCHEDULES[ambient]
+    for r in schedule:  # int() would truncate 16.9 to 16 silently
+        if isinstance(r, bool) or not isinstance(r, (int, np.integer)):
+            raise NodalError(f"schedule entries must be integers, got {r!r}")
     schedule = [int(r) for r in schedule]
     if len(schedule) < 3:
         raise NodalError("schedule needs at least three resolutions")
@@ -924,8 +1151,10 @@ def slice_count(
     that no slice structure lies outside the box (the caveat flag is then
     settled by exact Sturm root counting), and 4 otherwise.  The default
     resolution (cells per axis) is 512 for n <= 2 and 64 for n >= 3, where
-    512^3 cells would not fit in memory.  Cells are labeled as on the cube:
-    root-free merge masks, runs (_probed_runs) and one _components call.
+    512^3 cells would not fit in memory (MAX_MESH_CELLS refuses larger
+    boxes).  Cells are labeled as on the cube: the face-wide chord test, runs
+    (_probed_runs) cut at the edges it leaves, one _EdgeTable cascade whose
+    merges join the runs, and one _components call.
     """
     n = p.spatial_dim
     if resolution is None:
@@ -945,6 +1174,7 @@ def slice_count(
         raise NodalError("box half-width must be positive")
     if resolution < 2:
         raise NodalError("resolution must be >= 2")
+    _check_mesh_cells(resolution, n)
 
     nums = radius.numerator * (2 * np.arange(resolution, dtype=np.int64) + 1 - resolution)
     den = radius.denominator * resolution
@@ -954,8 +1184,20 @@ def slice_count(
     if v.is_zero or not (signs != 0).any():
         return SliceReport(0, 0, 0, True, radius, resolution)
 
-    merges = [form.merge_mask(slot, signs) for slot in range(n)]
-    starts, node_signs, rows, cols = _probed_runs(signs, merges)
+    # stage (a) per axis, then one cascade over the edges it leaves
+    table = _EdgeTable()
+    chords, waits = [], []
+    for slot in range(n):
+        merged, left = form.chord_mask(slot, signs)
+        cells = np.unravel_index(np.flatnonzero(left), left.shape)
+        chords.append(merged)
+        waits.append((cells, table.add(form, slot, cells, signs)))
+    starts, node_signs, rows, cols = _probed_runs(signs, chords)
+    merges = table.cascade()
+    edges = [(rows, cols)]
+    for slot, (cells, refs) in enumerate(waits):
+        edges.append(_edge_ends(starts, signs.shape, slot, [index[merges[refs]] for index in cells]))
+    rows, cols = (np.concatenate(part) for part in zip(*edges))
     _, labels = _components(len(node_signs), rows, cols)
     positive, negative = _sign_split(labels, node_signs)
 

@@ -173,6 +173,8 @@ def test_parse_error_exits_four(capsys):
         "count --gen zero-mod4 -d 20 --eps 1/4 --rot angle:0.2",
         # at x = 1 the term x^64 scales to 70000^64, beyond the float range
         "count --expr x^64 -n 1 --schedule 70000,70001,70002",
+        # one face of 40002^2 cells is past MAX_MESH_CELLS: refused before any allocation
+        "count --fixture n2d3 --schedule 40000,40001,40002",
     ],
 )
 def test_counting_errors_exit_four(capsys, argv):

@@ -25,6 +25,7 @@ from calorics import (
     scan_epsilon,
     zero_mod4,
 )
+from calorics.nodal import NodalError
 
 ROT = (F(3, 5), F(4, 5))
 
@@ -305,3 +306,11 @@ def test_scan_table_is_descending_and_complete():
     grid = [F(1, 8), F(1, 32), F(1, 16)]
     result = scan_epsilon(spec, grid, target=2, schedule=[32, 48, 64])
     assert [row.epsilon for row in result.rows] == sorted(grid, reverse=True)
+
+
+def test_scan_refuses_a_schedule_that_is_not_integral():
+    # the schedule goes through to nodal_count, which refuses 16.9 rather
+    # than counting at int(16.9) = 16
+    spec = ConstructionSpec("odd", d=3, epsilon=F(1))
+    with pytest.raises(NodalError, match="integer"):
+        scan_epsilon(spec, [F(1)], target=2, schedule=[16.9, 32.2, 64.7])

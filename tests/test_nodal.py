@@ -38,7 +38,7 @@ from calorics.nodal import (
     _probed_runs,
     _sturm_count,
 )
-from calorics.polyring import NotHomogeneous
+from calorics.polyring import NotHomogeneous, parabolic_degree
 from conftest import homogeneous_polynomials
 
 
@@ -427,6 +427,37 @@ def test_nodal_count_schedule_validation():
         nodal_count(p, [32, 32, 64])
 
 
+@pytest.mark.parametrize(
+    "schedule",
+    [
+        [16.9, 32.2, 64.7],  # int() would run it as 16, 32, 64
+        np.array([16.0, 32.0, 64.0]),
+        [True, 32, 64],
+        ["16", "32", "64"],
+    ],
+)
+def test_nodal_count_rejects_a_schedule_entry_that_is_not_an_integer(schedule):
+    with pytest.raises(NodalError, match="integer"):
+        nodal_count(fixture("n2d3"), schedule)
+
+
+def test_nodal_count_accepts_numpy_integer_schedules():
+    p = fixture("deg2")
+    assert nodal_count(p, np.array([16, 32, 64])) == nodal_count(p, [16, 32, 64])
+
+
+def test_mesh_size_cap_is_checked_before_sampling():
+    # (40000 + 2)^2 cells of one face would take 12 GB per float array
+    with pytest.raises(NodalError, match="cap"):
+        cube_section_sample(fixture("n2d3"), 40000)
+    with pytest.raises(NodalError, match="cap"):
+        slice_count(fixture("n3d4"), 4, 256)
+    side = math.isqrt(nodal.MAX_MESH_CELLS)
+    assert side ** 2 <= nodal.MAX_MESH_CELLS < (side + 1) ** 2
+    with pytest.raises(NodalError, match="cap"):
+        slice_count(fixture("n2d3"), 4, side + 1)
+
+
 def test_nodal_count_report_shape():
     report = nodal_count(fixture("deg2"), [16, 32, 64])
     assert report.stable
@@ -483,10 +514,29 @@ def test_single_resolution_counts_are_pinned(name, resolution, expected):
     "n, d, expected",
     [(2, 8, (22, 10, 12)), (2, 10, (36, 18, 18)), (2, 12, (46, 22, 24)), (3, 6, (20, 7, 13))],
 )
-def test_product_family_counts_at_default_schedules(n, d, expected):
+def test_product_family_counts_at_default_schedules(monkeypatch, n, d, expected):
+    # stage (d) counts each distinct (integer line, ends) once per cross-section
+    sections = []
+    sample, sturm = nodal.cube_section_sample, nodal._sturm_count
+
+    def recording_sample(*args):
+        sections.append([])
+        return sample(*args)
+
+    def recording_sturm(line, a, b):
+        sections[-1].append((tuple(line), a, b))
+        return sturm(line, a, b)
+
+    monkeypatch.setattr(nodal, "cube_section_sample", recording_sample)
+    monkeypatch.setattr(nodal, "_sturm_count", recording_sturm)
     report = nodal_count(product_lower(n, d))
     assert (report.total, report.positive, report.negative) == expected
     assert report.stable
+    for calls in sections:
+        assert len(set(calls)) == len(calls)
+    if (n, d) == (3, 6):
+        # the distinct (line, ends) of the three cross-sections: 22, 47 and 95
+        assert sum(map(len, sections)) <= 164
 
 
 def test_mean_value_consequence_every_caloric_fixture_has_two_domains():
@@ -548,6 +598,77 @@ def test_probed_runs_partition_matches_per_cell_graph(mesh):
     # equal partitions: the pairs of labels form a bijection
     pairs = set(zip(runs.tolist(), cells.tolist()))
     assert len(pairs) == len(set(runs.tolist())) == len(set(cells.tolist()))
+
+
+def _reference_split(p, field):
+    """(pos, neg) of the per-cell graph of `field`'s grid, from full merge masks.
+
+    Each face is labelled by _cell_partition from merge_mask on its inner
+    cells; a leg joins a side cell to the cube-edge point beyond it, and two
+    merged legs to one point join their cells.
+    """
+    grid = field.grid
+    den, nums = grid.denominator, [int(m) for m in grid.numerators]
+    parent, signs, offset = {}, [], 0
+    points = {}
+
+    def root(x):
+        while parent.setdefault(x, x) != x:
+            x = parent[x]
+        return x
+
+    for face in range(grid.face_count):
+        axis, sign = grid.face_axis_sign(face)
+        varying = [a for a in range(grid.ambient) if a != axis]
+        mesh = np.array([-den] + nums + [den], dtype=np.int64)
+        values = [mesh if a != axis else sign * den for a in range(grid.ambient)]
+        form = _MeshForm(p, values, den)
+        face_signs = form.signs()
+        masks = [form.merge_mask(slot, face_signs) for slot in range(len(varying))]
+        inner = (slice(1, -1),) * len(varying)
+        inside = face_signs[inner]
+        assert np.array_equal(inside, field.face_signs[face])
+        labels = _cell_partition(inside, [m[inner] for m in masks]) + offset
+        offset += inside.size
+        signs.append((labels.ravel(), inside.ravel()))
+        for slot, b in enumerate(varying):
+            for i, edge in ((0, -den), (-1, den)):
+                legs = masks[slot].take(i, axis=slot)[inner[1:]]
+                side = labels.take(i, axis=slot)
+                for cell in filter(lambda c: legs[c], np.ndindex(np.shape(legs))):
+                    point = [sign * den if a == axis else None for a in range(grid.ambient)]
+                    point[b] = edge
+                    for a, k in zip([a for a in varying if a != b], cell):
+                        point[a] = nums[k]
+                    points.setdefault(tuple(point), []).append(int(side[cell]))
+    for members in points.values():
+        if len(members) == 2:
+            parent[root(members[0])] = root(members[1])
+    labels, cell_signs = (np.concatenate(part) for part in zip(*signs))
+    return tuple(
+        len({root(int(x)) for x in labels[cell_signs == s]}) for s in (1, -1)
+    )
+
+
+@given(homogeneous_polynomials(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_cascade_graph_matches_per_cell_graph_of_full_merge_masks(p, data):
+    # the run graph is cut at every edge the face-wide chord test leaves,
+    # and the cascade's merges come back as explicit edges and stitches: the
+    # partition must be the one of the per-cell graph of full merge masks
+    resolution = data.draw(st.integers(min_value=2, max_value=12))
+    n, d = p.spatial_dim, parabolic_degree(p)
+    if n >= 2 and d >= 2 and data.draw(st.booleans()):
+        # a 10^20-scaled band with two roots on the stitch leg from the last
+        # cell center to the cube edge x_b = x_c = 1 and none on the other
+        # leg: only that leg's cut keeps the cells on either side apart
+        b, c = data.draw(st.permutations(range(n)))[:2]
+        xb, xc = Polynomial.variable(n, b), Polynomial.variable(n, c)
+        band = (xb.scale(4 * resolution) - xc.scale(4 * resolution - 2)) ** 2 - xc * xc
+        p = p + (band * xc ** (d - 2)).scale(10 ** 20)
+    field = cube_section_sample(p, resolution)
+    report = count_components(field)
+    assert (report.positive, report.negative) == _reference_split(p, field)
 
 
 @pytest.mark.parametrize(
@@ -621,6 +742,26 @@ def test_one_float_pass_per_face_and_resolution(monkeypatch):
     passes.clear()
     nodal_count(fixture("n3d4"), [8, 12, 16])
     assert len(passes) == 8 * 3
+
+
+def test_one_cascade_per_cross_section(monkeypatch):
+    # every edge that stage (a) leaves, on any face, meets the others in one
+    # _EdgeTable, so stage (c) runs at most once per cross-section
+    calls = []
+    decide = nodal._bernstein_decide
+
+    def recording(coeffs, bounds):
+        calls.append(len(coeffs))
+        return decide(coeffs, bounds)
+
+    monkeypatch.setattr(nodal, "_bernstein_decide", recording)
+    for name, schedule in (("n2d4", [64, 128, 256]), ("n3d4", [8, 12, 16]), ("prod_n2d4", [16, 32, 64])):
+        calls.clear()
+        nodal_count(fixture(name), schedule)
+        assert len(calls) <= len(schedule)
+    calls.clear()
+    nodal_count(product_lower(3, 6), [8, 12, 16])
+    assert 1 <= len(calls) <= 3
 
 
 # ---- exact root counting ----
