@@ -28,6 +28,7 @@ from .constructions import (
     scan_epsilon,
 )
 from .nodal import (
+    MAX_COUNT_DEGREE,
     BoundViolation,
     NodalError,
     bounds_report,
@@ -36,6 +37,7 @@ from .nodal import (
     slice_count,
 )
 from .polyring import (
+    MAX_POWER_DEGREE,
     Polynomial,
     PolynomialError,
     format_rational,
@@ -140,6 +142,18 @@ def _reject_unread_flags(args, read: Sequence[str], what: str) -> None:
             raise CliError(f"{text} does not apply to {what}")
 
 
+def _check_degree(d: int, command: str) -> None:
+    """Raise CliError (exit 4) for a -d that `command` refuses, before any family is built.
+
+    count and scan stop at the counting cap; the other commands at the
+    exact ring's power cap, which --expr has too.
+    """
+    counting = command in ("count", "scan")
+    cap = MAX_COUNT_DEGREE if counting else MAX_POWER_DEGREE
+    if d > cap:
+        raise CliError(f"-d {d} exceeds the {'counting' if counting else 'power'} cap {cap}")
+
+
 def _generate(name: str, args) -> Tuple[Polynomial, dict]:
     """Materialize the polynomial described by the family `name` and the generator flags."""
     family = _FAMILY_ALIASES.get(name)
@@ -156,6 +170,7 @@ def _generate(name: str, args) -> Tuple[Polynomial, dict]:
         return fixture(args.fixture_id), meta
     if args.d is None:
         raise CliError(f"{name} needs -d")
+    _check_degree(args.d, args.command)
     if family == "basic":
         if args.n not in (None, 1):
             raise CliError(f"basic family needs n = 1, got n = {args.n}")
@@ -367,6 +382,7 @@ def _cmd_scan(args) -> int:
     family = _FAMILY_ALIASES.get(args.family)
     if family not in ("lewy", "odd", "zero_mod_4"):
         raise CliError(f"scan supports the perturbation families, got {args.family!r}")
+    _check_degree(args.d, args.command)
     rotation = _parse_rotation(args.rot)
     if args.eps_grid is not None:
         grid = [_rational(part, "eps-grid entry") for part in args.eps_grid.split(",") if part.strip()]

@@ -22,9 +22,9 @@ from every component; if more than 0.1% of cells are zero the grid is
 jittered by 1/(6r) and resampled once.  cube_section_sample evaluates each
 face once, on its cell centers plus the cube edges around it: that one form
 gives the face's exact signs, the first merge stage below and its graph of
-runs, which the same pass stitches to the earlier faces' graph across cube
-edges.  The edges the first stage leaves wait in one table for the whole
-cross-section, and one cascade decides them after the last face.
+runs.  The edges the first stage leaves wait in one table for the whole
+cross-section; one cascade decides them after the last face, and the
+stitches across cube edges are then decided from each face side's leg mask.
 
 Adjacency is certified: two same-sign cells sharing a facet merge only when
 the segment joining their centers is proven free of roots of p.  Four
@@ -102,15 +102,15 @@ DEFAULT_SCHEDULES: Dict[int, Tuple[int, ...]] = {
 }
 MAX_COUNT_DEGREE = 64
 # The most cells one sampled mesh may hold: a cube face with the cube edges
-# around it ((r + 2)^(n) for n space variables), or the slice box (r^n).  Each
-# float array of such a mesh takes 8 bytes a cell, 32 MiB at the cap; it
-# admits r = 2046 for n = 2 and r = 159 for n = 3, far past the defaults.
+# around it ((r + 2)^(n) for n space variables), the slice box (r^n), or the
+# 2r x r sphere grid of export and the float oracle.  Each float array of such
+# a mesh takes 8 bytes a cell, 32 MiB at the cap; it admits r = 2046 for a
+# cube face at n = 2, r = 159 at n = 3 and r = 1448 on the sphere, far past
+# the defaults.
 MAX_MESH_CELLS = 2 ** 22
 _JITTER_ZERO_FRACTION = 1e-3
 _EXPORT_SHELLS = 8  # sphere radii sampled across the export annulus
 _FLOAT_EPS = float(np.finfo(np.float64).eps)
-# table indices of stitch legs that stage (a) decided, merged or cut
-_CERTIFIED, _CUT = -1, -2
 
 
 class NodalError(Exception):
@@ -857,13 +857,13 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
     leg, and the table rows of the edges that test leaves, and its float
     arrays are dropped before the next face.  The face's runs are cut at
     every edge still undecided, and their ids follow the earlier faces'.
-    Two cells beside a cube edge the face shares with an earlier face
-    stitch when both legs are certified root-free.  After the last face one
-    _EdgeTable cascade decides the table; each merged edge becomes a graph
-    edge between the runs at its ends, and a stitch whose legs waited on
-    the cascade joins when both merge.  If sampled zeros exceed 0.1% of
-    cells the grid is jittered once by the fixed rational offset
-    1/(6*resolution); the unjittered pass stops at the face where they do.
+    After the last face one _EdgeTable cascade decides the table: each
+    merged in-face edge becomes a graph edge between the runs at its ends,
+    and the stitches are decided from each face side's leg mask, two cells
+    beside a shared cube edge joining when both legs are root-free.  If
+    sampled zeros exceed 0.1% of cells the grid is jittered once by the
+    fixed rational offset 1/(6*resolution); the unjittered pass stops at
+    the face where they do.
     """
     degree = parabolic_degree(p)  # raises NotHomogeneous / ZeroPolynomialError
     if degree < 1:
@@ -881,14 +881,11 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
         grid = CrossSectionGrid(ambient, resolution, jittered)
         table = _EdgeTable()
         face_signs, node_signs, edges = [], [], []
-        # graph edges that wait for the cascade: the node ids of their ends
-        # and the table indices of the two edges that must merge (an
-        # in-face edge gives its own twice, a stitch its two legs)
+        # in-face graph edges that wait for the cascade: end node ids, table indices
         waiting: List[Tuple[np.ndarray, ...]] = []
-        # (face, later neighbour face) -> node ids of the face's cells next to
-        # the cube edge they share, and their stitch legs: which ones stage
-        # (a) certified, and None or the cells and table indices of those it left
-        legs: Dict[Tuple[int, int], tuple] = {}
+        # (face, neighbour face) -> the face's cells next to their cube edge, flat: node ids,
+        # the stage (a) merge mask of their stitch legs, and positions and table indices of those it left
+        sides: Dict[Tuple[int, int], Tuple[np.ndarray, ...]] = {}
         zeros = offset = 0
         for face in range(grid.face_count):
             form = _MeshForm(p, _face_values(grid, face), grid.denominator)
@@ -915,39 +912,28 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
             starts, runs, face_rows, face_cols = _probed_runs(inside, [m[inner] for m in chords])
             axis = grid.face_axis_sign(face)[0]
             for slot, (merged, (cells, refs)) in enumerate(zip(chords, waits)):
+                # the table's edges in the coordinates of `inside`: a leg from the low cube
+                # edge starts at -1 along the slot, and one to the high cube edge at the last index
+                cells = [index - 1 for index in cells]
+                at, last = cells[slot], inside.shape[slot] - 1
                 if len(refs):
-                    # the table's edges in the coordinates of `inside`: a leg
-                    # from the low cube edge starts at -1 along the slot, and
-                    # one to the high cube edge at the last index
-                    cells = [index - 1 for index in cells]
-                    at, last = cells[slot], inside.shape[slot] - 1
                     within = (at >= 0) & (at < last)
                     ends = _edge_ends(starts, inside.shape, slot, [index[within] for index in cells], offset)
-                    waiting.append(ends + (refs[within],) * 2)
-                # mesh axes are the other coordinates in order; the low side of
-                # the slot borders the face at -1 on that axis, the high side +1
+                    waiting.append(ends + (refs[within],))
+                # mesh axes are the other coordinates in order; the low side of the slot
+                # borders the face at -1 on that axis, the high side +1.  A side is flat, in
+                # the order of one layer of `inside`, whose cells sit at layer + index * stride
                 other = slot + (slot >= axis)
+                shape = inside.shape[:slot] + (1,) + inside.shape[slot + 1:]
+                stride = math.prod(shape[slot + 1:])
+                layer = np.arange(math.prod(shape))
+                layer += layer // stride * (stride * last)  # skip the other layers
                 for i, neighbour in ((0, 2 * other), (-1, 2 * other + 1)):
-                    ids = _run_ids(starts, _side_cells(inside.shape, slot, i)) + offset
-                    certified = merged.take(i, axis=slot)[inner[1:]]
-                    pending = None
-                    if len(refs):  # the legs on this side that wait for the cascade
-                        on_side = at == (last if i else -1)
-                        pending = [index[on_side] for s, index in enumerate(cells) if s != slot]
-                        pending = pending, refs[on_side]
-                    if neighbour > face:
-                        legs[face, neighbour] = ids, certified, pending
-                        continue
-                    # the neighbour came earlier: stitch where both legs merge,
-                    # now if stage (a) certified both, else after the cascade
-                    near, near_certified, near_pending = legs.pop((neighbour, face))
-                    both = near_certified & certified
-                    edges.append((near[both], ids[both]))
-                    if any(side is not None and len(side[1]) for side in (near_pending, pending)):
-                        first, second = _leg_refs(near_certified, near_pending), _leg_refs(certified, pending)
-                        later = (first != _CUT) & (second != _CUT) & ((first >= 0) | (second >= 0))
-                        near, ids = near.reshape(-1)[later], ids.reshape(-1)[later]
-                        waiting.append((near, ids, first[later], second[later]))
+                    ids = _run_ids(starts, layer + (last if i else 0) * stride) + offset
+                    legs = merged.take(i, axis=slot)[inner[1:]].reshape(-1)
+                    on_side = at == (last if i else -1)  # legs in the table; clip maps their slot index to 0
+                    spots = np.ravel_multi_index([index[on_side] for index in cells], shape, mode="clip")
+                    sides[face, neighbour] = ids, legs, spots, refs[on_side]
             face_signs.append(inside)
             node_signs.append(runs)
             # in place: a shifted copy would keep the unshifted ids alive into the next face
@@ -955,12 +941,18 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
             offset += len(runs)
             del chords, merged, starts  # before the next face's form is built
         else:
-            # every face sampled: one cascade, and the graph edges that waited on it
-            if waiting:
-                merges = np.append(table.cascade(), True)  # _CERTIFIED reads the last entry
-                rows, cols, first, second = (np.concatenate(part) for part in zip(*waiting))
-                ok = merges[first] & merges[second]
-                edges.append((rows[ok], cols[ok]))
+            # every face sampled: one cascade decides the in-face edges and
+            # legs that stage (a) left, and two cells beside a cube edge
+            # stitch where both of their legs merge
+            free = table.cascade()
+            for rows, cols, refs in waiting:
+                edges.append((rows[free[refs]], cols[free[refs]]))
+            for (face, neighbour), (ids, legs, spots, refs) in sides.items():
+                legs[spots] = free[refs]
+                if neighbour < face:  # sides are in face order: the neighbour's is complete
+                    near, near_legs = sides[neighbour, face][:2]
+                    both = near_legs & legs
+                    edges.append((near[both], ids[both]))
             break
     rows, cols = (np.concatenate(part) for part in zip(*edges))
     return SignField(grid, tuple(face_signs), zeros, np.concatenate(node_signs), rows, cols)
@@ -1010,21 +1002,6 @@ def _run_ids(starts: np.ndarray, cells: np.ndarray) -> np.ndarray:
     return np.searchsorted(starts, cells, side="right") - 1
 
 
-def _leg_refs(certified: np.ndarray, pending: Optional[tuple]) -> np.ndarray:
-    """Per stitch leg of one face side, flat: its table index, or _CERTIFIED or _CUT if stage (a) decided it.
-
-    certified marks the legs stage (a) certified, shaped like the cells of
-    the side; pending is None or (cells, refs): the legs stage (a) left, one
-    index array per axis of that shape, and their table indices.
-    """
-    out = np.where(certified, _CERTIFIED, _CUT).reshape(-1)
-    if pending is not None:
-        cells, refs = pending
-        flat = np.ravel_multi_index(tuple(cells), np.shape(certified)) if cells else np.zeros(len(refs), int)
-        out[flat] = refs
-    return out
-
-
 def _edge_ends(
     starts: np.ndarray, shape: Tuple[int, ...], slot: int, cells: Sequence[np.ndarray], offset: int = 0
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -1036,16 +1013,6 @@ def _edge_ends(
     low = np.ravel_multi_index(tuple(cells), shape)
     high = low + math.prod(shape[slot + 1:])
     return _run_ids(starts, low) + offset, _run_ids(starts, high) + offset
-
-
-def _side_cells(shape: Tuple[int, ...], slot: int, index: int) -> np.ndarray:
-    """Flat (C-order) indices of the cells at `index` along axis `slot`, shaped like the other axes."""
-    strides = [math.prod(shape[s + 1:]) for s in range(len(shape))]
-    cells = np.int64(index % shape[slot] * strides[slot])
-    for s, (size, stride) in enumerate(zip(shape, strides)):
-        if s != slot:
-            cells = np.add.outer(cells, np.arange(size, dtype=np.int64) * stride)
-    return cells
 
 
 def _components(size: int, rows: np.ndarray, cols: np.ndarray) -> Tuple[int, np.ndarray]:
@@ -1307,6 +1274,19 @@ def _float_mesh_eval(p: Polynomial, xs: np.ndarray, ys: np.ndarray, ts: np.ndarr
     return out
 
 
+def _sphere_angles(resolution: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Cell-center longitudes (2r) and latitudes (r) of the sphere grid at resolution r.
+
+    Its 2r x r mesh is checked against MAX_MESH_CELLS before any allocation.
+    """
+    if 2 * resolution ** 2 > MAX_MESH_CELLS:
+        cells = f"{2 * resolution} x {resolution} cells"
+        raise NodalError(f"a sphere grid of {cells} exceeds the cap MAX_MESH_CELLS = {MAX_MESH_CELLS}")
+    thetas = (np.arange(2 * resolution) + 0.5) * (2.0 * np.pi / (2 * resolution))
+    phis = -np.pi / 2 + (np.arange(resolution) + 0.5) * (np.pi / resolution)
+    return thetas, phis
+
+
 def _sphere_points(thetas: np.ndarray, phis: np.ndarray) -> Tuple[np.ndarray, ...]:
     """Unit-sphere (x, y, t) at every (longitude, latitude) pair of the mesh."""
     tg, pg = np.meshgrid(thetas, phis, indexing="ij")
@@ -1332,9 +1312,7 @@ def export_nodal_pointcloud(
         raise NodalError("annulus delta must lie strictly between 0 and 1")
     if resolution < 2:
         raise NodalError("resolution must be >= 2")
-    thetas = (np.arange(2 * resolution) + 0.5) * (2.0 * np.pi / (2 * resolution))
-    phis = -np.pi / 2 + (np.arange(resolution) + 0.5) * (np.pi / resolution)
-    ux, uy, ut = _sphere_points(thetas, phis)
+    ux, uy, ut = _sphere_points(*_sphere_angles(resolution))
 
     points: List[Tuple[float, float, float]] = []
     for radius in np.linspace(1.0 - annulus_delta, 1.0, _EXPORT_SHELLS):
@@ -1469,10 +1447,9 @@ def sphere_grid_count(p: Polynomial, resolution: int = 256) -> ComponentReport:
     if p.spatial_dim != 2:
         raise NodalError("the spherical oracle is defined for n = 2")
     m, k = 2 * resolution, resolution
+    thetas, phis = _sphere_angles(resolution)
     d_theta = 2.0 * np.pi / m
     d_phi = np.pi / k
-    thetas = (np.arange(m) + 0.5) * d_theta
-    phis = -np.pi / 2 + (np.arange(k) + 0.5) * d_phi
 
     def grid_values(theta_vals: np.ndarray, phi_vals: np.ndarray) -> np.ndarray:
         return _float_mesh_eval(p, *_sphere_points(theta_vals, phi_vals))

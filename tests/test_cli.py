@@ -202,7 +202,7 @@ def test_high_degree_inputs_count_within_the_float_range(capsys, argv, expected)
         assert (payload["total"], payload["pos"], payload["neg"], payload["stable"]) == expected
 
 
-@pytest.mark.parametrize("resolution", ["0", "-3"])
+@pytest.mark.parametrize("resolution", ["0", "-3", "100000000"])
 def test_export_bad_resolution_exits_four(capsys, tmp_path, resolution):
     out_path = tmp_path / "cloud.csv"
     code, _, err = run(
@@ -323,6 +323,12 @@ def test_unwritable_out_exits_four(capsys, tmp_path, argv):
         "count --fixture n2d4 -d 7 --eps 1/2 --rot 1/2,1/2 --seed-kind zz --schedule 8,16,32",
         "verify --expr 2*t+x^2 -n 1 -d 9 --eps abc",
         "scan lewy -d 6 --eps-grid=",  # empty grid
+        # degrees past the cap of the command, refused before the build
+        "count --gen product -d 400 -n 4",
+        "count --gen basic -d 65",
+        "scan lewy -d 66",
+        "gen basic -d 10000",
+        "verify --gen product -d 258 -n 2",
     ],
 )
 def test_bad_generator_input_exits_four(capsys, argv):
@@ -330,6 +336,32 @@ def test_bad_generator_input_exits_four(capsys, argv):
     assert code == 4
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "count --gen product -d 65 -n 2",
+        "scan zero-mod4 -d 68",
+        "gen product -d 257",
+        "verify --gen high-dim -d 257",
+        "export --gen product -d 257 -n 2 --out cloud.csv",
+    ],
+)
+def test_generator_degree_is_checked_before_the_build(capsys, monkeypatch, tmp_path, argv):
+    # count and scan stop at MAX_COUNT_DEGREE = 64, the others at the power
+    # cap MAX_POWER_DEGREE = 256 of --expr
+    def building(*args, **kwargs):
+        raise AssertionError("a family was built")
+
+    for name in ("basic_hcp", "build", "scan_epsilon"):
+        monkeypatch.setattr(cli, name, building)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv.split())
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: -d") and "cap" in err
+    assert not (tmp_path / "cloud.csv").exists()
 
 
 _GEN_FAMILIES = ["basic", "lewy", "odd", "zero-mod4", "high-dim", "product", "fixture", "warp"]

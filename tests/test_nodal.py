@@ -456,6 +456,11 @@ def test_mesh_size_cap_is_checked_before_sampling():
     assert side ** 2 <= nodal.MAX_MESH_CELLS < (side + 1) ** 2
     with pytest.raises(NodalError, match="cap"):
         slice_count(fixture("n2d3"), 4, side + 1)
+    # the sphere grid is 2r x r: r = 1448 fits, 1449 does not
+    assert 2 * 1448 ** 2 <= nodal.MAX_MESH_CELLS < 2 * 1449 ** 2
+    for sample in (sphere_grid_count, export_nodal_pointcloud):
+        with pytest.raises(NodalError, match="cap"):
+            sample(fixture("n2d3"), 1449)
 
 
 def test_nodal_count_report_shape():
@@ -666,6 +671,15 @@ def test_cascade_graph_matches_per_cell_graph_of_full_merge_masks(p, data):
         xb, xc = Polynomial.variable(n, b), Polynomial.variable(n, c)
         band = (xb.scale(4 * resolution) - xc.scale(4 * resolution - 2)) ** 2 - xc * xc
         p = p + (band * xc ** (d - 2)).scale(10 ** 20)
+    if n == 1 and d >= 4 and data.draw(st.booleans()):
+        # each side of the square is a single cell: a 10^20-scaled band with
+        # two roots on each leg from the last cell center to a corner of the
+        # t = 1 face (x = (4r - 3) / 4r and (4r - 1) / 4r) and none on the
+        # x = +-1 faces, so only those legs' cuts keep the faces apart
+        x, t = Polynomial.variable(1, 0), Polynomial.time(1)
+        square = (x * x).scale(16 * resolution ** 2)
+        band = (square - t.scale((4 * resolution - 3) ** 2)) * (square - t.scale((4 * resolution - 1) ** 2))
+        p = p + (band * x ** (d - 4)).scale(10 ** 20)
     field = cube_section_sample(p, resolution)
     report = count_components(field)
     assert (report.positive, report.negative) == _reference_split(p, field)
