@@ -19,19 +19,22 @@ rounding-error bound.  Cells whose |value| falls under the bound (in
 particular all exact zeros) are re-evaluated with exact integer arithmetic,
 so no sign is ever trusted to floating point.  Exact zeros are excluded
 from every component; if more than 0.1% of cells are zero the grid is
-jittered by 1/(6r) and resampled once.  cube_section_sample evaluates each
-face once, on its cell centers plus the cube edges around it: that one form
-gives the face's exact signs, the first merge stage below and its graph of
-runs.  The edges the first stage leaves wait in one table for the whole
-cross-section; one cascade decides them after the last face, and the
-stitches across cube edges are then decided from each face side's leg mask.
+jittered by 1/(6r) and resampled once.  cube_section_sample evaluates the
+faces in stacked groups of at most 2^18 cells (one face when a face alone
+is larger), each face on its cell centers plus the cube edges around it.
+Every mesh axis of the cube has those numerators, so the cross-section has
+one power table, and each group one form: it gives the group's exact
+signs, the first merge stage below and one graph of runs.  The edges the
+first stage leaves wait in one table for the whole cross-section; one
+cascade decides them after the last group, and the stitches across cube
+edges are then decided from each face side's leg mask.
 
 Adjacency is certified: two same-sign cells sharing a facet merge only when
 the segment joining their centers is proven free of roots of p.  Four
 stages decide each edge, the first that can:
 
   (a) the face-wide chord test, min(|P(lo)|, |P(hi)|) > h^2 / 8 * D2_s, on
-      each face as it is evaluated;
+      each face as its group is evaluated;
   (b) the same chord test per edge, with D2 from the edge's own line;
   (c) the Bernstein coefficients of the restriction of p to the segment,
       all of one sign by a certified margin, after up to four de Casteljau
@@ -58,7 +61,8 @@ it by at most |P''(xi)| (z - lo)(hi - z) / 2 <= h^2 / 8 max |P''|.  Stage
 D2_s = sum_T |C_T| e_s (e_s - 1) prod top^(e - 2 delta_s) with top the
 largest |numerator| of each axis, takes the largest step of the axis and
 compares every cell's certified lower bound on |P| with the one threshold,
-rounded up: no contraction.  Stage (b) bounds |P''| per edge from the float
+rounded up: no contraction.  Where D2_s = 0, P is affine along the axis and
+every edge between cells of one nonzero sign merges.  Stage (b) bounds |P''| per edge from the float
 line coefficients that (c) uses too, each widened by its rounding bound,
 and rounds the threshold up by a _kappa slack over the roundings of its
 own evaluation; O(edges x exponents).  A threshold that overflows is inf,
@@ -240,9 +244,9 @@ def _sturm_count(coeffs: Sequence[Rational], a: Optional[Rational], b: Optional[
 def _integer_scaled_terms(p: Polynomial, denominator: int):
     """Rewrite p(m/denominator) as an integer form sum C_T * prod m^e.
 
-    Returns (exponent tuples, exact int coefficients); exponents are ordered
-    (x_1, ..., x_n, t).  The rewrite multiplies by the positive constant
-    lcm(denominators) * denominator^degree, so signs match.
+    Returns (algebraic degree, exponent tuples, exact int coefficients);
+    exponents are ordered (x_1, ..., x_n, t).  The rewrite multiplies by the
+    positive constant lcm(denominators) * denominator^degree, so signs match.
     """
     degree = p.algebraic_degree()
     lcm = math.lcm(*(coeff.denominator for coeff in p.terms.values()))
@@ -251,7 +255,7 @@ def _integer_scaled_terms(p: Polynomial, denominator: int):
         coeff.numerator * (lcm // coeff.denominator) * denominator ** (degree - sum(e))
         for e, coeff in zip(exps, p.terms.values())
     ]
-    return exps, ints
+    return degree, exps, ints
 
 
 AxisValues = Union[int, np.ndarray]
@@ -276,11 +280,22 @@ def _kappa(roundings: int) -> float:
     return 8.0 * (roundings + 4)
 
 
-def _contract(dense: np.ndarray, columns: Sequence[np.ndarray]) -> np.ndarray:
-    """Contract axis s of dense with axis 1 of columns[s], one axis at a time, into a new array."""
-    for column in columns:
-        dense = np.tensordot(dense, column, axes=(0, 1))
-    return dense if columns else dense.copy()
+def _contract(dense: np.ndarray, columns: Sequence[np.ndarray], lead: int = 0) -> np.ndarray:
+    """Contract axis lead + s of dense with axis 1 of columns[s], into a new array.
+
+    The first `lead` axes stay in front.  Each axis but the last is a batch
+    of matrix products, and the last one matrix product: no step transposes
+    a mesh-sized array.
+    """
+    if not columns:
+        return dense.copy()
+    shape = dense.shape[:lead] + tuple(len(column) for column in columns)
+    batch = math.prod(shape[:lead])
+    for column in columns[:-1]:
+        dense = np.matmul(column, dense.reshape(batch, column.shape[1], -1))
+        batch *= len(column)
+    last = columns[-1]
+    return (dense.reshape(-1, last.shape[1]) @ last.T).reshape(shape)
 
 
 def _edge_slices(ndim: int, slot: int) -> Tuple[tuple, tuple]:
@@ -306,8 +321,8 @@ class _MeshForm:
     axis_values has one entry per coordinate (x_1..x_n, t): either a scalar
     integer numerator or a 1-D integer array of numerators; every coordinate
     equals numerator / denominator.  The fixed axes are substituted exactly,
-    so `coeffs` maps exponents of the varying axes (in coordinate order) to
-    the integer coefficients of P, a positive multiple of p in the
+    so `coeffs[0]` maps exponents of the varying axes (in coordinate order)
+    to the integer coefficients of P, a positive multiple of p in the
     numerators.  Float evaluation is one chain of tensor contractions, one
     Vandermonde matrix per varying axis (V_a C V_b^T on a 2-D face), each
     result with a rounding bound.  The dense coefficients and the powers of
@@ -315,42 +330,78 @@ class _MeshForm:
     `chord_mask` reuses its lower bound on |P| per cell, and an _EdgeTable
     takes, for the edges that test leaves, each edge's line from the same
     columns.
+
+    `_MeshForm.stack` makes one form of several meshes of one shape and one
+    set of numerators, such as a group of cube faces: every array then has
+    a leading face axis, `coeffs[f]` is face f's P, and the dense
+    coefficients of all faces are laid out over the union of their
+    exponents on each mesh axis, zero where a face has none.  Every face's
+    signs, floors, chord masks and edge lines then come from one float pass,
+    whose rounding count K covers the padded number of terms.
     """
 
     def __init__(self, p: Polynomial, axis_values: Sequence[AxisValues], denominator: int):
         ambient = p.spatial_dim + 1
         if len(axis_values) != ambient:
             raise ValueError(f"need {ambient} axis value specs, got {len(axis_values)}")
-        self.varying = [i for i, v in enumerate(axis_values) if isinstance(v, np.ndarray)]
-        self.nums = [axis_values[i] for i in self.varying]
-        self.shape = tuple(len(m) for m in self.nums)
-        self.degree = p.algebraic_degree()
-        coeffs: Dict[Tuple[int, ...], int] = {}
-        for e, c in zip(*_integer_scaled_terms(p, denominator)):
-            for axis, v in enumerate(axis_values):
-                if axis not in self.varying:
-                    c *= int(v) ** e[axis]
-            key = tuple(e[axis] for axis in self.varying)
-            coeffs[key] = coeffs.get(key, 0) + c
-        self.coeffs = {key: c for key, c in coeffs.items() if c}
+        self._build(_integer_scaled_terms(p, denominator), [axis_values], ())
+
+    @classmethod
+    def stack(cls, scaled: tuple, faces: Sequence[Sequence[AxisValues]], table: np.ndarray) -> "_MeshForm":
+        """One form of the meshes `faces` (axis values as above), stacked on a leading face axis.
+
+        scaled is _integer_scaled_terms(p, denominator).  Every varying axis
+        of every face takes the numerators whose powers `table` holds, one
+        row per numerator from e = 0 up to at least the degree (np.vander),
+        so one power table serves all of them.
+        """
+        form = cls.__new__(cls)
+        form._build(scaled, faces, (len(faces),), table)
+        return form
+
+    def _build(self, scaled: tuple, faces: Sequence[Sequence[AxisValues]], lead: tuple, table=None):
+        """Each face's P from the scaled terms, the dense coefficients of all of them, and the columns."""
+        self.degree, exps, ints = scaled
+        self.lead = lead
+        self.varying = [i for i, v in enumerate(faces[0]) if isinstance(v, np.ndarray)]
+        self.nums = [faces[0][i] for i in self.varying]
+        self.shape = lead + tuple(len(m) for m in self.nums)
+        self.coeffs: List[Dict[Tuple[int, ...], int]] = []
+        for values in faces:
+            varying = [i for i, v in enumerate(values) if isinstance(v, np.ndarray)]
+            fixed = [(i, int(v)) for i, v in enumerate(values) if i not in varying]
+            coeffs: Dict[Tuple[int, ...], int] = {}
+            for e, c in zip(exps, ints):
+                for axis, v in fixed:
+                    c *= v ** e[axis]
+                key = tuple(e[axis] for axis in varying)
+                coeffs[key] = coeffs.get(key, 0) + c
+            self.coeffs.append({key: c for key, c in coeffs.items() if c})
         # dense over the exponents that occur on each varying axis; an unused
-        # power column could overflow and bring inf * 0 = nan into the mesh
-        self.powers = [sorted({key[s] for key in self.coeffs}) for s in range(len(self.varying))]
-        self.dense = np.zeros(tuple(len(pw) for pw in self.powers))
+        # power column could overflow and bring inf * 0 = nan into the mesh.
+        # A stack pads a face with zeros at exponents only other faces have;
+        # where such a column overflows, the face that has the exponent
+        # overflows on the same cells, and the pass raises either way
+        keys = [key for coeffs in self.coeffs for key in coeffs]
+        self.powers = [sorted({key[s] for key in keys}) for s in range(len(self.nums))]
+        ranks = [{e: k for k, e in enumerate(pw)} for pw in self.powers]
+        self.dense = np.zeros(lead + tuple(len(pw) for pw in self.powers))
+        views = self.dense.reshape((len(faces),) + self.dense.shape[len(lead):])  # one per face
         try:
-            for key, c in self.coeffs.items():
-                self.dense[tuple(pw.index(e) for pw, e in zip(self.powers, key))] = float(c)
+            for face, coeffs in zip(views, self.coeffs):
+                for key, c in coeffs.items():
+                    face[tuple(rank[e] for rank, e in zip(ranks, key))] = float(c)
         except OverflowError as exc:
             raise NodalError(
                 f"degree {self.degree}: a scaled integer coefficient exceeds the float range"
             ) from exc
         with np.errstate(over="ignore"):
             # m^e for e = 0 .. the axis's top exponent, one row per numerator
-            power_table = [
+            tables = [table] * len(self.nums) if table is not None else [
                 np.vander(m.astype(np.float64), max(pw, default=0) + 1, increasing=True)
                 for m, pw in zip(self.nums, self.powers)
             ]
-        self.columns = [np.ascontiguousarray(v[:, pw]) for v, pw in zip(power_table, self.powers)]
+        self.columns = [np.ascontiguousarray(v[:, pw]) for v, pw in zip(tables, self.powers)]
         self.magnitudes = [np.abs(column) for column in self.columns]
         self.floor: Optional[np.ndarray] = None
 
@@ -360,8 +411,9 @@ class _MeshForm:
         # float (the fixed axes were substituted exactly before), degree per
         # axis for m^e (np.vander multiplies cumulatively, e - 1 roundings;
         # integer m is exact and nothing underflows) and k_s for stage s, an
-        # inner product over the k_s exponents of axis s.  An edge's line
-        # skips its slot axis, which it does not contract.
+        # inner product over the k_s exponents of axis s (padded ones
+        # included).  An edge's line skips its slot axis, which it does not
+        # contract.
         return 1 + sum(self.degree + len(pw) for s, pw in enumerate(self.powers) if s != skip)
 
     def _float_pass(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -371,12 +423,13 @@ class _MeshForm:
         where the float sign is certified, and -inf or nan where the pass
         overflowed.
         """
+        lead = len(self.lead)
         # an overflow becomes inf or nan here; no bound certifies it
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = _contract(self.dense, self.columns)
+            vals = _contract(self.dense, self.columns, lead)
             # int8 signs without a float temporary: the meshes are large
             signs = (vals > 0).view(np.int8) - (vals < 0).view(np.int8)
-            bound = _contract(np.abs(self.dense), self.magnitudes)
+            bound = _contract(np.abs(self.dense), self.magnitudes, lead)
             bound *= _kappa(self._roundings()) * _FLOAT_EPS
             return signs, np.subtract(np.abs(vals, out=vals), bound, out=bound)
 
@@ -384,9 +437,10 @@ class _MeshForm:
         """Exact signs of p on the mesh, an int8 array in {-1, 0, +1}.
 
         Cells whose float sign is not certified (in particular all exact
-        zeros) are re-evaluated in exact integer arithmetic.
+        zeros) are re-evaluated in exact integer arithmetic, with the P of
+        their own face.
         """
-        if not self.coeffs:
+        if not any(self.coeffs):
             return np.zeros(self.shape, dtype=np.int8)
         signs, self.floor = self._float_pass()
         # flat views (a 0-d mesh becomes 1-D); the exact signs of uncertain
@@ -396,12 +450,12 @@ class _MeshForm:
         if uncertain.any():
             if not np.isfinite(floor[uncertain]).all():
                 raise NodalError(f"degree {self.degree}: the float pass of sign evaluation overflows")
+            lead = len(self.lead)
             for index in np.flatnonzero(uncertain):
                 cell = np.unravel_index(index, self.shape)
-                ms = [int(m[i]) for m, i in zip(self.nums, cell)]
-                total = sum(
-                    c * math.prod(m ** e for m, e in zip(ms, key)) for key, c in self.coeffs.items()
-                )
+                coeffs = self.coeffs[cell[0] if lead else 0]
+                ms = [int(m[i]) for m, i in zip(self.nums, cell[lead:])]
+                total = sum(c * math.prod(m ** e for m, e in zip(ms, key)) for key, c in coeffs.items())
                 flat[index] = (total > 0) - (total < 0)
         return signs
 
@@ -409,15 +463,15 @@ class _MeshForm:
         """(merged, left): the same-sign edges along `slot` that stage (a) certifies, and the others.
 
         signs are this mesh's exact signs, from `signs()`; both masks are
-        shaped like them with axis `slot` shortened by one.  Stage (a) is the
-        face-wide chord test: one threshold for the mesh, at its largest step
-        along the slot, and every candidate edge between two cells whose
-        floors clear it merges.  The edges in `left` go to an _EdgeTable.
+        shaped like them with the axis of mesh axis `slot` shortened by one.
+        Stage (a) is the face-wide chord test: one threshold per face, at
+        the mesh's largest step along the slot, and every candidate edge
+        between two cells whose floors clear it merges.  The edges in `left`
+        go to an _EdgeTable.
         """
-        lo, hi = _edge_slices(signs.ndim, slot)
+        lo, hi = _edge_slices(signs.ndim, len(self.lead) + slot)
         candidates = signs[lo] * signs[hi] > 0
-        if not candidates.any() or self.powers[slot][-1] == 0:
-            # P is constant along every edge, or no edge is a candidate
+        if not candidates.any():
             return candidates, np.zeros_like(candidates)
         clear = self.floor > self._face_chord(slot, int(np.abs(np.diff(self.nums[slot])).max()))
         merged = clear[lo]
@@ -441,7 +495,7 @@ class _MeshForm:
         merged[tuple(index[free] for index in cells)] = True
         return merged
 
-    def _face_chord(self, slot: int, step: int) -> float:
+    def _face_chord(self, slot: int, step: int) -> Union[float, np.ndarray]:
         """A float at least step^2 / 8 * D2_s, with D2_s >= |d^2 P / dm_s^2| on the whole mesh.
 
         D2_s = sum_T |C_T| e_s (e_s - 1) prod_r top_r^(e_r - 2 delta_rs), with
@@ -449,36 +503,54 @@ class _MeshForm:
         derivative along the slot wherever every |m_r| <= top_r, so on every
         segment of the mesh.  It is an exact Python int; the one rounding of
         the division is undone by one step up.  A threshold beyond the float
-        range is inf, which certifies nothing.
+        range is inf, which certifies nothing.  Where D2_s = 0, P is affine
+        along the slot: two cells of one nonzero sign have no root between
+        them, and the threshold is -inf.  A stack has one threshold per face,
+        shaped to broadcast over its meshes.
         """
         tops = [int(np.abs(m).max()) for m in self.nums]
-        d2 = 0
-        for key, c in self.coeffs.items():
-            e = key[slot]
-            if e >= 2:
-                powers = (top ** (k - 2 * (s == slot)) for s, (top, k) in enumerate(zip(tops, key)))
-                d2 += abs(c) * e * (e - 1) * math.prod(powers)
-        try:
-            return math.nextafter(step * step * d2 / 8, math.inf)
-        except OverflowError:
-            return math.inf
+        chords = []
+        for coeffs in self.coeffs:
+            d2 = 0
+            for key, c in coeffs.items():
+                e = key[slot]
+                if e >= 2:
+                    powers = (top ** (k - 2 * (s == slot)) for s, (top, k) in enumerate(zip(tops, key)))
+                    d2 += abs(c) * e * (e - 1) * math.prod(powers)
+            try:
+                chords.append(math.nextafter(step * step * d2 / 8, math.inf) if d2 else -math.inf)
+            except OverflowError:
+                chords.append(math.inf)
+        return np.reshape(chords, self.lead + (1,) * len(self.nums)) if self.lead else chords[0]
 
-    def _edge_lines(self, slot: int, lines: Tuple[np.ndarray, ...]) -> np.ndarray:
+    def _edge_lines(
+        self, slot: int, lines: Tuple[np.ndarray, ...], dense: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """(c, a): P on each mesh line `lines` along `slot`, and the sizes of its coefficients.
 
-        lines holds one index array per varying axis but the slot (none on a
-        1-D mesh, which is one line).  Every axis but the slot is contracted
-        with the line's own row of its columns, one axis at a time, which
-        leaves the restriction q(m) = sum_j c_j m^j of each line: c and a are
-        stacked in an array of shape (lines, 2, len(powers[slot])).  a is the
-        same contraction of |C| with |m|, a float of the sum A_j of the
-        |terms| of c_j: c_j is within gamma_K A_j of its exact value, and
-        A_j <= a_j / (1 - gamma_K), K = _roundings(skip=slot).
+        lines holds one index array per axis of the mesh but the slot (none
+        on a 1-D mesh, which is one line), a stack's face index first.  Every
+        axis but the slot is contracted with the line's own row of its
+        columns, one axis at a time, which leaves the restriction
+        q(m) = sum_j c_j m^j of each line: c and a are stacked in an array of
+        shape (lines, 2, len(powers[slot])).  a is the same contraction of
+        |C| with |m|, a float of the sum A_j of the |terms| of c_j: c_j is
+        within gamma_K A_j of its exact value, and A_j <= a_j / (1 - gamma_K),
+        K = _roundings(skip=slot).  A stack's faces are taken one at a time,
+        each from its own `dense` coefficients.
         """
-        others = [s for s in range(len(self.varying)) if s != slot]
+        if dense is None and self.lead:  # lines come in C order: each face's are contiguous
+            faces, firsts = np.unique(lines[0], return_index=True)
+            lasts = np.append(firsts[1:], len(lines[0]))
+            return np.concatenate([
+                self._edge_lines(slot, tuple(index[first:last] for index in lines[1:]), self.dense[face])
+                for face, first, last in zip(faces, firsts, lasts)
+            ])
+        dense = self.dense if dense is None else dense
+        others = [s for s in range(len(self.nums)) if s != slot]
         # (c, a) stacked on a first axis of 2 all the way: the slot axis next
         order = (0, slot + 1) + tuple(1 + s for s in others)
-        acc = np.stack([self.dense, np.abs(self.dense)]).transpose(order)
+        acc = np.stack([dense, np.abs(dense)]).transpose(order)
         with np.errstate(over="ignore", invalid="ignore"):
             for k, (s, index) in enumerate(reversed(list(zip(others, lines)))):
                 rows = np.stack([self.columns[s][index], self.magnitudes[s][index]])  # (2, lines, k_s)
@@ -556,9 +628,10 @@ def _exact_line(coeffs: Dict[Tuple[int, ...], int], slot: int, ms: Sequence[int]
 class _EdgePart(NamedTuple):
     """What stages (b)-(d) read of the edges one `_EdgeTable.add` call gathered."""
 
-    coeffs: Dict[Tuple[int, ...], int]  # the form's P, for the exact lines of stage (d)
+    coeffs: List[Dict[Tuple[int, ...], int]]  # each face's P, for the exact lines of stage (d)
+    lead: int  # 1 for a stack of faces, whose lines start with a face index, else 0
     slot: int
-    nums: List[np.ndarray]  # the form's numerators per varying axis
+    nums: List[np.ndarray]  # the form's numerators per mesh axis
     lines: Tuple[np.ndarray, ...]  # the distinct mesh lines of the edges, as in _MeshForm._edge_lines
     powers: List[int]  # the exponents of the slot axis, one column of `rows` each
     roundings: int  # K of the line coefficients
@@ -591,24 +664,28 @@ class _EdgeTable:
         self.size = 0
 
     def add(self, form: _MeshForm, slot: int, cells: Tuple[np.ndarray, ...], signs: np.ndarray) -> np.ndarray:
-        """Table index of each edge `cells` along `slot` of `form`, whose exact signs are `signs`."""
-        count = len(cells[slot])
+        """Table index of each edge `cells` along mesh axis `slot` of `form`, whose exact signs are `signs`.
+
+        cells has one index array per axis of `signs`, a stack's face axis first.
+        """
+        axis = len(form.lead) + slot
+        count = len(cells[axis])
         first, self.size = self.size, self.size + count
         if count:
-            at = cells[slot]
-            upper = cells[:slot] + (at + 1,) + cells[slot + 1:]
-            others = [index for s, index in enumerate(cells) if s != slot]
+            at = cells[axis]
+            upper = cells[:axis] + (at + 1,) + cells[axis + 1:]
+            others = [index for s, index in enumerate(cells) if s != axis]
             lines, line = (), np.zeros(count, dtype=np.intp)  # a 1-D mesh is one line
             if others:  # the distinct lines, in C order, and each edge's rank among them
-                shape = tuple(n for s, n in enumerate(signs.shape) if s != slot)
+                shape = tuple(n for s, n in enumerate(signs.shape) if s != axis)
                 ids = np.ravel_multi_index(others, shape)
                 used = np.zeros(math.prod(shape), dtype=bool)
                 used[ids] = True
                 lines = np.unravel_index(np.flatnonzero(used), shape)
                 line = np.cumsum(used)[ids] - 1
             self.parts.append(_EdgePart(
-                form.coeffs, slot, form.nums, lines, form.powers[slot], form._roundings(skip=slot),
-                form._edge_lines(slot, lines), line,
+                form.coeffs, len(form.lead), slot, form.nums, lines, form.powers[slot],
+                form._roundings(skip=slot), form._edge_lines(slot, lines), line,
                 np.minimum(form.floor[cells], form.floor[upper]),
                 form.nums[slot][np.stack([at, at + 1], axis=1)],
                 signs[cells],
@@ -638,7 +715,7 @@ class _EdgeTable:
         roundings = max(part.roundings for part in parts)
         edge_firsts = np.cumsum([0] + [len(part.line) for part in parts])
         # stage (d) reads only each form's exact data
-        forms = [(part.coeffs, part.slot, part.nums, part.lines) for part in parts]
+        forms = [(part.coeffs, part.lead, part.slot, part.nums, part.lines) for part in parts]
         del parts
 
         # (b) on a batch, (c) on what (b) leaves of it
@@ -663,11 +740,11 @@ class _EdgeTable:
             key = int(line[e])
             if key not in exact:
                 k = int(np.searchsorted(edge_firsts, e, side="right")) - 1
-                coeffs, slot, nums, lines = forms[k]
-                at = key - line_firsts[k]
+                coeffs, lead, slot, nums, lines = forms[k]
+                point = [int(index[key - line_firsts[k]]) for index in lines]  # a stack's face first
                 others = [s for s in range(len(nums)) if s != slot]
-                ms = [int(nums[s][index[at]]) for s, index in zip(others, lines)]
-                exact[key] = _exact_line(coeffs, slot, ms)
+                ms = [int(nums[s][i]) for s, i in zip(others, point[lead:])]
+                exact[key] = _exact_line(coeffs[point[0] if lead else 0], slot, ms)
             # ends are nonzero: no root sits on one
             args = (exact[key], *sorted(ends[e].tolist()))
             if args not in counts:
@@ -786,6 +863,12 @@ class CrossSectionGrid:
         return 6 * base + 1 if self.jittered else base
 
     @property
+    def mesh(self) -> np.ndarray:
+        """The numerators of every mesh axis of a face: the cell centers and the cube edges -den, +den."""
+        den = self.denominator
+        return np.concatenate([[-den], self.numerators, [den]])
+
+    @property
     def face_count(self) -> int:
         return 2 * self.ambient
 
@@ -838,12 +921,11 @@ class ComponentReport:
         }
 
 
-def _face_values(grid: CrossSectionGrid, face: int) -> List[AxisValues]:
-    """_MeshForm axis values of one face's cell centers plus the cube edges (-den, +den) around them."""
+def _face_values(grid: CrossSectionGrid, mesh: np.ndarray, face: int) -> List[AxisValues]:
+    """_MeshForm axis values of one face's cell centers plus the cube edges around them (mesh = grid.mesh)."""
     axis, sign = grid.face_axis_sign(face)
-    den = grid.denominator
-    axis_values: List[AxisValues] = [np.concatenate([[-den], grid.numerators, [den]])] * grid.ambient
-    axis_values[axis] = sign * den
+    axis_values: List[AxisValues] = [mesh] * grid.ambient
+    axis_values[axis] = sign * grid.denominator
     return axis_values
 
 
@@ -851,19 +933,22 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
     """Exact signs of p at all cell centers on the cube cross-section, with its run graph.
 
     Requires a parabolically homogeneous p of degree >= 1 in ambient
-    dimension 2..4.  Each face is evaluated once, on its cell centers plus
-    the cube edges around it (_face_values); that one form gives the face's
-    exact signs, the face-wide chord test of each in-face edge and stitch
-    leg, and the table rows of the edges that test leaves, and its float
-    arrays are dropped before the next face.  The face's runs are cut at
-    every edge still undecided, and their ids follow the earlier faces'.
-    After the last face one _EdgeTable cascade decides the table: each
-    merged in-face edge becomes a graph edge between the runs at its ends,
-    and the stitches are decided from each face side's leg mask, two cells
-    beside a shared cube edge joining when both legs are root-free.  If
-    sampled zeros exceed 0.1% of cells the grid is jittered once by the
-    fixed rational offset 1/(6*resolution); the unjittered pass stops at
-    the face where they do.
+    dimension 2..4.  Faces are evaluated in stacked groups of even size, as
+    many faces as fit in _CASCADE_FLOATS = 2^18 cells (at least one), each
+    face on its cell centers plus the cube edges around it (_face_values).
+    Every mesh axis of every face has the same numerators, grid.mesh, so one
+    power table serves the cross-section and one form (_MeshForm.stack) each
+    group: it gives the group's exact signs, the face-wide chord test of
+    each in-face edge and stitch leg, and the table rows of the edges that
+    test leaves, and its float arrays are dropped before the next group.
+    The group's runs are cut at every edge still undecided, and their ids
+    follow the earlier groups'.  After the last group one _EdgeTable cascade
+    decides the table: each merged in-face edge becomes a graph edge between
+    the runs at its ends, and the stitches are decided from each face side's
+    leg mask, two cells beside a shared cube edge joining when both legs are
+    root-free.  If sampled zeros exceed 0.1% of cells the grid is jittered
+    once by the fixed rational offset 1/(6*resolution); the unjittered pass
+    stops at the group where they do.
     """
     degree = parabolic_degree(p)  # raises NotHomogeneous / ZeroPolynomialError
     if degree < 1:
@@ -876,21 +961,35 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
     if resolution < 2:
         raise NodalError("resolution must be >= 2")
     _check_mesh_cells(resolution + 2, ambient - 1)
+    # faces per float pass: as many as fit in _CASCADE_FLOATS cells (at least
+    # one), in groups of even size, so that a group's float arrays take at
+    # most 2 MiB each unless one face alone is larger
+    per_group = max(1, _CASCADE_FLOATS // (resolution + 2) ** (ambient - 1))
+    groups = -(-2 * ambient // per_group)
+    per_group = -(-2 * ambient // groups)
+    # the face axis, then the inner cells of every mesh axis
+    inner = (slice(None),) + (slice(1, -1),) * (ambient - 1)
 
     for jittered in (False, True):
         grid = CrossSectionGrid(ambient, resolution, jittered)
-        table = _EdgeTable()
+        mesh = grid.mesh
+        scaled = _integer_scaled_terms(p, grid.denominator)
+        with np.errstate(over="ignore"):
+            table = np.vander(mesh.astype(np.float64), scaled[0] + 1, increasing=True)
+        edge_table = _EdgeTable()
         face_signs, node_signs, edges = [], [], []
         # in-face graph edges that wait for the cascade: end node ids, table indices
         waiting: List[Tuple[np.ndarray, ...]] = []
-        # (face, neighbour face) -> the face's cells next to their cube edge, flat: node ids,
-        # the stage (a) merge mask of their stitch legs, and positions and table indices of those it left
-        sides: Dict[Tuple[int, int], Tuple[np.ndarray, ...]] = {}
+        # (face, neighbour face) -> the face's cells next to their cube edge: node ids and
+        # the stage (a) merge mask of their stitch legs, views of one array per group side
+        sides: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
+        # per group side: its leg masks, flat, and positions and table indices of the legs stage (a) left
+        legs_left: List[Tuple[np.ndarray, ...]] = []
         zeros = offset = 0
-        for face in range(grid.face_count):
-            form = _MeshForm(p, _face_values(grid, face), grid.denominator)
+        for first in range(0, grid.face_count, per_group):
+            faces = range(first, min(first + per_group, grid.face_count))
+            form = _MeshForm.stack(scaled, [_face_values(grid, mesh, face) for face in faces], table)
             signs = form.signs()
-            inner = (slice(1, -1),) * signs.ndim
             zeros += int(np.count_nonzero(signs[inner] == 0))
             if not jittered and zeros / grid.cell_count > _JITTER_ZERO_FRACTION:
                 break  # too many zeros: resample on the jittered grid
@@ -898,59 +997,64 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
             # cells) and the stitch legs (from a cell next to a side of the
             # face to the cube edge beyond it); the table takes what it leaves
             chords, waits = [], []
-            for slot in range(signs.ndim):
+            for slot in range(ambient - 1):
                 merged, left = form.chord_mask(slot, signs)
-                for s in range(signs.ndim):
-                    if s != slot:  # edges along the face's rim are in no graph
+                for s in range(1, signs.ndim):
+                    if s != slot + 1:  # edges along the face's rim are in no graph
                         left[(slice(None),) * s + (0,)] = left[(slice(None),) * s + (-1,)] = False
                 cells = np.unravel_index(np.flatnonzero(left), left.shape)
                 del left  # before the next axis's masks
                 chords.append(merged)
-                waits.append((cells, table.add(form, slot, cells, signs)))
-            del form  # its per-cell floats, before the face's graph is built
+                waits.append((cells, edge_table.add(form, slot, cells, signs)))
+            del form  # its per-cell floats, before the group's graph is built
             inside = signs[inner]
-            starts, runs, face_rows, face_cols = _probed_runs(inside, [m[inner] for m in chords])
-            axis = grid.face_axis_sign(face)[0]
+            starts, runs, group_rows, group_cols = _probed_runs(inside, [m[inner] for m in chords])
             for slot, (merged, (cells, refs)) in enumerate(zip(chords, waits)):
                 # the table's edges in the coordinates of `inside`: a leg from the low cube
                 # edge starts at -1 along the slot, and one to the high cube edge at the last index
-                cells = [index - 1 for index in cells]
-                at, last = cells[slot], inside.shape[slot] - 1
+                axis = slot + 1
+                cells = [cells[0]] + [index - 1 for index in cells[1:]]
+                at, last = cells[axis], inside.shape[axis] - 1
                 if len(refs):
                     within = (at >= 0) & (at < last)
-                    ends = _edge_ends(starts, inside.shape, slot, [index[within] for index in cells], offset)
+                    ends = _edge_ends(starts, inside.shape, axis, [index[within] for index in cells], offset)
                     waiting.append(ends + (refs[within],))
-                # mesh axes are the other coordinates in order; the low side of the slot
-                # borders the face at -1 on that axis, the high side +1.  A side is flat, in
-                # the order of one layer of `inside`, whose cells sit at layer + index * stride
-                other = slot + (slot >= axis)
-                shape = inside.shape[:slot] + (1,) + inside.shape[slot + 1:]
-                stride = math.prod(shape[slot + 1:])
+                # a side of every face of the group is flat, face by face in the order of one
+                # layer of `inside` along the axis, whose cells sit at layer + index * stride
+                shape = inside.shape[:axis] + (1,) + inside.shape[axis + 1:]
+                stride = math.prod(shape[axis + 1:])
                 layer = np.arange(math.prod(shape))
                 layer += layer // stride * (stride * last)  # skip the other layers
-                for i, neighbour in ((0, 2 * other), (-1, 2 * other + 1)):
+                for i in (0, -1):
                     ids = _run_ids(starts, layer + (last if i else 0) * stride) + offset
-                    legs = merged.take(i, axis=slot)[inner[1:]].reshape(-1)
+                    legs = merged.take(i, axis=axis)[inner[:-1]].reshape(-1)
                     on_side = at == (last if i else -1)  # legs in the table; clip maps their slot index to 0
                     spots = np.ravel_multi_index([index[on_side] for index in cells], shape, mode="clip")
-                    sides[face, neighbour] = ids, legs, spots, refs[on_side]
-            face_signs.append(inside)
+                    legs_left.append((legs, spots, refs[on_side]))
+                    # mesh axes are the other coordinates in order; the low side of the slot
+                    # borders the face at -1 on that axis, the high side +1
+                    by_face = zip(ids.reshape(len(faces), -1), legs.reshape(len(faces), -1))
+                    for face, side in zip(faces, by_face):
+                        other = slot + (slot >= grid.face_axis_sign(face)[0])
+                        sides[face, 2 * other + (1 if i else 0)] = side
+            face_signs.extend(inside)
             node_signs.append(runs)
-            # in place: a shifted copy would keep the unshifted ids alive into the next face
-            edges.append(tuple(np.add(part, offset, out=part) for part in (face_rows, face_cols)))
+            # in place: a shifted copy would keep the unshifted ids alive into the next group
+            edges.append(tuple(np.add(part, offset, out=part) for part in (group_rows, group_cols)))
             offset += len(runs)
-            del chords, merged, starts  # before the next face's form is built
+            del chords, merged, starts  # before the next group's form is built
         else:
             # every face sampled: one cascade decides the in-face edges and
             # legs that stage (a) left, and two cells beside a cube edge
             # stitch where both of their legs merge
-            free = table.cascade()
+            free = edge_table.cascade()
             for rows, cols, refs in waiting:
                 edges.append((rows[free[refs]], cols[free[refs]]))
-            for (face, neighbour), (ids, legs, spots, refs) in sides.items():
+            for legs, spots, refs in legs_left:
                 legs[spots] = free[refs]
-                if neighbour < face:  # sides are in face order: the neighbour's is complete
-                    near, near_legs = sides[neighbour, face][:2]
+            for (face, neighbour), (ids, legs) in sides.items():
+                if neighbour < face:  # every side is complete now
+                    near, near_legs = sides[neighbour, face]
                     both = near_legs & legs
                     edges.append((near[both], ids[both]))
             break
@@ -966,23 +1070,25 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
 def _probed_runs(signs: np.ndarray, merges: Sequence[np.ndarray]) -> Tuple[np.ndarray, ...]:
     """Same-sign graph of a sign mesh whose nodes are runs of cells.
 
-    merges[slot] marks the neighbouring cells along axis `slot` (shaped like
-    `signs` with that axis shortened by one) that merge; only cells of one
-    nonzero sign may be marked.  Cells merged along the last axis form a
-    run, one node; merges along the other axes are edges between runs.  An
-    edge repeats the one before it along the last axis when that one exists
-    and no run starts at either end, and only the others are kept (other
-    repeats are harmless).  Zero cells are single-cell runs with no edges.
-    Returns (run starts, sign per node, edge rows, edge cols), a graph with
-    the per-cell graph's components.  Node k is the run that starts at the
-    flat (C-order) cell index starts[k]; _run_ids finds the node of any
-    cell, so only the kept edge ends get one.
+    merges[k] marks the neighbouring cells that merge along the k-th of the
+    last len(merges) axes (shaped like `signs` with that axis shortened by
+    one); only cells of one nonzero sign may be marked, and nothing merges
+    along the leading axes before them (a stack's face axis).  Cells merged
+    along the last axis form a run, one node; merges along the other axes
+    are edges between runs.  An edge repeats the one before it along the
+    last axis when that one exists and no run starts at either end, and only
+    the others are kept (other repeats are harmless).  Zero cells are
+    single-cell runs with no edges.  Returns (run starts, sign per node,
+    edge rows, edge cols), a graph with the per-cell graph's components.
+    Node k is the run that starts at the flat (C-order) cell index
+    starts[k]; _run_ids finds the node of any cell, so only the kept edge
+    ends get one.
     """
     start = np.ones(signs.shape, dtype=bool)
     start[..., 1:] = ~merges[-1]
     starts = np.flatnonzero(start)
     rows, cols = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for slot, mask in enumerate(merges[:-1]):
+    for slot, mask in enumerate(merges[:-1], signs.ndim - len(merges)):
         lo, hi = _edge_slices(signs.ndim, slot)
         fresh = start[lo] | start[hi]
         fresh[..., 1:] |= ~mask[..., :-1]
@@ -1261,15 +1367,16 @@ def polar_chambers(
 def _float_mesh_eval(p: Polynomial, xs: np.ndarray, ys: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """Float values of p (n = 2) at the points (xs, ys, ts), elementwise."""
     out = np.zeros(xs.shape, dtype=np.float64)
+    term = np.empty_like(out)  # reused by every term: one temporary, not one per product
     for ev, coeff in p.terms.items():
-        term = float(coeff) * np.ones_like(out)
+        term.fill(float(coeff))
         ex, ey = ev.space_exps
         if ex:
-            term = term * xs ** ex
+            term *= xs ** ex
         if ey:
-            term = term * ys ** ey
+            term *= ys ** ey
         if ev.t_exp:
-            term = term * ts ** ev.t_exp
+            term *= ts ** ev.t_exp
         out += term
     return out
 
@@ -1313,33 +1420,28 @@ def export_nodal_pointcloud(
     if resolution < 2:
         raise NodalError("resolution must be >= 2")
     ux, uy, ut = _sphere_points(*_sphere_angles(resolution))
+    # every longitude's neighbour, the last one's wrapping around to the first
+    after = np.roll(np.arange(len(ux)), -1)
+    # shells are evaluated a block of longitudes at a time, so that the
+    # float temporaries take _CASCADE_FLOATS cells each, not the grid's
+    block = max(1, _CASCADE_FLOATS // resolution)
+    signs = np.empty(ux.shape, dtype=np.int8)
 
     points: List[Tuple[float, float, float]] = []
     for radius in np.linspace(1.0 - annulus_delta, 1.0, _EXPORT_SHELLS):
-        values = _float_mesh_eval(p, radius * ux, radius * uy, radius * ut)
-        signs = np.sign(values)
-
-        def emit(mask: np.ndarray, sx: np.ndarray, sy: np.ndarray, st: np.ndarray) -> None:
-            mx, my, mt = sx[mask], sy[mask], st[mask]
+        for first in range(0, len(ux), block):
+            rows = slice(first, first + block)
+            values = _float_mesh_eval(p, radius * ux[rows], radius * uy[rows], radius * ut[rows])
+            signs[rows] = (values > 0).view(np.int8) - (values < 0).view(np.int8)
+        # sign changes to the next longitude, then to the next latitude; the
+        # midpoints are computed at those cells only
+        i, j = np.nonzero(signs * signs[after] < 0)
+        k, m = np.nonzero(signs[:, :-1] * signs[:, 1:] < 0)
+        for low, high in (((i, j), (after[i], j)), ((k, m), (k, m + 1))):
+            mx, my, mt = ((u[low] + u[high]) / 2 for u in (ux, uy, ut))
             norm = np.sqrt(mx * mx + my * my + mt * mt)
             norm[norm == 0] = 1.0
-            for px, py, pt in zip(mx / norm * radius, my / norm * radius, mt / norm * radius):
-                points.append((float(px), float(py), float(pt)))
-
-        flip_theta = (signs * np.roll(signs, -1, axis=0)) < 0
-        emit(
-            flip_theta,
-            (ux + np.roll(ux, -1, axis=0)) / 2,
-            (uy + np.roll(uy, -1, axis=0)) / 2,
-            (ut + np.roll(ut, -1, axis=0)) / 2,
-        )
-        flip_phi = (signs[:, :-1] * signs[:, 1:]) < 0
-        emit(
-            flip_phi,
-            (ux[:, :-1] + ux[:, 1:]) / 2,
-            (uy[:, :-1] + uy[:, 1:]) / 2,
-            (ut[:, :-1] + ut[:, 1:]) / 2,
-        )
+            points.extend(zip(*((u / norm * radius).tolist() for u in (mx, my, mt))))
 
     if path is not None:
         with open(path, "w", encoding="ascii") as handle:

@@ -439,3 +439,40 @@ def test_count_output_is_deterministic(capsys):
     _, first, _ = run(capsys, "count", "--fixture", "deg2", "--schedule", "16,32,64")
     _, second, _ = run(capsys, "count", "--fixture", "deg2", "--schedule", "16,32,64")
     assert first == second
+
+
+# the exact stdout of each command: a refactor of the counting layer must
+# keep the JSON report byte for byte, which the test above, comparing two
+# runs of one build, cannot see
+_PINNED_REPORTS = [
+    ("count --fixture n2d3 --check-bounds",
+     '{"bounds": {"d": 3, "max_lower_bound": 1, "max_upper_bound": 10, "min_domains": 2,'
+     ' "n": 2, "ok": true}, "method": "cube-exact", "neg": 1, "pos": 1, "resolutions": [64,'
+     ' 128, 256], "source": "fixture:n2d3", "stable": true, "total": 2, "zero_frac": 0.0}'),
+    ("count --fixture n2d4 --check-bounds",
+     '{"bounds": {"d": 4, "max_lower_bound": 4, "max_upper_bound": 15, "min_domains": 3,'
+     ' "n": 2, "ok": true}, "method": "cube-exact", "neg": 2, "pos": 1, "resolutions": [64,'
+     ' 128, 256], "source": "fixture:n2d4", "stable": true, "total": 3, "zero_frac": 0.0}'),
+    ("count --fixture prod_n2d4 --check-bounds",
+     '{"bounds": {"d": 4, "max_lower_bound": 4, "max_upper_bound": 15, "min_domains": 3,'
+     ' "n": 2, "ok": true}, "method": "cube-exact", "neg": 4, "pos": 2, "resolutions": [64,'
+     ' 128, 256], "source": "fixture:prod_n2d4", "stable": true, "total": 6,'
+     ' "zero_frac": 0.0}'),
+    ("count --fixture n3d4 --check-bounds",
+     '{"bounds": {"d": 4, "max_lower_bound": 1, "max_upper_bound": 35, "min_domains": 2,'
+     ' "n": 3, "ok": true}, "method": "cube-exact", "neg": 1, "pos": 1, "resolutions": [24,'
+     ' 48, 96], "source": "fixture:n3d4", "stable": true, "total": 2, "zero_frac": 0.0}'),
+    ("count --gen basic -d 7",
+     '{"method": "cube-exact", "neg": 4, "pos": 4, "resolutions": [128, 256, 512],'
+     ' "source": "gen:basic", "stable": true, "total": 8, "zero_frac": 0.0}'),
+    ("count --gen product -d 8 -n 2",
+     '{"method": "cube-exact", "neg": 12, "pos": 10, "resolutions": [64, 128, 256],'
+     ' "source": "gen:product", "stable": true, "total": 22, "zero_frac": 0.0}'),
+]
+
+
+@pytest.mark.parametrize("argv, stdout", _PINNED_REPORTS, ids=[argv for argv, _ in _PINNED_REPORTS])
+def test_count_reports_match_pinned_bytes(capsys, argv, stdout):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert out == stdout + "\n"

@@ -655,12 +655,29 @@ def _reference_split(p, field):
     )
 
 
+# group caps of cube_section_sample, in cells: one face per pass (and one
+# edge per cascade batch), and the whole cross-section in one pass
+_GROUPINGS = (1, 2 ** 40)
+
+
+def _assert_cascade_graph_matches(p, resolution):
+    """Under each grouping, the sampled graph's split is that of the per-cell graph."""
+    for cap in _GROUPINGS:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(nodal, "_CASCADE_FLOATS", cap)
+            field = cube_section_sample(p, resolution)
+            report = count_components(field)
+        assert (report.positive, report.negative) == _reference_split(p, field), cap
+    return field
+
+
 @given(homogeneous_polynomials(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_cascade_graph_matches_per_cell_graph_of_full_merge_masks(p, data):
     # the run graph is cut at every edge the face-wide chord test leaves,
     # and the cascade's merges come back as explicit edges and stitches: the
-    # partition must be the one of the per-cell graph of full merge masks
+    # partition must be the one of the per-cell graph of full merge masks,
+    # with faces sampled one per pass or all in one
     resolution = data.draw(st.integers(min_value=2, max_value=12))
     n, d = p.spatial_dim, parabolic_degree(p)
     if n >= 2 and d >= 2 and data.draw(st.booleans()):
@@ -680,9 +697,17 @@ def test_cascade_graph_matches_per_cell_graph_of_full_merge_masks(p, data):
         square = (x * x).scale(16 * resolution ** 2)
         band = (square - t.scale((4 * resolution - 3) ** 2)) * (square - t.scale((4 * resolution - 1) ** 2))
         p = p + (band * x ** (d - 4)).scale(10 ** 20)
-    field = cube_section_sample(p, resolution)
-    report = count_components(field)
-    assert (report.positive, report.negative) == _reference_split(p, field)
+    _assert_cascade_graph_matches(p, resolution)
+
+
+@pytest.mark.parametrize("expr, n, resolution", [("x*y*t", 2, 9), ("x*y*z*t", 3, 5), ("x*t", 1, 7)])
+def test_cascade_graph_matches_per_cell_graph_on_a_jittered_grid(expr, n, resolution):
+    # at an odd resolution a cell center sits on every coordinate plane, so
+    # the zeros trip the jitter threshold at the first face, which with all
+    # faces stacked is partway through the first group: the unjittered pass
+    # must restart cleanly on the jittered grid
+    field = _assert_cascade_graph_matches(parse_poly(expr, n), resolution)
+    assert field.grid.jittered and field.zero_cells == 0
 
 
 @pytest.mark.parametrize(
@@ -740,22 +765,31 @@ def test_majorant_decides_nearly_every_edge(monkeypatch, name, resolution):
     assert len(sturm) == 0
 
 
-def test_one_float_pass_per_face_and_resolution(monkeypatch):
-    # each face is evaluated once, on its cell centers plus the cube edges
-    # around it, and that one form gives its signs, merge masks and runs
+def test_float_passes_cover_each_face_once_under_the_cap(monkeypatch):
+    # faces are evaluated in stacked groups: at every resolution the float
+    # passes' cells add up to each face's mesh (its cell centers plus the
+    # cube edges around it) exactly once, no pass exceeds one face or 2^18
+    # cells, whichever is larger, and faces that fit twice under that cap
+    # share passes
     passes = []
     float_pass = _MeshForm._float_pass
 
     def counting(form):
-        passes.append(form.shape)
+        passes.append(math.prod(form.shape))
         return float_pass(form)
 
     monkeypatch.setattr(_MeshForm, "_float_pass", counting)
-    nodal_count(fixture("n2d3"))
-    assert len(passes) == 6 * 3
-    passes.clear()
-    nodal_count(fixture("n3d4"), [8, 12, 16])
-    assert len(passes) == 8 * 3
+    for name, resolutions in (("n2d3", [64, 128, 256, 512]), ("n3d4", [8, 24, 48, 96])):
+        p = fixture(name)
+        ambient = p.spatial_dim + 1
+        for resolution in resolutions:
+            passes.clear()
+            cube_section_sample(p, resolution)
+            face = (resolution + 2) ** (ambient - 1)
+            assert sum(passes) == 2 * ambient * face
+            assert max(passes) <= max(face, 2 ** 18)
+            if 2 * face <= 2 ** 18:
+                assert len(passes) < 2 * ambient
 
 
 def test_one_cascade_per_cross_section(monkeypatch):
