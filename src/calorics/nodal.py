@@ -15,13 +15,21 @@ Sign evaluation clears denominators and works on integers.  The fixed
 coordinates of a mesh are substituted exactly; a float pass then evaluates
 the mesh as a chain of tensor contractions with one Vandermonde matrix per
 varying axis (V_a C V_b^T on a 2-D face), together with a rigorous
-rounding-error bound.  Cells whose |value| falls under the bound (in
-particular all exact zeros) are re-evaluated with exact integer arithmetic,
-so no sign is ever trusted to floating point.  Exact zeros are excluded
-from every component; if more than 0.1% of cells are zero the grid is
-jittered by 1/(6r) and resampled once.  cube_section_sample evaluates the
-faces in stacked groups of at most 2^18 cells (one face when a face alone
-is larger), each face on its cell centers plus the cube edges around it.
+rounding-error bound in two tiers.  The face-wide tier takes one exact
+integer per face, S_f = sum_T |C_T| prod_s top_s^(e_s) with top_s the
+largest |numerator| of axis s, which bounds the sum of |terms| of P on
+every cell; times kappa eps (Higham, Accuracy and Stability of Numerical
+Algorithms, Sec. 3.1) it bounds every cell's rounding error.  When every
+cell of a group clears it, the pass makes one contraction, and no cell is
+zero.  Otherwise, and when S_f leaves the float range, a second contraction
+of |C| with |m| gives each cell its own bound.  Cells whose |value| falls
+under the bound (in particular all exact zeros) are re-evaluated with exact
+integer arithmetic, so no sign is ever trusted to floating point.  Exact
+zeros are excluded from every component; if more than 0.1% of cells are
+zero the grid is jittered by 1/(6r) and resampled once.
+cube_section_sample evaluates the faces in stacked groups of at most 2^18
+cells (one face when a face alone is larger), each face on its cell
+centers plus the cube edges around it.
 Every mesh axis of the cube has those numerators, so the cross-section has
 one power table, and each group one form: it gives the group's exact
 signs, the first merge stage below and one graph of runs.  The edges the
@@ -265,6 +273,11 @@ _BERNSTEIN_SPLITS = 4  # de Casteljau halvings of an edge before the exact fallb
 # takes 2^18 / (2 (D + 1)) edges at Bernstein degree D, and holds about ten
 # such arrays at a time, whatever the size of the edge table
 _CASCADE_FLOATS = 2 ** 18
+# multiply-adds in one block of _contract's last matrix product: OpenBLAS runs
+# a dgemm of at most 2^18 of them on one thread, and a large product with an
+# inner dimension of 3-5 otherwise swings 10-30x in time from process to
+# process with the start-up of its threads
+_GEMM_BLOCK = 2 ** 18
 
 
 def _kappa(roundings: int) -> float:
@@ -284,8 +297,9 @@ def _contract(dense: np.ndarray, columns: Sequence[np.ndarray], lead: int = 0) -
     """Contract axis lead + s of dense with axis 1 of columns[s], into a new array.
 
     The first `lead` axes stay in front.  Each axis but the last is a batch
-    of matrix products, and the last one matrix product: no step transposes
-    a mesh-sized array.
+    of matrix products, and the last one matrix product, issued in row
+    blocks of at most _GEMM_BLOCK multiply-adds: no step transposes a
+    mesh-sized array.
     """
     if not columns:
         return dense.copy()
@@ -295,7 +309,12 @@ def _contract(dense: np.ndarray, columns: Sequence[np.ndarray], lead: int = 0) -
         dense = np.matmul(column, dense.reshape(batch, column.shape[1], -1))
         batch *= len(column)
     last = columns[-1]
-    return (dense.reshape(-1, last.shape[1]) @ last.T).reshape(shape)
+    dense = dense.reshape(-1, last.shape[1])
+    out = np.empty((len(dense), len(last)))
+    rows = max(1, _GEMM_BLOCK // last.size)
+    for first in range(0, len(dense), rows):
+        np.matmul(dense[first:first + rows], last.T, out=out[first:first + rows])
+    return out.reshape(shape)
 
 
 def _edge_slices(ndim: int, slot: int) -> Tuple[tuple, tuple]:
@@ -324,12 +343,14 @@ class _MeshForm:
     so `coeffs[0]` maps exponents of the varying axes (in coordinate order)
     to the integer coefficients of P, a positive multiple of p in the
     numerators.  Float evaluation is one chain of tensor contractions, one
-    Vandermonde matrix per varying axis (V_a C V_b^T on a 2-D face), each
-    result with a rounding bound.  The dense coefficients and the powers of
-    every numerator are built once; `signs()` makes the one float pass,
-    `chord_mask` reuses its lower bound on |P| per cell, and an _EdgeTable
-    takes, for the edges that test leaves, each edge's line from the same
-    columns.
+    Vandermonde matrix per varying axis (V_a C V_b^T on a 2-D face), with a
+    rounding bound that is tiered (_float_pass): one bound per face, from
+    the exact S_f of _top_sums, wherever every cell clears it, else a bound
+    per cell from a second contraction.  The dense coefficients and the
+    powers of every numerator are built once; `signs()` makes the one float
+    pass, `chord_mask` reuses its lower bound on |P| per cell, and an
+    _EdgeTable takes, for the edges that test leaves, each edge's line from
+    the same columns.
 
     `_MeshForm.stack` makes one form of several meshes of one shape and one
     set of numerators, such as a group of cube faces: every array then has
@@ -404,6 +425,7 @@ class _MeshForm:
         self.columns = [np.ascontiguousarray(v[:, pw]) for v, pw in zip(tables, self.powers)]
         self.magnitudes = [np.abs(column) for column in self.columns]
         self.floor: Optional[np.ndarray] = None
+        self.nonzero = False  # set by the float pass: the face-wide tier certified every cell
 
     def _roundings(self, skip: Optional[int] = None) -> int:
         # Each product C_T * prod_s m_s^e of a contraction carries at most
@@ -416,33 +438,112 @@ class _MeshForm:
         # contract.
         return 1 + sum(self.degree + len(pw) for s, pw in enumerate(self.powers) if s != skip)
 
+    def _top_sums(self, order: int, slot: int = 0) -> List[int]:
+        """Per face, sum_T |C_T| e_s! / (e_s - order)! prod_r top_r^(e_r - order delta_rs), s = slot.
+
+        top_r is the largest |numerator| on mesh axis r, or 1 if that is
+        larger.  Every cell of the mesh, and every point of a segment
+        between two of them, has |m_r| <= top_r, so the sum bounds the
+        order-th derivative along axis s of sum_T |C_T prod m^e| there.
+        Order 0 is the face's S_f (the slot plays no part), order 2 its
+        D2_s: the same sum, with the slot's powers top^e replaced by their
+        order-th derivatives.  Exact Python ints.
+        """
+        tops = [max(1, int(np.abs(m).max())) for m in self.nums]
+        span = range(self.degree + 1)
+        powers = [[top ** e for e in span] for top in tops]
+        if order:  # terms with e_s < order drop out
+            top = tops[slot]
+            powers[slot] = [math.perm(e, order) * top ** (e - order) if e >= order else 0 for e in span]
+        sums = []
+        for coeffs in self.coeffs:
+            total = 0
+            for key, c in coeffs.items():
+                term = abs(c)
+                for pw, e in zip(powers, key):
+                    term *= pw[e]
+                total += term
+            sums.append(total)
+        return sums
+
+    def _face_bound(self) -> Optional[np.ndarray]:
+        """beta_f per face, a float at least (1 + (K + 2) u) kappa eps S_f; None if some S_f >= 2^1023.
+
+        S_f = sum_T |C_T| prod_r top_r^(e_r) (_top_sums) bounds the sum of
+        |terms| of P on every cell, so beta_f >= kappa eps S_f bounds the
+        rounding error of the float pass on every cell of face f (_kappa).
+        The factor 1 + (K + 2) u, u = eps / 2, covers the roundings of the
+        per-cell bound of _cell_bound, which computes the same sum on one
+        cell at most (1 + u)(1 + gamma_K) <= 1 + (K + 2) u times too high:
+        beta_f is at least that bound on every cell.  It is taken from the
+        exact int S_f kappa (2^53 + K + 2) by one correctly rounded division
+        by 2^105 and one step up.
+        """
+        sums = self._top_sums(0)
+        if max(sums).bit_length() > 1023:
+            return None
+        roundings = self._roundings()
+        scale = int(_kappa(roundings)) * (2 ** 53 + roundings + 2)
+        return np.array([math.nextafter(s * scale / 2 ** 105, math.inf) for s in sums])
+
+    def _cell_bound(self) -> np.ndarray:
+        """Each cell's rounding bound of the float pass: kappa eps times the contraction of |C| with |m|."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = _contract(np.abs(self.dense), self.magnitudes, len(self.lead))
+            bound *= _kappa(self._roundings()) * _FLOAT_EPS
+        return bound
+
     def _float_pass(self) -> Tuple[np.ndarray, np.ndarray]:
         """(signs, floor): int8 signs of float P on the mesh and a lower bound on |P|.
 
-        floor is |P| in floats less the rounding bound: positive exactly
-        where the float sign is certified, and -inf or nan where the pass
-        overflowed.
+        floor is |P| in floats less a rounding bound: positive exactly where
+        the float sign is certified, and -inf or nan where the pass
+        overflowed.  The bound is tiered.  The face-wide tier contracts the
+        values only and certifies a cell when beta_f < |v| (_face_bound).
+        If every cell of the mesh clears it, floor = |v| - beta_f, and
+        `nonzero` records that no cell is zero.  Otherwise, or if some S_f
+        reaches 2^1023, floor takes the per-cell bound (_cell_bound), one
+        more contraction.
+
+        No float of the face-wide tier overflows.  Each rounded power
+        fl(m^e) is at most (1 + gamma_K) top^e, and each product, partial
+        sum and intermediate of the contraction chain is at most
+        (1 + gamma_K) times a sum of |C_T| prod_r top_r^(e_r) over some terms
+        T of one face (top_r >= 1 covers the axes not yet contracted), so at
+        most (1 + gamma_K) S_f < 2^1024.  So |v| < inf needs no test, and a
+        padded zero coefficient meets only finite powers.
         """
         lead = len(self.lead)
         # an overflow becomes inf or nan here; no bound certifies it
         with np.errstate(over="ignore", invalid="ignore"):
             vals = _contract(self.dense, self.columns, lead)
-            # int8 signs without a float temporary: the meshes are large
-            signs = (vals > 0).view(np.int8) - (vals < 0).view(np.int8)
-            bound = _contract(np.abs(self.dense), self.magnitudes, lead)
-            bound *= _kappa(self._roundings()) * _FLOAT_EPS
-            return signs, np.subtract(np.abs(vals, out=vals), bound, out=bound)
+            # int8 signs without a float temporary, the meshes are large:
+            # [|v| > 0] - 2 [v < 0], which is 0 where v is 0 or nan
+            signs = (vals < 0).view(np.int8)
+            signs *= -2
+            floor = np.abs(vals, out=vals)
+            beta = self._face_bound()
+            self.nonzero = beta is not None and bool((floor.reshape(len(beta), -1).min(axis=1) > beta).all())
+            if self.nonzero:  # every |v| > beta_f >= 0
+                signs += 1
+                floor -= beta.reshape(self.lead + (1,) * len(self.nums))
+                return signs, floor
+            signs += (floor > 0).view(np.int8)
+            return signs, np.subtract(floor, self._cell_bound(), out=floor)
 
     def signs(self) -> np.ndarray:
         """Exact signs of p on the mesh, an int8 array in {-1, 0, +1}.
 
         Cells whose float sign is not certified (in particular all exact
         zeros) are re-evaluated in exact integer arithmetic, with the P of
-        their own face.
+        their own face.  When the face-wide tier certifies every cell, no
+        cell is looked at again.
         """
         if not any(self.coeffs):
             return np.zeros(self.shape, dtype=np.int8)
         signs, self.floor = self._float_pass()
+        if self.nonzero:
+            return signs
         # flat views (a 0-d mesh becomes 1-D); the exact signs of uncertain
         # cells replace the float ones in place
         flat, floor = signs.reshape(-1), self.floor.reshape(-1)
@@ -508,15 +609,8 @@ class _MeshForm:
         them, and the threshold is -inf.  A stack has one threshold per face,
         shaped to broadcast over its meshes.
         """
-        tops = [int(np.abs(m).max()) for m in self.nums]
         chords = []
-        for coeffs in self.coeffs:
-            d2 = 0
-            for key, c in coeffs.items():
-                e = key[slot]
-                if e >= 2:
-                    powers = (top ** (k - 2 * (s == slot)) for s, (top, k) in enumerate(zip(tops, key)))
-                    d2 += abs(c) * e * (e - 1) * math.prod(powers)
+        for d2 in self._top_sums(2, slot):
             try:
                 chords.append(math.nextafter(step * step * d2 / 8, math.inf) if d2 else -math.inf)
             except OverflowError:
@@ -990,7 +1084,8 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
             faces = range(first, min(first + per_group, grid.face_count))
             form = _MeshForm.stack(scaled, [_face_values(grid, mesh, face) for face in faces], table)
             signs = form.signs()
-            zeros += int(np.count_nonzero(signs[inner] == 0))
+            if not form.nonzero:  # else the face-wide tier certified every cell
+                zeros += int(np.count_nonzero(signs[inner] == 0))
             if not jittered and zeros / grid.cell_count > _JITTER_ZERO_FRACTION:
                 break  # too many zeros: resample on the jittered grid
             # stage (a) per mesh axis covers the in-face edges (between inner
@@ -1395,9 +1490,14 @@ def _sphere_angles(resolution: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _sphere_points(thetas: np.ndarray, phis: np.ndarray) -> Tuple[np.ndarray, ...]:
-    """Unit-sphere (x, y, t) at every (longitude, latitude) pair of the mesh."""
-    tg, pg = np.meshgrid(thetas, phis, indexing="ij")
-    return np.cos(tg) * np.cos(pg), np.sin(tg) * np.cos(pg), np.sin(pg)
+    """Unit-sphere (x, y, t) at every (longitude, latitude) pair of the mesh.
+
+    x and y are outer products of the 1-D cosines and sines, and t is one
+    row of latitudes that broadcasts against them.
+    """
+    cos_phi = np.cos(phis)
+    xs, ys = (np.multiply.outer(u, cos_phi) for u in (np.cos(thetas), np.sin(thetas)))
+    return xs, ys, np.sin(phis)[None]
 
 
 def export_nodal_pointcloud(
@@ -1419,26 +1519,35 @@ def export_nodal_pointcloud(
         raise NodalError("annulus delta must lie strictly between 0 and 1")
     if resolution < 2:
         raise NodalError("resolution must be >= 2")
-    ux, uy, ut = _sphere_points(*_sphere_angles(resolution))
+    thetas, phis = _sphere_angles(resolution)
+    # only 1-D arrays live across the shells: each block's points, and each
+    # midpoint's ends, are products of a longitude's cos or sin with a
+    # latitude's cos, the same floats as on a full grid
+    cos_theta, sin_theta, cos_phi, ut = np.cos(thetas), np.sin(thetas), np.cos(phis), np.sin(phis)
+
+    def unit(i: np.ndarray, j: np.ndarray) -> Tuple[np.ndarray, ...]:
+        return cos_theta[i] * cos_phi[j], sin_theta[i] * cos_phi[j], ut[j]
+
     # every longitude's neighbour, the last one's wrapping around to the first
-    after = np.roll(np.arange(len(ux)), -1)
+    after = np.roll(np.arange(len(thetas)), -1)
     # shells are evaluated a block of longitudes at a time, so that the
     # float temporaries take _CASCADE_FLOATS cells each, not the grid's
     block = max(1, _CASCADE_FLOATS // resolution)
-    signs = np.empty(ux.shape, dtype=np.int8)
+    signs = np.empty((len(thetas), len(phis)), dtype=np.int8)
 
     points: List[Tuple[float, float, float]] = []
     for radius in np.linspace(1.0 - annulus_delta, 1.0, _EXPORT_SHELLS):
-        for first in range(0, len(ux), block):
+        for first in range(0, len(thetas), block):
             rows = slice(first, first + block)
-            values = _float_mesh_eval(p, radius * ux[rows], radius * uy[rows], radius * ut[rows])
+            xs, ys = (radius * np.multiply.outer(u[rows], cos_phi) for u in (cos_theta, sin_theta))
+            values = _float_mesh_eval(p, xs, ys, radius * ut)
             signs[rows] = (values > 0).view(np.int8) - (values < 0).view(np.int8)
         # sign changes to the next longitude, then to the next latitude; the
         # midpoints are computed at those cells only
         i, j = np.nonzero(signs * signs[after] < 0)
         k, m = np.nonzero(signs[:, :-1] * signs[:, 1:] < 0)
-        for low, high in (((i, j), (after[i], j)), ((k, m), (k, m + 1))):
-            mx, my, mt = ((u[low] + u[high]) / 2 for u in (ux, uy, ut))
+        for low, high in ((unit(i, j), unit(after[i], j)), (unit(k, m), unit(k, m + 1))):
+            mx, my, mt = ((a + b) / 2 for a, b in zip(low, high))
             norm = np.sqrt(mx * mx + my * my + mt * mt)
             norm[norm == 0] = 1.0
             points.extend(zip(*((u / norm * radius).tolist() for u in (mx, my, mt))))

@@ -20,7 +20,9 @@ from calorics import (
     embed,
     fixture,
     harmonic_2d,
+    lewy_2mod4,
     nodal_count,
+    odd_construction,
     parse_poly,
     polar_chambers,
     product_lower,
@@ -186,21 +188,34 @@ def test_exact_signs_match_exact_evaluation(p, data):
             point[axis] = F(int(axis_values[axis][i]), den)
         return point
 
-    signs = _MeshForm(p, axis_values, den).signs()
-    assert signs.shape == tuple(len(axis_values[axis]) for axis in varying)
-    for cell in itertools.product(*(range(size) for size in signs.shape)):
-        assert signs[cell] == _exact_sign(p, mesh_point(cell))
-
     # in-face edges: neighbouring numerators along one varying axis
-    _assert_root_free_decision(p, axis_values, den, data.draw(st.sampled_from(varying)))
-
+    in_face = data.draw(st.sampled_from(varying))
     # a stitch leg: a fixed axis runs from a center to the cube edge
     leg = data.draw(st.sampled_from(fixed))
     leg_values = list(axis_values)
     leg_values[leg] = np.array(
         [data.draw(st.integers(-den, den)), data.draw(st.sampled_from([-den, den]))], dtype=np.int64
     )
-    _assert_root_free_decision(p, leg_values, den, leg)
+
+    # the face-wide rounding bound dominates the per-cell one on every cell
+    form = _MeshForm(p, axis_values, den)
+    beta = form._face_bound()
+    if beta is not None and any(form.coeffs):  # P = 0 on the mesh makes no float pass
+        assert (beta[0] >= form._cell_bound()).all()
+
+    # every draw through both tiers of the rounding certificate: the
+    # face-wide tier where it certifies every cell, and the per-cell tier
+    # alone, as when S_f overflows
+    for per_cell in (False, True):
+        with pytest.MonkeyPatch.context() as patch:
+            if per_cell:
+                patch.setattr(_MeshForm, "_face_bound", lambda form: None)
+            signs = _MeshForm(p, axis_values, den).signs()
+            assert signs.shape == tuple(len(axis_values[axis]) for axis in varying)
+            for cell in itertools.product(*(range(size) for size in signs.shape)):
+                assert signs[cell] == _exact_sign(p, mesh_point(cell))
+            _assert_root_free_decision(p, axis_values, den, in_face)
+            _assert_root_free_decision(p, leg_values, den, leg)
 
 
 @st.composite
@@ -790,6 +805,51 @@ def test_float_passes_cover_each_face_once_under_the_cap(monkeypatch):
             assert max(passes) <= max(face, 2 ** 18)
             if 2 * face <= 2 ** 18:
                 assert len(passes) < 2 * ambient
+
+
+def test_face_wide_rounding_bound_leaves_one_contraction_per_float_pass(monkeypatch):
+    # every group of the benchmark's count inputs clears the face-wide
+    # rounding bound at the default schedules: its float pass contracts the
+    # values only.  Inputs whose |P| spans many orders of magnitude on a face
+    # fall back to the per-cell bound, one more contraction, and keep their
+    # counts
+    passes, contractions = [], []
+    float_pass, contract = _MeshForm._float_pass, nodal._contract
+
+    def counting_pass(form):
+        passes.append(form.shape)
+        return float_pass(form)
+
+    def counting_contract(*args):
+        contractions.append(args[0].shape)
+        return contract(*args)
+
+    monkeypatch.setattr(_MeshForm, "_float_pass", counting_pass)
+    monkeypatch.setattr(nodal, "_contract", counting_contract)
+    face_wide = [
+        fixture("n2d3"),
+        fixture("n2d4"),
+        fixture("prod_n2d4"),
+        lewy_2mod4(6, F(1, 20)),
+        odd_construction(5, F(3, 10), math.pi / 10),
+        zero_mod4(4, F(1, 5), math.pi / 10),
+        fixture("n3d4"),
+    ]
+    for p in face_wide:
+        passes.clear()
+        contractions.clear()
+        nodal_count(p)
+        assert len(contractions) == len(passes) > 0
+    per_cell = [
+        (zero_mod4(16, F(1, 4), 0.2), (49, 23, 26, False)),
+        (basic_hcp(24), (22, 12, 10, False)),
+    ]
+    for p, expected in per_cell:
+        passes.clear()
+        contractions.clear()
+        report = nodal_count(p)
+        assert len(contractions) == 2 * len(passes) > 0
+        assert (report.total, report.positive, report.negative, report.stable) == expected
 
 
 def test_one_cascade_per_cross_section(monkeypatch):
