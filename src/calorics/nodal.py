@@ -11,10 +11,12 @@ is heuristic.  Counts are therefore reported as HEURISTIC-STABILIZED: a
 count is `stable` when the last three resolutions of a schedule agree on the
 (positive, negative) split, never certified.
 
-Sign evaluation clears denominators and works on integers.  The fixed
-coordinates of a mesh are substituted exactly; a float pass then evaluates
-the mesh as a chain of tensor contractions with one Vandermonde matrix per
-varying axis (V_a C V_b^T on a 2-D face), together with a rigorous
+Sign evaluation clears denominators and works on integers.  Every mesh is
+a face of a stack (_MeshForm): the faces share their mesh numerators, each
+at most 2^53 so that it converts to a float exactly, and the coordinates a
+face fixes are substituted exactly.  A float pass then evaluates the stack
+as a chain of tensor contractions with one Vandermonde matrix per mesh
+axis (V_a C V_b^T on a 2-D face), together with a rigorous
 rounding-error bound in two tiers.  The face-wide tier takes one exact
 integer per face, S_f = sum_T |C_T| prod_s top_s^(e_s) with top_s the
 largest |numerator| of axis s, which bounds the sum of |terms| of P on
@@ -29,10 +31,9 @@ zeros are excluded from every component; if more than 0.1% of cells are
 zero the grid is jittered by 1/(6r) and resampled once.
 cube_section_sample evaluates the faces in stacked groups of at most 2^18
 cells (one face when a face alone is larger), each face on its cell
-centers plus the cube edges around it.
-Every mesh axis of the cube has those numerators, so the cross-section has
-one power table, and each group one form: it gives the group's exact
-signs, the first merge stage below and one graph of runs.  The edges the
+centers plus the cube edges around it, and slice_count its box as a stack
+of one face.  Each group is one form: it gives the group's exact signs,
+the first merge stage below and one graph of runs.  The edges the
 first stage leaves wait in one table for the whole cross-section; one
 cascade decides them after the last group, and the stitches across cube
 edges are then decided from each face side's leg mask.
@@ -49,8 +50,8 @@ stages decide each edge, the first that can:
       halvings (Descartes' rule in Bernstein form; Collins & Akritas 1976,
       Farouki & Rajan 1987);
   (d) an exact Sturm count on the integer restriction (a primitive
-      pseudo-remainder sequence in Python ints), once per distinct line
-      and ends.
+      pseudo-remainder sequence in Python ints, from univariate), once per
+      distinct line and ends.
 
 Stages (b) to (d) run once per cross-section (or slice), on an _EdgeTable of
 every edge that (a) left on any face, each stage on what the one before it
@@ -106,6 +107,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .polyring import Polynomial, parabolic_degree
+from .univariate import _sturm_count
 
 DEFAULT_SCHEDULES: Dict[int, Tuple[int, ...]] = {
     2: (128, 256, 512),
@@ -135,113 +137,21 @@ def _check_mesh_cells(side: int, ndim: int) -> None:
         raise NodalError(f"a mesh of {side}^{ndim} cells exceeds the cap MAX_MESH_CELLS = {MAX_MESH_CELLS}")
 
 
+def _check_numerator(top: int) -> None:
+    """Raise NodalError for a mesh numerator of size `top` past 2^53, where floats lose integers."""
+    if top > 2 ** 53:
+        raise NodalError(
+            f"a mesh numerator of {top.bit_length()} bits exceeds 2^53, "
+            "past which floats do not hold every integer exactly"
+        )
+
+
 class BoundViolation(NodalError):
     """A counted value escaped a proven bound; signals a counting bug."""
 
 
 class UnresolvedSign(NodalError):
     """A guarded float evaluation could not be refined to a definite sign."""
-
-
-# ---------------------------------------------------------------------------
-# Exact univariate root counting
-# ---------------------------------------------------------------------------
-
-
-Rational = Union[int, Fraction]
-
-
-def _poly_trim(c: List[int]) -> List[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_derivative(c: Sequence[int]) -> List[int]:
-    return _poly_trim([c[i] * i for i in range(1, len(c))])
-
-
-def _primitive(c: List[int]) -> List[int]:
-    """c divided by its positive content, the gcd of its coefficients."""
-    content = math.gcd(*c)
-    return [x // content for x in c] if content > 1 else c
-
-
-def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> Tuple[List[int], List[int]]:
-    """(q, r) with |lc(b)|^(delta + 1) a = q b + r in integers, delta = deg a - deg b.
-
-    The multiplier is positive, so q and r are positive multiples of the
-    rational quotient and remainder of a / b; b must be trimmed and nonzero.
-    """
-    rem, top, quotient = _poly_trim(list(a)), len(b) - 1, []
-    scale, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
-    for shift in range(len(rem) - len(b), -1, -1):
-        # |lc(b)| * rem - factor * x^shift * b clears rem's coefficient of x^(shift + top)
-        factor = rem[shift + top] * sign
-        rem = [scale * c for c in rem]
-        quotient = [factor] + [scale * c for c in quotient]
-        for i, bc in enumerate(b):
-            rem[shift + i] -= factor * bc
-    return quotient, _poly_trim(rem[:top])
-
-
-def _squarefree(coeffs: List[int]) -> List[int]:
-    """A nonzero multiple of coeffs divided by gcd(coeffs, coeffs')."""
-    gcd, rem = coeffs, _poly_derivative(coeffs)
-    while rem:
-        gcd, rem = rem, _primitive(_pseudo_divmod(gcd, rem)[1])
-    if len(gcd) <= 1:
-        return coeffs
-    # gcd is primitive, so the quotient is exact up to the multiplier
-    return _primitive(_pseudo_divmod(coeffs, gcd)[0])
-
-
-def _sturm_chain(coeffs: List[int]) -> List[List[int]]:
-    """Sturm sequence of the square-free part, as a primitive pseudo-remainder sequence.
-
-    Every term is a positive multiple of the term of the rational sequence
-    (p, p', -rem(p, p'), ...), so every sign along the chain is kept.
-    """
-    coeffs = _squarefree(coeffs)  # chain stays valid for multiple roots
-    chain = [coeffs, _primitive(_poly_derivative(coeffs))]
-    while len(chain[-1]) > 1:
-        rem = _pseudo_divmod(chain[-2], chain[-1])[1]
-        if not rem:
-            break
-        chain.append(_primitive([-c for c in rem]))
-    return chain
-
-
-def _poly_sign(c: Sequence[int], num: int, den: int) -> int:
-    """Sign of c(num / den) for den > 0, from the integer den^deg * c(num / den)."""
-    total, den_power = c[-1], 1
-    for coeff in reversed(c[:-1]):
-        den_power *= den
-        total = total * num + coeff * den_power
-    return (total > 0) - (total < 0)
-
-
-def _sturm_count(coeffs: Sequence[Rational], a: Optional[Rational], b: Optional[Rational]) -> int:
-    """Distinct real roots in (a, b]; None endpoints mean -/+ infinity.
-
-    coeffs (lowest degree first) are scaled to integers by the lcm of their
-    denominators, and the chain is built and evaluated in Python ints.
-    """
-    scale = math.lcm(*(c.denominator for c in coeffs))
-    ints = _poly_trim([c.numerator * (scale // c.denominator) for c in coeffs])
-    if len(ints) <= 1:
-        return 0
-    chain = _sturm_chain(ints)
-
-    def variations(x: Optional[Rational], positive_end: bool) -> int:
-        if x is not None:
-            signs = [_poly_sign(c, x.numerator, x.denominator) for c in chain]
-        else:  # leading coefficients, flipped at -infinity for odd degrees
-            signs = [c[-1] if positive_end or len(c) % 2 else -c[-1] for c in chain]
-        signs = [s for s in signs if s]
-        return sum(1 for u, v in zip(signs, signs[1:]) if (u > 0) != (v > 0))
-
-    return variations(a, positive_end=a is not None) - variations(b, positive_end=True)
 
 
 # ---------------------------------------------------------------------------
@@ -293,18 +203,16 @@ def _kappa(roundings: int) -> float:
     return 8.0 * (roundings + 4)
 
 
-def _contract(dense: np.ndarray, columns: Sequence[np.ndarray], lead: int = 0) -> np.ndarray:
-    """Contract axis lead + s of dense with axis 1 of columns[s], into a new array.
+def _contract(dense: np.ndarray, columns: Sequence[np.ndarray]) -> np.ndarray:
+    """Contract axis 1 + s of dense with axis 1 of columns[s], into a new array.
 
-    The first `lead` axes stay in front.  Each axis but the last is a batch
-    of matrix products, and the last one matrix product, issued in row
-    blocks of at most _GEMM_BLOCK multiply-adds: no step transposes a
-    mesh-sized array.
+    The leading face axis stays in front, and there is at least one column.
+    Each axis but the last is a batch of matrix products, and the last one
+    matrix product, issued in row blocks of at most _GEMM_BLOCK
+    multiply-adds: no step transposes a mesh-sized array.
     """
-    if not columns:
-        return dense.copy()
-    shape = dense.shape[:lead] + tuple(len(column) for column in columns)
-    batch = math.prod(shape[:lead])
+    shape = dense.shape[:1] + tuple(len(column) for column in columns)
+    batch = len(dense)
     for column in columns[:-1]:
         dense = np.matmul(column, dense.reshape(batch, column.shape[1], -1))
         batch *= len(column)
@@ -335,58 +243,40 @@ def _bernstein_tables(degree: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 class _MeshForm:
-    """p on a mesh of integer numerators over one denominator, as an integer form.
+    """p on a stack of meshes of integer numerators over one denominator, as integer forms.
 
-    axis_values has one entry per coordinate (x_1..x_n, t): either a scalar
+    scaled is _integer_scaled_terms(p, denominator).  faces holds one mesh
+    per face, with one entry per coordinate (x_1..x_n, t): either a scalar
     integer numerator or a 1-D integer array of numerators; every coordinate
-    equals numerator / denominator.  The fixed axes are substituted exactly,
-    so `coeffs[0]` maps exponents of the varying axes (in coordinate order)
-    to the integer coefficients of P, a positive multiple of p in the
-    numerators.  Float evaluation is one chain of tensor contractions, one
-    Vandermonde matrix per varying axis (V_a C V_b^T on a 2-D face), with a
-    rounding bound that is tiered (_float_pass): one bound per face, from
-    the exact S_f of _top_sums, wherever every cell clears it, else a bound
-    per cell from a second contraction.  The dense coefficients and the
-    powers of every numerator are built once; `signs()` makes the one float
-    pass, `chord_mask` reuses its lower bound on |P| per cell, and an
-    _EdgeTable takes, for the edges that test leaves, each edge's line from
-    the same columns.
+    equals numerator / denominator.  The faces have one shape and one set of
+    numerators: the same arrays, in order, on the axes each face varies (at
+    least one), while the axes they fix may differ, as on the faces of the
+    cube, or take different values.  Every array has a leading face axis.
+    The fixed axes are substituted exactly, so `coeffs[f]` maps exponents of
+    face f's varying axes (in coordinate order) to the integer coefficients
+    of its P, a positive multiple of p in the numerators.  The dense
+    coefficients of all faces are laid out over the union of their exponents
+    on each mesh axis, zero where a face has none, and each mesh axis takes
+    its power columns from np.vander of its numerators.
 
-    `_MeshForm.stack` makes one form of several meshes of one shape and one
-    set of numerators, such as a group of cube faces: every array then has
-    a leading face axis, `coeffs[f]` is face f's P, and the dense
-    coefficients of all faces are laid out over the union of their
-    exponents on each mesh axis, zero where a face has none.  Every face's
-    signs, floors, chord masks and edge lines then come from one float pass,
-    whose rounding count K covers the padded number of terms.
+    Float evaluation is one chain of tensor contractions, one Vandermonde
+    matrix per mesh axis (V_a C V_b^T on a 2-D face), with a rounding bound
+    that is tiered (_float_pass): one bound per face, from the exact S_f of
+    _top_sums, wherever every cell clears it, else a bound per cell from a
+    second contraction.  `signs()` makes the one float pass, `chord_mask`
+    reuses its lower bound on |P| per cell, and an _EdgeTable takes, for the
+    edges that test leaves, each edge's line from the same columns.  The
+    rounding count K covers the padded number of terms.
     """
 
-    def __init__(self, p: Polynomial, axis_values: Sequence[AxisValues], denominator: int):
-        ambient = p.spatial_dim + 1
-        if len(axis_values) != ambient:
-            raise ValueError(f"need {ambient} axis value specs, got {len(axis_values)}")
-        self._build(_integer_scaled_terms(p, denominator), [axis_values], ())
-
-    @classmethod
-    def stack(cls, scaled: tuple, faces: Sequence[Sequence[AxisValues]], table: np.ndarray) -> "_MeshForm":
-        """One form of the meshes `faces` (axis values as above), stacked on a leading face axis.
-
-        scaled is _integer_scaled_terms(p, denominator).  Every varying axis
-        of every face takes the numerators whose powers `table` holds, one
-        row per numerator from e = 0 up to at least the degree (np.vander),
-        so one power table serves all of them.
-        """
-        form = cls.__new__(cls)
-        form._build(scaled, faces, (len(faces),), table)
-        return form
-
-    def _build(self, scaled: tuple, faces: Sequence[Sequence[AxisValues]], lead: tuple, table=None):
-        """Each face's P from the scaled terms, the dense coefficients of all of them, and the columns."""
+    def __init__(self, scaled: tuple, faces: Sequence[Sequence[AxisValues]]):
         self.degree, exps, ints = scaled
-        self.lead = lead
         self.varying = [i for i, v in enumerate(faces[0]) if isinstance(v, np.ndarray)]
         self.nums = [faces[0][i] for i in self.varying]
-        self.shape = lead + tuple(len(m) for m in self.nums)
+        # the largest |numerator| of each mesh axis, or 1 if that is larger
+        self.tops = [max(1, int(np.abs(m).max())) for m in self.nums]
+        _check_numerator(max(self.tops))  # the float pass takes every numerator as a float
+        self.shape = (len(faces),) + tuple(len(m) for m in self.nums)
         self.coeffs: List[Dict[Tuple[int, ...], int]] = []
         for values in faces:
             varying = [i for i, v in enumerate(values) if isinstance(v, np.ndarray)]
@@ -398,18 +288,17 @@ class _MeshForm:
                 key = tuple(e[axis] for axis in varying)
                 coeffs[key] = coeffs.get(key, 0) + c
             self.coeffs.append({key: c for key, c in coeffs.items() if c})
-        # dense over the exponents that occur on each varying axis; an unused
+        # dense over the exponents that occur on each mesh axis; an unused
         # power column could overflow and bring inf * 0 = nan into the mesh.
-        # A stack pads a face with zeros at exponents only other faces have;
+        # A face is padded with zeros at exponents only other faces have;
         # where such a column overflows, the face that has the exponent
         # overflows on the same cells, and the pass raises either way
         keys = [key for coeffs in self.coeffs for key in coeffs]
         self.powers = [sorted({key[s] for key in keys}) for s in range(len(self.nums))]
         ranks = [{e: k for k, e in enumerate(pw)} for pw in self.powers]
-        self.dense = np.zeros(lead + tuple(len(pw) for pw in self.powers))
-        views = self.dense.reshape((len(faces),) + self.dense.shape[len(lead):])  # one per face
+        self.dense = np.zeros((len(faces),) + tuple(len(pw) for pw in self.powers))
         try:
-            for face, coeffs in zip(views, self.coeffs):
+            for face, coeffs in zip(self.dense, self.coeffs):
                 for key, c in coeffs.items():
                     face[tuple(rank[e] for rank, e in zip(ranks, key))] = float(c)
         except OverflowError as exc:
@@ -418,7 +307,7 @@ class _MeshForm:
             ) from exc
         with np.errstate(over="ignore"):
             # m^e for e = 0 .. the axis's top exponent, one row per numerator
-            tables = [table] * len(self.nums) if table is not None else [
+            tables = [
                 np.vander(m.astype(np.float64), max(pw, default=0) + 1, increasing=True)
                 for m, pw in zip(self.nums, self.powers)
             ]
@@ -432,7 +321,8 @@ class _MeshForm:
         # 1 + sum_s (degree + k_s) roundings: 1 converting its coefficient to
         # float (the fixed axes were substituted exactly before), degree per
         # axis for m^e (np.vander multiplies cumulatively, e - 1 roundings;
-        # integer m is exact and nothing underflows) and k_s for stage s, an
+        # m is an integer of at most 2^53, checked at construction, so exact,
+        # and nothing underflows) and k_s for stage s, an
         # inner product over the k_s exponents of axis s (padded ones
         # included).  An edge's line skips its slot axis, which it does not
         # contract.
@@ -449,11 +339,10 @@ class _MeshForm:
         D2_s: the same sum, with the slot's powers top^e replaced by their
         order-th derivatives.  Exact Python ints.
         """
-        tops = [max(1, int(np.abs(m).max())) for m in self.nums]
         span = range(self.degree + 1)
-        powers = [[top ** e for e in span] for top in tops]
+        powers = [[top ** e for e in span] for top in self.tops]
         if order:  # terms with e_s < order drop out
-            top = tops[slot]
+            top = self.tops[slot]
             powers[slot] = [math.perm(e, order) * top ** (e - order) if e >= order else 0 for e in span]
         sums = []
         for coeffs in self.coeffs:
@@ -489,7 +378,7 @@ class _MeshForm:
     def _cell_bound(self) -> np.ndarray:
         """Each cell's rounding bound of the float pass: kappa eps times the contraction of |C| with |m|."""
         with np.errstate(over="ignore", invalid="ignore"):
-            bound = _contract(np.abs(self.dense), self.magnitudes, len(self.lead))
+            bound = _contract(np.abs(self.dense), self.magnitudes)
             bound *= _kappa(self._roundings()) * _FLOAT_EPS
         return bound
 
@@ -513,10 +402,9 @@ class _MeshForm:
         most (1 + gamma_K) S_f < 2^1024.  So |v| < inf needs no test, and a
         padded zero coefficient meets only finite powers.
         """
-        lead = len(self.lead)
         # an overflow becomes inf or nan here; no bound certifies it
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = _contract(self.dense, self.columns, lead)
+            vals = _contract(self.dense, self.columns)
             # int8 signs without a float temporary, the meshes are large:
             # [|v| > 0] - 2 [v < 0], which is 0 where v is 0 or nan
             signs = (vals < 0).view(np.int8)
@@ -526,7 +414,7 @@ class _MeshForm:
             self.nonzero = beta is not None and bool((floor.reshape(len(beta), -1).min(axis=1) > beta).all())
             if self.nonzero:  # every |v| > beta_f >= 0
                 signs += 1
-                floor -= beta.reshape(self.lead + (1,) * len(self.nums))
+                floor -= beta.reshape((-1,) + (1,) * len(self.nums))
                 return signs, floor
             signs += (floor > 0).view(np.int8)
             return signs, np.subtract(floor, self._cell_bound(), out=floor)
@@ -544,18 +432,17 @@ class _MeshForm:
         signs, self.floor = self._float_pass()
         if self.nonzero:
             return signs
-        # flat views (a 0-d mesh becomes 1-D); the exact signs of uncertain
-        # cells replace the float ones in place
+        # flat views: the exact signs of uncertain cells replace the float
+        # ones in place
         flat, floor = signs.reshape(-1), self.floor.reshape(-1)
         uncertain = ~(floor > 0)  # overflowed cells are uncertain
         if uncertain.any():
             if not np.isfinite(floor[uncertain]).all():
                 raise NodalError(f"degree {self.degree}: the float pass of sign evaluation overflows")
-            lead = len(self.lead)
             for index in np.flatnonzero(uncertain):
-                cell = np.unravel_index(index, self.shape)
-                coeffs = self.coeffs[cell[0] if lead else 0]
-                ms = [int(m[i]) for m, i in zip(self.nums, cell[lead:])]
+                face, *cell = np.unravel_index(index, self.shape)
+                coeffs = self.coeffs[face]
+                ms = [int(m[i]) for m, i in zip(self.nums, cell)]
                 total = sum(c * math.prod(m ** e for m, e in zip(ms, key)) for key, c in coeffs.items())
                 flat[index] = (total > 0) - (total < 0)
         return signs
@@ -570,7 +457,7 @@ class _MeshForm:
         between two cells whose floors clear it merges.  The edges in `left`
         go to an _EdgeTable.
         """
-        lo, hi = _edge_slices(signs.ndim, len(self.lead) + slot)
+        lo, hi = _edge_slices(signs.ndim, 1 + slot)
         candidates = signs[lo] * signs[hi] > 0
         if not candidates.any():
             return candidates, np.zeros_like(candidates)
@@ -580,23 +467,7 @@ class _MeshForm:
         merged &= candidates
         return merged, candidates ^ merged
 
-    def merge_mask(self, slot: int, signs: np.ndarray) -> np.ndarray:
-        """Edges along `slot` whose cells share a nonzero sign and a root-free segment.
-
-        Stage (a) (`chord_mask`), then one _EdgeTable cascade over the edges
-        it leaves; the mask is shaped like `signs` with axis `slot`
-        shortened by one.  cube_section_sample and slice_count split the
-        two, so that one cascade decides the edges of every mesh they sample.
-        """
-        merged, left = self.chord_mask(slot, signs)
-        cells = np.nonzero(left)
-        table = _EdgeTable()
-        table.add(self, slot, cells, signs)
-        free = table.cascade()
-        merged[tuple(index[free] for index in cells)] = True
-        return merged
-
-    def _face_chord(self, slot: int, step: int) -> Union[float, np.ndarray]:
+    def _face_chord(self, slot: int, step: int) -> np.ndarray:
         """A float at least step^2 / 8 * D2_s, with D2_s >= |d^2 P / dm_s^2| on the whole mesh.
 
         D2_s = sum_T |C_T| e_s (e_s - 1) prod_r top_r^(e_r - 2 delta_rs), with
@@ -606,8 +477,8 @@ class _MeshForm:
         the division is undone by one step up.  A threshold beyond the float
         range is inf, which certifies nothing.  Where D2_s = 0, P is affine
         along the slot: two cells of one nonzero sign have no root between
-        them, and the threshold is -inf.  A stack has one threshold per face,
-        shaped to broadcast over its meshes.
+        them, and the threshold is -inf.  One threshold per face, shaped to
+        broadcast over the stack.
         """
         chords = []
         for d2 in self._top_sums(2, slot):
@@ -615,32 +486,31 @@ class _MeshForm:
                 chords.append(math.nextafter(step * step * d2 / 8, math.inf) if d2 else -math.inf)
             except OverflowError:
                 chords.append(math.inf)
-        return np.reshape(chords, self.lead + (1,) * len(self.nums)) if self.lead else chords[0]
+        return np.reshape(chords, (-1,) + (1,) * len(self.nums))
 
     def _edge_lines(
         self, slot: int, lines: Tuple[np.ndarray, ...], dense: Optional[np.ndarray] = None
     ) -> np.ndarray:
         """(c, a): P on each mesh line `lines` along `slot`, and the sizes of its coefficients.
 
-        lines holds one index array per axis of the mesh but the slot (none
-        on a 1-D mesh, which is one line), a stack's face index first.  Every
+        lines holds one index array per axis of the stack but the slot, the
+        face index first (a face of a 1-D mesh is one line).  Every mesh
         axis but the slot is contracted with the line's own row of its
         columns, one axis at a time, which leaves the restriction
         q(m) = sum_j c_j m^j of each line: c and a are stacked in an array of
         shape (lines, 2, len(powers[slot])).  a is the same contraction of
         |C| with |m|, a float of the sum A_j of the |terms| of c_j: c_j is
         within gamma_K A_j of its exact value, and A_j <= a_j / (1 - gamma_K),
-        K = _roundings(skip=slot).  A stack's faces are taken one at a time,
-        each from its own `dense` coefficients.
+        K = _roundings(skip=slot).  The faces are taken one at a time, each
+        from its own `dense` coefficients, and lines without the face index.
         """
-        if dense is None and self.lead:  # lines come in C order: each face's are contiguous
+        if dense is None:  # lines come in C order: each face's are contiguous
             faces, firsts = np.unique(lines[0], return_index=True)
             lasts = np.append(firsts[1:], len(lines[0]))
             return np.concatenate([
                 self._edge_lines(slot, tuple(index[first:last] for index in lines[1:]), self.dense[face])
                 for face, first, last in zip(faces, firsts, lasts)
             ])
-        dense = self.dense if dense is None else dense
         others = [s for s in range(len(self.nums)) if s != slot]
         # (c, a) stacked on a first axis of 2 all the way: the slot axis next
         order = (0, slot + 1) + tuple(1 + s for s in others)
@@ -655,7 +525,7 @@ class _MeshForm:
                 else:  # the last axis against each line's own row
                     rows = rows.reshape(rows.shape[:2] + (1,) * (acc.ndim - 4) + rows.shape[2:] + (1,))
                     acc = (acc @ rows)[..., 0]
-        if not others:  # a 1-D mesh is one line
+        if not others:  # a face of a 1-D mesh is one line
             acc = acc[:, None]
         return acc.transpose(1, 0, 2)
 
@@ -723,7 +593,6 @@ class _EdgePart(NamedTuple):
     """What stages (b)-(d) read of the edges one `_EdgeTable.add` call gathered."""
 
     coeffs: List[Dict[Tuple[int, ...], int]]  # each face's P, for the exact lines of stage (d)
-    lead: int  # 1 for a stack of faces, whose lines start with a face index, else 0
     slot: int
     nums: List[np.ndarray]  # the form's numerators per mesh axis
     lines: Tuple[np.ndarray, ...]  # the distinct mesh lines of the edges, as in _MeshForm._edge_lines
@@ -760,25 +629,23 @@ class _EdgeTable:
     def add(self, form: _MeshForm, slot: int, cells: Tuple[np.ndarray, ...], signs: np.ndarray) -> np.ndarray:
         """Table index of each edge `cells` along mesh axis `slot` of `form`, whose exact signs are `signs`.
 
-        cells has one index array per axis of `signs`, a stack's face axis first.
+        cells has one index array per axis of `signs`, the face axis first.
         """
-        axis = len(form.lead) + slot
+        axis = 1 + slot
         count = len(cells[axis])
         first, self.size = self.size, self.size + count
         if count:
             at = cells[axis]
             upper = cells[:axis] + (at + 1,) + cells[axis + 1:]
-            others = [index for s, index in enumerate(cells) if s != axis]
-            lines, line = (), np.zeros(count, dtype=np.intp)  # a 1-D mesh is one line
-            if others:  # the distinct lines, in C order, and each edge's rank among them
-                shape = tuple(n for s, n in enumerate(signs.shape) if s != axis)
-                ids = np.ravel_multi_index(others, shape)
-                used = np.zeros(math.prod(shape), dtype=bool)
-                used[ids] = True
-                lines = np.unravel_index(np.flatnonzero(used), shape)
-                line = np.cumsum(used)[ids] - 1
+            # the distinct lines, in C order, and each edge's rank among them
+            shape = tuple(n for s, n in enumerate(signs.shape) if s != axis)
+            ids = np.ravel_multi_index([index for s, index in enumerate(cells) if s != axis], shape)
+            used = np.zeros(math.prod(shape), dtype=bool)
+            used[ids] = True
+            lines = np.unravel_index(np.flatnonzero(used), shape)
+            line = np.cumsum(used)[ids] - 1
             self.parts.append(_EdgePart(
-                form.coeffs, len(form.lead), slot, form.nums, lines, form.powers[slot],
+                form.coeffs, slot, form.nums, lines, form.powers[slot],
                 form._roundings(skip=slot), form._edge_lines(slot, lines), line,
                 np.minimum(form.floor[cells], form.floor[upper]),
                 form.nums[slot][np.stack([at, at + 1], axis=1)],
@@ -809,7 +676,7 @@ class _EdgeTable:
         roundings = max(part.roundings for part in parts)
         edge_firsts = np.cumsum([0] + [len(part.line) for part in parts])
         # stage (d) reads only each form's exact data
-        forms = [(part.coeffs, part.lead, part.slot, part.nums, part.lines) for part in parts]
+        forms = [(part.coeffs, part.slot, part.nums, part.lines) for part in parts]
         del parts
 
         # (b) on a batch, (c) on what (b) leaves of it
@@ -834,11 +701,11 @@ class _EdgeTable:
             key = int(line[e])
             if key not in exact:
                 k = int(np.searchsorted(edge_firsts, e, side="right")) - 1
-                coeffs, lead, slot, nums, lines = forms[k]
-                point = [int(index[key - line_firsts[k]]) for index in lines]  # a stack's face first
+                coeffs, slot, nums, lines = forms[k]
+                face, *point = [int(index[key - line_firsts[k]]) for index in lines]
                 others = [s for s in range(len(nums)) if s != slot]
-                ms = [int(nums[s][i]) for s, i in zip(others, point[lead:])]
-                exact[key] = _exact_line(coeffs[point[0] if lead else 0], slot, ms)
+                ms = [int(nums[s][i]) for s, i in zip(others, point)]
+                exact[key] = _exact_line(coeffs[face], slot, ms)
             # ends are nonzero: no root sits on one
             args = (exact[key], *sorted(ends[e].tolist()))
             if args not in counts:
@@ -1030,9 +897,9 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
     dimension 2..4.  Faces are evaluated in stacked groups of even size, as
     many faces as fit in _CASCADE_FLOATS = 2^18 cells (at least one), each
     face on its cell centers plus the cube edges around it (_face_values).
-    Every mesh axis of every face has the same numerators, grid.mesh, so one
-    power table serves the cross-section and one form (_MeshForm.stack) each
-    group: it gives the group's exact signs, the face-wide chord test of
+    Every mesh axis of every face has the same numerators, grid.mesh, so
+    each group is one _MeshForm: it gives the group's exact signs, the
+    face-wide chord test of
     each in-face edge and stitch leg, and the table rows of the edges that
     test leaves, and its float arrays are dropped before the next group.
     The group's runs are cut at every edge still undecided, and their ids
@@ -1068,8 +935,6 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
         grid = CrossSectionGrid(ambient, resolution, jittered)
         mesh = grid.mesh
         scaled = _integer_scaled_terms(p, grid.denominator)
-        with np.errstate(over="ignore"):
-            table = np.vander(mesh.astype(np.float64), scaled[0] + 1, increasing=True)
         edge_table = _EdgeTable()
         face_signs, node_signs, edges = [], [], []
         # in-face graph edges that wait for the cascade: end node ids, table indices
@@ -1082,7 +947,7 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
         zeros = offset = 0
         for first in range(0, grid.face_count, per_group):
             faces = range(first, min(first + per_group, grid.face_count))
-            form = _MeshForm.stack(scaled, [_face_values(grid, mesh, face) for face in faces], table)
+            form = _MeshForm(scaled, [_face_values(grid, mesh, face) for face in faces])
             signs = form.signs()
             if not form.nonzero:  # else the face-wide tier certified every cell
                 zeros += int(np.count_nonzero(signs[inner] == 0))
@@ -1288,7 +1153,8 @@ class SliceReport:
 
     caveat = True means the count may misrepresent the plane: either distinct
     same-sign components touch the box boundary (they could merge outside) or,
-    for n = 1, the exact root isolation shows roots beyond the box.  The
+    for n = 1, the exact root isolation shows roots beyond the box or a total
+    other than 1 + the number of distinct real roots.  The
     nodal-count comparison N <= slice total is only meaningful when clear.
     """
 
@@ -1317,10 +1183,13 @@ def slice_count(
 
     The default R is the exact Cauchy root bound for n = 1, which certifies
     that no slice structure lies outside the box (the caveat flag is then
-    settled by exact Sturm root counting), and 4 otherwise.  The default
-    resolution (cells per axis) is 512 for n <= 2 and 64 for n >= 3, where
-    512^3 cells would not fit in memory (MAX_MESH_CELLS refuses larger
-    boxes).  Cells are labeled as on the cube: the face-wide chord test, runs
+    settled by exact Sturm root counting: it is set when the box misses a
+    root, or when the total is not 1 + the distinct real roots), and 4
+    otherwise.  The default resolution (cells per axis) is 512 for n <= 2
+    and 64 for n >= 3, where 512^3 cells would not fit in memory
+    (MAX_MESH_CELLS refuses larger boxes).  The mesh numerators, R's
+    numerator times the odd integers up to resolution - 1, must stay within
+    2^53, or NodalError is raised.  Cells are labeled as on the cube: the face-wide chord test, runs
     (_probed_runs) cut at the edges it leaves, one _EdgeTable cascade whose
     merges join the runs, and one _components call.
     """
@@ -1343,11 +1212,13 @@ def slice_count(
     if resolution < 2:
         raise NodalError("resolution must be >= 2")
     _check_mesh_cells(resolution, n)
+    # the largest |numerator|, in Python ints: an int64 array of it could wrap
+    _check_numerator(radius.numerator * (resolution - 1))
 
     nums = radius.numerator * (2 * np.arange(resolution, dtype=np.int64) + 1 - resolution)
     den = radius.denominator * resolution
-    form = _MeshForm(v, [nums] * n + [0], den)
-    signs = form.signs()
+    form = _MeshForm(_integer_scaled_terms(v, den), [[nums] * n + [0]])
+    signs = form.signs()  # a stack of one face
 
     if v.is_zero or not (signs != 0).any():
         return SliceReport(0, 0, 0, True, radius, resolution)
@@ -1364,7 +1235,7 @@ def slice_count(
     merges = table.cascade()
     edges = [(rows, cols)]
     for slot, (cells, refs) in enumerate(waits):
-        edges.append(_edge_ends(starts, signs.shape, slot, [index[merges[refs]] for index in cells]))
+        edges.append(_edge_ends(starts, signs.shape, 1 + slot, [index[merges[refs]] for index in cells]))
     rows, cols = (np.concatenate(part) for part in zip(*edges))
     _, labels = _components(len(node_signs), rows, cols)
     positive, negative = _sign_split(labels, node_signs)
@@ -1373,10 +1244,12 @@ def slice_count(
         coeffs = _univariate_coeffs(v)
         inside = _sturm_count(coeffs, -radius, radius)
         everywhere = _sturm_count(coeffs, None, None)
-        caveat = inside != everywhere
+        # the components of {v != 0} on the line are the arcs between its
+        # distinct roots; a grid that misses one of them undercounts
+        caveat = inside != everywhere or positive + negative != everywhere + 1
     else:
         rim = np.ones(signs.shape, dtype=bool)
-        rim[(slice(1, -1),) * n] = False
+        rim[(0,) + (slice(1, -1),) * n] = False
         caveat = max(_sign_split(labels[_run_ids(starts, np.flatnonzero(rim))], signs[rim])) >= 2
     return SliceReport(positive + negative, positive, negative, caveat, radius, resolution)
 

@@ -138,6 +138,20 @@ def test_count_with_slice_and_bounds(capsys):
     assert payload["bounds"]["ok"]
 
 
+@pytest.mark.parametrize("degree", ["7", "8", "12"])
+def test_count_slice_that_misses_roots_is_caveated_not_a_bound_failure(capsys, degree):
+    # the 512-cell slice of basic_hcp(d) in its Cauchy box sees fewer than
+    # the d + 1 arcs of the line; with the caveat set, the correct stable
+    # count N = 2 ceil(d / 2) is not held against that total (it exited 3
+    # before)
+    code, out, _ = run(capsys, "count", "--gen", "basic", "-n", "1", "-d", degree, "--slice")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["total"] == int(degree) + int(degree) % 2 and payload["stable"]
+    assert payload["slice"]["caveat"] and payload["slice"]["bound_ok"]
+    assert payload["slice"]["total"] < int(degree) + 1
+
+
 def test_count_slice_in_three_space_variables(capsys):
     # the n = 3 slice defaults to 64 cells per axis, not 512^3 cells
     code, out, _ = run(
@@ -175,6 +189,11 @@ def test_parse_error_exits_four(capsys):
         "count --expr x^64 -n 1 --schedule 70000,70001,70002",
         # one face of 40002^2 cells is past MAX_MESH_CELLS: refused before any allocation
         "count --fixture n2d3 --schedule 40000,40001,40002",
+        # slice numerators past 2^53, where floats stop holding every integer: those of
+        # the first wrapped silently in int64, and the other two overflowed it
+        "count --expr x^2+10^17*t -n 1 --slice",
+        "count --expr x^2+10^19*t -n 1 --slice",
+        "count --gen basic -n 1 -d 40 --slice",
     ],
 )
 def test_counting_errors_exit_four(capsys, argv):

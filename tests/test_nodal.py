@@ -36,6 +36,8 @@ from calorics.nodal import (
     NodalError,
     UnresolvedSign,
     _components,
+    _EdgeTable,
+    _integer_scaled_terms,
     _MeshForm,
     _probed_runs,
     _sturm_count,
@@ -52,10 +54,31 @@ def _negate_spatial(p):
 # ---- exact sign evaluation ----
 
 
+def _form(p, faces, den):
+    """The _MeshForm of p on the meshes `faces` (axis values over den), stacked on a face axis."""
+    return _MeshForm(_integer_scaled_terms(p, den), faces)
+
+
+def _merge_mask(form, slot, signs):
+    """Edges along `slot` whose cells share a nonzero sign and a root-free segment.
+
+    Stage (a) (`chord_mask`), then one _EdgeTable cascade over the edges it
+    leaves, as cube_section_sample and slice_count run them; the mask is
+    shaped like `signs` with the axis of mesh axis `slot` shortened by one.
+    """
+    merged, left = form.chord_mask(slot, signs)
+    cells = np.nonzero(left)
+    table = _EdgeTable()
+    table.add(form, slot, cells, signs)
+    free = table.cascade()
+    merged[tuple(index[free] for index in cells)] = True
+    return merged
+
+
 def test_sign_mesh_matches_exact_evaluation():
     p = fixture("n2d3")
     nums = np.array([-3, -1, 1, 3], dtype=np.int64)
-    signs = _MeshForm(p, [nums, nums, 4], 4).signs()
+    signs = _form(p, [[nums, nums, 4]], 4).signs()[0]
     for i, mx in enumerate(nums):
         for j, my in enumerate(nums):
             value = p.evaluate((F(int(mx), 4), F(int(my), 4), 1))
@@ -66,16 +89,15 @@ def test_sign_mesh_matches_exact_evaluation():
 def test_sign_mesh_detects_exact_zeros():
     p = parse_poly("x", 1)
     nums = np.array([-2, 0, 2], dtype=np.int64)
-    signs = _MeshForm(p, [nums, 3], 3).signs()
+    signs = _form(p, [[nums, 3]], 3).signs()[0]
     assert list(signs) == [-1, 0, 1]
 
 
 def test_sign_mesh_resolves_an_exact_zero_on_a_point_mesh():
-    # a mesh with every axis fixed is one point; (x^2 + t)^2 vanishes at the
-    # cube corner (1, -1), between two positive cells of the adjacent faces,
-    # so the n = 1 stitch across that corner must not merge them
+    # (x^2 + t)^2 vanishes at the cube corner (1, -1), between two positive
+    # cells of the adjacent faces, so the n = 1 stitch across that corner
+    # must not merge them
     p = parse_poly("(x^2 + t)^2", 1)
-    assert _MeshForm(p, [8, -8], 8).signs() == 0
     report = nodal_count(p, [8, 16, 32])
     assert (report.total, report.positive, report.negative) == (2, 2, 0)
 
@@ -85,7 +107,7 @@ def test_sign_mesh_certifies_huge_coefficient_cancellation():
     big = 10 ** 20
     p = parse_poly(f"{big * big}*x^2 - 1", 1)
     nums = np.array([0], dtype=np.int64)
-    assert _MeshForm(p, [nums, 1], 1).signs()[0] == -1
+    assert _form(p, [[nums, 1]], 1).signs()[0, 0] == -1
 
 
 def test_sign_mesh_rejects_float_overflow():
@@ -94,7 +116,7 @@ def test_sign_mesh_rejects_float_overflow():
     p = zero_mod4(16, F(1, 4), rotation=0.2)
     nums = np.array([-1023, -512, 0, 511, 1023], dtype=np.int64)
     with pytest.raises(NodalError, match="degree 16"):
-        _MeshForm(p, [nums, nums, 1024], 1024).signs()
+        _form(p, [[nums, nums, 1024]], 1024).signs()
 
 
 def _coordinate(n, axis):
@@ -126,29 +148,30 @@ def _restriction(p, start, end):
     return coeffs
 
 
-def _assert_root_free_decision(p, axis_values, den, axis):
-    """The merge mask along `axis` against exact Sturm counts on each segment.
+def _assert_root_free_decision(p, faces, den, axis):
+    """The merge mask along `axis` of the stack `faces` against exact Sturm counts on each segment.
 
     An edge merges exactly when both ends share a nonzero sign and the exact
-    restriction of p to the segment between them has no root.
+    restriction of p to the segment between them has no root.  The faces
+    vary the same axes.
     """
-    form = _MeshForm(p, axis_values, den)
+    form = _form(p, faces, den)
     signs = form.signs()
     slot = form.varying.index(axis)
-    merged = form.merge_mask(slot, signs)
+    merged = _merge_mask(form, slot, signs)
     varying = form.varying
-    for cell in itertools.product(*(range(size) for size in merged.shape)):
+    for face, *cell in itertools.product(*(range(size) for size in merged.shape)):
         ends = []
         for step in (0, 1):
             at = dict(zip(varying, cell))
             at[axis] += step
             ends.append(
-                [F(int(v[at[i]]) if i in at else int(v), den) for i, v in enumerate(axis_values)]
+                [F(int(v[at[i]]) if i in at else int(v), den) for i, v in enumerate(faces[face])]
             )
         near, far = _exact_sign(p, ends[0]), _exact_sign(p, ends[1])
         line = _restriction(p, *ends)
         expected = near == far != 0 and _sturm_count(line, F(0), F(1)) == 0
-        assert merged[cell] == expected, (cell, line)
+        assert merged[(face, *cell)] == expected, (face, cell, line)
 
 
 @given(homogeneous_polynomials(), st.data())
@@ -182,10 +205,20 @@ def test_exact_signs_match_exact_evaluation(p, data):
         )
         p = p + (line * line).scale(10 ** 20)
 
-    def mesh_point(cell):
-        point = [F(int(v), den) if axis in fixed else None for axis, v in enumerate(axis_values)]
+    # a stack of 1-3 faces that fix the first fixed axis at distinct values,
+    # as the cube's faces do; a face where a term vanishes is padded with
+    # zeros at exponents only the others have
+    f = fixed[0]
+    shared = data.draw(st.lists(st.sampled_from([-den, 0, den]), max_size=2, unique=True))
+    faces = []
+    for value in [axis_values[f]] + [v for v in shared if v != axis_values[f]]:
+        faces.append(list(axis_values))
+        faces[-1][f] = value
+
+    def mesh_point(values, cell):
+        point = [F(int(v), den) if axis in fixed else None for axis, v in enumerate(values)]
         for axis, i in zip(varying, cell):
-            point[axis] = F(int(axis_values[axis][i]), den)
+            point[axis] = F(int(values[axis][i]), den)
         return point
 
     # in-face edges: neighbouring numerators along one varying axis
@@ -197,11 +230,12 @@ def test_exact_signs_match_exact_evaluation(p, data):
         [data.draw(st.integers(-den, den)), data.draw(st.sampled_from([-den, den]))], dtype=np.int64
     )
 
-    # the face-wide rounding bound dominates the per-cell one on every cell
-    form = _MeshForm(p, axis_values, den)
+    # the face-wide rounding bound of each face dominates the per-cell one
+    # on every cell of that face
+    form = _form(p, faces, den)
     beta = form._face_bound()
-    if beta is not None and any(form.coeffs):  # P = 0 on the mesh makes no float pass
-        assert (beta[0] >= form._cell_bound()).all()
+    if beta is not None and any(form.coeffs):  # P = 0 on every face makes no float pass
+        assert (beta[:, None] >= form._cell_bound().reshape(len(faces), -1)).all()
 
     # every draw through both tiers of the rounding certificate: the
     # face-wide tier where it certifies every cell, and the per-cell tier
@@ -210,12 +244,12 @@ def test_exact_signs_match_exact_evaluation(p, data):
         with pytest.MonkeyPatch.context() as patch:
             if per_cell:
                 patch.setattr(_MeshForm, "_face_bound", lambda form: None)
-            signs = _MeshForm(p, axis_values, den).signs()
-            assert signs.shape == tuple(len(axis_values[axis]) for axis in varying)
-            for cell in itertools.product(*(range(size) for size in signs.shape)):
-                assert signs[cell] == _exact_sign(p, mesh_point(cell))
-            _assert_root_free_decision(p, axis_values, den, in_face)
-            _assert_root_free_decision(p, leg_values, den, leg)
+            signs = _form(p, faces, den).signs()
+            assert signs.shape == (len(faces),) + tuple(len(axis_values[axis]) for axis in varying)
+            for face, *cell in itertools.product(*(range(size) for size in signs.shape)):
+                assert signs[(face, *cell)] == _exact_sign(p, mesh_point(faces[face], cell))
+            _assert_root_free_decision(p, faces, den, in_face)
+            _assert_root_free_decision(p, [leg_values], den, leg)
 
 
 @st.composite
@@ -264,7 +298,7 @@ def _integer_lines(draw):
 def test_root_free_decision_matches_sturm_on_integer_lines(line, t_num):
     # t does not occur in p, so any fixed t numerator gives the same line
     p, nums, den = line
-    _assert_root_free_decision(p, [nums, t_num], den, 0)
+    _assert_root_free_decision(p, [[nums, t_num]], den, 0)
 
 
 @given(homogeneous_polynomials(), st.data())
@@ -304,10 +338,10 @@ def test_chord_stages_alone_merge_only_root_free_edges(p, data):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(nodal, "_bernstein_decide", certify_nothing)
         patch.setattr(nodal, "_sturm_count", lambda *args: 1)
-        form = _MeshForm(p, axis_values, den)
+        form = _form(p, [axis_values], den)
         signs = form.signs()
         slot = form.varying.index(axis)
-        merged = form.merge_mask(slot, signs)
+        merged = _merge_mask(form, slot, signs)[0]
     for cell in zip(*np.nonzero(merged)):
         ends = []
         for step in (0, 1):
@@ -322,11 +356,11 @@ def test_overflowing_chord_threshold_certifies_nothing():
     # 2^1020 x^64 stays in the float range on [-1024, 1024], but its chord
     # threshold, 2016 times larger, does not; the edge has a root at 0
     p = parse_poly(f"{2 ** 380}*x^64", 1)
-    form = _MeshForm(p, [np.array([-1024, 1024], dtype=np.int64), 0], 1)
+    form = _form(p, [[np.array([-1024, 1024], dtype=np.int64), 0]], 1)
     signs = form.signs()
-    assert list(signs) == [1, 1]
-    assert form._face_chord(0, 2048) == math.inf
-    assert list(form.merge_mask(0, signs)) == [False]
+    assert signs.tolist() == [[1, 1]]
+    assert form._face_chord(0, 2048).tolist() == [[math.inf]]
+    assert _merge_mask(form, 0, signs).tolist() == [[False]]
 
 
 # ---- cube cross-section sampling ----
@@ -623,7 +657,7 @@ def test_probed_runs_partition_matches_per_cell_graph(mesh):
 def _reference_split(p, field):
     """(pos, neg) of the per-cell graph of `field`'s grid, from full merge masks.
 
-    Each face is labelled by _cell_partition from merge_mask on its inner
+    Each face is labelled by _cell_partition from _merge_mask on its inner
     cells; a leg joins a side cell to the cube-edge point beyond it, and two
     merged legs to one point join their cells.
     """
@@ -642,9 +676,10 @@ def _reference_split(p, field):
         varying = [a for a in range(grid.ambient) if a != axis]
         mesh = np.array([-den] + nums + [den], dtype=np.int64)
         values = [mesh if a != axis else sign * den for a in range(grid.ambient)]
-        form = _MeshForm(p, values, den)
+        form = _form(p, [values], den)
         face_signs = form.signs()
-        masks = [form.merge_mask(slot, face_signs) for slot in range(len(varying))]
+        masks = [_merge_mask(form, slot, face_signs)[0] for slot in range(len(varying))]
+        face_signs = face_signs[0]
         inner = (slice(1, -1),) * len(varying)
         inside = face_signs[inner]
         assert np.array_equal(inside, field.face_signs[face])
@@ -1004,6 +1039,29 @@ def test_slice_caveat_when_same_sign_components_touch_the_box(name, expected):
 def test_slice_caveat_clear_for_a_double_root_pair():
     # (x^2 - 4)^2 at t = -1: the box holds both double roots
     assert slice_count(parse_poly("(x^2+4*t)^2", 1), 3, 64).caveat is False
+
+
+@pytest.mark.parametrize("expr, total", [("(x^2+4*t)^2", 3)] + [(f"hcp{d}", d + 1) for d in range(2, 7)])
+def test_one_dimensional_slice_counts_every_root_without_caveat(expr, total):
+    # v = p(x, -1) has `total - 1` distinct real roots, all inside the Cauchy
+    # box, and the default 512 cells separate them: 1 + roots components
+    p = basic_hcp(int(expr[3:])) if expr.startswith("hcp") else parse_poly(expr, 1)
+    report = slice_count(p)
+    assert (report.total, report.caveat) == (total, False)
+
+
+def test_numerators_past_two_to_the_fifty_three_are_refused():
+    # every mesh numerator is taken as a float, exact only up to 2^53; the
+    # slice's R = 10^17 + 1 at 512 cells reaches R * 511, which wrapped in
+    # int64, and R = 10^19 + 1 did not fit one
+    for expr in ("x^2 + 10^17*t", "x^2 + 10^19*t"):
+        with pytest.raises(NodalError, match=r"2\^53"):
+            slice_count(parse_poly(expr, 1))
+    p = parse_poly("x + t", 1)
+    with pytest.raises(NodalError, match=r"2\^53"):
+        _form(p, [[np.array([0, 2 ** 53 + 1], dtype=np.int64), 1]], 1)
+    top = np.array([-(2 ** 53), 2 ** 53], dtype=np.int64)
+    assert _form(p, [[top, 1]], 1).signs().tolist() == [[-1, 1]]
 
 
 def test_slice_high_dim_fixture_is_clean():

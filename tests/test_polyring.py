@@ -1,12 +1,15 @@
 """Exact polynomial layer: parsing, arithmetic, calculus, rotations, forms."""
 
+import ast
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import calorics
 from calorics import (
     DimensionMismatch,
     NotHomogeneous,
@@ -356,3 +359,20 @@ def test_laplacian_drops_weight_by_two(p):
     lap = laplacian(p)
     if not lap.is_zero:
         assert parabolic_degree(lap) == parabolic_degree(p) - 2
+
+
+# ---- float-free modules ----
+
+
+@pytest.mark.parametrize("module", ["polyring", "univariate"])
+def test_exact_layer_imports_no_float_library(module):
+    # the exact layer computes in Python ints and Fractions only: neither
+    # numpy nor scipy is imported, at module level or inside a function
+    path = Path(calorics.__file__).with_name(f"{module}.py")
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            imported.add(node.module.split(".")[0])
+    assert not imported & {"numpy", "scipy"}, imported
