@@ -33,10 +33,9 @@ cube_section_sample evaluates the faces in stacked groups of at most 2^18
 cells (one face when a face alone is larger), each face on its cell
 centers plus the cube edges around it, and slice_count its box as a stack
 of one face.  Each group is one form: it gives the group's exact signs,
-the first merge stage below and one graph of runs.  The edges the
-first stage leaves wait in one table for the whole cross-section; one
-cascade decides them after the last group, and the stitches across cube
-edges are then decided from each face side's leg mask.
+its complete merge masks from the stages below, and one graph of runs.
+Once the last group is in, each stitch across a cube edge is read from the
+leg masks of the two face sides that meet there.
 
 Adjacency is certified: two same-sign cells sharing a facet merge only when
 the segment joining their centers is proven free of roots of p.  Four
@@ -53,15 +52,12 @@ stages decide each edge, the first that can:
       pseudo-remainder sequence in Python ints, from univariate), once per
       distinct line and ends.
 
-Stages (b) to (d) run once per cross-section (or slice), on an _EdgeTable of
-every edge that (a) left on any face, each stage on what the one before it
-left.  The table keeps only what they read: per edge the floors and
-numerators of its ends and its sign, per mesh line that holds one of its
-edges the line coefficients with their sizes (no other line is
-contracted), and for (d) each face's exact form.  The run graph is cut at
-every edge in the table, and each edge the cascade merges comes back as one
-graph edge between the runs at its ends, so the partition is that of the
-per-cell graph.
+Stages (b) to (d) run in _root_free once per form and mesh axis, while the
+form is alive, on the edges that (a) left, each stage on what the one
+before it left; only the mesh lines that hold one of those edges are
+contracted, and (d)'s counts are kept across one cross-section.  Their
+merges go into the mask of (a), so each group's graph of runs is built
+from complete merge masks and its partition is that of the per-cell graph.
 
 The chord bound: on a segment of step h whose ends share a sign, the chord
 between the end values stays min(|P(lo)|, |P(hi)|) from zero, and P leaves
@@ -71,16 +67,15 @@ D2_s = sum_T |C_T| e_s (e_s - 1) prod top^(e - 2 delta_s) with top the
 largest |numerator| of each axis, takes the largest step of the axis and
 compares every cell's certified lower bound on |P| with the one threshold,
 rounded up: no contraction.  Where D2_s = 0, P is affine along the axis and
-every edge between cells of one nonzero sign merges.  Stage (b) bounds |P''| per edge from the float
-line coefficients that (c) uses too, each widened by its rounding bound,
-and rounds the threshold up by a _kappa slack over the roundings of its
-own evaluation; O(edges x exponents).  A threshold that overflows is inf,
-and one that meets inf * 0 is nan: either certifies nothing.  Edges of
-different faces share one batch: their line coefficients are laid out over
-the union of the faces' exponents (zero where a face has none), Bernstein
-coefficients take the largest degree of the batch, and every rounding count
-K covers the largest member: the most roundings of any face's line
-coefficients, and the padded number of terms in each sum.
+every edge between cells of one nonzero sign merges.  Stage (b) bounds
+|P''| per edge from the float line coefficients that (c) uses too, each
+widened by its rounding bound, and rounds the threshold up by a _kappa
+slack over the roundings of its own evaluation; O(edges x exponents).  A
+threshold that overflows is inf, and one that meets inf * 0 is nan: either
+certifies nothing.  Line coefficients are laid out over the form's
+exponents of the slot axis, Bernstein coefficients take its top exponent
+as their degree, and each rounding count K covers the form's number of
+terms in each sum, padded to the union of its faces' exponents.
 
 A cross-face stitch bends through the shared cube edge: each of its two
 legs runs from an edge cell center to the cube edge, and both must be
@@ -102,7 +97,7 @@ import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -181,7 +176,7 @@ AxisValues = Union[int, np.ndarray]
 _BERNSTEIN_SPLITS = 4  # de Casteljau halvings of an edge before the exact fallback
 # floats in each array of one batch of merge stages (b) and (c), 2 MB: a batch
 # takes 2^18 / (2 (D + 1)) edges at Bernstein degree D, and holds about ten
-# such arrays at a time, whatever the size of the edge table
+# such arrays at a time, whatever the number of edges
 _CASCADE_FLOATS = 2 ** 18
 # multiply-adds in one block of _contract's last matrix product: OpenBLAS runs
 # a dgemm of at most 2^18 of them on one thread, and a large product with an
@@ -264,9 +259,10 @@ class _MeshForm:
     that is tiered (_float_pass): one bound per face, from the exact S_f of
     _top_sums, wherever every cell clears it, else a bound per cell from a
     second contraction.  `signs()` makes the one float pass, `chord_mask`
-    reuses its lower bound on |P| per cell, and an _EdgeTable takes, for the
-    edges that test leaves, each edge's line from the same columns.  The
-    rounding count K covers the padded number of terms.
+    reuses its lower bound on |P| per cell, and _root_free takes, for the
+    edges that test leaves, each edge's line from the same columns, while
+    the form is alive.  The rounding count K covers the padded number of
+    terms.
     """
 
     def __init__(self, scaled: tuple, faces: Sequence[Sequence[AxisValues]]):
@@ -455,7 +451,7 @@ class _MeshForm:
         Stage (a) is the face-wide chord test: one threshold per face, at
         the mesh's largest step along the slot, and every candidate edge
         between two cells whose floors clear it merges.  The edges in `left`
-        go to an _EdgeTable.
+        go to _root_free, whose merges complete `merged`.
         """
         lo, hi = _edge_slices(signs.ndim, 1 + slot)
         candidates = signs[lo] * signs[hi] > 0
@@ -589,137 +585,79 @@ def _exact_line(coeffs: Dict[Tuple[int, ...], int], slot: int, ms: Sequence[int]
     return tuple(line)
 
 
-class _EdgePart(NamedTuple):
-    """What stages (b)-(d) read of the edges one `_EdgeTable.add` call gathered."""
+def _root_free(
+    form: _MeshForm, slot: int, cells: Tuple[np.ndarray, ...], signs: np.ndarray, counts: Dict[tuple, bool]
+) -> np.ndarray:
+    """Root-free mask of the edges `cells` along mesh axis `slot` of `form`: merge stages (b)-(d).
 
-    coeffs: List[Dict[Tuple[int, ...], int]]  # each face's P, for the exact lines of stage (d)
-    slot: int
-    nums: List[np.ndarray]  # the form's numerators per mesh axis
-    lines: Tuple[np.ndarray, ...]  # the distinct mesh lines of the edges, as in _MeshForm._edge_lines
-    powers: List[int]  # the exponents of the slot axis, one column of `rows` each
-    roundings: int  # K of the line coefficients
-    rows: np.ndarray  # (c~, a) of each line, shaped (lines, 2, powers)
-    line: np.ndarray  # the line of each edge
-    floor: np.ndarray  # the smaller lower bound on |P| of the two ends
-    ends: np.ndarray  # the slot numerators of the low and the high end, one row per edge
-    orient: np.ndarray  # the sign of both ends
-
-
-class _EdgeTable:
-    """The same-sign edges that stage (a) leaves, from any number of forms of one polynomial.
-
-    `add` gathers only what the later stages read (_EdgePart): per edge its
-    end floors, end numerators and sign, and per distinct mesh line of the
-    edges its coefficients, so that no line is contracted twice and none
-    without an edge.  `cascade` decides the whole table at once: (b) the
-    chord test per edge, (c) Bernstein coefficients and (d) exact Sturm
-    counts, each on the edges the one before it left; (b) and (c) take the
-    edges in batches of at most _CASCADE_FLOATS floats per array, which
-    bounds their float temporaries.  Edges from different forms meet in one
-    batch: their line coefficients are laid out over the union of the
-    exponent sets, with zeros where a form has no exponent, and each
-    rounding count K is the largest of the table's (a padded exponent
-    counts as a term of every sum over exponents).
+    cells has one index array per axis of `signs`, the form's exact signs,
+    the face axis first: the same-sign edges that stage (a) (chord_mask)
+    left.  Each distinct mesh line of the edges is contracted once
+    (_MeshForm._edge_lines), over the slot's own exponents.  (b) the chord
+    test per edge, (c) Bernstein coefficients and (d) exact Sturm counts
+    each take the edges the one before it left; (b) and (c) take them in
+    batches of at most _CASCADE_FLOATS floats per array, which bounds their
+    float temporaries.  (d) counts once per distinct (line, ends), and
+    `counts` keeps those counts across the forms of one cross-section.
     """
-
-    def __init__(self):
-        self.parts: List[_EdgePart] = []
-        self.size = 0
-
-    def add(self, form: _MeshForm, slot: int, cells: Tuple[np.ndarray, ...], signs: np.ndarray) -> np.ndarray:
-        """Table index of each edge `cells` along mesh axis `slot` of `form`, whose exact signs are `signs`.
-
-        cells has one index array per axis of `signs`, the face axis first.
-        """
-        axis = 1 + slot
-        count = len(cells[axis])
-        first, self.size = self.size, self.size + count
-        if count:
-            at = cells[axis]
-            upper = cells[:axis] + (at + 1,) + cells[axis + 1:]
-            # the distinct lines, in C order, and each edge's rank among them
-            shape = tuple(n for s, n in enumerate(signs.shape) if s != axis)
-            ids = np.ravel_multi_index([index for s, index in enumerate(cells) if s != axis], shape)
-            used = np.zeros(math.prod(shape), dtype=bool)
-            used[ids] = True
-            lines = np.unravel_index(np.flatnonzero(used), shape)
-            line = np.cumsum(used)[ids] - 1
-            self.parts.append(_EdgePart(
-                form.coeffs, slot, form.nums, lines, form.powers[slot],
-                form._roundings(skip=slot), form._edge_lines(slot, lines), line,
-                np.minimum(form.floor[cells], form.floor[upper]),
-                form.nums[slot][np.stack([at, at + 1], axis=1)],
-                signs[cells],
-            ))
-        return np.arange(first, self.size)
-
-    def cascade(self) -> np.ndarray:
-        """Root-free mask of every edge in the table, in the order they were added.
-
-        The table is consumed: its parts' arrays are dropped once they are
-        laid out for the batches.
-        """
-        free = np.zeros(self.size, dtype=bool)
-        if not self.size:
-            return free
-        parts, self.parts = self.parts, []
-        exps = sorted({e for part in parts for e in part.powers})
-        column = {e: k for k, e in enumerate(exps)}
-        line_firsts = np.cumsum([0] + [len(part.rows) for part in parts])
-        rows = np.zeros((line_firsts[-1], 2, len(exps)))
-        for part, first, last in zip(parts, line_firsts, line_firsts[1:]):
-            rows[first:last, :, [column[e] for e in part.powers]] = part.rows
-        line = np.concatenate([part.line + first for part, first in zip(parts, line_firsts)])
-        floor, ends, orient = (
-            np.concatenate([getattr(part, name) for part in parts]) for name in ("floor", "ends", "orient")
-        )
-        roundings = max(part.roundings for part in parts)
-        edge_firsts = np.cumsum([0] + [len(part.line) for part in parts])
-        # stage (d) reads only each form's exact data
-        forms = [(part.coeffs, part.slot, part.nums, part.lines) for part in parts]
-        del parts
-
-        # (b) on a batch, (c) on what (b) leaves of it
-        left = []
-        size = max(1, _CASCADE_FLOATS // (2 * (exps[-1] + 1)))
-        for first in range(0, self.size, size):
-            batch = slice(first, first + size)
-            free[batch] = _edge_chord(exps, rows, roundings, line[batch], floor[batch], ends[batch])
-            rest = first + np.flatnonzero(~free[batch])
-            if len(rest):
-                coeffs, bounds = _bernstein(exps, rows[line[rest]], roundings, ends[rest])
-                coeffs *= orient[rest, None]  # orient each edge so that its ends are positive
-                certified, rooted = _bernstein_decide(coeffs, bounds)
-                free[rest[certified]] = True
-                left.append(rest[~certified & ~rooted])
-
-        # (d) on what (c) leaves: one exact line per mesh line of a form and
-        # slot, and one Sturm count per distinct line and ends
-        exact: Dict[int, Tuple[int, ...]] = {}
-        counts: Dict[tuple, bool] = {}
-        for e in np.concatenate(left) if left else ():
-            key = int(line[e])
-            if key not in exact:
-                k = int(np.searchsorted(edge_firsts, e, side="right")) - 1
-                coeffs, slot, nums, lines = forms[k]
-                face, *point = [int(index[key - line_firsts[k]]) for index in lines]
-                others = [s for s in range(len(nums)) if s != slot]
-                ms = [int(nums[s][i]) for s, i in zip(others, point)]
-                exact[key] = _exact_line(coeffs[face], slot, ms)
-            # ends are nonzero: no root sits on one
-            args = (exact[key], *sorted(ends[e].tolist()))
-            if args not in counts:
-                counts[args] = _sturm_count(*args) == 0
-            free[e] = counts[args]
+    axis = 1 + slot
+    at = cells[axis]
+    free = np.zeros(len(at), dtype=bool)
+    if not len(at):
         return free
+    upper = cells[:axis] + (at + 1,) + cells[axis + 1:]
+    # the distinct lines, in C order, and each edge's rank among them
+    shape = tuple(n for s, n in enumerate(signs.shape) if s != axis)
+    ids = np.ravel_multi_index([index for s, index in enumerate(cells) if s != axis], shape)
+    used = np.zeros(math.prod(shape), dtype=bool)
+    used[ids] = True
+    lines = np.unravel_index(np.flatnonzero(used), shape)
+    line = np.cumsum(used)[ids] - 1
+    exps, roundings = form.powers[slot], form._roundings(skip=slot)
+    rows = form._edge_lines(slot, lines)
+    floor = np.minimum(form.floor[cells], form.floor[upper])
+    ends = form.nums[slot][np.stack([at, at + 1], axis=1)]
+
+    # (b) on a batch, (c) on what (b) leaves of it
+    left = []
+    size = max(1, _CASCADE_FLOATS // (2 * (exps[-1] + 1)))
+    for first in range(0, len(at), size):
+        batch = np.arange(first, min(first + size, len(at)))
+        edge_rows = rows[line[batch]]
+        chord = _edge_chord(exps, edge_rows, roundings, floor[batch], ends[batch])
+        free[batch] = chord
+        rest = batch[~chord]
+        if len(rest):
+            coeffs, bounds = _bernstein(exps, edge_rows[~chord], roundings, ends[rest])
+            coeffs *= signs[tuple(index[rest] for index in cells)][:, None]  # orient: both ends positive
+            certified, rooted = _bernstein_decide(coeffs, bounds)
+            free[rest[certified]] = True
+            left.append(rest[~certified & ~rooted])
+
+    # (d) on what (c) leaves: one exact line per mesh line, and one Sturm
+    # count per distinct line and ends
+    others = [s for s in range(len(form.nums)) if s != slot]
+    exact: Dict[int, Tuple[int, ...]] = {}
+    for e in np.concatenate(left) if left else ():
+        key = int(line[e])
+        if key not in exact:
+            face, *point = [int(index[key]) for index in lines]
+            ms = [int(form.nums[s][i]) for s, i in zip(others, point)]
+            exact[key] = _exact_line(form.coeffs[face], slot, ms)
+        # ends are nonzero: no root sits on one
+        args = (exact[key], *sorted(ends[e].tolist()))
+        if args not in counts:
+            counts[args] = _sturm_count(*args) == 0
+        free[e] = counts[args]
+    return free
 
 
 def _edge_chord(
-    exps: List[int], rows: np.ndarray, roundings: int, line: np.ndarray, floor: np.ndarray, ends: np.ndarray
+    exps: List[int], rows: np.ndarray, roundings: int, floor: np.ndarray, ends: np.ndarray
 ) -> np.ndarray:
     """Stage (b): the chord test of each edge, with D2 from the edge's own line.
 
-    rows[line[e]] holds c~_j and a_j of edge e's line (see
+    rows[e] holds c~_j and a_j of edge e's line (see
     _MeshForm._edge_lines) at the exponents exps; floor[e] is the smaller
     lower bound on |P| at its ends, and ends[e] their numerators along the
     line.  On the segment |m| <= M, the larger |m| of its two ends, so
@@ -745,16 +683,16 @@ def _edge_chord(
     # kappa's margin makes that at least the exact one
     slack = 1 + _kappa(top + width + 6) * _FLOAT_EPS
     with np.errstate(over="ignore", invalid="ignore"):
-        # per line: j (j - 1) times the bound on |c_j|, at column j - 2
+        # per edge: j (j - 1) times the bound on |c_j|, at column j - 2
         bound = np.zeros((len(rows), width))
         bound[:, j[curved] - 2] = np.abs(rows[:, 0, curved])
         bound[:, j[curved] - 2] += _kappa(roundings) * _FLOAT_EPS * rows[:, 1, curved]
         bound[:, j[curved] - 2] *= (j[curved] * (j[curved] - 1)).astype(np.float64)
-        # per edge: its line's bounds against M^0 .. M^(top-2)
-        threshold = np.einsum("ej,ej->e", bound[line], np.vander(reach, width, increasing=True))
+        # against M^0 .. M^(top-2)
+        threshold = np.einsum("ej,ej->e", bound, np.vander(reach, width, increasing=True))
         threshold *= steps * steps / 8 * slack
         # nan certifies nothing: an overflowed line, or an overflowed power
-        # of M against an exponent that no form of the table has (a zero)
+        # of M against an exponent that the form's faces lack (a zero)
         return floor > threshold
 
 
@@ -775,7 +713,7 @@ def _bernstein(
     top = exps[-1]
     binomials, change = _bernstein_tables(top)
     with np.errstate(over="ignore", invalid="ignore"):
-        # (c~, a) at every power 0 .. D, zero where the table has no exponent
+        # (c~, a) at every power 0 .. D, zero where the form has no exponent
         coeffs = np.zeros((len(rows), 2, top + 1))
         coeffs[:, :, exps] = rows
         # m0^t and h^k, and their absolute values for the sizes
@@ -898,18 +836,16 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
     many faces as fit in _CASCADE_FLOATS = 2^18 cells (at least one), each
     face on its cell centers plus the cube edges around it (_face_values).
     Every mesh axis of every face has the same numerators, grid.mesh, so
-    each group is one _MeshForm: it gives the group's exact signs, the
-    face-wide chord test of
-    each in-face edge and stitch leg, and the table rows of the edges that
-    test leaves, and its float arrays are dropped before the next group.
-    The group's runs are cut at every edge still undecided, and their ids
-    follow the earlier groups'.  After the last group one _EdgeTable cascade
-    decides the table: each merged in-face edge becomes a graph edge between
-    the runs at its ends, and the stitches are decided from each face side's
-    leg mask, two cells beside a shared cube edge joining when both legs are
-    root-free.  If sampled zeros exceed 0.1% of cells the grid is jittered
-    once by the fixed rational offset 1/(6*resolution); the unjittered pass
-    stops at the group where they do.
+    each group is one _MeshForm: it gives the group's exact signs and the
+    merge mask of each in-face edge and stitch leg, stage (a) by chord_mask
+    and stages (b)-(d) by _root_free on the edges it leaves, one call per
+    mesh axis, and its float arrays are dropped before the next group.  The
+    group's runs come from its complete masks, and their ids follow the
+    earlier groups'.  Each face side's leg mask is final when it is
+    recorded; after the last group two cells beside a shared cube edge
+    stitch when both of their legs are root-free.  If sampled zeros exceed
+    0.1% of cells the grid is jittered once by the fixed rational offset
+    1/(6*resolution); the unjittered pass stops at the group where they do.
     """
     degree = parabolic_degree(p)  # raises NotHomogeneous / ZeroPolynomialError
     if degree < 1:
@@ -935,15 +871,11 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
         grid = CrossSectionGrid(ambient, resolution, jittered)
         mesh = grid.mesh
         scaled = _integer_scaled_terms(p, grid.denominator)
-        edge_table = _EdgeTable()
+        counts: Dict[tuple, bool] = {}  # stage (d)'s Sturm counts, kept across the groups
         face_signs, node_signs, edges = [], [], []
-        # in-face graph edges that wait for the cascade: end node ids, table indices
-        waiting: List[Tuple[np.ndarray, ...]] = []
         # (face, neighbour face) -> the face's cells next to their cube edge: node ids and
-        # the stage (a) merge mask of their stitch legs, views of one array per group side
+        # the merge mask of their stitch legs
         sides: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
-        # per group side: its leg masks, flat, and positions and table indices of the legs stage (a) left
-        legs_left: List[Tuple[np.ndarray, ...]] = []
         zeros = offset = 0
         for first in range(0, grid.face_count, per_group):
             faces = range(first, min(first + per_group, grid.face_count))
@@ -953,48 +885,39 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
                 zeros += int(np.count_nonzero(signs[inner] == 0))
             if not jittered and zeros / grid.cell_count > _JITTER_ZERO_FRACTION:
                 break  # too many zeros: resample on the jittered grid
-            # stage (a) per mesh axis covers the in-face edges (between inner
-            # cells) and the stitch legs (from a cell next to a side of the
-            # face to the cube edge beyond it); the table takes what it leaves
-            chords, waits = [], []
+            # the merge mask per mesh axis covers the in-face edges (between
+            # inner cells) and the stitch legs (from a cell next to a side of
+            # the face to the cube edge beyond it): stage (a), then stages
+            # (b)-(d) on the edges it leaves
+            masks = []
             for slot in range(ambient - 1):
                 merged, left = form.chord_mask(slot, signs)
                 for s in range(1, signs.ndim):
                     if s != slot + 1:  # edges along the face's rim are in no graph
                         left[(slice(None),) * s + (0,)] = left[(slice(None),) * s + (-1,)] = False
                 cells = np.unravel_index(np.flatnonzero(left), left.shape)
-                del left  # before the next axis's masks
-                chords.append(merged)
-                waits.append((cells, edge_table.add(form, slot, cells, signs)))
+                del left  # before the edges' lines are contracted
+                free = _root_free(form, slot, cells, signs, counts)
+                merged[tuple(index[free] for index in cells)] = True
+                masks.append(merged)
             del form  # its per-cell floats, before the group's graph is built
             inside = signs[inner]
-            starts, runs, group_rows, group_cols = _probed_runs(inside, [m[inner] for m in chords])
-            for slot, (merged, (cells, refs)) in enumerate(zip(chords, waits)):
-                # the table's edges in the coordinates of `inside`: a leg from the low cube
-                # edge starts at -1 along the slot, and one to the high cube edge at the last index
-                axis = slot + 1
-                cells = [cells[0]] + [index - 1 for index in cells[1:]]
-                at, last = cells[axis], inside.shape[axis] - 1
-                if len(refs):
-                    within = (at >= 0) & (at < last)
-                    ends = _edge_ends(starts, inside.shape, axis, [index[within] for index in cells], offset)
-                    waiting.append(ends + (refs[within],))
+            starts, runs, group_rows, group_cols = _probed_runs(inside, [m[inner] for m in masks])
+            for slot, merged in enumerate(masks):
                 # a side of every face of the group is flat, face by face in the order of one
                 # layer of `inside` along the axis, whose cells sit at layer + index * stride
+                axis = slot + 1
+                last = inside.shape[axis] - 1
                 shape = inside.shape[:axis] + (1,) + inside.shape[axis + 1:]
                 stride = math.prod(shape[axis + 1:])
                 layer = np.arange(math.prod(shape))
                 layer += layer // stride * (stride * last)  # skip the other layers
                 for i in (0, -1):
                     ids = _run_ids(starts, layer + (last if i else 0) * stride) + offset
-                    legs = merged.take(i, axis=axis)[inner[:-1]].reshape(-1)
-                    on_side = at == (last if i else -1)  # legs in the table; clip maps their slot index to 0
-                    spots = np.ravel_multi_index([index[on_side] for index in cells], shape, mode="clip")
-                    legs_left.append((legs, spots, refs[on_side]))
+                    legs = merged.take(i, axis=axis)[inner[:-1]].reshape(len(faces), -1)
                     # mesh axes are the other coordinates in order; the low side of the slot
                     # borders the face at -1 on that axis, the high side +1
-                    by_face = zip(ids.reshape(len(faces), -1), legs.reshape(len(faces), -1))
-                    for face, side in zip(faces, by_face):
+                    for face, side in zip(faces, zip(ids.reshape(len(faces), -1), legs)):
                         other = slot + (slot >= grid.face_axis_sign(face)[0])
                         sides[face, 2 * other + (1 if i else 0)] = side
             face_signs.extend(inside)
@@ -1002,18 +925,12 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
             # in place: a shifted copy would keep the unshifted ids alive into the next group
             edges.append(tuple(np.add(part, offset, out=part) for part in (group_rows, group_cols)))
             offset += len(runs)
-            del chords, merged, starts  # before the next group's form is built
+            del masks, merged, starts  # before the next group's form is built
         else:
-            # every face sampled: one cascade decides the in-face edges and
-            # legs that stage (a) left, and two cells beside a cube edge
-            # stitch where both of their legs merge
-            free = edge_table.cascade()
-            for rows, cols, refs in waiting:
-                edges.append((rows[free[refs]], cols[free[refs]]))
-            for legs, spots, refs in legs_left:
-                legs[spots] = free[refs]
+            # every face sampled: two cells beside a cube edge stitch where
+            # both of their legs merge
             for (face, neighbour), (ids, legs) in sides.items():
-                if neighbour < face:  # every side is complete now
+                if neighbour < face:
                     near, near_legs = sides[neighbour, face]
                     both = near_legs & legs
                     edges.append((near[both], ids[both]))
@@ -1066,19 +983,6 @@ def _probed_runs(signs: np.ndarray, merges: Sequence[np.ndarray]) -> Tuple[np.nd
 def _run_ids(starts: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """Node id of each flat cell index: its run is the last one starting at or before it."""
     return np.searchsorted(starts, cells, side="right") - 1
-
-
-def _edge_ends(
-    starts: np.ndarray, shape: Tuple[int, ...], slot: int, cells: Sequence[np.ndarray], offset: int = 0
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Node ids (plus offset) of the low and the high cell of each edge `cells` along `slot`.
-
-    cells has one index array per axis of a mesh of `shape`, whose runs
-    start at the flat indices `starts` (_probed_runs).
-    """
-    low = np.ravel_multi_index(tuple(cells), shape)
-    high = low + math.prod(shape[slot + 1:])
-    return _run_ids(starts, low) + offset, _run_ids(starts, high) + offset
 
 
 def _components(size: int, rows: np.ndarray, cols: np.ndarray) -> Tuple[int, np.ndarray]:
@@ -1189,9 +1093,10 @@ def slice_count(
     and 64 for n >= 3, where 512^3 cells would not fit in memory
     (MAX_MESH_CELLS refuses larger boxes).  The mesh numerators, R's
     numerator times the odd integers up to resolution - 1, must stay within
-    2^53, or NodalError is raised.  Cells are labeled as on the cube: the face-wide chord test, runs
-    (_probed_runs) cut at the edges it leaves, one _EdgeTable cascade whose
-    merges join the runs, and one _components call.
+    2^53, or NodalError is raised.  Cells are labeled as on the cube: per
+    mesh axis the face-wide chord test and _root_free on the edges it
+    leaves, runs (_probed_runs) of the complete merge masks, and one
+    _components call.
     """
     n = p.spatial_dim
     if resolution is None:
@@ -1223,20 +1128,16 @@ def slice_count(
     if v.is_zero or not (signs != 0).any():
         return SliceReport(0, 0, 0, True, radius, resolution)
 
-    # stage (a) per axis, then one cascade over the edges it leaves
-    table = _EdgeTable()
-    chords, waits = [], []
+    # stage (a) per axis, then stages (b)-(d) on the edges it leaves
+    counts: Dict[tuple, bool] = {}
+    masks = []
     for slot in range(n):
         merged, left = form.chord_mask(slot, signs)
         cells = np.unravel_index(np.flatnonzero(left), left.shape)
-        chords.append(merged)
-        waits.append((cells, table.add(form, slot, cells, signs)))
-    starts, node_signs, rows, cols = _probed_runs(signs, chords)
-    merges = table.cascade()
-    edges = [(rows, cols)]
-    for slot, (cells, refs) in enumerate(waits):
-        edges.append(_edge_ends(starts, signs.shape, 1 + slot, [index[merges[refs]] for index in cells]))
-    rows, cols = (np.concatenate(part) for part in zip(*edges))
+        free = _root_free(form, slot, cells, signs, counts)
+        merged[tuple(index[free] for index in cells)] = True
+        masks.append(merged)
+    starts, node_signs, rows, cols = _probed_runs(signs, masks)
     _, labels = _components(len(node_signs), rows, cols)
     positive, negative = _sign_split(labels, node_signs)
 

@@ -1,5 +1,6 @@
 """Cross-section sampling, component counting, slices, polar data, bounds."""
 
+import hashlib
 import itertools
 import math
 from fractions import Fraction as F
@@ -36,10 +37,10 @@ from calorics.nodal import (
     NodalError,
     UnresolvedSign,
     _components,
-    _EdgeTable,
     _integer_scaled_terms,
     _MeshForm,
     _probed_runs,
+    _root_free,
     _sturm_count,
 )
 from calorics.polyring import NotHomogeneous, parabolic_degree
@@ -62,15 +63,13 @@ def _form(p, faces, den):
 def _merge_mask(form, slot, signs):
     """Edges along `slot` whose cells share a nonzero sign and a root-free segment.
 
-    Stage (a) (`chord_mask`), then one _EdgeTable cascade over the edges it
-    leaves, as cube_section_sample and slice_count run them; the mask is
-    shaped like `signs` with the axis of mesh axis `slot` shortened by one.
+    Stage (a) (`chord_mask`), then _root_free on the edges it leaves, as
+    cube_section_sample and slice_count run them; the mask is shaped like
+    `signs` with the axis of mesh axis `slot` shortened by one.
     """
     merged, left = form.chord_mask(slot, signs)
     cells = np.nonzero(left)
-    table = _EdgeTable()
-    table.add(form, slot, cells, signs)
-    free = table.cascade()
+    free = _root_free(form, slot, cells, signs, {})
     merged[tuple(index[free] for index in cells)] = True
     return merged
 
@@ -558,6 +557,46 @@ def test_single_resolution_counts_are_pinned(name, resolution, expected):
     assert (report.positive, report.negative) == expected
 
 
+_PINNED_INPUTS = {
+    "n2d3": lambda: fixture("n2d3"),
+    "n3d4": lambda: fixture("n3d4"),
+    "product_lower(2, 8)": lambda: product_lower(2, 8),
+    "zero_mod4(16, 1/4, 0.2)": lambda: zero_mod4(16, F(1, 4), 0.2),
+    "basic_hcp(24)": lambda: basic_hcp(24),
+    "x*y*t": lambda: parse_poly("x*y*t", 2),
+}
+
+
+# What every change to the merge stages must keep: the split, the zero
+# cells, the jitter and the exact signs of every face (a hash of their
+# bytes), at two resolutions each; x*y*t at r = 9 is sampled on the
+# jittered grid.  The run graph itself may change.
+@pytest.mark.parametrize(
+    "name, resolution, split, zero_cells, jittered, digest",
+    [
+        ("n2d3", 16, (1, 1), 0, False, "531c7f58f6c253dc"),
+        ("n2d3", 128, (1, 1), 0, False, "2d439f350f8e0bb6"),
+        ("n3d4", 8, (1, 1), 0, False, "7dac1a0692f458b7"),
+        ("n3d4", 24, (1, 1), 0, False, "f4416bcf1f2bdbe1"),
+        ("product_lower(2, 8)", 16, (10, 12), 0, False, "87ceeab1d67953a4"),
+        ("product_lower(2, 8)", 64, (10, 12), 0, False, "27e26c3bde9e1340"),
+        ("zero_mod4(16, 1/4, 0.2)", 24, (20, 18), 0, False, "3e397d47c485bf4d"),
+        ("zero_mod4(16, 1/4, 0.2)", 64, (21, 24), 0, False, "2fa2584b233ee5b2"),
+        ("basic_hcp(24)", 64, (8, 6), 0, False, "bde69a1808a73ef8"),
+        ("basic_hcp(24)", 256, (10, 10), 0, False, "65b4ba10b9a76828"),
+        ("x*y*t", 9, (4, 4), 0, True, "20777a0884e37154"),
+        ("x*y*t", 16, (4, 4), 0, False, "60fab530ddf97d85"),
+    ],
+)
+def test_sampled_outputs_are_pinned(name, resolution, split, zero_cells, jittered, digest):
+    field = cube_section_sample(_PINNED_INPUTS[name](), resolution)
+    report = count_components(field)
+    assert (report.positive, report.negative) == split
+    assert (field.zero_cells, field.grid.jittered) == (zero_cells, jittered)
+    signs = hashlib.sha256(b"".join(face.tobytes() for face in field.face_signs))
+    assert signs.hexdigest()[:16] == digest
+
+
 # The product family p_{d/n}(x_1, t) ... p_{d/n}(x_n, t) is the witness of
 # the floor(d/n)^n lower bound.  At t = -1 its slice has (d/n + 1)^n cells;
 # the cells that are outer on every axis join the t > 0 domain, and each
@@ -655,79 +694,93 @@ def test_probed_runs_partition_matches_per_cell_graph(mesh):
 
 
 def _reference_split(p, field):
-    """(pos, neg) of the per-cell graph of `field`'s grid, from full merge masks.
+    """((pos, neg), runs) of the per-cell graph of `field`'s grid, from full merge masks.
 
-    Each face is labelled by _cell_partition from _merge_mask on its inner
-    cells; a leg joins a side cell to the cube-edge point beyond it, and two
-    merged legs to one point join their cells.
+    One scipy graph holds every inner cell of every face and one node per
+    cube-edge point: in-face edges come from _merge_mask, and each merged
+    leg joins its side cell to the point beyond it, so two merged legs to
+    one point join their cells.  runs counts the runs of cells that the
+    masks merge along the last mesh axis, summed over the faces.
     """
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
     grid = field.grid
-    den, nums = grid.denominator, [int(m) for m in grid.numerators]
-    parent, signs, offset = {}, [], 0
-    points = {}
-
-    def root(x):
-        while parent.setdefault(x, x) != x:
-            x = parent[x]
-        return x
-
+    den, mesh = grid.denominator, grid.mesh
+    signs, rows, cols, leg_cells, points = [], [], [], [], []
+    offset = runs = 0
     for face in range(grid.face_count):
         axis, sign = grid.face_axis_sign(face)
         varying = [a for a in range(grid.ambient) if a != axis]
-        mesh = np.array([-den] + nums + [den], dtype=np.int64)
         values = [mesh if a != axis else sign * den for a in range(grid.ambient)]
         form = _form(p, [values], den)
         face_signs = form.signs()
         masks = [_merge_mask(form, slot, face_signs)[0] for slot in range(len(varying))]
-        face_signs = face_signs[0]
         inner = (slice(1, -1),) * len(varying)
-        inside = face_signs[inner]
+        inside = face_signs[0][inner]
         assert np.array_equal(inside, field.face_signs[face])
-        labels = _cell_partition(inside, [m[inner] for m in masks]) + offset
+        ids = offset + np.arange(inside.size).reshape(inside.shape)
         offset += inside.size
-        signs.append((labels.ravel(), inside.ravel()))
+        signs.append(inside.ravel())
+        runs += inside.size - int(masks[-1][inner].sum())
         for slot, b in enumerate(varying):
+            merged = masks[slot][inner]
+            rows.append(np.delete(ids, -1, axis=slot)[merged])
+            cols.append(np.delete(ids, 0, axis=slot)[merged])
+            rest = [a for a in varying if a != b]
             for i, edge in ((0, -den), (-1, den)):
                 legs = masks[slot].take(i, axis=slot)[inner[1:]]
-                side = labels.take(i, axis=slot)
-                for cell in filter(lambda c: legs[c], np.ndindex(np.shape(legs))):
-                    point = [sign * den if a == axis else None for a in range(grid.ambient)]
-                    point[b] = edge
-                    for a, k in zip([a for a in varying if a != b], cell):
-                        point[a] = nums[k]
-                    points.setdefault(tuple(point), []).append(int(side[cell]))
-    for members in points.values():
-        if len(members) == 2:
-            parent[root(members[0])] = root(members[1])
-    labels, cell_signs = (np.concatenate(part) for part in zip(*signs))
-    return tuple(
-        len({root(int(x)) for x in labels[cell_signs == s]}) for s in (1, -1)
-    )
+                leg_cells.append(ids.take(i, axis=slot)[legs])
+                point = np.empty((int(legs.sum()), grid.ambient), dtype=np.int64)
+                point[:, axis], point[:, b] = sign * den, edge
+                for a, index in zip(rest, np.indices(legs.shape)):
+                    point[:, a] = mesh[1 + index[legs]]
+                points.append(point)
+    _, point_ids = np.unique(np.concatenate(points), axis=0, return_inverse=True)
+    rows.append(np.concatenate(leg_cells))
+    cols.append(offset + point_ids.ravel())
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    size = offset + (int(cols.max()) + 1 if len(cols) else 0)
+    graph = coo_matrix((np.ones(len(rows), dtype=bool), (rows, cols)), shape=(size, size))
+    labels = connected_components(graph, directed=False)[1][:offset]
+    signs = np.concatenate(signs)
+    return tuple(len(np.unique(labels[signs == s])) for s in (1, -1)), runs
 
 
 # group caps of cube_section_sample, in cells: one face per pass (and one
-# edge per cascade batch), and the whole cross-section in one pass
+# edge per batch of stages (b) and (c)), and the whole cross-section in one pass
 _GROUPINGS = (1, 2 ** 40)
 
 
 def _assert_cascade_graph_matches(p, resolution):
-    """Under each grouping, the sampled graph's split is that of the per-cell graph."""
+    """Under each grouping, the sampled graph's split is that of the per-cell graph.
+
+    Both groupings sample one grid to the same signs, and each graph's
+    nodes are the runs of the full merge masks along the last mesh axis:
+    no run is cut at an edge that merges.
+    """
+    fields = []
     for cap in _GROUPINGS:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(nodal, "_CASCADE_FLOATS", cap)
-            field = cube_section_sample(p, resolution)
-            report = count_components(field)
-        assert (report.positive, report.negative) == _reference_split(p, field), cap
-    return field
+            fields.append(cube_section_sample(p, resolution))
+    assert fields[0].grid == fields[1].grid
+    assert all(map(np.array_equal, fields[0].face_signs, fields[1].face_signs))
+    split, runs = _reference_split(p, fields[0])
+    for cap, field in zip(_GROUPINGS, fields):
+        report = count_components(field)
+        assert (report.positive, report.negative) == split, cap
+        assert len(field.node_signs) == runs, cap
+    return fields[-1]
 
 
 @given(homogeneous_polynomials(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_cascade_graph_matches_per_cell_graph_of_full_merge_masks(p, data):
-    # the run graph is cut at every edge the face-wide chord test leaves,
-    # and the cascade's merges come back as explicit edges and stitches: the
-    # partition must be the one of the per-cell graph of full merge masks,
-    # with faces sampled one per pass or all in one
+    # each group's merge masks are complete before its run graph is built,
+    # and the stitches join the runs beside each cube edge: the partition
+    # must be the one of the per-cell graph of full merge masks, with faces
+    # sampled one per pass or all in one
     resolution = data.draw(st.integers(min_value=2, max_value=12))
     n, d = p.spatial_dim, parabolic_degree(p)
     if n >= 2 and d >= 2 and data.draw(st.booleans()):
@@ -887,24 +940,25 @@ def test_face_wide_rounding_bound_leaves_one_contraction_per_float_pass(monkeypa
         assert (report.total, report.positive, report.negative, report.stable) == expected
 
 
-def test_one_cascade_per_cross_section(monkeypatch):
-    # every edge that stage (a) leaves, on any face, meets the others in one
-    # _EdgeTable, so stage (c) runs at most once per cross-section
-    calls = []
-    decide = nodal._bernstein_decide
+def test_bernstein_stage_runs_each_mesh_axis_at_its_own_degree(monkeypatch):
+    # the edges along one mesh axis of one form get Bernstein coefficients
+    # of that axis's top exponent, not of a cross-section's union: on
+    # zero_mod4(16, 1/4, 0.2) the lines along t have degree 8 and those
+    # along x and y degree 16 (18,646 and 19,178 edges at the default
+    # schedule), and padding every edge to degree 16 would double the work
+    # on the t-axis lines
+    edges = {}
+    bernstein = nodal._bernstein
 
-    def recording(coeffs, bounds):
-        calls.append(len(coeffs))
-        return decide(coeffs, bounds)
+    def recording(exps, rows, roundings, ends):
+        edges[exps[-1]] = edges.get(exps[-1], 0) + len(rows)
+        return bernstein(exps, rows, roundings, ends)
 
-    monkeypatch.setattr(nodal, "_bernstein_decide", recording)
-    for name, schedule in (("n2d4", [64, 128, 256]), ("n3d4", [8, 12, 16]), ("prod_n2d4", [16, 32, 64])):
-        calls.clear()
-        nodal_count(fixture(name), schedule)
-        assert len(calls) <= len(schedule)
-    calls.clear()
-    nodal_count(product_lower(3, 6), [8, 12, 16])
-    assert 1 <= len(calls) <= 3
+    monkeypatch.setattr(nodal, "_bernstein", recording)
+    report = nodal_count(zero_mod4(16, F(1, 4), 0.2))
+    assert (report.total, report.positive, report.negative) == (49, 23, 26)
+    assert sorted(edges) == [8, 16]
+    assert edges[8] > sum(edges.values()) / 3
 
 
 # ---- exact root counting ----

@@ -376,3 +376,31 @@ def test_exact_layer_imports_no_float_library(module):
         elif isinstance(node, ast.ImportFrom) and not node.level:
             imported.add(node.module.split(".")[0])
     assert not imported & {"numpy", "scipy"}, imported
+
+
+# ---- the package as a whole ----
+
+
+def test_every_private_top_level_name_is_read_in_the_package():
+    # a private name that a module of calorics defines at top level is read
+    # somewhere in the package outside its own definition: code that only
+    # tests reach is deleted, not kept for them
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in Path(calorics.__file__).parent.glob("*.py")]
+    defined, read = [], []
+    for tree in trees:
+        for statement in tree.body:
+            if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+                names = [statement.name]
+            elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
+                targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+                names = [node.id for target in targets for node in ast.walk(target) if isinstance(node, ast.Name)]
+            else:
+                names = []
+            defined.extend((name, statement) for name in names if name.startswith("_") and not name.endswith("__"))
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.append((node.id, statement))
+                elif isinstance(node, ast.Attribute):
+                    read.append((node.attr, statement))
+    unread = [name for name, owner in defined if not any(n == name and at is not owner for n, at in read)]
+    assert not unread, unread
