@@ -54,10 +54,10 @@ stages decide each edge, the first that can:
 
 Stages (b) to (d) run in _root_free once per form and mesh axis, while the
 form is alive, on the edges that (a) left, each stage on what the one
-before it left; only the mesh lines that hold one of those edges are
-contracted, and (d)'s counts are kept across one cross-section.  Their
-merges go into the mask of (a), so each group's graph of runs is built
-from complete merge masks and its partition is that of the per-cell graph.
+before it left; _contract takes every mesh line along the axis at once,
+and (d)'s counts are kept across one cross-section.  Their merges go into
+the mask of (a), so each group's graph of runs is built from complete
+merge masks and its partition is that of the per-cell graph.
 
 The chord bound: on a segment of step h whose ends share a sign, the chord
 between the end values stays min(|P(lo)|, |P(hi)|) from zero, and P leaves
@@ -132,6 +132,16 @@ def _check_mesh_cells(side: int, ndim: int) -> None:
         raise NodalError(f"a mesh of {side}^{ndim} cells exceeds the cap MAX_MESH_CELLS = {MAX_MESH_CELLS}")
 
 
+def _check_resolution(resolution) -> int:
+    """resolution as an int; NodalError unless it is an integer (not a bool) of at least 2."""
+    # int() would truncate 16.9 to 16 silently
+    if isinstance(resolution, bool) or not isinstance(resolution, (int, np.integer)):
+        raise NodalError(f"resolution must be an integer, got {resolution!r}")
+    if resolution < 2:
+        raise NodalError("resolution must be >= 2")
+    return int(resolution)
+
+
 def _check_numerator(top: int) -> None:
     """Raise NodalError for a mesh numerator of size `top` past 2^53, where floats lose integers."""
     if top > 2 ** 53:
@@ -201,7 +211,7 @@ def _kappa(roundings: int) -> float:
 def _contract(dense: np.ndarray, columns: Sequence[np.ndarray]) -> np.ndarray:
     """Contract axis 1 + s of dense with axis 1 of columns[s], into a new array.
 
-    The leading face axis stays in front, and there is at least one column.
+    The leading batch axis stays in front, and there is at least one column.
     Each axis but the last is a batch of matrix products, and the last one
     matrix product, issued in row blocks of at most _GEMM_BLOCK
     multiply-adds: no step transposes a mesh-sized array.
@@ -259,10 +269,10 @@ class _MeshForm:
     that is tiered (_float_pass): one bound per face, from the exact S_f of
     _top_sums, wherever every cell clears it, else a bound per cell from a
     second contraction.  `signs()` makes the one float pass, `chord_mask`
-    reuses its lower bound on |P| per cell, and _root_free takes, for the
-    edges that test leaves, each edge's line from the same columns, while
-    the form is alive.  The rounding count K covers the padded number of
-    terms.
+    reuses its lower bound on |P| per cell, and `_lines` contracts every
+    mesh line along one axis with the same columns, for _root_free to read
+    the lines of the edges that test leaves, while the form is alive.  The
+    rounding count K covers the padded number of terms.
     """
 
     def __init__(self, scaled: tuple, faces: Sequence[Sequence[AxisValues]]):
@@ -484,46 +494,28 @@ class _MeshForm:
                 chords.append(math.inf)
         return np.reshape(chords, (-1,) + (1,) * len(self.nums))
 
-    def _edge_lines(
-        self, slot: int, lines: Tuple[np.ndarray, ...], dense: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """(c, a): P on each mesh line `lines` along `slot`, and the sizes of its coefficients.
+    def _lines(self, slot: int) -> np.ndarray:
+        """(c, a): P on every mesh line along `slot`, and the sizes of its coefficients.
 
-        lines holds one index array per axis of the stack but the slot, the
-        face index first (a face of a 1-D mesh is one line).  Every mesh
-        axis but the slot is contracted with the line's own row of its
-        columns, one axis at a time, which leaves the restriction
-        q(m) = sum_j c_j m^j of each line: c and a are stacked in an array of
-        shape (lines, 2, len(powers[slot])).  a is the same contraction of
-        |C| with |m|, a float of the sum A_j of the |terms| of c_j: c_j is
-        within gamma_K A_j of its exact value, and A_j <= a_j / (1 - gamma_K),
-        K = _roundings(skip=slot).  The faces are taken one at a time, each
-        from its own `dense` coefficients, and lines without the face index.
+        The slot's exponents join the face axis as batch rows, and _contract
+        takes every other mesh axis (a face of a 1-D mesh is one line), which
+        leaves the restriction q(m) = sum_j c_j m^j of each line: c and a in
+        shape (faces, lines..., 2, len(powers[slot])).  a is the same
+        contraction of |C| with |m|, a float of the sum A_j of the |terms| of
+        c_j: in any summation order, c_j is within gamma_K A_j of its exact
+        value, and A_j <= a_j / (1 - gamma_K), K = _roundings(skip=slot).
         """
-        if dense is None:  # lines come in C order: each face's are contiguous
-            faces, firsts = np.unique(lines[0], return_index=True)
-            lasts = np.append(firsts[1:], len(lines[0]))
-            return np.concatenate([
-                self._edge_lines(slot, tuple(index[first:last] for index in lines[1:]), self.dense[face])
-                for face, first, last in zip(faces, firsts, lasts)
-            ])
         others = [s for s in range(len(self.nums)) if s != slot]
-        # (c, a) stacked on a first axis of 2 all the way: the slot axis next
-        order = (0, slot + 1) + tuple(1 + s for s in others)
-        acc = np.stack([dense, np.abs(dense)]).transpose(order)
+        dense = np.moveaxis(self.dense, 1 + slot, 1)
+        dense = dense.reshape((-1,) + dense.shape[2:])
+        parts = []
         with np.errstate(over="ignore", invalid="ignore"):
-            for k, (s, index) in enumerate(reversed(list(zip(others, lines)))):
-                rows = np.stack([self.columns[s][index], self.magnitudes[s][index]])  # (2, lines, k_s)
-                if k == 0:  # the last axis against each line's row: a line axis after the first
-                    inner = acc.shape[1:-1]
-                    acc = rows @ acc.reshape(2, -1, acc.shape[-1]).transpose(0, 2, 1)
-                    acc = acc.reshape((2, len(index)) + inner)
-                else:  # the last axis against each line's own row
-                    rows = rows.reshape(rows.shape[:2] + (1,) * (acc.ndim - 4) + rows.shape[2:] + (1,))
-                    acc = (acc @ rows)[..., 0]
-        if not others:  # a face of a 1-D mesh is one line
-            acc = acc[:, None]
-        return acc.transpose(1, 0, 2)
+            for values, columns in ((dense, self.columns), (np.abs(dense), self.magnitudes)):
+                if others:
+                    values = _contract(values, [columns[s] for s in others])
+                parts.append(values.reshape((len(self.dense), -1) + values.shape[1:]))
+        # (faces, 2, slot exponents, lines...) -> (faces, lines..., 2, slot exponents)
+        return np.moveaxis(np.stack(parts, axis=1), (1, 2), (-2, -1))
 
 
 def _halves(coeffs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -592,13 +584,13 @@ def _root_free(
 
     cells has one index array per axis of `signs`, the form's exact signs,
     the face axis first: the same-sign edges that stage (a) (chord_mask)
-    left.  Each distinct mesh line of the edges is contracted once
-    (_MeshForm._edge_lines), over the slot's own exponents.  (b) the chord
-    test per edge, (c) Bernstein coefficients and (d) exact Sturm counts
-    each take the edges the one before it left; (b) and (c) take them in
-    batches of at most _CASCADE_FLOATS floats per array, which bounds their
-    float temporaries.  (d) counts once per distinct (line, ends), and
-    `counts` keeps those counts across the forms of one cross-section.
+    left.  Each edge reads its line from _MeshForm._lines, every mesh line
+    along the slot at the slot's own exponents.  (b) the chord test per
+    edge, (c) Bernstein coefficients and (d) exact Sturm counts each take
+    the edges the one before it left; (b) and (c) take them in batches of
+    at most _CASCADE_FLOATS floats per array, which bounds their float
+    temporaries.  (d) counts once per distinct (line, ends), and `counts`
+    keeps those counts across the forms of one cross-section.
     """
     axis = 1 + slot
     at = cells[axis]
@@ -606,15 +598,12 @@ def _root_free(
     if not len(at):
         return free
     upper = cells[:axis] + (at + 1,) + cells[axis + 1:]
-    # the distinct lines, in C order, and each edge's rank among them
-    shape = tuple(n for s, n in enumerate(signs.shape) if s != axis)
-    ids = np.ravel_multi_index([index for s, index in enumerate(cells) if s != axis], shape)
-    used = np.zeros(math.prod(shape), dtype=bool)
-    used[ids] = True
-    lines = np.unravel_index(np.flatnonzero(used), shape)
-    line = np.cumsum(used)[ids] - 1
     exps, roundings = form.powers[slot], form._roundings(skip=slot)
-    rows = form._edge_lines(slot, lines)
+    rows = form._lines(slot)
+    # each edge's line: its indices on every axis but the slot, face first
+    lines = [index for s, index in enumerate(cells) if s != axis]
+    line = np.ravel_multi_index(lines, rows.shape[:-2])
+    rows = rows.reshape(-1, 2, len(exps))
     floor = np.minimum(form.floor[cells], form.floor[upper])
     ends = form.nums[slot][np.stack([at, at + 1], axis=1)]
 
@@ -634,14 +623,14 @@ def _root_free(
             free[rest[certified]] = True
             left.append(rest[~certified & ~rooted])
 
-    # (d) on what (c) leaves: one exact line per mesh line, and one Sturm
-    # count per distinct line and ends
+    # (d) on what (c) leaves: one exact line per (face, point) of the other
+    # mesh axes, and one Sturm count per distinct line and ends
     others = [s for s in range(len(form.nums)) if s != slot]
-    exact: Dict[int, Tuple[int, ...]] = {}
+    exact: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
     for e in np.concatenate(left) if left else ():
-        key = int(line[e])
+        key = tuple(int(index[e]) for index in lines)
         if key not in exact:
-            face, *point = [int(index[key]) for index in lines]
+            face, *point = key
             ms = [int(form.nums[s][i]) for s, i in zip(others, point)]
             exact[key] = _exact_line(form.coeffs[face], slot, ms)
         # ends are nonzero: no root sits on one
@@ -657,15 +646,14 @@ def _edge_chord(
 ) -> np.ndarray:
     """Stage (b): the chord test of each edge, with D2 from the edge's own line.
 
-    rows[e] holds c~_j and a_j of edge e's line (see
-    _MeshForm._edge_lines) at the exponents exps; floor[e] is the smaller
-    lower bound on |P| at its ends, and ends[e] their numerators along the
-    line.  On the segment |m| <= M, the larger |m| of its two ends, so
-    |q''| <= D2 = sum_j j (j - 1) |c_j| M^(j-2).  c~_j is within gamma_K A_j
-    of c_j, and A_j <= a_j / (1 - gamma_K), so |c_j| <= |c~_j| + kappa eps
-    a_j: kappa eps is at least 16 times gamma_K / (1 - gamma_K).  Unlike
-    D2_s, the c_j carry the cancellation between the terms of P across the
-    other axes.
+    rows[e] holds c~_j and a_j of edge e's line (see _MeshForm._lines) at
+    the exponents exps; floor[e] is the smaller lower bound on |P| at its
+    ends, and ends[e] their numerators along the line.  On the segment
+    |m| <= M, the larger |m| of its two ends, so |q''| <= D2 =
+    sum_j j (j - 1) |c_j| M^(j-2).  c~_j is within gamma_K A_j of c_j, and
+    A_j <= a_j / (1 - gamma_K), so |c_j| <= |c~_j| + kappa eps a_j: kappa
+    eps is at least 16 times gamma_K / (1 - gamma_K).  Unlike D2_s, the c_j
+    carry the cancellation between the terms of P across the other axes.
     """
     j = np.array(exps)
     curved = j >= 2  # the exponents with a second derivative
@@ -855,8 +843,7 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
     ambient = p.spatial_dim + 1
     if not 2 <= ambient <= 4:
         raise NodalError(f"counting supports ambient dimension 2..4, got {ambient}")
-    if resolution < 2:
-        raise NodalError("resolution must be >= 2")
+    resolution = _check_resolution(resolution)
     _check_mesh_cells(resolution + 2, ambient - 1)
     # faces per float pass: as many as fit in _CASCADE_FLOATS cells (at least
     # one), in groups of even size, so that a group's float arrays take at
@@ -1033,10 +1020,7 @@ def nodal_count(p: Polynomial, schedule: Optional[Sequence[int]] = None) -> Comp
         if ambient not in DEFAULT_SCHEDULES:
             raise NodalError(f"no default schedule for ambient dimension {ambient}")
         schedule = DEFAULT_SCHEDULES[ambient]
-    for r in schedule:  # int() would truncate 16.9 to 16 silently
-        if isinstance(r, bool) or not isinstance(r, (int, np.integer)):
-            raise NodalError(f"schedule entries must be integers, got {r!r}")
-    schedule = [int(r) for r in schedule]
+    schedule = [_check_resolution(r) for r in schedule]
     if len(schedule) < 3:
         raise NodalError("schedule needs at least three resolutions")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
@@ -1114,8 +1098,7 @@ def slice_count(
     radius = Fraction(box_half_width)
     if radius <= 0:
         raise NodalError("box half-width must be positive")
-    if resolution < 2:
-        raise NodalError("resolution must be >= 2")
+    resolution = _check_resolution(resolution)
     _check_mesh_cells(resolution, n)
     # the largest |numerator|, in Python ints: an int64 array of it could wrap
     _check_numerator(radius.numerator * (resolution - 1))
@@ -1291,8 +1274,7 @@ def export_nodal_pointcloud(
         raise NodalError("point-cloud export is defined for n = 2")
     if not 0.0 < annulus_delta < 1.0:
         raise NodalError("annulus delta must lie strictly between 0 and 1")
-    if resolution < 2:
-        raise NodalError("resolution must be >= 2")
+    resolution = _check_resolution(resolution)
     thetas, phis = _sphere_angles(resolution)
     # only 1-D arrays live across the shells: each block's points, and each
     # midpoint's ends, are products of a longitude's cos or sin with a
@@ -1431,6 +1413,7 @@ def sphere_grid_count(p: Polynomial, resolution: int = 256) -> ComponentReport:
     """
     if p.spatial_dim != 2:
         raise NodalError("the spherical oracle is defined for n = 2")
+    resolution = _check_resolution(resolution)
     m, k = 2 * resolution, resolution
     thetas, phis = _sphere_angles(resolution)
     d_theta = 2.0 * np.pi / m

@@ -37,7 +37,10 @@ from calorics.nodal import (
     NodalError,
     UnresolvedSign,
     _components,
+    _exact_line,
+    _FLOAT_EPS,
     _integer_scaled_terms,
+    _kappa,
     _MeshForm,
     _probed_runs,
     _root_free,
@@ -235,6 +238,22 @@ def test_exact_signs_match_exact_evaluation(p, data):
     beta = form._face_bound()
     if beta is not None and any(form.coeffs):  # P = 0 on every face makes no float pass
         assert (beta[:, None] >= form._cell_bound().reshape(len(faces), -1)).all()
+
+    # every line along every mesh axis against its exact restriction, in
+    # Fractions: |c~_j - c_j| <= kappa eps a_j with K = _roundings(skip=slot),
+    # the premise of merge stages (b) and (c); a face where P = 0 has an
+    # all-zero line
+    for slot in range(len(varying) if any(form.coeffs) else 0):
+        lines = form._lines(slot)
+        slack = F(_kappa(form._roundings(skip=slot))) * F(_FLOAT_EPS)
+        others = varying[:slot] + varying[slot + 1:]
+        for face, *point in itertools.product(*(range(size) for size in lines.shape[:-2])):
+            coeffs = form.coeffs[face]
+            ms = [int(faces[face][axis][i]) for axis, i in zip(others, point)]
+            exact = _exact_line(coeffs, slot, ms) if coeffs else ()
+            approx, sizes = lines[(face, *point)]
+            for e, c, a in zip(form.powers[slot], approx, sizes):
+                assert abs(F(c) - (exact[e] if e < len(exact) else 0)) <= slack * F(a), (face, point, e)
 
     # every draw through both tiers of the rounding certificate: the
     # face-wide tier where it certifies every cell, and the per-cell tier
@@ -494,6 +513,27 @@ def test_nodal_count_accepts_numpy_integer_schedules():
     assert nodal_count(p, np.array([16, 32, 64])) == nodal_count(p, [16, 32, 64])
 
 
+# every public function that takes a resolution, called at resolution r
+_AT_RESOLUTION = {
+    "cube_section_sample": lambda p, r: count_components(cube_section_sample(p, r)),
+    "nodal_count": lambda p, r: nodal_count(p, [r, 20, 24]),
+    "slice_count": lambda p, r: slice_count(p, resolution=r),
+    "export_nodal_pointcloud": lambda p, r: export_nodal_pointcloud(p, r),
+    "sphere_grid_count": lambda p, r: sphere_grid_count(p, r),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_AT_RESOLUTION))
+def test_every_resolution_is_an_integer_of_at_least_two(name):
+    # a float, a bool or a resolution below 2 is refused with NodalError
+    # before any sampling, and a numpy integer counts as the int it holds
+    call, p = _AT_RESOLUTION[name], fixture("n2d3")
+    for resolution in (16.5, 8.0, True, 1, 0, -3):
+        with pytest.raises(NodalError):
+            call(p, resolution)
+    assert call(p, np.int64(16)) == call(p, 16)
+
+
 def test_mesh_size_cap_is_checked_before_sampling():
     # (40000 + 2)^2 cells of one face would take 12 GB per float array
     with pytest.raises(NodalError, match="cap"):
@@ -747,27 +787,26 @@ def _reference_split(p, field):
     return tuple(len(np.unique(labels[signs == s])) for s in (1, -1)), runs
 
 
-# group caps of cube_section_sample, in cells: one face per pass (and one
-# edge per batch of stages (b) and (c)), and the whole cross-section in one pass
-_GROUPINGS = (1, 2 ** 40)
-
-
 def _assert_cascade_graph_matches(p, resolution):
     """Under each grouping, the sampled graph's split is that of the per-cell graph.
 
-    Both groupings sample one grid to the same signs, and each graph's
-    nodes are the runs of the full merge masks along the last mesh axis:
-    no run is cut at an edge that merges.
+    The group caps of cube_section_sample, in cells, are one face's cells
+    (one face per pass, and batches of stages (b) and (c) a face's floats
+    in size, so that one _root_free call can take several) and 2^40 (the
+    whole cross-section in one pass).  Both groupings sample one grid to
+    the same signs, and each graph's nodes are the runs of the full merge
+    masks along the last mesh axis: no run is cut at an edge that merges.
     """
+    caps = ((resolution + 2) ** p.spatial_dim, 2 ** 40)
     fields = []
-    for cap in _GROUPINGS:
+    for cap in caps:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(nodal, "_CASCADE_FLOATS", cap)
             fields.append(cube_section_sample(p, resolution))
     assert fields[0].grid == fields[1].grid
     assert all(map(np.array_equal, fields[0].face_signs, fields[1].face_signs))
     split, runs = _reference_split(p, fields[0])
-    for cap, field in zip(_GROUPINGS, fields):
+    for cap, field in zip(caps, fields):
         report = count_components(field)
         assert (report.positive, report.negative) == split, cap
         assert len(field.node_signs) == runs, cap
@@ -900,16 +939,22 @@ def test_face_wide_rounding_bound_leaves_one_contraction_per_float_pass(monkeypa
     # rounding bound at the default schedules: its float pass contracts the
     # values only.  Inputs whose |P| spans many orders of magnitude on a face
     # fall back to the per-cell bound, one more contraction, and keep their
-    # counts
-    passes, contractions = [], []
+    # counts.  Only the contractions made while a float pass runs count:
+    # the merge stages contract each form's mesh lines as well
+    passes, contractions, running = [], [], []
     float_pass, contract = _MeshForm._float_pass, nodal._contract
 
     def counting_pass(form):
         passes.append(form.shape)
-        return float_pass(form)
+        running.append(form)
+        try:
+            return float_pass(form)
+        finally:
+            running.pop()
 
     def counting_contract(*args):
-        contractions.append(args[0].shape)
+        if running:
+            contractions.append(args[0].shape)
         return contract(*args)
 
     monkeypatch.setattr(_MeshForm, "_float_pass", counting_pass)
