@@ -95,6 +95,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -230,7 +231,7 @@ def _contract(dense: np.ndarray, columns: Sequence[np.ndarray]) -> np.ndarray:
     return out.reshape(shape)
 
 
-def _edge_slices(ndim: int, slot: int) -> Tuple[tuple, tuple]:
+def _edge_slices(slot: int) -> Tuple[tuple, tuple]:
     """Indices of the low and the high cell of each edge along axis `slot`."""
     lo = (slice(None),) * slot + (slice(None, -1),)
     hi = (slice(None),) * slot + (slice(1, None),)
@@ -463,7 +464,7 @@ class _MeshForm:
         between two cells whose floors clear it merges.  The edges in `left`
         go to _root_free, whose merges complete `merged`.
         """
-        lo, hi = _edge_slices(signs.ndim, 1 + slot)
+        lo, hi = _edge_slices(1 + slot)
         candidates = signs[lo] * signs[hi] > 0
         if not candidates.any():
             return candidates, np.zeros_like(candidates)
@@ -953,7 +954,7 @@ def _probed_runs(signs: np.ndarray, merges: Sequence[np.ndarray]) -> Tuple[np.nd
     starts = np.flatnonzero(start)
     rows, cols = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     for slot, mask in enumerate(merges[:-1], signs.ndim - len(merges)):
-        lo, hi = _edge_slices(signs.ndim, slot)
+        lo, hi = _edge_slices(slot)
         fresh = start[lo] | start[hi]
         fresh[..., 1:] |= ~mask[..., :-1]
         fresh &= mask
@@ -1161,10 +1162,12 @@ def polar_chambers(
 ) -> PolarChamberReport:
     """Evaluate p on the circle x^2 + y^2 = rho^2, t = +-sqrt(1 - rho^2).
 
-    Values inside the guard band |p| < 1e-12 are refined by shifting the
-    sample angle in up to 40 halving steps; a sign that never resolves raises
-    UnresolvedSign rather than guessing.  sign_changes counts cyclic sign
-    alternations and n_plus the maximal positive arcs.
+    A value is unresolved when |p| is at most 1e-12 times the sum of the
+    |terms| of p at the sample, the scale of its rounding error.  Such a
+    sample is refined by shifting its angle in up to 40 halving steps; a
+    sign that never resolves raises UnresolvedSign rather than guessing.
+    sign_changes counts cyclic sign alternations and n_plus the maximal
+    positive arcs.
     """
     if p.spatial_dim != 2:
         raise NodalError("polar chambers are defined for n = 2")
@@ -1179,25 +1182,27 @@ def polar_chambers(
         raise NodalError(f"need at least {8 * degree} samples for degree {degree}")
 
     guard = 1e-12
+    magnitudes = Polynomial(2, {ev: abs(c) for ev, c in p.terms.items()})
     tval = math.sqrt(1.0 - rho * rho) * (1.0 if pole == "north" else -1.0)
     step = 2.0 * math.pi / samples
 
-    def value_at(theta: float) -> float:
+    def value_at(theta: float) -> Tuple[float, float]:
+        """p at the sample, and the sum of its |terms| there times the guard."""
         point = np.array([rho * math.cos(theta), rho * math.sin(theta), tval])
-        return float(_float_mesh_eval(p, *point))
+        return float(_float_mesh_eval(p, *point)), guard * float(_float_mesh_eval(magnitudes, *np.abs(point)))
 
     signs: List[int] = []
     for j in range(samples):
         theta = j * step
-        value = value_at(theta)
+        value, band = value_at(theta)
         shift = step / 2.0
         refinements = 0
-        while abs(value) < guard and refinements < 40:
+        while abs(value) <= band and refinements < 40:
             theta += shift
             shift /= 2.0
-            value = value_at(theta)
+            value, band = value_at(theta)
             refinements += 1
-        if abs(value) < guard:
+        if abs(value) <= band:
             raise UnresolvedSign(
                 f"sample {j} at the {pole} pole stayed within the guard band after 40 refinements"
             )
@@ -1217,11 +1222,17 @@ def polar_chambers(
 
 
 def _float_mesh_eval(p: Polynomial, xs: np.ndarray, ys: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Float values of p (n = 2) at the points (xs, ys, ts), elementwise."""
+    """Float values of p (n = 2) at the points (xs, ys, ts), elementwise.
+
+    Raises NodalError for a coefficient past the largest float.
+    """
     out = np.zeros(xs.shape, dtype=np.float64)
     term = np.empty_like(out)  # reused by every term: one temporary, not one per product
     for ev, coeff in p.terms.items():
-        term.fill(float(coeff))
+        try:
+            term.fill(float(coeff))
+        except OverflowError as exc:
+            raise NodalError(f"a coefficient exceeds the largest float, {sys.float_info.max:.6g}") from exc
         ex, ey = ev.space_exps
         if ex:
             term *= xs ** ex
@@ -1443,7 +1454,7 @@ def sphere_grid_count(p: Polynomial, resolution: int = 256) -> ComponentReport:
     wrapped = signs[wrap]
     merges = []
     for slot in range(2):
-        lo, hi = _edge_slices(2, slot)
+        lo, hi = _edge_slices(slot)
         mask = wrapped[lo] * wrapped[hi] > 0
         for eighth in range(1, 8):
             if not mask.any():

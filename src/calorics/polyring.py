@@ -24,9 +24,10 @@ polynomials are written, e.g. ``t^2 + t*x^2 + 1/12*x^4``.
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
-from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple, Union
 
 RationalLike = Union[int, str, Fraction]
 
@@ -95,6 +96,36 @@ def _canonical_key(ev: ExponentVector):
     )
 
 
+def _checked_exponents(ev, spatial_dim: int) -> ExponentVector:
+    """ev as an ExponentVector; raises on a non-integer, negative or wrong-length entry."""
+    # operator.index refuses 1.5 where int() would truncate it
+    ev = ExponentVector(operator.index(ev[0]), tuple(operator.index(a) for a in ev[1]))
+    if ev.t_exp < 0 or any(a < 0 for a in ev.space_exps):
+        raise ValueError(f"negative exponent in {ev}")
+    if len(ev.space_exps) != spatial_dim:
+        raise DimensionMismatch(
+            f"exponent vector {ev} has {len(ev.space_exps)} spatial entries, expected {spatial_dim}"
+        )
+    return ev
+
+
+def _collect(pairs: Iterable[Tuple[ExponentVector, Fraction]]) -> Dict[ExponentVector, Fraction]:
+    """Sum the coefficients of equal monomials, in order of first appearance.
+
+    A monomial whose sum reaches zero is dropped; if it comes back, it goes
+    to the end.
+    """
+    out: Dict[ExponentVector, Fraction] = {}
+    for ev, coeff in pairs:
+        prev = out.get(ev)
+        total = coeff if prev is None else prev + coeff
+        if total:
+            out[ev] = total
+        else:
+            out.pop(ev, None)
+    return out
+
+
 class Polynomial:
     """Immutable sparse polynomial over Q in (x_1..x_n, t).
 
@@ -107,28 +138,17 @@ class Polynomial:
     def __init__(self, spatial_dim: int, terms: Mapping[ExponentVector, RationalLike]):
         if spatial_dim < 1:
             raise ValueError(f"spatial dimension must be >= 1, got {spatial_dim}")
-        clean: Dict[ExponentVector, Fraction] = {}
-        for ev, coeff in terms.items():
-            # operator.index refuses 1.5 where int() would truncate it
-            ev = ExponentVector(operator.index(ev[0]), tuple(operator.index(a) for a in ev[1]))
-            if ev.t_exp < 0 or any(a < 0 for a in ev.space_exps):
-                raise ValueError(f"negative exponent in {ev}")
-            if len(ev.space_exps) != spatial_dim:
-                raise DimensionMismatch(
-                    f"exponent vector {ev} has {len(ev.space_exps)} spatial "
-                    f"entries, expected {spatial_dim}"
-                )
-            coeff = Fraction(coeff)
-            if coeff == 0:
-                continue
-            prev = clean.get(ev)
-            total = coeff if prev is None else prev + coeff
-            if total == 0:
-                clean.pop(ev, None)
-            else:
-                clean[ev] = total
+        pairs = ((_checked_exponents(ev, spatial_dim), Fraction(coeff)) for ev, coeff in terms.items())
         object.__setattr__(self, "spatial_dim", spatial_dim)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", _collect(pairs))
+
+    @classmethod
+    def _of(cls, spatial_dim: int, pairs: Iterable[Tuple[ExponentVector, Fraction]]) -> "Polynomial":
+        """The polynomial of pairs that the ring made itself: summed, not validated again."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "spatial_dim", spatial_dim)
+        object.__setattr__(poly, "terms", _collect(pairs))
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -199,42 +219,25 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check_dim(other)
-        out = dict(self.terms)
-        for ev, c in other.terms.items():
-            total = out.get(ev, Fraction(0)) + c
-            if total == 0:
-                out.pop(ev, None)
-            else:
-                out[ev] = total
-        return Polynomial(self.spatial_dim, out)
+        return Polynomial._of(self.spatial_dim, [*self.terms.items(), *other.terms.items()])
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.spatial_dim, {ev: -c for ev, c in self.terms.items()})
+        return Polynomial._of(self.spatial_dim, ((ev, -c) for ev, c in self.terms.items()))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_dim(other)
-        out: Dict[ExponentVector, Fraction] = {}
-        for ev_a, ca in self.terms.items():
-            for ev_b, cb in other.terms.items():
-                ev = ExponentVector(
-                    ev_a.t_exp + ev_b.t_exp,
-                    tuple(a + b for a, b in zip(ev_a.space_exps, ev_b.space_exps)),
-                )
-                total = out.get(ev, Fraction(0)) + ca * cb
-                if total == 0:
-                    out.pop(ev, None)
-                else:
-                    out[ev] = total
-        return Polynomial(self.spatial_dim, out)
+        return Polynomial._of(self.spatial_dim, (
+            (ExponentVector(a.t_exp + b.t_exp, tuple(map(operator.add, a.space_exps, b.space_exps))), ca * cb)
+            for a, ca in self.terms.items()
+            for b, cb in other.terms.items()
+        ))
 
     def scale(self, factor: RationalLike) -> "Polynomial":
         factor = Fraction(factor)
-        if factor == 0:
-            return Polynomial.zero(self.spatial_dim)
-        return Polynomial(self.spatial_dim, {ev: c * factor for ev, c in self.terms.items()})
+        return Polynomial._of(self.spatial_dim, ((ev, c * factor) for ev, c in self.terms.items()))
 
     def __rmul__(self, factor):
         if isinstance(factor, (int, Fraction)):
@@ -255,36 +258,23 @@ class Polynomial:
         """Formal partial derivative with respect to x_{index+1}."""
         if not 0 <= index < self.spatial_dim:
             raise ValueError(f"no spatial variable with index {index} in dimension {self.spatial_dim}")
-        out: Dict[ExponentVector, Fraction] = {}
-        for ev, c in self.terms.items():
-            e = ev.space_exps[index]
-            if e == 0:
-                continue
-            alpha = list(ev.space_exps)
-            alpha[index] = e - 1
-            out[ExponentVector(ev.t_exp, tuple(alpha))] = c * e
-        return Polynomial(self.spatial_dim, out)
+        return Polynomial._of(self.spatial_dim, (
+            (ev._replace(space_exps=ev.space_exps[:index] + (e - 1,) + ev.space_exps[index + 1:]), c * e)
+            for ev, c in self.terms.items()
+            if (e := ev.space_exps[index])
+        ))
 
     def partial_t(self) -> "Polynomial":
-        out: Dict[ExponentVector, Fraction] = {}
-        for ev, c in self.terms.items():
-            if ev.t_exp == 0:
-                continue
-            out[ExponentVector(ev.t_exp - 1, ev.space_exps)] = c * ev.t_exp
-        return Polynomial(self.spatial_dim, out)
+        return Polynomial._of(self.spatial_dim, (
+            (ev._replace(t_exp=ev.t_exp - 1), c * ev.t_exp) for ev, c in self.terms.items() if ev.t_exp
+        ))
 
     def substitute_t(self, value: RationalLike) -> "Polynomial":
         """Collapse the t variable at an exact rational time slice."""
         value = Fraction(value)
-        out: Dict[ExponentVector, Fraction] = {}
-        for ev, c in self.terms.items():
-            key = ExponentVector(0, ev.space_exps)
-            total = out.get(key, Fraction(0)) + c * value ** ev.t_exp
-            if total == 0:
-                out.pop(key, None)
-            else:
-                out[key] = total
-        return Polynomial(self.spatial_dim, out)
+        return Polynomial._of(self.spatial_dim, (
+            (ExponentVector(0, ev.space_exps), c * value ** ev.t_exp) for ev, c in self.terms.items()
+        ))
 
     # ---- evaluation -------------------------------------------------
 
@@ -312,10 +302,10 @@ class Polynomial:
         if not self.terms:
             return []
         m = max(ev.t_exp for ev in self.terms)
-        buckets: List[Dict[ExponentVector, Fraction]] = [{} for _ in range(m + 1)]
+        buckets: List[List[Tuple[ExponentVector, Fraction]]] = [[] for _ in range(m + 1)]
         for ev, c in self.terms.items():
-            buckets[ev.t_exp][ExponentVector(0, ev.space_exps)] = c
-        return [Polynomial(self.spatial_dim, buckets[m - i]) for i in range(m + 1)]
+            buckets[ev.t_exp].append((ExponentVector(0, ev.space_exps), c))
+        return [Polynomial._of(self.spatial_dim, bucket) for bucket in reversed(buckets)]
 
     # ---- text and JSON forms -------------------------------------------------
 
@@ -615,13 +605,12 @@ def embed(p: Polynomial, spatial_dim: int, variable_map: Sequence[int]) -> Polyn
         raise ValueError("variable_map must be injective")
     if any(not 0 <= v < spatial_dim for v in variable_map):
         raise ValueError("variable_map index out of range")
-    out: Dict[ExponentVector, Fraction] = {}
-    for ev, c in p.terms.items():
-        alpha = [0] * spatial_dim
-        for old, new in enumerate(variable_map):
-            alpha[new] = ev.space_exps[old]
-        out[ExponentVector(ev.t_exp, tuple(alpha))] = c
-    return Polynomial(spatial_dim, out)
+    # the old index of each new variable; -1 picks the 0 appended to each old alpha
+    pick = [variable_map.index(k) if k in variable_map else -1 for k in range(spatial_dim)]
+    return Polynomial._of(spatial_dim, (
+        (ExponentVector(ev.t_exp, tuple((ev.space_exps + (0,))[k] for k in pick)), c)
+        for ev, c in p.terms.items()
+    ))
 
 
 def rotate_xy(p: Polynomial, i: int, j: int, c: RationalLike, s: RationalLike) -> Polynomial:
@@ -643,26 +632,19 @@ def _substitute_pair(p: Polynomial, i: int, j: int, c: Fraction, s: Fraction) ->
     for axis in (i, j):
         if not 0 <= axis < p.spatial_dim:
             raise ValueError(f"invalid rotation axis {axis} for dimension {p.spatial_dim}")
-    out = Polynomial.zero(p.spatial_dim)
-    xi = Polynomial.variable(p.spatial_dim, i)
-    xj = Polynomial.variable(p.spatial_dim, j)
-    new_i = xi.scale(c) - xj.scale(s)
-    new_j = xi.scale(s) + xj.scale(c)
-    # substitute per term; binomial expansion via polynomial powers
-    pow_i: Dict[int, Polynomial] = {}
-    pow_j: Dict[int, Polynomial] = {}
+    pairs: List[Tuple[ExponentVector, Fraction]] = []
     for ev, coeff in p.terms.items():
-        ai, aj = ev.space_exps[i], ev.space_exps[j]
-        if ai not in pow_i:
-            pow_i[ai] = new_i ** ai
-        if aj not in pow_j:
-            pow_j[aj] = new_j ** aj
+        # (c x_i - s x_j)^a (s x_i + c x_j)^b: the u-th entry of the first row
+        # goes with x_i^(a-u) x_j^u, the v-th of the second with x_i^(b-v) x_j^v
+        a, b = ev.space_exps[i], ev.space_exps[j]
+        row_i = [coeff * math.comb(a, u) * c ** (a - u) * (-s) ** u for u in range(a + 1)]
+        row_j = [math.comb(b, v) * s ** (b - v) * c ** v for v in range(b + 1)]
         alpha = list(ev.space_exps)
-        alpha[i] = 0
-        alpha[j] = 0
-        rest = Polynomial(p.spatial_dim, {ExponentVector(ev.t_exp, tuple(alpha)): coeff})
-        out = out + rest * pow_i[ai] * pow_j[aj]
-    return out
+        for u, cu in enumerate(row_i):
+            for v, cv in enumerate(row_j):
+                alpha[i], alpha[j] = a + b - u - v, u + v
+                pairs.append((ExponentVector(ev.t_exp, tuple(alpha)), cu * cv))
+    return Polynomial._of(p.spatial_dim, pairs)
 
 
 def format_rational(value: Fraction) -> str:

@@ -232,6 +232,14 @@ def test_export_bad_resolution_exits_four(capsys, tmp_path, resolution):
     assert not out_path.exists()
 
 
+def test_export_coefficient_past_the_float_range_exits_four(capsys, tmp_path):
+    out_path = tmp_path / "cloud.csv"
+    code, _, err = run(capsys, "export", "--expr", "9" * 400 + "*y + t", "-n", "2", "--out", str(out_path))
+    assert code == 4
+    assert err.startswith("error:")
+    assert not out_path.exists()
+
+
 def test_escaped_bound_violation_exits_three(capsys, monkeypatch):
     def violating(poly, schedule=None):
         raise BoundViolation("counted 1 nodal domains outside [2, 3]")

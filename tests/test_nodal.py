@@ -1207,10 +1207,25 @@ def test_polar_chambers_preconditions():
 
 
 def test_polar_chambers_refuses_to_guess_unresolvable_signs():
-    # every value of this polynomial on the circle sits inside the guard band
-    tiny = Polynomial(2, {(0, (0, 1)): F(1, 10 ** 20)})
+    # on the circle at the north pole, x^2 + y^2 = rho^2 and a*t = -rho^2 up
+    # to rounding: every value cancels to within the guard band
+    rho = 0.1
+    a = F(-rho ** 2 / math.sqrt(1 - rho ** 2))
+    cancelling = Polynomial(2, {(0, (2, 0)): 1, (0, (0, 2)): 1, (1, (0, 0)): a})
     with pytest.raises(UnresolvedSign):
-        polar_chambers(tiny, "north", 0.1, samples=16)
+        polar_chambers(cancelling, "north", rho, samples=16)
+
+
+def test_polar_chambers_signs_values_that_are_only_small():
+    # the guard band scales with the sum of |terms|: a high degree or a
+    # positive scale makes p small on the circle, not its sign uncertain
+    cases = [(parse_poly("y^6", 2), (0, 1))]
+    cases += [(harmonic_2d(d, "imag_part"), (2 * d, d)) for d in (12, 14, 16, 20, 32)]
+    sextic = harmonic_2d(6, "imag_part")
+    cases += [(sextic.scale(scale), (12, 6)) for scale in (F(1, 10 ** 6), F(1, 10 ** 10), F(10 ** 20))]
+    for p, expected in cases:
+        report = polar_chambers(p)
+        assert (report.sign_changes, report.n_plus) == expected
 
 
 # ---- export and clustering ----

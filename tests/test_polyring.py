@@ -27,7 +27,7 @@ from calorics import (
 from calorics.constructions import resolve_rotation
 from calorics.polyring import MAX_POWER_DEGREE, _substitute_pair
 
-from conftest import homogeneous_polynomials, polynomials, pythagorean_pairs
+from conftest import homogeneous_polynomials, polynomials, pythagorean_pairs, small_rationals
 
 P4_TEXT = "t^2 + t*x^2 + 1/12*x^4"
 N3D4_TEXT = "12*t^2 + 12*t*x^2 + x^4 + y^4 - 6*y^2*z^2 + z^4"
@@ -361,6 +361,54 @@ def test_laplacian_drops_weight_by_two(p):
         assert parabolic_degree(lap) == parabolic_degree(p) - 2
 
 
+@given(polynomials(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_ring_agrees_with_sympy(p, data):
+    # sympy's polynomials, an implementation of their own, are the oracle for
+    # every ring operation, compared coefficient by coefficient
+    import sympy
+
+    n = p.spatial_dim
+    q = data.draw(polynomials(max_dim=n).filter(lambda q: q.spatial_dim == n))
+    a = data.draw(small_rationals())
+    index = data.draw(st.integers(0, n - 1))
+    xs, t = sympy.symbols(f"x1:{n + 2}"), sympy.Symbol("t")
+    gens = xs[:n] + (t,)
+
+    def to_sympy(poly, names=xs):
+        return sympy.Add(*(
+            sympy.Rational(c) * t ** ev.t_exp
+            * sympy.Mul(*(x ** e for x, e in zip(names, ev.space_exps)))
+            for ev, c in poly.terms.items()
+        ))
+
+    def agree(ours, theirs):
+        theirs = sympy.Poly(theirs, *xs[:ours.spatial_dim], t, domain="QQ")
+        return ours.terms == {(m[-1], m[:-1]): F(str(c)) for m, c in theirs.terms() if c}
+
+    P, Q = (sympy.Poly(to_sympy(poly), *gens, domain="QQ") for poly in (p, q))
+    lap = sum((P.diff((x, 2)) for x in xs[:n]), sympy.Poly(0, *gens, domain="QQ"))
+    assert agree(p + q, P + Q)
+    assert agree(p - q, P - Q)
+    assert agree(p * q, P * Q)
+    assert agree(p.scale(a), P * sympy.Rational(a))
+    assert agree(p.substitute_t(a), P.as_expr().subs(t, sympy.Rational(a)))
+    assert agree(p.partial(index), P.diff(xs[index]))
+    assert agree(p.partial_t(), P.diff(t))
+    assert agree(laplacian(p), lap)
+    assert agree(heat_apply(p), P.diff(t) - lap)
+    # into one more dimension, old variable i to new variable (i + shift) mod (n + 1)
+    shift = data.draw(st.integers(0, n))
+    variable_map = [(i + shift) % (n + 1) for i in range(n)]
+    assert agree(embed(p, n + 1, variable_map), to_sympy(p, [xs[k] for k in variable_map]))
+    if n >= 2:
+        c, s = data.draw(pythagorean_pairs())
+        i, j = data.draw(st.permutations(range(n)))[:2]
+        C, S = sympy.Rational(c), sympy.Rational(s)
+        rotated = P.as_expr().subs({xs[i]: C * xs[i] - S * xs[j], xs[j]: S * xs[i] + C * xs[j]}, simultaneous=True)
+        assert agree(rotate_xy(p, i, j, c, s), rotated)
+
+
 # ---- float-free modules ----
 
 
@@ -415,4 +463,28 @@ def test_every_private_top_level_name_is_read_in_the_package():
         reads = attributes if method else names + attributes
         if not any(n == name and id(node) not in inside for n, node in reads):
             unread.append(name)
+    assert not unread, unread
+
+
+def test_every_parameter_is_read_in_its_function():
+    # a function of calorics reads each of its parameters in its body: a
+    # parameter that nothing reads is dropped, with its arguments at the call
+    # sites; dunder methods keep the signature their protocol fixes, and a
+    # method need not read its receiver
+    unread = []
+    for path in Path(calorics.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or node.name.startswith("__"):
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [p for p in (args.vararg, args.kwarg) if p]
+            read = {
+                name.id
+                for statement in node.body
+                for name in ast.walk(statement)
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)
+            }
+            unread.extend(
+                f"{path.name}:{node.name}({p.arg})" for p in params if p.arg not in read | {"self", "cls"}
+            )
     assert not unread, unread
