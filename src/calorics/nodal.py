@@ -94,6 +94,7 @@ of the product family, and no amount of refinement repairs that.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -974,13 +975,33 @@ def _run_ids(starts: np.ndarray, cells: np.ndarray) -> np.ndarray:
 
 
 def _components(size: int, rows: np.ndarray, cols: np.ndarray) -> Tuple[int, np.ndarray]:
-    """(count, label per node) of the undirected graph on `size` nodes."""
-    # deferred: scipy.sparse would add to the import time of every CLI run
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components as _graph_components
+    """(count, label per node) of the undirected graph on `size` nodes.
 
-    graph = coo_matrix((np.ones(len(rows), dtype=bool), (rows, cols)), shape=(size, size))
-    return _graph_components(graph, directed=False)
+    Hook and jump (Shiloach & Vishkin, J. Algorithms 3, 1982): each round
+    hooks the higher root of every edge whose ends have different roots
+    onto the lower one, then jumps pointers until every node points at a
+    root.  A hook always points to a smaller id, so no cycle forms.  The
+    first round hooks the ends themselves, since every node starts as its
+    own root, and takes any of several hooks onto one node.  Later rounds
+    hook each root onto its smallest neighbour root, which at least halves
+    the roots that still have an edge every two rounds; a plain assignment
+    there can take one round per leaf of a star whose centre has the
+    largest id.  A label is the id of the node's root, not a number in
+    0..count-1.
+    """
+    parent = np.arange(size)
+    lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
+    parent[hi] = lo
+    while True:
+        jumped = parent[parent]
+        while not np.array_equal(jumped, parent):
+            parent, jumped = jumped, jumped[jumped]
+        lo, hi = parent[lo], parent[hi]
+        live = lo != hi
+        if not live.any():
+            return int(np.count_nonzero(parent == np.arange(size))), parent
+        lo, hi = np.minimum(lo[live], hi[live]), np.maximum(lo[live], hi[live])
+        np.minimum.at(parent, hi, lo)
 
 
 def _sign_split(labels: np.ndarray, signs: np.ndarray) -> Tuple[int, int]:
@@ -1328,20 +1349,72 @@ def export_nodal_pointcloud(
 
 
 def cluster_count(points: Sequence[Tuple[float, float, float]], gap: float) -> int:
-    """Number of single-linkage clusters when edges join points closer than gap."""
-    if not points:
-        return 0
-    # deferred: scipy.spatial would add to the import time of every CLI run
-    from scipy.spatial import cKDTree
+    """Number of single-linkage clusters when edges join points closer than gap.
 
-    arr = np.asarray(points, dtype=np.float64)
-    # the tree only preselects (its rounding differs by ulps); the strict
-    # squared-distance test below, one dot product per pair, decides
-    pairs = cKDTree(arr).query_pairs(gap * (1 + 1e-9), output_type="ndarray")
-    diff = arr[pairs[:, 0]] - arr[pairs[:, 1]]
-    close = (diff[:, None, :] @ diff[:, :, None]).ravel() < gap * gap
-    count, _ = _components(len(arr), pairs[close, 0], pairs[close, 1])
+    Raises NodalError unless gap is finite and positive and the points are
+    finite (x, y, t) triples.
+    """
+    if not (math.isfinite(gap) and gap > 0):
+        raise NodalError(f"cluster gap must be finite and positive, got {gap!r}")
+    try:
+        arr = np.asarray(points, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise NodalError("points must be finite (x, y, t) triples") from exc
+    if arr.size == 0:
+        return 0
+    if arr.ndim != 2 or arr.shape[1] != 3 or not np.isfinite(arr).all():
+        raise NodalError("points must be finite (x, y, t) triples")
+    count, _ = _components(len(arr), *_close_pairs(arr, gap))
     return count
+
+
+def _close_pairs(arr: np.ndarray, gap: float) -> Tuple[np.ndarray, np.ndarray]:
+    """(rows, cols): each pair of points of the (k, 3) array closer than gap, once.
+
+    Points go into cubic buckets of side gap (1 + 1e-9), so that a rounded
+    floor cannot put a close pair two buckets apart; each point meets its
+    own bucket and the 13 neighbours after it in key order, and the strict
+    squared-distance test, one dot product per pair, decides.  A bucket's
+    coordinate on an axis is the rank of its floor among the points' floors
+    there: ranks keep adjacent buckets adjacent (and may make distant ones
+    adjacent, which only adds candidates), and the key, padded by one rank
+    on each side so that no neighbour wraps, stays below (k + 2)^3.
+    """
+    side = gap * (1 + 1e-9)
+    key = np.zeros(len(arr), dtype=np.int64)
+    widths = []
+    for column in arr.T:
+        floors, rank = np.unique(np.floor(column / side), return_inverse=True)
+        widths.append(len(floors) + 2)
+        if math.prod(widths) > np.iinfo(np.int64).max:
+            raise NodalError(f"{len(arr)} points spread over too many buckets to key in int64")
+        key = key * widths[-1] + rank + 1
+    order = np.argsort(key)
+    key = key[order]
+    buckets, first, bucket, sizes = np.unique(key, return_index=True, return_inverse=True, return_counts=True)
+    ends = first + sizes
+    # own bucket: the points after each one; then the 13 forward neighbours
+    at = np.arange(len(key))
+    starts, stops = [at + 1], [ends[bucket]]
+    forward = [step for step in itertools.product((-1, 0, 1), repeat=3) if step > (0, 0, 0)]
+    for dx, dy, dz in forward:
+        target = key + (dx * widths[1] + dy) * widths[2] + dz
+        slot = np.minimum(np.searchsorted(buckets, target), len(buckets) - 1)
+        found = buckets[slot] == target
+        starts.append(np.where(found, first[slot], 0))
+        stops.append(np.where(found, ends[slot], 0))
+    # one neighbour at a time, so that only its candidate pairs are held
+    points = arr[order]
+    rows, cols = [], []
+    for start, stop in zip(starts, stops):
+        lengths = stop - start
+        near = np.repeat(at, lengths)
+        far = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths - start, lengths)
+        diff = points[near] - points[far]
+        close = (diff[:, None, :] @ diff[:, :, None]).ravel() < gap * gap
+        rows.append(near[close])
+        cols.append(far[close])
+    return order[np.concatenate(rows)], order[np.concatenate(cols)]
 
 
 # ---------------------------------------------------------------------------

@@ -291,6 +291,33 @@ def test_cli_import_skips_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_every_counting_path_runs_with_scipy_blocked():
+    # a None entry in sys.modules makes any import of scipy raise ImportError
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "\n".join(
+        [
+            "import sys",
+            "sys.modules['scipy'] = None",
+            "from calorics import cluster_count, fixture, nodal_count, slice_count, sphere_grid_count",
+            "from calorics.cli import main",
+            "print(nodal_count(fixture('n2d3')).total)",
+            "print(slice_count(fixture('n2d4'), resolution=64).total)",
+            "print(sphere_grid_count(fixture('n2d4'), 64).total)",
+            "print(cluster_count([(0, 0, 0), (0.01, 0, 0), (1, 1, 1)], 0.05))",
+            "sys.exit(main(['scan', 'odd', '-d', '3', '--eps-grid', '1', '--target', '2']))",
+        ]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[:4] == ["2", "5", "3", "2"]
+    assert proc.stdout.splitlines()[4:] == ["eps,total,pos,neg,stable", "1,2,1,1,true"]
+
+
 @pytest.mark.parametrize(
     "content",
     [

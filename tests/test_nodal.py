@@ -36,6 +36,7 @@ from calorics import nodal
 from calorics.nodal import (
     NodalError,
     UnresolvedSign,
+    _close_pairs,
     _components,
     _exact_line,
     _FLOAT_EPS,
@@ -698,19 +699,28 @@ def _probed_meshes(draw):
     return signs, merges
 
 
-def _cell_partition(signs, merges):
-    """Component label per cell of the per-cell graph of the merge masks."""
+def _scipy_components(size, rows, cols):
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
 
+    graph = coo_matrix((np.ones(len(rows), dtype=bool), (rows, cols)), shape=(size, size))
+    return connected_components(graph, directed=False)
+
+
+def _assert_same_partition(labels, expected):
+    # the pairs of labels form a bijection
+    pairs = set(zip(labels.tolist(), expected.tolist()))
+    assert len(pairs) == len(set(labels.tolist())) == len(set(expected.tolist()))
+
+
+def _cell_partition(signs, merges):
+    """Component label per cell of the per-cell graph of the merge masks."""
     idx = np.arange(signs.size).reshape(signs.shape)
     rows, cols = [], []
     for slot, mask in enumerate(merges):
         rows.append(np.delete(idx, -1, axis=slot)[mask])
         cols.append(np.delete(idx, 0, axis=slot)[mask])
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    graph = coo_matrix((np.ones(len(rows), dtype=bool), (rows, cols)), shape=(signs.size,) * 2)
-    return connected_components(graph, directed=False)[1].reshape(signs.shape)
+    return _scipy_components(signs.size, np.concatenate(rows), np.concatenate(cols))[1].reshape(signs.shape)
 
 
 @given(_probed_meshes())
@@ -727,10 +737,46 @@ def test_probed_runs_partition_matches_per_cell_graph(mesh):
     if signs.ndim == 1:
         assert len(rows) == 0  # runs along the only axis leave no edges
     _, labels = _components(len(node_signs), rows, cols)
-    runs, cells = labels[nodes].ravel(), _cell_partition(signs, merges).ravel()
-    # equal partitions: the pairs of labels form a bijection
-    pairs = set(zip(runs.tolist(), cells.tolist()))
-    assert len(pairs) == len(set(runs.tolist())) == len(set(cells.tolist()))
+    _assert_same_partition(labels[nodes].ravel(), _cell_partition(signs, merges).ravel())
+
+
+@st.composite
+def _graphs(draw):
+    """(size, rows, cols): isolated nodes, self-loops, duplicate edges and either end the larger."""
+    size = draw(st.integers(min_value=0, max_value=40))
+    node = st.integers(min_value=0, max_value=max(size - 1, 0))
+    edges = draw(st.lists(st.tuples(node, node), max_size=3 * size))
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=len(edges)))
+    return size, *(np.array([edge[end] for edge in edges], dtype=np.int64) for end in (0, 1))
+
+
+@given(_graphs())
+@settings(max_examples=300, deadline=None)
+def test_components_match_scipy(graph):
+    size, rows, cols = graph
+    count, labels = _components(size, rows, cols)
+    expected_count, expected = _scipy_components(size, rows, cols)
+    assert count == expected_count
+    assert labels.shape == (size,)
+    _assert_same_partition(labels, expected)
+
+
+@pytest.mark.parametrize(
+    "rows, cols",
+    [
+        # a path walked from its largest id down: the first round's hooks
+        # form one chain of 200,000 nodes, which pointer jumping shortens in
+        # log2(200,000) steps
+        (np.arange(199_999, 0, -1), np.arange(199_998, -1, -1)),
+        # a star whose centre has the largest id, leaves in ascending order:
+        # plain hooking after the first round would take one round per leaf
+        (np.arange(200_000), np.full(200_000, 200_000)),
+    ],
+)
+def test_components_worst_cases_end_in_few_rounds(rows, cols):
+    count, labels = _components(int(max(rows.max(), cols.max())) + 1, rows, cols)
+    assert count == 1 and (labels == 0).all()
 
 
 def _reference_split(p, field):
@@ -742,9 +788,6 @@ def _reference_split(p, field):
     one point join their cells.  runs counts the runs of cells that the
     masks merge along the last mesh axis, summed over the faces.
     """
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-
     grid = field.grid
     den, mesh = grid.denominator, grid.mesh
     signs, rows, cols, leg_cells, points = [], [], [], [], []
@@ -781,8 +824,7 @@ def _reference_split(p, field):
     cols.append(offset + point_ids.ravel())
     rows, cols = np.concatenate(rows), np.concatenate(cols)
     size = offset + (int(cols.max()) + 1 if len(cols) else 0)
-    graph = coo_matrix((np.ones(len(rows), dtype=bool), (rows, cols)), shape=(size, size))
-    labels = connected_components(graph, directed=False)[1][:offset]
+    labels = _scipy_components(size, rows, cols)[1][:offset]
     signs = np.concatenate(signs)
     return tuple(len(np.unique(labels[signs == s])) for s in (1, -1)), runs
 
@@ -1260,6 +1302,54 @@ def test_cluster_count_simple():
     assert cluster_count([], 0.05) == 0
     # edges join points strictly closer than gap
     assert cluster_count([(0.0, 0.0, 0.0), (0.5, 0.0, 0.0)], 0.5) == 2
+
+
+@pytest.mark.parametrize(
+    "points, gap",
+    [
+        ([(0.0, 0.0, 0.0), (0.1, 0.0, 0.0)], -1.0),  # no pair is closer than a negative gap
+        ([(0.0, 0.0, 0.0), (0.1, 0.0, 0.0)], 0.0),
+        ([(0.0, 0.0, 0.0), (0.1, 0.0, 0.0)], math.nan),
+        ([(0.0, 0.0, 0.0), (0.1, 0.0, 0.0)], math.inf),
+        ([(0.0, 0.0, 0.0), (math.nan, 0.0, 0.0)], 0.5),
+        ([(0.0, 0.0, 0.0), (0.0, -math.inf, 0.0)], 0.5),
+        ([(0.0, 0.0), (0.1, 0.0)], 0.5),
+        ([(0.0, 0.0, 0.0), (0.1, 0.0)], 0.5),
+        ([0.0, 0.1, 0.2], 0.5),
+    ],
+)
+def test_cluster_count_rejects_bad_gap_and_points(points, gap):
+    with pytest.raises(NodalError):
+        cluster_count(points, gap)
+
+
+def _scipy_close_pairs(arr, gap):
+    from scipy.spatial import cKDTree
+
+    pairs = cKDTree(arr).query_pairs(gap * (1 + 1e-9), output_type="ndarray")
+    diff = arr[pairs[:, 0]] - arr[pairs[:, 1]]
+    close = (diff[:, None, :] @ diff[:, :, None]).ravel() < gap * gap
+    return pairs[close]
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_cluster_pairs_match_kdtree(data):
+    # coordinates on multiples of gap / 2 make pairs at distance exactly gap,
+    # which must not join; multiples of the bucket side put points on bucket
+    # boundaries
+    gap = data.draw(st.sampled_from([0.1, 0.25, 0.5, 1.0, 3.0]))
+    step = data.draw(st.sampled_from([gap / 2, gap * (1 + 1e-9), gap / 3]))
+    coordinate = st.one_of(
+        st.integers(min_value=-6, max_value=6).map(lambda i: i * step),
+        st.floats(min_value=-3 * gap, max_value=3 * gap, allow_nan=False),
+    )
+    points = data.draw(st.lists(st.tuples(coordinate, coordinate, coordinate), min_size=1, max_size=60))
+    arr = np.array(points, dtype=np.float64)
+    expected = _scipy_close_pairs(arr, gap)
+    found = np.column_stack(_close_pairs(arr, gap))
+    assert sorted(map(tuple, np.sort(found, axis=1).tolist())) == sorted(map(tuple, np.sort(expected, axis=1).tolist()))
+    assert cluster_count(points, gap) == _scipy_components(len(arr), expected[:, 0], expected[:, 1])[0]
 
 
 # ---- bounds ----

@@ -426,6 +426,22 @@ def test_exact_layer_imports_no_float_library(module):
     assert not imported & {"numpy", "scipy"}, imported
 
 
+def test_runtime_imports_no_scipy():
+    # scipy is a test extra only: no module of calorics imports it, at module
+    # level or inside a function
+    importers = []
+    for path in Path(calorics.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            importers.extend(f"{path.name}:{node.lineno}" for name in names if name.split(".")[0] == "scipy")
+    assert not importers, importers
+
+
 # ---- the package as a whole ----
 
 
