@@ -49,6 +49,10 @@ EXIT_OK = 0
 EXIT_VERIFY = 2
 EXIT_ASSERT = 3
 EXIT_CONFIG = 4
+# the largest -n of a generator or --expr: every term of the exact ring keeps
+# one exponent per variable, so -n 10^9 asks for gigabytes before a family
+# or the parser could refuse it; counting stops at n = 3 in any case
+MAX_SPATIAL_DIM = 64
 
 
 class CliError(Exception):
@@ -85,6 +89,17 @@ def _parse_rotation(text: Optional[str]):
     if len(parts) != 2:
         raise CliError(f"rotation must be 'p/q,p/q' or 'angle:<float>', got {text!r}")
     return (_rational(parts[0], "rotation entry"), _rational(parts[1], "rotation entry"))
+
+
+def _spatial_dim(text: str) -> int:
+    """The -n of a generator or --expr, refused (exit 4) past MAX_SPATIAL_DIM before anything is built."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n > MAX_SPATIAL_DIM:
+        raise argparse.ArgumentTypeError(f"-n {n} exceeds the cap MAX_SPATIAL_DIM = {MAX_SPATIAL_DIM}")
+    return n
 
 
 def _parse_schedule(text: Optional[str]) -> Optional[List[int]]:
@@ -236,7 +251,7 @@ def _add_source_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _add_generator_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-d", type=int, default=None, help="degree of the generated family")
-    parser.add_argument("-n", type=int, default=None, help="spatial dimension")
+    parser.add_argument("-n", type=_spatial_dim, default=None, help="spatial dimension")
     parser.add_argument("--eps", help="epsilon of a perturbation family (rational or decimal)")
     parser.add_argument("--rot", help="rotation 'p/q,p/q' or 'angle:<float>'")
     parser.add_argument("--seed-kind", dest="seed_kind", help="re|im for high-dim (default re)")

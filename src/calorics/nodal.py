@@ -33,7 +33,7 @@ cube_section_sample evaluates the faces in stacked groups of at most 2^18
 cells (one face when a face alone is larger), each face on its cell
 centers plus the cube edges around it, and slice_count its box as a stack
 of one face.  Each group is one form: it gives the group's exact signs,
-its complete merge masks from the stages below, and one graph of runs.
+its complete merge masks (_MeshForm.merge_masks), and one graph of runs.
 Once the last group is in, each stitch across a cube edge is read from the
 leg masks of the two face sides that meet there.
 
@@ -52,12 +52,10 @@ stages decide each edge, the first that can:
       pseudo-remainder sequence in Python ints, from univariate), once per
       distinct line and ends.
 
-Stages (b) to (d) run in _root_free once per form and mesh axis, while the
-form is alive, on the edges that (a) left, each stage on what the one
-before it left; _contract takes every mesh line along the axis at once,
-and (d)'s counts are kept across one cross-section.  Their merges go into
-the mask of (a), so each group's graph of runs is built from complete
-merge masks and its partition is that of the per-cell graph.
+_MeshForm.merge_masks runs them once per form and mesh axis, while the
+form is alive, each stage on the edges the one before it left, so each
+group's graph of runs is built from complete merge masks and its
+partition is that of the per-cell graph.
 
 The chord bound: on a segment of step h whose ends share a sign, the chord
 between the end values stays min(|P(lo)|, |P(hi)|) from zero, and P leaves
@@ -112,6 +110,9 @@ DEFAULT_SCHEDULES: Dict[int, Tuple[int, ...]] = {
     4: (24, 48, 96),
 }
 MAX_COUNT_DEGREE = 64
+# the most digits of a bound of bounds_report: C(2n, n) has 6,019 at n = 10^4,
+# past Python's default int-to-str limit, and takes minutes at n = 3 * 10^6
+MAX_BOUND_DIGITS = 4000
 # The most cells one sampled mesh may hold: a cube face with the cube edges
 # around it ((r + 2)^(n) for n space variables), the slice box (r^n), or the
 # 2r x r sphere grid of export and the float oracle.  Each float array of such
@@ -270,11 +271,10 @@ class _MeshForm:
     matrix per mesh axis (V_a C V_b^T on a 2-D face), with a rounding bound
     that is tiered (_float_pass): one bound per face, from the exact S_f of
     _top_sums, wherever every cell clears it, else a bound per cell from a
-    second contraction.  `signs()` makes the one float pass, `chord_mask`
-    reuses its lower bound on |P| per cell, and `_lines` contracts every
-    mesh line along one axis with the same columns, for _root_free to read
-    the lines of the edges that test leaves, while the form is alive.  The
-    rounding count K covers the padded number of terms.
+    second contraction.  `signs()` makes the one float pass, and
+    `merge_masks` decides every same-sign edge from its lower bound on |P|
+    per cell and from the mesh lines of `_lines`, while the form is alive.
+    The rounding count K covers the padded number of terms.
     """
 
     def __init__(self, scaled: tuple, faces: Sequence[Sequence[AxisValues]]):
@@ -455,15 +455,38 @@ class _MeshForm:
                 flat[index] = (total > 0) - (total < 0)
         return signs
 
+    def merge_masks(self, signs: np.ndarray, counts: Dict[tuple, bool], rim: bool) -> List[np.ndarray]:
+        """The merge mask of each mesh axis: its same-sign edges proven root-free.
+
+        signs are the exact signs of `signs()`; the mask of mesh axis s is
+        shaped like them with axis 1 + s shortened by one.  Per axis, stage
+        (a) (chord_mask) decides what it can, and _root_free's stages (b)-(d)
+        take what it leaves, each stage what the one before it left.  With
+        `rim`, edges whose cells lie on the first or last layer of another
+        mesh axis (a cube face's rim, in no graph) skip stages (b)-(d).
+        `counts` keeps stage (d)'s Sturm counts across one cross-section.
+        """
+        masks = []
+        for slot in range(len(self.nums)):
+            merged, left = self.chord_mask(slot, signs)
+            if rim:
+                for s in range(1, signs.ndim):
+                    if s != slot + 1:
+                        left[(slice(None),) * s + (0,)] = left[(slice(None),) * s + (-1,)] = False
+            cells = np.unravel_index(np.flatnonzero(left), left.shape)
+            del left  # before the edges' lines are contracted
+            free = self._root_free(slot, cells, signs, counts)
+            merged[tuple(index[free] for index in cells)] = True
+            masks.append(merged)
+        return masks
+
     def chord_mask(self, slot: int, signs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """(merged, left): the same-sign edges along `slot` that stage (a) certifies, and the others.
 
-        signs are this mesh's exact signs, from `signs()`; both masks are
-        shaped like them with the axis of mesh axis `slot` shortened by one.
-        Stage (a) is the face-wide chord test: one threshold per face, at
-        the mesh's largest step along the slot, and every candidate edge
-        between two cells whose floors clear it merges.  The edges in `left`
-        go to _root_free, whose merges complete `merged`.
+        Both masks are shaped like the masks of `merge_masks`.  Stage (a) is
+        the face-wide chord test: one threshold per face, at the mesh's
+        largest step along the slot, and every candidate edge between two
+        cells whose floors clear it merges.
         """
         lo, hi = _edge_slices(1 + slot)
         candidates = signs[lo] * signs[hi] > 0
@@ -518,6 +541,61 @@ class _MeshForm:
                 parts.append(values.reshape((len(self.dense), -1) + values.shape[1:]))
         # (faces, 2, slot exponents, lines...) -> (faces, lines..., 2, slot exponents)
         return np.moveaxis(np.stack(parts, axis=1), (1, 2), (-2, -1))
+
+    def _root_free(self, slot: int, cells: tuple, signs: np.ndarray, counts: Dict[tuple, bool]) -> np.ndarray:
+        """Root-free mask of the edges `cells` (an index array per axis of signs) along `slot`: stages (b)-(d).
+
+        Each edge reads its line from _lines.  (b) and (c) take the edges in
+        batches of at most _CASCADE_FLOATS floats per array, which bounds
+        their float temporaries.
+        """
+        axis = 1 + slot
+        at = cells[axis]
+        free = np.zeros(len(at), dtype=bool)
+        if not len(at):
+            return free
+        upper = cells[:axis] + (at + 1,) + cells[axis + 1:]
+        exps, roundings = self.powers[slot], self._roundings(skip=slot)
+        rows = self._lines(slot)
+        # each edge's line: its indices on every axis but the slot, face first
+        lines = [index for s, index in enumerate(cells) if s != axis]
+        line = np.ravel_multi_index(lines, rows.shape[:-2])
+        rows = rows.reshape(-1, 2, len(exps))
+        floor = np.minimum(self.floor[cells], self.floor[upper])
+        ends = self.nums[slot][np.stack([at, at + 1], axis=1)]
+
+        # (b) on a batch, (c) on what (b) leaves of it
+        left = []
+        size = max(1, _CASCADE_FLOATS // (2 * (exps[-1] + 1)))
+        for first in range(0, len(at), size):
+            batch = np.arange(first, min(first + size, len(at)))
+            edge_rows = rows[line[batch]]
+            chord = _edge_chord(exps, edge_rows, roundings, floor[batch], ends[batch])
+            free[batch] = chord
+            rest = batch[~chord]
+            if len(rest):
+                coeffs, bounds = _bernstein(exps, edge_rows[~chord], roundings, ends[rest])
+                coeffs *= signs[tuple(index[rest] for index in cells)][:, None]  # orient: both ends positive
+                certified, rooted = _bernstein_decide(coeffs, bounds)
+                free[rest[certified]] = True
+                left.append(rest[~certified & ~rooted])
+
+        # (d) on what (c) leaves: one exact line per (face, point) of the other
+        # mesh axes, and one Sturm count per distinct line and ends
+        others = [s for s in range(len(self.nums)) if s != slot]
+        exact: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+        for e in np.concatenate(left) if left else ():
+            key = tuple(int(index[e]) for index in lines)
+            if key not in exact:
+                face, *point = key
+                ms = [int(self.nums[s][i]) for s, i in zip(others, point)]
+                exact[key] = _exact_line(self.coeffs[face], slot, ms)
+            # ends are nonzero: no root sits on one
+            args = (exact[key], *sorted(ends[e].tolist()))
+            if args not in counts:
+                counts[args] = _sturm_count(*args) == 0
+            free[e] = counts[args]
+        return free
 
 
 def _halves(coeffs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -577,70 +655,6 @@ def _exact_line(coeffs: Dict[Tuple[int, ...], int], slot: int, ms: Sequence[int]
     for key, c in coeffs.items():
         line[key[slot]] += c * math.prod(m ** e for m, e in zip(ms, key[:slot] + key[slot + 1:]))
     return tuple(line)
-
-
-def _root_free(
-    form: _MeshForm, slot: int, cells: Tuple[np.ndarray, ...], signs: np.ndarray, counts: Dict[tuple, bool]
-) -> np.ndarray:
-    """Root-free mask of the edges `cells` along mesh axis `slot` of `form`: merge stages (b)-(d).
-
-    cells has one index array per axis of `signs`, the form's exact signs,
-    the face axis first: the same-sign edges that stage (a) (chord_mask)
-    left.  Each edge reads its line from _MeshForm._lines, every mesh line
-    along the slot at the slot's own exponents.  (b) the chord test per
-    edge, (c) Bernstein coefficients and (d) exact Sturm counts each take
-    the edges the one before it left; (b) and (c) take them in batches of
-    at most _CASCADE_FLOATS floats per array, which bounds their float
-    temporaries.  (d) counts once per distinct (line, ends), and `counts`
-    keeps those counts across the forms of one cross-section.
-    """
-    axis = 1 + slot
-    at = cells[axis]
-    free = np.zeros(len(at), dtype=bool)
-    if not len(at):
-        return free
-    upper = cells[:axis] + (at + 1,) + cells[axis + 1:]
-    exps, roundings = form.powers[slot], form._roundings(skip=slot)
-    rows = form._lines(slot)
-    # each edge's line: its indices on every axis but the slot, face first
-    lines = [index for s, index in enumerate(cells) if s != axis]
-    line = np.ravel_multi_index(lines, rows.shape[:-2])
-    rows = rows.reshape(-1, 2, len(exps))
-    floor = np.minimum(form.floor[cells], form.floor[upper])
-    ends = form.nums[slot][np.stack([at, at + 1], axis=1)]
-
-    # (b) on a batch, (c) on what (b) leaves of it
-    left = []
-    size = max(1, _CASCADE_FLOATS // (2 * (exps[-1] + 1)))
-    for first in range(0, len(at), size):
-        batch = np.arange(first, min(first + size, len(at)))
-        edge_rows = rows[line[batch]]
-        chord = _edge_chord(exps, edge_rows, roundings, floor[batch], ends[batch])
-        free[batch] = chord
-        rest = batch[~chord]
-        if len(rest):
-            coeffs, bounds = _bernstein(exps, edge_rows[~chord], roundings, ends[rest])
-            coeffs *= signs[tuple(index[rest] for index in cells)][:, None]  # orient: both ends positive
-            certified, rooted = _bernstein_decide(coeffs, bounds)
-            free[rest[certified]] = True
-            left.append(rest[~certified & ~rooted])
-
-    # (d) on what (c) leaves: one exact line per (face, point) of the other
-    # mesh axes, and one Sturm count per distinct line and ends
-    others = [s for s in range(len(form.nums)) if s != slot]
-    exact: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-    for e in np.concatenate(left) if left else ():
-        key = tuple(int(index[e]) for index in lines)
-        if key not in exact:
-            face, *point = key
-            ms = [int(form.nums[s][i]) for s, i in zip(others, point)]
-            exact[key] = _exact_line(form.coeffs[face], slot, ms)
-        # ends are nonzero: no root sits on one
-        args = (exact[key], *sorted(ends[e].tolist()))
-        if args not in counts:
-            counts[args] = _sturm_count(*args) == 0
-        free[e] = counts[args]
-    return free
 
 
 def _edge_chord(
@@ -827,12 +841,11 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
     face on its cell centers plus the cube edges around it (_face_values).
     Every mesh axis of every face has the same numerators, grid.mesh, so
     each group is one _MeshForm: it gives the group's exact signs and the
-    merge mask of each in-face edge and stitch leg, stage (a) by chord_mask
-    and stages (b)-(d) by _root_free on the edges it leaves, one call per
-    mesh axis, and its float arrays are dropped before the next group.  The
-    group's runs come from its complete masks, and their ids follow the
-    earlier groups'.  Each face side's leg mask is final when it is
-    recorded; after the last group two cells beside a shared cube edge
+    merge mask of each in-face edge and stitch leg (merge_masks, with its
+    rim edges skipped), and its float arrays are dropped before the next
+    group.  The group's runs come from its complete masks, and their ids
+    follow the earlier groups'.  Each face side's leg mask is final when it
+    is recorded; after the last group two cells beside a shared cube edge
     stitch when both of their legs are root-free.  If sampled zeros exceed
     0.1% of cells the grid is jittered once by the fixed rational offset
     1/(6*resolution); the unjittered pass stops at the group where they do.
@@ -874,21 +887,8 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
                 zeros += int(np.count_nonzero(signs[inner] == 0))
             if not jittered and zeros / grid.cell_count > _JITTER_ZERO_FRACTION:
                 break  # too many zeros: resample on the jittered grid
-            # the merge mask per mesh axis covers the in-face edges (between
-            # inner cells) and the stitch legs (from a cell next to a side of
-            # the face to the cube edge beyond it): stage (a), then stages
-            # (b)-(d) on the edges it leaves
-            masks = []
-            for slot in range(ambient - 1):
-                merged, left = form.chord_mask(slot, signs)
-                for s in range(1, signs.ndim):
-                    if s != slot + 1:  # edges along the face's rim are in no graph
-                        left[(slice(None),) * s + (0,)] = left[(slice(None),) * s + (-1,)] = False
-                cells = np.unravel_index(np.flatnonzero(left), left.shape)
-                del left  # before the edges' lines are contracted
-                free = _root_free(form, slot, cells, signs, counts)
-                merged[tuple(index[free] for index in cells)] = True
-                masks.append(merged)
+            # per mesh axis: the in-face edges, and the stitch legs from a side cell to the cube edge
+            masks = form.merge_masks(signs, counts, rim=True)
             del form  # its per-cell floats, before the group's graph is built
             inside = signs[inner]
             starts, runs, group_rows, group_cols = _probed_runs(inside, [m[inner] for m in masks])
@@ -1099,10 +1099,9 @@ def slice_count(
     and 64 for n >= 3, where 512^3 cells would not fit in memory
     (MAX_MESH_CELLS refuses larger boxes).  The mesh numerators, R's
     numerator times the odd integers up to resolution - 1, must stay within
-    2^53, or NodalError is raised.  Cells are labeled as on the cube: per
-    mesh axis the face-wide chord test and _root_free on the edges it
-    leaves, runs (_probed_runs) of the complete merge masks, and one
-    _components call.
+    2^53, or NodalError is raised.  Cells are labeled as on the cube: runs
+    (_probed_runs) of the complete merge masks (_MeshForm.merge_masks), and
+    one _components call.
     """
     n = p.spatial_dim
     if resolution is None:
@@ -1133,16 +1132,7 @@ def slice_count(
     if v.is_zero or not (signs != 0).any():
         return SliceReport(0, 0, 0, True, radius, resolution)
 
-    # stage (a) per axis, then stages (b)-(d) on the edges it leaves
-    counts: Dict[tuple, bool] = {}
-    masks = []
-    for slot in range(n):
-        merged, left = form.chord_mask(slot, signs)
-        cells = np.unravel_index(np.flatnonzero(left), left.shape)
-        free = _root_free(form, slot, cells, signs, counts)
-        merged[tuple(index[free] for index in cells)] = True
-        masks.append(merged)
-    starts, node_signs, rows, cols = _probed_runs(signs, masks)
+    starts, node_signs, rows, cols = _probed_runs(signs, form.merge_masks(signs, {}, rim=False))
     _, labels = _components(len(node_signs), rows, cols)
     positive, negative = _sign_split(labels, node_signs)
 
@@ -1457,10 +1447,18 @@ def bounds_report(n: int, d: int, counted: Optional[Union[int, ComponentReport]]
     The lower bound floor(d/n)^n applies to the maximal count and is reported
     for product-family comparisons.  A supplied count outside
     [min, binomial] raises BoundViolation: that signals a counting bug, not
-    an interesting polynomial.
+    an interesting polynomial.  NodalError is raised before anything is
+    computed if C(n+d, n) >= floor(d/n)^n would pass MAX_BOUND_DIGITS digits.
     """
     if n < 1 or d < 2:
         raise NodalError("bounds need n >= 1 and d >= 2")
+    # log10 C(n+d, k) as a sum over its k factors (n + d - k + i) / i >= 2:
+    # at most 3.33 MAX_BOUND_DIGITS terms before the cap
+    digits, k = 0.0, min(n, d)
+    for i in range(1, k + 1):
+        digits += math.log10(n + d - k + i) - math.log10(i)
+        if digits >= MAX_BOUND_DIGITS:
+            raise NodalError(f"C({n + d}, {n}) exceeds the cap MAX_BOUND_DIGITS = {MAX_BOUND_DIGITS} digits")
     report = BoundsReport(
         n=n,
         d=d,

@@ -6,10 +6,11 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from calorics import BoundViolation, ComponentReport, Polynomial, fixture, parse_poly
@@ -383,6 +384,10 @@ def test_unwritable_out_exits_four(capsys, tmp_path, argv):
         "scan lewy -d 66",
         "gen basic -d 10000",
         "verify --gen product -d 258 -n 2",
+        # dimensions past MAX_SPATIAL_DIM, refused before a variable list is built
+        "gen high-dim -d 2 -n 1000000000",
+        "count --expr x1^2+2*t -n 1000000000",
+        "gen high-dim -d 2 -n 65",
     ],
 )
 def test_bad_generator_input_exits_four(capsys, argv):
@@ -430,7 +435,7 @@ def _gen_argv(draw):
         argv.append(draw(st.sampled_from(["n2d3", "basic_5", "deg2_n3_j2", "nope"])))
     options = [
         ("-d", st.integers(-2, 12).map(str)),
-        ("-n", st.integers(-1, 5).map(str)),
+        ("-n", st.one_of(st.integers(-1, 5), st.integers(6, 10 ** 9)).map(str)),
         ("--eps", st.sampled_from(_EPSILONS)),
         ("--rot", st.sampled_from(_ROTATIONS)),
         ("--seed-kind", st.sampled_from(["re", "im", "real_part", "zz"])),
@@ -443,6 +448,8 @@ def _gen_argv(draw):
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(_gen_argv())
+# the drawn -n past the cap rarely meets a family that builds at that -n
+@example(["gen", "high-dim", "-d", "2", "-n", "1000000000"])
 def test_gen_never_raises(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
         code = main(argv)
@@ -487,6 +494,18 @@ def test_bounds_violation_exits_three(capsys):
     code, out, _ = run(capsys, "bounds", "-n", "2", "-d", "4", "--count", "1")
     assert code == 3
     assert not json.loads(out)["ok"]
+
+
+@pytest.mark.parametrize("n", [10 ** 4, 3 * 10 ** 6])
+def test_bounds_past_the_digit_cap_exit_four_at_once(capsys, n):
+    # C(2n, n) has 6,019 digits at n = 10^4, past MAX_BOUND_DIGITS, and takes
+    # minutes to compute at n = 3 * 10^6: both are refused before computing
+    start = time.perf_counter()
+    code, out, err = run(capsys, "bounds", "-n", str(n), "-d", str(n))
+    assert time.perf_counter() - start < 1
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error:") and "MAX_BOUND_DIGITS = 4000" in err
 
 
 def test_count_output_is_deterministic(capsys):

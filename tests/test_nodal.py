@@ -44,7 +44,6 @@ from calorics.nodal import (
     _kappa,
     _MeshForm,
     _probed_runs,
-    _root_free,
     _sturm_count,
 )
 from calorics.polyring import NotHomogeneous, parabolic_degree
@@ -62,20 +61,6 @@ def _negate_spatial(p):
 def _form(p, faces, den):
     """The _MeshForm of p on the meshes `faces` (axis values over den), stacked on a face axis."""
     return _MeshForm(_integer_scaled_terms(p, den), faces)
-
-
-def _merge_mask(form, slot, signs):
-    """Edges along `slot` whose cells share a nonzero sign and a root-free segment.
-
-    Stage (a) (`chord_mask`), then _root_free on the edges it leaves, as
-    cube_section_sample and slice_count run them; the mask is shaped like
-    `signs` with the axis of mesh axis `slot` shortened by one.
-    """
-    merged, left = form.chord_mask(slot, signs)
-    cells = np.nonzero(left)
-    free = _root_free(form, slot, cells, signs, {})
-    merged[tuple(index[free] for index in cells)] = True
-    return merged
 
 
 def test_sign_mesh_matches_exact_evaluation():
@@ -161,7 +146,7 @@ def _assert_root_free_decision(p, faces, den, axis):
     form = _form(p, faces, den)
     signs = form.signs()
     slot = form.varying.index(axis)
-    merged = _merge_mask(form, slot, signs)
+    merged = form.merge_masks(signs, {}, rim=False)[slot]
     varying = form.varying
     for face, *cell in itertools.product(*(range(size) for size in merged.shape)):
         ends = []
@@ -360,7 +345,7 @@ def test_chord_stages_alone_merge_only_root_free_edges(p, data):
         form = _form(p, [axis_values], den)
         signs = form.signs()
         slot = form.varying.index(axis)
-        merged = _merge_mask(form, slot, signs)[0]
+        merged = form.merge_masks(signs, {}, rim=False)[slot][0]
     for cell in zip(*np.nonzero(merged)):
         ends = []
         for step in (0, 1):
@@ -371,6 +356,40 @@ def test_chord_stages_alone_merge_only_root_free_edges(p, data):
         assert _sturm_count(_restriction(p, *ends), F(0), F(1)) == 0, (cell, ends)
 
 
+@pytest.mark.parametrize("face", range(6))
+def test_rim_edges_skip_the_root_free_stages(monkeypatch, face):
+    # On each side face of n3d4 at r = 6 (x, y, z = -1 or +1), the rim rule
+    # changes no mask on an in-face edge or a stitch leg: only edges whose
+    # cells lie on the first or last layer of another mesh axis are
+    # skipped, and none of them reaches _root_free, while some do without it
+    resolution = 6
+    grid = nodal.CrossSectionGrid(4, resolution, False)
+    form = _form(fixture("n3d4"), [nodal._face_values(grid, grid.mesh, face)], grid.denominator)
+    signs = form.signs()
+    root_free = _MeshForm._root_free
+    reached = []
+
+    def spy(self, slot, cells, signs, counts):
+        on_rim = np.zeros(len(cells[0]), dtype=bool)
+        for s, index in enumerate(cells[1:]):
+            if s != slot:
+                on_rim |= (index == 0) | (index == resolution + 1)
+        reached[-1] += int(on_rim.sum())
+        return root_free(self, slot, cells, signs, counts)
+
+    monkeypatch.setattr(_MeshForm, "_root_free", spy)
+    masks = {}
+    for rim in (False, True):
+        reached.append(0)
+        masks[rim] = form.merge_masks(signs, {}, rim=rim)
+    assert reached[0] > 0 and reached[1] == 0
+    for slot, (plain, skipped) in enumerate(zip(masks[False], masks[True])):
+        # every edge along the slot (in-face edges and both legs), between
+        # the inner cells of the other axes
+        inner = tuple(slice(None) if s == slot else slice(1, -1) for s in range(3))
+        assert np.array_equal(plain[(0,) + inner], skipped[(0,) + inner]), slot
+
+
 def test_overflowing_chord_threshold_certifies_nothing():
     # 2^1020 x^64 stays in the float range on [-1024, 1024], but its chord
     # threshold, 2016 times larger, does not; the edge has a root at 0
@@ -379,7 +398,7 @@ def test_overflowing_chord_threshold_certifies_nothing():
     signs = form.signs()
     assert signs.tolist() == [[1, 1]]
     assert form._face_chord(0, 2048).tolist() == [[math.inf]]
-    assert _merge_mask(form, 0, signs).tolist() == [[False]]
+    assert form.merge_masks(signs, {}, rim=False)[0].tolist() == [[False]]
 
 
 # ---- cube cross-section sampling ----
@@ -783,7 +802,7 @@ def _reference_split(p, field):
     """((pos, neg), runs) of the per-cell graph of `field`'s grid, from full merge masks.
 
     One scipy graph holds every inner cell of every face and one node per
-    cube-edge point: in-face edges come from _merge_mask, and each merged
+    cube-edge point: in-face edges come from merge_masks, and each merged
     leg joins its side cell to the point beyond it, so two merged legs to
     one point join their cells.  runs counts the runs of cells that the
     masks merge along the last mesh axis, summed over the faces.
@@ -798,7 +817,7 @@ def _reference_split(p, field):
         values = [mesh if a != axis else sign * den for a in range(grid.ambient)]
         form = _form(p, [values], den)
         face_signs = form.signs()
-        masks = [_merge_mask(form, slot, face_signs)[0] for slot in range(len(varying))]
+        masks = [mask[0] for mask in form.merge_masks(face_signs, {}, rim=False)]
         inner = (slice(1, -1),) * len(varying)
         inside = face_signs[0][inner]
         assert np.array_equal(inside, field.face_signs[face])
