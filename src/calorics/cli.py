@@ -21,6 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 from . import __version__
 from .caloric import basic_hcp, chain_check, eigen_check, is_caloric
 from .constructions import (
+    MAX_SPATIAL_DIM,
     ConstructionSpec,
     build,
     fixture,
@@ -49,10 +50,6 @@ EXIT_OK = 0
 EXIT_VERIFY = 2
 EXIT_ASSERT = 3
 EXIT_CONFIG = 4
-# the largest -n of a generator or --expr: every term of the exact ring keeps
-# one exponent per variable, so -n 10^9 asks for gigabytes before a family
-# or the parser could refuse it; counting stops at n = 3 in any case
-MAX_SPATIAL_DIM = 64
 
 
 class CliError(Exception):

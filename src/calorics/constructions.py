@@ -52,6 +52,15 @@ DEFAULT_EPSILON = {
     ("zero_mod_4", 4): Fraction(1, 5),
 }
 DEFAULT_ROTATION: Tuple[Fraction, Fraction] = (Fraction(3, 5), Fraction(4, 5))
+# the largest n of a deg2 fixture, a generator's -n or an --expr: every term
+# of the exact ring keeps one exponent per variable, so n = 10^9 asks for
+# gigabytes before a family or the parser could refuse it; counting stops at
+# n = 3 in any case
+MAX_SPATIAL_DIM = 64
+# the most terms product_lower may expand to: product_lower(16, 32) builds
+# 2^16 of them in about half a second, and the count doubles or more with
+# each further factor (gen product -d 48 -n 24 asks for 2^24)
+MAX_PRODUCT_TERMS = 2 ** 16
 
 
 class ConstructionError(ValueError):
@@ -239,14 +248,23 @@ def product_lower(n: int, d: int) -> Polynomial:
     """q(x_n, t) * prod_{i<n} p(x_i, t) with deg p = floor(d/n), deg q = remainder top-up.
 
     Caloric of degree d with at least floor(d/n)^n nodal domains; needs
-    floor(d/n) >= 2 so every factor is time-dependent.
+    floor(d/n) >= 2 so every factor is time-dependent.  A factor of degree
+    k has floor(k/2) + 1 terms, and a product whose terms would pass
+    MAX_PRODUCT_TERMS is refused before it is expanded.
     """
     if n < 2:
         raise ConstructionError("product family needs n >= 2")
     c = d // n
     if c < 2:
         raise ConstructionError(f"product family needs floor(d/n) >= 2, got {c} for (n, d) = ({n}, {d})")
-    return product_hcp((c,) * (n - 1) + (d - (n - 1) * c,))
+    alpha = (c,) * (n - 1) + (d - (n - 1) * c,)
+    terms = math.prod(k // 2 + 1 for k in alpha)
+    if terms > MAX_PRODUCT_TERMS:
+        raise ConstructionError(
+            f"product family at (n, d) = ({n}, {d}) expands to {terms} terms, "
+            f"past the cap MAX_PRODUCT_TERMS = {MAX_PRODUCT_TERMS}"
+        )
+    return product_hcp(alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +303,8 @@ def fixture(fixture_id: str) -> Polynomial:
     match = _DEG2_PATTERN.match(fixture_id)
     if match:
         n, j = int(match.group(1)), int(match.group(2))
+        if n > MAX_SPATIAL_DIM:
+            raise ConstructionError(f"deg2 fixture n = {n} exceeds the cap MAX_SPATIAL_DIM = {MAX_SPATIAL_DIM}")
         if not 1 <= j <= n:
             raise ConstructionError(f"deg2 fixture needs 1 <= j <= n, got j = {j}, n = {n}")
         xj = Polynomial.variable(n, j - 1)

@@ -1005,8 +1005,13 @@ def _components(size: int, rows: np.ndarray, cols: np.ndarray) -> Tuple[int, np.
 
 
 def _sign_split(labels: np.ndarray, signs: np.ndarray) -> Tuple[int, int]:
-    """(positive, negative) counts of distinct labels, by the sign of each node."""
-    return len(np.unique(labels[signs == 1])), len(np.unique(labels[signs == -1]))
+    """(positive, negative) counts of the components of _components' labels, by the signs of their roots.
+
+    A root is its component's one node labelled with its own id, and every
+    edge counted here joins nodes of one sign.
+    """
+    roots = labels == np.arange(len(labels))
+    return int(np.count_nonzero(roots & (signs == 1))), int(np.count_nonzero(roots & (signs == -1)))
 
 
 def count_components(field: SignField) -> ComponentReport:
@@ -1146,7 +1151,8 @@ def slice_count(
     else:
         rim = np.ones(signs.shape, dtype=bool)
         rim[(0,) + (slice(1, -1),) * n] = False
-        caveat = max(_sign_split(labels[_run_ids(starts, np.flatnonzero(rim))], signs[rim])) >= 2
+        met = np.bincount(labels[_run_ids(starts, np.flatnonzero(rim))], minlength=len(labels)) > 0
+        caveat = max(_sign_split(labels, node_signs * met)) >= 2  # the roots of the components that meet the rim
     return SliceReport(positive + negative, positive, negative, caveat, radius, resolution)
 
 
@@ -1194,13 +1200,15 @@ def polar_chambers(
 
     guard = 1e-12
     magnitudes = Polynomial(2, {ev: abs(c) for ev, c in p.terms.items()})
-    tval = math.sqrt(1.0 - rho * rho) * (1.0 if pole == "north" else -1.0)
+    # the circle is the latitude with cos = rho on the unit sphere
+    latitude = np.array([rho]), np.array([math.sqrt(1.0 - rho * rho) * (1.0 if pole == "north" else -1.0)])
     step = 2.0 * math.pi / samples
 
     def value_at(theta: float) -> Tuple[float, float]:
         """p at the sample, and the sum of its |terms| there times the guard."""
-        point = np.array([rho * math.cos(theta), rho * math.sin(theta), tval])
-        return float(_float_mesh_eval(p, *point)), guard * float(_float_mesh_eval(magnitudes, *np.abs(point)))
+        longitude = np.array([math.cos(theta)]), np.array([math.sin(theta)])
+        size = _sphere_values(magnitudes, np.abs(longitude), np.abs(latitude))[0, 0]
+        return float(_sphere_values(p, longitude, latitude)[0, 0]), guard * float(size)
 
     signs: List[int] = []
     for j in range(samples):
@@ -1232,27 +1240,39 @@ def polar_chambers(
 # ---------------------------------------------------------------------------
 
 
-def _float_mesh_eval(p: Polynomial, xs: np.ndarray, ys: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Float values of p (n = 2) at the points (xs, ys, ts), elementwise.
+def _sphere_values(
+    p: Polynomial, longitude: Sequence[np.ndarray], latitude: Sequence[np.ndarray], radius: float = 1.0
+) -> np.ndarray:
+    """p (n = 2) at radius (cos th cos ph, sin th cos ph, sin ph), one row per longitude th.
 
-    Raises NodalError for a coefficient past the largest float.
+    longitude and latitude are (cos, sin) pairs of 1-D arrays, so the poles
+    are exact inputs.  There x^a y^b t^c = radius^(a+b+c) (cos^a th sin^b th)
+    (cos^(a+b) ph sin^c ph): the grid is U D W^T, with D the coefficients times
+    radius^(a+b+c) over the distinct longitude monomials (a, b) and latitude
+    monomials (a + b, c), and U and W their columns, from cumulative powers
+    of the 1-D arrays; no power is taken on a grid.  Raises NodalError for a
+    coefficient past the largest float.
     """
-    out = np.zeros(xs.shape, dtype=np.float64)
-    term = np.empty_like(out)  # reused by every term: one temporary, not one per product
+    monomials: Tuple[Dict[Tuple[int, int], int], ...] = ({}, {})  # each one's row or column of D
+    rows, columns, values = [], [], []
     for ev, coeff in p.terms.items():
         try:
-            term.fill(float(coeff))
+            value = float(coeff)
         except OverflowError as exc:
             raise NodalError(f"a coefficient exceeds the largest float, {sys.float_info.max:.6g}") from exc
-        ex, ey = ev.space_exps
-        if ex:
-            term *= xs ** ex
-        if ey:
-            term *= ys ** ey
-        if ev.t_exp:
-            term *= ts ** ev.t_exp
-        out += term
-    return out
+        (a, b), c = ev.space_exps, ev.t_exp
+        rows.append(monomials[0].setdefault((a, b), len(monomials[0])))
+        columns.append(monomials[1].setdefault((a + b, c), len(monomials[1])))
+        values.append(value * radius ** (a + b + c))
+    if not values:
+        return np.zeros((len(longitude[0]), len(latitude[0])))
+    dense = np.zeros((1, len(monomials[0]), len(monomials[1])))
+    dense[0, rows, columns] = values
+    powers = []
+    for pair, keys in zip((longitude, latitude), monomials):
+        cos, sin = (np.vander(u, e.max() + 1, increasing=True)[:, e] for u, e in zip(pair, np.array(list(keys)).T))
+        powers.append(cos * sin)
+    return _contract(dense, powers)[0]
 
 
 def _sphere_angles(resolution: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -1266,17 +1286,6 @@ def _sphere_angles(resolution: int) -> Tuple[np.ndarray, np.ndarray]:
     thetas = (np.arange(2 * resolution) + 0.5) * (2.0 * np.pi / (2 * resolution))
     phis = -np.pi / 2 + (np.arange(resolution) + 0.5) * (np.pi / resolution)
     return thetas, phis
-
-
-def _sphere_points(thetas: np.ndarray, phis: np.ndarray) -> Tuple[np.ndarray, ...]:
-    """Unit-sphere (x, y, t) at every (longitude, latitude) pair of the mesh.
-
-    x and y are outer products of the 1-D cosines and sines, and t is one
-    row of latitudes that broadcasts against them.
-    """
-    cos_phi = np.cos(phis)
-    xs, ys = (np.multiply.outer(u, cos_phi) for u in (np.cos(thetas), np.sin(thetas)))
-    return xs, ys, np.sin(phis)[None]
 
 
 def export_nodal_pointcloud(
@@ -1298,9 +1307,8 @@ def export_nodal_pointcloud(
         raise NodalError("annulus delta must lie strictly between 0 and 1")
     resolution = _check_resolution(resolution)
     thetas, phis = _sphere_angles(resolution)
-    # only 1-D arrays live across the shells: each block's points, and each
-    # midpoint's ends, are products of a longitude's cos or sin with a
-    # latitude's cos, the same floats as on a full grid
+    # only 1-D arrays live across the shells: the blocks are evaluated from
+    # them, and each midpoint's ends are products of them
     cos_theta, sin_theta, cos_phi, ut = np.cos(thetas), np.sin(thetas), np.cos(phis), np.sin(phis)
 
     def unit(i: np.ndarray, j: np.ndarray) -> Tuple[np.ndarray, ...]:
@@ -1317,8 +1325,7 @@ def export_nodal_pointcloud(
     for radius in np.linspace(1.0 - annulus_delta, 1.0, _EXPORT_SHELLS):
         for first in range(0, len(thetas), block):
             rows = slice(first, first + block)
-            xs, ys = (radius * np.multiply.outer(u[rows], cos_phi) for u in (cos_theta, sin_theta))
-            values = _float_mesh_eval(p, xs, ys, radius * ut)
+            values = _sphere_values(p, (cos_theta[rows], sin_theta[rows]), (cos_phi, ut), radius)
             signs[rows] = (values > 0).view(np.int8) - (values < 0).view(np.int8)
         # sign changes to the next longitude, then to the next latitude; the
         # midpoints are computed at those cells only
@@ -1496,13 +1503,11 @@ def sphere_grid_count(p: Polynomial, resolution: int = 256) -> ComponentReport:
     if p.spatial_dim != 2:
         raise NodalError("the spherical oracle is defined for n = 2")
     resolution = _check_resolution(resolution)
-    m, k = 2 * resolution, resolution
     thetas, phis = _sphere_angles(resolution)
-    d_theta = 2.0 * np.pi / m
-    d_phi = np.pi / k
+    step = np.pi / resolution  # of both angles
 
     def grid_values(theta_vals: np.ndarray, phi_vals: np.ndarray) -> np.ndarray:
-        return _float_mesh_eval(p, *_sphere_points(theta_vals, phi_vals))
+        return _sphere_values(p, (np.cos(theta_vals), np.sin(theta_vals)), (np.cos(phi_vals), np.sin(phi_vals)))
 
     def grid_signs(values: np.ndarray) -> np.ndarray:
         out = np.sign(values).astype(np.int8)
@@ -1515,12 +1520,12 @@ def sphere_grid_count(p: Polynomial, resolution: int = 256) -> ComponentReport:
 
     # theta wraps around: row 0 repeated after the last row, and tied to it
     # cell by cell, makes the seam one more edge along axis 0
-    wrap = np.append(np.arange(m), 0)
+    wrap = np.append(np.arange(len(thetas)), 0)
 
     def probe(slot: int, eighth: int) -> np.ndarray:
         if slot == 0:
-            return grid_signs(grid_values(thetas + eighth * d_theta / 8.0, phis))
-        return grid_signs(grid_values(thetas, phis[:-1] + eighth * d_phi / 8.0))[wrap]
+            return grid_signs(grid_values(thetas + eighth * step / 8.0, phis))
+        return grid_signs(grid_values(thetas, phis[:-1] + eighth * step / 8.0))[wrap]
 
     wrapped = signs[wrap]
     merges = []
@@ -1535,23 +1540,17 @@ def sphere_grid_count(p: Polynomial, resolution: int = 256) -> ComponentReport:
     starts, node_signs, rows, cols = _probed_runs(wrapped, merges)
     nodes = _run_ids(starts, np.arange(wrapped.size)).reshape(wrapped.shape)
     seam = signs[0] != 0
-    edges = [(rows, cols), (nodes[m][seam], nodes[0][seam])]
+    edges = [(rows, cols), (nodes[-1][seam], nodes[0][seam])]
     # poles join every same-sign cell of the adjacent latitude row
-    pole_values = _float_mesh_eval(p, np.zeros(2), np.zeros(2), np.array([1.0, -1.0]))
-    for pole_value, row_index in zip(pole_values, (k - 1, 0)):
+    pole_values = _sphere_values(p, (np.ones(1), np.zeros(1)), (np.zeros(2), np.array([1.0, -1.0])))[0]
+    for pole_value, row_index in zip(pole_values, (-1, 0)):
         if abs(pole_value) < 1e-12 * scale:
             continue
-        members = nodes[:m, row_index][signs[:, row_index] == (1 if pole_value > 0 else -1)]
+        members = nodes[:-1, row_index][signs[:, row_index] == (1 if pole_value > 0 else -1)]
         edges.append((np.repeat(members[:1], len(members)), members))
     rows, cols = (np.concatenate(part) for part in zip(*edges))
     _, labels = _components(len(node_signs), rows, cols)
     positive, negative = _sign_split(labels, node_signs)
     return ComponentReport(
-        total=positive + negative,
-        positive=positive,
-        negative=negative,
-        resolutions_used=(resolution,),
-        stable=False,
-        zero_cell_fraction=float((signs == 0).sum()) / signs.size,
-        method="sphere-float",
+        positive + negative, positive, negative, (resolution,), False, float(np.mean(signs == 0)), "sphere-float"
     )

@@ -237,7 +237,7 @@ def test_export_coefficient_past_the_float_range_exits_four(capsys, tmp_path):
     out_path = tmp_path / "cloud.csv"
     code, _, err = run(capsys, "export", "--expr", "9" * 400 + "*y + t", "-n", "2", "--out", str(out_path))
     assert code == 4
-    assert err.startswith("error:")
+    assert err.startswith("error: a coefficient exceeds the largest float, 1.79769e+308")
     assert not out_path.exists()
 
 
@@ -317,6 +317,75 @@ def test_every_counting_path_runs_with_scipy_blocked():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[:4] == ["2", "5", "3", "2"]
     assert proc.stdout.splitlines()[4:] == ["eps,total,pos,neg,stable", "1,2,1,1,true"]
+
+
+def test_count_and_scan_skip_numpy_ma():
+    # numpy's np.unique imports numpy.ma on its first call, 10-26 ms of a
+    # process; the component split counts roots instead
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "\n".join(
+        [
+            "import contextlib, io, sys",
+            "from calorics.cli import main",
+            "for argv in (['count', '--fixture', 'n2d3', '--slice'], ['scan', 'odd', '-d', '3', '--eps-grid', '1']):",
+            "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):",
+            "        code = main(argv)",
+            "    print(argv[0], code, 'numpy.ma' in sys.modules)",
+        ]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["count 0 False", "scan 0 False"]
+
+
+def _limited_main(argv, seconds=10):
+    """(exit code, stderr) of main(argv) in a child process held to 1 GiB of address space.
+
+    An input that is refused only after it is built allocates up to the
+    limit (a MemoryError traceback, exit 1) or runs past `seconds`.
+    """
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "\n".join(
+        [
+            "import resource, sys",
+            "resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))",
+            "from calorics.cli import main",
+            "sys.exit(main(sys.argv[1:]))",
+        ]
+    )
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=seconds,
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"{' '.join(argv)} ran past {seconds} s")
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, cap",
+    [
+        # a deg2 fixture builds N variables, like -n N
+        ("verify --fixture deg2_n1000000000_j1", "MAX_SPATIAL_DIM = 64"),
+        ("gen fixture deg2_n65_j1", "MAX_SPATIAL_DIM = 64"),
+        # 2^24 and 3^64 terms: the product is refused before it is expanded
+        ("gen product -d 48 -n 24", "MAX_PRODUCT_TERMS = 65536"),
+        ("gen product -d 256 -n 64", "MAX_PRODUCT_TERMS = 65536"),
+    ],
+)
+def test_oversized_fixture_and_product_exit_four_before_building(argv, cap):
+    code, err = _limited_main(argv.split())
+    assert code == 4, err
+    assert err.startswith("error:") and cap in err
 
 
 @pytest.mark.parametrize(
@@ -479,6 +548,19 @@ def test_export_writes_csv(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["rows"] > 0
     assert out_path.read_text().startswith("x,y,t\n")
+
+
+def test_gallery_export_rows_are_pinned(capsys, tmp_path):
+    # the export of the cli benchmark workload, as the per-term evaluator gave it
+    out_path = tmp_path / "cloud.csv"
+    code, out, _ = run(
+        capsys,
+        "export", "--gen", "zero-mod4", "-d", "4", "--eps", "1/5", "--rot", "angle:0.3141592653589793",
+        "--resolution", "256", "--delta", "0.1", "--out", str(out_path),
+    )
+    assert code == 0
+    assert json.loads(out)["rows"] == 8756
+    assert len(out_path.read_text().splitlines()) == 8756 + 1
 
 
 def test_bounds_report(capsys):

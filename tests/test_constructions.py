@@ -9,6 +9,7 @@ from calorics import (
     ConstructionError,
     ConstructionSpec,
     NotOnUnitCircle,
+    Polynomial,
     basic_hcp,
     build,
     embed,
@@ -25,6 +26,7 @@ from calorics import (
     scan_epsilon,
     zero_mod4,
 )
+from calorics import constructions
 from calorics.nodal import NodalError
 
 ROT = (F(3, 5), F(4, 5))
@@ -197,6 +199,18 @@ def test_product_lower_needs_room():
         product_lower(3, 5)
 
 
+@pytest.mark.parametrize("n, d", [(2, 4), (2, 5), (2, 8), (3, 6), (3, 7), (4, 9)])
+def test_product_term_cap_is_checked_on_the_exact_term_count(monkeypatch, n, d):
+    # the cap compares the product of floor(k/2) + 1 over the factor degrees
+    # k with MAX_PRODUCT_TERMS: at the count the product builds, one below it is refused
+    terms = len(product_lower(n, d).terms)
+    monkeypatch.setattr(constructions, "MAX_PRODUCT_TERMS", terms)
+    assert len(product_lower(n, d).terms) == terms
+    monkeypatch.setattr(constructions, "MAX_PRODUCT_TERMS", terms - 1)
+    with pytest.raises(ConstructionError, match=f"expands to {terms} terms"):
+        product_lower(n, d)
+
+
 @pytest.mark.parametrize("n,d", [(2, 4), (2, 5), (2, 6), (3, 6), (3, 7)])
 def test_product_lower_is_caloric(n, d):
     u = product_lower(n, d)
@@ -227,6 +241,10 @@ def test_fixture_deg2_variants():
     assert p == parse_poly("2*t + y^2", 3)
     with pytest.raises(ConstructionError):
         fixture("deg2_n2_j3")
+    # N is the -n of the fixture: at most MAX_SPATIAL_DIM, checked before a variable is built
+    assert fixture("deg2_n64_j64") == Polynomial.time(64).scale(2) + Polynomial.variable(64, 63) ** 2
+    with pytest.raises(ConstructionError, match="MAX_SPATIAL_DIM = 64"):
+        fixture("deg2_n65_j1")
 
 
 def test_fixture_basic_alias():

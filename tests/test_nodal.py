@@ -44,6 +44,8 @@ from calorics.nodal import (
     _kappa,
     _MeshForm,
     _probed_runs,
+    _sign_split,
+    _sphere_values,
     _sturm_count,
 )
 from calorics.polyring import NotHomogeneous, parabolic_degree
@@ -798,6 +800,27 @@ def test_components_worst_cases_end_in_few_rounds(rows, cols):
     assert count == 1 and (labels == 0).all()
 
 
+def _unique_split(labels, signs):
+    """(positive, negative) counts of distinct labels by node sign: the sorting split, kept as the oracle."""
+    return len(np.unique(labels[signs == 1])), len(np.unique(labels[signs == -1]))
+
+
+@given(_graphs(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_sign_split_by_roots_matches_unique_labels(graph, data):
+    size, rows, cols = graph
+    signs = np.array(data.draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=size, max_size=size)), dtype=np.int8)
+    # every graph that is counted joins only nodes of one sign
+    same = signs[rows] == signs[cols]
+    _, labels = _components(size, rows[same], cols[same])
+    assert _sign_split(labels, signs) == _unique_split(labels, signs)
+    # the components that meet some nodes, as the slice's rim caveat counts them
+    node = st.integers(min_value=0, max_value=max(size - 1, 0))
+    members = np.array(data.draw(st.lists(node, max_size=size)), dtype=np.int64)
+    met = np.bincount(labels[members], minlength=size) > 0
+    assert _sign_split(labels, signs * met) == _unique_split(labels[members], signs[members])
+
+
 def _reference_split(p, field):
     """((pos, neg), runs) of the per-cell graph of `field`'s grid, from full merge masks.
 
@@ -1287,6 +1310,110 @@ def test_polar_chambers_signs_values_that_are_only_small():
     for p, expected in cases:
         report = polar_chambers(p)
         assert (report.sign_changes, report.n_plus) == expected
+
+
+# ---- the sphere evaluator ----
+
+
+def _per_term_values(p, xs, ys, ts):
+    """Float values of p (n = 2) at the points (xs, ys, ts), term by term with elementwise powers.
+
+    The package's evaluator before the sphere contraction, kept as its
+    oracle: it is slow where a base is negative, not wrong.
+    """
+    out = np.zeros(np.broadcast(xs, ys, ts).shape)
+    for ev, coeff in p.terms.items():
+        ex, ey = ev.space_exps
+        out += float(coeff) * xs ** ex * ys ** ey * ts ** ev.t_exp
+    return out
+
+
+@st.composite
+def _sphere_axes(draw):
+    """cos and sin arrays of one grid axis: drawn angles, and the axis directions where one of them is 0 or +-1.
+
+    The angles are multiples of 1/1000, so every nonzero cos or sin is at
+    least 1e-4 in size and no power of degree 12 underflows, which the
+    relative rounding bound does not cover.
+    """
+    angles = draw(st.lists(st.integers(min_value=-4000, max_value=4000).map(lambda k: k / 1000), max_size=5))
+    exact = draw(st.lists(st.sampled_from([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]), min_size=1, max_size=4))
+    pairs = draw(st.permutations([(math.cos(a), math.sin(a)) for a in angles] + exact))
+    return tuple(np.array(part) for part in zip(*pairs))
+
+
+@st.composite
+def _wide_polynomials(draw):
+    """n = 2 polynomials of degree at most 12 with coefficients of either sign from 1e-6 to 1e6."""
+    terms = {}
+    for _ in range(draw(st.integers(min_value=1, max_value=10))):
+        degree = draw(st.integers(min_value=0, max_value=12))
+        t_exp = draw(st.integers(min_value=0, max_value=degree))
+        x_exp = draw(st.integers(min_value=0, max_value=degree - t_exp))
+        size = 10.0 ** draw(st.floats(min_value=-6.0, max_value=6.0))
+        terms[(t_exp, (x_exp, degree - t_exp - x_exp))] = F(draw(st.sampled_from([-1, 1])) * size)
+    return Polynomial(2, terms)
+
+
+@given(_wide_polynomials(), _sphere_axes(), _sphere_axes(), st.floats(min_value=0.5, max_value=1.0))
+@settings(max_examples=300, deadline=None)
+def test_sphere_values_match_the_per_term_oracle(p, longitude, latitude, radius):
+    (cos_theta, sin_theta), (cos_phi, sin_phi) = longitude, latitude
+    values = _sphere_values(p, longitude, latitude, radius)
+    assert values.shape == (len(cos_theta), len(cos_phi))
+    # the points, one rounding per product
+    xs = radius * np.multiply.outer(cos_theta, cos_phi)
+    ys = radius * np.multiply.outer(sin_theta, cos_phi)
+    ts = radius * sin_phi
+    expected = _per_term_values(p, xs, ys, ts)
+    magnitudes = Polynomial(2, {ev: abs(c) for ev, c in p.terms.items()})
+    sizes = _per_term_values(magnitudes, np.abs(xs), np.abs(ys), np.abs(ts))
+    # Each result is a sum over the N terms of p, each term carrying at most
+    # K_i roundings, so it is within gamma_(K_i) of the exact value times
+    # the sum of |terms| (Higham, Sec. 3.1), with gamma_K about K eps / 2;
+    # a pow counts as 2 roundings (within one ulp).  At degree D:
+    # - the contraction: 1 converting the coefficient, 2 in radius^k and 1
+    #   multiplying the two, at most D in each power column (cumulative
+    #   products and one product of the cos and sin columns), and 2
+    #   products and 2 sums of at most N terms in U D W^T: K_1 = 6 + 2D + 2N;
+    # - the oracle: 2 forming x and y and 1 forming t, raised to at most D
+    #   in all (2D), 2 in each of its three pows, 1 converting the
+    #   coefficient, 3 products and a sum of N terms: K_2 = 10 + 2D + N.
+    # K = K_1 + K_2 bounds their distance with a factor 2 to spare, which
+    # covers the second-order terms of gamma and the roundings of `sizes`.
+    degree = max(ev.algebraic_degree for ev in p.terms)
+    roundings = 16 + 4 * degree + 3 * len(p.terms)
+    bound = roundings * _FLOAT_EPS * sizes
+    assert (np.abs(values - expected) <= bound).all()
+    clear = np.abs(expected) > bound
+    assert (np.sign(values[clear]) == np.sign(expected[clear])).all()
+
+
+def test_sphere_values_of_the_poles_and_the_zero_polynomial():
+    # p = t + x^2 y: the poles are exact inputs, cos = 0 and sin = +-1
+    p = parse_poly("t + x^2*y", 2)
+    poles = np.zeros(2), np.array([1.0, -1.0])
+    assert _sphere_values(p, (np.ones(1), np.zeros(1)), poles).tolist() == [[1.0, -1.0]]
+    values = _sphere_values(Polynomial(2, {}), (np.ones(3), np.zeros(3)), (np.ones(2), np.zeros(2)))
+    assert values.shape == (3, 2) and not values.any()
+    with pytest.raises(NodalError, match="a coefficient exceeds the largest float"):
+        _sphere_values(parse_poly("9" * 400 + "*y + t", 2), (np.ones(1), np.zeros(1)), poles)
+
+
+# the rows of the criterion-6 clouds (tests/test_acceptance.py), as the
+# per-term evaluator gave them; zero_mod4's cloud is the export of the cli
+# benchmark workload
+@pytest.mark.parametrize(
+    "name, delta, rows",
+    [("lewy", 0.05, 19372), ("odd", 0.1, 13156), ("zero_mod4", 0.1, 8756)],
+)
+def test_gallery_cloud_rows_are_pinned(name, delta, rows):
+    p = {
+        "lewy": lambda: lewy_2mod4(6, F(1, 20)),
+        "odd": lambda: odd_construction(5, F(3, 10), math.pi / 10),
+        "zero_mod4": lambda: zero_mod4(4, F(1, 5), math.pi / 10),
+    }[name]()
+    assert len(export_nodal_pointcloud(p, 256, delta)) == rows
 
 
 # ---- export and clustering ----
