@@ -346,18 +346,17 @@ def _cmd_count(args) -> int:
     exit_code = EXIT_OK
     if args.slice:
         slice_report = slice_count(poly)
+        bound_ok = slice_report.caveat or report.total <= slice_report.total
         payload["slice"] = {
             "total": slice_report.total,
             "pos": slice_report.positive,
             "neg": slice_report.negative,
             "caveat": slice_report.caveat,
             "half_width": format_rational(slice_report.half_width),
+            "bound_ok": bound_ok,
         }
-        if not slice_report.caveat and report.total > slice_report.total:
-            payload["slice"]["bound_ok"] = False
+        if not bound_ok:
             exit_code = EXIT_ASSERT
-        else:
-            payload["slice"]["bound_ok"] = True
     if args.check_bounds:
         d = parabolic_degree(poly)
         try:

@@ -30,10 +30,10 @@ integer arithmetic, so no sign is ever trusted to floating point.  Exact
 zeros are excluded from every component; if more than 0.1% of cells are
 zero the grid is jittered by 1/(6r) and resampled once.
 cube_section_sample evaluates the faces in stacked groups of at most 2^18
-cells (one face when a face alone is larger), each face on its cell
-centers plus the cube edges around it, and slice_count its box as a stack
-of one face.  Each group is one form: it gives the group's exact signs,
-its complete merge masks (_MeshForm.merge_masks), and one graph of runs.
+cells (one face when a face alone is larger), each face on its cell centers
+plus the cube edges around it, and slice_count an n >= 2 box as a stack of
+one face.  Each group is one form: it gives the group's exact signs, its
+complete merge masks (_MeshForm.merge_masks), and one graph of runs.
 Once the last group is in, each stitch across a cube edge is read from the
 leg masks of the two face sides that meet there.
 
@@ -102,7 +102,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .polyring import Polynomial, parabolic_degree
-from .univariate import _sturm_count
+from .univariate import Rational, _poly_trim, _sturm_count, sign_arcs
 
 DEFAULT_SCHEDULES: Dict[int, Tuple[int, ...]] = {
     2: (128, 256, 512),
@@ -154,12 +154,16 @@ def _check_numerator(top: int) -> None:
         )
 
 
+def _check_rational(value, name: str) -> Fraction:
+    """value as an exact Fraction (a float at its exact value); NodalError unless it is a finite rational."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise NodalError(f"{name} must be a finite rational, got {value!r}") from exc
+
+
 class BoundViolation(NodalError):
     """A counted value escaped a proven bound; signals a counting bug."""
-
-
-class UnresolvedSign(NodalError):
-    """A guarded float evaluation could not be refined to a definite sign."""
 
 
 # ---------------------------------------------------------------------------
@@ -646,12 +650,9 @@ def _bernstein_decide(coeffs: np.ndarray, bounds: np.ndarray) -> Tuple[np.ndarra
     return free, rooted
 
 
-def _exact_line(coeffs: Dict[Tuple[int, ...], int], slot: int, ms: Sequence[int]) -> Tuple[int, ...]:
-    """Integer coefficients of P (`coeffs`, as in _MeshForm) on the line along `slot`.
-
-    ms are the numerators of the other varying axes, in order.
-    """
-    line = [0] * (1 + max(key[slot] for key in coeffs))
+def _exact_line(coeffs: Dict[tuple, Rational], slot: int, ms: Sequence[Rational]) -> Tuple[Rational, ...]:
+    """Coefficients of P (coeffs) along slot, with the other axes at ms in order: ints from ints, or rationals."""
+    line = [0] * (1 + max((key[slot] for key in coeffs), default=-1))
     for key, c in coeffs.items():
         line[key[slot]] += c * math.prod(m ** e for m, e in zip(ms, key[:slot] + key[slot + 1:]))
     return tuple(line)
@@ -1058,7 +1059,7 @@ def nodal_count(p: Polynomial, schedule: Optional[Sequence[int]] = None) -> Comp
 
 
 # ---------------------------------------------------------------------------
-# Negative-time slice diagnostic
+# Negative-time slice and polar chamber diagnostics
 # ---------------------------------------------------------------------------
 
 
@@ -1066,11 +1067,11 @@ def nodal_count(p: Polynomial, schedule: Optional[Sequence[int]] = None) -> Comp
 class SliceReport:
     """Components of {x in [-R, R]^n : p(x, -1) != 0} with a trust flag.
 
-    caveat = True means the count may misrepresent the plane: either distinct
-    same-sign components touch the box boundary (they could merge outside) or,
-    for n = 1, the exact root isolation shows roots beyond the box or a total
-    other than 1 + the number of distinct real roots.  The
-    nodal-count comparison N <= slice total is only meaningful when clear.
+    caveat = True means the count may misrepresent the slice: for n = 1 the
+    segment (-R, R) misses a real root of p(x, -1), or p(x, -1) = 0; for
+    n >= 2 distinct same-sign components touch the box boundary (they could
+    merge outside).  N <= total is only meaningful when it is clear.  n = 1
+    takes no mesh, so its resolution is only recorded.
     """
 
     total: int
@@ -1081,12 +1082,10 @@ class SliceReport:
     resolution: int
 
 
-def _univariate_coeffs(v: Polynomial) -> List[Fraction]:
-    degree = max((ev.space_exps[0] for ev in v.terms), default=0)
-    coeffs = [Fraction(0)] * (degree + 1)
-    for ev, c in v.terms.items():
-        coeffs[ev.space_exps[0]] = c
-    return coeffs
+def _line(p: Polynomial, point: Sequence[Optional[Fraction]]) -> List[Fraction]:
+    """Trimmed coefficients, lowest degree first, of p along the one None coordinate of point (x1..xn, t)."""
+    terms = {ev.space_exps + (ev.t_exp,): c for ev, c in p.terms.items()}
+    return _poly_trim(list(_exact_line(terms, list(point).index(None), [v for v in point if v is not None])))
 
 
 def slice_count(
@@ -1096,77 +1095,60 @@ def slice_count(
 ) -> SliceReport:
     """Count components of the t = -1 slice inside the box [-R, R]^n.
 
-    The default R is the exact Cauchy root bound for n = 1, which certifies
-    that no slice structure lies outside the box (the caveat flag is then
-    settled by exact Sturm root counting: it is set when the box misses a
-    root, or when the total is not 1 + the distinct real roots), and 4
-    otherwise.  The default resolution (cells per axis) is 512 for n <= 2
-    and 64 for n >= 3, where 512^3 cells would not fit in memory
-    (MAX_MESH_CELLS refuses larger boxes).  The mesh numerators, R's
-    numerator times the odd integers up to resolution - 1, must stay within
-    2^53, or NodalError is raised.  Cells are labeled as on the cube: runs
-    (_probed_runs) of the complete merge masks (_MeshForm.merge_masks), and
-    one _components call.
+    R is a positive exact rational (a float at its exact value), or
+    NodalError is raised.  For n = 1 the count is exact, the sign_arcs of
+    p(x, -1) on (-R, R), and the default R, the Cauchy root bound, holds
+    every root.  For n >= 2 the default R is 4, and the box is a mesh of
+    `resolution` cells per axis (default 512 for n = 2 and 64 for n >= 3,
+    where 512^3 cells would not fit in memory; MAX_MESH_CELLS refuses larger
+    boxes) whose numerators, R's numerator times the odd integers up to
+    resolution - 1, must stay within 2^53, or NodalError is raised.  Cells
+    are labeled as on the cube: runs (_probed_runs) of the complete merge
+    masks (_MeshForm.merge_masks), and one _components call.
     """
     n = p.spatial_dim
     if resolution is None:
         resolution = 512 if n <= 2 else 64
-    v = p.substitute_t(-1)
+    resolution = _check_resolution(resolution)
+    line = _line(p, (None, Fraction(-1))) if n == 1 else []
     if box_half_width is None:
-        if n == 1 and not v.is_zero:
-            coeffs = _univariate_coeffs(v)
-            lead = coeffs[-1]
-            box_half_width = Fraction(1) + max(
-                (abs(c / lead) for c in coeffs[:-1]), default=Fraction(0)
-            )
-        else:
-            box_half_width = Fraction(4)
-    radius = Fraction(box_half_width)
+        box_half_width = 1 + max((abs(c / line[-1]) for c in line[:-1]), default=0) if line else 4
+    radius = _check_rational(box_half_width, "box half-width")
     if radius <= 0:
         raise NodalError("box half-width must be positive")
-    resolution = _check_resolution(resolution)
+    if n == 1:
+        arcs = sign_arcs(line, -radius, radius)
+        caveat = not arcs or arcs.count(0) != _sturm_count(line, None, None)
+        return SliceReport(len(arcs) - arcs.count(0), arcs.count(1), arcs.count(-1), caveat, radius, resolution)
     _check_mesh_cells(resolution, n)
     # the largest |numerator|, in Python ints: an int64 array of it could wrap
     _check_numerator(radius.numerator * (resolution - 1))
 
+    v = p.substitute_t(-1)
     nums = radius.numerator * (2 * np.arange(resolution, dtype=np.int64) + 1 - resolution)
     den = radius.denominator * resolution
     form = _MeshForm(_integer_scaled_terms(v, den), [[nums] * n + [0]])
     signs = form.signs()  # a stack of one face
 
-    if v.is_zero or not (signs != 0).any():
+    if not (signs != 0).any():
         return SliceReport(0, 0, 0, True, radius, resolution)
 
     starts, node_signs, rows, cols = _probed_runs(signs, form.merge_masks(signs, {}, rim=False))
     _, labels = _components(len(node_signs), rows, cols)
     positive, negative = _sign_split(labels, node_signs)
-
-    if n == 1:
-        coeffs = _univariate_coeffs(v)
-        inside = _sturm_count(coeffs, -radius, radius)
-        everywhere = _sturm_count(coeffs, None, None)
-        # the components of {v != 0} on the line are the arcs between its
-        # distinct roots; a grid that misses one of them undercounts
-        caveat = inside != everywhere or positive + negative != everywhere + 1
-    else:
-        rim = np.ones(signs.shape, dtype=bool)
-        rim[(0,) + (slice(1, -1),) * n] = False
-        met = np.bincount(labels[_run_ids(starts, np.flatnonzero(rim))], minlength=len(labels)) > 0
-        caveat = max(_sign_split(labels, node_signs * met)) >= 2  # the roots of the components that meet the rim
+    rim = np.ones(signs.shape, dtype=bool)
+    rim[(0,) + (slice(1, -1),) * n] = False
+    met = np.bincount(labels[_run_ids(starts, np.flatnonzero(rim))], minlength=len(labels)) > 0
+    caveat = max(_sign_split(labels, node_signs * met)) >= 2  # the roots of the components that meet the rim
     return SliceReport(positive + negative, positive, negative, caveat, radius, resolution)
-
-
-# ---------------------------------------------------------------------------
-# Polar chamber diagnostic (n = 2)
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class PolarChamberReport:
-    """Sign-change data on a small circle around a pole of the unit sphere."""
+    """Sign changes on the loop around a pole: radius is the square's exact half-width rho."""
 
     pole: str
-    radius: float
+    radius: Fraction
     sign_changes: int
     n_plus: int
 
@@ -1174,64 +1156,39 @@ class PolarChamberReport:
 def polar_chambers(
     p: Polynomial,
     pole: str = "north",
-    rho: float = 0.1,
-    samples: Optional[int] = None,
+    rho: Union[Fraction, int, float, str] = Fraction(1, 10),
 ) -> PolarChamberReport:
-    """Evaluate p on the circle x^2 + y^2 = rho^2, t = +-sqrt(1 - rho^2).
+    """Exact signs of p on the boundary of the square |x|, |y| <= rho of the cube face t = +1 or -1.
 
-    A value is unresolved when |p| is at most 1e-12 times the sum of the
-    |terms| of p at the sample, the scale of its rounding error.  Such a
-    sample is refined by shifting its angle in up to 40 halving steps; a
-    sign that never resolves raises UnresolvedSign rather than guessing.
-    sign_changes counts cyclic sign alternations and n_plus the maximal
-    positive arcs.
+    p must be parabolically homogeneous, so that its sign is constant along
+    the rays (lambda x, lambda^2 t), and each ray near the pole crosses the
+    loop once.  rho is an exact rational in (0, 1), a float at its exact
+    value.  Each side is one sign_arcs call and each corner one exact value.
+    sign_changes counts the cyclic alternations of the nonzero signs around
+    the loop (a root of even multiplicity makes none), n_plus their positive
+    runs; a loop inside the zero set gives (0, 0).
     """
     if p.spatial_dim != 2:
         raise NodalError("polar chambers are defined for n = 2")
-    if not 0.0 < rho < 1.0:
+    rho = _check_rational(rho, "rho")
+    if not 0 < rho < 1:
         raise NodalError("rho must lie strictly between 0 and 1")
-    if pole not in ("north", "south"):
+    t = {"north": Fraction(1), "south": Fraction(-1)}.get(pole)
+    if t is None:
         raise NodalError("pole must be 'north' or 'south'")
-    degree = max((ev.algebraic_degree for ev in p.terms), default=1)
-    if samples is None:
-        samples = max(8 * degree, 64)
-    if samples < 8 * degree:
-        raise NodalError(f"need at least {8 * degree} samples for degree {degree}")
+    if len({ev.parabolic_weight for ev in p.terms}) != 1:
+        raise NodalError("polar chambers need a nonzero parabolically homogeneous p")
 
-    guard = 1e-12
-    magnitudes = Polynomial(2, {ev: abs(c) for ev, c in p.terms.items()})
-    # the circle is the latitude with cos = rho on the unit sphere
-    latitude = np.array([rho]), np.array([math.sqrt(1.0 - rho * rho) * (1.0 if pole == "north" else -1.0)])
-    step = 2.0 * math.pi / samples
-
-    def value_at(theta: float) -> Tuple[float, float]:
-        """p at the sample, and the sum of its |terms| there times the guard."""
-        longitude = np.array([math.cos(theta)]), np.array([math.sin(theta)])
-        size = _sphere_values(magnitudes, np.abs(longitude), np.abs(latitude))[0, 0]
-        return float(_sphere_values(p, longitude, latitude)[0, 0]), guard * float(size)
-
+    # counterclockwise: each corner, then the side that leaves it (its free coordinate None)
+    corners = [(-rho, -rho), (rho, -rho), (rho, rho), (-rho, rho)]
+    sides = [((None, -rho, t), 1), ((rho, None, t), 1), ((None, rho, t), -1), ((-rho, None, t), -1)]
     signs: List[int] = []
-    for j in range(samples):
-        theta = j * step
-        value, band = value_at(theta)
-        shift = step / 2.0
-        refinements = 0
-        while abs(value) <= band and refinements < 40:
-            theta += shift
-            shift /= 2.0
-            value, band = value_at(theta)
-            refinements += 1
-        if abs(value) <= band:
-            raise UnresolvedSign(
-                f"sample {j} at the {pole} pole stayed within the guard band after 40 refinements"
-            )
-        signs.append(1 if value > 0 else -1)
-
+    for corner, (point, step) in zip(corners, sides):
+        value = p.evaluate(corner + (t,))
+        signs += [(value > 0) - (value < 0), *sign_arcs(_line(p, point), -rho, rho)[::step]]
+    signs = [s for s in signs if s]
     changes = sum(1 for a, b in zip(signs, signs[1:] + signs[:1]) if a != b)
-    if changes == 0:
-        n_plus = 1 if signs[0] > 0 else 0
-    else:
-        n_plus = sum(1 for j in range(samples) if signs[j] > 0 and signs[j - 1] < 0)
+    n_plus = changes // 2 if changes else int(1 in signs)
     return PolarChamberReport(pole=pole, radius=rho, sign_changes=changes, n_plus=n_plus)
 
 

@@ -1,14 +1,15 @@
-"""Exact univariate root counting in Python integers.
+"""Exact univariate root counting and sign arcs in Python integers.
 
 Sturm sequences are built as primitive pseudo-remainder sequences on integer
 coefficients (lowest degree first) and evaluated exactly at rational points,
-so counts of distinct real roots are proofs, not estimates.  The module has
-no floating point: the counting layer (nodal) imports it for its last merge
-stage and its slice diagnostic.
+so counts of distinct real roots and the signs between them (sign_arcs) are
+proofs, not estimates.  The module has no floating point: nodal imports it
+for its last merge stage, the n = 1 slice and the polar chambers.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
@@ -87,24 +88,67 @@ def _poly_sign(c: Sequence[int], num: int, den: int) -> int:
     return (total > 0) - (total < 0)
 
 
-def _sturm_count(coeffs: Sequence[Rational], a: Optional[Rational], b: Optional[Rational]) -> int:
-    """Distinct real roots in (a, b]; None endpoints mean -/+ infinity.
-
-    coeffs (lowest degree first) are scaled to integers by the lcm of their
-    denominators, and the chain is built and evaluated in Python ints.
-    """
+def _integer_coeffs(coeffs: Sequence[Rational]) -> List[int]:
+    """coeffs scaled to trimmed integers by the lcm of their denominators."""
     scale = math.lcm(*(c.denominator for c in coeffs))
-    ints = _poly_trim([c.numerator * (scale // c.denominator) for c in coeffs])
+    return _poly_trim([c.numerator * (scale // c.denominator) for c in coeffs])
+
+
+def _variations(chain: List[List[int]], x: Rational) -> int:
+    """Sign changes along the chain at x, zeros skipped."""
+    signs = [s for s in (_poly_sign(c, x.numerator, x.denominator) for c in chain) if s]
+    return sum(1 for u, v in zip(signs, signs[1:]) if (u > 0) != (v > 0))
+
+
+def _sturm_count(coeffs: Sequence[Rational], a: Optional[Rational], b: Optional[Rational]) -> int:
+    """Distinct real roots of coeffs (lowest degree first) in (a, b]; None ends mean -/+ infinity."""
+    ints = _integer_coeffs(coeffs)
     if len(ints) <= 1:
         return 0
-    chain = _sturm_chain(ints)
+    chain, bound = _sturm_chain(ints), _root_bound(ints)  # no root lies outside (-B, B)
+    return _variations(chain, -bound if a is None else a) - _variations(chain, bound if b is None else b)
 
-    def variations(x: Optional[Rational], positive_end: bool) -> int:
-        if x is not None:
-            signs = [_poly_sign(c, x.numerator, x.denominator) for c in chain]
-        else:  # leading coefficients, flipped at -infinity for odd degrees
-            signs = [c[-1] if positive_end or len(c) % 2 else -c[-1] for c in chain]
-        signs = [s for s in signs if s]
-        return sum(1 for u, v in zip(signs, signs[1:]) if (u > 0) != (v > 0))
 
-    return variations(a, positive_end=a is not None) - variations(b, positive_end=True)
+def _root_bound(c: Sequence[int]) -> Fraction:
+    """A power of two above |z| for every complex root z of c: Fujiwara's 2 max_k |c_(n-k) / c_n|^(1/k)."""
+    lead = abs(c[-1]).bit_length() - 1  # 2^lead <= |c_n|, and |c_(n-k)| < 2^(its bit length)
+    exponents = [-((lead - abs(x).bit_length()) // k) for k, x in enumerate(reversed(c[:-1]), 1) if x]
+    return Fraction(2) ** (max(exponents, default=0) + 1)
+
+
+def sign_arcs(coeffs: Sequence[Rational], a: Optional[Rational], b: Optional[Rational]) -> Tuple[int, ...]:
+    """Signs of coeffs (rational, lowest degree first) on the maximal root-free open arcs of (a, b), in order.
+
+    None ends mean -/+ infinity.  A 0 stands for the root between two arcs:
+    (1, 0, -1) is a sign change, (1, 0, 1) a root of even multiplicity.  A
+    root on an end is outside, and a zero polynomial or an empty segment has
+    no arcs.  Bisection over the dyadic cells of [-B, B] (_root_bound)
+    splits each piece of (a, b) that the Sturm chain counts until it holds
+    no root, or one between nonzero ends.
+    """
+    ints = _integer_coeffs(coeffs)
+    if a is not None and b is not None and a >= b:
+        return ()
+    if len(ints) <= 1:
+        return tuple((c > 0) - (c < 0) for c in ints)
+    chain, bound = _sturm_chain(ints), _root_bound(ints)
+    sign = functools.lru_cache(maxsize=None)(lambda x: _poly_sign(ints, x.numerator, x.denominator))
+    variations = functools.lru_cache(maxsize=None)(lambda x: _variations(chain, x))
+    lo = -bound if a is None else max(Fraction(a), -bound)
+    hi = bound if b is None else min(Fraction(b), bound)
+    signs: List[int] = []
+    stack = [(lo, hi, -bound, bound)]
+    while stack:
+        l, h, cell_lo, cell_hi = stack.pop()
+        count = variations(l) - variations(h) - (sign(h) == 0)  # the distinct roots in (l, h)
+        mid = (cell_lo + cell_hi) / 2
+        if count == 0:  # past the bound, the sign of the end; a split point on a root ends an arc
+            signs += [sign(l) or sign(h) or sign((l + h) / 2)] + [0] * (h < hi and sign(h) == 0)
+        elif count == 1 and sign(l) and sign(h):
+            signs += [sign(l), 0, sign(h)]
+        elif not l < mid < h:  # the piece lies in one half of its cell
+            stack.append((l, h) + ((mid, cell_hi) if mid <= l else (cell_lo, mid)))
+        else:
+            stack += [(mid, h, mid, cell_hi), (l, mid, cell_lo, mid)]
+    # neighbouring pieces with no root between them lie in one arc
+    return tuple(s for i, s in enumerate(signs) if i == 0 or not s or not signs[i - 1])

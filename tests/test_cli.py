@@ -139,18 +139,28 @@ def test_count_with_slice_and_bounds(capsys):
     assert payload["bounds"]["ok"]
 
 
-@pytest.mark.parametrize("degree", ["7", "8", "12"])
-def test_count_slice_that_misses_roots_is_caveated_not_a_bound_failure(capsys, degree):
-    # the 512-cell slice of basic_hcp(d) in its Cauchy box sees fewer than
-    # the d + 1 arcs of the line; with the caveat set, the correct stable
-    # count N = 2 ceil(d / 2) is not held against that total (it exited 3
-    # before)
+@pytest.mark.parametrize("degree", ["7", "8", "12", "24", "40"])
+def test_count_slice_of_basic_hcp_is_exact(capsys, degree):
+    # the slice of basic_hcp(d) has its d + 1 arcs in the Cauchy box, exactly:
+    # a 512-cell mesh saw fewer from d = 7 and set the caveat, and its
+    # numerators passed 2^53 from d = 21 (exit 4)
     code, out, _ = run(capsys, "count", "--gen", "basic", "-n", "1", "-d", degree, "--slice")
     assert code == 0
     payload = json.loads(out)
-    assert payload["total"] == int(degree) + int(degree) % 2 and payload["stable"]
-    assert payload["slice"]["caveat"] and payload["slice"]["bound_ok"]
-    assert payload["slice"]["total"] < int(degree) + 1
+    assert payload["slice"]["total"] == int(degree) + 1
+    assert not payload["slice"]["caveat"] and payload["slice"]["bound_ok"]
+    if int(degree) <= 12:  # the cube count of d = 24 and 40 is not stable yet
+        assert payload["total"] == int(degree) + int(degree) % 2 and payload["stable"]
+
+
+@pytest.mark.parametrize("expr", ["x^2+10^17*t", "x^2+10^19*t"])
+def test_count_slice_with_numerators_past_two_to_the_fifty_three_is_exact(capsys, expr):
+    # the Cauchy box R = 10^17 + 1 (or 10^19 + 1) took mesh numerators past
+    # 2^53 (exit 4); the exact slice has the three arcs around the roots +-sqrt(R - 1)
+    code, out, _ = run(capsys, "count", "--expr", expr, "-n", "1", "--slice")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["slice"]["total"], payload["slice"]["caveat"]) == (3, False)
 
 
 def test_count_slice_in_three_space_variables(capsys):
@@ -190,11 +200,6 @@ def test_parse_error_exits_four(capsys):
         "count --expr x^64 -n 1 --schedule 70000,70001,70002",
         # one face of 40002^2 cells is past MAX_MESH_CELLS: refused before any allocation
         "count --fixture n2d3 --schedule 40000,40001,40002",
-        # slice numerators past 2^53, where floats stop holding every integer: those of
-        # the first wrapped silently in int64, and the other two overflowed it
-        "count --expr x^2+10^17*t -n 1 --slice",
-        "count --expr x^2+10^19*t -n 1 --slice",
-        "count --gen basic -n 1 -d 40 --slice",
     ],
 )
 def test_counting_errors_exit_four(capsys, argv):

@@ -35,7 +35,6 @@ from calorics import (
 from calorics import nodal
 from calorics.nodal import (
     NodalError,
-    UnresolvedSign,
     _close_pairs,
     _components,
     _exact_line,
@@ -49,6 +48,7 @@ from calorics.nodal import (
     _sturm_count,
 )
 from calorics.polyring import NotHomogeneous, parabolic_degree
+from calorics.univariate import sign_arcs
 from conftest import homogeneous_polynomials
 
 
@@ -1134,14 +1134,15 @@ def _times_quadratic(coeffs, scale, shift, gap):
 
 @st.composite
 def _polynomials_with_known_roots(draw):
-    """(coefficients, distinct real roots) of c * prod (x - r)^m * ((x - s)^2 + e), e > 0.
+    """(coefficients, distinct real roots, their multiplicities) of c * prod (x - r)^m * ((x - s)^2 + e), e > 0.
 
     The coefficients are Fractions, or ints once their denominators are
     cleared, as stage (c) passes them.
     """
     roots = draw(st.lists(st.fractions(-10, 10, max_denominator=12), max_size=5, unique=True))
+    multiplicities = [draw(st.integers(1, 3)) for _ in roots]
     coeffs = _times_quadratic(
-        _coeffs_with_roots([(root, draw(st.integers(1, 3))) for root in roots]),
+        _coeffs_with_roots(list(zip(roots, multiplicities))),
         draw(st.sampled_from([F(1), F(-1), F(3), F(-2, 7)])),
         draw(st.fractions(-5, 5, max_denominator=8)),
         draw(st.fractions(F(1, 10 ** 6), 10, max_denominator=10 ** 6)),
@@ -1149,14 +1150,14 @@ def _polynomials_with_known_roots(draw):
     if draw(st.booleans()):
         lcm = math.lcm(*(c.denominator for c in coeffs))
         coeffs = [int(c * lcm) for c in coeffs]
-    return coeffs, roots
+    return coeffs, roots, multiplicities
 
 
 @given(_polynomials_with_known_roots(), st.data())
 @settings(max_examples=300, deadline=None)
 def test_sturm_count_matches_known_roots(poly, data):
     # distinct real roots in (a, b], with infinite ends and ends on a root
-    coeffs, roots = poly
+    coeffs, roots, _ = poly
     anywhere = st.fractions(-12, 12, max_denominator=12)
     end = st.one_of(st.none(), anywhere, *([st.sampled_from(roots)] if roots else []))
     a, b = data.draw(end), data.draw(end)
@@ -1182,6 +1183,63 @@ def test_sturm_count_keeps_every_sign_of_the_chain(roots, scale, shift, gap):
     coeffs = _times_quadratic(_coeffs_with_roots(roots), F(scale), F(shift), F(gap))
     assert _sturm_count(coeffs, None, None) == len(roots)
     assert _sturm_count(coeffs, None, F(1, 2)) == sum(1 for r, _ in roots if r <= F(1, 2))
+
+
+def _point_inside(lo, hi):
+    """A rational point of the open (lo, hi); None ends are -/+ infinity."""
+    if lo is None:
+        return F(0) if hi is None else hi - 1
+    return lo + 1 if hi is None else (lo + hi) / 2
+
+
+@given(_polynomials_with_known_roots(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_sign_arcs_match_known_roots(poly, data):
+    # the arcs of (a, b) are one more than the distinct roots strictly inside,
+    # with a 0 at each; the sign flips exactly at a root of odd multiplicity,
+    # and a root on an end lies outside the segment
+    coeffs, roots, multiplicities = poly
+    anywhere = st.fractions(-12, 12, max_denominator=12)
+    end = st.one_of(st.none(), anywhere, *([st.sampled_from(roots)] if roots else []))
+    a, b = data.draw(end), data.draw(end)
+    if a is not None and b is not None and a >= b:
+        a, b = b, a + (a == b)
+    inside = sorted(r for r in roots if (a is None or a < r) and (b is None or r < b))
+    arcs = sign_arcs(coeffs, a, b)
+    assert len(arcs) == 2 * len(inside) + 1 and arcs[1::2] == (0,) * len(inside)
+    for i, root in enumerate(inside):
+        odd = multiplicities[roots.index(root)] % 2 == 1
+        assert (arcs[2 * i] != arcs[2 * i + 2]) == odd, (root, arcs)
+    ends = [a] + inside + [b]
+    for sign, lo, hi in zip(arcs[::2], ends, ends[1:]):
+        # sign(c) prod sign(x - r)^m, at a point x of the arc; the quadratic factor is positive
+        x = _point_inside(lo, hi)
+        expected = (1 if coeffs[-1] > 0 else -1) * math.prod(
+            (1 if x > r else -1) ** m for r, m in zip(roots, multiplicities)
+        )
+        assert sign == expected, (lo, hi, arcs)
+
+
+@pytest.mark.parametrize(
+    "coeffs, a, b, arcs",
+    [
+        ([], None, None, ()),  # the zero polynomial has no arcs
+        ([F(0), F(0)], F(-1), F(1), ()),
+        ([F(-3)], None, None, (-1,)),  # a constant is one arc
+        ([5], F(-1), F(1), (1,)),
+        ([-4, 0, 1], None, None, (1, 0, -1, 0, 1)),  # x^2 - 4 on the whole line
+        ([-4, 0, 1], F(-2), F(2), (-1,)),  # roots on both ends are outside
+        ([-4, 0, 1], F(-2), F(3), (-1, 0, 1)),
+        ([-4, 0, 1], F(2), None, (1,)),
+        ([0, 1], F(-1), F(1), (-1, 0, 1)),  # the first bisection point is the root
+        ([0, 0, 1], None, None, (1, 0, 1)),  # a double root keeps the sign
+        ([-4, 0, 1], F(5), F(6), (1,)),  # a segment past the root bound
+        ([-4, 0, 1], None, F(-5), (1,)),
+        ([0, 1], F(1), F(1), ()),  # an empty segment
+    ],
+)
+def test_sign_arcs_on_small_cases(coeffs, a, b, arcs):
+    assert sign_arcs(coeffs, a, b) == arcs
 
 
 # ---- slice diagnostic ----
@@ -1224,27 +1282,44 @@ def test_slice_caveat_clear_for_a_double_root_pair():
     assert slice_count(parse_poly("(x^2+4*t)^2", 1), 3, 64).caveat is False
 
 
-@pytest.mark.parametrize("expr, total", [("(x^2+4*t)^2", 3)] + [(f"hcp{d}", d + 1) for d in range(2, 7)])
+@pytest.mark.parametrize(
+    "expr, total",
+    [("(x^2+4*t)^2", 3), ("x^2+10^17*t", 3)] + [(f"hcp{d}", d + 1) for d in [*range(2, 41), 64]],
+)
 def test_one_dimensional_slice_counts_every_root_without_caveat(expr, total):
     # v = p(x, -1) has `total - 1` distinct real roots, all inside the Cauchy
-    # box, and the default 512 cells separate them: 1 + roots components
+    # box, and its exact arcs there are 1 + roots components; a 512-cell mesh
+    # lost roots of p_d from d = 7, and its numerators passed 2^53 from d = 21
+    # and for R = 10^17 + 1
     p = basic_hcp(int(expr[3:])) if expr.startswith("hcp") else parse_poly(expr, 1)
     report = slice_count(p)
     assert (report.total, report.caveat) == (total, False)
 
 
 def test_numerators_past_two_to_the_fifty_three_are_refused():
-    # every mesh numerator is taken as a float, exact only up to 2^53; the
-    # slice's R = 10^17 + 1 at 512 cells reaches R * 511, which wrapped in
-    # int64, and R = 10^19 + 1 did not fit one
-    for expr in ("x^2 + 10^17*t", "x^2 + 10^19*t"):
+    # every mesh numerator is taken as a float, exact only up to 2^53; an
+    # n = 2 slice box of R = 10^17 + 1 at 512 cells reaches R * 511, which
+    # wraps in int64, and R = 10^19 + 1 does not fit one
+    for radius in (10 ** 17 + 1, 10 ** 19 + 1):
         with pytest.raises(NodalError, match=r"2\^53"):
-            slice_count(parse_poly(expr, 1))
+            slice_count(fixture("n2d3"), radius)
     p = parse_poly("x + t", 1)
     with pytest.raises(NodalError, match=r"2\^53"):
         _form(p, [[np.array([0, 2 ** 53 + 1], dtype=np.int64), 1]], 1)
     top = np.array([-(2 ** 53), 2 ** 53], dtype=np.int64)
     assert _form(p, [[top, 1]], 1).signs().tolist() == [[-1, 1]]
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, "abc", "1/0", [1]])
+def test_a_half_width_or_rho_that_is_not_a_finite_rational_is_refused(value):
+    # inf raised OverflowError here, and nan or "abc" ValueError
+    for call in (
+        lambda: slice_count(basic_hcp(4), value),
+        lambda: slice_count(fixture("n2d3"), value, 16),
+        lambda: polar_chambers(fixture("n2d4"), "north", value),
+    ):
+        with pytest.raises(NodalError, match="finite rational"):
+            call()
 
 
 def test_slice_high_dim_fixture_is_clean():
@@ -1276,8 +1351,9 @@ def test_polar_chambers_single_line():
 
 
 def test_polar_chambers_guard_refinement():
-    # samples land exactly on the zero set of y; refinement shifts off it
-    report = polar_chambers(parse_poly("y", 2), "north", 0.5, samples=64)
+    # the zero set of y crosses the sides x = +-rho at y = 0, the first
+    # bisection point of each side: the root is found exactly, not shifted off
+    report = polar_chambers(parse_poly("y", 2), "north", 0.5)
     assert report.sign_changes == 2
 
 
@@ -1286,23 +1362,31 @@ def test_polar_chambers_preconditions():
         polar_chambers(parse_poly("x", 1))
     with pytest.raises(NodalError):
         polar_chambers(parse_poly("y", 2), rho=1.5)
-    with pytest.raises(NodalError):
-        polar_chambers(fixture("n2d4"), samples=8)
+    # the loop stands for the rays around the pole only when p is parabolically homogeneous
+    for p in (parse_poly("x^2 + y", 2), Polynomial.zero(2)):
+        with pytest.raises(NodalError, match="parabolically homogeneous"):
+            polar_chambers(p)
+    # rho is exact: a float is taken at its exact value
+    assert polar_chambers(fixture("n2d4")).radius == F(1, 10)
+    assert polar_chambers(fixture("n2d4"), rho=0.1).radius == F(0.1)
 
 
 def test_polar_chambers_refuses_to_guess_unresolvable_signs():
-    # on the circle at the north pole, x^2 + y^2 = rho^2 and a*t = -rho^2 up
-    # to rounding: every value cancels to within the guard band
+    # x^2 + y^2 + a*t with a*t = -rho^2 up to rounding on the float circle at
+    # the north pole, where every value cancelled to within a float guard
+    # band; the exact loop on the square |x|, |y| <= rho at t = 1 sees
+    # x^2 + y^2 range over [rho^2, 2 rho^2], so p is negative around the four
+    # side midpoints and positive at the four corners
     rho = 0.1
     a = F(-rho ** 2 / math.sqrt(1 - rho ** 2))
     cancelling = Polynomial(2, {(0, (2, 0)): 1, (0, (0, 2)): 1, (1, (0, 0)): a})
-    with pytest.raises(UnresolvedSign):
-        polar_chambers(cancelling, "north", rho, samples=16)
+    report = polar_chambers(cancelling, "north", rho)
+    assert (report.sign_changes, report.n_plus) == (8, 4)
 
 
 def test_polar_chambers_signs_values_that_are_only_small():
-    # the guard band scales with the sum of |terms|: a high degree or a
-    # positive scale makes p small on the circle, not its sign uncertain
+    # every sign is exact: a high degree or a tiny or huge scale makes p
+    # small or large on the loop, not its sign uncertain
     cases = [(parse_poly("y^6", 2), (0, 1))]
     cases += [(harmonic_2d(d, "imag_part"), (2 * d, d)) for d in (12, 14, 16, 20, 32)]
     sextic = harmonic_2d(6, "imag_part")
