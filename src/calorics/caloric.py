@@ -300,6 +300,9 @@ def _hermite_value_and_derivative(d: int, x: float) -> Tuple[float, float]:
 
 
 _NEWTON_STEPS = 4  # eigvalsh roots start near double precision; Newton converges quadratically
+# the largest refolding error of parabola_factors, and the smallest gap between
+# interlaced factors
+_FACTOR_TOLERANCE = 1e-10
 
 
 def _hermite_roots(d: int) -> np.ndarray:
@@ -324,13 +327,13 @@ def _hermite_roots(d: int) -> np.ndarray:
     return np.sort(np.asarray(polished))
 
 
-def parabola_factors(d: int, tolerance: float = 1e-10) -> ParabolaFactors:
+def parabola_factors(d: int) -> ParabolaFactors:
     """Numeric parabola coefficients a_{d,i} = 1 / (4 r_i^2) of p_d.
 
     The r_i are the positive Hermite roots of H_d.  The refolded product
     (x if d odd) * prod (t + a_i x^2) is compared coefficientwise against the
     exact p_d; the max absolute difference is reported and must stay below
-    `tolerance`.
+    _FACTOR_TOLERANCE, or RootFindingError is raised.
     """
     if d < 2:
         raise ValueError("factorization needs degree >= 2")
@@ -355,9 +358,9 @@ def parabola_factors(d: int, tolerance: float = 1e-10) -> ParabolaFactors:
         xexp = 2 * j + (d % 2)
         exact = float(p.coefficient(k - j, (xexp,)))
         error = max(error, abs(esym[j] - exact))
-    if error >= tolerance:
+    if error >= _FACTOR_TOLERANCE:
         raise RootFindingError(
-            f"parabola factor reconstruction error {error:.3e} exceeds {tolerance:.1e} for degree {d}"
+            f"parabola factor reconstruction error {error:.3e} exceeds {_FACTOR_TOLERANCE:.1e} for degree {d}"
         )
     return ParabolaFactors(
         degree=d,
@@ -367,18 +370,18 @@ def parabola_factors(d: int, tolerance: float = 1e-10) -> ParabolaFactors:
     )
 
 
-def interlacing_check(d: int, tolerance: float = 1e-10) -> CheckResult:
+def interlacing_check(d: int) -> CheckResult:
     """Check the strict interlacing of parabola factors of p_{d-1} and p_d.
 
     Merged in increasing order, the factors must alternate between the two
     polynomials starting with the smallest factor of p_d, with every gap
-    larger than `tolerance`.  Needs d >= 4 so both members of the pair carry
+    larger than _FACTOR_TOLERANCE.  Needs d >= 4 so both members of the pair carry
     at least one factor and the pattern is nontrivial.
     """
     if d < 4:
         raise ValueError("interlacing needs a consecutive pair with d >= 4")
-    lower = parabola_factors(d - 1, tolerance).coefficients
-    upper = parabola_factors(d, tolerance).coefficients
+    lower = parabola_factors(d - 1).coefficients
+    upper = parabola_factors(d).coefficients
     merged = [(a, d) for a in upper] + [(a, d - 1) for a in lower]
     merged.sort()
     owners = [owner for _, owner in merged]
@@ -386,11 +389,11 @@ def interlacing_check(d: int, tolerance: float = 1e-10) -> CheckResult:
     if owners != expected:
         return CheckResult(False, f"factor ownership pattern {owners} is not alternating")
     for (a, oa), (b, ob) in zip(merged, merged[1:]):
-        if b - a <= tolerance:
+        if b - a <= _FACTOR_TOLERANCE:
             return CheckResult(
                 False,
                 f"violated inequality: factor {a:.12g} of p_{oa} vs {b:.12g} of p_{ob} "
-                f"(margin {b - a:.3e} <= {tolerance:.1e})",
+                f"(margin {b - a:.3e} <= {_FACTOR_TOLERANCE:.1e})",
             )
     return CheckResult(True)
 

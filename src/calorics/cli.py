@@ -344,9 +344,16 @@ def _cmd_count(args) -> int:
     payload = report.to_json_dict()
     payload["source"] = meta.get("source")
     exit_code = EXIT_OK
+    # the slice bound and the proven bounds are theorems about caloric
+    # polynomials: for any other p they report null and the reason
+    not_caloric = None
+    if args.slice or args.check_bounds:
+        caloric = is_caloric(poly)
+        if not caloric:
+            not_caloric = f"p is not caloric ({caloric.reason})"
     if args.slice:
         slice_report = slice_count(poly)
-        bound_ok = slice_report.caveat or report.total <= slice_report.total
+        bound_ok = None if not_caloric else slice_report.caveat or report.total <= slice_report.total
         payload["slice"] = {
             "total": slice_report.total,
             "pos": slice_report.positive,
@@ -355,21 +362,25 @@ def _cmd_count(args) -> int:
             "half_width": format_rational(slice_report.half_width),
             "bound_ok": bound_ok,
         }
-        if not bound_ok:
+        if not_caloric:
+            payload["slice"]["reason"] = not_caloric
+        if bound_ok is False:
             exit_code = EXIT_ASSERT
     if args.check_bounds:
         d = parabolic_degree(poly)
         try:
-            bounds = bounds_report(poly.spatial_dim, d, report)
+            bounds = bounds_report(poly.spatial_dim, d, None if not_caloric else report)
         except BoundViolation as exc:
             payload["bounds"] = {"ok": False, "error": str(exc)}
             exit_code = EXIT_ASSERT
         else:
             payload["bounds"] = bounds.to_json_dict()
-            payload["bounds"]["ok"] = True
-            # the product family is the witness of the floor(d/n)^n lower bound
+            payload["bounds"]["ok"] = None if not_caloric else True
             floor = bounds.product_lower_bound
-            if _FAMILY_ALIASES.get(args.gen) == "product" and report.total < floor:
+            if not_caloric:
+                payload["bounds"]["reason"] = not_caloric
+            # the product family is the witness of the floor(d/n)^n lower bound
+            elif _FAMILY_ALIASES.get(args.gen) == "product" and report.total < floor:
                 payload["bounds"]["ok"] = False
                 payload["bounds"]["error"] = (
                     f"counted {report.total} nodal domains below the product floor {floor}"
@@ -380,11 +391,14 @@ def _cmd_count(args) -> int:
         payload["assert"] = {"expected": args.expected, "ok": ok}
         if not ok:
             exit_code = EXIT_ASSERT
-    summary = (
-        f"N = {report.total} ({report.positive} positive, {report.negative} negative), "
-        f"{'stable' if report.stable else 'UNSTABLE'} over {list(report.resolutions_used)} "
-        f"[heuristic-stabilized]"
-    )
+    if report.method == "cube-loop":
+        how = "exact on the cube loop"
+    else:
+        how = (
+            f"{'stable' if report.stable else 'UNSTABLE'} over {list(report.resolutions_used)} "
+            f"[heuristic-stabilized]"
+        )
+    summary = f"N = {report.total} ({report.positive} positive, {report.negative} negative), {how}"
     _emit(payload, summary)
     return exit_code
 

@@ -4,12 +4,21 @@ Counting reduces to a compact cross-section: every parabolic ray
 {(lambda x, lambda^2 t) : lambda > 0} through a nonzero point crosses the
 cube boundary of [-1, 1]^{n+1} exactly once (max(lambda |x_i|, lambda^2 |t|)
 is strictly increasing in lambda), and sign(p) is constant along rays, so
-nodal domains of p biject with sign components on the cube surface.  Unlike
-the unit sphere, the cube has cell centers with exact rational coordinates,
-so every sampled sign is exact and only the connectivity (grid resolution)
-is heuristic.  Counts are therefore reported as HEURISTIC-STABILIZED: a
-count is `stable` when the last three resolutions of a schedule agree on the
-(positive, negative) split, never certified.
+nodal domains of p biject with sign components on the cube surface.
+
+For n = 1 the surface is the loop around the square |x|, |t| <= 1, and the
+count is exact: _loop_signs gives the exact sign at each corner and the
+sign_arcs of each side, and each nodal domain is one maximal arc of nonzero
+sign (method "cube-loop", no schedule).  polar_chambers reads the same loop
+around a pole of an n = 2 face.
+
+For n >= 2 the surface is sampled on a grid.  Unlike the unit sphere, the
+cube has cell centers with exact rational coordinates, so every sampled
+sign is exact and only the connectivity (grid resolution) is heuristic.
+Those counts are therefore reported as HEURISTIC-STABILIZED: a count is
+`stable` when the last three resolutions of a schedule agree on the
+(positive, negative) split, never certified.  cube_section_sample and
+count_components take n = 1 too, as the loop's test oracle.
 
 Sign evaluation clears denominators and works on integers.  Every mesh is
 a face of a stack (_MeshForm): the faces share their mesh numerators, each
@@ -97,7 +106,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -105,7 +114,6 @@ from .polyring import Polynomial, parabolic_degree
 from .univariate import Rational, _poly_trim, _sturm_count, sign_arcs
 
 DEFAULT_SCHEDULES: Dict[int, Tuple[int, ...]] = {
-    2: (128, 256, 512),
     3: (64, 128, 256),
     4: (24, 48, 96),
 }
@@ -833,6 +841,19 @@ def _face_values(grid: CrossSectionGrid, mesh: np.ndarray, face: int) -> List[Ax
     return axis_values
 
 
+def _check_countable(p: Polynomial) -> int:
+    """The ambient dimension of p, once p is known to be countable on the cube, or NodalError."""
+    degree = parabolic_degree(p)  # raises NotHomogeneous / ZeroPolynomialError
+    if degree < 1:
+        raise NodalError("constant polynomials have no cross-section sign structure")
+    if degree > MAX_COUNT_DEGREE:
+        raise NodalError(f"degree {degree} exceeds the counting cap {MAX_COUNT_DEGREE}")
+    ambient = p.spatial_dim + 1
+    if not 2 <= ambient <= 4:
+        raise NodalError(f"counting supports ambient dimension 2..4, got {ambient}")
+    return ambient
+
+
 def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
     """Exact signs of p at all cell centers on the cube cross-section, with its run graph.
 
@@ -851,14 +872,7 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
     0.1% of cells the grid is jittered once by the fixed rational offset
     1/(6*resolution); the unjittered pass stops at the group where they do.
     """
-    degree = parabolic_degree(p)  # raises NotHomogeneous / ZeroPolynomialError
-    if degree < 1:
-        raise NodalError("constant polynomials have no cross-section sign structure")
-    if degree > MAX_COUNT_DEGREE:
-        raise NodalError(f"degree {degree} exceeds the counting cap {MAX_COUNT_DEGREE}")
-    ambient = p.spatial_dim + 1
-    if not 2 <= ambient <= 4:
-        raise NodalError(f"counting supports ambient dimension 2..4, got {ambient}")
+    ambient = _check_countable(p)
     resolution = _check_resolution(resolution)
     _check_mesh_cells(resolution + 2, ambient - 1)
     # faces per float pass: as many as fit in _CASCADE_FLOATS cells (at least
@@ -1036,14 +1050,28 @@ def count_components(field: SignField) -> ComponentReport:
 
 
 def nodal_count(p: Polynomial, schedule: Optional[Sequence[int]] = None) -> ComponentReport:
-    """Multi-resolution nodal-domain count on the cube cross-section.
+    """Nodal-domain count on the cube cross-section.
 
-    Runs count_components at each resolution of the schedule (default per
-    ambient dimension); the reported counts come from the finest level and
-    `stable` records whether the last three levels agree on the
-    (positive, negative) split.  Instability is reported, never raised.
+    For n = 1 the cross-section is the loop around the square |x|, |t| <= 1,
+    and the count is exact: each nodal domain is one maximal arc of nonzero
+    sign on it (_loop_signs), so the report is `stable` by proof, with method
+    "cube-loop" and no resolutions.  It takes no schedule; passing one
+    raises NodalError.  For n >= 2 it runs count_components at each
+    resolution of the schedule (default per ambient dimension); the reported
+    counts come from the finest level and `stable` records whether the last
+    three levels agree on the (positive, negative) split.  Instability is
+    reported, never raised.
     """
     ambient = p.spatial_dim + 1
+    if ambient == 2:
+        if schedule is not None:
+            raise NodalError("n = 1 is counted exactly and takes no schedule")
+        _check_countable(p)
+        signs = _loop_signs(p, lambda u, v: (u, v), Fraction(1))
+        # an arc starts after each root; a loop with no root is one arc
+        arcs = [s for k, s in enumerate(signs) if s and not signs[k - 1]] or signs[:1]
+        positive, negative = arcs.count(1), arcs.count(-1)
+        return ComponentReport(positive + negative, positive, negative, (), True, 0.0, "cube-loop")
     if schedule is None:
         if ambient not in DEFAULT_SCHEDULES:
             raise NodalError(f"no default schedule for ambient dimension {ambient}")
@@ -1086,6 +1114,22 @@ def _line(p: Polynomial, point: Sequence[Optional[Fraction]]) -> List[Fraction]:
     """Trimmed coefficients, lowest degree first, of p along the one None coordinate of point (x1..xn, t)."""
     terms = {ev.space_exps + (ev.t_exp,): c for ev, c in p.terms.items()}
     return _poly_trim(list(_exact_line(terms, list(point).index(None), [v for v in point if v is not None])))
+
+
+def _loop_signs(p: Polynomial, frame: Callable[..., tuple], h: Fraction) -> List[int]:
+    """Exact signs of p counterclockwise around the boundary of the square |u|, |v| <= h.
+
+    frame(u, v) is the point of p's coordinates (x1..xn, t) at the square's
+    coordinates (u, v), with None for a side's free coordinate.  Each corner
+    gives its exact sign, and the side that leaves it its sign_arcs on
+    (-h, h), in the loop's direction: a 0 stands for each root.
+    """
+    signs: List[int] = []
+    for u, v, du, dv in ((-h, -h, 1, 0), (h, -h, 0, 1), (h, h, -1, 0), (-h, h, 0, -1)):
+        value = p.evaluate(frame(u, v))
+        side = frame(None if du else u, None if dv else v)
+        signs += [(value > 0) - (value < 0), *sign_arcs(_line(p, side), -h, h)[:: du + dv]]
+    return signs
 
 
 def slice_count(
@@ -1163,7 +1207,8 @@ def polar_chambers(
     p must be parabolically homogeneous, so that its sign is constant along
     the rays (lambda x, lambda^2 t), and each ray near the pole crosses the
     loop once.  rho is an exact rational in (0, 1), a float at its exact
-    value.  Each side is one sign_arcs call and each corner one exact value.
+    value.  The signs come from _loop_signs, the loop that nodal_count reads
+    for n = 1.
     sign_changes counts the cyclic alternations of the nonzero signs around
     the loop (a root of even multiplicity makes none), n_plus their positive
     runs; a loop inside the zero set gives (0, 0).
@@ -1179,14 +1224,7 @@ def polar_chambers(
     if len({ev.parabolic_weight for ev in p.terms}) != 1:
         raise NodalError("polar chambers need a nonzero parabolically homogeneous p")
 
-    # counterclockwise: each corner, then the side that leaves it (its free coordinate None)
-    corners = [(-rho, -rho), (rho, -rho), (rho, rho), (-rho, rho)]
-    sides = [((None, -rho, t), 1), ((rho, None, t), 1), ((None, rho, t), -1), ((-rho, None, t), -1)]
-    signs: List[int] = []
-    for corner, (point, step) in zip(corners, sides):
-        value = p.evaluate(corner + (t,))
-        signs += [(value > 0) - (value < 0), *sign_arcs(_line(p, point), -rho, rho)[::step]]
-    signs = [s for s in signs if s]
+    signs = [s for s in _loop_signs(p, lambda x, y: (x, y, t), rho) if s]
     changes = sum(1 for a, b in zip(signs, signs[1:] + signs[:1]) if a != b)
     n_plus = changes // 2 if changes else int(1 in signs)
     return PolarChamberReport(pole=pole, radius=rho, sign_changes=changes, n_plus=n_plus)

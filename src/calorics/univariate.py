@@ -4,7 +4,8 @@ Sturm sequences are built as primitive pseudo-remainder sequences on integer
 coefficients (lowest degree first) and evaluated exactly at rational points,
 so counts of distinct real roots and the signs between them (sign_arcs) are
 proofs, not estimates.  The module has no floating point: nodal imports it
-for its last merge stage, the n = 1 slice and the polar chambers.
+for its last merge stage, the n = 1 slice, and the cube loop of the n = 1
+count and the polar chambers.
 """
 
 from __future__ import annotations

@@ -39,6 +39,7 @@ from calorics import (
     zero_mod4,
 )
 from calorics.caloric import gaussian_moment_rational
+from calorics.nodal import MAX_COUNT_DEGREE
 
 
 def _counted(p, schedule=None):
@@ -89,11 +90,12 @@ def test_criterion_3_orthogonality_with_quadrature_oracle():
 
 
 def test_criterion_4_one_dimensional_counts():
-    for d in range(2, 9):
+    for d in range(2, MAX_COUNT_DEGREE + 1):
         report = _counted(basic_hcp(d))
-        assert report.stable
-        assert report.total == 2 * math.ceil(d / 2)
-    print("ACCEPTANCE 4 one-variable counts 2*ceil(d/2) for d = 2..8, stable: PASS")
+        half = math.ceil(d / 2)
+        assert (report.positive, report.negative, report.stable) == (half, half, True)
+        assert report.method == "cube-loop"
+    print(f"ACCEPTANCE 4 one-variable counts 2*ceil(d/2) for d = 2..{MAX_COUNT_DEGREE}, exact: PASS")
 
 
 def test_criterion_5_printed_fixture_counts():
@@ -175,7 +177,7 @@ def test_criterion_9_factorization_and_interlacing():
     for d in range(2, 17):
         assert parabola_factors(d).reconstruction_error < 1e-10
     for d in range(4, 17):
-        assert interlacing_check(d, 1e-10)
+        assert interlacing_check(d)
     print("ACCEPTANCE 9 parabola factor reconstruction < 1e-10 and interlacing to d = 16: PASS")
 
 

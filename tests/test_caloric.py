@@ -249,7 +249,7 @@ def test_interlacing_pair_five_six():
 
 @pytest.mark.parametrize("d", range(4, 17))
 def test_interlacing_all_consecutive_pairs(d):
-    assert interlacing_check(d, 1e-10)
+    assert interlacing_check(d)
 
 
 # ---- weighted inner products ----

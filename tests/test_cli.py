@@ -103,9 +103,7 @@ def test_count_assert_matches(capsys):
 
 
 def test_count_assert_mismatch_exits_three(capsys):
-    code, out, _ = run(
-        capsys, "count", "--fixture", "deg2", "--assert", "3", "--schedule", "16,32,64"
-    )
+    code, out, _ = run(capsys, "count", "--fixture", "deg2", "--assert", "3")
     assert code == 3
     assert not json.loads(out)["assert"]["ok"]
 
@@ -113,10 +111,11 @@ def test_count_assert_mismatch_exits_three(capsys):
 def test_count_generated_source(capsys):
     code, out, _ = run(
         capsys,
-        "count", "--gen", "basic", "-d", "7", "--assert", "8", "--schedule", "64,128,256",
+        "count", "--gen", "basic", "-d", "7", "--assert", "8",
     )
     assert code == 0
-    assert json.loads(out)["total"] == 8
+    payload = json.loads(out)
+    assert (payload["total"], payload["method"], payload["resolutions"]) == (8, "cube-loop", [])
 
 
 def test_count_product_source(capsys):
@@ -131,12 +130,27 @@ def test_count_product_source(capsys):
 def test_count_with_slice_and_bounds(capsys):
     code, out, _ = run(
         capsys,
-        "count", "--fixture", "deg2", "--slice", "--check-bounds", "--schedule", "32,64,128",
+        "count", "--fixture", "deg2", "--slice", "--check-bounds",
     )
     assert code == 0
     payload = json.loads(out)
     assert payload["slice"]["bound_ok"] and not payload["slice"]["caveat"]
     assert payload["bounds"]["ok"]
+    assert "reason" not in payload["slice"] and "reason" not in payload["bounds"]
+
+
+@pytest.mark.parametrize("flag", ["--slice", "--check-bounds"])
+def test_count_holds_only_caloric_input_to_the_bounds(capsys, flag):
+    # t is homogeneous but not caloric: its two domains {t > 0} and {t < 0}
+    # outnumber the one arc of its slice, and no theorem relates them
+    code, out, err = run(capsys, "count", "--expr", "t", "-n", "1", flag)
+    assert code == 0
+    payload = json.loads(out)
+    report = payload["slice" if flag == "--slice" else "bounds"]
+    assert report["bound_ok" if flag == "--slice" else "ok"] is None
+    assert report["reason"] == "p is not caloric (heat_residual)"
+    assert payload["total"] == 2
+    assert err == "N = 2 (1 positive, 1 negative), exact on the cube loop\n"
 
 
 @pytest.mark.parametrize("degree", ["7", "8", "12", "24", "40"])
@@ -149,8 +163,7 @@ def test_count_slice_of_basic_hcp_is_exact(capsys, degree):
     payload = json.loads(out)
     assert payload["slice"]["total"] == int(degree) + 1
     assert not payload["slice"]["caveat"] and payload["slice"]["bound_ok"]
-    if int(degree) <= 12:  # the cube count of d = 24 and 40 is not stable yet
-        assert payload["total"] == int(degree) + int(degree) % 2 and payload["stable"]
+    assert payload["total"] == int(degree) + int(degree) % 2 and payload["stable"]
 
 
 @pytest.mark.parametrize("expr", ["x^2+10^17*t", "x^2+10^19*t"])
@@ -189,30 +202,35 @@ def test_parse_error_exits_four(capsys):
         assert "position" in err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        "count --fixture n2d3 --schedule 8,16",  # too few resolutions
-        "count --expr 2*t+x1^2 -n 4",  # ambient dimension 5
-        # a scaled integer coefficient of this degree-20 input exceeds the float range
-        "count --gen zero-mod4 -d 20 --eps 1/4 --rot angle:0.2",
-        # at x = 1 the term x^64 scales to 70000^64, beyond the float range
-        "count --expr x^64 -n 1 --schedule 70000,70001,70002",
-        # one face of 40002^2 cells is past MAX_MESH_CELLS: refused before any allocation
-        "count --fixture n2d3 --schedule 40000,40001,40002",
-    ],
-)
+# each command, and a part of its error message
+_COUNTING_ERRORS = {
+    "count --fixture n2d3 --schedule 8,16": "at least three resolutions",
+    "count --expr 2*t+x1^2 -n 4": "ambient dimension 5",
+    # a scaled integer coefficient of this degree-20 input exceeds the float range
+    "count --gen zero-mod4 -d 20 --eps 1/4 --rot angle:0.2": "exceeds the float range",
+    # n = 1 is counted on the cube loop, in exact arithmetic
+    "count --expr x^64 -n 1 --schedule 70000,70001,70002": "n = 1 is counted exactly and takes no schedule",
+    # on the face x = 1 the term 10^100 x^64 scales to 10^100 * 2000^64, beyond the float range
+    "count --expr 10^100*x^64 -n 2 --schedule 2000,2001,2002": "exceeds the float range",
+    # one face of 40002^2 cells is past MAX_MESH_CELLS: refused before any allocation
+    "count --fixture n2d3 --schedule 40000,40001,40002": "MAX_MESH_CELLS",
+}
+
+
+@pytest.mark.parametrize("argv", list(_COUNTING_ERRORS))
 def test_counting_errors_exit_four(capsys, argv):
     code, _, err = run(capsys, *argv.split())
     assert code == 4
-    assert err.startswith("error:")
+    assert err.startswith("error:") and _COUNTING_ERRORS[argv] in err
 
 
 @pytest.mark.parametrize(
     "argv, expected",
     [
+        # the float angle makes p not caloric, so the bounds do not apply to it
         ("count --gen zero-mod4 -d 16 --eps 1/4 --rot angle:0.2 --check-bounds", None),
-        ("count --expr x^64 -n 1 --schedule 10000,10001,10002", (2, 2, 0, True)),
+        # 10^150 * 64^64 fits in a float; with eight times the denominator it would not
+        ("count --expr 10^150*x^64 -n 2 --schedule 16,32,64", (2, 2, 0, True)),
     ],
 )
 def test_high_degree_inputs_count_within_the_float_range(capsys, argv, expected):
@@ -222,7 +240,7 @@ def test_high_degree_inputs_count_within_the_float_range(capsys, argv, expected)
     assert code == 0
     payload = json.loads(out)
     if expected is None:
-        assert payload["bounds"]["ok"]
+        assert payload["bounds"]["ok"] is None
     else:
         assert (payload["total"], payload["pos"], payload["neg"], payload["stable"]) == expected
 
@@ -596,9 +614,9 @@ def test_bounds_past_the_digit_cap_exit_four_at_once(capsys, n):
 
 
 def test_count_output_is_deterministic(capsys):
-    _, first, _ = run(capsys, "count", "--fixture", "deg2", "--schedule", "16,32,64")
-    _, second, _ = run(capsys, "count", "--fixture", "deg2", "--schedule", "16,32,64")
-    assert first == second
+    _, first, _ = run(capsys, "count", "--fixture", "n2d3", "--schedule", "16,32,64")
+    _, second, _ = run(capsys, "count", "--fixture", "n2d3", "--schedule", "16,32,64")
+    assert first and first == second
 
 
 # the exact stdout of each command: a refactor of the counting layer must
@@ -623,7 +641,7 @@ _PINNED_REPORTS = [
      ' "n": 3, "ok": true}, "method": "cube-exact", "neg": 1, "pos": 1, "resolutions": [24,'
      ' 48, 96], "source": "fixture:n3d4", "stable": true, "total": 2, "zero_frac": 0.0}'),
     ("count --gen basic -d 7",
-     '{"method": "cube-exact", "neg": 4, "pos": 4, "resolutions": [128, 256, 512],'
+     '{"method": "cube-loop", "neg": 4, "pos": 4, "resolutions": [],'
      ' "source": "gen:basic", "stable": true, "total": 8, "zero_frac": 0.0}'),
     ("count --gen product -d 8 -n 2",
      '{"method": "cube-exact", "neg": 12, "pos": 10, "resolutions": [64, 128, 256],'

@@ -85,11 +85,12 @@ def test_sign_mesh_detects_exact_zeros():
 
 def test_sign_mesh_resolves_an_exact_zero_on_a_point_mesh():
     # (x^2 + t)^2 vanishes at the cube corner (1, -1), between two positive
-    # cells of the adjacent faces, so the n = 1 stitch across that corner
-    # must not merge them
+    # cells of the adjacent faces, so the stitch of the n = 1 grid across
+    # that corner must not merge them
     p = parse_poly("(x^2 + t)^2", 1)
-    report = nodal_count(p, [8, 16, 32])
-    assert (report.total, report.positive, report.negative) == (2, 2, 0)
+    for resolution in (8, 16, 32):
+        report = count_components(cube_section_sample(p, resolution))
+        assert (report.total, report.positive, report.negative) == (2, 2, 0)
 
 
 def test_sign_mesh_certifies_huge_coefficient_cancellation():
@@ -531,7 +532,7 @@ def test_nodal_count_rejects_a_schedule_entry_that_is_not_an_integer(schedule):
 
 
 def test_nodal_count_accepts_numpy_integer_schedules():
-    p = fixture("deg2")
+    p = fixture("n2d3")
     assert nodal_count(p, np.array([16, 32, 64])) == nodal_count(p, [16, 32, 64])
 
 
@@ -574,12 +575,61 @@ def test_mesh_size_cap_is_checked_before_sampling():
 
 
 def test_nodal_count_report_shape():
-    report = nodal_count(fixture("deg2"), [16, 32, 64])
+    report = nodal_count(fixture("n2d3"), [16, 32, 64])
     assert report.stable
     assert report.resolutions_used == (16, 32, 64)
     data = report.to_json_dict()
     assert data["method"] == "cube-exact"
     assert data["total"] == 2
+
+
+def test_one_dimensional_count_is_exact_on_the_cube_loop():
+    # n = 1 is read off the loop around the square |x|, |t| <= 1: no grid,
+    # so no resolutions and no schedule, and stable by proof
+    assert nodal_count(fixture("deg2")).to_json_dict() == {
+        "total": 2,
+        "pos": 1,
+        "neg": 1,
+        "resolutions": [],
+        "stable": True,
+        "zero_frac": 0.0,
+        "method": "cube-loop",
+    }
+    for schedule in ([16, 32, 64], np.array([16, 32, 64]), []):
+        with pytest.raises(NodalError, match="n = 1 is counted exactly and takes no schedule"):
+            nodal_count(fixture("deg2"), schedule)
+    assert 2 not in nodal.DEFAULT_SCHEDULES
+    # the same refusals as the grid: a constant, a degree past the cap, an inhomogeneous p
+    with pytest.raises(NodalError, match="constant"):
+        nodal_count(Polynomial.constant(1, 3))
+    with pytest.raises(NodalError, match="counting cap"):
+        nodal_count(basic_hcp(66))
+    with pytest.raises(NotHomogeneous):
+        nodal_count(parse_poly("t + x", 1))
+
+
+# the loop against the grid, at the resolutions where the grid agrees with
+# itself: every basic_hcp(d) up to d = 13, a root at the cube corner (1, -1),
+# roots of even multiplicity, and roots on the side faces' t = 0 points
+_LOOP_ORACLE = [f"hcp{d}" for d in range(2, 14)] + [
+    "deg2", "(x^2+t)^2", "x^2", "x*(x^2+2*t)^2", "x*t", "t",
+]
+
+
+@pytest.mark.parametrize("name", _LOOP_ORACLE)
+def test_cube_loop_matches_the_stable_grid(name):
+    if name.startswith("hcp"):
+        p = basic_hcp(int(name[3:]))
+    else:
+        p = fixture(name) if name == "deg2" else parse_poly(name, 1)
+    grid = {
+        (report.positive, report.negative)
+        for report in (count_components(cube_section_sample(p, r)) for r in (128, 256, 512))
+    }
+    assert len(grid) == 1
+    loop = nodal_count(p)
+    assert {(loop.positive, loop.negative)} == grid
+    assert (loop.stable, loop.method) == (True, "cube-loop")
 
 
 def _corpus_polynomial(name):
@@ -696,7 +746,8 @@ def test_product_family_counts_at_default_schedules(monkeypatch, n, d, expected)
 
 def test_mean_value_consequence_every_caloric_fixture_has_two_domains():
     for fid in ["deg2", "n2d3", "basic_3"]:
-        report = nodal_count(fixture(fid), [24, 48, 96])
+        p = fixture(fid)
+        report = nodal_count(p, None if p.spatial_dim == 1 else [24, 48, 96])
         assert report.total >= 2
 
 
@@ -1057,16 +1108,19 @@ def test_face_wide_rounding_bound_leaves_one_contraction_per_float_pass(monkeypa
         contractions.clear()
         nodal_count(p)
         assert len(contractions) == len(passes) > 0
-    per_cell = [
-        (zero_mod4(16, F(1, 4), 0.2), (49, 23, 26, False)),
-        (basic_hcp(24), (22, 12, 10, False)),
-    ]
-    for p, expected in per_cell:
+    p = zero_mod4(16, F(1, 4), 0.2)
+    passes.clear()
+    contractions.clear()
+    report = nodal_count(p)
+    assert len(contractions) == 2 * len(passes) > 0
+    assert (report.total, report.positive, report.negative, report.stable) == (49, 23, 26, False)
+    # n = 1 counts on the cube loop, so its grid is sampled directly
+    for resolution, expected in ((128, (8, 10)), (256, (10, 10)), (512, (12, 10))):
         passes.clear()
         contractions.clear()
-        report = nodal_count(p)
+        report = count_components(cube_section_sample(basic_hcp(24), resolution))
         assert len(contractions) == 2 * len(passes) > 0
-        assert (report.total, report.positive, report.negative, report.stable) == expected
+        assert (report.positive, report.negative) == expected
 
 
 def test_bernstein_stage_runs_each_mesh_axis_at_its_own_degree(monkeypatch):
@@ -1249,7 +1303,7 @@ def test_slice_of_degree_four():
     report = slice_count(basic_hcp(4), 4)
     assert report.total == 5
     assert not report.caveat
-    assert nodal_count(basic_hcp(4), [32, 64, 128]).total <= report.total
+    assert nodal_count(basic_hcp(4)).total <= report.total
 
 
 def test_slice_of_deg2():
@@ -1610,7 +1664,7 @@ def test_bounds_violation_raises():
 
 
 def test_bounds_accept_component_report():
-    report = nodal_count(fixture("deg2"), [16, 32, 64])
+    report = nodal_count(fixture("deg2"))
     bounds_report(1, 2, report)
 
 
