@@ -13,6 +13,7 @@ Everything in this module that claims an identity checks it with exact
 rational arithmetic.  Floating point appears only in `parabola_factors`
 (Hermite root finding) and its interlacing consequence, which are numeric by
 nature; those report reconstruction residuals instead of exact proofs.
+They import numpy when called, so the exact checks run without it.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .polyring import (
     ExponentVector,
@@ -307,6 +306,8 @@ _FACTOR_TOLERANCE = 1e-10
 
 def _hermite_roots(d: int) -> np.ndarray:
     """All roots of H_d via the symmetric Jacobi matrix, Newton-polished."""
+    import numpy as np
+
     offdiag = np.sqrt(np.arange(1, d) / 2.0)
     jacobi = np.diag(offdiag, 1) + np.diag(offdiag, -1)
     roots = np.linalg.eigvalsh(jacobi)
@@ -335,6 +336,8 @@ def parabola_factors(d: int) -> ParabolaFactors:
     exact p_d; the max absolute difference is reported and must stay below
     _FACTOR_TOLERANCE, or RootFindingError is raised.
     """
+    import numpy as np
+
     if d < 2:
         raise ValueError("factorization needs degree >= 2")
     k = d // 2

@@ -96,6 +96,10 @@ same-sign adjacency would weld distinct nodal domains across the thin
 wedges where nodal sheets cross, e.g. the two positive domains of
 (2t + x^2)(2t + y^2), or across the thin sign bands at the parabolic cusps
 of the product family, and no amount of refinement repairs that.
+
+The exact paths (the n = 1 loop and slice, the bounds) never touch numpy:
+the module global np is a stand-in that imports numpy at the first float
+operation and rebinds np to it.
 """
 
 from __future__ import annotations
@@ -108,10 +112,26 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from .polyring import Polynomial, parabolic_degree
 from .univariate import Rational, _poly_trim, _sturm_count, sign_arcs
+
+
+class _LazyNumpy:
+    """Stands in for numpy until the first float operation reads an attribute.
+
+    That read imports numpy and rebinds the module global np to it, so the
+    exact paths never import numpy and every later lookup is numpy's own.
+    """
+
+    def __getattr__(self, name: str):
+        global np
+        import numpy
+
+        np = numpy
+        return getattr(numpy, name)
+
+
+np = _LazyNumpy()
 
 DEFAULT_SCHEDULES: Dict[int, Tuple[int, ...]] = {
     3: (64, 128, 256),
@@ -130,7 +150,7 @@ MAX_BOUND_DIGITS = 4000
 MAX_MESH_CELLS = 2 ** 22
 _JITTER_ZERO_FRACTION = 1e-3
 _EXPORT_SHELLS = 8  # sphere radii sampled across the export annulus
-_FLOAT_EPS = float(np.finfo(np.float64).eps)
+_FLOAT_EPS = sys.float_info.epsilon  # 2^-52, numpy.finfo(numpy.float64).eps
 
 
 class NodalError(Exception):
@@ -145,8 +165,10 @@ def _check_mesh_cells(side: int, ndim: int) -> None:
 
 def _check_resolution(resolution) -> int:
     """resolution as an int; NodalError unless it is an integer (not a bool) of at least 2."""
-    # int() would truncate 16.9 to 16 silently
-    if isinstance(resolution, bool) or not isinstance(resolution, (int, np.integer)):
+    # int() would truncate 16.9 to 16 silently; a plain int never reads np
+    if isinstance(resolution, bool) or not (
+        isinstance(resolution, int) or isinstance(resolution, np.integer)
+    ):
         raise NodalError(f"resolution must be an integer, got {resolution!r}")
     if resolution < 2:
         raise NodalError("resolution must be >= 2")
@@ -196,7 +218,7 @@ def _integer_scaled_terms(p: Polynomial, denominator: int):
     return degree, exps, ints
 
 
-AxisValues = Union[int, np.ndarray]
+AxisValues = Union[int, "np.ndarray"]
 
 _BERNSTEIN_SPLITS = 4  # de Casteljau halvings of an edge before the exact fallback
 # floats in each array of one batch of merge stages (b) and (c), 2 MB: a batch

@@ -1,6 +1,7 @@
 """Command-line surface: sources, reports, exit codes, determinism."""
 
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -364,6 +365,85 @@ def test_count_and_scan_skip_numpy_ma():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["count 0 False", "scan 0 False"]
+
+
+# the cli benchmark's commands: the seven exact ones never compute a float and
+# leave numpy unimported; a 2-D count and an export load it, so the guard below
+# cannot pass vacuously
+_NUMPY_LOADS = [
+    ("gen basic -d 4", False),
+    ("gen fixture n2d3", False),
+    ("verify --fixture n3d4", False),
+    ("verify --gen zero-mod4 -d 16 --eps 1/4 --rot 221/229,-60/229", False),
+    ("bounds -n 2 -d 8", False),
+    ("count --gen basic -d 7 --assert 8", False),
+    ("count --fixture deg2 --slice --check-bounds", False),
+    ("count --fixture n2d4 --assert 3", True),
+    ("export --fixture n2d4 --resolution 32", True),
+]
+
+
+@pytest.mark.parametrize("command, loads_numpy", _NUMPY_LOADS)
+def test_exact_commands_run_without_numpy(tmp_path, command, loads_numpy):
+    # main in a fresh interpreter reports numpy's presence on a last stderr
+    # line, after the same stdout and exit code as the console script
+    argv = command.split()
+    if argv[0] == "export":
+        argv += ["--out", str(tmp_path / "cloud.csv")]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    code = "\n".join(
+        [
+            "import sys",
+            "from calorics.cli import main",
+            "code = main(sys.argv[1:])",
+            "print('numpy' in sys.modules, file=sys.stderr)",
+            "sys.exit(code)",
+        ]
+    )
+    guarded = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True)
+    plain = subprocess.run([sys.executable, "-m", "calorics.cli", *argv], env=env, capture_output=True, text=True)
+    assert guarded.stderr.splitlines()[-1] == str(loads_numpy), guarded.stderr
+    assert guarded.returncode == plain.returncode == 0, plain.stderr
+    assert guarded.stdout == plain.stdout != ""
+
+
+def test_package_import_skips_numpy():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, calorics; print('numpy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_holds_every_traced_target():
+    # the benchmark's tracer reads each (module, attr) of its TARGETS from
+    # sys.modules right after `import calorics.cli`, so no traced module may
+    # load lazily; TARGETS is read from the benchmark's own file
+    tracing = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_bench_tracing", tracing)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    pairs = [[name, attr] for name, attr, _ in module.TARGETS]
+    assert pairs
+    code = "\n".join(
+        [
+            "import json, sys",
+            "import calorics.cli",
+            "for name, attr in json.loads(sys.argv[1]):",
+            "    assert callable(getattr(sys.modules[name], attr)), (name, attr)",
+        ]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(pairs)],
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def _limited_main(argv, seconds=10):

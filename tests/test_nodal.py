@@ -551,7 +551,7 @@ def test_every_resolution_is_an_integer_of_at_least_two(name):
     # a float, a bool or a resolution below 2 is refused with NodalError
     # before any sampling, and a numpy integer counts as the int it holds
     call, p = _AT_RESOLUTION[name], fixture("n2d3")
-    for resolution in (16.5, 8.0, True, 1, 0, -3):
+    for resolution in (16.5, 8.0, True, np.bool_(True), 1, 0, -3):
         with pytest.raises(NodalError):
             call(p, resolution)
     assert call(p, np.int64(16)) == call(p, 16)
