@@ -38,13 +38,22 @@ under the bound (in particular all exact zeros) are re-evaluated with exact
 integer arithmetic, so no sign is ever trusted to floating point.  Exact
 zeros are excluded from every component; if more than 0.1% of cells are
 zero the grid is jittered by 1/(6r) and resampled once.
-cube_section_sample evaluates the faces in stacked groups of at most 2^18
-cells (one face when a face alone is larger), each face on its cell centers
-plus the cube edges around it, and slice_count an n >= 2 box as a stack of
-one face.  Each group is one form: it gives the group's exact signs, its
-complete merge masks (_MeshForm.merge_masks), and one graph of runs.
-Once the last group is in, each stitch across a cube edge is read from the
-leg masks of the two face sides that meet there.
+cube_section_sample evaluates one face of each antipodal pair and mirrors
+the other.  Every term x^alpha t^k of a parabolically homogeneous p has
+|alpha| + 2k = d, so p(-x, t) = (-1)^d p(x, t) exactly, and sigma: x -> -x
+maps the face x_a = +1 onto x_a = -1 with t unchanged.  On the unjittered
+grid sigma maps the cell centers (2i + 1 - r)/r and the cube edges onto
+themselves, and each segment between them onto a segment, so each sign of
+the face x_a = -1 is (-1)^d times its image's, and each root-free decision
+(stitch legs included) is its image's.  The jittered grid is not symmetric,
+and there every face is evaluated.  The evaluated faces go in stacked
+groups of at most 2^18 cells (one face when a face alone is larger), each
+face on its cell centers plus the cube edges around it, and slice_count
+evaluates an n >= 2 box as a stack of one face.  Each group is one form: it
+gives the group's exact signs, its complete merge masks
+(_MeshForm.merge_masks), and one graph of runs, which the mirrored faces
+copy.  Once the last group is in, each stitch across a cube edge is read
+from the leg masks of the two face sides that meet there.
 
 Adjacency is certified: two same-sign cells sharing a facet merge only when
 the segment joining their centers is proven free of roots of p.  Four
@@ -880,48 +889,75 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
     """Exact signs of p at all cell centers on the cube cross-section, with its run graph.
 
     Requires a parabolically homogeneous p of degree >= 1 in ambient
-    dimension 2..4.  Faces are evaluated in stacked groups of even size, as
-    many faces as fit in _CASCADE_FLOATS = 2^18 cells (at least one), each
-    face on its cell centers plus the cube edges around it (_face_values).
-    Every mesh axis of every face has the same numerators, grid.mesh, so
-    each group is one _MeshForm: it gives the group's exact signs and the
-    merge mask of each in-face edge and stitch leg (merge_masks, with its
-    rim edges skipped), and its float arrays are dropped before the next
-    group.  The group's runs come from its complete masks, and their ids
-    follow the earlier groups'.  Each face side's leg mask is final when it
-    is recorded; after the last group two cells beside a shared cube edge
-    stitch when both of their legs are root-free.  If sampled zeros exceed
-    0.1% of cells the grid is jittered once by the fixed rational offset
-    1/(6*resolution); the unjittered pass stops at the group where they do.
+    dimension 2..4.  Only the source faces are evaluated: x_a = +1 for each
+    space axis a, and both t faces; each face x_a = -1 is their mirror
+    image.  Every term x^alpha t^k of p has |alpha| + 2k = d, so
+    p(-x, t) = (-1)^d p(x, t) exactly, and sigma: x -> -x maps face x_a = +1
+    onto face x_a = -1, leaving t unchanged.  On the unjittered grid sigma
+    maps the mesh numerators (2i + 1 - r) and the cube edges -den, +den onto
+    themselves, so it maps cells onto cells and each segment between two of
+    them onto a segment: every exact sign is (-1)^d times its source's, and
+    every root-free decision (stages (a)-(d), stitch legs included) is its
+    source's.  A mirror takes its source's signs times (-1)^d, reversed
+    along every space mesh axis (t is the last one, never reversed), its
+    runs and in-face edges with the ids shifted, and its source's cube-edge
+    sides: the side toward x_c = +-1 is the source's side toward x_c = -+1
+    for a space axis c, and toward t = +-1 for t, reordered by the same
+    reversal.  The jittered grid's numerators 6(2i + 1 - r) + 1 are not
+    symmetric, so there every face is a source.
+
+    The sources are evaluated in stacked groups of even size, as many faces
+    as fit in _CASCADE_FLOATS = 2^18 cells (at least one), each face on its
+    cell centers plus the cube edges around it (_face_values), the mirrored
+    sources first.  Every mesh axis of every face has the same numerators,
+    grid.mesh, so each group is one _MeshForm: it gives the group's exact
+    signs and the merge mask of each in-face edge and stitch leg
+    (merge_masks, with its rim edges skipped), and its float arrays are
+    dropped before the next group.  The group's runs come from its complete
+    masks, the mirrors' runs follow them, and their ids follow the earlier
+    groups'.  Each face side's leg mask is final when it is recorded; after
+    the last group two cells beside a shared cube edge stitch when both of
+    their legs are root-free.  If sampled zeros (a mirror has its source's)
+    exceed 0.1% of cells the grid is jittered once by the fixed rational
+    offset 1/(6*resolution); the unjittered pass stops at the group where
+    they do.
     """
     ambient = _check_countable(p)
     resolution = _check_resolution(resolution)
     _check_mesh_cells(resolution + 2, ambient - 1)
-    # faces per float pass: as many as fit in _CASCADE_FLOATS cells (at least
-    # one), in groups of even size, so that a group's float arrays take at
-    # most 2 MiB each unless one face alone is larger
-    per_group = max(1, _CASCADE_FLOATS // (resolution + 2) ** (ambient - 1))
-    groups = -(-2 * ambient // per_group)
-    per_group = -(-2 * ambient // groups)
+    parity = (-1) ** parabolic_degree(p)  # p(-x, t) = parity * p(x, t)
     # the face axis, then the inner cells of every mesh axis
     inner = (slice(None),) + (slice(1, -1),) * (ambient - 1)
 
     for jittered in (False, True):
         grid = CrossSectionGrid(ambient, resolution, jittered)
         mesh = grid.mesh
+        # source face -> its mirror under x -> -x, where that maps the mesh onto itself
+        symmetric = np.array_equal(mesh, -mesh[::-1])
+        mirrors = {2 * a + 1: 2 * a for a in range(ambient - 1)} if symmetric else {}
+        sources = list(mirrors) + [f for f in range(grid.face_count) if f not in {*mirrors, *mirrors.values()}]
+        # sources per float pass: as many as fit in _CASCADE_FLOATS cells (at
+        # least one), in groups of even size, so that a group's float arrays
+        # take at most 2 MiB each unless one face alone is larger
+        per_group = max(1, _CASCADE_FLOATS // (resolution + 2) ** (ambient - 1))
+        groups = -(-len(sources) // per_group)
+        per_group = -(-len(sources) // groups)
         scaled = _integer_scaled_terms(p, grid.denominator)
         counts: Dict[tuple, bool] = {}  # stage (d)'s Sturm counts, kept across the groups
-        face_signs, node_signs, edges = [], [], []
+        face_signs: Dict[int, np.ndarray] = {}
+        node_signs, edges = [], []
         # (face, neighbour face) -> the face's cells next to their cube edge: node ids and
         # the merge mask of their stitch legs
         sides: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
         zeros = offset = 0
-        for first in range(0, grid.face_count, per_group):
-            faces = range(first, min(first + per_group, grid.face_count))
+        for first in range(0, len(sources), per_group):
+            faces = sources[first:first + per_group]
+            mirrored = sum(face in mirrors for face in faces)  # the group's first faces: they lead `sources`
             form = _MeshForm(scaled, [_face_values(grid, mesh, face) for face in faces])
             signs = form.signs()
             if not form.nonzero:  # else the face-wide tier certified every cell
-                zeros += int(np.count_nonzero(signs[inner] == 0))
+                zero = np.count_nonzero(signs[inner] == 0, axis=tuple(range(1, ambient)))
+                zeros += int(zero.sum() + zero[:mirrored].sum())
             if not jittered and zeros / grid.cell_count > _JITTER_ZERO_FRACTION:
                 break  # too many zeros: resample on the jittered grid
             # per mesh axis: the in-face edges, and the stitch legs from a side cell to the cube edge
@@ -929,6 +965,10 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
             del form  # its per-cell floats, before the group's graph is built
             inside = signs[inner]
             starts, runs, group_rows, group_cols = _probed_runs(inside, [m[inner] for m in masks])
+            # the mirrored faces' runs, and the shift from a run's id to its image's: the images
+            # follow the group's runs
+            mirrored_runs = int(np.searchsorted(starts, mirrored * inside[0].size))
+            shift = len(runs)
             for slot, merged in enumerate(masks):
                 # a side of every face of the group is flat, face by face in the order of one
                 # layer of `inside` along the axis, whose cells sit at layer + index * stride
@@ -945,12 +985,29 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
                     # borders the face at -1 on that axis, the high side +1
                     for face, side in zip(faces, zip(ids.reshape(len(faces), -1), legs)):
                         other = slot + (slot >= grid.face_axis_sign(face)[0])
-                        sides[face, 2 * other + (1 if i else 0)] = side
-            face_signs.extend(inside)
-            node_signs.append(runs)
+                        end = 1 if i else 0
+                        sides[face, 2 * other + end] = side
+                        if face in mirrors:
+                            # x -> -x reverses the side's space axes and swaps the ends of a
+                            # space axis; t, the last coordinate, keeps both
+                            t_side = other == ambient - 1
+                            space = range(ambient - 2 if t_side else ambient - 3)
+                            sides[mirrors[face], 2 * other + (end if t_side else 1 - end)] = tuple(
+                                np.flip(part.reshape((resolution,) * (ambient - 2)), space).ravel()
+                                for part in (side[0] + shift, side[1])
+                            )
+            for face, values in zip(faces, inside):
+                face_signs[face] = values
+                if face in mirrors:  # t, the last mesh axis, keeps its order; a view for even d
+                    image = np.flip(values, range(ambient - 2))
+                    face_signs[mirrors[face]] = image if parity == 1 else -image
+            node_signs += [runs, parity * runs[:mirrored_runs]]
+            # an in-face edge joins two runs of one face
+            kept = group_rows < mirrored_runs
+            edges.append((group_rows[kept] + (offset + shift), group_cols[kept] + (offset + shift)))
             # in place: a shifted copy would keep the unshifted ids alive into the next group
             edges.append(tuple(np.add(part, offset, out=part) for part in (group_rows, group_cols)))
-            offset += len(runs)
+            offset += shift + mirrored_runs
             del masks, merged, starts  # before the next group's form is built
         else:
             # every face sampled: two cells beside a cube edge stitch where
@@ -962,7 +1019,8 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
                     edges.append((near[both], ids[both]))
             break
     rows, cols = (np.concatenate(part) for part in zip(*edges))
-    return SignField(grid, tuple(face_signs), zeros, np.concatenate(node_signs), rows, cols)
+    signs = tuple(face_signs[face] for face in range(grid.face_count))
+    return SignField(grid, signs, zeros, np.concatenate(node_signs), rows, cols)
 
 
 # ---------------------------------------------------------------------------

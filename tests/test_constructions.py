@@ -11,6 +11,7 @@ from calorics import (
     NotOnUnitCircle,
     Polynomial,
     basic_hcp,
+    basis,
     build,
     embed,
     fixture,
@@ -22,12 +23,14 @@ from calorics import (
     odd_construction,
     parabolic_degree,
     parse_poly,
+    product_hcp,
     product_lower,
     scan_epsilon,
     zero_mod4,
 )
 from calorics import constructions
 from calorics.nodal import NodalError
+from conftest import negate_space
 
 ROT = (F(3, 5), F(4, 5))
 
@@ -332,3 +335,42 @@ def test_scan_refuses_a_schedule_that_is_not_integral():
     spec = ConstructionSpec("odd", d=3, epsilon=F(1))
     with pytest.raises(NodalError, match="integer"):
         scan_epsilon(spec, [F(1)], target=2, schedule=[16.9, 32.2, 64.7])
+
+
+# every generator family at the degrees the suite builds it
+_FAMILY_INPUTS = {
+    **{f"basic_hcp({d})": (lambda d=d: basic_hcp(d)) for d in [*range(25), 66]},
+    **{f"harmonic_2d({d}, {kind})": (lambda d=d, kind=kind: harmonic_2d(d, kind))
+       for d in range(1, 9) for kind in ("real_part", "imag_part")},
+    "lewy_2mod4(2, 1)": lambda: lewy_2mod4(2, 1),
+    "lewy_2mod4(6, 1/20)": lambda: lewy_2mod4(6, F(1, 20)),
+    "odd_construction(3, 1, ROT)": lambda: odd_construction(3, 1, ROT),
+    "odd_construction(5, 3/10, pi/10)": lambda: odd_construction(5, F(3, 10), math.pi / 10),
+    "odd_construction(5, 3/10, ROT)": lambda: odd_construction(5, F(3, 10), ROT),
+    "odd_construction(5, 3/10, 6555/6893)": lambda: odd_construction(5, F(3, 10), (F(6555, 6893), F(-2132, 6893))),
+    "zero_mod4(4, 1/5, pi/10)": lambda: zero_mod4(4, F(1, 5), math.pi / 10),
+    "zero_mod4(4, 1/2, ROT)": lambda: zero_mod4(4, F(1, 2), ROT),
+    "zero_mod4(8, 1/4, ROT)": lambda: zero_mod4(8, F(1, 4), ROT),
+    "zero_mod4(16, 1/4, 0.2)": lambda: zero_mod4(16, F(1, 4), 0.2),
+    "high_dim(1, imag_part)": lambda: high_dim(1, "imag_part"),
+    "high_dim(2, real_part)": lambda: high_dim(2, "real_part"),
+    "high_dim(3, imag_part)": lambda: high_dim(3, "imag_part"),
+    "high_dim(4, real_part)": lambda: high_dim(4, "real_part"),
+    "high_dim(3, real_part, n=4)": lambda: high_dim(3, "real_part", n=4),
+    **{f"product_lower({n}, {d})": (lambda n=n, d=d: product_lower(n, d))
+       for n, d in [(2, 4), (2, 5), (2, 6), (2, 8), (3, 6), (3, 7)]},
+    "product_hcp([2, 2])": lambda: product_hcp([2, 2]),
+    "product_hcp([0, 0, 0])": lambda: product_hcp([0, 0, 0]),
+    **{f"basis({n}, {d})[{k}]": (lambda n=n, d=d, k=k: basis(n, d)[k])
+       for n, d in [(1, 7), (2, 3), (3, 2)] for k in range(len(basis(n, d)))},
+    **{f"fixture({fid})": (lambda fid=fid: fixture(fid))
+       for fid in ["deg2", "n2d3", "n2d4", "n3d4", "prod_n2d4", "deg2_n2_j1", "deg2_n3_j2", "basic_6"]},
+}
+
+
+@pytest.mark.parametrize("name", list(_FAMILY_INPUTS))
+def test_negating_space_multiplies_every_family_by_minus_one_to_the_degree(name):
+    # p(-x, t) = (-1)^d p(x, t) holds exactly for every input the counter
+    # takes, which is what lets it mirror the faces x_a = -1
+    p = _FAMILY_INPUTS[name]()
+    assert negate_space(p) == p.scale((-1) ** parabolic_degree(p))

@@ -49,12 +49,7 @@ from calorics.nodal import (
 )
 from calorics.polyring import NotHomogeneous, parabolic_degree
 from calorics.univariate import sign_arcs
-from conftest import homogeneous_polynomials
-
-
-def _negate_spatial(p):
-    terms = {ev: (-1) ** sum(ev.space_exps) * c for ev, c in p.terms.items()}
-    return Polynomial(p.spatial_dim, terms)
+from conftest import homogeneous_polynomials, negate_space
 
 
 # ---- exact sign evaluation ----
@@ -449,7 +444,7 @@ def test_jitter_resamples_aligned_zero_sets():
 
 def test_spatial_parity_in_one_dimension():
     p = basic_hcp(5)
-    assert _negate_spatial(p) == p.scale(-1)  # odd in x
+    assert negate_space(p) == p.scale(-1)  # odd in x
     field = cube_section_sample(p, 16)
     # x-faces swap and negate; t-faces reverse and negate
     assert np.array_equal(field.face_signs[0], -field.face_signs[1])
@@ -459,7 +454,7 @@ def test_spatial_parity_in_one_dimension():
 
 def test_spatial_parity_in_two_dimensions():
     p = fixture("n2d3")
-    assert _negate_spatial(p) == p.scale(-1)
+    assert negate_space(p) == p.scale(-1)
     field = cube_section_sample(p, 16)
     # sign(-x, -y, t) = -sign(x, y, t): x-faces pair up under y-reversal
     assert np.array_equal(field.face_signs[0][::-1, :], -field.face_signs[1])
@@ -879,12 +874,13 @@ def _reference_split(p, field):
     cube-edge point: in-face edges come from merge_masks, and each merged
     leg joins its side cell to the point beyond it, so two merged legs to
     one point join their cells.  runs counts the runs of cells that the
-    masks merge along the last mesh axis, summed over the faces.
+    masks merge along the last mesh axis, summed over the faces, as
+    (positive, zero, negative) runs.
     """
     grid = field.grid
     den, mesh = grid.denominator, grid.mesh
     signs, rows, cols, leg_cells, points = [], [], [], [], []
-    offset = runs = 0
+    offset, runs = 0, [0, 0, 0]
     for face in range(grid.face_count):
         axis, sign = grid.face_axis_sign(face)
         varying = [a for a in range(grid.ambient) if a != axis]
@@ -898,7 +894,9 @@ def _reference_split(p, field):
         ids = offset + np.arange(inside.size).reshape(inside.shape)
         offset += inside.size
         signs.append(inside.ravel())
-        runs += inside.size - int(masks[-1][inner].sum())
+        merged = masks[-1][inner]  # a merged edge joins two cells of its low cell's sign
+        for k, s in enumerate((1, 0, -1)):
+            runs[k] += int(np.count_nonzero(inside == s) - np.count_nonzero(merged & (inside[..., :-1] == s)))
         for slot, b in enumerate(varying):
             merged = masks[slot][inner]
             rows.append(np.delete(ids, -1, axis=slot)[merged])
@@ -919,7 +917,12 @@ def _reference_split(p, field):
     size = offset + (int(cols.max()) + 1 if len(cols) else 0)
     labels = _scipy_components(size, rows, cols)[1][:offset]
     signs = np.concatenate(signs)
-    return tuple(len(np.unique(labels[signs == s])) for s in (1, -1)), runs
+    return tuple(len(np.unique(labels[signs == s])) for s in (1, -1)), tuple(runs)
+
+
+def _node_sign_counts(field):
+    """(positive, zero, negative) nodes of `field`'s run graph."""
+    return tuple(int(np.count_nonzero(field.node_signs == s)) for s in (1, 0, -1))
 
 
 def _assert_cascade_graph_matches(p, resolution):
@@ -944,7 +947,7 @@ def _assert_cascade_graph_matches(p, resolution):
     for cap, field in zip(caps, fields):
         report = count_components(field)
         assert (report.positive, report.negative) == split, cap
-        assert len(field.node_signs) == runs, cap
+        assert _node_sign_counts(field) == runs, cap
     return fields[-1]
 
 
@@ -985,6 +988,38 @@ def test_cascade_graph_matches_per_cell_graph_on_a_jittered_grid(expr, n, resolu
     # must restart cleanly on the jittered grid
     field = _assert_cascade_graph_matches(parse_poly(expr, n), resolution)
     assert field.grid.jittered and field.zero_cells == 0
+
+
+# (input, resolution) pairs on the unjittered grid, where the faces x_a = -1
+# are mirrored: n = 1, 2, 3, even and odd degree, even and odd resolution,
+# zero cells on the t faces (odd(5, 3/10)) and on the side faces
+# (product_lower(2, 8))
+_MIRRORED_INPUTS = {
+    "x*t": (lambda: parse_poly("x*t", 1), 8),
+    "basic_hcp(7)": (lambda: basic_hcp(7), 16),
+    "basic_hcp(8)": (lambda: basic_hcp(8), 9),
+    "odd(5, 3/10)": (lambda: odd_construction(5, F(3, 10), (F(6555, 6893), F(-2132, 6893))), 63),
+    "product_lower(2, 8)": (lambda: product_lower(2, 8), 63),
+    "n3d4": (lambda: fixture("n3d4"), 24),
+    "product_lower(3, 6)": (lambda: product_lower(3, 6), 24),
+}
+
+
+@pytest.mark.parametrize("name", list(_MIRRORED_INPUTS))
+def test_mirrored_faces_match_direct_evaluation(name):
+    # each face x_a = -1 takes its signs, runs, edges and stitch legs from
+    # x_a = +1 by p(-x, t) = (-1)^d p(x, t).  _reference_split evaluates every
+    # face on its own and requires the field's signs; the zero cells must be
+    # those of all faces, and the split and runs those of the per-cell graph
+    make, resolution = _MIRRORED_INPUTS[name]
+    p = make()
+    field = cube_section_sample(p, resolution)
+    assert not field.grid.jittered
+    split, runs = _reference_split(p, field)
+    assert field.zero_cells == sum(int(np.count_nonzero(face == 0)) for face in field.face_signs)
+    report = count_components(field)
+    assert (report.positive, report.negative) == split
+    assert _node_sign_counts(field) == runs
 
 
 @pytest.mark.parametrize(
@@ -1042,31 +1077,54 @@ def test_majorant_decides_nearly_every_edge(monkeypatch, name, resolution):
     assert len(sturm) == 0
 
 
-def test_float_passes_cover_each_face_once_under_the_cap(monkeypatch):
-    # faces are evaluated in stacked groups: at every resolution the float
-    # passes' cells add up to each face's mesh (its cell centers plus the
-    # cube edges around it) exactly once, no pass exceeds one face or 2^18
-    # cells, whichever is larger, and faces that fit twice under that cap
-    # share passes
-    passes = []
-    float_pass = _MeshForm._float_pass
+def _recording_passes(monkeypatch):
+    """A list that gets (grid, faces, cells) for each float pass of cube_section_sample, as it starts.
 
-    def counting(form):
-        passes.append(math.prod(form.shape))
+    cube_section_sample takes every face of a form's stack from _face_values
+    just before it builds the form, whose float pass comes next.
+    """
+    passes, pending = [], []
+    face_values, float_pass = nodal._face_values, _MeshForm._float_pass
+
+    def recording_face(grid, mesh, face):
+        pending.append((grid, face))
+        return face_values(grid, mesh, face)
+
+    def recording_pass(form):
+        passes.append((pending[0][0], [face for _, face in pending], math.prod(form.shape)))
+        pending.clear()
         return float_pass(form)
 
-    monkeypatch.setattr(_MeshForm, "_float_pass", counting)
+    monkeypatch.setattr(nodal, "_face_values", recording_face)
+    monkeypatch.setattr(_MeshForm, "_float_pass", recording_pass)
+    return passes
+
+
+def test_float_passes_cover_each_face_once_under_the_cap(monkeypatch):
+    # faces are evaluated in stacked groups: on the unjittered grid the float
+    # passes cover the n + 2 source faces (x_a = +1 and both t faces) once
+    # each, each with its mesh (its cell centers plus the cube edges around
+    # it), and no pass holds a face x_a = -1, which is mirrored from x_a = +1.
+    # No pass exceeds one face or 2^18 cells, whichever is larger, and faces
+    # that fit twice under that cap share passes
+    passes = _recording_passes(monkeypatch)
     for name, resolutions in (("n2d3", [64, 128, 256, 512]), ("n3d4", [8, 24, 48, 96])):
         p = fixture(name)
-        ambient = p.spatial_dim + 1
+        n = p.spatial_dim
         for resolution in resolutions:
             passes.clear()
             cube_section_sample(p, resolution)
-            face = (resolution + 2) ** (ambient - 1)
-            assert sum(passes) == 2 * ambient * face
-            assert max(passes) <= max(face, 2 ** 18)
+            face = (resolution + 2) ** n
+            faces = [f for _, group, _ in passes for f in group]
+            assert sorted(faces) == [2 * a + 1 for a in range(n)] + [2 * n, 2 * n + 1]
+            assert all(cells == len(group) * face for _, group, cells in passes)
+            assert max(cells for _, _, cells in passes) <= max(face, 2 ** 18)
             if 2 * face <= 2 ** 18:
-                assert len(passes) < 2 * ambient
+                assert len(passes) < n + 2
+    # the jittered grid is not symmetric under x -> -x: every face is a source
+    passes.clear()
+    cube_section_sample(parse_poly("x*y*t", 2), 9)
+    assert sorted(f for grid, group, _ in passes if grid.jittered for f in group) == list(range(6))
 
 
 def test_face_wide_rounding_bound_leaves_one_contraction_per_float_pass(monkeypatch):
@@ -1076,11 +1134,12 @@ def test_face_wide_rounding_bound_leaves_one_contraction_per_float_pass(monkeypa
     # fall back to the per-cell bound, one more contraction, and keep their
     # counts.  Only the contractions made while a float pass runs count:
     # the merge stages contract each form's mesh lines as well
-    passes, contractions, running = [], [], []
+    passes = _recording_passes(monkeypatch)
+    contractions, running = [], []
     float_pass, contract = _MeshForm._float_pass, nodal._contract
 
     def counting_pass(form):
-        passes.append(form.shape)
+        contractions.append(0)
         running.append(form)
         try:
             return float_pass(form)
@@ -1089,7 +1148,7 @@ def test_face_wide_rounding_bound_leaves_one_contraction_per_float_pass(monkeypa
 
     def counting_contract(*args):
         if running:
-            contractions.append(args[0].shape)
+            contractions[-1] += 1
         return contract(*args)
 
     monkeypatch.setattr(_MeshForm, "_float_pass", counting_pass)
@@ -1107,19 +1166,25 @@ def test_face_wide_rounding_bound_leaves_one_contraction_per_float_pass(monkeypa
         passes.clear()
         contractions.clear()
         nodal_count(p)
-        assert len(contractions) == len(passes) > 0
+        assert len(passes) > 0 and contractions == [1] * len(passes)
+    # every pass of zm16 that holds a side face takes the per-cell tier (two
+    # contractions).  At r = 256 the two t faces (4 and 5) share a pass of
+    # their own, which clears the face-wide tier
     p = zero_mod4(16, F(1, 4), 0.2)
     passes.clear()
     contractions.clear()
     report = nodal_count(p)
-    assert len(contractions) == 2 * len(passes) > 0
+    assert len(contractions) == len(passes) > 0
+    for (_, group, _), count in zip(passes, contractions):
+        assert count == (1 if min(group) >= 4 else 2), group
+    assert [group for grid, group, _ in passes if grid.resolution == 256] == [[1, 3], [4, 5]]
     assert (report.total, report.positive, report.negative, report.stable) == (49, 23, 26, False)
     # n = 1 counts on the cube loop, so its grid is sampled directly
     for resolution, expected in ((128, (8, 10)), (256, (10, 10)), (512, (12, 10))):
         passes.clear()
         contractions.clear()
         report = count_components(cube_section_sample(basic_hcp(24), resolution))
-        assert len(contractions) == 2 * len(passes) > 0
+        assert len(passes) > 0 and contractions == [2] * len(passes)
         assert (report.positive, report.negative) == expected
 
 

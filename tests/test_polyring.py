@@ -27,7 +27,7 @@ from calorics import (
 from calorics.constructions import resolve_rotation
 from calorics.polyring import MAX_POWER_DEGREE, _substitute_pair
 
-from conftest import homogeneous_polynomials, polynomials, pythagorean_pairs, small_rationals
+from conftest import homogeneous_polynomials, negate_space, polynomials, pythagorean_pairs, small_rationals
 
 P4_TEXT = "t^2 + t*x^2 + 1/12*x^4"
 N3D4_TEXT = "12*t^2 + 12*t*x^2 + x^4 + y^4 - 6*y^2*z^2 + z^4"
@@ -339,6 +339,18 @@ def test_parabolic_homogeneity_of_evaluation(p, data):
     for lam in (F(1, 2), F(2), F(3)):
         scaled = [lam * c for c in point[:-1]] + [lam * lam * point[-1]]
         assert p.evaluate(scaled) == lam ** d * p.evaluate(point)
+
+
+@given(homogeneous_polynomials(), st.data())
+@settings(max_examples=100)
+def test_negating_space_multiplies_by_minus_one_to_the_degree(p, data):
+    # homogeneity at lambda = -1: every term x^alpha t^k has |alpha| + 2k = d,
+    # so p(-x, t) = (-1)^d p(x, t) exactly; the cube sampler mirrors each
+    # face x_a = -1 from the face x_a = +1 by it
+    negated = negate_space(p)
+    assert negated == p.scale((-1) ** parabolic_degree(p))
+    point = [data.draw(small_rationals()) for _ in range(p.spatial_dim + 1)]
+    assert negated.evaluate(point) == p.evaluate([-c for c in point[:-1]] + point[-1:])
 
 
 @given(homogeneous_polynomials(max_dim=2, max_degree=5), pythagorean_pairs())
