@@ -39,14 +39,19 @@ integer arithmetic, so no sign is ever trusted to floating point.  Exact
 zeros are excluded from every component; if more than 0.1% of cells are
 zero the grid is jittered by 1/(6r) and resampled once.
 cube_section_sample evaluates one face of each antipodal pair and mirrors
-the other.  Every term x^alpha t^k of a parabolically homogeneous p has
-|alpha| + 2k = d, so p(-x, t) = (-1)^d p(x, t) exactly, and sigma: x -> -x
-maps the face x_a = +1 onto x_a = -1 with t unchanged.  On the unjittered
-grid sigma maps the cell centers (2i + 1 - r)/r and the cube edges onto
-themselves, and each segment between them onto a segment, so each sign of
-the face x_a = -1 is (-1)^d times its image's, and each root-free decision
-(stitch legs included) is its image's.  The jittered grid is not symmetric,
-and there every face is evaluated.  The evaluated faces go in stacked
+the other, and each t face by halves where that adds no float pass.  Every
+term x^alpha t^k of a parabolically homogeneous p has |alpha| + 2k = d, so
+p(-x, t) = (-1)^d p(x, t) exactly, and sigma: x -> -x maps the face x_a = +1
+onto x_a = -1 and each t face onto itself, with t unchanged.  On the
+unjittered grid sigma maps the cell centers (2i + 1 - r)/r and the cube
+edges onto themselves, and each segment between them onto a segment, so
+each sign of an image is (-1)^d times its source's, and each root-free
+decision (stitch legs included) is its source's.  A half t face runs along
+x_1 from its centre to the cube edge, after one ghost layer, the image of
+an evaluated one: the seam edges between the halves are decided in the
+half's own form, and each ghost run takes the id of the image of a source
+run, so the ghost adds no node.  The jittered grid is not symmetric,
+and there every face is evaluated whole.  The evaluated faces go in stacked
 groups of at most 2^18 cells (one face when a face alone is larger), each
 face on its cell centers plus the cube edges around it, and slice_count
 evaluates an n >= 2 box as a stack of one face.  Each group is one form: it
@@ -903,21 +908,38 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
     runs and in-face edges with the ids shifted, and its source's cube-edge
     sides: the side toward x_c = +-1 is the source's side toward x_c = -+1
     for a space axis c, and toward t = +-1 for t, reordered by the same
-    reversal.  The jittered grid's numerators 6(2i + 1 - r) + 1 are not
-    symmetric, so there every face is a source.
+    reversal.
+
+    For n >= 2 sigma also maps each t face onto itself, reversing every mesh
+    axis: mesh index i maps to r + 1 - i.  With h = (r + 2) // 2 the indices
+    h .. r + 1 along x_1 determine the rest (the centre layer h of an odd r
+    is its own image).  The half is evaluated with the ghost layer h - 1
+    before it, the image of layer r + 2 - h, so each seam edge between the
+    layers h - 1 and h is decided in the half's own form; runs go along the
+    last mesh axis and never cross the seam.  The rim rule leaves the ghost
+    layer's own edges to stage (a), so its run mask is taken from its source
+    layer, reversed: each ghost run is the image of a source run, in reverse
+    order within the layer, and takes that image's id.  So the ghost adds no
+    node, its in-layer edges (images of the source layer's) are dropped, and
+    the graph is the one a whole evaluation builds, up to node numbering.  A
+    half cannot share a form with a whole face, whose x_1 numerators differ,
+    so the t faces are halved only where that takes no more float passes
+    than whole t faces; n = 1 keeps them whole, its one mesh axis being the
+    run axis.  The jittered grid's numerators 6(2i + 1 - r) + 1 are not
+    symmetric, so there every face is evaluated whole.
 
     The sources are evaluated in stacked groups of even size, as many faces
     as fit in _CASCADE_FLOATS = 2^18 cells (at least one), each face on its
-    cell centers plus the cube edges around it (_face_values), the mirrored
-    sources first.  Every mesh axis of every face has the same numerators,
-    grid.mesh, so each group is one _MeshForm: it gives the group's exact
-    signs and the merge mask of each in-face edge and stitch leg
-    (merge_masks, with its rim edges skipped), and its float arrays are
+    cell centers plus the cube edges around it (_face_values), and half t
+    faces in groups of their own.  Every mesh axis of every face of a group
+    has the same numerators, so each group is one _MeshForm: it gives the
+    group's exact signs and the merge mask of each in-face edge and stitch
+    leg (merge_masks, with its rim edges skipped), and its float arrays are
     dropped before the next group.  The group's runs come from its complete
-    masks, the mirrors' runs follow them, and their ids follow the earlier
+    masks, the images' runs follow them, and their ids follow the earlier
     groups'.  Each face side's leg mask is final when it is recorded; after
     the last group two cells beside a shared cube edge stitch when both of
-    their legs are root-free.  If sampled zeros (a mirror has its source's)
+    their legs are root-free.  If sampled zeros (an image has its source's)
     exceed 0.1% of cells the grid is jittered once by the fixed rational
     offset 1/(6*resolution); the unjittered pass stops at the group where
     they do.
@@ -926,101 +948,165 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
     resolution = _check_resolution(resolution)
     _check_mesh_cells(resolution + 2, ambient - 1)
     parity = (-1) ** parabolic_degree(p)  # p(-x, t) = parity * p(x, t)
-    # the face axis, then the inner cells of every mesh axis
-    inner = (slice(None),) + (slice(1, -1),) * (ambient - 1)
+    n = ambient - 1
+    face_cells = (resolution + 2) ** n
+    # the ghost layer's mesh index on a half t face, which runs from there to the cube edge
+    low = (resolution + 2) // 2 - 1
+    t_faces = [2 * n, 2 * n + 1]
 
     for jittered in (False, True):
         grid = CrossSectionGrid(ambient, resolution, jittered)
         mesh = grid.mesh
-        # source face -> its mirror under x -> -x, where that maps the mesh onto itself
-        symmetric = np.array_equal(mesh, -mesh[::-1])
-        mirrors = {2 * a + 1: 2 * a for a in range(ambient - 1)} if symmetric else {}
-        sources = list(mirrors) + [f for f in range(grid.face_count) if f not in {*mirrors, *mirrors.values()}]
-        # sources per float pass: as many as fit in _CASCADE_FLOATS cells (at
-        # least one), in groups of even size, so that a group's float arrays
-        # take at most 2 MiB each unless one face alone is larger
-        per_group = max(1, _CASCADE_FLOATS // (resolution + 2) ** (ambient - 1))
-        groups = -(-len(sources) // per_group)
-        per_group = -(-len(sources) // groups)
+        # source face -> its image under x -> -x, where that maps the mesh onto itself
+        images = {2 * a + 1: 2 * a for a in range(n)} if np.array_equal(mesh, -mesh[::-1]) else {}
+        sources = list(images) + [f for f in range(grid.face_count) if f not in {*images, *images.values()}]
+        # (faces, first index on their first mesh axis, x_1 on a t face) per float pass; the
+        # t faces go by halves where that takes no more passes
+        layout = [(faces, 0) for faces in _groups(sources, face_cells)]
+        if images and n >= 2:
+            half_cells = face_cells // (resolution + 2) * (resolution + 2 - low)
+            halved = [(faces, 0) for faces in _groups(list(images), face_cells)]
+            halved += [(faces, low) for faces in _groups(t_faces, half_cells)]
+            if len(halved) <= len(layout):
+                layout = halved
+                images.update((f, f) for f in t_faces)
         scaled = _integer_scaled_terms(p, grid.denominator)
         counts: Dict[tuple, bool] = {}  # stage (d)'s Sturm counts, kept across the groups
-        face_signs: Dict[int, np.ndarray] = {}
+        # face -> its signs, and (face, neighbour face) -> the face's cells next to their cube
+        # edge as (node ids, merge mask of their stitch legs), flat, in pieces: a halved t face
+        # has its image half first along x_1, which is the slowest axis of both
+        face_parts: Dict[int, List[np.ndarray]] = {}
+        sides: Dict[Tuple[int, int], List[Tuple[np.ndarray, np.ndarray]]] = {}
         node_signs, edges = [], []
-        # (face, neighbour face) -> the face's cells next to their cube edge: node ids and
-        # the merge mask of their stitch legs
-        sides: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
         zeros = offset = 0
-        for first in range(0, len(sources), per_group):
-            faces = sources[first:first + per_group]
-            mirrored = sum(face in mirrors for face in faces)  # the group's first faces: they lead `sources`
-            form = _MeshForm(scaled, [_face_values(grid, mesh, face) for face in faces])
+        for faces, start in layout:
+            # a half t face leads with a ghost layer, the image of its layer `first`; on a whole
+            # source face every layer has an image
+            ghost = int(start > 0)
+            first = 1 + resolution % 2 if ghost else 0
+            values = [_face_values(grid, mesh, face) for face in faces]
+            if ghost:
+                for axis_values in values:
+                    axis_values[0] = mesh[start:]
+            form = _MeshForm(scaled, values)
             signs = form.signs()
+            inner = (slice(None), slice(1 - ghost, -1)) + (slice(1, -1),) * (n - 1)
+            inside = signs[inner]
             if not form.nonzero:  # else the face-wide tier certified every cell
-                zero = np.count_nonzero(signs[inner] == 0, axis=tuple(range(1, ambient)))
-                zeros += int(zero.sum() + zero[:mirrored].sum())
+                for k, face in enumerate(faces):
+                    zeros += int(np.count_nonzero(inside[k, ghost:] == 0))
+                    if face in images:
+                        zeros += int(np.count_nonzero(inside[k, first:] == 0))
             if not jittered and zeros / grid.cell_count > _JITTER_ZERO_FRACTION:
                 break  # too many zeros: resample on the jittered grid
             # per mesh axis: the in-face edges, and the stitch legs from a side cell to the cube edge
             masks = form.merge_masks(signs, counts, rim=True)
             del form  # its per-cell floats, before the group's graph is built
-            inside = signs[inner]
-            starts, runs, group_rows, group_cols = _probed_runs(inside, [m[inner] for m in masks])
-            # the mirrored faces' runs, and the shift from a run's id to its image's: the images
-            # follow the group's runs
-            mirrored_runs = int(np.searchsorted(starts, mirrored * inside[0].size))
-            shift = len(runs)
+            if ghost:
+                # the rim rule left the ghost layer to stage (a): its runs are taken from layer
+                # `first`, whose images they are, and its other edges, images of that layer's, go
+                masks[-1][:, 0] = np.flip(masks[-1][:, first], range(1, n))
+                for mask in masks[1:-1]:
+                    mask[:, 0] = False
+            starts, runs, rows, cols = _probed_runs(inside, [m[inner] for m in masks])
+            # an edge joins two runs of one face, the lower run first
+            size = inside[0].size
+            if ghost:
+                # per face: its ghost runs, its evaluated ones and, from layer `first` on, those
+                # with images, which follow the group's evaluated runs.  A ghost layer holds the
+                # images of its source layer's runs in reverse order, and an edge has an image if
+                # its lower run does
+                plane = size // inside.shape[1]
+                cells = np.add.outer(np.arange(len(faces)) * size, [0, plane, first * plane, size])
+                bounds = np.searchsorted(starts, cells).tolist()
+                kept = np.ones(len(runs), dtype=bool)
+                imaged = np.zeros(len(runs), dtype=bool)
+                for a, g, m, e in bounds:
+                    kept[a:g] = False
+                    imaged[m:e] = True
+                count = int(np.count_nonzero(kept))
+                ids = np.cumsum(kept) + (offset - 1)
+                image_ids = np.cumsum(imaged) + (offset + count - 1)
+                for a, g, m, _ in bounds:
+                    ids[a:g] = image_ids[m:m + g - a][::-1]
+                node_signs += [runs[kept], parity * runs[imaged]]
+                both = imaged[rows]
+                edges.append((image_ids[rows[both]], image_ids[cols[both]]))
+                edges.append((ids[rows], ids[cols]))
+                offset += count + int(np.count_nonzero(imaged))
+            else:
+                # the faces with images lead the group; their images' runs follow the group's
+                mirrored = int(np.searchsorted(starts, sum(face in images for face in faces) * size))
+                ids = np.arange(len(runs)) + offset
+                image_ids = ids + len(runs)
+                node_signs += [runs, parity * runs[:mirrored]]
+                both = rows < mirrored
+                edges.append((rows[both] + (offset + len(runs)), cols[both] + (offset + len(runs))))
+                # in place: a shifted copy would keep the unshifted ids alive into the next group
+                edges.append(tuple(np.add(part, offset, out=part) for part in (rows, cols)))
+                offset += len(runs) + mirrored
             for slot, merged in enumerate(masks):
-                # a side of every face of the group is flat, face by face in the order of one
-                # layer of `inside` along the axis, whose cells sit at layer + index * stride
+                # a side of every face of the group is one layer of `inside` along the axis,
+                # whose cells sit at layer + index * stride
                 axis = slot + 1
                 last = inside.shape[axis] - 1
-                shape = inside.shape[:axis] + (1,) + inside.shape[axis + 1:]
-                stride = math.prod(shape[axis + 1:])
+                shape = inside.shape[:axis] + inside.shape[axis + 1:]
+                stride = math.prod(shape[axis:])
                 layer = np.arange(math.prod(shape))
                 layer += layer // stride * (stride * last)  # skip the other layers
-                for i in (0, -1):
-                    ids = _run_ids(starts, layer + (last if i else 0) * stride) + offset
-                    legs = merged.take(i, axis=axis)[inner[:-1]].reshape(len(faces), -1)
-                    # mesh axes are the other coordinates in order; the low side of the slot
-                    # borders the face at -1 on that axis, the high side +1
-                    for face, side in zip(faces, zip(ids.reshape(len(faces), -1), legs)):
-                        other = slot + (slot >= grid.face_axis_sign(face)[0])
-                        end = 1 if i else 0
-                        sides[face, 2 * other + end] = side
-                        if face in mirrors:
-                            # x -> -x reverses the side's space axes and swaps the ends of a
-                            # space axis; t, the last coordinate, keeps both
-                            t_side = other == ambient - 1
-                            space = range(ambient - 2 if t_side else ambient - 3)
-                            sides[mirrors[face], 2 * other + (end if t_side else 1 - end)] = tuple(
-                                np.flip(part.reshape((resolution,) * (ambient - 2)), space).ravel()
-                                for part in (side[0] + shift, side[1])
-                            )
+                side = inner[:axis] + inner[axis + 1:]
+                # mesh axes are the other coordinates in order; the low side of the slot borders
+                # the face at -1 on that axis, the high side +1
+                others = [slot + (slot >= face // 2) for face in faces]
+                # x -> -x reverses a side's space axes (t, if there, is the last), alike on the
+                # group's faces with images, which lead it, and swaps the ends of a space axis
+                space = range(1, n - (n not in (faces[0] // 2, others[0])))
+                cut = image_cut = ()
+                if slot:  # x_1 on a half t face: the evaluated layers, and those with images
+                    cut, image_cut = (slice(None), slice(ghost, None)), (slice(None), slice(first, None))
+                for i in (-1,) if ghost and not slot else (0, -1):  # the low side of x_1 is the ghost layer
+                    local = _run_ids(starts, layer + (last if i else 0) * stride).reshape(shape)
+                    legs = merged[(slice(None),) * axis + (i,)][side]
+                    own = [part[cut].reshape(len(faces), -1) for part in (ids[local], legs)]
+                    if faces[0] in images:
+                        mirror = [np.flip(part[image_cut], space) for part in (image_ids[local], legs)]
+                        mirror = [part.reshape(len(faces), -1) for part in mirror]
+                    end = 1 if i else 0
+                    for k, (face, other) in enumerate(zip(faces, others)):
+                        sides.setdefault((face, 2 * other + end), []).append((own[0][k], own[1][k]))
+                        if face in images:
+                            key = images[face], 2 * other + (end if other == n else 1 - end)
+                            sides.setdefault(key, []).insert(0, (mirror[0][k], mirror[1][k]))
             for face, values in zip(faces, inside):
-                face_signs[face] = values
-                if face in mirrors:  # t, the last mesh axis, keeps its order; a view for even d
-                    image = np.flip(values, range(ambient - 2))
-                    face_signs[mirrors[face]] = image if parity == 1 else -image
-            node_signs += [runs, parity * runs[:mirrored_runs]]
-            # an in-face edge joins two runs of one face
-            kept = group_rows < mirrored_runs
-            edges.append((group_rows[kept] + (offset + shift), group_cols[kept] + (offset + shift)))
-            # in place: a shifted copy would keep the unshifted ids alive into the next group
-            edges.append(tuple(np.add(part, offset, out=part) for part in (group_rows, group_cols)))
-            offset += shift + mirrored_runs
-            del masks, merged, starts  # before the next group's form is built
+                face_parts.setdefault(face, []).append(values[ghost:])
+                if face in images:  # t, if a mesh axis, is the last; a view for even d
+                    image = np.flip(values[first:], range(n - (face not in t_faces)))
+                    face_parts.setdefault(images[face], []).insert(0, image if parity == 1 else -image)
+            del masks, merged, starts, rows, cols, both  # before the next group's form is built
         else:
             # every face sampled: two cells beside a cube edge stitch where
             # both of their legs merge
-            for (face, neighbour), (ids, legs) in sides.items():
+            joined = {
+                key: parts[0] if len(parts) == 1 else [np.concatenate(part) for part in zip(*parts)]
+                for key, parts in sides.items()
+            }
+            for (face, neighbour), (ids, legs) in joined.items():
                 if neighbour < face:
-                    near, near_legs = sides[neighbour, face]
+                    near, near_legs = joined[neighbour, face]
                     both = near_legs & legs
                     edges.append((near[both], ids[both]))
             break
     rows, cols = (np.concatenate(part) for part in zip(*edges))
-    signs = tuple(face_signs[face] for face in range(grid.face_count))
+    parts = [face_parts[face] for face in range(grid.face_count)]
+    signs = tuple(part[0] if len(part) == 1 else np.concatenate(part) for part in parts)
     return SignField(grid, signs, zeros, np.concatenate(node_signs), rows, cols)
+
+
+def _groups(faces: List[int], cells: int) -> List[List[int]]:
+    """faces in float passes of even size, each as many as fit in _CASCADE_FLOATS cells, at least one."""
+    per_group = max(1, _CASCADE_FLOATS // cells)
+    per_group = -(-len(faces) // -(-len(faces) // per_group))
+    return [faces[first:first + per_group] for first in range(0, len(faces), per_group)]
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from calorics import (
     embed,
     fixture,
     harmonic_2d,
+    high_dim,
     lewy_2mod4,
     nodal_count,
     odd_construction,
@@ -671,20 +672,28 @@ _PINNED_INPUTS = {
     "zero_mod4(16, 1/4, 0.2)": lambda: zero_mod4(16, F(1, 4), 0.2),
     "basic_hcp(24)": lambda: basic_hcp(24),
     "x*y*t": lambda: parse_poly("x*y*t", 2),
+    "high_dim(5)": lambda: high_dim(5),
 }
 
 
 # What every change to the merge stages must keep: the split, the zero
 # cells, the jitter and the exact signs of every face (a hash of their
 # bytes), at two resolutions each; x*y*t at r = 9 is sampled on the
-# jittered grid.  The run graph itself may change.
+# jittered grid.  The run graph itself may change.  n2d3 at r = 256 and 257,
+# n3d4 at r = 47 and high_dim(5) at r = 47 take half t faces; at r = 257 the
+# two zero cells are the self-symmetric centres of the t faces, and
+# high_dim(5) has odd degree and 188 zero cells on the unjittered grid.
 @pytest.mark.parametrize(
     "name, resolution, split, zero_cells, jittered, digest",
     [
         ("n2d3", 16, (1, 1), 0, False, "531c7f58f6c253dc"),
         ("n2d3", 128, (1, 1), 0, False, "2d439f350f8e0bb6"),
+        ("n2d3", 256, (1, 1), 0, False, "b522d82f5efd727c"),
+        ("n2d3", 257, (1, 1), 2, False, "3f7e896257083e31"),
         ("n3d4", 8, (1, 1), 0, False, "7dac1a0692f458b7"),
         ("n3d4", 24, (1, 1), 0, False, "f4416bcf1f2bdbe1"),
+        ("n3d4", 47, (1, 1), 0, False, "6b864c9aef93041d"),
+        ("high_dim(5)", 47, (1, 1), 188, False, "43b0c2ec98b26370"),
         ("product_lower(2, 8)", 16, (10, 12), 0, False, "87ceeab1d67953a4"),
         ("product_lower(2, 8)", 64, (10, 12), 0, False, "27e26c3bde9e1340"),
         ("zero_mod4(16, 1/4, 0.2)", 24, (20, 18), 0, False, "3e397d47c485bf4d"),
@@ -993,7 +1002,10 @@ def test_cascade_graph_matches_per_cell_graph_on_a_jittered_grid(expr, n, resolu
 # (input, resolution) pairs on the unjittered grid, where the faces x_a = -1
 # are mirrored: n = 1, 2, 3, even and odd degree, even and odd resolution,
 # zero cells on the t faces (odd(5, 3/10)) and on the side faces
-# (product_lower(2, 8))
+# (product_lower(2, 8)).  The entries at r = 47, 48, 256 and 257 evaluate
+# the t faces by halves, with the self-symmetric centre layer of an odd r in
+# the evaluated half: its zero cells (n2d3 and odd(5, 3/10) at r = 257, and
+# high_dim(5), of odd degree) must be counted once
 _MIRRORED_INPUTS = {
     "x*t": (lambda: parse_poly("x*t", 1), 8),
     "basic_hcp(7)": (lambda: basic_hcp(7), 16),
@@ -1002,15 +1014,23 @@ _MIRRORED_INPUTS = {
     "product_lower(2, 8)": (lambda: product_lower(2, 8), 63),
     "n3d4": (lambda: fixture("n3d4"), 24),
     "product_lower(3, 6)": (lambda: product_lower(3, 6), 24),
+    "n2d3 r=257": (lambda: fixture("n2d3"), 257),
+    "odd(5, 3/10) r=257": (lambda: odd_construction(5, F(3, 10), (F(6555, 6893), F(-2132, 6893))), 257),
+    "product_lower(2, 8) r=256": (lambda: product_lower(2, 8), 256),
+    "n3d4 r=48": (lambda: fixture("n3d4"), 48),
+    "high_dim(5) r=47": (lambda: high_dim(5), 47),
 }
 
 
 @pytest.mark.parametrize("name", list(_MIRRORED_INPUTS))
 def test_mirrored_faces_match_direct_evaluation(name):
     # each face x_a = -1 takes its signs, runs, edges and stitch legs from
-    # x_a = +1 by p(-x, t) = (-1)^d p(x, t).  _reference_split evaluates every
-    # face on its own and requires the field's signs; the zero cells must be
-    # those of all faces, and the split and runs those of the per-cell graph
+    # x_a = +1 by p(-x, t) = (-1)^d p(x, t), and a halved t face its other
+    # half from the evaluated one.  _reference_split evaluates every face on
+    # its own and requires the field's signs; the zero cells must be those of
+    # all faces, and the split and runs those of the per-cell graph.  In one
+    # pass of every source the t faces are whole, and the graph must have
+    # the same nodes and edges, up to numbering
     make, resolution = _MIRRORED_INPUTS[name]
     p = make()
     field = cube_section_sample(p, resolution)
@@ -1020,6 +1040,10 @@ def test_mirrored_faces_match_direct_evaluation(name):
     report = count_components(field)
     assert (report.positive, report.negative) == split
     assert _node_sign_counts(field) == runs
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nodal, "_CASCADE_FLOATS", 2 ** 40)
+        whole = cube_section_sample(p, resolution)
+    assert (_node_sign_counts(whole), len(whole.rows)) == (runs, len(field.rows))
 
 
 @pytest.mark.parametrize(
@@ -1100,31 +1124,57 @@ def _recording_passes(monkeypatch):
     return passes
 
 
+def _pass_counts(n, resolution):
+    """(whole, halved): float passes of the n + 2 source faces with whole t faces, and with t-face halves.
+
+    Each layout puts as many faces of one mesh in a pass as fit in 2^18
+    cells, at least one, as the grouping of whole faces has always done;
+    a half t face is its cells from x_1 index (r + 2) // 2 - 1 to the cube
+    edge, ghost layer included.
+    """
+    def passes(faces, cells):
+        return -(-faces // max(1, 2 ** 18 // cells))
+
+    face = (resolution + 2) ** n
+    half = face // (resolution + 2) * (resolution + 3 - (resolution + 2) // 2)
+    return passes(n + 2, face), passes(n, face) + passes(2, half)
+
+
 def test_float_passes_cover_each_face_once_under_the_cap(monkeypatch):
     # faces are evaluated in stacked groups: on the unjittered grid the float
     # passes cover the n + 2 source faces (x_a = +1 and both t faces) once
-    # each, each with its mesh (its cell centers plus the cube edges around
-    # it), and no pass holds a face x_a = -1, which is mirrored from x_a = +1.
-    # No pass exceeds one face or 2^18 cells, whichever is larger, and faces
-    # that fit twice under that cap share passes
+    # each, each whole face with its mesh (its cell centers plus the cube
+    # edges around it), and no pass holds a face x_a = -1, which is mirrored
+    # from x_a = +1.  The t faces go by halves exactly where that takes no
+    # more passes than whole t faces, in passes of their own; so no
+    # resolution takes more passes than the grouping of whole faces.  No pass
+    # exceeds one face or 2^18 cells, whichever is larger, and faces that fit
+    # twice under that cap share passes
     passes = _recording_passes(monkeypatch)
-    for name, resolutions in (("n2d3", [64, 128, 256, 512]), ("n3d4", [8, 24, 48, 96])):
+    for name, resolutions in (("n2d3", [64, 128, 256, 257, 512]), ("n3d4", [8, 24, 47, 48, 96])):
         p = fixture(name)
         n = p.spatial_dim
         for resolution in resolutions:
             passes.clear()
             cube_section_sample(p, resolution)
             face = (resolution + 2) ** n
+            half = face // (resolution + 2) * (resolution + 3 - (resolution + 2) // 2)
+            whole, halved = _pass_counts(n, resolution)
             faces = [f for _, group, _ in passes for f in group]
             assert sorted(faces) == [2 * a + 1 for a in range(n)] + [2 * n, 2 * n + 1]
-            assert all(cells == len(group) * face for _, group, cells in passes)
+            halves = [f for _, group, cells in passes if cells == len(group) * half for f in group]
+            assert halves == ([2 * n, 2 * n + 1] if halved <= whole else []), resolution
+            assert all(cells == len(group) * (half if group[0] in halves else face) for _, group, cells in passes)
+            assert len(passes) == min(whole, halved) <= whole
             assert max(cells for _, _, cells in passes) <= max(face, 2 ** 18)
             if 2 * face <= 2 ** 18:
                 assert len(passes) < n + 2
-    # the jittered grid is not symmetric under x -> -x: every face is a source
+    # the jittered grid is not symmetric under x -> -x: every face is a whole source
     passes.clear()
     cube_section_sample(parse_poly("x*y*t", 2), 9)
-    assert sorted(f for grid, group, _ in passes if grid.jittered for f in group) == list(range(6))
+    jittered = [(group, cells) for grid, group, cells in passes if grid.jittered]
+    assert sorted(f for group, _ in jittered for f in group) == list(range(6))
+    assert all(cells == len(group) * 11 ** 2 for group, cells in jittered)
 
 
 def test_face_wide_rounding_bound_leaves_one_contraction_per_float_pass(monkeypatch):
@@ -1169,7 +1219,8 @@ def test_face_wide_rounding_bound_leaves_one_contraction_per_float_pass(monkeypa
         assert len(passes) > 0 and contractions == [1] * len(passes)
     # every pass of zm16 that holds a side face takes the per-cell tier (two
     # contractions).  At r = 256 the two t faces (4 and 5) share a pass of
-    # their own, which clears the face-wide tier
+    # their own, which clears the face-wide tier; it holds their halves, the
+    # layout of no more passes
     p = zero_mod4(16, F(1, 4), 0.2)
     passes.clear()
     contractions.clear()
@@ -1178,6 +1229,8 @@ def test_face_wide_rounding_bound_leaves_one_contraction_per_float_pass(monkeypa
     for (_, group, _), count in zip(passes, contractions):
         assert count == (1 if min(group) >= 4 else 2), group
     assert [group for grid, group, _ in passes if grid.resolution == 256] == [[1, 3], [4, 5]]
+    assert [cells for grid, _, cells in passes if grid.resolution == 256] == [2 * 258 ** 2, 2 * 130 * 258]
+    assert _pass_counts(2, 256) == (2, 2) and _pass_counts(2, 128) == (1, 2)
     assert (report.total, report.positive, report.negative, report.stable) == (49, 23, 26, False)
     # n = 1 counts on the cube loop, so its grid is sampled directly
     for resolution, expected in ((128, (8, 10)), (256, (10, 10)), (512, (12, 10))):
