@@ -1045,15 +1045,15 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
                 # in place: a shifted copy would keep the unshifted ids alive into the next group
                 edges.append(tuple(np.add(part, offset, out=part) for part in (rows, cols)))
                 offset += len(runs) + mirrored
+            # a side of a face is one layer of `inside` along a mesh axis.  Runs never cross a
+            # row along the last axis, so a side's runs follow from each row's first run and
+            # the merges along the rows
+            row_first = _run_ids(starts, np.arange(0, inside.size, inside.shape[-1]))
+            row_first = row_first.reshape(inside.shape[:-1])
+            row_last = np.append(row_first.ravel()[1:], len(runs)).reshape(row_first.shape) - 1
+            run_merges = masks[-1][inner]
             for slot, merged in enumerate(masks):
-                # a side of every face of the group is one layer of `inside` along the axis,
-                # whose cells sit at layer + index * stride
                 axis = slot + 1
-                last = inside.shape[axis] - 1
-                shape = inside.shape[:axis] + inside.shape[axis + 1:]
-                stride = math.prod(shape[axis:])
-                layer = np.arange(math.prod(shape))
-                layer += layer // stride * (stride * last)  # skip the other layers
                 side = inner[:axis] + inner[axis + 1:]
                 # mesh axes are the other coordinates in order; the low side of the slot borders
                 # the face at -1 on that axis, the high side +1
@@ -1065,8 +1065,14 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
                 if slot:  # x_1 on a half t face: the evaluated layers, and those with images
                     cut, image_cut = (slice(None), slice(ghost, None)), (slice(None), slice(first, None))
                 for i in (-1,) if ghost and not slot else (0, -1):  # the low side of x_1 is the ghost layer
-                    local = _run_ids(starts, layer + (last if i else 0) * stride).reshape(shape)
-                    legs = merged[(slice(None),) * axis + (i,)][side]
+                    layer = (slice(None),) * axis + (i,)
+                    if axis == n:  # the row ends
+                        local = row_last if i else row_first
+                    else:
+                        start = np.ones(inside[layer].shape, dtype=bool)
+                        start[..., 1:] = ~run_merges[layer]
+                        local = np.cumsum(start, axis=-1) + (row_first[layer][..., None] - 1)
+                    legs = merged[layer][side]
                     own = [part[cut].reshape(len(faces), -1) for part in (ids[local], legs)]
                     if faces[0] in images:
                         mirror = [np.flip(part[image_cut], space) for part in (image_ids[local], legs)]
@@ -1096,9 +1102,12 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
                     both = near_legs & legs
                     edges.append((near[both], ids[both]))
             break
-    rows, cols = (np.concatenate(part) for part in zip(*edges))
+    # the halves of each t face are joined, and the arrays they view freed, before the
+    # edges are joined, where memory peaks
     parts = [face_parts[face] for face in range(grid.face_count)]
     signs = tuple(part[0] if len(part) == 1 else np.concatenate(part) for part in parts)
+    del face_parts, parts, inside, values
+    rows, cols = (np.concatenate(part) for part in zip(*edges))
     return SignField(grid, signs, zeros, np.concatenate(node_signs), rows, cols)
 
 
