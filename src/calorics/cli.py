@@ -368,24 +368,28 @@ def _cmd_count(args) -> int:
             exit_code = EXIT_ASSERT
     if args.check_bounds:
         d = parabolic_degree(poly)
-        try:
-            bounds = bounds_report(poly.spatial_dim, d, None if not_caloric else report)
-        except BoundViolation as exc:
-            payload["bounds"] = {"ok": False, "error": str(exc)}
-            exit_code = EXIT_ASSERT
+        # the proven bounds also need d/dt p != 0
+        unbounded = not_caloric or ("p is not time-dependent" if poly.partial_t().is_zero else None)
+        if unbounded:
+            # a p of degree 1 is linear in x, never time-dependent, and has no bounds to show
+            shown = bounds_report(poly.spatial_dim, d).to_json_dict() if d >= 2 else {}
+            payload["bounds"] = {**shown, "ok": None, "reason": unbounded}
         else:
-            payload["bounds"] = bounds.to_json_dict()
-            payload["bounds"]["ok"] = None if not_caloric else True
-            floor = bounds.product_lower_bound
-            if not_caloric:
-                payload["bounds"]["reason"] = not_caloric
-            # the product family is the witness of the floor(d/n)^n lower bound
-            elif _FAMILY_ALIASES.get(args.gen) == "product" and report.total < floor:
-                payload["bounds"]["ok"] = False
-                payload["bounds"]["error"] = (
-                    f"counted {report.total} nodal domains below the product floor {floor}"
-                )
+            try:
+                bounds = bounds_report(poly.spatial_dim, d, report)
+            except BoundViolation as exc:
+                payload["bounds"] = {"ok": False, "error": str(exc)}
                 exit_code = EXIT_ASSERT
+            else:
+                payload["bounds"] = {**bounds.to_json_dict(), "ok": True}
+                floor = bounds.product_lower_bound
+                # the product family is the witness of the floor(d/n)^n lower bound
+                if _FAMILY_ALIASES.get(args.gen) == "product" and report.total < floor:
+                    payload["bounds"]["ok"] = False
+                    payload["bounds"]["error"] = (
+                        f"counted {report.total} nodal domains below the product floor {floor}"
+                    )
+                    exit_code = EXIT_ASSERT
     if args.expected is not None:
         ok = report.stable and report.total == args.expected
         payload["assert"] = {"expected": args.expected, "ok": ok}

@@ -905,7 +905,7 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
     every root-free decision (stages (a)-(d), stitch legs included) is its
     source's.  A mirror takes its source's signs times (-1)^d, reversed
     along every space mesh axis (t is the last one, never reversed), its
-    runs and in-face edges with the ids shifted, and its source's cube-edge
+    runs and in-face edges under ids of their own, and its source's cube-edge
     sides: the side toward x_c = +-1 is the source's side toward x_c = -+1
     for a space axis c, and toward t = +-1 for t, reordered by the same
     reversal.
@@ -936,13 +936,14 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
     group's exact signs and the merge mask of each in-face edge and stitch
     leg (merge_masks, with its rim edges skipped), and its float arrays are
     dropped before the next group.  The group's runs come from its complete
-    masks, the images' runs follow them, and their ids follow the earlier
-    groups'.  Each face side's leg mask is final when it is recorded; after
-    the last group two cells beside a shared cube edge stitch when both of
-    their legs are root-free.  If sampled zeros (an image has its source's)
-    exceed 0.1% of cells the grid is jittered once by the fixed rational
-    offset 1/(6*resolution); the unjittered pass stops at the group where
-    they do.
+    masks, and every group numbers them one way, from per-run id arrays:
+    its evaluated runs take the next ids in order, the images' runs the ids
+    after those, and a ghost run its image's id.  Each face side's leg mask
+    is final when it is recorded; after the last group two cells beside a
+    shared cube edge stitch when both of their legs are root-free.  If
+    sampled zeros (an image has its source's) exceed 0.1% of cells the grid
+    is jittered once by the fixed rational offset 1/(6*resolution); the
+    unjittered pass stops at the group where they do.
     """
     ambient = _check_countable(p)
     resolution = _check_resolution(resolution)
@@ -959,7 +960,8 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
         mesh = grid.mesh
         # source face -> its image under x -> -x, where that maps the mesh onto itself
         images = {2 * a + 1: 2 * a for a in range(n)} if np.array_equal(mesh, -mesh[::-1]) else {}
-        sources = list(images) + [f for f in range(grid.face_count) if f not in {*images, *images.values()}]
+        # the faces with images, the odd ones below 2n, come first, so they lead every group
+        sources = [f for f in range(grid.face_count) if f not in images.values()]
         # (faces, first index on their first mesh axis, x_1 on a t face) per float pass; the
         # t faces go by halves where that takes no more passes
         layout = [(faces, 0) for faces in _groups(sources, face_cells)]
@@ -1009,42 +1011,31 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
                 for mask in masks[1:-1]:
                     mask[:, 0] = False
             starts, runs, rows, cols = _probed_runs(inside, [m[inner] for m in masks])
-            # an edge joins two runs of one face, the lower run first
+            # per face: its ghost runs (none on a whole face), its evaluated ones and, from layer
+            # `first` on and only on a face with an image, those with images.  The evaluated runs
+            # take the group's next ids in order and the images' runs the ids after them; a
+            # ghost layer holds the images of its source layer's runs in reverse order, and
+            # takes their ids.  An edge joins two runs of one face, the lower run first, and
+            # has an image if its lower run does
             size = inside[0].size
-            if ghost:
-                # per face: its ghost runs, its evaluated ones and, from layer `first` on, those
-                # with images, which follow the group's evaluated runs.  A ghost layer holds the
-                # images of its source layer's runs in reverse order, and an edge has an image if
-                # its lower run does
-                plane = size // inside.shape[1]
-                cells = np.add.outer(np.arange(len(faces)) * size, [0, plane, first * plane, size])
-                bounds = np.searchsorted(starts, cells).tolist()
-                kept = np.ones(len(runs), dtype=bool)
-                imaged = np.zeros(len(runs), dtype=bool)
-                for a, g, m, e in bounds:
-                    kept[a:g] = False
-                    imaged[m:e] = True
-                count = int(np.count_nonzero(kept))
-                ids = np.cumsum(kept) + (offset - 1)
-                image_ids = np.cumsum(imaged) + (offset + count - 1)
-                for a, g, m, _ in bounds:
-                    ids[a:g] = image_ids[m:m + g - a][::-1]
-                node_signs += [runs[kept], parity * runs[imaged]]
-                both = imaged[rows]
-                edges.append((image_ids[rows[both]], image_ids[cols[both]]))
-                edges.append((ids[rows], ids[cols]))
-                offset += count + int(np.count_nonzero(imaged))
-            else:
-                # the faces with images lead the group; their images' runs follow the group's
-                mirrored = int(np.searchsorted(starts, sum(face in images for face in faces) * size))
-                ids = np.arange(len(runs)) + offset
-                image_ids = ids + len(runs)
-                node_signs += [runs, parity * runs[:mirrored]]
-                both = rows < mirrored
-                edges.append((rows[both] + (offset + len(runs)), cols[both] + (offset + len(runs))))
-                # in place: a shifted copy would keep the unshifted ids alive into the next group
-                edges.append(tuple(np.add(part, offset, out=part) for part in (rows, cols)))
-                offset += len(runs) + mirrored
+            plane = size // inside.shape[1]
+            cells = np.add.outer(np.arange(len(faces)) * size, [0, ghost * plane, first * plane, size])
+            bounds = np.searchsorted(starts, cells).tolist()
+            kept = np.ones(len(runs), dtype=bool)
+            imaged = np.zeros(len(runs), dtype=bool)
+            for face, (a, g, m, e) in zip(faces, bounds):
+                kept[a:g] = False
+                imaged[m:e] = face in images
+            count = int(np.count_nonzero(kept))
+            ids = np.cumsum(kept) + (offset - 1)
+            image_ids = np.cumsum(imaged) + (offset + count - 1)
+            for a, g, m, _ in bounds:
+                ids[a:g] = image_ids[m:m + g - a][::-1]
+            node_signs += [runs[kept], parity * runs[imaged]]
+            both = imaged[rows]
+            edges.append((image_ids[rows[both]], image_ids[cols[both]]))
+            edges.append((ids[rows], ids[cols]))
+            offset += count + int(np.count_nonzero(imaged))
             # a side of a face is one layer of `inside` along a mesh axis.  Runs never cross a
             # row along the last axis, so a side's runs follow from each row's first run and
             # the merges along the rows

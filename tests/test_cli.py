@@ -140,18 +140,34 @@ def test_count_with_slice_and_bounds(capsys):
     assert "reason" not in payload["slice"] and "reason" not in payload["bounds"]
 
 
-@pytest.mark.parametrize("flag", ["--slice", "--check-bounds"])
-def test_count_holds_only_caloric_input_to_the_bounds(capsys, flag):
+@pytest.mark.parametrize(
+    "expr, n, flag, reason, summary",
+    [
+        pytest.param("t", "1", "--slice", "p is not caloric (heat_residual)",
+                     "N = 2 (1 positive, 1 negative), exact on the cube loop", id="--slice"),
+        pytest.param("t", "1", "--check-bounds", "p is not caloric (heat_residual)",
+                     "N = 2 (1 positive, 1 negative), exact on the cube loop", id="--check-bounds"),
+        pytest.param("x", "1", "--check-bounds", "p is not time-dependent",
+                     "N = 2 (1 positive, 1 negative), exact on the cube loop", id="x--check-bounds"),
+        pytest.param("x*y", "2", "--check-bounds", "p is not time-dependent",
+                     "N = 4 (2 positive, 2 negative), stable over [64, 128, 256] [heuristic-stabilized]",
+                     id="x*y--check-bounds"),
+    ],
+)
+def test_count_holds_only_caloric_input_to_the_bounds(capsys, expr, n, flag, reason, summary):
     # t is homogeneous but not caloric: its two domains {t > 0} and {t < 0}
-    # outnumber the one arc of its slice, and no theorem relates them
-    code, out, err = run(capsys, "count", "--expr", "t", "-n", "1", flag)
+    # outnumber the one arc of its slice, and no theorem relates them.  x and
+    # x*y are caloric but not time-dependent, and the proven bounds are about
+    # d/dt p != 0: x has degree 1, which no bound covers (it exited 4 and
+    # dropped the count), and x*y reported "ok": true
+    code, out, err = run(capsys, "count", "--expr", expr, "-n", n, flag)
     assert code == 0
     payload = json.loads(out)
     report = payload["slice" if flag == "--slice" else "bounds"]
     assert report["bound_ok" if flag == "--slice" else "ok"] is None
-    assert report["reason"] == "p is not caloric (heat_residual)"
-    assert payload["total"] == 2
-    assert err == "N = 2 (1 positive, 1 negative), exact on the cube loop\n"
+    assert report["reason"] == reason
+    assert summary.startswith(f"N = {payload['total']} (")
+    assert err == summary + "\n"
 
 
 @pytest.mark.parametrize("degree", ["7", "8", "12", "24", "40"])

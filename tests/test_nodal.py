@@ -934,6 +934,14 @@ def _node_sign_counts(field):
     return tuple(int(np.count_nonzero(field.node_signs == s)) for s in (1, 0, -1))
 
 
+def _assert_edges_join_like_signs(field):
+    """Every edge of `field` joins two of its node ids, of one nonzero sign."""
+    ends = np.concatenate([field.rows, field.cols])
+    assert ends.size == 0 or (ends.min() >= 0 and ends.max() < len(field.node_signs))
+    low, high = field.node_signs[field.rows], field.node_signs[field.cols]
+    assert np.array_equal(low, high) and np.all(low != 0)
+
+
 def _assert_cascade_graph_matches(p, resolution):
     """Under each grouping, the sampled graph's split is that of the per-cell graph.
 
@@ -943,6 +951,7 @@ def _assert_cascade_graph_matches(p, resolution):
     whole cross-section in one pass).  Both groupings sample one grid to
     the same signs, and each graph's nodes are the runs of the full merge
     masks along the last mesh axis: no run is cut at an edge that merges.
+    Each edge joins two of the graph's nodes of one nonzero sign.
     """
     caps = ((resolution + 2) ** p.spatial_dim, 2 ** 40)
     fields = []
@@ -957,6 +966,7 @@ def _assert_cascade_graph_matches(p, resolution):
         report = count_components(field)
         assert (report.positive, report.negative) == split, cap
         assert _node_sign_counts(field) == runs, cap
+        _assert_edges_join_like_signs(field)
     return fields[-1]
 
 
@@ -1030,7 +1040,8 @@ def test_mirrored_faces_match_direct_evaluation(name):
     # its own and requires the field's signs; the zero cells must be those of
     # all faces, and the split and runs those of the per-cell graph.  In one
     # pass of every source the t faces are whole, and the graph must have
-    # the same nodes and edges, up to numbering
+    # the same nodes and edges, up to numbering.  In both, each edge joins
+    # two nodes of one nonzero sign
     make, resolution = _MIRRORED_INPUTS[name]
     p = make()
     field = cube_section_sample(p, resolution)
@@ -1044,6 +1055,8 @@ def test_mirrored_faces_match_direct_evaluation(name):
         patch.setattr(nodal, "_CASCADE_FLOATS", 2 ** 40)
         whole = cube_section_sample(p, resolution)
     assert (_node_sign_counts(whole), len(whole.rows)) == (runs, len(field.rows))
+    for graph in (field, whole):
+        _assert_edges_join_like_signs(graph)
 
 
 @pytest.mark.parametrize(
