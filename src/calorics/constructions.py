@@ -267,6 +267,27 @@ def product_lower(n: int, d: int) -> Polynomial:
     return product_hcp(alpha)
 
 
+def product_count(alpha: Sequence[int]) -> int:
+    """Nodal domains of product_hcp(alpha) with every k_i >= 1: prod(k_i + 1) - 2^n + 2^m.
+
+    n = len(alpha) and m is the number of odd k_i.  Proof: the coefficients
+    of p_k(x, t) are positive, so for t > 0 it is x^(k mod 2) times a
+    polynomial in x^2 with no real root, and for t < 0 it has k simple real
+    roots, sqrt(-t) times those of a Hermite polynomial.  So at t < 0 the
+    zero set of the product is the hyperplanes x_i = root, which cut
+    {t < 0} into prod(k_i + 1) boxes, each crossed continuously by t.  All
+    roots shrink to 0 as t -> 0-.  A box with some x_i between two roots
+    meets t = 0 only where x_i = 0 and p = 0, so it is a domain of its own.
+    The 2^n outer boxes (each x_i beyond every root) touch t = 0 where every
+    x_i != 0 and p = prod x_i^(k_i) != 0, and join {t >= 0, p != 0}, whose
+    components are the 2^m sign patterns of the odd-degree coordinates.
+    n = 1 gives the 2 ceil(k/2) of basic_hcp(k).
+    """
+    if not alpha or min(alpha) < 1:
+        raise ConstructionError(f"product_count needs every k_i >= 1, got {tuple(alpha)}")
+    return math.prod(k + 1 for k in alpha) - 2 ** len(alpha) + 2 ** sum(k % 2 for k in alpha)
+
+
 # ---------------------------------------------------------------------------
 # Fixed fixtures (integer polynomials printed in the source material)
 # ---------------------------------------------------------------------------

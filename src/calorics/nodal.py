@@ -17,8 +17,11 @@ cube has cell centers with exact rational coordinates, so every sampled
 sign is exact and only the connectivity (grid resolution) is heuristic.
 Those counts are therefore reported as HEURISTIC-STABILIZED: a count is
 `stable` when the last three resolutions of a schedule agree on the
-(positive, negative) split, never certified.  cube_section_sample and
-count_components take n = 1 too, as the loop's test oracle.
+(positive, negative) split, never certified.  With no schedule given,
+nodal_count climbs the x2 ladder of DEFAULT_SCHEDULES and stops at the
+first three rungs that agree; an input that never agrees runs every rung.
+cube_section_sample and count_components take n = 1 too, as the loop's
+test oracle.
 
 Sign evaluation clears denominators and works on integers.  Every mesh is
 a face of a stack (_MeshForm): the faces share their mesh numerators, each
@@ -147,9 +150,11 @@ class _LazyNumpy:
 
 np = _LazyNumpy()
 
+# the x2 ladder, per ambient dimension, that nodal_count climbs when no
+# schedule is given, up to the first three rungs that agree
 DEFAULT_SCHEDULES: Dict[int, Tuple[int, ...]] = {
-    3: (64, 128, 256),
-    4: (24, 48, 96),
+    3: (32, 64, 128, 256),
+    4: (12, 24, 48, 96),
 }
 MAX_COUNT_DEGREE = 64
 # the most digits of a bound of bounds_report: C(2n, n) has 6,019 at n = 10^4,
@@ -1223,10 +1228,17 @@ def nodal_count(p: Polynomial, schedule: Optional[Sequence[int]] = None) -> Comp
     sign on it (_loop_signs), so the report is `stable` by proof, with method
     "cube-loop" and no resolutions.  It takes no schedule; passing one
     raises NodalError.  For n >= 2 it runs count_components at each
-    resolution of the schedule (default per ambient dimension); the reported
-    counts come from the finest level and `stable` records whether the last
-    three levels agree on the (positive, negative) split.  Instability is
-    reported, never raised.
+    resolution of the schedule; the reported counts come from the finest
+    level run and `stable` records whether the last three levels agree on
+    the (positive, negative) split.  An explicit schedule runs every level.
+    With none, the levels are the rungs of DEFAULT_SCHEDULES[n + 1], 32, 64,
+    128, 256 for n = 2 and 12, 24, 48, 96 for n = 3, and the count stops at
+    the first rung whose last three agree.  An input that never agrees runs
+    every rung and is decided by 64/128/256 or 24/48/96.  The 2-D ladder
+    starts at 32, not 16: a 2-D rung costs mostly fixed overhead at these
+    sizes, so a rung at 16 saves little, and it would add a second wasted
+    rung to every unstable input.  resolutions_used lists the levels run.
+    Instability is reported, never raised.
     """
     ambient = p.spatial_dim + 1
     if ambient == 2:
@@ -1238,7 +1250,8 @@ def nodal_count(p: Polynomial, schedule: Optional[Sequence[int]] = None) -> Comp
         arcs = [s for k, s in enumerate(signs) if s and not signs[k - 1]] or signs[:1]
         positive, negative = arcs.count(1), arcs.count(-1)
         return ComponentReport(positive + negative, positive, negative, (), True, 0.0, "cube-loop")
-    if schedule is None:
+    ladder = schedule is None
+    if ladder:
         if ambient not in DEFAULT_SCHEDULES:
             raise NodalError(f"no default schedule for ambient dimension {ambient}")
         schedule = DEFAULT_SCHEDULES[ambient]
@@ -1247,9 +1260,13 @@ def nodal_count(p: Polynomial, schedule: Optional[Sequence[int]] = None) -> Comp
         raise NodalError("schedule needs at least three resolutions")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise NodalError("schedule must be strictly increasing")
-    reports = [count_components(cube_section_sample(p, res)) for res in schedule]
-    tail = {(r.positive, r.negative) for r in reports[-3:]}
-    return replace(reports[-1], resolutions_used=tuple(schedule), stable=len(tail) == 1)
+    reports = []
+    for res in schedule:
+        reports.append(count_components(cube_section_sample(p, res)))
+        stable = len(reports) >= 3 and len({(r.positive, r.negative) for r in reports[-3:]}) == 1
+        if ladder and stable:
+            break
+    return replace(reports[-1], resolutions_used=tuple(schedule[: len(reports)]), stable=stable)
 
 
 # ---------------------------------------------------------------------------

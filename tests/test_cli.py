@@ -150,7 +150,7 @@ def test_count_with_slice_and_bounds(capsys):
         pytest.param("x", "1", "--check-bounds", "p is not time-dependent",
                      "N = 2 (1 positive, 1 negative), exact on the cube loop", id="x--check-bounds"),
         pytest.param("x*y", "2", "--check-bounds", "p is not time-dependent",
-                     "N = 4 (2 positive, 2 negative), stable over [64, 128, 256] [heuristic-stabilized]",
+                     "N = 4 (2 positive, 2 negative), stable over [32, 64, 128] [heuristic-stabilized]",
                      id="x*y--check-bounds"),
     ],
 )
@@ -721,26 +721,26 @@ def test_count_output_is_deterministic(capsys):
 _PINNED_REPORTS = [
     ("count --fixture n2d3 --check-bounds",
      '{"bounds": {"d": 3, "max_lower_bound": 1, "max_upper_bound": 10, "min_domains": 2,'
-     ' "n": 2, "ok": true}, "method": "cube-exact", "neg": 1, "pos": 1, "resolutions": [64,'
-     ' 128, 256], "source": "fixture:n2d3", "stable": true, "total": 2, "zero_frac": 0.0}'),
+     ' "n": 2, "ok": true}, "method": "cube-exact", "neg": 1, "pos": 1, "resolutions": [32,'
+     ' 64, 128], "source": "fixture:n2d3", "stable": true, "total": 2, "zero_frac": 0.0}'),
     ("count --fixture n2d4 --check-bounds",
      '{"bounds": {"d": 4, "max_lower_bound": 4, "max_upper_bound": 15, "min_domains": 3,'
-     ' "n": 2, "ok": true}, "method": "cube-exact", "neg": 2, "pos": 1, "resolutions": [64,'
-     ' 128, 256], "source": "fixture:n2d4", "stable": true, "total": 3, "zero_frac": 0.0}'),
+     ' "n": 2, "ok": true}, "method": "cube-exact", "neg": 2, "pos": 1, "resolutions": [32,'
+     ' 64, 128], "source": "fixture:n2d4", "stable": true, "total": 3, "zero_frac": 0.0}'),
     ("count --fixture prod_n2d4 --check-bounds",
      '{"bounds": {"d": 4, "max_lower_bound": 4, "max_upper_bound": 15, "min_domains": 3,'
-     ' "n": 2, "ok": true}, "method": "cube-exact", "neg": 4, "pos": 2, "resolutions": [64,'
-     ' 128, 256], "source": "fixture:prod_n2d4", "stable": true, "total": 6,'
+     ' "n": 2, "ok": true}, "method": "cube-exact", "neg": 4, "pos": 2, "resolutions": [32,'
+     ' 64, 128], "source": "fixture:prod_n2d4", "stable": true, "total": 6,'
      ' "zero_frac": 0.0}'),
     ("count --fixture n3d4 --check-bounds",
      '{"bounds": {"d": 4, "max_lower_bound": 1, "max_upper_bound": 35, "min_domains": 2,'
-     ' "n": 3, "ok": true}, "method": "cube-exact", "neg": 1, "pos": 1, "resolutions": [24,'
-     ' 48, 96], "source": "fixture:n3d4", "stable": true, "total": 2, "zero_frac": 0.0}'),
+     ' "n": 3, "ok": true}, "method": "cube-exact", "neg": 1, "pos": 1, "resolutions": [12,'
+     ' 24, 48], "source": "fixture:n3d4", "stable": true, "total": 2, "zero_frac": 0.0}'),
     ("count --gen basic -d 7",
      '{"method": "cube-loop", "neg": 4, "pos": 4, "resolutions": [],'
      ' "source": "gen:basic", "stable": true, "total": 8, "zero_frac": 0.0}'),
     ("count --gen product -d 8 -n 2",
-     '{"method": "cube-exact", "neg": 12, "pos": 10, "resolutions": [64, 128, 256],'
+     '{"method": "cube-exact", "neg": 12, "pos": 10, "resolutions": [32, 64, 128],'
      ' "source": "gen:product", "stable": true, "total": 22, "zero_frac": 0.0}'),
 ]
 

@@ -23,6 +23,7 @@ from calorics import (
     odd_construction,
     parabolic_degree,
     parse_poly,
+    product_count,
     product_hcp,
     product_lower,
     scan_epsilon,
@@ -200,6 +201,19 @@ def test_product_lower_two_five():
 def test_product_lower_needs_room():
     with pytest.raises(ConstructionError):
         product_lower(3, 5)
+
+
+def test_product_count_closed_form():
+    # one factor is basic_hcp(k): 2 ceil(k/2) domains, the exact cube loop's count
+    for k in range(1, 12):
+        assert product_count((k,)) == 2 * math.ceil(k / 2)
+    # prod_n2d4, and product_lower(2, 16), whose grid splits the fans at t = 0 into 94
+    assert product_count((2, 2)) == 6
+    assert product_count((8, 8)) == 78
+    assert product_count((2, 2, 2)) == 20
+    for alpha in [(), (0,), (2, 0), (3, 0, 2)]:
+        with pytest.raises(ConstructionError, match="k_i >= 1"):
+            product_count(alpha)
 
 
 @pytest.mark.parametrize("n, d", [(2, 4), (2, 5), (2, 8), (3, 6), (3, 7), (4, 9)])

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -27,7 +28,10 @@ from calorics import (
     odd_construction,
     parse_poly,
     polar_chambers,
+    product_count,
+    product_hcp,
     product_lower,
+    rotate_xy,
     slice_count,
     sphere_grid_count,
     export_nodal_pointcloud,
@@ -50,7 +54,7 @@ from calorics.nodal import (
 )
 from calorics.polyring import NotHomogeneous, parabolic_degree
 from calorics.univariate import sign_arcs
-from conftest import homogeneous_polynomials, negate_space
+from conftest import homogeneous_polynomials, negate_space, pythagorean_pairs
 
 
 # ---- exact sign evaluation ----
@@ -744,8 +748,117 @@ def test_product_family_counts_at_default_schedules(monkeypatch, n, d, expected)
     for calls in sections:
         assert len(set(calls)) == len(calls)
     if (n, d) == (3, 6):
-        # the distinct (line, ends) of the three cross-sections: 22, 47 and 95
-        assert sum(map(len, sections)) <= 164
+        # the distinct (line, ends) of the cross-sections at 12, 24 and 48: 5, 11 and 24
+        assert sum(map(len, sections)) <= 40
+
+
+# product_hcp(alpha) for n = 2 and 3 and small k_i, each stable on the default ladder
+_PRODUCT_TABLE = [(2, 2), (2, 3), (3, 3), (2, 4), (4, 4), (4, 5), (5, 5), (6, 6),
+                  (2, 2, 2), (2, 2, 3), (2, 3, 3), (3, 3, 3), (2, 2, 4)]
+
+
+@pytest.mark.parametrize("alpha", _PRODUCT_TABLE, ids=str)
+def test_product_counts_match_the_closed_form(alpha):
+    # a count the closed form proves wrong must never be reported stable
+    report = nodal_count(product_hcp(alpha))
+    assert report.stable
+    assert report.total == product_count(alpha)
+
+
+def test_default_ladder_stops_at_the_first_three_agreeing_rungs():
+    assert nodal.DEFAULT_SCHEDULES == {3: (32, 64, 128, 256), 4: (12, 24, 48, 96)}
+    for name, rungs in (("n2d3", (32, 64, 128)), ("n3d4", (12, 24, 48))):
+        report = nodal_count(fixture(name))
+        assert report.stable and report.resolutions_used == rungs
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: zero_mod4(16, F(1, 4), (F(99, 101), F(-20, 101))), lambda: product_lower(2, 16)],
+    ids=["zero_mod4(16) rotated", "product_lower(2, 16)"],
+)
+def test_default_ladder_runs_every_rung_of_an_unstable_input(make):
+    # its last three rungs are 64/128/256, so it gets their count and flag
+    p = make()
+    report = nodal_count(p)
+    assert report.resolutions_used == (32, 64, 128, 256)
+    fixed = nodal_count(p, [64, 128, 256])
+    assert not fixed.stable
+    assert replace(report, resolutions_used=fixed.resolutions_used) == fixed
+
+
+def test_an_explicit_schedule_runs_every_resolution():
+    # n2d3 agrees at 16/32/64 already; only the default ladder stops there
+    report = nodal_count(fixture("n2d3"), [16, 32, 64, 128])
+    assert report.stable and report.resolutions_used == (16, 32, 64, 128)
+
+
+# ---- counts that must not move: rotations, signed axis permutations, -p ----
+
+_METAMORPHIC_INPUTS = {
+    "n2d3": lambda: fixture("n2d3"),
+    "n2d4": lambda: fixture("n2d4"),
+    "prod_n2d4": lambda: fixture("prod_n2d4"),
+    "n3d4": lambda: fixture("n3d4"),
+    "lewy_2mod4(6, 1/20)": lambda: lewy_2mod4(6, F(1, 20)),
+    "zero_mod4(4, 1/5) rotated": lambda: zero_mod4(4, F(1, 5), (F(221, 229), F(-60, 229))),
+    "product_lower(2, 5)": lambda: product_lower(2, 5),
+    "product_lower(2, 8)": lambda: product_lower(2, 8),
+    "product_lower(3, 6)": lambda: product_lower(3, 6),
+    "high_dim(3)": lambda: high_dim(3),
+    "high_dim(4)": lambda: high_dim(4),
+    "high_dim(5)": lambda: high_dim(5),
+}
+
+
+def _signed_permutation(p, perm, flips):
+    """p with x_i moved to x_perm[i], then x_j -> -x_j for each j in flips."""
+    q = embed(p, p.spatial_dim, perm)
+    return Polynomial(q.spatial_dim, {
+        ev: -c if sum(ev.space_exps[j] for j in flips) % 2 else c for ev, c in q.terms.items()
+    })
+
+
+@given(st.sampled_from(sorted(_METAMORPHIC_INPUTS)), pythagorean_pairs(), st.data())
+@settings(max_examples=20, deadline=None)
+def test_stable_counts_agree_under_a_rotation(name, pair, data):
+    # a rotation of space maps nodal domains onto nodal domains, but not the
+    # cube onto itself: the rotated p is a new input with a known answer
+    p = _METAMORPHIC_INPUTS[name]()
+    plane = data.draw(st.sampled_from(list(itertools.combinations(range(p.spatial_dim), 2))))
+    counts = [nodal_count(q) for q in (p, rotate_xy(p, *plane, *pair))]
+    if all(report.stable for report in counts):
+        assert len({(report.positive, report.negative) for report in counts}) == 1
+
+
+@given(st.sampled_from(sorted(_METAMORPHIC_INPUTS)), st.data())
+@settings(max_examples=40, deadline=None)
+def test_signed_permutations_and_negation_keep_every_single_resolution(name, data):
+    # a signed permutation of the space axes maps the unjittered grid, its
+    # cube edges and every segment between them onto themselves, so its split
+    # and zero cells agree at each resolution, stable or not; -p samples the
+    # same grid and swaps the split.  A swap of x_1 with another axis moves
+    # which half of each t face is evaluated.  The jittered grid, shifted by
+    # 1/(6r) on every axis, is mapped onto itself by a permutation but not by
+    # a sign flip: lewy_2mod4(6, 1/20) at r = 5 splits (3, 4) and, with x
+    # flipped, (4, 1)
+    p = _METAMORPHIC_INPUTS[name]()
+    n = p.spatial_dim
+    resolution = data.draw(st.integers(min_value=2, max_value=64 if n == 2 else 24), label="resolution")
+    perm = data.draw(st.permutations(range(n)), label="perm")
+    flips = data.draw(st.sets(st.sampled_from(range(n))), label="flips")
+    field = cube_section_sample(p, resolution)
+    report = count_components(field)
+    negated = cube_section_sample(p.scale(-1), resolution)
+    swapped = count_components(negated)
+    assert negated.zero_cells == field.zero_cells
+    assert (swapped.negative, swapped.positive) == (report.positive, report.negative)
+    image = cube_section_sample(_signed_permutation(p, perm, flips), resolution)
+    assert image.grid.jittered == field.grid.jittered
+    if not (field.grid.jittered and flips):
+        assert image.zero_cells == field.zero_cells
+        split = count_components(image)
+        assert (split.positive, split.negative) == (report.positive, report.negative)
 
 
 def test_mean_value_consequence_every_caloric_fixture_has_two_domains():
