@@ -78,10 +78,12 @@ stages decide each edge, the first that can:
       pseudo-remainder sequence in Python ints, from univariate), once per
       distinct line and ends.
 
-_MeshForm.merge_masks runs them once per form and mesh axis, while the
-form is alive, each stage on the edges the one before it left, so each
-group's graph of runs is built from complete merge masks and its
-partition is that of the per-cell graph.
+_MeshForm.merge_masks runs them once per form, while the form is alive,
+each stage on the edges the one before it left: (a) on each mesh axis,
+(b) and (d) on every axis's edges at once, and (c) on each axis that
+still has edges, at its own degree (axes of one degree, side by side,
+in one call).  So each group's graph of runs is built from complete
+merge masks and its partition is that of the per-cell graph.
 
 The chord bound: on a segment of step h whose ends share a sign, the chord
 between the end values stays min(|P(lo)|, |P(hi)|) from zero, and P leaves
@@ -93,13 +95,15 @@ compares every cell's certified lower bound on |P| with the one threshold,
 rounded up: no contraction.  Where D2_s = 0, P is affine along the axis and
 every edge between cells of one nonzero sign merges.  Stage (b) bounds
 |P''| per edge from the float line coefficients that (c) uses too, each
-widened by its rounding bound, and rounds the threshold up by a _kappa
-slack over the roundings of its own evaluation; O(edges x exponents).  A
-threshold that overflows is inf, and one that meets inf * 0 is nan: either
-certifies nothing.  Line coefficients are laid out over the form's
-exponents of the slot axis, Bernstein coefficients take its top exponent
-as their degree, and each rounding count K covers the form's number of
-terms in each sum, padded to the union of its faces' exponents.
+widened by its rounding bound once per mesh line, and rounds the threshold
+up by a _kappa slack over the roundings of its own evaluation;
+O(edges x exponents).  A threshold that overflows is inf, and one that
+meets inf * 0 is nan: either certifies nothing.  Each line's coefficients
+are laid out over every power 0 .. U of the form, U its top exponent on
+any mesh axis (a padded zero adds nothing, or a nan that certifies
+nothing), Bernstein coefficients take the top exponent of the edge's own
+axis as their degree, and each rounding count K covers the form's number
+of terms in each sum, padded to the union of its faces' exponents.
 
 A cross-face stitch bends through the shared cube edge: each of its two
 legs runs from an edge cell center to the cube edge, and both must be
@@ -121,6 +125,7 @@ operation and rebinds np to it.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -241,8 +246,8 @@ AxisValues = Union[int, "np.ndarray"]
 
 _BERNSTEIN_SPLITS = 4  # de Casteljau halvings of an edge before the exact fallback
 # floats in each array of one batch of merge stages (b) and (c), 2 MB: a batch
-# takes 2^18 / (2 (D + 1)) edges at Bernstein degree D, and holds about ten
-# such arrays at a time, whatever the number of edges
+# takes 2^18 / (2 (U + 1)) edges with lines over the powers 0 .. U, and holds
+# about ten such arrays at a time, whatever the number of edges
 _CASCADE_FLOATS = 2 ** 18
 # multiply-adds in one block of _contract's last matrix product: OpenBLAS runs
 # a dgemm of at most 2^18 of them on one thread, and a large product with an
@@ -293,14 +298,38 @@ def _edge_slices(slot: int) -> Tuple[tuple, tuple]:
     return lo, hi
 
 
+def _powers(base: np.ndarray, count: int) -> np.ndarray:
+    """base^0 .. base^(count - 1) along a new last axis, count >= 1, by cumulative products.
+
+    Each power is the one before it times base, so base^e carries at most
+    e - 1 roundings.
+    """
+    out = base[..., None].repeat(count, axis=-1)
+    out[..., 0] = 1
+    return np.multiply.accumulate(out, axis=-1, out=out)
+
+
 @functools.lru_cache(maxsize=None)
-def _bernstein_tables(degree: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(C(j, k) at [j, k], C(b, k) / C(degree, k) at [k, b]) as read-only floats, each rounded once."""
+def _bernstein_tables(degree: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only tables of Bernstein coefficients of one degree D (= degree).
+
+    (C(j, k) at [j, k]; C(b, k) / C(D, k) at [k, b]; the de Casteljau
+    halving at 1/2, C(i, j) / 2^i at [j, i] for the left half and
+    C(D - i, j - i) / 2^(D - i) at [j, D + 1 + i] for the right.)  Each
+    float is rounded once: a binomial on its conversion, and a power of two
+    divides exactly.
+    """
     span = range(degree + 1)
     binomials = np.array([[float(math.comb(j, k)) for k in span] for j in span])
     change = np.array([[math.comb(b, k) / math.comb(degree, k) for b in span] for k in span])
-    binomials.flags.writeable = change.flags.writeable = False
-    return binomials, change
+    halves = np.array([
+        [float(math.comb(i, j)) / 2 ** i for i in span]
+        + [float(math.comb(degree - i, j - i)) / 2 ** (degree - i) if j >= i else 0.0 for i in span]
+        for j in span
+    ])
+    for table in (binomials, change, halves):
+        table.flags.writeable = False
+    return binomials, change, halves
 
 
 class _MeshForm:
@@ -318,7 +347,9 @@ class _MeshForm:
     of its P, a positive multiple of p in the numerators.  The dense
     coefficients of all faces are laid out over the union of their exponents
     on each mesh axis, zero where a face has none, and each mesh axis takes
-    its power columns from np.vander of its numerators.
+    its power columns from _powers of its numerators.  `terms` holds C and
+    |C|, and `tables[s]` m^e and |m^e| on mesh axis s, each on a leading
+    axis of two.
 
     Float evaluation is one chain of tensor contractions, one Vandermonde
     matrix per mesh axis (V_a C V_b^T on a 2-D face), with a rounding bound
@@ -357,7 +388,9 @@ class _MeshForm:
         keys = [key for coeffs in self.coeffs for key in coeffs]
         self.powers = [sorted({key[s] for key in keys}) for s in range(len(self.nums))]
         ranks = [{e: k for k, e in enumerate(pw)} for pw in self.powers]
-        self.dense = np.zeros((len(faces),) + tuple(len(pw) for pw in self.powers))
+        # C and |C| on a leading axis of two, as are m^e and |m^e| on each mesh axis
+        self.terms = np.zeros((2, len(faces)) + tuple(len(pw) for pw in self.powers))
+        self.dense = self.terms[0]
         try:
             for face, coeffs in zip(self.dense, self.coeffs):
                 for key, c in coeffs.items():
@@ -366,14 +399,17 @@ class _MeshForm:
             raise NodalError(
                 f"degree {self.degree}: a scaled integer coefficient exceeds the float range"
             ) from exc
+        np.abs(self.dense, out=self.terms[1])
+        self.tables = []
         with np.errstate(over="ignore"):
-            # m^e for e = 0 .. the axis's top exponent, one row per numerator
-            tables = [
-                np.vander(m.astype(np.float64), max(pw, default=0) + 1, increasing=True)
-                for m, pw in zip(self.nums, self.powers)
-            ]
-        self.columns = [np.ascontiguousarray(v[:, pw]) for v, pw in zip(tables, self.powers)]
-        self.magnitudes = [np.abs(column) for column in self.columns]
+            for m, pw in zip(self.nums, self.powers):
+                # m^e for e = 0 .. the axis's top exponent, one row per numerator
+                table = np.empty((2, len(m), len(pw)))
+                table[0] = _powers(m.astype(np.float64), max(pw, default=0) + 1)[:, pw]
+                np.abs(table[0], out=table[1])
+                self.tables.append(table)
+        self.columns = [table[0] for table in self.tables]
+        self.magnitudes = [table[1] for table in self.tables]
         self.floor: Optional[np.ndarray] = None
         self.nonzero = False  # set by the float pass: the face-wide tier certified every cell
 
@@ -381,13 +417,23 @@ class _MeshForm:
         # Each product C_T * prod_s m_s^e of a contraction carries at most
         # 1 + sum_s (degree + k_s) roundings: 1 converting its coefficient to
         # float (the fixed axes were substituted exactly before), degree per
-        # axis for m^e (np.vander multiplies cumulatively, e - 1 roundings;
+        # axis for m^e (_powers multiplies cumulatively, e - 1 roundings;
         # m is an integer of at most 2^53, checked at construction, so exact,
         # and nothing underflows) and k_s for stage s, an
         # inner product over the k_s exponents of axis s (padded ones
         # included).  An edge's line skips its slot axis, which it does not
         # contract.
         return 1 + sum(self.degree + len(pw) for s, pw in enumerate(self.powers) if s != skip)
+
+    @functools.cached_property
+    def _term_tops(self) -> List[List[Tuple[int, Tuple[int, ...]]]]:
+        """Per face, each term T as (|C_T| prod_r top_r^(e_r), e), in exact Python ints."""
+        span = range(self.degree + 1)
+        powers = [[top ** e for e in span] for top in self.tops]
+        return [
+            [(abs(c) * math.prod(pw[e] for pw, e in zip(powers, key)), key) for key, c in coeffs.items()]
+            for coeffs in self.coeffs
+        ]
 
     def _top_sums(self, order: int, slot: int = 0) -> List[int]:
         """Per face, sum_T |C_T| e_s! / (e_s - order)! prod_r top_r^(e_r - order delta_rs), s = slot.
@@ -398,23 +444,12 @@ class _MeshForm:
         order-th derivative along axis s of sum_T |C_T prod m^e| there.
         Order 0 is the face's S_f (the slot plays no part), order 2 its
         D2_s: the same sum, with the slot's powers top^e replaced by their
-        order-th derivatives.  Exact Python ints.
+        order-th derivatives.  Exact Python ints: each term of _term_tops
+        times e_s! / (e_s - order)!, which is zero unless e_s >= order, and
+        then the term holds top_s^order, so the sum divides by it exactly.
         """
-        span = range(self.degree + 1)
-        powers = [[top ** e for e in span] for top in self.tops]
-        if order:  # terms with e_s < order drop out
-            top = self.tops[slot]
-            powers[slot] = [math.perm(e, order) * top ** (e - order) if e >= order else 0 for e in span]
-        sums = []
-        for coeffs in self.coeffs:
-            total = 0
-            for key, c in coeffs.items():
-                term = abs(c)
-                for pw, e in zip(powers, key):
-                    term *= pw[e]
-                total += term
-            sums.append(total)
-        return sums
+        scale = self.tops[slot] ** order
+        return [sum(top * math.perm(key[slot], order) for top, key in terms) // scale for terms in self._term_tops]
 
     def _face_bound(self) -> Optional[np.ndarray]:
         """beta_f per face, a float at least (1 + (K + 2) u) kappa eps S_f; None if some S_f >= 2^1023.
@@ -439,7 +474,7 @@ class _MeshForm:
     def _cell_bound(self) -> np.ndarray:
         """Each cell's rounding bound of the float pass: kappa eps times the contraction of |C| with |m|."""
         with np.errstate(over="ignore", invalid="ignore"):
-            bound = _contract(np.abs(self.dense), self.magnitudes)
+            bound = _contract(self.terms[1], self.magnitudes)
             bound *= _kappa(self._roundings()) * _FLOAT_EPS
         return bound
 
@@ -512,25 +547,31 @@ class _MeshForm:
         """The merge mask of each mesh axis: its same-sign edges proven root-free.
 
         signs are the exact signs of `signs()`; the mask of mesh axis s is
-        shaped like them with axis 1 + s shortened by one.  Per axis, stage
-        (a) (chord_mask) decides what it can, and _root_free's stages (b)-(d)
-        take what it leaves, each stage what the one before it left.  With
-        `rim`, edges whose cells lie on the first or last layer of another
-        mesh axis (a cube face's rim, in no graph) skip stages (b)-(d).
-        `counts` keeps stage (d)'s Sturm counts across one cross-section.
+        shaped like them with axis 1 + s shortened by one.  Stage (a)
+        (chord_mask) decides what it can on each axis, and _root_free's
+        stages (b)-(d) take what it leaves on every axis, once per form, each
+        stage what the one before it left.  With `rim`, edges whose cells lie
+        on the first or last layer of another mesh axis (a cube face's rim, in
+        no graph) skip stages (b)-(d).  `counts` keeps stage (d)'s Sturm counts
+        across one cross-section.
         """
-        masks = []
-        for slot in range(len(self.nums)):
-            merged, left = self.chord_mask(slot, signs)
-            if rim:
-                for s in range(1, signs.ndim):
-                    if s != slot + 1:
-                        left[(slice(None),) * s + (0,)] = left[(slice(None),) * s + (-1,)] = False
-            cells = np.unravel_index(np.flatnonzero(left), left.shape)
+        masks, edges = [], []
+        # an overflow becomes inf or nan in stages (b) and (c), which certifies nothing
+        with np.errstate(over="ignore", invalid="ignore"):
+            for slot in range(len(self.nums)):
+                merged, left = self.chord_mask(slot, signs)
+                if rim:
+                    for s in range(1, signs.ndim):
+                        if s != slot + 1:
+                            left[(slice(None),) * s + (0,)] = left[(slice(None),) * s + (-1,)] = False
+                masks.append(merged)
+                edges.append(left.ravel().nonzero()[0])
             del left  # before the edges' lines are contracted
-            free = self._root_free(slot, cells, signs, counts)
-            merged[tuple(index[free] for index in cells)] = True
-            masks.append(merged)
+            free = self._root_free(edges, signs, counts)
+        first = 0
+        for merged, low in zip(masks, edges):
+            merged.reshape(-1)[low[free[first:first + len(low)]]] = True
+            first += len(low)
         return masks
 
     def chord_mask(self, slot: int, signs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -545,9 +586,9 @@ class _MeshForm:
         candidates = signs[lo] * signs[hi] > 0
         if not candidates.any():
             return candidates, np.zeros_like(candidates)
-        clear = self.floor > self._face_chord(slot, int(np.abs(np.diff(self.nums[slot])).max()))
-        merged = clear[lo]
-        merged &= clear[hi]
+        steps = self.nums[slot][1:] - self.nums[slot][:-1]
+        clear = self.floor > self._face_chord(slot, int(np.abs(steps).max()))
+        merged = clear[lo] & clear[hi]
         merged &= candidates
         return merged, candidates ^ merged
 
@@ -570,95 +611,170 @@ class _MeshForm:
                 chords.append(math.nextafter(step * step * d2 / 8, math.inf) if d2 else -math.inf)
             except OverflowError:
                 chords.append(math.inf)
-        return np.reshape(chords, (-1,) + (1,) * len(self.nums))
+        return np.array(chords).reshape((-1,) + (1,) * len(self.nums))
 
-    def _lines(self, slot: int) -> np.ndarray:
-        """(c, a): P on every mesh line along `slot`, and the sizes of its coefficients.
+    def _lines(self, slots: Sequence[int], width: int) -> np.ndarray:
+        """(c, a) of P on every mesh line along the axes `slots`, once per form, shape (lines, 2, width).
 
-        The slot's exponents join the face axis as batch rows, and _contract
-        takes every other mesh axis (a face of a 1-D mesh is one line), which
-        leaves the restriction q(m) = sum_j c_j m^j of each line: c and a in
-        shape (faces, lines..., 2, len(powers[slot])).  a is the same
-        contraction of |C| with |m|, a float of the sum A_j of the |terms| of
-        c_j: in any summation order, c_j is within gamma_K A_j of its exact
-        value, and A_j <= a_j / (1 - gamma_K), K = _roundings(skip=slot).
+        The lines of each axis in `slots` come in turn, each axis's (face,
+        point of the other mesh axes) raveled in order, and each line holds
+        its coefficients at their powers 0 .. width - 1, zero where the axis
+        lacks one.  Each other axis is contracted in turn over all its
+        numerators, which leaves the restriction q(m) = sum_j c_j m^j of each
+        line along axis s, and a is the same contraction of |C| with |m|, a
+        float of the sum A_j of the |terms| of c_j: in any summation order,
+        c_j is within gamma_K A_j of its exact value, and
+        A_j <= a_j / (1 - gamma_K), K = _roundings(skip=s).
         """
-        others = [s for s in range(len(self.nums)) if s != slot]
-        dense = np.moveaxis(self.dense, 1 + slot, 1)
-        dense = dense.reshape((-1,) + dense.shape[2:])
-        parts = []
-        with np.errstate(over="ignore", invalid="ignore"):
-            for values, columns in ((dense, self.columns), (np.abs(dense), self.magnitudes)):
-                if others:
-                    values = _contract(values, [columns[s] for s in others])
-                parts.append(values.reshape((len(self.dense), -1) + values.shape[1:]))
-        # (faces, 2, slot exponents, lines...) -> (faces, lines..., 2, slot exponents)
-        return np.moveaxis(np.stack(parts, axis=1), (1, 2), (-2, -1))
+        cells = math.prod(self.shape)
+        table = np.zeros((sum(cells // self.shape[1 + s] for s in slots), 2, width))
+        first = 0
+        for slot in slots:
+            others = [s for s in range(len(self.nums)) if s != slot]
+            # the slot's exponents last; each other axis k_s -> m_s in its place
+            values = self.terms.transpose(0, 1, *(2 + s for s in others), 2 + slot)
+            shape = list(values.shape)
+            for k, s in enumerate(others):
+                block = values.reshape(2, -1, shape[2 + k], math.prod(shape[3 + k:]))
+                values = np.matmul(self.tables[s][:, None], block)
+                shape[2 + k] = len(self.nums[s])
+            last = first + cells // self.shape[1 + slot]
+            exps = self.powers[slot]
+            if exps[-1] == len(exps) - 1:  # every power 0 .. top: a slice, not a scatter
+                exps = slice(len(exps))
+            table[first:last, :, exps] = values.reshape(2, -1, shape[-1]).transpose(1, 0, 2)
+            first = last
+        return table
 
-    def _root_free(self, slot: int, cells: tuple, signs: np.ndarray, counts: Dict[tuple, bool]) -> np.ndarray:
-        """Root-free mask of the edges `cells` (an index array per axis of signs) along `slot`: stages (b)-(d).
+    def _root_free(self, edges: Sequence[np.ndarray], signs: np.ndarray, counts: Dict[tuple, bool]) -> np.ndarray:
+        """Root-free mask of the edges that stage (a) left: stages (b)-(d), once per form.
 
-        Each edge reads its line from _lines.  (b) and (c) take the edges in
-        batches of at most _CASCADE_FLOATS floats per array, which bounds
-        their float temporaries.
+        edges[s] holds flat indices into the merge mask of mesh axis s, and
+        the returned mask covers every axis's edges in turn.  Each edge reads
+        its line from the table of _lines, laid out over every power 0 .. U,
+        U >= 2 at least the top exponent of every mesh axis, zero where its
+        own axis lacks one.  In batches of at most _CASCADE_FLOATS floats per
+        array, which bounds their float temporaries, (b) takes the edges of
+        every axis at once and (c) the edges of each run of axes of one top
+        exponent at that degree, so each axis at its own; (d) takes what (c)
+        leaves.
         """
-        axis = 1 + slot
-        at = cells[axis]
-        free = np.zeros(len(at), dtype=bool)
-        if not len(at):
+        sizes = [len(q) for q in edges]
+        free = np.zeros(sum(sizes), dtype=bool)
+        slots = [s for s, size in enumerate(sizes) if size]
+        if not slots:
             return free
-        upper = cells[:axis] + (at + 1,) + cells[axis + 1:]
-        exps, roundings = self.powers[slot], self._roundings(skip=slot)
-        rows = self._lines(slot)
-        # each edge's line: its indices on every axis but the slot, face first
-        lines = [index for s, index in enumerate(cells) if s != axis]
-        line = np.ravel_multi_index(lines, rows.shape[:-2])
-        rows = rows.reshape(-1, 2, len(exps))
-        floor = np.minimum(self.floor[cells], self.floor[upper])
-        ends = self.nums[slot][np.stack([at, at + 1], axis=1)]
+        shape = signs.shape
+        points = np.concatenate(self.nums)
+        # per mesh axis: its stride in signs, its length less one, and the offsets of its
+        # lines in the table of _lines (which holds the lines of `slots` in turn) and of
+        # its numerators in points; each edge reads those of its axis
+        line_counts = [math.prod(shape) // shape[1 + s] for s in slots]
+        lines = [0] * len(sizes)
+        for s, first in zip(slots, itertools.accumulate(line_counts, initial=0)):
+            lines[s] = first
+        stride, layers, line, at = np.array([
+            [math.prod(shape[2 + s:]) for s in range(len(sizes))], [length - 1 for length in shape[1:]],
+            lines, [0, *itertools.accumulate(map(len, self.nums[:-1]))],
+        ]).repeat(sizes, axis=1)
+        # each edge's lower cell, flat in signs (an index into its axis's mask skips the
+        # axis's last layer), its line, and the index of the cell's numerator in points
+        low = np.concatenate([edges[s] for s in slots])
+        outer, inner = np.divmod(low, stride)
+        outer, index = np.divmod(outer, layers)
+        outer *= stride
+        low += outer
+        line += outer
+        line += inner
+        at += index
+        floor = self.floor.reshape(-1)
+        floor = np.minimum(floor[low], floor[low + stride])
+        signs = signs.reshape(-1)[low]
+        # per numerator m0: m0, |m0|, the step h to the next numerator, |h|, and the reach
+        # max(|m0|, |m0 + h|), in floats; each edge reads them at its lower end
+        steps = np.empty((5, len(points)))
+        steps[0] = points
+        steps[4, :-1] = steps[0, 1:]
+        steps[4, -1] = steps[0, -1]
+        np.subtract(steps[4], steps[0], out=steps[2])
+        np.abs(steps[0], out=steps[1])
+        np.abs(steps[2], out=steps[3])
+        np.maximum(steps[1], np.abs(steps[4]), out=steps[4])
+        width = max(2, *(self.powers[s][-1] for s in slots)) + 1
+        table = self._lines(slots, width)
+        # the K of each axis's lines (_lines); stage (b)'s bound on each line: j (j - 1)
+        # times |c~_j| + kappa eps a_j >= |c_j| for j = 2 .. U (_edge_chord)
+        ks = [float(self._roundings(skip=s)) for s in range(len(sizes))]
+        scales = np.array([_kappa(ks[s]) * _FLOAT_EPS for s in slots]).repeat(line_counts)
+        curvature = table[:, 1, 2:] * scales[:, None]
+        curvature += np.abs(table[:, 0, 2:])
+        curvature *= _bernstein_tables(width - 1)[0][2:, 2] * 2  # j (j - 1) = 2 C(j, 2), exact
+        roundings = np.array(ks).repeat(sizes)  # each edge's K, as a float
+        # stage (c) takes the axes with edges in runs of one top exponent, side by side, each
+        # run at that degree: [degree, end of its edges, exponents of its axes]
+        bounds = [0, *itertools.accumulate(sizes)]
+        runs = []
+        for s in slots:
+            top = self.powers[s][-1]
+            if runs and runs[-1][0] == top:
+                runs[-1][1:] = bounds[s + 1], sorted({*runs[-1][2], *self.powers[s]})
+            else:
+                runs.append([top, bounds[s + 1], self.powers[s]])
 
-        # (b) on a batch, (c) on what (b) leaves of it
         left = []
-        size = max(1, _CASCADE_FLOATS // (2 * (exps[-1] + 1)))
-        for first in range(0, len(at), size):
-            batch = np.arange(first, min(first + size, len(at)))
-            edge_rows = rows[line[batch]]
-            chord = _edge_chord(exps, edge_rows, roundings, floor[batch], ends[batch])
+        size = max(1, _CASCADE_FLOATS // (2 * width))
+        for first in range(0, len(free), size):
+            last = min(first + size, len(free))
+            # (b) on every edge of the batch, over the powers 0 .. U
+            batch = slice(first, last)
+            chord = _edge_chord(curvature[line[batch]], floor[batch], steps[2::2, at[batch]])
             free[batch] = chord
-            rest = batch[~chord]
-            if len(rest):
-                coeffs, bounds = _bernstein(exps, edge_rows[~chord], roundings, ends[rest])
-                coeffs *= signs[tuple(index[rest] for index in cells)][:, None]  # orient: both ends positive
-                certified, rooted = _bernstein_decide(coeffs, bounds)
-                free[rest[certified]] = True
-                left.append(rest[~certified & ~rooted])
+            # (c) on what (b) leaves, run by run, each at its own degree
+            rest = (~chord).nonzero()[0]
+            if not len(rest):
+                continue
+            cuts = rest.searchsorted([min(max(end - first, 0), last - first) for _, end, _ in runs]).tolist()
+            rest += first
+            rows = table[line[rest]]
+            rows[:, 0] *= signs[rest, None]  # orient: both ends positive
+            decided = np.empty((2, len(rest)), dtype=bool)  # root-free, rooted
+            for (top, _, exps), i, j in zip(runs, [0, *cuts], cuts):
+                if i < j:
+                    edge = rest[i:j]
+                    coeffs = _bernstein(exps, rows[i:j, :, :top + 1], roundings[edge], steps[:4, at[edge]].T)
+                    decided[:, i:j] = _bernstein_decide(*coeffs)
+            free[rest[decided[0]]] = True
+            left.append(rest[~(decided[0] | decided[1])])
 
-        # (d) on what (c) leaves: one exact line per (face, point) of the other
-        # mesh axes, and one Sturm count per distinct line and ends
-        others = [s for s in range(len(self.nums)) if s != slot]
-        exact: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-        for e in np.concatenate(left) if left else ():
-            key = tuple(int(index[e]) for index in lines)
+        # (d) on what (c) leaves: one exact line per line of the table, and one Sturm count
+        # per distinct line and ends
+        left = np.concatenate(left) if left else ()
+        if not len(left):
+            return free
+        exact: Dict[int, Tuple[int, ...]] = {}
+        for e, key, cell, near, far in zip(
+            left.tolist(), line[left].tolist(), low[left].tolist(), points[at[left]].tolist(), points[at[left] + 1].tolist()
+        ):
             if key not in exact:
-                face, *point = key
-                ms = [int(self.nums[s][i]) for s, i in zip(others, point)]
+                slot = bisect.bisect_right(bounds, e) - 1
+                face, *cell = np.unravel_index(cell, shape)
+                ms = [int(m[i]) for s, (m, i) in enumerate(zip(self.nums, cell)) if s != slot]
                 exact[key] = _exact_line(self.coeffs[face], slot, ms)
             # ends are nonzero: no root sits on one
-            args = (exact[key], *sorted(ends[e].tolist()))
+            args = (exact[key], *sorted((near, far)))
             if args not in counts:
                 counts[args] = _sturm_count(*args) == 0
             free[e] = counts[args]
         return free
 
 
-def _halves(coeffs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Bernstein coefficients of each row on the two halves of its interval (de Casteljau)."""
-    left, right = [coeffs[:, 0]], [coeffs[:, -1]]
-    while coeffs.shape[1] > 1:
-        coeffs = (coeffs[:, :-1] + coeffs[:, 1:]) / 2
-        left.append(coeffs[:, 0])
-        right.append(coeffs[:, -1])
-    return np.stack(left, axis=1), np.stack(right[::-1], axis=1)
+def _halves(coeffs: np.ndarray) -> np.ndarray:
+    """Bernstein coefficients of each row on the two halves of its interval (de Casteljau), left then right.
+
+    Row e of coeffs gives rows 2e and 2e + 1, one matrix product with the
+    halving table of _bernstein_tables.
+    """
+    return (coeffs @ _bernstein_tables(coeffs.shape[1] - 1)[2]).reshape(-1, coeffs.shape[1])
 
 
 def _bernstein_decide(coeffs: np.ndarray, bounds: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -674,26 +790,28 @@ def _bernstein_decide(coeffs: np.ndarray, bounds: np.ndarray) -> Tuple[np.ndarra
     neither mask.
     """
     width = coeffs.shape[1]
+    ends = slice(None, None, max(width - 1, 1))  # the first and the last coefficient
     rooted = np.zeros(len(coeffs), dtype=bool)
     owner = np.arange(len(coeffs))
     radius = bounds
-    with np.errstate(over="ignore", invalid="ignore"):
-        for split in range(_BERNSTEIN_SPLITS + 1):
-            if split:
-                # an average rounds by at most u |result| and halving is
-                # exact, so one radius per piece grows by width * eps * max |b|
-                spread = np.abs(coeffs).max(axis=1, keepdims=True)
-                radius = radius.max(axis=1, keepdims=True) + width * _FLOAT_EPS * spread
-                left, right = _halves(coeffs)
-                coeffs = np.concatenate([left, right])
-                radius = np.concatenate([radius, radius])
-                owner = np.concatenate([owner, owner])
-            negative_end = (coeffs[:, 0] < -radius[:, 0]) | (coeffs[:, -1] < -radius[:, -1])
-            rooted[owner[negative_end]] = True
-            open_piece = ~(coeffs > radius).all(axis=1) & ~rooted[owner]
-            coeffs, radius, owner = coeffs[open_piece], radius[open_piece], owner[open_piece]
-            if not len(owner):
-                break
+    for split in range(_BERNSTEIN_SPLITS + 1):
+        if split:
+            # each halved coefficient is a convex combination of the piece's
+            # (the halving weights of a row sum to 1), whose errors it
+            # carries at most max radius, and it rounds by at most gamma_K
+            # max |b|, K = width + 1: 1 converting its weight, 1 multiplying
+            # and width - 1 adding.  gamma_K <= width * eps for width >= 2,
+            # and a width of 1 is exact, so one radius per piece grows by
+            # width * eps * max |b|
+            spread = np.abs(coeffs).max(axis=1, keepdims=True)
+            radius = (radius.max(axis=1, keepdims=True) + width * _FLOAT_EPS * spread).repeat(2, axis=0)
+            coeffs = _halves(coeffs)
+            owner = owner.repeat(2)
+        rooted[owner[(coeffs[:, ends] < -radius[:, ends]).any(axis=1)]] = True
+        open_piece = ~((coeffs > radius).all(axis=1) | rooted[owner])
+        coeffs, radius, owner = coeffs[open_piece], radius[open_piece], owner[open_piece]
+        if not len(owner):
+            break
     free = ~rooted
     free[owner] = False
     return free, rooted
@@ -707,84 +825,66 @@ def _exact_line(coeffs: Dict[tuple, Rational], slot: int, ms: Sequence[Rational]
     return tuple(line)
 
 
-def _edge_chord(
-    exps: List[int], rows: np.ndarray, roundings: int, floor: np.ndarray, ends: np.ndarray
-) -> np.ndarray:
+def _edge_chord(curvature: np.ndarray, floor: np.ndarray, steps: np.ndarray) -> np.ndarray:
     """Stage (b): the chord test of each edge, with D2 from the edge's own line.
 
-    rows[e] holds c~_j and a_j of edge e's line (see _MeshForm._lines) at
-    the exponents exps; floor[e] is the smaller lower bound on |P| at its
-    ends, and ends[e] their numerators along the line.  On the segment
-    |m| <= M, the larger |m| of its two ends, so |q''| <= D2 =
+    curvature[e, j - 2] is j (j - 1) times the bound |c~_j| + kappa eps a_j
+    on |c_j| of edge e's line (see _MeshForm._lines), for j = 2 .. U, zero
+    where its axis lacks j; floor[e] is the smaller lower bound on |P| at
+    its ends, and steps[:, e] its step h along the line and M, the larger
+    |m| of its two ends.  On the segment |m| <= M, so |q''| <= D2 =
     sum_j j (j - 1) |c_j| M^(j-2).  c~_j is within gamma_K A_j of c_j, and
     A_j <= a_j / (1 - gamma_K), so |c_j| <= |c~_j| + kappa eps a_j: kappa
     eps is at least 16 times gamma_K / (1 - gamma_K).  Unlike D2_s, the c_j
     carry the cancellation between the terms of P across the other axes.
     """
-    j = np.array(exps)
-    curved = j >= 2  # the exponents with a second derivative
-    top = exps[-1]
-    reach = np.abs(ends).max(axis=1).astype(np.float64)
-    steps = (ends[:, 1] - ends[:, 0]).astype(np.float64)
-    width = max(top - 1, 1)  # the powers M^0 .. M^(top-2)
+    width = curvature.shape[1]  # the powers M^0 .. M^(top-2)
+    top = width + 1
     # Each product of the sum carries 2 roundings in the bound on |c_j|, 1
-    # multiplying it by j (j - 1), at most top in M^(j-2) (np.vander
+    # multiplying it by j (j - 1), at most top in M^(j-2) (_powers
     # multiplies cumulatively), 1 multiplying the two, width - 1 in the sum
-    # over the powers and 3 in the factor h * h / 8 * slack and its product
+    # over the powers and 3 in the factor h * h * slack / 8 and its product
     # with the sum (/8 is exact; slack is exact, 1 plus a multiple of eps).
     # Every term is positive, so the computed threshold is at least
     # (1 - gamma_K) slack times the exact one, K = top + width + 6, and
     # kappa's margin makes that at least the exact one
     slack = 1 + _kappa(top + width + 6) * _FLOAT_EPS
-    with np.errstate(over="ignore", invalid="ignore"):
-        # per edge: j (j - 1) times the bound on |c_j|, at column j - 2
-        bound = np.zeros((len(rows), width))
-        bound[:, j[curved] - 2] = np.abs(rows[:, 0, curved])
-        bound[:, j[curved] - 2] += _kappa(roundings) * _FLOAT_EPS * rows[:, 1, curved]
-        bound[:, j[curved] - 2] *= (j[curved] * (j[curved] - 1)).astype(np.float64)
-        # against M^0 .. M^(top-2)
-        threshold = np.einsum("ej,ej->e", bound, np.vander(reach, width, increasing=True))
-        threshold *= steps * steps / 8 * slack
-        # nan certifies nothing: an overflowed line, or an overflowed power
-        # of M against an exponent that the form's faces lack (a zero)
-        return floor > threshold
+    threshold = np.einsum("ej,ej->e", curvature, _powers(steps[1], width))
+    threshold *= steps[0] * steps[0] * (slack / 8)
+    # nan certifies nothing: an overflowed line, or an overflowed power of M
+    # against an exponent that the edge's line lacks (a zero)
+    return floor > threshold
 
 
 def _bernstein(
-    exps: List[int], rows: np.ndarray, roundings: int, ends: np.ndarray
+    exps: List[int], rows: np.ndarray, roundings: np.ndarray, ends: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Bernstein coefficients of P on each edge, with error bounds.
 
-    rows[e] holds c~_j and a_j of edge e's line at the exponents exps,
-    and ends[e] its end numerators m0 and m0 + h.  With
-    q(m0 + h s) = sum_k a_k s^k, a_k = h^k sum_t C(k + t, k) m0^t c_(k+t),
-    the Bernstein coefficients of degree D = max(exps) on [0, 1] are
-    b_i = sum_k C(i, k) / C(D, k) a_k (an edge whose line has a lower
-    degree gets its degree-elevated coefficients).  Each a_k is one
-    product-sum for all edges at once, so the only loop is over k; the
-    sizes a_j go through the same steps with |m0| and |h|.
+    rows[e] holds c~_j and a_j of edge e's line at every power j = 0 .. D,
+    D = max(exps), zero where exps lacks one, roundings[e] the K of its
+    line, and ends[e] m0, |m0|, h and |h| for its lower end m0 and its step
+    h.  With q(m0 + h s) = sum_k a_k s^k,
+    a_k = h^k sum_t C(k + t, k) m0^t c_(k+t), the Bernstein coefficients of
+    degree D on [0, 1] are b_i = sum_k C(i, k) / C(D, k) a_k (an edge whose
+    line has a lower degree gets its degree-elevated coefficients).  Each
+    a_k is one product-sum for all edges at once, so the only loop is over
+    k; the sizes a_j go through the same steps with |m0| and |h|.
     """
     top = exps[-1]
-    binomials, change = _bernstein_tables(top)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # (c~, a) at every power 0 .. D, zero where the form has no exponent
-        coeffs = np.zeros((len(rows), 2, top + 1))
-        coeffs[:, :, exps] = rows
-        # m0^t and h^k, and their absolute values for the sizes
-        starts = np.vander(ends[:, 0].astype(np.float64), top + 1, increasing=True)
-        steps = np.vander((ends[:, 1] - ends[:, 0]).astype(np.float64), top + 1, increasing=True)
-        starts = np.stack([starts, np.abs(starts)], axis=1)
-        taylor = np.empty_like(coeffs)
-        for k in range(top + 1):
-            shifted = starts[:, :, :top + 1 - k], coeffs[:, :, k:], binomials[k:, k]
-            taylor[:, :, k] = np.einsum("eit,eit,t->ei", *shifted)
-        taylor *= np.stack([steps, np.abs(steps)], axis=1)
-        out = taylor @ change
-        # Each product C_T prod m^e C(k + t, k) m0^t h^k C(b, k) / C(D, k)
-        # carries, past the roundings of its line coefficient: at most D - 1
-        # in the powers of m0 and h, 2 converting the two binomial factors,
-        # 4 products, D in the sum over t and D in the sum over k
-        out[:, 1] *= _kappa(roundings + 3 * top + 5) * _FLOAT_EPS
+    binomials, change, _ = _bernstein_tables(top)
+    rows = np.ascontiguousarray(rows)
+    starts = _powers(ends[:, :2], top + 1)  # m0^t and |m0|^t
+    taylor = np.empty(rows.shape)
+    for k in range(top + 1):
+        taylor[:, :, k] = np.einsum("eit,eit,t->ei", starts[:, :, :top + 1 - k], rows[:, :, k:], binomials[k:, k])
+    taylor *= _powers(ends[:, 2:], top + 1)  # h^k, and |h|^k for the sizes
+    out = (taylor.reshape(-1, top + 1) @ change).reshape(taylor.shape)
+    # Each product C_T prod m^e C(k + t, k) m0^t h^k C(b, k) / C(D, k)
+    # carries, past the roundings of its line coefficient: at most D - 1
+    # in the powers of m0 and h, 2 converting the two binomial factors,
+    # 4 products, D in the sum over t and D in the sum over k
+    out[:, 1] *= (_kappa(roundings + 3 * top + 5) * _FLOAT_EPS)[:, None]
     return out[:, 0], out[:, 1]
 
 

@@ -231,18 +231,26 @@ def test_exact_signs_match_exact_evaluation(p, data):
     # every line along every mesh axis against its exact restriction, in
     # Fractions: |c~_j - c_j| <= kappa eps a_j with K = _roundings(skip=slot),
     # the premise of merge stages (b) and (c); a face where P = 0 has an
-    # all-zero line
-    for slot in range(len(varying) if any(form.coeffs) else 0):
-        lines = form._lines(slot)
+    # all-zero line.  The one table of _lines holds every axis's lines in
+    # turn, each at every power 0 .. width - 1, zero where its axis lacks one
+    slots = range(len(varying) if any(form.coeffs) else 0)
+    width = max([2, *(form.powers[slot][-1] for slot in slots)]) + 1
+    table = form._lines(slots, width)
+    line = iter(table)
+    for slot in slots:
         slack = F(_kappa(form._roundings(skip=slot))) * F(_FLOAT_EPS)
         others = varying[:slot] + varying[slot + 1:]
-        for face, *point in itertools.product(*(range(size) for size in lines.shape[:-2])):
+        shape = form.shape[:1 + slot] + form.shape[2 + slot:]
+        for face, *point in itertools.product(*(range(size) for size in shape)):
             coeffs = form.coeffs[face]
             ms = [int(faces[face][axis][i]) for axis, i in zip(others, point)]
             exact = _exact_line(coeffs, slot, ms) if coeffs else ()
-            approx, sizes = lines[(face, *point)]
-            for e, c, a in zip(form.powers[slot], approx, sizes):
-                assert abs(F(c) - (exact[e] if e < len(exact) else 0)) <= slack * F(a), (face, point, e)
+            approx, sizes = next(line)
+            for e in range(width):
+                c = exact[e] if e < len(exact) else 0
+                assert abs(F(approx[e]) - c) <= slack * F(sizes[e]), (face, point, e)
+                assert e in form.powers[slot] or approx[e] == sizes[e] == 0, (face, point, e)
+    assert next(line, None) is None
 
     # every draw through both tiers of the rounding certificate: the
     # face-wide tier where it certifies every cell, and the per-cell tier
@@ -372,13 +380,18 @@ def test_rim_edges_skip_the_root_free_stages(monkeypatch, face):
     root_free = _MeshForm._root_free
     reached = []
 
-    def spy(self, slot, cells, signs, counts):
-        on_rim = np.zeros(len(cells[0]), dtype=bool)
-        for s, index in enumerate(cells[1:]):
-            if s != slot:
-                on_rim |= (index == 0) | (index == resolution + 1)
-        reached[-1] += int(on_rim.sum())
-        return root_free(self, slot, cells, signs, counts)
+    def spy(self, edges, signs, counts):
+        # edges[slot] indexes the merge mask of that mesh axis, flat
+        for slot, flat in enumerate(edges):
+            shape = list(signs.shape)
+            shape[1 + slot] -= 1
+            cells = np.unravel_index(flat, shape)
+            on_rim = np.zeros(len(flat), dtype=bool)
+            for s, index in enumerate(cells[1:]):
+                if s != slot:
+                    on_rim |= (index == 0) | (index == resolution + 1)
+            reached[-1] += int(on_rim.sum())
+        return root_free(self, edges, signs, counts)
 
     monkeypatch.setattr(_MeshForm, "_root_free", spy)
     masks = {}
@@ -1365,6 +1378,28 @@ def test_face_wide_rounding_bound_leaves_one_contraction_per_float_pass(monkeypa
         report = count_components(cube_section_sample(basic_hcp(24), resolution))
         assert len(passes) > 0 and contractions == [2] * len(passes)
         assert (report.positive, report.negative) == expected
+
+
+@pytest.mark.parametrize("name, resolution", [("n2d4", 64), ("n3d4", 24)])
+def test_chord_stage_runs_once_per_form(monkeypatch, name, resolution):
+    # stage (b) takes the edges that stage (a) left on every mesh axis of a
+    # form at once: one _edge_chord call per merge_masks, not one per axis
+    # (two on a 2-D face, three on a 3-D one)
+    calls = []
+    merge_masks, edge_chord = _MeshForm.merge_masks, nodal._edge_chord
+
+    def counting_masks(self, *args, **kwargs):
+        calls.append(0)
+        return merge_masks(self, *args, **kwargs)
+
+    def counting_chord(*args):
+        calls[-1] += 1
+        return edge_chord(*args)
+
+    monkeypatch.setattr(_MeshForm, "merge_masks", counting_masks)
+    monkeypatch.setattr(nodal, "_edge_chord", counting_chord)
+    cube_section_sample(fixture(name), resolution)
+    assert calls == [1] * len(calls) and calls
 
 
 def test_bernstein_stage_runs_each_mesh_axis_at_its_own_degree(monkeypatch):
