@@ -38,25 +38,24 @@ cell of a group clears it, the pass makes one contraction, and no cell is
 zero.  Otherwise, and when S_f leaves the float range, a second contraction
 of |C| with |m| gives each cell its own bound.  Cells whose |value| falls
 under the bound (in particular all exact zeros) are re-evaluated with exact
-integer arithmetic, so no sign is ever trusted to floating point.  Exact
-zeros are excluded from every component; if more than 0.1% of cells are
-zero the grid is jittered by 1/(6r) and resampled once.
+integer arithmetic, in one batch per face, so no sign is ever trusted to
+floating point.  An exact zero is a one-cell run with no edge: a cell
+center on the nodal set neither welds two domains nor joins across a zero.
 cube_section_sample evaluates one face of each antipodal pair and mirrors
 the other, and each t face by halves where that adds no float pass.  Every
 term x^alpha t^k of a parabolically homogeneous p has |alpha| + 2k = d, so
 p(-x, t) = (-1)^d p(x, t) exactly, and sigma: x -> -x maps the face x_a = +1
-onto x_a = -1 and each t face onto itself, with t unchanged.  On the
-unjittered grid sigma maps the cell centers (2i + 1 - r)/r and the cube
-edges onto themselves, and each segment between them onto a segment, so
-each sign of an image is (-1)^d times its source's, and each root-free
-decision (stitch legs included) is its source's.  A half t face runs along
-x_1 from its centre to the cube edge, after one ghost layer, the image of
-an evaluated one: the seam edges between the halves are decided in the
-half's own form, and each ghost run takes the id of the image of a source
-run, so the ghost adds no node.  The jittered grid is not symmetric,
-and there every face is evaluated whole.  The evaluated faces go in stacked
-groups of at most 2^18 cells (one face when a face alone is larger), each
-face on its cell centers plus the cube edges around it, and slice_count
+onto x_a = -1 and each t face onto itself, with t unchanged.  sigma maps
+the cell centers (2i + 1 - r)/r and the cube edges onto themselves, and
+each segment between them onto a segment, so each sign of an image is
+(-1)^d times its source's, and each root-free decision (stitch legs
+included) is its source's.  A half t face runs along x_1 from its centre
+to the cube edge, after one ghost layer, the image of an evaluated one:
+the seam edges between the halves are decided in the half's own form, and
+each ghost run takes the id of the image of a source run, so the ghost
+adds no node.  The evaluated faces go in stacked groups of at most 2^18
+cells (one face when a face alone is larger), each face on its cell
+centers plus the cube edges around it, and slice_count
 evaluates an n >= 2 box as a stack of one face.  Each group is one form: it
 gives the group's exact signs, its complete merge masks
 (_MeshForm.merge_masks), and one graph of runs, which the mirrored faces
@@ -172,7 +171,6 @@ MAX_BOUND_DIGITS = 4000
 # cube face at n = 2, r = 159 at n = 3 and r = 1448 on the sphere, far past
 # the defaults.
 MAX_MESH_CELLS = 2 ** 22
-_JITTER_ZERO_FRACTION = 1e-3
 _EXPORT_SHELLS = 8  # sphere radii sampled across the export annulus
 _FLOAT_EPS = sys.float_info.epsilon  # 2^-52, numpy.finfo(numpy.float64).eps
 
@@ -519,9 +517,9 @@ class _MeshForm:
         """Exact signs of p on the mesh, an int8 array in {-1, 0, +1}.
 
         Cells whose float sign is not certified (in particular all exact
-        zeros) are re-evaluated in exact integer arithmetic, with the P of
-        their own face.  When the face-wide tier certifies every cell, no
-        cell is looked at again.
+        zeros) are re-evaluated in exact integer arithmetic, one batch of
+        Python ints per face with that face's P.  When the face-wide tier
+        certifies every cell, no cell is looked at again.
         """
         if not any(self.coeffs):
             return np.zeros(self.shape, dtype=np.int8)
@@ -535,12 +533,12 @@ class _MeshForm:
         if uncertain.any():
             if not np.isfinite(floor[uncertain]).all():
                 raise NodalError(f"degree {self.degree}: the float pass of sign evaluation overflows")
-            for index in np.flatnonzero(uncertain):
-                face, *cell = np.unravel_index(index, self.shape)
-                coeffs = self.coeffs[face]
-                ms = [int(m[i]) for m, i in zip(self.nums, cell)]
+            index = np.flatnonzero(uncertain)
+            face, *cell = np.unravel_index(index, self.shape)
+            for k, coeffs in enumerate(self.coeffs):  # each face's cells at once, in Python ints
+                ms = [m.astype(object)[i[face == k]] for m, i in zip(self.nums, cell)]
                 total = sum(c * math.prod(m ** e for m, e in zip(ms, key)) for key, c in coeffs.items())
-                flat[index] = (total > 0) - (total < 0)
+                flat[index[face == k]] = np.sign(total)
         return signs
 
     def merge_masks(self, signs: np.ndarray, counts: Dict[tuple, bool], rim: bool) -> List[np.ndarray]:
@@ -904,16 +902,17 @@ class CrossSectionGrid:
 
     ambient: int
     resolution: int
-    jittered: bool
+    # always False, and not a field: only the benchmark's tracer
+    # (bench/tracing.py) reads it
+    jittered = False
 
     @property
     def denominator(self) -> int:
-        return 6 * self.resolution if self.jittered else self.resolution
+        return self.resolution
 
     @property
     def numerators(self) -> np.ndarray:
-        base = 2 * np.arange(self.resolution, dtype=np.int64) + 1 - self.resolution
-        return 6 * base + 1 if self.jittered else base
+        return 2 * np.arange(self.resolution, dtype=np.int64) + 1 - self.resolution
 
     @property
     def mesh(self) -> np.ndarray:
@@ -1003,17 +1002,16 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
     space axis a, and both t faces; each face x_a = -1 is their mirror
     image.  Every term x^alpha t^k of p has |alpha| + 2k = d, so
     p(-x, t) = (-1)^d p(x, t) exactly, and sigma: x -> -x maps face x_a = +1
-    onto face x_a = -1, leaving t unchanged.  On the unjittered grid sigma
-    maps the mesh numerators (2i + 1 - r) and the cube edges -den, +den onto
-    themselves, so it maps cells onto cells and each segment between two of
-    them onto a segment: every exact sign is (-1)^d times its source's, and
-    every root-free decision (stages (a)-(d), stitch legs included) is its
-    source's.  A mirror takes its source's signs times (-1)^d, reversed
-    along every space mesh axis (t is the last one, never reversed), its
-    runs and in-face edges under ids of their own, and its source's cube-edge
-    sides: the side toward x_c = +-1 is the source's side toward x_c = -+1
-    for a space axis c, and toward t = +-1 for t, reordered by the same
-    reversal.
+    onto face x_a = -1, leaving t unchanged.  sigma maps the mesh numerators
+    (2i + 1 - r) and the cube edges -den, +den onto themselves, so it maps
+    cells onto cells and each segment between two of them onto a segment:
+    every exact sign is (-1)^d times its source's, and every root-free
+    decision (stages (a)-(d), stitch legs included) is its source's.  A
+    mirror takes its source's signs times (-1)^d, reversed along every space
+    mesh axis (t is the last one, never reversed), its runs and in-face
+    edges under ids of their own, and its source's cube-edge sides: the side
+    toward x_c = +-1 is the source's side toward x_c = -+1 for a space axis
+    c, and toward t = +-1 for t, reordered by the same reversal.
 
     For n >= 2 sigma also maps each t face onto itself, reversing every mesh
     axis: mesh index i maps to r + 1 - i.  With h = (r + 2) // 2 the indices
@@ -1030,8 +1028,7 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
     half cannot share a form with a whole face, whose x_1 numerators differ,
     so the t faces are halved only where that takes no more float passes
     than whole t faces; n = 1 keeps them whole, its one mesh axis being the
-    run axis.  The jittered grid's numerators 6(2i + 1 - r) + 1 are not
-    symmetric, so there every face is evaluated whole.
+    run axis.
 
     The sources are evaluated in stacked groups of even size, as many faces
     as fit in _CASCADE_FLOATS = 2^18 cells (at least one), each face on its
@@ -1045,10 +1042,8 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
     its evaluated runs take the next ids in order, the images' runs the ids
     after those, and a ghost run its image's id.  Each face side's leg mask
     is final when it is recorded; after the last group two cells beside a
-    shared cube edge stitch when both of their legs are root-free.  If
-    sampled zeros (an image has its source's) exceed 0.1% of cells the grid
-    is jittered once by the fixed rational offset 1/(6*resolution); the
-    unjittered pass stops at the group where they do.
+    shared cube edge stitch when both of their legs are root-free.
+    zero_cells counts the exact zeros, an image's with its source's.
     """
     ambient = _check_countable(p)
     resolution = _check_resolution(resolution)
@@ -1059,145 +1054,138 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
     # the ghost layer's mesh index on a half t face, which runs from there to the cube edge
     low = (resolution + 2) // 2 - 1
     t_faces = [2 * n, 2 * n + 1]
-
-    for jittered in (False, True):
-        grid = CrossSectionGrid(ambient, resolution, jittered)
-        mesh = grid.mesh
-        # source face -> its image under x -> -x, where that maps the mesh onto itself
-        images = {2 * a + 1: 2 * a for a in range(n)} if np.array_equal(mesh, -mesh[::-1]) else {}
-        # the faces with images, the odd ones below 2n, come first, so they lead every group
-        sources = [f for f in range(grid.face_count) if f not in images.values()]
-        # (faces, first index on their first mesh axis, x_1 on a t face) per float pass; the
-        # t faces go by halves where that takes no more passes
-        layout = [(faces, 0) for faces in _groups(sources, face_cells)]
-        if images and n >= 2:
-            half_cells = face_cells // (resolution + 2) * (resolution + 2 - low)
-            halved = [(faces, 0) for faces in _groups(list(images), face_cells)]
-            halved += [(faces, low) for faces in _groups(t_faces, half_cells)]
-            if len(halved) <= len(layout):
-                layout = halved
-                images.update((f, f) for f in t_faces)
-        scaled = _integer_scaled_terms(p, grid.denominator)
-        counts: Dict[tuple, bool] = {}  # stage (d)'s Sturm counts, kept across the groups
-        # face -> its signs, and (face, neighbour face) -> the face's cells next to their cube
-        # edge as (node ids, merge mask of their stitch legs), flat, in pieces: a halved t face
-        # has its image half first along x_1, which is the slowest axis of both
-        face_parts: Dict[int, List[np.ndarray]] = {}
-        sides: Dict[Tuple[int, int], List[Tuple[np.ndarray, np.ndarray]]] = {}
-        node_signs, edges = [], []
-        zeros = offset = 0
-        for faces, start in layout:
-            # a half t face leads with a ghost layer, the image of its layer `first`; on a whole
-            # source face every layer has an image
-            ghost = int(start > 0)
-            first = 1 + resolution % 2 if ghost else 0
-            values = [_face_values(grid, mesh, face) for face in faces]
-            if ghost:
-                for axis_values in values:
-                    axis_values[0] = mesh[start:]
-            form = _MeshForm(scaled, values)
-            signs = form.signs()
-            inner = (slice(None), slice(1 - ghost, -1)) + (slice(1, -1),) * (n - 1)
-            inside = signs[inner]
-            if not form.nonzero:  # else the face-wide tier certified every cell
-                for k, face in enumerate(faces):
-                    zeros += int(np.count_nonzero(inside[k, ghost:] == 0))
+    grid = CrossSectionGrid(ambient, resolution)
+    mesh = grid.mesh
+    # source face -> its image under x -> -x
+    images = {2 * a + 1: 2 * a for a in range(n)}
+    # the faces with images, the odd ones below 2n, come first, so they lead every group
+    sources = [f for f in range(grid.face_count) if f not in images.values()]
+    # (faces, first index on their first mesh axis, x_1 on a t face) per float pass; the
+    # t faces go by halves where that takes no more passes
+    layout = [(faces, 0) for faces in _groups(sources, face_cells)]
+    if n >= 2:
+        half_cells = face_cells // (resolution + 2) * (resolution + 2 - low)
+        halved = [(faces, 0) for faces in _groups(list(images), face_cells)]
+        halved += [(faces, low) for faces in _groups(t_faces, half_cells)]
+        if len(halved) <= len(layout):
+            layout = halved
+            images.update((f, f) for f in t_faces)
+    scaled = _integer_scaled_terms(p, grid.denominator)
+    counts: Dict[tuple, bool] = {}  # stage (d)'s Sturm counts, kept across the groups
+    # face -> its signs, and (face, neighbour face) -> the face's cells next to their cube
+    # edge as (node ids, merge mask of their stitch legs), flat, in pieces: a halved t face
+    # has its image half first along x_1, which is the slowest axis of both
+    face_parts: Dict[int, List[np.ndarray]] = {}
+    sides: Dict[Tuple[int, int], List[Tuple[np.ndarray, np.ndarray]]] = {}
+    node_signs, edges = [], []
+    zeros = offset = 0
+    for faces, start in layout:
+        # a half t face leads with a ghost layer, the image of its layer `first`; on a whole
+        # source face every layer has an image
+        ghost = int(start > 0)
+        first = 1 + resolution % 2 if ghost else 0
+        values = [_face_values(grid, mesh, face) for face in faces]
+        if ghost:
+            for axis_values in values:
+                axis_values[0] = mesh[start:]
+        form = _MeshForm(scaled, values)
+        signs = form.signs()
+        inner = (slice(None), slice(1 - ghost, -1)) + (slice(1, -1),) * (n - 1)
+        inside = signs[inner]
+        if not form.nonzero:  # else the face-wide tier certified every cell
+            for k, face in enumerate(faces):
+                zeros += int(np.count_nonzero(inside[k, ghost:] == 0))
+                if face in images:
+                    zeros += int(np.count_nonzero(inside[k, first:] == 0))
+        # per mesh axis: the in-face edges, and the stitch legs from a side cell to the cube edge
+        masks = form.merge_masks(signs, counts, rim=True)
+        del form  # its per-cell floats, before the group's graph is built
+        if ghost:
+            # the rim rule left the ghost layer to stage (a): its runs are taken from layer
+            # `first`, whose images they are, and its other edges, images of that layer's, go
+            masks[-1][:, 0] = np.flip(masks[-1][:, first], range(1, n))
+            for mask in masks[1:-1]:
+                mask[:, 0] = False
+        starts, runs, rows, cols = _probed_runs(inside, [m[inner] for m in masks])
+        # per face: its ghost runs (none on a whole face), its evaluated ones and, from layer
+        # `first` on and only on a face with an image, those with images.  The evaluated runs
+        # take the group's next ids in order and the images' runs the ids after them; a
+        # ghost layer holds the images of its source layer's runs in reverse order, and
+        # takes their ids.  An edge joins two runs of one face, the lower run first, and
+        # has an image if its lower run does
+        size = inside[0].size
+        plane = size // inside.shape[1]
+        cells = np.add.outer(np.arange(len(faces)) * size, [0, ghost * plane, first * plane, size])
+        bounds = np.searchsorted(starts, cells).tolist()
+        kept = np.ones(len(runs), dtype=bool)
+        imaged = np.zeros(len(runs), dtype=bool)
+        for face, (a, g, m, e) in zip(faces, bounds):
+            kept[a:g] = False
+            imaged[m:e] = face in images
+        count = int(np.count_nonzero(kept))
+        ids = np.cumsum(kept) + (offset - 1)
+        image_ids = np.cumsum(imaged) + (offset + count - 1)
+        for a, g, m, _ in bounds:
+            ids[a:g] = image_ids[m:m + g - a][::-1]
+        node_signs += [runs[kept], parity * runs[imaged]]
+        both = imaged[rows]
+        edges.append((image_ids[rows[both]], image_ids[cols[both]]))
+        edges.append((ids[rows], ids[cols]))
+        offset += count + int(np.count_nonzero(imaged))
+        # a side of a face is one layer of `inside` along a mesh axis.  Runs never cross a
+        # row along the last axis, so a side's runs follow from each row's first run and
+        # the merges along the rows
+        row_first = _run_ids(starts, np.arange(0, inside.size, inside.shape[-1]))
+        row_first = row_first.reshape(inside.shape[:-1])
+        row_last = np.append(row_first.ravel()[1:], len(runs)).reshape(row_first.shape) - 1
+        run_merges = masks[-1][inner]
+        for slot, merged in enumerate(masks):
+            axis = slot + 1
+            side = inner[:axis] + inner[axis + 1:]
+            # mesh axes are the other coordinates in order; the low side of the slot borders
+            # the face at -1 on that axis, the high side +1
+            others = [slot + (slot >= face // 2) for face in faces]
+            # x -> -x reverses a side's space axes (t, if there, is the last), alike on the
+            # group's faces with images, which lead it, and swaps the ends of a space axis
+            space = range(1, n - (n not in (faces[0] // 2, others[0])))
+            cut = image_cut = ()
+            if slot:  # x_1 on a half t face: the evaluated layers, and those with images
+                cut, image_cut = (slice(None), slice(ghost, None)), (slice(None), slice(first, None))
+            for i in (-1,) if ghost and not slot else (0, -1):  # the low side of x_1 is the ghost layer
+                layer = (slice(None),) * axis + (i,)
+                if axis == n:  # the row ends
+                    local = row_last if i else row_first
+                else:
+                    start = np.ones(inside[layer].shape, dtype=bool)
+                    start[..., 1:] = ~run_merges[layer]
+                    local = np.cumsum(start, axis=-1) + (row_first[layer][..., None] - 1)
+                legs = merged[layer][side]
+                own = [part[cut].reshape(len(faces), -1) for part in (ids[local], legs)]
+                if faces[0] in images:
+                    mirror = [np.flip(part[image_cut], space) for part in (image_ids[local], legs)]
+                    mirror = [part.reshape(len(faces), -1) for part in mirror]
+                end = 1 if i else 0
+                for k, (face, other) in enumerate(zip(faces, others)):
+                    sides.setdefault((face, 2 * other + end), []).append((own[0][k], own[1][k]))
                     if face in images:
-                        zeros += int(np.count_nonzero(inside[k, first:] == 0))
-            if not jittered and zeros / grid.cell_count > _JITTER_ZERO_FRACTION:
-                break  # too many zeros: resample on the jittered grid
-            # per mesh axis: the in-face edges, and the stitch legs from a side cell to the cube edge
-            masks = form.merge_masks(signs, counts, rim=True)
-            del form  # its per-cell floats, before the group's graph is built
-            if ghost:
-                # the rim rule left the ghost layer to stage (a): its runs are taken from layer
-                # `first`, whose images they are, and its other edges, images of that layer's, go
-                masks[-1][:, 0] = np.flip(masks[-1][:, first], range(1, n))
-                for mask in masks[1:-1]:
-                    mask[:, 0] = False
-            starts, runs, rows, cols = _probed_runs(inside, [m[inner] for m in masks])
-            # per face: its ghost runs (none on a whole face), its evaluated ones and, from layer
-            # `first` on and only on a face with an image, those with images.  The evaluated runs
-            # take the group's next ids in order and the images' runs the ids after them; a
-            # ghost layer holds the images of its source layer's runs in reverse order, and
-            # takes their ids.  An edge joins two runs of one face, the lower run first, and
-            # has an image if its lower run does
-            size = inside[0].size
-            plane = size // inside.shape[1]
-            cells = np.add.outer(np.arange(len(faces)) * size, [0, ghost * plane, first * plane, size])
-            bounds = np.searchsorted(starts, cells).tolist()
-            kept = np.ones(len(runs), dtype=bool)
-            imaged = np.zeros(len(runs), dtype=bool)
-            for face, (a, g, m, e) in zip(faces, bounds):
-                kept[a:g] = False
-                imaged[m:e] = face in images
-            count = int(np.count_nonzero(kept))
-            ids = np.cumsum(kept) + (offset - 1)
-            image_ids = np.cumsum(imaged) + (offset + count - 1)
-            for a, g, m, _ in bounds:
-                ids[a:g] = image_ids[m:m + g - a][::-1]
-            node_signs += [runs[kept], parity * runs[imaged]]
-            both = imaged[rows]
-            edges.append((image_ids[rows[both]], image_ids[cols[both]]))
-            edges.append((ids[rows], ids[cols]))
-            offset += count + int(np.count_nonzero(imaged))
-            # a side of a face is one layer of `inside` along a mesh axis.  Runs never cross a
-            # row along the last axis, so a side's runs follow from each row's first run and
-            # the merges along the rows
-            row_first = _run_ids(starts, np.arange(0, inside.size, inside.shape[-1]))
-            row_first = row_first.reshape(inside.shape[:-1])
-            row_last = np.append(row_first.ravel()[1:], len(runs)).reshape(row_first.shape) - 1
-            run_merges = masks[-1][inner]
-            for slot, merged in enumerate(masks):
-                axis = slot + 1
-                side = inner[:axis] + inner[axis + 1:]
-                # mesh axes are the other coordinates in order; the low side of the slot borders
-                # the face at -1 on that axis, the high side +1
-                others = [slot + (slot >= face // 2) for face in faces]
-                # x -> -x reverses a side's space axes (t, if there, is the last), alike on the
-                # group's faces with images, which lead it, and swaps the ends of a space axis
-                space = range(1, n - (n not in (faces[0] // 2, others[0])))
-                cut = image_cut = ()
-                if slot:  # x_1 on a half t face: the evaluated layers, and those with images
-                    cut, image_cut = (slice(None), slice(ghost, None)), (slice(None), slice(first, None))
-                for i in (-1,) if ghost and not slot else (0, -1):  # the low side of x_1 is the ghost layer
-                    layer = (slice(None),) * axis + (i,)
-                    if axis == n:  # the row ends
-                        local = row_last if i else row_first
-                    else:
-                        start = np.ones(inside[layer].shape, dtype=bool)
-                        start[..., 1:] = ~run_merges[layer]
-                        local = np.cumsum(start, axis=-1) + (row_first[layer][..., None] - 1)
-                    legs = merged[layer][side]
-                    own = [part[cut].reshape(len(faces), -1) for part in (ids[local], legs)]
-                    if faces[0] in images:
-                        mirror = [np.flip(part[image_cut], space) for part in (image_ids[local], legs)]
-                        mirror = [part.reshape(len(faces), -1) for part in mirror]
-                    end = 1 if i else 0
-                    for k, (face, other) in enumerate(zip(faces, others)):
-                        sides.setdefault((face, 2 * other + end), []).append((own[0][k], own[1][k]))
-                        if face in images:
-                            key = images[face], 2 * other + (end if other == n else 1 - end)
-                            sides.setdefault(key, []).insert(0, (mirror[0][k], mirror[1][k]))
-            for face, values in zip(faces, inside):
-                face_parts.setdefault(face, []).append(values[ghost:])
-                if face in images:  # t, if a mesh axis, is the last; a view for even d
-                    image = np.flip(values[first:], range(n - (face not in t_faces)))
-                    face_parts.setdefault(images[face], []).insert(0, image if parity == 1 else -image)
-            del masks, merged, starts, rows, cols, both  # before the next group's form is built
-        else:
-            # every face sampled: two cells beside a cube edge stitch where
-            # both of their legs merge
-            joined = {
-                key: parts[0] if len(parts) == 1 else [np.concatenate(part) for part in zip(*parts)]
-                for key, parts in sides.items()
-            }
-            for (face, neighbour), (ids, legs) in joined.items():
-                if neighbour < face:
-                    near, near_legs = joined[neighbour, face]
-                    both = near_legs & legs
-                    edges.append((near[both], ids[both]))
-            break
+                        key = images[face], 2 * other + (end if other == n else 1 - end)
+                        sides.setdefault(key, []).insert(0, (mirror[0][k], mirror[1][k]))
+        for face, values in zip(faces, inside):
+            face_parts.setdefault(face, []).append(values[ghost:])
+            if face in images:  # t, if a mesh axis, is the last; a view for even d
+                image = np.flip(values[first:], range(n - (face not in t_faces)))
+                face_parts.setdefault(images[face], []).insert(0, image if parity == 1 else -image)
+        del masks, merged, starts, rows, cols, both  # before the next group's form is built
+    # two cells beside a cube edge stitch where both of their legs merge
+    joined = {
+        key: parts[0] if len(parts) == 1 else [np.concatenate(part) for part in zip(*parts)]
+        for key, parts in sides.items()
+    }
+    for (face, neighbour), (ids, legs) in joined.items():
+        if neighbour < face:
+            near, near_legs = joined[neighbour, face]
+            both = near_legs & legs
+            edges.append((near[both], ids[both]))
     # the halves of each t face are joined, and the arrays they view freed, before the
     # edges are joined, where memory peaks
     parts = [face_parts[face] for face in range(grid.face_count)]

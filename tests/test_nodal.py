@@ -42,6 +42,7 @@ from calorics.nodal import (
     NodalError,
     _close_pairs,
     _components,
+    _contract,
     _exact_line,
     _FLOAT_EPS,
     _integer_scaled_terms,
@@ -171,7 +172,7 @@ def test_exact_signs_match_exact_evaluation(p, data):
     n = p.spatial_dim
     ambient = n + 1
     resolution = data.draw(st.integers(min_value=2, max_value=6))
-    # cube grids use denominator r, or 6r once jittered
+    # cube grids use denominator r; 6r leaves room for numerators off the grid
     den = resolution * data.draw(st.sampled_from([1, 6]))
     nums = st.lists(st.integers(-den, den), min_size=2, max_size=3)
     axis_values = [np.array(data.draw(nums), dtype=np.int64) for _ in range(ambient)]
@@ -265,6 +266,28 @@ def test_exact_signs_match_exact_evaluation(p, data):
                 assert signs[(face, *cell)] == _exact_sign(p, mesh_point(faces[face], cell))
             _assert_root_free_decision(p, faces, den, in_face)
             _assert_root_free_decision(p, [leg_values], den, leg)
+
+    if data.draw(st.booleans(), label="every cell exact"):
+        # the exact fallback alone, one batch per face, on a stack of 1-3
+        # faces that fix different axes over one numerator array, as a cube
+        # group's faces do: a finite per-cell bound above every |v| leaves
+        # every cell uncertain
+        mesh = axis_values[varying[0]]
+        stack = []
+        for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+            fix = data.draw(st.sets(st.sampled_from(range(ambient)), min_size=len(fixed), max_size=len(fixed)))
+            values = st.sampled_from([-den, 0, den])
+            stack.append([data.draw(values) if axis in fix else mesh for axis in range(ambient)])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_MeshForm, "_face_bound", lambda form: None)
+            patch.setattr(_MeshForm, "_cell_bound", lambda form: np.abs(_contract(form.dense, form.columns)) + 1)
+            form = _form(p, stack, den)
+            signs = form.signs()
+        assert form.floor is None or not (form.floor > 0).any()  # None: P = 0 on every face
+        for face, *cell in itertools.product(*(range(size) for size in signs.shape)):
+            index = iter(cell)
+            point = [F(int(v[next(index)] if isinstance(v, np.ndarray) else v), den) for v in stack[face]]
+            assert signs[(face, *cell)] == _exact_sign(p, point), (face, cell)
 
 
 @st.composite
@@ -374,7 +397,7 @@ def test_rim_edges_skip_the_root_free_stages(monkeypatch, face):
     # cells lie on the first or last layer of another mesh axis are
     # skipped, and none of them reaches _root_free, while some do without it
     resolution = 6
-    grid = nodal.CrossSectionGrid(4, resolution, False)
+    grid = nodal.CrossSectionGrid(4, resolution)
     form = _form(fixture("n3d4"), [nodal._face_values(grid, grid.mesh, face)], grid.denominator)
     signs = form.signs()
     root_free = _MeshForm._root_free
@@ -451,13 +474,16 @@ def test_sample_degree_cap():
         cube_section_sample(basic_hcp(66), 4)
 
 
-def test_jitter_resamples_aligned_zero_sets():
+def test_aligned_zero_sets_stay_on_the_symmetric_grid():
     # x * t vanishes on two full coordinate planes; an odd resolution puts
-    # cell centers exactly on them, forcing the jittered resample
+    # cell centers exactly on them, at x = 0 on the t faces and t = 0 on the
+    # x faces.  Each is a one-cell run with no edge, so the zeros neither
+    # weld the domains nor join across the nodal set
     p = parse_poly("x*t", 1)
     field = cube_section_sample(p, 9)
-    assert field.grid.jittered
-    assert field.zero_cell_fraction <= 1e-3
+    assert field.zero_cells == 4
+    report = count_components(field)
+    assert (report.positive, report.negative) == (2, 2)
 
 
 def test_spatial_parity_in_one_dimension():
@@ -515,11 +541,11 @@ def _permuted_pairs(draw):
 def test_counts_are_invariant_under_permuting_space_variables(pair, resolution):
     # a permutation of x_1..x_n maps the cube grid, its faces and the cube
     # edges between them onto themselves, and every sign and merge is exact,
-    # so the stitched graph must give the same split
+    # so the stitched graph must give the same split and zero cells
     fields = [cube_section_sample(q, resolution) for q in pair]
     reports = [count_components(field) for field in fields]
     assert len({(r.positive, r.negative) for r in reports}) == 1
-    assert fields[0].grid.jittered == fields[1].grid.jittered
+    assert fields[0].zero_cells == fields[1].zero_cells
 
 
 def test_nodal_count_schedule_validation():
@@ -676,8 +702,8 @@ def _corpus_polynomial(name):
 )
 def test_single_resolution_counts_are_pinned(name, resolution, expected):
     field = cube_section_sample(_corpus_polynomial(name), resolution)
-    if name == "x*y*t":  # cell centers on the coordinate planes force a jitter
-        assert field.grid.jittered
+    if name == "x*y*t":  # cell centers on the coordinate planes are exact zeros
+        assert field.zero_cells > 0
     report = count_components(field)
     assert (report.positive, report.negative) == expected
 
@@ -694,38 +720,38 @@ _PINNED_INPUTS = {
 
 
 # What every change to the merge stages must keep: the split, the zero
-# cells, the jitter and the exact signs of every face (a hash of their
-# bytes), at two resolutions each; x*y*t at r = 9 is sampled on the
-# jittered grid.  The run graph itself may change.  n2d3 at r = 256 and 257,
-# n3d4 at r = 47 and high_dim(5) at r = 47 take half t faces; at r = 257 the
-# two zero cells are the self-symmetric centres of the t faces, and
-# high_dim(5) has odd degree and 188 zero cells on the unjittered grid.
+# cells and the exact signs of every face (a hash of their bytes), at two
+# resolutions each; x*y*t at r = 9 has cell centers on its coordinate
+# planes.  The run graph itself may change.  n2d3 at r = 256 and 257, n3d4
+# at r = 47 and high_dim(5) at r = 47 take half t faces; at r = 257 the two
+# zero cells are the self-symmetric centres of the t faces, and high_dim(5)
+# has odd degree and 188 zero cells.
 @pytest.mark.parametrize(
-    "name, resolution, split, zero_cells, jittered, digest",
+    "name, resolution, split, zero_cells, digest",
     [
-        ("n2d3", 16, (1, 1), 0, False, "531c7f58f6c253dc"),
-        ("n2d3", 128, (1, 1), 0, False, "2d439f350f8e0bb6"),
-        ("n2d3", 256, (1, 1), 0, False, "b522d82f5efd727c"),
-        ("n2d3", 257, (1, 1), 2, False, "3f7e896257083e31"),
-        ("n3d4", 8, (1, 1), 0, False, "7dac1a0692f458b7"),
-        ("n3d4", 24, (1, 1), 0, False, "f4416bcf1f2bdbe1"),
-        ("n3d4", 47, (1, 1), 0, False, "6b864c9aef93041d"),
-        ("high_dim(5)", 47, (1, 1), 188, False, "43b0c2ec98b26370"),
-        ("product_lower(2, 8)", 16, (10, 12), 0, False, "87ceeab1d67953a4"),
-        ("product_lower(2, 8)", 64, (10, 12), 0, False, "27e26c3bde9e1340"),
-        ("zero_mod4(16, 1/4, 0.2)", 24, (20, 18), 0, False, "3e397d47c485bf4d"),
-        ("zero_mod4(16, 1/4, 0.2)", 64, (21, 24), 0, False, "2fa2584b233ee5b2"),
-        ("basic_hcp(24)", 64, (8, 6), 0, False, "bde69a1808a73ef8"),
-        ("basic_hcp(24)", 256, (10, 10), 0, False, "65b4ba10b9a76828"),
-        ("x*y*t", 9, (4, 4), 0, True, "20777a0884e37154"),
-        ("x*y*t", 16, (4, 4), 0, False, "60fab530ddf97d85"),
+        ("n2d3", 16, (1, 1), 0, "531c7f58f6c253dc"),
+        ("n2d3", 128, (1, 1), 0, "2d439f350f8e0bb6"),
+        ("n2d3", 256, (1, 1), 0, "b522d82f5efd727c"),
+        ("n2d3", 257, (1, 1), 2, "3f7e896257083e31"),
+        ("n3d4", 8, (1, 1), 0, "7dac1a0692f458b7"),
+        ("n3d4", 24, (1, 1), 0, "f4416bcf1f2bdbe1"),
+        ("n3d4", 47, (1, 1), 0, "6b864c9aef93041d"),
+        ("high_dim(5)", 47, (1, 1), 188, "43b0c2ec98b26370"),
+        ("product_lower(2, 8)", 16, (10, 12), 0, "87ceeab1d67953a4"),
+        ("product_lower(2, 8)", 64, (10, 12), 0, "27e26c3bde9e1340"),
+        ("zero_mod4(16, 1/4, 0.2)", 24, (20, 18), 0, "3e397d47c485bf4d"),
+        ("zero_mod4(16, 1/4, 0.2)", 64, (21, 24), 0, "2fa2584b233ee5b2"),
+        ("basic_hcp(24)", 64, (8, 6), 0, "bde69a1808a73ef8"),
+        ("basic_hcp(24)", 256, (10, 10), 0, "65b4ba10b9a76828"),
+        ("x*y*t", 9, (4, 4), 102, "8f0412ab8576c02f"),
+        ("x*y*t", 16, (4, 4), 0, "60fab530ddf97d85"),
     ],
 )
-def test_sampled_outputs_are_pinned(name, resolution, split, zero_cells, jittered, digest):
+def test_sampled_outputs_are_pinned(name, resolution, split, zero_cells, digest):
     field = cube_section_sample(_PINNED_INPUTS[name](), resolution)
     report = count_components(field)
     assert (report.positive, report.negative) == split
-    assert (field.zero_cells, field.grid.jittered) == (zero_cells, jittered)
+    assert field.zero_cells == zero_cells
     signs = hashlib.sha256(b"".join(face.tobytes() for face in field.face_signs))
     assert signs.hexdigest()[:16] == digest
 
@@ -847,14 +873,11 @@ def test_stable_counts_agree_under_a_rotation(name, pair, data):
 @given(st.sampled_from(sorted(_METAMORPHIC_INPUTS)), st.data())
 @settings(max_examples=40, deadline=None)
 def test_signed_permutations_and_negation_keep_every_single_resolution(name, data):
-    # a signed permutation of the space axes maps the unjittered grid, its
-    # cube edges and every segment between them onto themselves, so its split
-    # and zero cells agree at each resolution, stable or not; -p samples the
-    # same grid and swaps the split.  A swap of x_1 with another axis moves
-    # which half of each t face is evaluated.  The jittered grid, shifted by
-    # 1/(6r) on every axis, is mapped onto itself by a permutation but not by
-    # a sign flip: lewy_2mod4(6, 1/20) at r = 5 splits (3, 4) and, with x
-    # flipped, (4, 1)
+    # a signed permutation of the space axes maps the grid, its cube edges
+    # and every segment between them onto themselves, so its split and zero
+    # cells agree at each resolution, stable or not; -p samples the same grid
+    # and swaps the split.  A swap of x_1 with another axis moves which half
+    # of each t face is evaluated
     p = _METAMORPHIC_INPUTS[name]()
     n = p.spatial_dim
     resolution = data.draw(st.integers(min_value=2, max_value=64 if n == 2 else 24), label="resolution")
@@ -867,11 +890,9 @@ def test_signed_permutations_and_negation_keep_every_single_resolution(name, dat
     assert negated.zero_cells == field.zero_cells
     assert (swapped.negative, swapped.positive) == (report.positive, report.negative)
     image = cube_section_sample(_signed_permutation(p, perm, flips), resolution)
-    assert image.grid.jittered == field.grid.jittered
-    if not (field.grid.jittered and flips):
-        assert image.zero_cells == field.zero_cells
-        split = count_components(image)
-        assert (split.positive, split.negative) == (report.positive, report.negative)
+    assert image.zero_cells == field.zero_cells
+    split = count_components(image)
+    assert (split.positive, split.negative) == (report.positive, report.negative)
 
 
 def test_mean_value_consequence_every_caloric_fixture_has_two_domains():
@@ -1126,22 +1147,21 @@ def test_cascade_graph_matches_per_cell_graph_of_full_merge_masks(p, data):
 
 
 @pytest.mark.parametrize("expr, n, resolution", [("x*y*t", 2, 9), ("x*y*z*t", 3, 5), ("x*t", 1, 7)])
-def test_cascade_graph_matches_per_cell_graph_on_a_jittered_grid(expr, n, resolution):
-    # at an odd resolution a cell center sits on every coordinate plane, so
-    # the zeros trip the jitter threshold at the first face, which with all
-    # faces stacked is partway through the first group: the unjittered pass
-    # must restart cleanly on the jittered grid
+def test_cascade_graph_matches_per_cell_graph_with_zero_cells(expr, n, resolution):
+    # at an odd resolution a cell center sits on every coordinate plane: the
+    # zero cells, on mirrored faces and halved t faces alike, are one-cell
+    # runs that join nothing
     field = _assert_cascade_graph_matches(parse_poly(expr, n), resolution)
-    assert field.grid.jittered and field.zero_cells == 0
+    assert field.zero_cells > 0
 
 
-# (input, resolution) pairs on the unjittered grid, where the faces x_a = -1
-# are mirrored: n = 1, 2, 3, even and odd degree, even and odd resolution,
-# zero cells on the t faces (odd(5, 3/10)) and on the side faces
-# (product_lower(2, 8)).  The entries at r = 47, 48, 256 and 257 evaluate
-# the t faces by halves, with the self-symmetric centre layer of an odd r in
-# the evaluated half: its zero cells (n2d3 and odd(5, 3/10) at r = 257, and
-# high_dim(5), of odd degree) must be counted once
+# (input, resolution) pairs, where the faces x_a = -1 are mirrored: n = 1,
+# 2, 3, even and odd degree, even and odd resolution, zero cells on the t
+# faces (odd(5, 3/10)) and on the side faces (product_lower(2, 8)).  The
+# entries at r = 47, 48, 256 and 257 evaluate the t faces by halves, with the
+# self-symmetric centre layer of an odd r in the evaluated half: its zero
+# cells (n2d3 and odd(5, 3/10) at r = 257, and high_dim(5), of odd degree)
+# must be counted once
 _MIRRORED_INPUTS = {
     "x*t": (lambda: parse_poly("x*t", 1), 8),
     "basic_hcp(7)": (lambda: basic_hcp(7), 16),
@@ -1171,7 +1191,6 @@ def test_mirrored_faces_match_direct_evaluation(name):
     make, resolution = _MIRRORED_INPUTS[name]
     p = make()
     field = cube_section_sample(p, resolution)
-    assert not field.grid.jittered
     split, runs = _reference_split(p, field)
     assert field.zero_cells == sum(int(np.count_nonzero(face == 0)) for face in field.face_signs)
     report = count_components(field)
@@ -1280,18 +1299,22 @@ def _pass_counts(n, resolution):
 
 
 def test_float_passes_cover_each_face_once_under_the_cap(monkeypatch):
-    # faces are evaluated in stacked groups: on the unjittered grid the float
-    # passes cover the n + 2 source faces (x_a = +1 and both t faces) once
-    # each, each whole face with its mesh (its cell centers plus the cube
-    # edges around it), and no pass holds a face x_a = -1, which is mirrored
-    # from x_a = +1.  The t faces go by halves exactly where that takes no
-    # more passes than whole t faces, in passes of their own; so no
-    # resolution takes more passes than the grouping of whole faces.  No pass
-    # exceeds one face or 2^18 cells, whichever is larger, and faces that fit
-    # twice under that cap share passes
+    # faces are evaluated in stacked groups: the float passes cover the n + 2
+    # source faces (x_a = +1 and both t faces) once each, each whole face
+    # with its mesh (its cell centers plus the cube edges around it), and no
+    # pass holds a face x_a = -1, which is mirrored from x_a = +1.  The t
+    # faces go by halves exactly where that takes no more passes than whole t
+    # faces, in passes of their own; so no resolution takes more passes than
+    # the grouping of whole faces.  No pass exceeds one face or 2^18 cells,
+    # whichever is larger, and faces that fit twice under that cap share
+    # passes
     passes = _recording_passes(monkeypatch)
-    for name, resolutions in (("n2d3", [64, 128, 256, 257, 512]), ("n3d4", [8, 24, 47, 48, 96])):
-        p = fixture(name)
+    # x*y*t at r = 9, with zero cells on its coordinate planes, is mirrored like the others
+    for p, resolutions in (
+        (fixture("n2d3"), [64, 128, 256, 257, 512]),
+        (fixture("n3d4"), [8, 24, 47, 48, 96]),
+        (parse_poly("x*y*t", 2), [9]),
+    ):
         n = p.spatial_dim
         for resolution in resolutions:
             passes.clear()
@@ -1308,12 +1331,6 @@ def test_float_passes_cover_each_face_once_under_the_cap(monkeypatch):
             assert max(cells for _, _, cells in passes) <= max(face, 2 ** 18)
             if 2 * face <= 2 ** 18:
                 assert len(passes) < n + 2
-    # the jittered grid is not symmetric under x -> -x: every face is a whole source
-    passes.clear()
-    cube_section_sample(parse_poly("x*y*t", 2), 9)
-    jittered = [(group, cells) for grid, group, cells in passes if grid.jittered]
-    assert sorted(f for group, _ in jittered for f in group) == list(range(6))
-    assert all(cells == len(group) * 11 ** 2 for group, cells in jittered)
 
 
 def test_face_wide_rounding_bound_leaves_one_contraction_per_float_pass(monkeypatch):
