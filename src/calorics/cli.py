@@ -148,9 +148,9 @@ _SEED_ALIASES = {
 
 
 def _reject_unread_flags(args, read: Sequence[str], what: str) -> None:
-    """Raise CliError (exit 4) for a generator flag that `what` does not read."""
+    """Raise CliError (exit 4) for a generator flag that `what` does not read (scan has only -d and --rot)."""
     for flag, text in _FLAG_NAMES.items():
-        if getattr(args, flag) is not None and flag not in read:
+        if getattr(args, flag, None) is not None and flag not in read:
             raise CliError(f"{text} does not apply to {what}")
 
 
@@ -191,9 +191,8 @@ def _generate(name: str, args) -> Tuple[Polynomial, dict]:
     seed_kind = _SEED_ALIASES.get(args.seed_kind or "real_part")
     if seed_kind is None:
         raise CliError(f"unknown seed kind {args.seed_kind!r}")
-    n = args.n if args.n is not None else (3 if family == "high_dim" else 2)
     spec = ConstructionSpec(
-        family=family, d=args.d, n=n, epsilon=eps, rotation=rotation, seed_kind=seed_kind
+        family=family, d=args.d, n=args.n, epsilon=eps, rotation=rotation, seed_kind=seed_kind
     )
     poly = build(spec)
     meta.update(spec.to_json_dict())
@@ -411,6 +410,7 @@ def _cmd_scan(args) -> int:
     family = _FAMILY_ALIASES.get(args.family)
     if family not in ("lewy", "odd", "zero_mod_4"):
         raise CliError(f"scan supports the perturbation families, got {args.family!r}")
+    _reject_unread_flags(args, _FAMILY_FLAGS[family], f"the {args.family} family")
     _check_degree(args.d, args.command)
     rotation = _parse_rotation(args.rot)
     if args.eps_grid is not None:

@@ -88,7 +88,7 @@ class ConstructionSpec:
 
     family: str
     d: int = 0
-    n: int = 2
+    n: Optional[int] = None  # the family's own: 3 for high_dim, 2 for the others
     epsilon: Optional[Union[Fraction, float]] = None
     rotation: Optional[RotationSpec] = None
     fixture_id: Optional[str] = None
@@ -97,6 +97,8 @@ class ConstructionSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ConstructionError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
+        if self.n is None:
+            object.__setattr__(self, "n", 3 if self.family == "high_dim" else 2)
         if self.family == "lewy" and self.d % 4 != 2:
             raise ConstructionError(f"lewy family needs d = 2 mod 4, got d = {self.d}")
         if self.family == "odd" and (self.d < 3 or self.d % 2 == 0):
@@ -138,7 +140,7 @@ class ConstructionSpec:
         return cls(
             family=data["family"],
             d=_json_int(data.get("d", 0)),
-            n=_json_int(data.get("n", 2)),
+            n=_json_int(data["n"]) if "n" in data else None,
             epsilon=eps,
             rotation=rot,
             fixture_id=data.get("fixture"),

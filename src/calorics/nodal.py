@@ -409,7 +409,7 @@ class _MeshForm:
         self.columns = [table[0] for table in self.tables]
         self.magnitudes = [table[1] for table in self.tables]
         self.floor: Optional[np.ndarray] = None
-        self.nonzero = False  # set by the float pass: the face-wide tier certified every cell
+        self.nonzero = False  # set by the float pass: the face-wide tier certified every cell; only signs() reads it
 
     def _roundings(self, skip: Optional[int] = None) -> int:
         # Each product C_T * prod_s m_s^e of a contraction carries at most
@@ -938,6 +938,8 @@ class SignField:
 
     grid: CrossSectionGrid
     face_signs: Tuple[np.ndarray, ...]
+    # the exact zeros, an image's with its source's, read from the run graph: each is a
+    # one-cell run of sign 0
     zero_cells: int
     # every face's runs and the stitches across cube edges (cube_section_sample)
     node_signs: np.ndarray
@@ -1043,7 +1045,6 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
     after those, and a ghost run its image's id.  Each face side's leg mask
     is final when it is recorded; after the last group two cells beside a
     shared cube edge stitch when both of their legs are root-free.
-    zero_cells counts the exact zeros, an image's with its source's.
     """
     ambient = _check_countable(p)
     resolution = _check_resolution(resolution)
@@ -1078,7 +1079,7 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
     face_parts: Dict[int, List[np.ndarray]] = {}
     sides: Dict[Tuple[int, int], List[Tuple[np.ndarray, np.ndarray]]] = {}
     node_signs, edges = [], []
-    zeros = offset = 0
+    offset = 0
     for faces, start in layout:
         # a half t face leads with a ghost layer, the image of its layer `first`; on a whole
         # source face every layer has an image
@@ -1092,11 +1093,6 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
         signs = form.signs()
         inner = (slice(None), slice(1 - ghost, -1)) + (slice(1, -1),) * (n - 1)
         inside = signs[inner]
-        if not form.nonzero:  # else the face-wide tier certified every cell
-            for k, face in enumerate(faces):
-                zeros += int(np.count_nonzero(inside[k, ghost:] == 0))
-                if face in images:
-                    zeros += int(np.count_nonzero(inside[k, first:] == 0))
         # per mesh axis: the in-face edges, and the stitch legs from a side cell to the cube edge
         masks = form.merge_masks(signs, counts, rim=True)
         del form  # its per-cell floats, before the group's graph is built
@@ -1192,7 +1188,8 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
     signs = tuple(part[0] if len(part) == 1 else np.concatenate(part) for part in parts)
     del face_parts, parts, inside, values
     rows, cols = (np.concatenate(part) for part in zip(*edges))
-    return SignField(grid, signs, zeros, np.concatenate(node_signs), rows, cols)
+    node_signs = np.concatenate(node_signs)
+    return SignField(grid, signs, int(np.count_nonzero(node_signs == 0)), node_signs, rows, cols)
 
 
 def _groups(faces: List[int], cells: int) -> List[List[int]]:
@@ -1328,11 +1325,10 @@ def nodal_count(p: Polynomial, schedule: Optional[Sequence[int]] = None) -> Comp
     rung to every unstable input.  resolutions_used lists the levels run.
     Instability is reported, never raised.
     """
-    ambient = p.spatial_dim + 1
+    ambient = _check_countable(p)
     if ambient == 2:
         if schedule is not None:
             raise NodalError("n = 1 is counted exactly and takes no schedule")
-        _check_countable(p)
         signs = _loop_signs(p, lambda u, v: (u, v), Fraction(1))
         # an arc starts after each root; a loop with no root is one arc
         arcs = [s for k, s in enumerate(signs) if s and not signs[k - 1]] or signs[:1]
@@ -1340,8 +1336,6 @@ def nodal_count(p: Polynomial, schedule: Optional[Sequence[int]] = None) -> Comp
         return ComponentReport(positive + negative, positive, negative, (), True, 0.0, "cube-loop")
     ladder = schedule is None
     if ladder:
-        if ambient not in DEFAULT_SCHEDULES:
-            raise NodalError(f"no default schedule for ambient dimension {ambient}")
         schedule = DEFAULT_SCHEDULES[ambient]
     schedule = [_check_resolution(r) for r in schedule]
     if len(schedule) < 3:

@@ -222,7 +222,7 @@ def test_parse_error_exits_four(capsys):
 # each command, and a part of its error message
 _COUNTING_ERRORS = {
     "count --fixture n2d3 --schedule 8,16": "at least three resolutions",
-    "count --expr 2*t+x1^2 -n 4": "ambient dimension 5",
+    "count --expr 2*t+x1^2 -n 4": "ambient dimension 2..4, got 5",
     # a scaled integer coefficient of this degree-20 input exceeds the float range
     "count --gen zero-mod4 -d 20 --eps 1/4 --rot angle:0.2": "exceeds the float range",
     # n = 1 is counted on the cube loop, in exact arithmetic
@@ -554,6 +554,7 @@ def test_unwritable_out_exits_four(capsys, tmp_path, argv):
         "gen lewy -d 6 -n 3",
         # flags the family does not read
         "gen lewy -d 6 --rot 1/2,1/2",
+        "scan lewy -d 6 --rot 3/5,4/5",
         "gen basic -d 4 -n 7 --rot 1/2,1/2",
         "gen basic -d 4 -n 2",
         "gen product -d 4 -n 2 --eps 1/4",

@@ -313,6 +313,13 @@ def test_build_dispatch():
     assert build(spec) == product_lower(2, 4)
 
 
+def test_spec_takes_each_family_default_n():
+    # high_dim is exposed at n = 3, like high_dim(d) and `gen high-dim`; the others at n = 2
+    assert build(ConstructionSpec("high_dim", d=4)) == high_dim(4)
+    assert ConstructionSpec.from_json_dict({"family": "high_dim", "d": 4}).n == 3
+    assert ConstructionSpec.from_json_dict({"family": "product", "d": 4}).n == 2
+
+
 def test_default_epsilon_only_for_figure_degrees():
     assert lewy_2mod4(6) == lewy_2mod4(6, F(1, 20))
     with pytest.raises(ConstructionError, match="no default epsilon"):

@@ -826,6 +826,36 @@ def test_default_ladder_runs_every_rung_of_an_unstable_input(make):
     assert replace(report, resolutions_used=fixed.resolutions_used) == fixed
 
 
+# Random caloric inputs (integer combinations of basis(2, d)) that the ladder reports as
+# stable at 32/64/128 with a split a stable 256/512/1024 does not give, held here as
+# constants: A (d = 6) a stable 4 (2, 2) there, B (d = 7) a stable 6 (3, 3)
+_LADDER_MISSES = {
+    "A": (
+        "9*t^3 + 11/2*t^2*x^2 - t^2*x*y + 8*t^2*y^2 + 7/12*t*x^4 - 1/2*t*x^3*y + 2*t*x^2*y^2"
+        " + 1/6*t*x*y^3 + t*y^4 + 1/60*x^6 - 1/60*x^5*y + 1/24*x^4*y^2 - 1/36*x^3*y^3"
+        " + 1/8*x^2*y^4 + 1/60*x*y^5 + 1/40*y^6",
+        (2, 2),
+    ),
+    "B": (
+        "t^3*x - 3*t^3*y + 1/3*t^2*x^3 - 6*t^2*x^2*y + 1/2*t^2*x*y^2 + 1/2*t^2*y^3 + 7/60*t*x^5"
+        " - 11/12*t*x^4*y - 5/6*t*x^3*y^2 - 1/6*t*x^2*y^3 + 1/2*t*x*y^4 + 1/15*t*y^5"
+        " + 1/280*x^7 - 1/40*x^6*y - 1/60*x^5*y^2 - 1/36*x^4*y^3 - 1/24*x^3*y^4"
+        " + 1/120*x^2*y^5 + 1/40*x*y^6 + 1/840*y^7",
+        (3, 3),
+    ),
+}
+
+
+_ITEM_21 = pytest.mark.xfail(strict=True, reason="ROADMAP item 21: the ladder reports a coarse split as stable")
+
+
+@pytest.mark.parametrize("name", [pytest.param(name, marks=_ITEM_21) for name in _LADDER_MISSES])
+def test_a_stable_ladder_report_carries_the_fine_split(name):
+    expr, fine = _LADDER_MISSES[name]
+    report = nodal_count(parse_poly(expr, 2))
+    assert not report.stable or (report.positive, report.negative) == fine
+
+
 def test_an_explicit_schedule_runs_every_resolution():
     # n2d3 agrees at 16/32/64 already; only the default ladder stops there
     report = nodal_count(fixture("n2d3"), [16, 32, 64, 128])
