@@ -21,6 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 from . import __version__
 from .caloric import basic_hcp, chain_check, eigen_check, is_caloric
 from .constructions import (
+    FAMILY_FIELDS,
     MAX_SPATIAL_DIM,
     ConstructionSpec,
     build,
@@ -120,23 +121,18 @@ _FAMILY_ALIASES = {
     "fixture": "fixture",
 }
 
-# the generator flags each family reads; any other flag is an error
-_FAMILY_FLAGS = {
-    "basic": ("d", "n"),
-    "lewy": ("d", "eps", "n"),
-    "odd": ("d", "eps", "rot", "n"),
-    "zero_mod_4": ("d", "eps", "rot", "n"),
-    "high_dim": ("d", "n", "seed_kind"),
-    "product": ("d", "n"),
-    "fixture": ("fixture_id",),
-}
+# the fields each family reads (basic_hcp, built without a spec, reads d and n); any
+# other generator flag is an error
+_FAMILY_FIELDS = {**FAMILY_FIELDS, "basic": ("d", "n")}
+# each ConstructionSpec field's generator flag: its attribute on the parsed arguments, and its
+# name in messages
 _FLAG_NAMES = {
-    "d": "-d",
-    "n": "-n",
-    "eps": "--eps",
-    "rot": "--rot",
-    "seed_kind": "--seed-kind",
-    "fixture_id": "a fixture id",
+    "d": ("d", "-d"),
+    "n": ("n", "-n"),
+    "epsilon": ("eps", "--eps"),
+    "rotation": ("rot", "--rot"),
+    "seed_kind": ("seed_kind", "--seed-kind"),
+    "fixture_id": ("fixture_id", "a fixture id"),
 }
 
 _SEED_ALIASES = {
@@ -149,8 +145,8 @@ _SEED_ALIASES = {
 
 def _reject_unread_flags(args, read: Sequence[str], what: str) -> None:
     """Raise CliError (exit 4) for a generator flag that `what` does not read (scan has only -d and --rot)."""
-    for flag, text in _FLAG_NAMES.items():
-        if getattr(args, flag, None) is not None and flag not in read:
+    for field, (flag, text) in _FLAG_NAMES.items():
+        if getattr(args, flag, None) is not None and field not in read:
             raise CliError(f"{text} does not apply to {what}")
 
 
@@ -171,7 +167,7 @@ def _generate(name: str, args) -> Tuple[Polynomial, dict]:
     family = _FAMILY_ALIASES.get(name)
     if family is None:
         raise CliError(f"unknown family {name!r}; expected one of {sorted(_FAMILY_ALIASES)}")
-    _reject_unread_flags(args, _FAMILY_FLAGS[family], f"the {name} family")
+    _reject_unread_flags(args, _FAMILY_FIELDS[family], f"the {name} family")
     rotation = _parse_rotation(args.rot)
     eps = None if args.eps is None else _rational(args.eps, "epsilon")
     meta: dict = {"family": name}
@@ -410,7 +406,7 @@ def _cmd_scan(args) -> int:
     family = _FAMILY_ALIASES.get(args.family)
     if family not in ("lewy", "odd", "zero_mod_4"):
         raise CliError(f"scan supports the perturbation families, got {args.family!r}")
-    _reject_unread_flags(args, _FAMILY_FLAGS[family], f"the {args.family} family")
+    _reject_unread_flags(args, _FAMILY_FIELDS[family], f"the {args.family} family")
     _check_degree(args.d, args.command)
     rotation = _parse_rotation(args.rot)
     if args.eps_grid is not None:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -44,6 +44,16 @@ from .polyring import (
 RotationSpec = Union[Tuple[Fraction, Fraction], float]
 
 FAMILIES = ("lewy", "odd", "zero_mod_4", "high_dim", "product", "fixture")
+# the ConstructionSpec fields each family reads; a spec refuses any other field that
+# differs from its default, and the CLI any other generator flag
+FAMILY_FIELDS = {
+    "lewy": ("d", "epsilon", "n"),
+    "odd": ("d", "epsilon", "rotation", "n"),
+    "zero_mod_4": ("d", "epsilon", "rotation", "n"),
+    "high_dim": ("d", "n", "seed_kind"),
+    "product": ("d", "n"),
+    "fixture": ("fixture_id",),
+}
 
 # Figure-quality defaults; other degrees need an explicit eps or a scan.
 DEFAULT_EPSILON = {
@@ -97,8 +107,15 @@ class ConstructionSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ConstructionError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
+        family_n = 3 if self.family == "high_dim" else 2
         if self.n is None:
-            object.__setattr__(self, "n", 3 if self.family == "high_dim" else 2)
+            object.__setattr__(self, "n", family_n)
+        for field in fields(self)[1:]:  # each field after family, at its default unless read
+            default = family_n if field.name == "n" else field.default
+            if field.name not in FAMILY_FIELDS[self.family] and getattr(self, field.name) != default:
+                raise ConstructionError(f"{field.name} does not apply to the {self.family} family")
+        if self.family == "high_dim" and self.n < 3:
+            raise ConstructionError("high_dim needs n >= 3")
         if self.family == "lewy" and self.d % 4 != 2:
             raise ConstructionError(f"lewy family needs d = 2 mod 4, got d = {self.d}")
         if self.family == "odd" and (self.d < 3 or self.d % 2 == 0):

@@ -41,25 +41,29 @@ under the bound (in particular all exact zeros) are re-evaluated with exact
 integer arithmetic, in one batch per face, so no sign is ever trusted to
 floating point.  An exact zero is a one-cell run with no edge: a cell
 center on the nodal set neither welds two domains nor joins across a zero.
-cube_section_sample evaluates one face of each antipodal pair and mirrors
-the other, and each t face by halves where that adds no float pass.  Every
-term x^alpha t^k of a parabolically homogeneous p has |alpha| + 2k = d, so
-p(-x, t) = (-1)^d p(x, t) exactly, and sigma: x -> -x maps the face x_a = +1
-onto x_a = -1 and each t face onto itself, with t unchanged.  sigma maps
-the cell centers (2i + 1 - r)/r and the cube edges onto themselves, and
-each segment between them onto a segment, so each sign of an image is
-(-1)^d times its source's, and each root-free decision (stitch legs
-included) is its source's.  A half t face runs along x_1 from its centre
-to the cube edge, after one ghost layer, the image of an evaluated one:
-the seam edges between the halves are decided in the half's own form, and
-each ghost run takes the id of the image of a source run, so the ghost
-adds no node.  The evaluated faces go in stacked groups of at most 2^18
-cells (one face when a face alone is larger), each face on its cell
-centers plus the cube edges around it, and slice_count
-evaluates an n >= 2 box as a stack of one face.  Each group is one form: it
-gives the group's exact signs, its complete merge masks
-(_MeshForm.merge_masks), and one graph of runs, which the mirrored faces
-copy.  Once the last group is in, each stitch across a cube edge is read
+cube_section_sample evaluates a piece of each orbit of faces under the
+signed reflections of p and copies the rest.  rho_R flips the space axes
+in a set R and keeps t; p(rho_R x, t) = s_R p(x, t) exactly when the
+exponents in R of every term of p add up to one parity, s_R = (-1)^that
+parity.  sigma: x -> -x always qualifies, with s = (-1)^d, since every
+term x^alpha t^k has |alpha| + 2k = d; it maps the face x_a = +1 onto
+x_a = -1 and each t face onto itself.  rho_R maps the cell centers
+(2i + 1 - r)/r and the cube edges onto themselves, and each segment between
+them onto a segment, so each sign of an image is s_R times its source's,
+and each root-free decision (stitch legs included) is its source's.  A face
+goes by halves where that adds no float pass: a t face along x_1, folded
+onto itself by sigma, and a face x_a = +1 along x_b (b the first space axis
+other than a) by rho_b, where every term has exponents of one parity in x_b,
+as products of 1-D heat polynomials have in every coordinate.  A half runs
+from its centre to the cube edge, after one ghost layer, the image of an
+evaluated one: the seam edges between the halves are decided in the half's
+own form, and each ghost run takes the id of the image of a source run, so
+the ghost adds no node.  The evaluated faces go in stacked groups of at
+most 2^18 cells (one face when a face alone is larger), each face on its
+cell centers plus the cube edges around it, and slice_count evaluates an
+n >= 2 box as a stack of one face.  Each group is one form: it gives the
+group's exact signs, its complete merge masks (_MeshForm.merge_masks), and
+one graph of runs, which the images copy.  Once the last group is in, each stitch across a cube edge is read
 from the leg masks of the two face sides that meet there.
 
 Adjacency is certified: two same-sign cells sharing a facet merge only when
@@ -1000,95 +1004,103 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
     """Exact signs of p at all cell centers on the cube cross-section, with its run graph.
 
     Requires a parabolically homogeneous p of degree >= 1 in ambient
-    dimension 2..4.  Only the source faces are evaluated: x_a = +1 for each
-    space axis a, and both t faces; each face x_a = -1 is their mirror
-    image.  Every term x^alpha t^k of p has |alpha| + 2k = d, so
-    p(-x, t) = (-1)^d p(x, t) exactly, and sigma: x -> -x maps face x_a = +1
-    onto face x_a = -1, leaving t unchanged.  sigma maps the mesh numerators
-    (2i + 1 - r) and the cube edges -den, +den onto themselves, so it maps
-    cells onto cells and each segment between two of them onto a segment:
-    every exact sign is (-1)^d times its source's, and every root-free
-    decision (stages (a)-(d), stitch legs included) is its source's.  A
-    mirror takes its source's signs times (-1)^d, reversed along every space
-    mesh axis (t is the last one, never reversed), its runs and in-face
-    edges under ids of their own, and its source's cube-edge sides: the side
-    toward x_c = +-1 is the source's side toward x_c = -+1 for a space axis
-    c, and toward t = +-1 for t, reordered by the same reversal.
+    dimension 2..4.  Only pieces of the source faces, x_a = +1 for each
+    space axis a and both t faces, are evaluated; the rest of the surface
+    is their images under the signed reflections rho_R of p (module
+    docstring), p(rho_R x, t) = s_R p(x, t).  rho_R maps the mesh
+    numerators (2i + 1 - r) and the cube edges -den, +den of every axis onto
+    themselves, so it maps cells onto cells and each segment between two of
+    them onto a segment: every exact sign of an image is s_R times its
+    source's, and every root-free decision (stages (a)-(d), stitch legs
+    included) is its source's.  One rule gives every image from R: it maps
+    x_a = +1 onto x_a = -1 if a is in R, and every other source face onto
+    itself; it reverses the mesh axes of the coordinates in R (never t, the
+    last mesh axis of a side face) and takes its source's signs times s_R,
+    its runs and in-face edges under ids of their own, and its source's
+    cube-edge sides, the side toward x_c = +-1 becoming the side toward
+    x_c = -+1 for c in R, reordered by the same reversal.
 
-    For n >= 2 sigma also maps each t face onto itself, reversing every mesh
-    axis: mesh index i maps to r + 1 - i.  With h = (r + 2) // 2 the indices
-    h .. r + 1 along x_1 determine the rest (the centre layer h of an odd r
-    is its own image).  The half is evaluated with the ghost layer h - 1
-    before it, the image of layer r + 2 - h, so each seam edge between the
-    layers h - 1 and h is decided in the half's own form; runs go along the
-    last mesh axis and never cross the seam.  The rim rule leaves the ghost
-    layer's own edges to stage (a), so its run mask is taken from its source
-    layer, reversed: each ghost run is the image of a source run, in reverse
-    order within the layer, and takes that image's id.  So the ghost adds no
+    A face goes by halves along its mesh axis 0, mesh indices h .. r + 1
+    with h = (r + 2) // 2, wherever that takes no more float passes than
+    whole faces.  Its fold, which swaps its halves (mesh index i maps to
+    r + 1 - i), is sigma on a t face (mesh axis 0 is x_1), and rho_b on
+    x_a = +1 (mesh axis 0 is x_b, b the first space axis other than a) when
+    s_b exists; x_a = +1 without s_b stays whole, and n = 1 keeps every face
+    whole, its one mesh axis being the run axis.  The half's images are the
+    group that its fold and, on x_a = +1, sigma generate: rho_b, sigma and
+    sigma rho_b.  The centre layer h of an odd r is its own image under the
+    fold, so the images that reverse mesh axis 0 take the layers past it.
+    The half is evaluated with the ghost layer h - 1 before it, the fold's
+    image of layer r + 2 - h, so each seam edge between the layers h - 1 and
+    h is decided in the half's own form; runs go along the last mesh axis
+    and never cross the seam.  The rim rule leaves the ghost layer's own
+    edges to stage (a), so its run mask is its source layer's under the
+    fold: each ghost run is the fold's image of a source run, and takes that
+    run's id in the image composed with the fold.  So the ghost adds no
     node, its in-layer edges (images of the source layer's) are dropped, and
     the graph is the one a whole evaluation builds, up to node numbering.  A
-    half cannot share a form with a whole face, whose x_1 numerators differ,
-    so the t faces are halved only where that takes no more float passes
-    than whole t faces; n = 1 keeps them whole, its one mesh axis being the
-    run axis.
+    half cannot share a form with a whole face, whose numerators on mesh
+    axis 0 differ, so halves go in groups of their own.
 
     The sources are evaluated in stacked groups of even size, as many faces
     as fit in _CASCADE_FLOATS = 2^18 cells (at least one), each face on its
-    cell centers plus the cube edges around it (_face_values), and half t
-    faces in groups of their own.  Every mesh axis of every face of a group
-    has the same numerators, so each group is one _MeshForm: it gives the
-    group's exact signs and the merge mask of each in-face edge and stitch
-    leg (merge_masks, with its rim edges skipped), and its float arrays are
-    dropped before the next group.  The group's runs come from its complete
-    masks, and every group numbers them one way, from per-run id arrays:
-    its evaluated runs take the next ids in order, the images' runs the ids
-    after those, and a ghost run its image's id.  Each face side's leg mask
-    is final when it is recorded; after the last group two cells beside a
-    shared cube edge stitch when both of their legs are root-free.
+    cell centers plus the cube edges around it (_face_values).  Every mesh
+    axis of every face of a group has the same numerators, so each group is
+    one _MeshForm: it gives the group's exact signs and the merge mask of
+    each in-face edge and stitch leg (merge_masks, with its rim edges
+    skipped), and its float arrays are dropped before the next group.  The
+    group's runs come from its complete masks, and every group numbers them
+    one way, from per-run id arrays, one per image: each image's runs take
+    the next ids in order, and a ghost run its source's image's id.  Each
+    face side's leg mask is final when it is recorded; after the last group
+    two cells beside a shared cube edge stitch when both of their legs are
+    root-free.
     """
     ambient = _check_countable(p)
     resolution = _check_resolution(resolution)
     _check_mesh_cells(resolution + 2, ambient - 1)
-    parity = (-1) ** parabolic_degree(p)  # p(-x, t) = parity * p(x, t)
     n = ambient - 1
     face_cells = (resolution + 2) ** n
-    # the ghost layer's mesh index on a half t face, which runs from there to the cube edge
+    # the ghost layer's mesh index on a half face, which runs from there to the cube edge
     low = (resolution + 2) // 2 - 1
     t_faces = [2 * n, 2 * n + 1]
     grid = CrossSectionGrid(ambient, resolution)
     mesh = grid.mesh
-    # source face -> its image under x -> -x
-    images = {2 * a + 1: 2 * a for a in range(n)}
-    # the faces with images, the odd ones below 2n, come first, so they lead every group
-    sources = [f for f in range(grid.face_count) if f not in images.values()]
-    # (faces, first index on their first mesh axis, x_1 on a t face) per float pass; the
-    # t faces go by halves where that takes no more passes
+    parity = _reflection_signs(p)
+    # the sources, x_a = +1 and the t faces, lead by the faces x_a = +1.  A half face runs
+    # along its mesh axis 0 and has a fold, the reflection that swaps its halves: rho_b, b
+    # the first space axis other than a (bit 1 << b: x_2 on x_1 = +1, else x_1), on
+    # x_a = +1 where s_b exists, and sigma on a t face
+    sources = [2 * a + 1 for a in range(n)] + t_faces
+    folds = {f: 1 << (f < 2) for f in sources[:n] if n >= 2 and parity[1 << (f < 2)]}
+    folds.update((f, 2 ** n - 1) for f in t_faces)
+    # (faces, first index on their mesh axis 0) per float pass; faces go by halves where
+    # that takes no more passes
     layout = [(faces, 0) for faces in _groups(sources, face_cells)]
     if n >= 2:
         half_cells = face_cells // (resolution + 2) * (resolution + 2 - low)
-        halved = [(faces, 0) for faces in _groups(list(images), face_cells)]
-        halved += [(faces, low) for faces in _groups(t_faces, half_cells)]
-        if len(halved) <= len(layout):
-            layout = halved
-            images.update((f, f) for f in t_faces)
+        folded = [(faces, 0) for faces in _groups([f for f in sources if f not in folds], face_cells)]
+        folded += [(faces, low) for faces in _groups([f for f in sources if f in folds], half_cells)]
+        if len(folded) <= len(layout):
+            layout = folded
     scaled = _integer_scaled_terms(p, grid.denominator)
     counts: Dict[tuple, bool] = {}  # stage (d)'s Sturm counts, kept across the groups
-    # face -> its signs, and (face, neighbour face) -> the face's cells next to their cube
-    # edge as (node ids, merge mask of their stitch legs), flat, in pieces: a halved t face
-    # has its image half first along x_1, which is the slowest axis of both
+    # face -> its signs, and (face, neighbour face) -> the node ids of the face's cells next
+    # to their cube edge, -1 where a cell's stitch leg is cut, flat, in pieces along mesh
+    # axis 0, which is the slowest axis of both
     face_parts: Dict[int, List[np.ndarray]] = {}
-    sides: Dict[Tuple[int, int], List[Tuple[np.ndarray, np.ndarray]]] = {}
+    sides: Dict[Tuple[int, int], List[np.ndarray]] = {}
     node_signs, edges = [], []
     offset = 0
     for faces, start in layout:
-        # a half t face leads with a ghost layer, the image of its layer `first`; on a whole
-        # source face every layer has an image
+        # a half face leads with a ghost layer, the image of its layer `first` under its
+        # fold; on a whole face every layer has an image
         ghost = int(start > 0)
         first = 1 + resolution % 2 if ghost else 0
         values = [_face_values(grid, mesh, face) for face in faces]
-        if ghost:
-            for axis_values in values:
-                axis_values[0] = mesh[start:]
+        if ghost:  # mesh axis 0 is x_1, or x_2 on x_1 = +1
+            for face, axis_values in zip(faces, values):
+                axis_values[face < 2] = mesh[start:]
         form = _MeshForm(scaled, values)
         signs = form.signs()
         inner = (slice(None), slice(1 - ghost, -1)) + (slice(1, -1),) * (n - 1)
@@ -1096,58 +1108,60 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
         # per mesh axis: the in-face edges, and the stitch legs from a side cell to the cube edge
         masks = form.merge_masks(signs, counts, rim=True)
         del form  # its per-cell floats, before the group's graph is built
+        images = [_orbit(ambient, face, folds[face] if ghost else 0) for face in faces]
         if ghost:
             # the rim rule left the ghost layer to stage (a): its runs are taken from layer
             # `first`, whose images they are, and its other edges, images of that layer's, go
-            masks[-1][:, 0] = np.flip(masks[-1][:, first], range(1, n))
+            for k, orbit in enumerate(images):
+                masks[-1][k, 0] = masks[-1][k, first][orbit[1][3][1:]]
             for mask in masks[1:-1]:
                 mask[:, 0] = False
         starts, runs, rows, cols = _probed_runs(inside, [m[inner] for m in masks])
-        # per face: its ghost runs (none on a whole face), its evaluated ones and, from layer
-        # `first` on and only on a face with an image, those with images.  The evaluated runs
-        # take the group's next ids in order and the images' runs the ids after them; a
-        # ghost layer holds the images of its source layer's runs in reverse order, and
-        # takes their ids.  An edge joins two runs of one face, the lower run first, and
-        # has an image if its lower run does
+        # per face and image, the runs it holds: a half's evaluated runs, its ghost runs'
+        # images and, under an image that reverses mesh axis 0, those from layer `first`
+        # on; a whole face's runs.  Each image's runs take the next ids in order.  A fold
+        # reverses every axis of a layer (sigma on a t face) or none (rho_b), so the ghost
+        # runs are the images of layer `first`'s in reverse order or in order, and in an
+        # image that keeps mesh axis 0 each takes the id of its source in the image
+        # composed with the fold.  An edge joins two runs of one face, the lower run first,
+        # and is in each image that holds its lower run.  A last column of -1 stands for
+        # no run
         size = inside[0].size
         plane = size // inside.shape[1]
         cells = np.add.outer(np.arange(len(faces)) * size, [0, ghost * plane, first * plane, size])
         bounds = np.searchsorted(starts, cells).tolist()
-        kept = np.ones(len(runs), dtype=bool)
-        imaged = np.zeros(len(runs), dtype=bool)
-        for face, (a, g, m, e) in zip(faces, bounds):
-            kept[a:g] = False
-            imaged[m:e] = face in images
-        count = int(np.count_nonzero(kept))
-        ids = np.cumsum(kept) + (offset - 1)
-        image_ids = np.cumsum(imaged) + (offset + count - 1)
-        for a, g, m, _ in bounds:
-            ids[a:g] = image_ids[m:m + g - a][::-1]
-        node_signs += [runs[kept], parity * runs[imaged]]
-        both = imaged[rows]
-        edges.append((image_ids[rows[both]], image_ids[cols[both]]))
-        edges.append((ids[rows], ids[cols]))
-        offset += count + int(np.count_nonzero(imaged))
+        ids = np.full((max(map(len, images)), len(runs) + 1), -1)
+        for k, (a, g, m, e) in enumerate(bounds):
+            for slot, (r, _, flips, _) in enumerate(images[k]):
+                lo = m if ghost and 0 in flips else g
+                ids[slot, lo:e] = np.arange(offset, offset + e - lo)
+                offset += e - lo
+                node_signs.append(runs[lo:e] if parity[r] == 1 else -runs[lo:e])
+            if g > a:
+                fold, _, _, rev = images[k][1]
+                order = [r for r, *_ in images[k]]
+                for slot, (r, _, flips, _) in enumerate(images[k]):
+                    if 0 not in flips:
+                        ids[slot, a:g] = ids[order.index(r ^ fold), m:m + g - a][rev[-1]]
+        edges.append((ids[0, rows], ids[0, cols]))
+        for slot_ids in ids[1:]:
+            lower = slot_ids[rows]
+            held = lower >= 0
+            edges.append((lower[held], slot_ids[cols[held]]))
         # a side of a face is one layer of `inside` along a mesh axis.  Runs never cross a
         # row along the last axis, so a side's runs follow from each row's first run and
-        # the merges along the rows
+        # the merges along the rows.  Faces whose images reverse the same mesh axes go side
+        # by side
         row_first = _run_ids(starts, np.arange(0, inside.size, inside.shape[-1]))
         row_first = row_first.reshape(inside.shape[:-1])
         row_last = np.append(row_first.ravel()[1:], len(runs)).reshape(row_first.shape) - 1
         run_merges = masks[-1][inner]
+        shapes = [[image[2] for image in orbit] for orbit in images]
+        cuts = [k for k in range(len(faces) + 1) if k in (0, len(faces)) or shapes[k] != shapes[k - 1]]
         for slot, merged in enumerate(masks):
             axis = slot + 1
             side = inner[:axis] + inner[axis + 1:]
-            # mesh axes are the other coordinates in order; the low side of the slot borders
-            # the face at -1 on that axis, the high side +1
-            others = [slot + (slot >= face // 2) for face in faces]
-            # x -> -x reverses a side's space axes (t, if there, is the last), alike on the
-            # group's faces with images, which lead it, and swaps the ends of a space axis
-            space = range(1, n - (n not in (faces[0] // 2, others[0])))
-            cut = image_cut = ()
-            if slot:  # x_1 on a half t face: the evaluated layers, and those with images
-                cut, image_cut = (slice(None), slice(ghost, None)), (slice(None), slice(first, None))
-            for i in (-1,) if ghost and not slot else (0, -1):  # the low side of x_1 is the ghost layer
+            for i in (-1,) if ghost and not slot else (0, -1):  # the low side of axis 0 is the ghost layer
                 layer = (slice(None),) * axis + (i,)
                 if axis == n:  # the row ends
                     local = row_last if i else row_first
@@ -1155,34 +1169,39 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
                     start = np.ones(inside[layer].shape, dtype=bool)
                     start[..., 1:] = ~run_merges[layer]
                     local = np.cumsum(start, axis=-1) + (row_first[layer][..., None] - 1)
-                legs = merged[layer][side]
-                own = [part[cut].reshape(len(faces), -1) for part in (ids[local], legs)]
-                if faces[0] in images:
-                    mirror = [np.flip(part[image_cut], space) for part in (image_ids[local], legs)]
-                    mirror = [part.reshape(len(faces), -1) for part in mirror]
-                end = 1 if i else 0
-                for k, (face, other) in enumerate(zip(faces, others)):
-                    sides.setdefault((face, 2 * other + end), []).append((own[0][k], own[1][k]))
-                    if face in images:
-                        key = images[face], 2 * other + (end if other == n else 1 - end)
-                        sides.setdefault(key, []).insert(0, (mirror[0][k], mirror[1][k]))
-        for face, values in zip(faces, inside):
-            face_parts.setdefault(face, []).append(values[ghost:])
-            if face in images:  # t, if a mesh axis, is the last; a view for even d
-                image = np.flip(values[first:], range(n - (face not in t_faces)))
-                face_parts.setdefault(images[face], []).insert(0, image if parity == 1 else -image)
-        del masks, merged, starts, rows, cols, both  # before the next group's form is built
-    # two cells beside a cube edge stitch where both of their legs merge
-    joined = {
-        key: parts[0] if len(parts) == 1 else [np.concatenate(part) for part in zip(*parts)]
-        for key, parts in sides.items()
-    }
-    for (face, neighbour), (ids, legs) in joined.items():
-        if neighbour < face:
-            near, near_legs = joined[neighbour, face]
-            both = near_legs & legs
-            edges.append((near[both], ids[both]))
-    # the halves of each t face are joined, and the arrays they view freed, before the
+                # each image's node id of each side cell, -1 where its stitch leg is cut
+                held = ids.take(np.where(merged[layer][side], local, -1), axis=1)
+                for k0, k1 in zip(cuts, cuts[1:]):
+                    # an image takes its layers along axis 0 of the side (mesh axis 0),
+                    # reverses the axes in R, and swaps the ends of the slot if R reverses it
+                    for s, (_, _, flips, rev) in enumerate(images[k0]):
+                        cut = (slice(first if 0 in flips else ghost, None),) if slot else ()
+                        parts = held[(s, slice(k0, k1)) + cut][(slice(None),) + rev[:slot] + rev[axis:]]
+                        end = (i == -1) != (slot in flips)
+                        for k, part in enumerate(parts.reshape(k1 - k0, -1), k0):
+                            # mesh axes are the other coordinates in order; the low side of
+                            # the slot borders the face at -1 on that axis, the high side +1
+                            key = images[k][s][1], 2 * (slot + (slot >= faces[k] // 2)) + end
+                            if ghost and 0 in flips:  # the half before the centre
+                                sides.setdefault(key, []).insert(0, part)
+                            else:
+                                sides.setdefault(key, []).append(part)
+        for k, face in enumerate(faces):
+            for r, target, flips, rev in images[k]:
+                image = inside[k, first if 0 in flips else ghost:][rev]  # a view for s_R = 1
+                image = image if parity[r] == 1 else -image
+                if ghost and 0 in flips:
+                    face_parts.setdefault(target, []).insert(0, image)
+                else:
+                    face_parts.setdefault(target, []).append(image)
+        del masks, merged, starts, rows, cols, held  # before the next group's form is built
+    # two cells beside a cube edge stitch where both of their legs merge: neither id is -1
+    pairs = [(f, g) for f, g in sides if g < f]
+    near = np.concatenate([part for f, g in pairs for part in sides[g, f]])
+    far = np.concatenate([part for f, g in pairs for part in sides[f, g]])
+    both = (near >= 0) & (far >= 0)
+    edges.append((near[both], far[both]))
+    # the halves of each face are joined, and the arrays they view freed, before the
     # edges are joined, where memory peaks
     parts = [face_parts[face] for face in range(grid.face_count)]
     signs = tuple(part[0] if len(part) == 1 else np.concatenate(part) for part in parts)
@@ -1192,8 +1211,49 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
     return SignField(grid, signs, int(np.count_nonzero(node_signs == 0)), node_signs, rows, cols)
 
 
+def _reflection_signs(p: Polynomial) -> List[int]:
+    """s_R with p(rho_R x, t) = s_R p(x, t) for each set R of space axes, a bitmask; 0 where none.
+
+    rho_R flips the space axes in R and keeps t.  The identity holds exactly
+    when the exponents in R of every term of p add up to one parity, and
+    then s_R = (-1)^that parity.
+    """
+    parities = {sum((e & 1) << b for b, e in enumerate(ev.space_exps)) for ev in p.terms}
+    found = [{(m & r).bit_count() & 1 for m in parities} for r in range(2 ** p.spatial_dim)]
+    return [(-1) ** f.pop() if len(f) == 1 else 0 for f in found]
+
+
+@functools.lru_cache(maxsize=None)
+def _orbit(ambient: int, face: int, fold: int) -> Tuple[Tuple[int, int, Tuple[int, ...], tuple], ...]:
+    """The images of the evaluated piece of a source face under the reflections that it takes.
+
+    Each is (R, target face, the mesh axes that rho_R reverses, the index
+    that reverses them), R a bitmask of space axes.  They are the group
+    generated by the piece's fold (0 on a whole face) and, on x_a = +1, by
+    sigma, which maps it onto x_a = -1 (sigma maps a t face onto itself, so
+    a whole t face has no image): the identity first, then the fold.
+    """
+    n = ambient - 1
+    axis = face // 2
+    coords = [c for c in range(ambient) if c != axis]
+    group = [0]
+    for gen in [fold] * bool(fold) + [2 ** n - 1] * (axis < n):
+        group += [r ^ gen for r in group]
+    return tuple(
+        (
+            r,
+            face - (r >> axis & 1),
+            tuple(j for j, c in enumerate(coords) if r >> c & 1),
+            tuple(slice(None, None, -1 if r >> c & 1 else 1) for c in coords),
+        )
+        for r in group
+    )
+
+
 def _groups(faces: List[int], cells: int) -> List[List[int]]:
     """faces in float passes of even size, each as many as fit in _CASCADE_FLOATS cells, at least one."""
+    if not faces:
+        return []
     per_group = max(1, _CASCADE_FLOATS // cells)
     per_group = -(-len(faces) // -(-len(faces) // per_group))
     return [faces[first:first + per_group] for first in range(0, len(faces), per_group)]

@@ -51,17 +51,22 @@ def homogeneous_polynomials(draw, max_dim=3, max_degree=6):
     return Polynomial(n, terms)
 
 
-def negate_space(p):
-    """p(-x, t), composed in the ring: each x_i is replaced by the polynomial -x_i."""
+def reflect_space(p, axes):
+    """p with x_i -> -x_i for each space axis i in `axes`, composed in the ring: x_i is replaced by the polynomial -x_i."""
     n = p.spatial_dim
-    minus = [Polynomial.variable(n, i).scale(-1) for i in range(n)]
+    xs = [Polynomial.variable(n, i).scale(-1 if i in axes else 1) for i in range(n)]
     out = Polynomial.zero(n)
     for ev, coeff in p.terms.items():
         term = Polynomial.time(n) ** ev.t_exp
-        for x, a in zip(minus, ev.space_exps):
+        for x, a in zip(xs, ev.space_exps):
             term = term * x ** a
         out = out + term.scale(coeff)
     return out
+
+
+def negate_space(p):
+    """p(-x, t), composed in the ring: each x_i is replaced by the polynomial -x_i."""
+    return reflect_space(p, range(p.spatial_dim))
 
 
 def _alphas(n, total):

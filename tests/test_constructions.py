@@ -320,6 +320,54 @@ def test_spec_takes_each_family_default_n():
     assert ConstructionSpec.from_json_dict({"family": "product", "d": 4}).n == 2
 
 
+# one spec of each family with every field it reads, and a field it never reads
+_READ_SPECS = {
+    "lewy": dict(d=6, n=2, epsilon=F(1, 20)),
+    "odd": dict(d=5, n=2, epsilon=F(3, 10), rotation=ROT),
+    "zero_mod_4": dict(d=4, n=2, epsilon=F(1, 5), rotation=math.pi / 10),
+    "high_dim": dict(d=4, n=4, seed_kind="imag_part"),
+    "product": dict(d=4, n=3),
+    "fixture": dict(fixture_id="n2d3"),
+}
+_UNREAD_FIELDS = {
+    "d": 4,
+    "n": 5,
+    "epsilon": F(1, 2),
+    "rotation": ROT,
+    "fixture_id": "n2d3",
+    "seed_kind": "imag_part",
+}
+
+
+@pytest.mark.parametrize("family", list(_READ_SPECS))
+def test_spec_refuses_each_field_its_family_never_reads(family):
+    # the spec reads the one family -> fields table that the CLI reads: a
+    # lewy spec with a rotation, or a product spec with an epsilon, would
+    # record a field that build ignores, so it is refused as the CLI's flags
+    # are.  A field at its default (None, d = 0, the family's n, real_part)
+    # is not given: a fixture spec's JSON records d = 0 and n = 2
+    assert set(constructions.FAMILY_FIELDS) == set(constructions.FAMILIES)
+    spec = ConstructionSpec(family, **_READ_SPECS[family])
+    assert ConstructionSpec.from_json_dict(spec.to_json_dict()) == spec
+    unread = [name for name in _UNREAD_FIELDS if name not in constructions.FAMILY_FIELDS[family]]
+    assert unread
+    for name in unread:
+        with pytest.raises(ConstructionError, match=f"^{name} does not apply to the {family} family$"):
+            ConstructionSpec(family, **{**_READ_SPECS[family], name: _UNREAD_FIELDS[name]})
+
+
+def test_spec_refuses_high_dim_below_three_space_variables():
+    # refused when the spec is made, not first by build, with build's message
+    with pytest.raises(ConstructionError, match=r"^high_dim needs n >= 3$"):
+        ConstructionSpec("high_dim", d=4, n=2)
+
+
+def test_scan_refuses_a_family_without_epsilon():
+    # each row would count the same polynomial under an epsilon it ignores
+    with pytest.raises(ConstructionError, match="epsilon does not apply to the product family"):
+        scan_epsilon(ConstructionSpec("product", d=4), [F(1, 2), F(1, 4)])
+
+
 def test_default_epsilon_only_for_figure_degrees():
     assert lewy_2mod4(6) == lewy_2mod4(6, F(1, 20))
     with pytest.raises(ConstructionError, match="no default epsilon"):

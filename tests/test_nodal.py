@@ -49,13 +49,14 @@ from calorics.nodal import (
     _kappa,
     _MeshForm,
     _probed_runs,
+    _reflection_signs,
     _sign_split,
     _sphere_values,
     _sturm_count,
 )
 from calorics.polyring import NotHomogeneous, parabolic_degree
 from calorics.univariate import sign_arcs
-from conftest import homogeneous_polynomials, negate_space, pythagorean_pairs
+from conftest import homogeneous_polynomials, negate_space, pythagorean_pairs, reflect_space
 
 
 # ---- exact sign evaluation ----
@@ -506,6 +507,32 @@ def test_spatial_parity_in_two_dimensions():
     for face in (4, 5):  # t-faces map to themselves
         reversed_both = field.face_signs[face][::-1, ::-1]
         assert np.array_equal(reversed_both, -field.face_signs[face])
+
+
+@st.composite
+def _products(draw):
+    """product_hcp of 2-3 random degrees, scaled: even or odd in every space coordinate."""
+    alpha = draw(st.lists(st.integers(min_value=0, max_value=4), min_size=2, max_size=3))
+    return product_hcp(tuple(alpha)).scale(draw(st.sampled_from([1, -2, F(3, 7)])))
+
+
+@given(st.one_of(homogeneous_polynomials(), _products()))
+@settings(max_examples=80, deadline=None)
+def test_reflection_signs_match_ring_reflections(p):
+    # s_R, read from the exponents, is the sign of p under rho_R composed in
+    # the ring, and is 0 exactly where p(rho_R x, t) is neither p nor -p (a
+    # mixed parity in R, which folds no face).  sigma, R = every space axis,
+    # always has s = (-1)^d
+    signs = _reflection_signs(p)
+    n = p.spatial_dim
+    assert len(signs) == 2 ** n and signs[0] == 1
+    assert signs[-1] == (-1) ** parabolic_degree(p) and negate_space(p) == p.scale(signs[-1])
+    for r, s in enumerate(signs):
+        image = reflect_space(p, [b for b in range(n) if r >> b & 1])
+        if s:
+            assert image == p.scale(s)
+        else:
+            assert image not in (p, p.scale(-1))
 
 
 # ---- component counting ----
@@ -1126,9 +1153,10 @@ def _assert_cascade_graph_matches(p, resolution):
     (one face per pass, and batches of stages (b) and (c) a face's floats
     in size, so that one _root_free call can take several) and 2^40 (the
     whole cross-section in one pass).  Both groupings sample one grid to
-    the same signs, and each graph's nodes are the runs of the full merge
-    masks along the last mesh axis: no run is cut at an edge that merges.
-    Each edge joins two of the graph's nodes of one nonzero sign.
+    the same signs as whole faces in one pass (_whole_faces_sample), and
+    each graph's nodes are the runs of the full merge masks along the last
+    mesh axis: no run is cut at an edge that merges.  Each edge joins two of
+    the graph's nodes of one nonzero sign.
     """
     caps = ((resolution + 2) ** p.spatial_dim, 2 ** 40)
     fields = []
@@ -1136,15 +1164,33 @@ def _assert_cascade_graph_matches(p, resolution):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(nodal, "_CASCADE_FLOATS", cap)
             fields.append(cube_section_sample(p, resolution))
-    assert fields[0].grid == fields[1].grid
-    assert all(map(np.array_equal, fields[0].face_signs, fields[1].face_signs))
+    whole = _whole_faces_sample(p, resolution)
+    for field in fields[1:] + [whole]:
+        assert field.grid == fields[0].grid
+        assert all(map(np.array_equal, fields[0].face_signs, field.face_signs))
     split, runs = _reference_split(p, fields[0])
-    for cap, field in zip(caps, fields):
+    for cap, field in zip(caps + ("whole",), fields + [whole]):
         report = count_components(field)
         assert (report.positive, report.negative) == split, cap
         assert _node_sign_counts(field) == runs, cap
         _assert_edges_join_like_signs(field)
     return fields[-1]
+
+
+def _whole_faces_sample(p, resolution):
+    """cube_section_sample of p with every source face whole, in one float pass.
+
+    Only sigma is left among p's reflections, so no side face has a fold,
+    and halved t faces would take a pass of their own: under the cap 2^40
+    the layout rule keeps every face whole.  This is the graph that the
+    folded and halved layouts must reproduce, up to node numbering.
+    """
+    signs = nodal._reflection_signs(p)
+    sigma_only = [s if r in (0, len(signs) - 1) else 0 for r, s in enumerate(signs)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nodal, "_CASCADE_FLOATS", 2 ** 40)
+        patch.setattr(nodal, "_reflection_signs", lambda _: sigma_only)
+        return cube_section_sample(p, resolution)
 
 
 @given(homogeneous_polynomials(), st.data())
@@ -1185,13 +1231,52 @@ def test_cascade_graph_matches_per_cell_graph_with_zero_cells(expr, n, resolutio
     assert field.zero_cells > 0
 
 
+# inputs even or odd in the coordinate x_b of some face x_a = +1, whose side
+# faces go by halves along x_b: n3d4 (every face), prod_n2d4, x*y*t (odd in
+# x and y, so its centre layers are zero cells), product_lower(3, 6) and
+# high_dim(5), which folds x = +1 along y only (its x and z parities are
+# mixed); at even and odd resolutions
+_FOLDED_INPUTS = {
+    "n3d4 r=24": (lambda: fixture("n3d4"), 24),
+    "n3d4 r=25": (lambda: fixture("n3d4"), 25),
+    "prod_n2d4 r=63": (lambda: fixture("prod_n2d4"), 63),
+    "x*y*t r=9": (lambda: parse_poly("x*y*t", 2), 9),
+    "product_lower(3, 6) r=24": (lambda: product_lower(3, 6), 24),
+    "high_dim(5) r=13": (lambda: high_dim(5), 13),
+}
+
+
+@pytest.mark.parametrize("name", list(_FOLDED_INPUTS))
+def test_cascade_graph_matches_per_cell_graph_on_folded_faces(monkeypatch, name):
+    # each half side face takes its other half and both halves of x_a = -1
+    # from its evaluated half, under rho_b, sigma and sigma rho_b; under both
+    # group caps the split and runs are those of the per-cell graph, and the
+    # signs those of whole faces.  The one-face cap folds every face that has
+    # a parity, which takes no more passes than whole faces; the whole-face
+    # reference is one pass of every source face whole
+    make, resolution = _FOLDED_INPUTS[name]
+    p = make()
+    _assert_cascade_graph_matches(p, resolution)
+    n = p.spatial_dim
+    passes = _recording_passes(monkeypatch)
+    _whole_faces_sample(p, resolution)
+    assert [(len(group), cells) for _, group, cells in passes] == [(n + 2, (n + 2) * (resolution + 2) ** n)]
+    passes.clear()
+    monkeypatch.setattr(nodal, "_CASCADE_FLOATS", (resolution + 2) ** n)
+    cube_section_sample(p, resolution)
+    half = (resolution + 2) ** (n - 1) * (resolution + 3 - (resolution + 2) // 2)
+    assert any(cells == half and group[0] < 2 * n for _, group, cells in passes)
+
+
 # (input, resolution) pairs, where the faces x_a = -1 are mirrored: n = 1,
 # 2, 3, even and odd degree, even and odd resolution, zero cells on the t
 # faces (odd(5, 3/10)) and on the side faces (product_lower(2, 8)).  The
 # entries at r = 47, 48, 256 and 257 evaluate the t faces by halves, with the
 # self-symmetric centre layer of an odd r in the evaluated half: its zero
 # cells (n2d3 and odd(5, 3/10) at r = 257, and high_dim(5), of odd degree)
-# must be counted once
+# must be counted once.  The inputs even or odd in a coordinate (n3d4,
+# product_lower(2, 8) and (3, 6), and those of _FOLDED_INPUTS) also fold
+# their side faces x_a = +1 where that takes no more passes
 _MIRRORED_INPUTS = {
     "x*t": (lambda: parse_poly("x*t", 1), 8),
     "basic_hcp(7)": (lambda: basic_hcp(7), 16),
@@ -1205,19 +1290,22 @@ _MIRRORED_INPUTS = {
     "product_lower(2, 8) r=256": (lambda: product_lower(2, 8), 256),
     "n3d4 r=48": (lambda: fixture("n3d4"), 48),
     "high_dim(5) r=47": (lambda: high_dim(5), 47),
+    **{name: _FOLDED_INPUTS[name] for name in ("n3d4 r=25", "prod_n2d4 r=63", "x*y*t r=9", "high_dim(5) r=13")},
 }
 
 
 @pytest.mark.parametrize("name", list(_MIRRORED_INPUTS))
 def test_mirrored_faces_match_direct_evaluation(name):
     # each face x_a = -1 takes its signs, runs, edges and stitch legs from
-    # x_a = +1 by p(-x, t) = (-1)^d p(x, t), and a halved t face its other
-    # half from the evaluated one.  _reference_split evaluates every face on
-    # its own and requires the field's signs; the zero cells must be those of
-    # all faces, and the split and runs those of the per-cell graph.  In one
-    # pass of every source the t faces are whole, and the graph must have
-    # the same nodes and edges, up to numbering.  In both, each edge joins
-    # two nodes of one nonzero sign
+    # x_a = +1 by p(-x, t) = (-1)^d p(x, t), and a halved face its other
+    # half from the evaluated one, by its fold (sigma on a t face, rho_b on
+    # x_a = +1).  _reference_split evaluates every face on its own and
+    # requires the field's signs; the zero cells must be those of all faces,
+    # and the split and runs those of the per-cell graph.  With sigma its
+    # only reflection, in one pass of every source, each face is whole
+    # (_whole_faces_sample), and that graph must have the same signs, nodes
+    # and edges, up to numbering.  In both, each edge joins two nodes of one
+    # nonzero sign
     make, resolution = _MIRRORED_INPUTS[name]
     p = make()
     field = cube_section_sample(p, resolution)
@@ -1226,9 +1314,8 @@ def test_mirrored_faces_match_direct_evaluation(name):
     report = count_components(field)
     assert (report.positive, report.negative) == split
     assert _node_sign_counts(field) == runs
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(nodal, "_CASCADE_FLOATS", 2 ** 40)
-        whole = cube_section_sample(p, resolution)
+    whole = _whole_faces_sample(p, resolution)
+    assert all(map(np.array_equal, field.face_signs, whole.face_signs))
     assert (_node_sign_counts(whole), len(whole.rows)) == (runs, len(field.rows))
     for graph in (field, whole):
         _assert_edges_join_like_signs(graph)
@@ -1312,20 +1399,30 @@ def _recording_passes(monkeypatch):
     return passes
 
 
-def _pass_counts(n, resolution):
-    """(whole, halved): float passes of the n + 2 source faces with whole t faces, and with t-face halves.
+def _pass_counts(n, resolution, folded=0):
+    """(whole, halved): float passes of the n + 2 source faces whole, and with halves.
 
     Each layout puts as many faces of one mesh in a pass as fit in 2^18
-    cells, at least one, as the grouping of whole faces has always done;
-    a half t face is its cells from x_1 index (r + 2) // 2 - 1 to the cube
-    edge, ghost layer included.
+    cells, at least one, as the grouping of whole faces has always done.
+    The halved layout takes the two t faces and `folded` faces x_a = +1 by
+    halves, each its cells from index (r + 2) // 2 - 1 on its mesh axis 0
+    to the cube edge, ghost layer included, and the other faces whole.
     """
     def passes(faces, cells):
         return -(-faces // max(1, 2 ** 18 // cells))
 
     face = (resolution + 2) ** n
     half = face // (resolution + 2) * (resolution + 3 - (resolution + 2) // 2)
-    return passes(n + 2, face), passes(n, face) + passes(2, half)
+    return passes(n + 2, face), passes(n - folded, face) + passes(folded + 2, half)
+
+
+def _folded_faces(p):
+    """The faces x_a = +1 whose terms all have exponents of one parity in x_b, b the first space axis but a."""
+    n = p.spatial_dim
+    return [
+        2 * a + 1 for a in range(n)
+        if n >= 2 and len({ev.space_exps[1 if a == 0 else 0] % 2 for ev in p.terms}) == 1
+    ]
 
 
 def test_float_passes_cover_each_face_once_under_the_cap(monkeypatch):
@@ -1333,9 +1430,10 @@ def test_float_passes_cover_each_face_once_under_the_cap(monkeypatch):
     # source faces (x_a = +1 and both t faces) once each, each whole face
     # with its mesh (its cell centers plus the cube edges around it), and no
     # pass holds a face x_a = -1, which is mirrored from x_a = +1.  The t
-    # faces go by halves exactly where that takes no more passes than whole t
-    # faces, in passes of their own; so no resolution takes more passes than
-    # the grouping of whole faces.  No pass exceeds one face or 2^18 cells,
+    # faces, and each face x_a = +1 whose terms have one parity in x_b, go by
+    # halves exactly where that takes no more passes than whole faces, in
+    # passes of their own; so no resolution takes more passes than the
+    # grouping of whole faces.  No pass exceeds one face or 2^18 cells,
     # whichever is larger, and faces that fit twice under that cap share
     # passes
     passes = _recording_passes(monkeypatch)
@@ -1343,24 +1441,56 @@ def test_float_passes_cover_each_face_once_under_the_cap(monkeypatch):
     for p, resolutions in (
         (fixture("n2d3"), [64, 128, 256, 257, 512]),
         (fixture("n3d4"), [8, 24, 47, 48, 96]),
+        (fixture("prod_n2d4"), [32, 63, 128, 512]),
+        (high_dim(5), [13, 47, 96]),
         (parse_poly("x*y*t", 2), [9]),
     ):
         n = p.spatial_dim
+        folded = _folded_faces(p)
         for resolution in resolutions:
             passes.clear()
             cube_section_sample(p, resolution)
             face = (resolution + 2) ** n
             half = face // (resolution + 2) * (resolution + 3 - (resolution + 2) // 2)
-            whole, halved = _pass_counts(n, resolution)
+            whole, halved = _pass_counts(n, resolution, len(folded))
             faces = [f for _, group, _ in passes for f in group]
             assert sorted(faces) == [2 * a + 1 for a in range(n)] + [2 * n, 2 * n + 1]
             halves = [f for _, group, cells in passes if cells == len(group) * half for f in group]
-            assert halves == ([2 * n, 2 * n + 1] if halved <= whole else []), resolution
+            assert halves == (folded + [2 * n, 2 * n + 1] if halved <= whole else []), resolution
             assert all(cells == len(group) * (half if group[0] in halves else face) for _, group, cells in passes)
             assert len(passes) == min(whole, halved) <= whole
             assert max(cells for _, _, cells in passes) <= max(face, 2 ** 18)
             if 2 * face <= 2 ** 18:
                 assert len(passes) < n + 2
+    assert [_folded_faces(p) for p in (fixture("n2d3"), fixture("n3d4"), fixture("prod_n2d4"), high_dim(5))] == [
+        [], [1, 3, 5], [1, 3], [1]
+    ]
+
+
+# float passes and evaluated mesh cells (the sum of prod(form.shape)) per rung of the default
+# ladder, for each input of the count benchmark: deterministic counters of the work.  The 2-D
+# inputs without a parity evaluate their four faces whole in one pass a rung; prod_n2d4 folds
+# all four, and n3d4 all five, its t faces included
+_WHOLE_2D = ((1, 4624), (1, 17424), (1, 67600))
+_COUNT_WORK = {
+    "n2d3": (lambda: fixture("n2d3"), _WHOLE_2D),
+    "n2d4": (lambda: fixture("n2d4"), _WHOLE_2D),
+    "prod_n2d4": (lambda: fixture("prod_n2d4"), ((1, 2448), (1, 8976), (1, 34320))),
+    "lewy_2mod4(6,1/20)": (lambda: lewy_2mod4(6, F(1, 20)), _WHOLE_2D),
+    "odd_construction(5,3/10,pi/10)": (lambda: odd_construction(5, F(3, 10), math.pi / 10), _WHOLE_2D),
+    "zero_mod4(4,1/5,pi/10)": (lambda: zero_mod4(4, F(1, 5), math.pi / 10), _WHOLE_2D),
+    "n3d4": (lambda: fixture("n3d4"), ((1, 7840), (1, 47320), (2, 325000))),
+}
+
+
+@pytest.mark.parametrize("name", list(_COUNT_WORK))
+def test_count_inputs_do_the_pinned_work(monkeypatch, name):
+    make, work = _COUNT_WORK[name]
+    passes = _recording_passes(monkeypatch)
+    report = nodal_count(make())
+    assert report.stable
+    rungs = [[cells for grid, _, cells in passes if grid.resolution == r] for r in report.resolutions_used]
+    assert tuple((len(cells), sum(cells)) for cells in rungs) == work
 
 
 def test_face_wide_rounding_bound_leaves_one_contraction_per_float_pass(monkeypatch):
