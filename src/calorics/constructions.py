@@ -186,6 +186,8 @@ def resolve_rotation(rotation: Optional[RotationSpec]) -> Tuple[Fraction, Fracti
             raise NotOnUnitCircle(f"c^2 + s^2 = {c * c + s * s} != 1")
         return c, s, True
     angle = float(rotation)
+    if not math.isfinite(angle):
+        raise ConstructionError(f"rotation angle {angle} is not finite")
     return Fraction(math.cos(angle)), Fraction(-math.sin(angle)), False
 
 

@@ -63,8 +63,10 @@ most 2^18 cells (one face when a face alone is larger), each face on its
 cell centers plus the cube edges around it, and slice_count evaluates an
 n >= 2 box as a stack of one face.  Each group is one form: it gives the
 group's exact signs, its complete merge masks (_MeshForm.merge_masks), and
-one graph of runs, which the images copy.  Once the last group is in, each stitch across a cube edge is read
-from the leg masks of the two face sides that meet there.
+one graph of runs, which the images copy into the face signs and a table
+of node ids per (face, mesh axis, end) side: an image that reverses mesh
+axis 0 starts that axis and any other ends it.  Once the last group is in,
+one gather reads each stitch across a cube edge from the two sides there.
 
 Adjacency is certified: two same-sign cells sharing a facet merge only when
 the segment joining their centers is proven free of roots of p.  Four
@@ -1016,9 +1018,7 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
     x_a = +1 onto x_a = -1 if a is in R, and every other source face onto
     itself; it reverses the mesh axes of the coordinates in R (never t, the
     last mesh axis of a side face) and takes its source's signs times s_R,
-    its runs and in-face edges under ids of their own, and its source's
-    cube-edge sides, the side toward x_c = +-1 becoming the side toward
-    x_c = -+1 for c in R, reordered by the same reversal.
+    and its runs, in-face edges and stitch legs under ids of their own.
 
     A face goes by halves along its mesh axis 0, mesh indices h .. r + 1
     with h = (r + 2) // 2, wherever that takes no more float passes than
@@ -1051,10 +1051,15 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
     skipped), and its float arrays are dropped before the next group.  The
     group's runs come from its complete masks, and every group numbers them
     one way, from per-run id arrays, one per image: each image's runs take
-    the next ids in order, and a ghost run its source's image's id.  Each
-    face side's leg mask is final when it is recorded; after the last group
-    two cells beside a shared cube edge stitch when both of their legs are
-    root-free.
+    the next ids in order, and a ghost run its source's image's id.  Every
+    image is written in place (_place) into two arrays allocated once: the
+    signs of each face, and the node ids of each side (f, s, e), face f's
+    cells at end e of mesh axis s, -1 where a stitch leg is cut.  An image
+    that reverses mesh axis 0 starts that axis, any other ends it, and one
+    that reverses mesh axis s swaps the ends of s.  Side (f, s, e) meets side
+    (2c + e, the mesh axis of f's coordinate, f % 2), c the coordinate of s,
+    cell for cell: after the last group one gather reads each cube edge
+    once, and two cells beside it stitch when both of their legs merge.
     """
     ambient = _check_countable(p)
     resolution = _check_resolution(resolution)
@@ -1085,11 +1090,10 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
             layout = folded
     scaled = _integer_scaled_terms(p, grid.denominator)
     counts: Dict[tuple, bool] = {}  # stage (d)'s Sturm counts, kept across the groups
-    # face -> its signs, and (face, neighbour face) -> the node ids of the face's cells next
-    # to their cube edge, -1 where a cell's stitch leg is cut, flat, in pieces along mesh
-    # axis 0, which is the slowest axis of both
-    face_parts: Dict[int, List[np.ndarray]] = {}
-    sides: Dict[Tuple[int, int], List[np.ndarray]] = {}
+    # every face's signs, and per (face, mesh axis, end) side the node ids of its cells, flat,
+    # -1 where a stitch leg is cut; mesh axis 0 is the slowest axis of both
+    face_signs = np.empty((grid.face_count,) + (resolution,) * n, dtype=np.int8)
+    sides = np.empty((grid.face_count, n, 2, resolution ** (n - 1)), dtype=np.int64)
     node_signs, edges = [], []
     offset = 0
     for faces, start in layout:
@@ -1150,14 +1154,11 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
             edges.append((lower[held], slot_ids[cols[held]]))
         # a side of a face is one layer of `inside` along a mesh axis.  Runs never cross a
         # row along the last axis, so a side's runs follow from each row's first run and
-        # the merges along the rows.  Faces whose images reverse the same mesh axes go side
-        # by side
+        # the merges along the rows
         row_first = _run_ids(starts, np.arange(0, inside.size, inside.shape[-1]))
         row_first = row_first.reshape(inside.shape[:-1])
         row_last = np.append(row_first.ravel()[1:], len(runs)).reshape(row_first.shape) - 1
         run_merges = masks[-1][inner]
-        shapes = [[image[2] for image in orbit] for orbit in images]
-        cuts = [k for k in range(len(faces) + 1) if k in (0, len(faces)) or shapes[k] != shapes[k - 1]]
         for slot, merged in enumerate(masks):
             axis = slot + 1
             side = inner[:axis] + inner[axis + 1:]
@@ -1171,44 +1172,40 @@ def cube_section_sample(p: Polynomial, resolution: int) -> SignField:
                     local = np.cumsum(start, axis=-1) + (row_first[layer][..., None] - 1)
                 # each image's node id of each side cell, -1 where its stitch leg is cut
                 held = ids.take(np.where(merged[layer][side], local, -1), axis=1)
-                for k0, k1 in zip(cuts, cuts[1:]):
-                    # an image takes its layers along axis 0 of the side (mesh axis 0),
-                    # reverses the axes in R, and swaps the ends of the slot if R reverses it
-                    for s, (_, _, flips, rev) in enumerate(images[k0]):
-                        cut = (slice(first if 0 in flips else ghost, None),) if slot else ()
-                        parts = held[(s, slice(k0, k1)) + cut][(slice(None),) + rev[:slot] + rev[axis:]]
-                        end = (i == -1) != (slot in flips)
-                        for k, part in enumerate(parts.reshape(k1 - k0, -1), k0):
-                            # mesh axes are the other coordinates in order; the low side of
-                            # the slot borders the face at -1 on that axis, the high side +1
-                            key = images[k][s][1], 2 * (slot + (slot >= faces[k] // 2)) + end
-                            if ghost and 0 in flips:  # the half before the centre
-                                sides.setdefault(key, []).insert(0, part)
-                            else:
-                                sides.setdefault(key, []).append(part)
-        for k, face in enumerate(faces):
-            for r, target, flips, rev in images[k]:
-                image = inside[k, first if 0 in flips else ghost:][rev]  # a view for s_R = 1
-                image = image if parity[r] == 1 else -image
-                if ghost and 0 in flips:
-                    face_parts.setdefault(target, []).insert(0, image)
-                else:
-                    face_parts.setdefault(target, []).append(image)
+                # an image takes its layers along mesh axis 0 (axis 0 of the side unless
+                # it is the slot), reverses the axes in R, and swaps the ends of the slot
+                # if R reverses it
+                for k, orbit in enumerate(images):
+                    for s, (_, target, flips, rev) in enumerate(orbit):
+                        part = held[s, k, first if 0 in flips else ghost:] if slot else held[s, k]
+                        end = int((i == -1) != (slot in flips))  # an int: a bool index is a mask
+                        _place(sides[target, slot, end], part[rev[:slot] + rev[axis:]].ravel(), 0 in flips)
+        for k, orbit in enumerate(images):
+            for r, target, flips, rev in orbit:
+                image = inside[k, first if 0 in flips else ghost:][rev]
+                _place(face_signs[target], image if parity[r] == 1 else -image, 0 in flips)
         del masks, merged, starts, rows, cols, held  # before the next group's form is built
-    # two cells beside a cube edge stitch where both of their legs merge: neither id is -1
-    pairs = [(f, g) for f, g in sides if g < f]
-    near = np.concatenate([part for f, g in pairs for part in sides[g, f]])
-    far = np.concatenate([part for f, g in pairs for part in sides[f, g]])
+    # side (f, s, e) meets side (2c + e, the mesh axis of f's coordinate, f % 2), c the
+    # coordinate of s; each cube edge is read once, from its higher face, and two cells
+    # beside it stitch where both of their legs merge: neither id is -1
+    f, s, e = np.indices(sides.shape[:3]).reshape(3, -1)
+    c = s + (s >= f // 2)
+    f, s, e, c = (v[2 * c + e < f] for v in (f, s, e, c))
+    near, far = sides[f, s, e], sides[2 * c + e, f // 2 - (f // 2 > c), f % 2]
     both = (near >= 0) & (far >= 0)
     edges.append((near[both], far[both]))
-    # the halves of each face are joined, and the arrays they view freed, before the
-    # edges are joined, where memory peaks
-    parts = [face_parts[face] for face in range(grid.face_count)]
-    signs = tuple(part[0] if len(part) == 1 else np.concatenate(part) for part in parts)
-    del face_parts, parts, inside, values
+    del sides, inside, values  # before the edges are joined, where memory peaks
     rows, cols = (np.concatenate(part) for part in zip(*edges))
     node_signs = np.concatenate(node_signs)
-    return SignField(grid, signs, int(np.count_nonzero(node_signs == 0)), node_signs, rows, cols)
+    return SignField(grid, tuple(face_signs), int(np.count_nonzero(node_signs == 0)), node_signs, rows, cols)
+
+
+def _place(out: np.ndarray, piece: np.ndarray, head: bool) -> None:
+    """Write piece into out along axis 0: at the start if head (its image reverses that axis), else at the end."""
+    if head:
+        out[:len(piece)] = piece
+    else:
+        out[len(out) - len(piece):] = piece
 
 
 def _reflection_signs(p: Polynomial) -> List[int]:

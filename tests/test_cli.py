@@ -547,6 +547,8 @@ def test_unwritable_out_exits_four(capsys, tmp_path, argv):
         "gen warp -d 3",  # unknown family
         "gen lewy -d 6 --eps 1/0",  # zero denominators
         "gen odd -d 5 --rot 1/0,1",
+        "gen zero-mod4 -d 4 --eps 1/5 --rot angle:inf",  # angles that are not finite
+        "gen zero-mod4 -d 4 --eps 1/5 --rot angle:nan",
         "scan lewy -d 6 --eps-grid 1/0",
         "scan lewy -d 6 --eps-grid ,",  # empty grid
         "gen high-dim -d 2 -n 2",  # a dimension the family does not allow

@@ -110,6 +110,12 @@ def test_odd_rotation_must_be_exact():
         odd_construction(3, 1, (F(1, 2), F(1, 2)))
 
 
+@pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan])
+def test_rotation_angle_must_be_finite(angle):
+    with pytest.raises(ConstructionError, match=f"^rotation angle {angle} is not finite$"):
+        zero_mod4(4, F(1, 5), angle)
+
+
 def test_odd_matches_integer_degree_three_example():
     target = fixture("n2d3")
     u = odd_construction(3, 1, ROT)

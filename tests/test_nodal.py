@@ -1275,8 +1275,11 @@ def test_cascade_graph_matches_per_cell_graph_on_folded_faces(monkeypatch, name)
 # self-symmetric centre layer of an odd r in the evaluated half: its zero
 # cells (n2d3 and odd(5, 3/10) at r = 257, and high_dim(5), of odd degree)
 # must be counted once.  The inputs even or odd in a coordinate (n3d4,
-# product_lower(2, 8) and (3, 6), and those of _FOLDED_INPUTS) also fold
-# their side faces x_a = +1 where that takes no more passes
+# product_lower(2, 8) and (3, 6), x*y*z*t, and those of _FOLDED_INPUTS) also
+# fold their side faces x_a = +1 where that takes no more passes.  x*y*z*t
+# at r = 9 folds 3-D side faces by reflections with s_R = -1 at an odd r,
+# where each centre layer is zero cells and the images that reverse mesh
+# axis 0 skip it
 _MIRRORED_INPUTS = {
     "x*t": (lambda: parse_poly("x*t", 1), 8),
     "basic_hcp(7)": (lambda: basic_hcp(7), 16),
@@ -1291,6 +1294,7 @@ _MIRRORED_INPUTS = {
     "n3d4 r=48": (lambda: fixture("n3d4"), 48),
     "high_dim(5) r=47": (lambda: high_dim(5), 47),
     **{name: _FOLDED_INPUTS[name] for name in ("n3d4 r=25", "prod_n2d4 r=63", "x*y*t r=9", "high_dim(5) r=13")},
+    "x*y*z*t r=9": (lambda: parse_poly("x*y*z*t", 3), 9),
 }
 
 
@@ -1468,29 +1472,59 @@ def test_float_passes_cover_each_face_once_under_the_cap(monkeypatch):
 
 
 # float passes and evaluated mesh cells (the sum of prod(form.shape)) per rung of the default
-# ladder, for each input of the count benchmark: deterministic counters of the work.  The 2-D
+# ladder, for each input of the count benchmark, and the (nodes, edges) of the run graph that
+# cube_section_sample returns at each rung: deterministic counters of the work.  The 2-D
 # inputs without a parity evaluate their four faces whole in one pass a rung; prod_n2d4 folds
 # all four, and n3d4 all five, its t faces included
 _WHOLE_2D = ((1, 4624), (1, 17424), (1, 67600))
 _COUNT_WORK = {
-    "n2d3": (lambda: fixture("n2d3"), _WHOLE_2D),
-    "n2d4": (lambda: fixture("n2d4"), _WHOLE_2D),
-    "prod_n2d4": (lambda: fixture("prod_n2d4"), ((1, 2448), (1, 8976), (1, 34320))),
-    "lewy_2mod4(6,1/20)": (lambda: lewy_2mod4(6, F(1, 20)), _WHOLE_2D),
-    "odd_construction(5,3/10,pi/10)": (lambda: odd_construction(5, F(3, 10), math.pi / 10), _WHOLE_2D),
-    "zero_mod4(4,1/5,pi/10)": (lambda: zero_mod4(4, F(1, 5), math.pi / 10), _WHOLE_2D),
-    "n3d4": (lambda: fixture("n3d4"), ((1, 7840), (1, 47320), (2, 325000))),
+    "n2d3": (lambda: fixture("n2d3"), _WHOLE_2D, ((330, 696), (662, 1412), (1322, 2838))),
+    "n2d4": (lambda: fixture("n2d4"), _WHOLE_2D, ((412, 786), (832, 1586), (1660, 3184))),
+    "prod_n2d4": (
+        lambda: fixture("prod_n2d4"),
+        ((1, 2448), (1, 8976), (1, 34320)),
+        ((440, 810), (888, 1642), (1784, 3306)),
+    ),
+    "lewy_2mod4(6,1/20)": (
+        lambda: lewy_2mod4(6, F(1, 20)),
+        _WHOLE_2D,
+        ((330, 684), (674, 1406), (1340, 2840)),
+    ),
+    "odd_construction(5,3/10,pi/10)": (
+        lambda: odd_construction(5, F(3, 10), math.pi / 10),
+        _WHOLE_2D,
+        ((464, 832), (936, 1684), (1886, 3404)),
+    ),
+    "zero_mod4(4,1/5,pi/10)": (
+        lambda: zero_mod4(4, F(1, 5), math.pi / 10),
+        _WHOLE_2D,
+        ((408, 780), (816, 1574), (1628, 3152)),
+    ),
+    "n3d4": (
+        lambda: fixture("n3d4"),
+        ((1, 7840), (1, 47320), (2, 325000)),
+        ((2392, 7472), (9760, 31904), (39472, 131408)),
+    ),
 }
 
 
 @pytest.mark.parametrize("name", list(_COUNT_WORK))
 def test_count_inputs_do_the_pinned_work(monkeypatch, name):
-    make, work = _COUNT_WORK[name]
+    make, work, graph = _COUNT_WORK[name]
     passes = _recording_passes(monkeypatch)
+    graphs, sample = {}, nodal.cube_section_sample
+
+    def recording_sample(p, resolution):
+        field = sample(p, resolution)
+        graphs[resolution] = (len(field.node_signs), len(field.rows))
+        return field
+
+    monkeypatch.setattr(nodal, "cube_section_sample", recording_sample)
     report = nodal_count(make())
     assert report.stable
     rungs = [[cells for grid, _, cells in passes if grid.resolution == r] for r in report.resolutions_used]
     assert tuple((len(cells), sum(cells)) for cells in rungs) == work
+    assert tuple(graphs[r] for r in report.resolutions_used) == graph
 
 
 def test_face_wide_rounding_bound_leaves_one_contraction_per_float_pass(monkeypatch):
