@@ -122,7 +122,8 @@ _FAMILY_ALIASES = {
 }
 
 # the fields each family reads (basic_hcp, built without a spec, reads d and n); any
-# other generator flag is an error
+# other generator flag is an error. scan takes the families that read epsilon, and gen
+# reports rotation_exact for those that read a rotation
 _FAMILY_FIELDS = {**FAMILY_FIELDS, "basic": ("d", "n")}
 # each ConstructionSpec field's generator flag: its attribute on the parsed arguments, and its
 # name in messages
@@ -192,7 +193,7 @@ def _generate(name: str, args) -> Tuple[Polynomial, dict]:
     )
     poly = build(spec)
     meta.update(spec.to_json_dict())
-    if family in ("odd", "zero_mod_4"):
+    if "rotation" in _FAMILY_FIELDS[family]:
         _, _, exact = resolve_rotation(rotation)
         meta["rotation_exact"] = exact
     return poly, meta
@@ -404,7 +405,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_scan(args) -> int:
     family = _FAMILY_ALIASES.get(args.family)
-    if family not in ("lewy", "odd", "zero_mod_4"):
+    if "epsilon" not in _FAMILY_FIELDS.get(family, ()):
         raise CliError(f"scan supports the perturbation families, got {args.family!r}")
     _reject_unread_flags(args, _FAMILY_FIELDS[family], f"the {args.family} family")
     _check_degree(args.d, args.command)

@@ -715,15 +715,15 @@ class _MeshForm:
         curvature *= _bernstein_tables(width - 1)[0][2:, 2] * 2  # j (j - 1) = 2 C(j, 2), exact
         roundings = np.array(ks).repeat(sizes)  # each edge's K, as a float
         # stage (c) takes the axes with edges in runs of one top exponent, side by side, each
-        # run at that degree: [degree, end of its edges, exponents of its axes]
+        # run at that degree: [degree, end of its edges]
         bounds = [0, *itertools.accumulate(sizes)]
         runs = []
         for s in slots:
             top = self.powers[s][-1]
             if runs and runs[-1][0] == top:
-                runs[-1][1:] = bounds[s + 1], sorted({*runs[-1][2], *self.powers[s]})
+                runs[-1][1] = bounds[s + 1]
             else:
-                runs.append([top, bounds[s + 1], self.powers[s]])
+                runs.append([top, bounds[s + 1]])
 
         left = []
         size = max(1, _CASCADE_FLOATS // (2 * width))
@@ -737,15 +737,15 @@ class _MeshForm:
             rest = (~chord).nonzero()[0]
             if not len(rest):
                 continue
-            cuts = rest.searchsorted([min(max(end - first, 0), last - first) for _, end, _ in runs]).tolist()
+            cuts = rest.searchsorted([min(max(end - first, 0), last - first) for _, end in runs]).tolist()
             rest += first
             rows = table[line[rest]]
             rows[:, 0] *= signs[rest, None]  # orient: both ends positive
             decided = np.empty((2, len(rest)), dtype=bool)  # root-free, rooted
-            for (top, _, exps), i, j in zip(runs, [0, *cuts], cuts):
+            for (top, _), i, j in zip(runs, [0, *cuts], cuts):
                 if i < j:
                     edge = rest[i:j]
-                    coeffs = _bernstein(exps, rows[i:j, :, :top + 1], roundings[edge], steps[:4, at[edge]].T)
+                    coeffs = _bernstein(top, rows[i:j, :, :top + 1], roundings[edge], steps[:4, at[edge]].T)
                     decided[:, i:j] = _bernstein_decide(*coeffs)
             free[rest[decided[0]]] = True
             left.append(rest[~(decided[0] | decided[1])])
@@ -861,12 +861,12 @@ def _edge_chord(curvature: np.ndarray, floor: np.ndarray, steps: np.ndarray) -> 
 
 
 def _bernstein(
-    exps: List[int], rows: np.ndarray, roundings: np.ndarray, ends: np.ndarray
+    top: int, rows: np.ndarray, roundings: np.ndarray, ends: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Bernstein coefficients of P on each edge, with error bounds.
 
     rows[e] holds c~_j and a_j of edge e's line at every power j = 0 .. D,
-    D = max(exps), zero where exps lacks one, roundings[e] the K of its
+    D = top, zero where the line lacks one, roundings[e] the K of its
     line, and ends[e] m0, |m0|, h and |h| for its lower end m0 and its step
     h.  With q(m0 + h s) = sum_k a_k s^k,
     a_k = h^k sum_t C(k + t, k) m0^t c_(k+t), the Bernstein coefficients of
@@ -875,7 +875,6 @@ def _bernstein(
     a_k is one product-sum for all edges at once, so the only loop is over
     k; the sizes a_j go through the same steps with |m0| and |h|.
     """
-    top = exps[-1]
     binomials, change, _ = _bernstein_tables(top)
     rows = np.ascontiguousarray(rows)
     starts = _powers(ends[:, :2], top + 1)  # m0^t and |m0|^t

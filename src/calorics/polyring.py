@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple, Union
 
@@ -391,175 +392,116 @@ def _format_monomial(ev: ExponentVector, spatial_dim: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-class _Token(NamedTuple):
-    kind: str  # "num", "name", "op", "end"
-    text: str
-    value: Fraction | None
-    pos: int
+# One match per token: an integer, or an a/b rational, literal (\d is exactly
+# what int() reads), a name, or any other character but whitespace.
+_TOKEN = re.compile(r"(\d+)(?:/(\d*))?|([^\W\d_]\w*)|\S")
 
 
-def _tokenize(text: str) -> List[_Token]:
-    tokens: List[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*^()":
-            tokens.append(_Token("op", ch, None, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            num = int(text[i:j])
-            # a/b rational literal (integer denominator required)
-            if j < n and text[j] == "/":
-                k = j + 1
-                while k < n and text[k].isdigit():
-                    k += 1
-                if k == j + 1:
-                    raise ParseError("expected digits after '/'", j + 1)
-                den = int(text[j + 1 : k])
-                if den == 0:
-                    raise ParseError("zero denominator", j + 1)
-                tokens.append(_Token("num", text[i:k], Fraction(num, den), i))
-                i = k
-            else:
-                tokens.append(_Token("num", text[i:j], Fraction(num), i))
-                i = j
-            continue
-        if ch.isalpha():
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", text[i:j], None, i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", "", None, n))
+def _tokenize(text: str) -> List[Tuple[str, str, int, Fraction | None]]:
+    """(kind, text, position, value) of each token, then an "end" token; an operator's kind is itself."""
+    tokens = []
+    for match in _TOKEN.finditer(text):
+        digits, den, name = match.groups()
+        kind, value = match[0], None
+        if digits:
+            if den == "":
+                raise ParseError("expected digits after '/'", match.start(2))
+            try:
+                kind, value = "num", Fraction(int(digits), int(den or 1))
+            except ZeroDivisionError:
+                raise ParseError("zero denominator", match.start(2)) from None
+            except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+                raise ParseError("literal has more digits than int() accepts", match.start()) from None
+        elif name:
+            kind = "name"
+        elif kind not in "+-*^()":
+            raise ParseError(f"unexpected character {kind!r}", match.start())
+        tokens.append((kind, match[0], match.start(), value))
+    tokens.append(("end", "", len(text), None))
     return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: List[_Token], spatial_dim: int):
-        self.tokens = tokens
-        self.idx = 0
-        self.n = spatial_dim
-        self.names: Dict[str, int | None] = {"t": None}
-        for i in range(spatial_dim):
-            self.names[f"x{i + 1}"] = i
-        if spatial_dim <= 3:
-            for i, alias in enumerate(["x", "y", "z"][:spatial_dim]):
-                self.names[alias] = i
-
-    def peek(self) -> _Token:
-        return self.tokens[self.idx]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.idx]
-        self.idx += 1
-        return tok
-
-    def expect_op(self, op: str) -> None:
-        tok = self.peek()
-        if tok.kind != "op" or tok.text != op:
-            raise ParseError(f"expected {op!r}", tok.pos)
-        self.advance()
-
-    def parse(self) -> Polynomial:
-        poly = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"unexpected {tok.text!r}", tok.pos)
-        return poly
-
-    def expr(self) -> Polynomial:
-        tok = self.peek()
-        negate = False
-        if tok.kind == "op" and tok.text in "+-":
-            self.advance()
-            negate = tok.text == "-"
-        poly = self.term()
-        if negate:
-            poly = -poly
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "+-":
-                self.advance()
-                rhs = self.term()
-                poly = poly - rhs if tok.text == "-" else poly + rhs
-            else:
-                return poly
-
-    def term(self) -> Polynomial:
-        poly = self.factor()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text == "*":
-                self.advance()
-                poly = poly * self.factor()
-            else:
-                return poly
-
-    def factor(self) -> Polynomial:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
-            return -self.factor()
-        base = self.atom()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "^":
-            self.advance()
-            etok = self.peek()
-            if etok.kind == "op" and etok.text == "-":
-                raise ParseError("negative exponent", etok.pos)
-            if etok.kind != "num" or etok.value is None or etok.value.denominator != 1:
-                raise ParseError("exponent must be a non-negative integer", etok.pos)
-            self.advance()
-            exponent = int(etok.value)
-            # the exponent bounds the multiplications; with it the degree bounds the result
-            if max(exponent, exponent * base.algebraic_degree()) > MAX_POWER_DEGREE:
-                raise ParseError(f"power exponent or degree exceeds {MAX_POWER_DEGREE}", etok.pos)
-            return base ** exponent
-        return base
-
-    def atom(self) -> Polynomial:
-        tok = self.peek()
-        if tok.kind == "num":
-            self.advance()
-            return Polynomial.constant(self.n, tok.value)
-        if tok.kind == "name":
-            self.advance()
-            if tok.text not in self.names:
-                raise ParseError(f"unknown variable {tok.text!r}", tok.pos)
-            index = self.names[tok.text]
-            if index is None:
-                return Polynomial.time(self.n)
-            return Polynomial.variable(self.n, index)
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
-            inner = self.expr()
-            self.expect_op(")")
-            return inner
-        raise ParseError(f"expected a number, variable, or '('", tok.pos)
 
 
 def parse_poly(text: str, spatial_dim: int) -> Polynomial:
     """Parse an expression in x1..xn (aliases x, y, z for n <= 3) and t.
 
-    Coefficients are integers or a/b rationals; operators are + - * ^ and
-    parentheses.  Raises ParseError with a character position on bad input,
-    nesting too deep for the recursive descent included, and on a power
-    whose exponent or degree exceeds MAX_POWER_DEGREE.
+    Tokens, with whitespace between them skipped (_TOKEN):
+        number = digits ["/" digits]    (decimal digits, as int() reads them)
+        name   = a word character other than a decimal digit or "_", then word characters
+        and the operators + - * ^ ( )
+    Grammar:
+        expr   = ["+" | "-"] term {("+" | "-") term}
+        term   = factor {"*" factor}
+        factor = "-" factor | atom ["^" number]    (a non-negative integer)
+        atom   = number | name | "(" expr ")"
+    A spatial_dim below 1 raises ValueError before the text is read.  Every
+    malformed text raises ParseError with a character position; so do a
+    literal past int()'s digit limit, nesting too deep for the recursive
+    descent and a power whose exponent or degree exceeds MAX_POWER_DEGREE.
     """
-    parser = _Parser(_tokenize(text), spatial_dim)
+    Polynomial.zero(spatial_dim)  # refuses spatial_dim < 1 with Polynomial's message
+    names = {f"x{i + 1}": i for i in range(spatial_dim)}
+    names.update((name, i) for i, name in enumerate(variable_names(spatial_dim)))
+    tokens = _tokenize(text)[::-1]  # the next token last
+
+    def take(*kinds: str):
+        """The next token, consumed, if its kind is one of kinds; else None."""
+        return tokens.pop() if tokens[-1][0] in kinds else None
+
+    def expr() -> Polynomial:
+        sign = take("+", "-")
+        poly = term()
+        if sign and sign[0] == "-":
+            poly = -poly
+        while op := take("+", "-"):
+            rhs = term()
+            poly = poly - rhs if op[0] == "-" else poly + rhs
+        return poly
+
+    def term() -> Polynomial:
+        poly = factor()
+        while take("*"):
+            poly = poly * factor()
+        return poly
+
+    def factor() -> Polynomial:
+        if take("-"):
+            return -factor()
+        base = atom()
+        if not take("^"):
+            return base
+        kind, _, pos, value = tokens[-1]
+        if not take("num") or value.denominator != 1:
+            raise ParseError("negative exponent" if kind == "-" else "exponent must be a non-negative integer", pos)
+        exponent = int(value)
+        # the exponent bounds the multiplications; with it the degree bounds the result
+        if max(exponent, exponent * base.algebraic_degree()) > MAX_POWER_DEGREE:
+            raise ParseError(f"power exponent or degree exceeds {MAX_POWER_DEGREE}", pos)
+        return base ** exponent
+
+    def atom() -> Polynomial:
+        _, word, pos, value = tokens[-1]
+        if take("num"):
+            return Polynomial.constant(spatial_dim, value)
+        if take("name"):
+            if word == "t":
+                return Polynomial.time(spatial_dim)
+            if word not in names:
+                raise ParseError(f"unknown variable {word!r}", pos)
+            return Polynomial.variable(spatial_dim, names[word])
+        if take("("):
+            inner = expr()
+            if not take(")"):
+                raise ParseError("expected ')'", tokens[-1][2])
+            return inner
+        raise ParseError("expected a number, variable, or '('", pos)
+
     try:
-        return parser.parse()
+        poly = expr()
     except RecursionError:
-        raise ParseError("expression nested too deeply", parser.peek().pos) from None
+        raise ParseError("expression nested too deeply", tokens[-1][2]) from None
+    if len(tokens) > 1:
+        raise ParseError(f"unexpected {tokens[-1][1]!r}", tokens[-1][2])
+    return poly
 
 
 # ---------------------------------------------------------------------------

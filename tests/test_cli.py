@@ -212,8 +212,9 @@ def test_count_requires_one_source(capsys):
 
 def test_parse_error_exits_four(capsys):
     # a syntax error, nesting deeper than the recursive descent can reach,
-    # and a power beyond the degree cap (it multiplied 10^8 times before)
-    for expr in ("t + (", "(" * 2000 + "t" + ")" * 2000, "x^100000000"):
+    # a power beyond the degree cap (it multiplied 10^8 times before), and a
+    # digit-like character that int() does not read (a bare ValueError before)
+    for expr in ("t + (", "(" * 2000 + "t" + ")" * 2000, "x^100000000", "2²*t"):
         code, _, err = run(capsys, "verify", "--expr", expr, "-n", "1")
         assert code == 4
         assert "position" in err

@@ -1623,9 +1623,9 @@ def test_bernstein_stage_runs_each_mesh_axis_at_its_own_degree(monkeypatch):
     edges = {}
     bernstein = nodal._bernstein
 
-    def recording(exps, rows, roundings, ends):
-        edges[exps[-1]] = edges.get(exps[-1], 0) + len(rows)
-        return bernstein(exps, rows, roundings, ends)
+    def recording(top, rows, roundings, ends):
+        edges[top] = edges.get(top, 0) + len(rows)
+        return bernstein(top, rows, roundings, ends)
 
     monkeypatch.setattr(nodal, "_bernstein", recording)
     report = nodal_count(zero_mod4(16, F(1, 4), 0.2))

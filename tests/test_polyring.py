@@ -2,6 +2,7 @@
 
 import ast
 import math
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -91,6 +92,65 @@ def test_parse_negative_exponent():
 def test_parse_rejects_trailing_junk():
     with pytest.raises(ParseError):
         parse_poly("x 2", 1)
+
+
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("1/ + x", "expected digits after '/'", 2),
+        ("x + 3/0", "zero denominator", 6),
+        ("x $ 1", "unexpected character '$'", 2),
+        ("x^1/2", "exponent must be a non-negative integer", 2),
+        ("x^y", "exponent must be a non-negative integer", 2),
+        ("(x + t", "expected ')'", 6),
+        ("(x t)", "expected ')'", 3),
+        ("2 x", "unexpected 'x'", 2),
+        ("x 1/2", "unexpected '1/2'", 2),
+    ],
+)
+def test_parse_error_paths_pin_message_and_position(text, message, position):
+    with pytest.raises(ParseError) as err:
+        parse_poly(text, 1)
+    assert str(err.value) == f"{message} at position {position}"
+    assert err.value.position == position
+
+
+@pytest.mark.parametrize("text, position", [("2²", 1), ("x^²", 2), ("1/²", 2), ("t + 2²", 5)])
+def test_parse_digit_like_character_is_a_parse_error(text, position):
+    # str.isdigit accepts '²' and int() does not: only decimal digits make a number
+    with pytest.raises(ParseError) as err:
+        parse_poly(text, 1)
+    assert err.value.position == position
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="int() has no digit limit")
+def test_parse_literal_past_the_int_digit_limit_is_a_parse_error():
+    for text, position in (("1" * 5000, 0), ("t + 1/" + "2" * 5000, 4)):
+        with pytest.raises(ParseError, match="more digits than int") as err:
+            parse_poly(text, 1)
+        assert err.value.position == position
+
+
+def test_parse_refuses_a_spatial_dimension_below_one_before_reading():
+    for n in (0, -1):
+        for text in ("x", "t + (", "1"):
+            with pytest.raises(ValueError, match=f"spatial dimension must be >= 1, got {n}$"):
+                parse_poly(text, n)
+
+
+_EXPRESSION_PIECES = ["x", "y", "t", "x1", "x4", "2", "1/2", "0", "+", "-", "*", "^", "(", ")", "/", " ", "²", "٣"]
+
+
+@given(
+    st.lists(st.one_of(st.text(max_size=3), st.sampled_from(_EXPRESSION_PIECES)), max_size=16).map("".join),
+    st.integers(1, 4),
+)
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_parse_returns_a_polynomial_or_a_positioned_parse_error(text, n):
+    try:
+        assert isinstance(parse_poly(text, n), Polynomial)
+    except ParseError as err:
+        assert 0 <= err.position <= len(text)
 
 
 # ---- ring operations ----
