@@ -9,8 +9,7 @@ nodal domains of p biject with sign components on the cube surface.
 For n = 1 the surface is the loop around the square |x|, |t| <= 1, and the
 count is exact: _loop_signs gives the exact sign at each corner and the
 sign_arcs of each side, and each nodal domain is one maximal arc of nonzero
-sign (method "cube-loop", no schedule).  polar_chambers reads the same loop
-around a pole of an n = 2 face.
+sign (method "cube-loop", no schedule).
 
 For n >= 2 the surface is sampled on a grid.  Unlike the unit sphere, the
 cube has cell centers with exact rational coordinates, so every sampled
@@ -137,7 +136,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .polyring import Polynomial, parabolic_degree
 from .univariate import Rational, _poly_trim, _sturm_count, sign_arcs
@@ -1301,8 +1300,8 @@ def _run_ids(starts: np.ndarray, cells: np.ndarray) -> np.ndarray:
     return np.searchsorted(starts, cells, side="right") - 1
 
 
-def _components(size: int, rows: np.ndarray, cols: np.ndarray) -> Tuple[int, np.ndarray]:
-    """(count, label per node) of the undirected graph on `size` nodes.
+def _components(size: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Label per node of the undirected graph on `size` nodes.
 
     Hook and jump (Shiloach & Vishkin, J. Algorithms 3, 1982): each round
     hooks the higher root of every edge whose ends have different roots
@@ -1313,8 +1312,7 @@ def _components(size: int, rows: np.ndarray, cols: np.ndarray) -> Tuple[int, np.
     hook each root onto its smallest neighbour root, which at least halves
     the roots that still have an edge every two rounds; a plain assignment
     there can take one round per leaf of a star whose centre has the
-    largest id.  A label is the id of the node's root, not a number in
-    0..count-1.
+    largest id.  A label is the id of the node's root.
     """
     parent = np.arange(size)
     lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
@@ -1326,7 +1324,7 @@ def _components(size: int, rows: np.ndarray, cols: np.ndarray) -> Tuple[int, np.
         lo, hi = parent[lo], parent[hi]
         live = lo != hi
         if not live.any():
-            return int(np.count_nonzero(parent == np.arange(size))), parent
+            return parent
         lo, hi = np.minimum(lo[live], hi[live]), np.maximum(lo[live], hi[live])
         np.minimum.at(parent, hi, lo)
 
@@ -1349,7 +1347,7 @@ def count_components(field: SignField) -> ComponentReport:
     stability flag is left False because stabilization is only meaningful
     across a schedule (see nodal_count).
     """
-    _, labels = _components(len(field.node_signs), field.rows, field.cols)
+    labels = _components(len(field.node_signs), field.rows, field.cols)
     positive, negative = _sign_split(labels, field.node_signs)
     return ComponentReport(
         total=positive + negative,
@@ -1385,7 +1383,7 @@ def nodal_count(p: Polynomial, schedule: Optional[Sequence[int]] = None) -> Comp
     if ambient == 2:
         if schedule is not None:
             raise NodalError("n = 1 is counted exactly and takes no schedule")
-        signs = _loop_signs(p, lambda u, v: (u, v), Fraction(1))
+        signs = _loop_signs(p)
         # an arc starts after each root; a loop with no root is one arc
         arcs = [s for k, s in enumerate(signs) if s and not signs[k - 1]] or signs[:1]
         positive, negative = arcs.count(1), arcs.count(-1)
@@ -1408,7 +1406,7 @@ def nodal_count(p: Polynomial, schedule: Optional[Sequence[int]] = None) -> Comp
 
 
 # ---------------------------------------------------------------------------
-# Negative-time slice and polar chamber diagnostics
+# Negative-time slice
 # ---------------------------------------------------------------------------
 
 
@@ -1431,25 +1429,23 @@ class SliceReport:
     resolution: int
 
 
-def _line(p: Polynomial, point: Sequence[Optional[Fraction]]) -> List[Fraction]:
+def _line(p: Polynomial, point: Sequence[Optional[Rational]]) -> List[Fraction]:
     """Trimmed coefficients, lowest degree first, of p along the one None coordinate of point (x1..xn, t)."""
     terms = {ev.space_exps + (ev.t_exp,): c for ev, c in p.terms.items()}
     return _poly_trim(list(_exact_line(terms, list(point).index(None), [v for v in point if v is not None])))
 
 
-def _loop_signs(p: Polynomial, frame: Callable[..., tuple], h: Fraction) -> List[int]:
-    """Exact signs of p counterclockwise around the boundary of the square |u|, |v| <= h.
+def _loop_signs(p: Polynomial) -> List[int]:
+    """Exact signs of p (n = 1) counterclockwise around the boundary of the square |x|, |t| <= 1.
 
-    frame(u, v) is the point of p's coordinates (x1..xn, t) at the square's
-    coordinates (u, v), with None for a side's free coordinate.  Each corner
-    gives its exact sign, and the side that leaves it its sign_arcs on
-    (-h, h), in the loop's direction: a 0 stands for each root.
+    Each corner gives its exact sign, and the side that leaves it its
+    sign_arcs on (-1, 1), in the loop's direction: a 0 stands for each root.
     """
     signs: List[int] = []
-    for u, v, du, dv in ((-h, -h, 1, 0), (h, -h, 0, 1), (h, h, -1, 0), (-h, h, 0, -1)):
-        value = p.evaluate(frame(u, v))
-        side = frame(None if du else u, None if dv else v)
-        signs += [(value > 0) - (value < 0), *sign_arcs(_line(p, side), -h, h)[:: du + dv]]
+    for x, t, dx, dt in ((-1, -1, 1, 0), (1, -1, 0, 1), (1, 1, -1, 0), (-1, 1, 0, -1)):
+        value = p.evaluate((x, t))
+        side = (None if dx else x, None if dt else t)
+        signs += [(value > 0) - (value < 0), *sign_arcs(_line(p, side), -1, 1)[:: dx + dt]]
     return signs
 
 
@@ -1499,7 +1495,7 @@ def slice_count(
         return SliceReport(0, 0, 0, True, radius, resolution)
 
     starts, node_signs, rows, cols = _probed_runs(signs, form.merge_masks(signs, {}, rim=False))
-    _, labels = _components(len(node_signs), rows, cols)
+    labels = _components(len(node_signs), rows, cols)
     positive, negative = _sign_split(labels, node_signs)
     rim = np.ones(signs.shape, dtype=bool)
     rim[(0,) + (slice(1, -1),) * n] = False
@@ -1508,51 +1504,8 @@ def slice_count(
     return SliceReport(positive + negative, positive, negative, caveat, radius, resolution)
 
 
-@dataclass(frozen=True)
-class PolarChamberReport:
-    """Sign changes on the loop around a pole: radius is the square's exact half-width rho."""
-
-    pole: str
-    radius: Fraction
-    sign_changes: int
-    n_plus: int
-
-
-def polar_chambers(
-    p: Polynomial,
-    pole: str = "north",
-    rho: Union[Fraction, int, float, str] = Fraction(1, 10),
-) -> PolarChamberReport:
-    """Exact signs of p on the boundary of the square |x|, |y| <= rho of the cube face t = +1 or -1.
-
-    p must be parabolically homogeneous, so that its sign is constant along
-    the rays (lambda x, lambda^2 t), and each ray near the pole crosses the
-    loop once.  rho is an exact rational in (0, 1), a float at its exact
-    value.  The signs come from _loop_signs, the loop that nodal_count reads
-    for n = 1.
-    sign_changes counts the cyclic alternations of the nonzero signs around
-    the loop (a root of even multiplicity makes none), n_plus their positive
-    runs; a loop inside the zero set gives (0, 0).
-    """
-    if p.spatial_dim != 2:
-        raise NodalError("polar chambers are defined for n = 2")
-    rho = _check_rational(rho, "rho")
-    if not 0 < rho < 1:
-        raise NodalError("rho must lie strictly between 0 and 1")
-    t = {"north": Fraction(1), "south": Fraction(-1)}.get(pole)
-    if t is None:
-        raise NodalError("pole must be 'north' or 'south'")
-    if len({ev.parabolic_weight for ev in p.terms}) != 1:
-        raise NodalError("polar chambers need a nonzero parabolically homogeneous p")
-
-    signs = [s for s in _loop_signs(p, lambda x, y: (x, y, t), rho) if s]
-    changes = sum(1 for a, b in zip(signs, signs[1:] + signs[:1]) if a != b)
-    n_plus = changes // 2 if changes else int(1 in signs)
-    return PolarChamberReport(pole=pole, radius=rho, sign_changes=changes, n_plus=n_plus)
-
-
 # ---------------------------------------------------------------------------
-# Point-cloud export and clustering (n = 2)
+# Point-cloud export (n = 2)
 # ---------------------------------------------------------------------------
 
 
@@ -1659,75 +1612,6 @@ def export_nodal_pointcloud(
             for px, py, pt in points:
                 handle.write(f"{px:.17g},{py:.17g},{pt:.17g}\n")
     return points
-
-
-def cluster_count(points: Sequence[Tuple[float, float, float]], gap: float) -> int:
-    """Number of single-linkage clusters when edges join points closer than gap.
-
-    Raises NodalError unless gap is finite and positive and the points are
-    finite (x, y, t) triples.
-    """
-    if not (math.isfinite(gap) and gap > 0):
-        raise NodalError(f"cluster gap must be finite and positive, got {gap!r}")
-    try:
-        arr = np.asarray(points, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise NodalError("points must be finite (x, y, t) triples") from exc
-    if arr.size == 0:
-        return 0
-    if arr.ndim != 2 or arr.shape[1] != 3 or not np.isfinite(arr).all():
-        raise NodalError("points must be finite (x, y, t) triples")
-    count, _ = _components(len(arr), *_close_pairs(arr, gap))
-    return count
-
-
-def _close_pairs(arr: np.ndarray, gap: float) -> Tuple[np.ndarray, np.ndarray]:
-    """(rows, cols): each pair of points of the (k, 3) array closer than gap, once.
-
-    Points go into cubic buckets of side gap (1 + 1e-9), so that a rounded
-    floor cannot put a close pair two buckets apart; each point meets its
-    own bucket and the 13 neighbours after it in key order, and the strict
-    squared-distance test, one dot product per pair, decides.  A bucket's
-    coordinate on an axis is the rank of its floor among the points' floors
-    there: ranks keep adjacent buckets adjacent (and may make distant ones
-    adjacent, which only adds candidates), and the key, padded by one rank
-    on each side so that no neighbour wraps, stays below (k + 2)^3.
-    """
-    side = gap * (1 + 1e-9)
-    key = np.zeros(len(arr), dtype=np.int64)
-    widths = []
-    for column in arr.T:
-        floors, rank = np.unique(np.floor(column / side), return_inverse=True)
-        widths.append(len(floors) + 2)
-        if math.prod(widths) > np.iinfo(np.int64).max:
-            raise NodalError(f"{len(arr)} points spread over too many buckets to key in int64")
-        key = key * widths[-1] + rank + 1
-    order = np.argsort(key)
-    key = key[order]
-    buckets, first, bucket, sizes = np.unique(key, return_index=True, return_inverse=True, return_counts=True)
-    ends = first + sizes
-    # own bucket: the points after each one; then the 13 forward neighbours
-    at = np.arange(len(key))
-    starts, stops = [at + 1], [ends[bucket]]
-    forward = [step for step in itertools.product((-1, 0, 1), repeat=3) if step > (0, 0, 0)]
-    for dx, dy, dz in forward:
-        target = key + (dx * widths[1] + dy) * widths[2] + dz
-        slot = np.minimum(np.searchsorted(buckets, target), len(buckets) - 1)
-        found = buckets[slot] == target
-        starts.append(np.where(found, first[slot], 0))
-        stops.append(np.where(found, ends[slot], 0))
-    # one neighbour at a time, so that only its candidate pairs are held
-    points = arr[order]
-    rows, cols = [], []
-    for start, stop in zip(starts, stops):
-        lengths = stop - start
-        near = np.repeat(at, lengths)
-        far = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths - start, lengths)
-        diff = points[near] - points[far]
-        close = (diff[:, None, :] @ diff[:, :, None]).ravel() < gap * gap
-        rows.append(near[close])
-        cols.append(far[close])
-    return order[np.concatenate(rows)], order[np.concatenate(cols)]
 
 
 # ---------------------------------------------------------------------------
@@ -1865,7 +1749,7 @@ def sphere_grid_count(p: Polynomial, resolution: int = 256) -> ComponentReport:
         members = nodes[:-1, row_index][signs[:, row_index] == (1 if pole_value > 0 else -1)]
         edges.append((np.repeat(members[:1], len(members)), members))
     rows, cols = (np.concatenate(part) for part in zip(*edges))
-    _, labels = _components(len(node_signs), rows, cols)
+    labels = _components(len(node_signs), rows, cols)
     positive, negative = _sign_split(labels, node_signs)
     return ComponentReport(
         positive + negative, positive, negative, (resolution,), False, float(np.mean(signs == 0)), "sphere-float"

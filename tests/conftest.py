@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -97,6 +98,25 @@ def pythagorean_pairs(draw):
 @st.composite
 def rational_points(draw, length=2):
     return tuple(draw(small_rationals()) for _ in range(length))
+
+
+def _scipy_close_pairs(arr, gap):
+    """Each pair of rows of the (k, 3) array strictly closer than gap, from scipy's cKDTree."""
+    from scipy.spatial import cKDTree
+
+    pairs = cKDTree(arr).query_pairs(gap * (1 + 1e-9), output_type="ndarray")
+    diff = arr[pairs[:, 0]] - arr[pairs[:, 1]]
+    close = (diff[:, None, :] @ diff[:, :, None]).ravel() < gap * gap
+    return pairs[close]
+
+
+def _scipy_components(size, rows, cols):
+    """(count, label per node) of the undirected graph on size nodes, from scipy."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    graph = coo_matrix((np.ones(len(rows), dtype=bool), (rows, cols)), shape=(size, size))
+    return connected_components(graph, directed=False)
 
 
 @pytest.fixture

@@ -9,6 +9,7 @@ Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
@@ -18,7 +19,6 @@ from calorics import (
     basis,
     bounds_report,
     chain_check,
-    cluster_count,
     eigen_check,
     export_nodal_pointcloud,
     fixture,
@@ -40,6 +40,7 @@ from calorics import (
 )
 from calorics.caloric import gaussian_moment_rational
 from calorics.nodal import MAX_COUNT_DEGREE
+from conftest import _scipy_close_pairs, _scipy_components
 
 
 def _counted(p, schedule=None):
@@ -126,7 +127,10 @@ def test_criterion_6_figure_reproductions(tmp_path):
         assert points, f"{name} cloud is empty"
     zm4_points = export_nodal_pointcloud(zm4, 256, 0.1, str(tmp_path / "zm4.csv"))
     assert zm4_points
-    assert cluster_count(zm4_points, 0.05) == 2
+    # single-linkage clusters of the points closer than 0.05, from scipy
+    cloud = np.array(zm4_points)
+    pairs = _scipy_close_pairs(cloud, 0.05)
+    assert _scipy_components(len(cloud), pairs[:, 0], pairs[:, 1])[0] == 2
     print("ACCEPTANCE 6 gallery reproductions (2, 2, 3) + annulus clouds, two clusters: PASS")
 
 

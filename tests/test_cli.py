@@ -220,6 +220,22 @@ def test_parse_error_exits_four(capsys):
         assert "position" in err
 
 
+@pytest.mark.parametrize(
+    "expr, n",
+    [
+        # an exponent that is not digits only: both were read as x^2
+        ("x^4/2", "1"),
+        ("x^2/1", "1"),
+        # a power beyond the term cap: 20,825 terms in 5.6 s before
+        ("(x+y+z+t)^48", "3"),
+    ],
+)
+def test_count_refuses_a_fractional_exponent_and_an_over_cap_power(capsys, expr, n):
+    code, out, err = run(capsys, "count", "--expr", expr, "-n", n)
+    assert (code, out) == (4, "")
+    assert "at position" in err
+
+
 # each command, and a part of its error message
 _COUNTING_ERRORS = {
     "count --fixture n2d3 --schedule 8,16": "at least three resolutions",
@@ -340,12 +356,11 @@ def test_every_counting_path_runs_with_scipy_blocked():
         [
             "import sys",
             "sys.modules['scipy'] = None",
-            "from calorics import cluster_count, fixture, nodal_count, slice_count, sphere_grid_count",
+            "from calorics import fixture, nodal_count, slice_count, sphere_grid_count",
             "from calorics.cli import main",
             "print(nodal_count(fixture('n2d3')).total)",
             "print(slice_count(fixture('n2d4'), resolution=64).total)",
             "print(sphere_grid_count(fixture('n2d4'), 64).total)",
-            "print(cluster_count([(0, 0, 0), (0.01, 0, 0), (1, 1, 1)], 0.05))",
             "sys.exit(main(['scan', 'odd', '-d', '3', '--eps-grid', '1', '--target', '2']))",
         ]
     )
@@ -356,8 +371,8 @@ def test_every_counting_path_runs_with_scipy_blocked():
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[:4] == ["2", "5", "3", "2"]
-    assert proc.stdout.splitlines()[4:] == ["eps,total,pos,neg,stable", "1,2,1,1,true"]
+    assert proc.stdout.splitlines()[:3] == ["2", "5", "3"]
+    assert proc.stdout.splitlines()[3:] == ["eps,total,pos,neg,stable", "1,2,1,1,true"]
 
 
 def test_count_and_scan_skip_numpy_ma():

@@ -1,4 +1,4 @@
-"""Cross-section sampling, component counting, slices, polar data, bounds."""
+"""Cross-section sampling, component counting, slices, bounds."""
 
 import hashlib
 import itertools
@@ -16,18 +16,15 @@ from calorics import (
     Polynomial,
     basic_hcp,
     bounds_report,
-    cluster_count,
     count_components,
     cube_section_sample,
     embed,
     fixture,
-    harmonic_2d,
     high_dim,
     lewy_2mod4,
     nodal_count,
     odd_construction,
     parse_poly,
-    polar_chambers,
     product_count,
     product_hcp,
     product_lower,
@@ -40,7 +37,6 @@ from calorics import (
 from calorics import nodal
 from calorics.nodal import (
     NodalError,
-    _close_pairs,
     _components,
     _contract,
     _exact_line,
@@ -56,7 +52,7 @@ from calorics.nodal import (
 )
 from calorics.polyring import NotHomogeneous, parabolic_degree
 from calorics.univariate import sign_arcs
-from conftest import homogeneous_polynomials, negate_space, pythagorean_pairs, reflect_space
+from conftest import _scipy_components, homogeneous_polynomials, negate_space, pythagorean_pairs, reflect_space
 
 
 # ---- exact sign evaluation ----
@@ -979,14 +975,6 @@ def _probed_meshes(draw):
     return signs, merges
 
 
-def _scipy_components(size, rows, cols):
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    graph = coo_matrix((np.ones(len(rows), dtype=bool), (rows, cols)), shape=(size, size))
-    return connected_components(graph, directed=False)
-
-
 def _assert_same_partition(labels, expected):
     # the pairs of labels form a bijection
     pairs = set(zip(labels.tolist(), expected.tolist()))
@@ -1016,7 +1004,7 @@ def test_probed_runs_partition_matches_per_cell_graph(mesh):
     assert rows.dtype == cols.dtype == np.int64
     if signs.ndim == 1:
         assert len(rows) == 0  # runs along the only axis leave no edges
-    _, labels = _components(len(node_signs), rows, cols)
+    labels = _components(len(node_signs), rows, cols)
     _assert_same_partition(labels[nodes].ravel(), _cell_partition(signs, merges).ravel())
 
 
@@ -1035,9 +1023,9 @@ def _graphs(draw):
 @settings(max_examples=300, deadline=None)
 def test_components_match_scipy(graph):
     size, rows, cols = graph
-    count, labels = _components(size, rows, cols)
+    labels = _components(size, rows, cols)
     expected_count, expected = _scipy_components(size, rows, cols)
-    assert count == expected_count
+    assert np.count_nonzero(labels == np.arange(size)) == expected_count
     assert labels.shape == (size,)
     _assert_same_partition(labels, expected)
 
@@ -1055,8 +1043,9 @@ def test_components_match_scipy(graph):
     ],
 )
 def test_components_worst_cases_end_in_few_rounds(rows, cols):
-    count, labels = _components(int(max(rows.max(), cols.max())) + 1, rows, cols)
-    assert count == 1 and (labels == 0).all()
+    size = int(max(rows.max(), cols.max())) + 1
+    labels = _components(size, rows, cols)
+    assert np.count_nonzero(labels == np.arange(size)) == 1 and (labels == 0).all()
 
 
 def _unique_split(labels, signs):
@@ -1071,7 +1060,7 @@ def test_sign_split_by_roots_matches_unique_labels(graph, data):
     signs = np.array(data.draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=size, max_size=size)), dtype=np.int8)
     # every graph that is counted joins only nodes of one sign
     same = signs[rows] == signs[cols]
-    _, labels = _components(size, rows[same], cols[same])
+    labels = _components(size, rows[same], cols[same])
     assert _sign_split(labels, signs) == _unique_split(labels, signs)
     # the components that meet some nodes, as the slice's rim caveat counts them
     node = st.integers(min_value=0, max_value=max(size - 1, 0))
@@ -1855,12 +1844,11 @@ def test_numerators_past_two_to_the_fifty_three_are_refused():
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, "abc", "1/0", [1]])
-def test_a_half_width_or_rho_that_is_not_a_finite_rational_is_refused(value):
+def test_a_half_width_that_is_not_a_finite_rational_is_refused(value):
     # inf raised OverflowError here, and nan or "abc" ValueError
     for call in (
         lambda: slice_count(basic_hcp(4), value),
         lambda: slice_count(fixture("n2d3"), value, 16),
-        lambda: polar_chambers(fixture("n2d4"), "north", value),
     ):
         with pytest.raises(NodalError, match="finite rational"):
             call()
@@ -1870,74 +1858,6 @@ def test_slice_high_dim_fixture_is_clean():
     report = slice_count(fixture("n3d4"), 4, 64)
     assert report.total == 2
     assert not report.caveat
-
-
-# ---- polar chambers ----
-
-
-def test_polar_chambers_of_sextic_harmonic():
-    psi = harmonic_2d(6, "imag_part")
-    report = polar_chambers(psi, "north", 0.1)
-    assert report.sign_changes == 12
-    assert report.n_plus == 6
-
-
-def test_polar_chambers_positive_cap():
-    report = polar_chambers(fixture("n2d4"), "north", 0.1)
-    assert report.sign_changes == 0
-    assert report.n_plus == 1
-
-
-def test_polar_chambers_single_line():
-    report = polar_chambers(parse_poly("y", 2), "south", 0.3)
-    assert report.sign_changes == 2
-    assert report.n_plus == 1
-
-
-def test_polar_chambers_guard_refinement():
-    # the zero set of y crosses the sides x = +-rho at y = 0, the first
-    # bisection point of each side: the root is found exactly, not shifted off
-    report = polar_chambers(parse_poly("y", 2), "north", 0.5)
-    assert report.sign_changes == 2
-
-
-def test_polar_chambers_preconditions():
-    with pytest.raises(NodalError):
-        polar_chambers(parse_poly("x", 1))
-    with pytest.raises(NodalError):
-        polar_chambers(parse_poly("y", 2), rho=1.5)
-    # the loop stands for the rays around the pole only when p is parabolically homogeneous
-    for p in (parse_poly("x^2 + y", 2), Polynomial.zero(2)):
-        with pytest.raises(NodalError, match="parabolically homogeneous"):
-            polar_chambers(p)
-    # rho is exact: a float is taken at its exact value
-    assert polar_chambers(fixture("n2d4")).radius == F(1, 10)
-    assert polar_chambers(fixture("n2d4"), rho=0.1).radius == F(0.1)
-
-
-def test_polar_chambers_refuses_to_guess_unresolvable_signs():
-    # x^2 + y^2 + a*t with a*t = -rho^2 up to rounding on the float circle at
-    # the north pole, where every value cancelled to within a float guard
-    # band; the exact loop on the square |x|, |y| <= rho at t = 1 sees
-    # x^2 + y^2 range over [rho^2, 2 rho^2], so p is negative around the four
-    # side midpoints and positive at the four corners
-    rho = 0.1
-    a = F(-rho ** 2 / math.sqrt(1 - rho ** 2))
-    cancelling = Polynomial(2, {(0, (2, 0)): 1, (0, (0, 2)): 1, (1, (0, 0)): a})
-    report = polar_chambers(cancelling, "north", rho)
-    assert (report.sign_changes, report.n_plus) == (8, 4)
-
-
-def test_polar_chambers_signs_values_that_are_only_small():
-    # every sign is exact: a high degree or a tiny or huge scale makes p
-    # small or large on the loop, not its sign uncertain
-    cases = [(parse_poly("y^6", 2), (0, 1))]
-    cases += [(harmonic_2d(d, "imag_part"), (2 * d, d)) for d in (12, 14, 16, 20, 32)]
-    sextic = harmonic_2d(6, "imag_part")
-    cases += [(sextic.scale(scale), (12, 6)) for scale in (F(1, 10 ** 6), F(1, 10 ** 10), F(10 ** 20))]
-    for p, expected in cases:
-        report = polar_chambers(p)
-        assert (report.sign_changes, report.n_plus) == expected
 
 
 # ---- the sphere evaluator ----
@@ -2067,63 +1987,6 @@ def test_export_writes_annulus_points(tmp_csv):
     assert len(lines) == len(points) + 1
     first = [float(part) for part in lines[1].split(",")]
     assert first == pytest.approx(list(points[0]), abs=0.0)
-
-
-def test_cluster_count_simple():
-    blob_a = [(0.0, 0.0, 0.0), (0.01, 0.0, 0.0), (0.02, 0.01, 0.0)]
-    blob_b = [(1.0, 1.0, 1.0), (1.01, 1.0, 1.0)]
-    assert cluster_count(blob_a + blob_b, 0.05) == 2
-    assert cluster_count([], 0.05) == 0
-    # edges join points strictly closer than gap
-    assert cluster_count([(0.0, 0.0, 0.0), (0.5, 0.0, 0.0)], 0.5) == 2
-
-
-@pytest.mark.parametrize(
-    "points, gap",
-    [
-        ([(0.0, 0.0, 0.0), (0.1, 0.0, 0.0)], -1.0),  # no pair is closer than a negative gap
-        ([(0.0, 0.0, 0.0), (0.1, 0.0, 0.0)], 0.0),
-        ([(0.0, 0.0, 0.0), (0.1, 0.0, 0.0)], math.nan),
-        ([(0.0, 0.0, 0.0), (0.1, 0.0, 0.0)], math.inf),
-        ([(0.0, 0.0, 0.0), (math.nan, 0.0, 0.0)], 0.5),
-        ([(0.0, 0.0, 0.0), (0.0, -math.inf, 0.0)], 0.5),
-        ([(0.0, 0.0), (0.1, 0.0)], 0.5),
-        ([(0.0, 0.0, 0.0), (0.1, 0.0)], 0.5),
-        ([0.0, 0.1, 0.2], 0.5),
-    ],
-)
-def test_cluster_count_rejects_bad_gap_and_points(points, gap):
-    with pytest.raises(NodalError):
-        cluster_count(points, gap)
-
-
-def _scipy_close_pairs(arr, gap):
-    from scipy.spatial import cKDTree
-
-    pairs = cKDTree(arr).query_pairs(gap * (1 + 1e-9), output_type="ndarray")
-    diff = arr[pairs[:, 0]] - arr[pairs[:, 1]]
-    close = (diff[:, None, :] @ diff[:, :, None]).ravel() < gap * gap
-    return pairs[close]
-
-
-@given(st.data())
-@settings(max_examples=200, deadline=None)
-def test_cluster_pairs_match_kdtree(data):
-    # coordinates on multiples of gap / 2 make pairs at distance exactly gap,
-    # which must not join; multiples of the bucket side put points on bucket
-    # boundaries
-    gap = data.draw(st.sampled_from([0.1, 0.25, 0.5, 1.0, 3.0]))
-    step = data.draw(st.sampled_from([gap / 2, gap * (1 + 1e-9), gap / 3]))
-    coordinate = st.one_of(
-        st.integers(min_value=-6, max_value=6).map(lambda i: i * step),
-        st.floats(min_value=-3 * gap, max_value=3 * gap, allow_nan=False),
-    )
-    points = data.draw(st.lists(st.tuples(coordinate, coordinate, coordinate), min_size=1, max_size=60))
-    arr = np.array(points, dtype=np.float64)
-    expected = _scipy_close_pairs(arr, gap)
-    found = np.column_stack(_close_pairs(arr, gap))
-    assert sorted(map(tuple, np.sort(found, axis=1).tolist())) == sorted(map(tuple, np.sort(expected, axis=1).tolist()))
-    assert cluster_count(points, gap) == _scipy_components(len(arr), expected[:, 0], expected[:, 1])[0]
 
 
 # ---- bounds ----

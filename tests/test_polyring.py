@@ -26,7 +26,7 @@ from calorics import (
     rotate_xy,
 )
 from calorics.constructions import resolve_rotation
-from calorics.polyring import MAX_POWER_DEGREE, _substitute_pair
+from calorics.polyring import MAX_POWER_DEGREE, MAX_POWER_TERMS, _substitute_pair
 
 from conftest import homogeneous_polynomials, negate_space, polynomials, pythagorean_pairs, small_rationals
 
@@ -79,6 +79,47 @@ def test_parse_power_beyond_the_degree_cap_is_a_parse_error():
         assert err.value.position == expr.rindex("^") + 1
 
 
+# A power's term count is bounded before it is expanded, by the smaller of
+# C(k + e - 1, e) for a base of k terms and C(D + n + 1, n + 1), the monomials
+# of degree <= D = e * deg(base) in n + 1 variables.
+@pytest.mark.parametrize(
+    "text, n, terms",
+    [
+        # C(91, 2) = 4095, the cap less one
+        pytest.param("(" + "+".join(f"x^{i}" for i in range(90)) + ")^2", 1, 179, id="(x^0+...+x^89)^2"),
+        ("(1 + x + t + x^2 + x*t + t^2)^12", 1, 325),  # C(17, 12) = 6188, but C(26, 2) = 325 monomials
+        ("(x1+x2+x3+t)^5", 64, 56),  # C(8, 5) = 56, but C(70, 65) monomials
+        ("(x+y+z+t)^26", 3, 3654),  # C(29, 26) = 3654
+        ("(x+t)^200", 1, 201),
+        ("(x^2+t)^128", 1, 129),
+        ("(x-x)^200", 1, 0),  # a zero base counts as one term
+    ],
+)
+def test_parse_power_within_the_term_cap_expands(text, n, terms):
+    power = parse_poly(text, n)
+    assert len(power.terms) == terms <= MAX_POWER_TERMS
+    base, exponent = text[1:].rsplit(")^", 1)
+    assert power == parse_poly(base, n) ** int(exponent)
+
+
+@pytest.mark.parametrize(
+    "text, n",
+    [
+        # C(92, 2) = 4186
+        pytest.param("(" + "+".join(f"x^{i}" for i in range(91)) + ")^2", 1, id="(x^0+...+x^90)^2"),
+        ("(1 + x + t + x^2 + x*t + t^2)^45", 1),  # C(92, 2) = 4186 monomials of degree <= 90 in x, t
+        ("(x+y+z+t)^48", 3),  # C(51, 48) = 20825
+        # C(68, 4) = 814385
+        pytest.param("(" + "+".join(f"x{i}" for i in range(1, 65)) + "+t)^4", 64, id="(x1+...+x64+t)^4"),
+        ("((x+y+z+t)^8)^6", 3),  # the inner power has 165 terms; C(52, 4) = 270725 monomials
+    ],
+)
+def test_parse_power_beyond_the_term_cap_is_a_parse_error(text, n):
+    with pytest.raises(ParseError, match=f"past {MAX_POWER_TERMS} terms") as err:
+        parse_poly(text, n)
+    assert err.value.position == text.rindex("^")
+
+
 def test_parse_unknown_variable():
     with pytest.raises(ParseError, match="unknown variable 'y'"):
         parse_poly("t + y", 1)
@@ -101,6 +142,11 @@ def test_parse_rejects_trailing_junk():
         ("x + 3/0", "zero denominator", 6),
         ("x $ 1", "unexpected character '$'", 2),
         ("x^1/2", "exponent must be a non-negative integer", 2),
+        # an exponent is digits only: x^4/2 and x^2/1 were read as x^2
+        ("x^4/2", "exponent must be a non-negative integer", 2),
+        ("x^2/1", "exponent must be a non-negative integer", 2),
+        ("(x+t)^6/3", "exponent must be a non-negative integer", 6),
+        ("x^(2)", "exponent must be a non-negative integer", 2),
         ("x^y", "exponent must be a non-negative integer", 2),
         ("(x + t", "expected ')'", 6),
         ("(x t)", "expected ')'", 3),
